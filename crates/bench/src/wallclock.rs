@@ -1,7 +1,8 @@
-//! Shared machinery for the wall-clock suites (`wallclock_transport`,
-//! `wallclock_event`): best-of-N timing, the `PSSE_WALLCLOCK_*`
-//! environment knobs, and the phase-merging JSON writer behind
-//! `BENCH_sim.json` / `BENCH_event.json`.
+//! Machinery of the `wallclock_transport` suite: best-of-N timing, the
+//! `PSSE_WALLCLOCK_*` environment knobs, and the phase-merging JSON
+//! writer behind `BENCH_sim.json` (and behind the committed
+//! `BENCH_event.json`, whose suite the ledger's `event-mega` workload
+//! replaced).
 //!
 //! A wall-clock suite is run twice — once on the code *before* an
 //! optimisation (`PSSE_WALLCLOCK_PHASE=before`) and once after

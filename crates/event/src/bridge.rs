@@ -7,19 +7,6 @@ use crate::step::{Delivered, Step};
 use psse_sim::error::SimResult;
 use psse_sim::{Backend, Machine, SimConfig};
 
-/// Environment variable selecting the event backend's worker count:
-/// `1` (or unset) runs the serial virtual-time scheduler, `> 1` the
-/// round-based work-stealing executor. Output is byte-identical either
-/// way; the knob only trades wall-clock for cores.
-pub const EVENT_WORKERS_ENV: &str = "PSSE_EVENT_WORKERS";
-
-fn event_workers() -> usize {
-    std::env::var(EVENT_WORKERS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-}
-
 /// Run one program per rank on the backend selected by
 /// [`SimConfig::backend`]:
 ///
@@ -30,8 +17,8 @@ fn event_workers() -> usize {
 ///   markers → `mark_collective_begin`/`end`), so this is the oracle
 ///   the event backend is checked against.
 /// * [`Backend::Events`] — [`EventMachine`] prices the same steps in
-///   one process, scheduled by virtual time; byte-identical profiles,
-///   traces, and fault counters, feasible to `p = 10^6`.
+///   one process from a worklist of runnable ranks; byte-identical
+///   profiles, traces, and fault counters, feasible to `p = 10^6`.
 ///
 /// `make(rank, p)` constructs rank `rank`'s program.
 pub fn run_programs<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
@@ -71,13 +58,6 @@ where
                 stats: ExecStats::default(),
             })
         }
-        Backend::Events => {
-            let workers = event_workers();
-            if workers > 1 {
-                EventMachine::run_parallel(p, cfg, make, workers)
-            } else {
-                EventMachine::run(p, cfg, make)
-            }
-        }
+        Backend::Events => EventMachine::run(p, cfg, make),
     }
 }

@@ -119,10 +119,6 @@ impl RankCtx {
         }
     }
 
-    pub(crate) fn now(&self) -> f64 {
-        self.time
-    }
-
     pub(crate) fn into_parts(mut self) -> (RankStats, Vec<TimedEvent>) {
         self.stats.finish_time = self.time;
         (self.stats, self.events)

@@ -1,49 +1,45 @@
-//! The discrete-event executors: serial (virtual-time calendar queue)
-//! and parallel (round-based work stealing), byte-identical by
-//! construction, plus the analytic fast path for native counted
-//! collectives.
+//! The discrete-event executor: a FIFO worklist of runnable ranks, plus
+//! the analytic fast path for native counted collectives.
 //!
-//! ## Why the executors cannot disagree
+//! ## Why the scheduler needs no clock
 //!
 //! A rank's profile is a pure function of its own operation sequence
 //! plus, for each receive, the `(depart_time, n_chunks, words)` of the
 //! matching transfer. Matching is per-`(src, tag)` FIFO, and each
 //! `(src, tag)` key has a single sender whose sends are totally ordered
 //! by its own program — so *which* wire matches *which* receive is
-//! fixed by the programs alone, independent of executor scheduling.
-//! The serial executor orders runnable ranks by `(virtual time, rank,
-//! seq)` from a deterministic calendar queue; the parallel executor
-//! runs every runnable rank in a round concurrently and merges
-//! deliveries between rounds, preserving per-sender order; the fast
-//! path (`crate::fastpath`) prices a known DAG in closed form. All
-//! three walk the same message DAG, so every priced number is
-//! bit-identical (tested in this module, in `tests/`, and against the
-//! thread backend).
+//! fixed by the programs alone. *When* a rank's steps execute on the
+//! host cannot change *what* they compute, so any order that runs every
+//! runnable rank eventually yields the same bytes. The executor picks
+//! the simplest such order: a `VecDeque` of runnable rank ids seeded
+//! `0..p`; pop a rank, run it until it blocks in `Recv` or finishes,
+//! deliver its sends, push each receiver that delivery woke. No time
+//! keys, no sequence numbers, no tuning. The unit test below seeds the
+//! worklist ascending, descending and shuffled and asserts identical
+//! profiles and results; `crate::fastpath` prices a known DAG in closed
+//! form and walks the same DAG, so it is bit-identical too (tested in
+//! `tests/` and against the thread backend).
 //!
 //! ## The hot path
 //!
-//! Three structures keep the per-event constant small at `p = 10^6`:
-//! the scheduler is a bucketed calendar queue (`crate::calq`, amortized
-//! `O(1)` versus the heap's `O(log p)`), each mailbox is a slab of
-//! recycled wire cells indexed by `(src, tag)` chains (`crate::slab`,
-//! no steady-state allocation), and a delivery to a rank parked on
-//! exactly that `(src, tag)` is priced on the spot — the wire never
-//! touches a mailbox at all. Direct delivery is sound because a parked
-//! rank's queue for its awaited key is empty by construction (it parked
-//! on `pop() == None` and every later matching wire would have been
-//! delivered directly), and pricing early is invisible because the
-//! receiver is parked and its context depends only on its own state
-//! and the wire.
+//! Each mailbox is a slab of recycled wire cells indexed by
+//! `(src, tag)` chains (`crate::slab`, no steady-state allocation), and
+//! a delivery to a rank parked on exactly that `(src, tag)` is priced
+//! on the spot — the wire never touches a mailbox at all. Direct
+//! delivery is sound because a parked rank's queue for its awaited key
+//! is empty by construction (it parked on `pop() == None` and every
+//! later matching wire would have been delivered directly), and pricing
+//! early is invisible because the receiver is parked and its context
+//! depends only on its own state and the wire.
 //!
 //! ## Deadlock
 //!
-//! Sends are eager, so a rank can only block in `Recv`. When no rank is
-//! runnable and some are still live, every live rank is blocked on an
-//! empty `(src, tag)` queue that no future send can fill — a *proven*
-//! deadlock, reported as [`SimError::Deadlock`] with the full blocked
-//! set, in zero wall-clock time.
+//! Sends are eager, so a rank can only block in `Recv`. When the
+//! worklist is empty and some ranks are still live, every live rank is
+//! blocked on an empty `(src, tag)` queue that no future send can fill
+//! — a *proven* deadlock, reported as [`SimError::Deadlock`] with the
+//! full blocked set, in zero wall-clock time.
 
-use crate::calq::{CalendarQueue, SchedKey};
 use crate::ctx::RankCtx;
 use crate::fastpath;
 use crate::program::RankProgram;
@@ -51,13 +47,12 @@ use crate::slab::Mailbox;
 use crate::step::Step;
 use psse_sim::error::SimResult;
 use psse_sim::{Profile, SimConfig, SimError, Tag};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
 
 /// Executor health counters for one run: how hard the hot-path
 /// structures worked. Zero on the analytic fast path and on the thread
-/// backend (nothing is scheduled or parked there). Exported process-wide
-/// as `event.*` metrics via [`crate::export_health`].
+/// backend (nothing is scheduled or parked there). Per-run by design:
+/// this is the engine's only telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Sum over ranks of the peak number of wires parked in the rank's
@@ -65,8 +60,10 @@ pub struct ExecStats {
     pub slab_live_peak: u64,
     /// Deliveries that reused a freed slab cell instead of growing.
     pub slab_recycled: u64,
-    /// Scheduler keys that detoured through the calendar queue's
-    /// overflow heap (far-future events; should be rare).
+    /// Always 0 — nothing in the executor can overflow. The field exists
+    /// only because `crates/ledger` (frozen under `BENCHMARK.json`
+    /// `paths`) reads it; the next `benchmark` PR removes it together
+    /// with the ledger's metric.
     pub calq_overflow: u64,
 }
 
@@ -94,25 +91,16 @@ impl<P> std::fmt::Debug for EventOutcome<P> {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Runnable,
-    Blocked,
-    Done,
-    /// Failed with an error collected in the executor's error list.
-    Dead,
-}
-
 /// A receive the rank is parked on: `(src, tag, t0)`.
 type Waiting = (usize, Tag, f64);
 
 struct Slot<P> {
     program: P,
     ctx: RankCtx,
-    status: Status,
     /// Undelivered transfers, held in per-`(src, tag)` FIFO chains
     /// threaded through a recycling slab (see `crate::slab`).
     inbox: Mailbox,
+    /// `Some` exactly while the rank is blocked in `Recv`.
     waiting: Option<Waiting>,
     pending: Option<crate::step::Delivered>,
 }
@@ -131,23 +119,9 @@ fn advance<P: RankProgram>(
     cfg: &SimConfig,
     out: &mut Vec<Outgoing>,
 ) -> SimResult<()> {
-    // Complete the receive we were parked on, if any. (Deliveries to a
-    // parked rank are normally priced at delivery time — see the
-    // executors — so this mailbox probe is a belt-and-braces fallback.)
-    if let Some((src, tag, t0)) = slot.waiting.take() {
-        match slot.inbox.pop(src, tag.0) {
-            Some(wire) => {
-                let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                slot.pending = Some(d);
-            }
-            None => {
-                // Spurious wake: still nothing for us.
-                slot.waiting = Some((src, tag, t0));
-                slot.status = Status::Blocked;
-                return Ok(());
-            }
-        }
-    }
+    // A parked rank is only ever made runnable by a direct delivery,
+    // which completes the receive it was parked on.
+    debug_assert!(slot.waiting.is_none());
     loop {
         let delivered = slot.pending.take();
         match slot.program.next(delivered) {
@@ -171,7 +145,6 @@ fn advance<P: RankProgram>(
                     }
                     None => {
                         slot.waiting = Some((src, tag, t0));
-                        slot.status = Status::Blocked;
                         return Ok(());
                     }
                 }
@@ -180,7 +153,6 @@ fn advance<P: RankProgram>(
                 if let Some(e) = slot.ctx.take_fault_error() {
                     return Err(e);
                 }
-                slot.status = Status::Done;
                 return Ok(());
             }
         }
@@ -195,7 +167,6 @@ fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
         .map(|(r, program)| Slot {
             program,
             ctx: RankCtx::new(r, p, cfg),
-            status: Status::Runnable,
             inbox: Mailbox::new(),
             waiting: None,
             pending: None,
@@ -206,18 +177,14 @@ fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
 /// Collapse a finished run into its outcome, or the error the thread
 /// backend's triage would surface: the lowest-ranked real failure wins;
 /// otherwise all-blocked is a proven deadlock.
-fn finish<P>(
-    slots: Vec<Slot<P>>,
-    errors: Vec<(usize, SimError)>,
-    calq_overflow: u64,
-) -> SimResult<EventOutcome<P>> {
+fn finish<P>(slots: Vec<Slot<P>>, errors: Vec<(usize, SimError)>) -> SimResult<EventOutcome<P>> {
     if let Some((_, err)) = errors.into_iter().min_by_key(|(r, _)| *r) {
         return Err(err);
     }
     let blocked: Vec<usize> = slots
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.status == Status::Blocked)
+        .filter(|(_, s)| s.waiting.is_some())
         .map(|(r, _)| r)
         .collect();
     if !blocked.is_empty() {
@@ -226,10 +193,7 @@ fn finish<P>(
             blocked,
         });
     }
-    let mut stats = ExecStats {
-        calq_overflow,
-        ..ExecStats::default()
-    };
+    let mut stats = ExecStats::default();
     let mut programs = Vec::with_capacity(slots.len());
     let mut per_rank = Vec::with_capacity(slots.len());
     let mut all_events = Vec::with_capacity(slots.len());
@@ -247,7 +211,6 @@ fn finish<P>(
     let profile = Profile::with_events(per_rank, all_events);
     #[cfg(debug_assertions)]
     profile.assert_balanced()?;
-    crate::health::accumulate(&stats);
     Ok(EventOutcome {
         programs,
         profile,
@@ -255,236 +218,210 @@ fn finish<P>(
     })
 }
 
-fn check_world(p: usize, cfg: &SimConfig) -> SimResult<()> {
+/// Has the run's watchdog flag (if any) been raised?
+pub(crate) fn cancelled(cfg: &SimConfig) -> bool {
+    cfg.cancel.as_ref().is_some_and(|flag| flag.is_cancelled())
+}
+
+/// Validate the world and construct its `p` programs.
+fn build<P>(
+    p: usize,
+    cfg: &SimConfig,
+    mut make: impl FnMut(usize, usize) -> P,
+) -> SimResult<Vec<P>> {
     if p == 0 {
         return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
     }
-    cfg.validate()
+    cfg.validate()?;
+    Ok((0..p).map(|r| make(r, p)).collect())
 }
 
 /// The discrete-event machine.
 pub struct EventMachine;
 
 impl EventMachine {
-    /// Run `p` rank programs under the serial virtual-time scheduler.
+    /// Run `p` rank programs on the event executor.
     ///
     /// When every program claims the same analytic collective and
     /// nothing observes individual events, the run is priced in closed
     /// form (`crate::fastpath`) — byte-identical output, no scheduling.
-    /// Otherwise runnable ranks are dispatched in ascending
-    /// `(time, rank, seq)` order from a calendar queue; each rank runs
-    /// greedily until it blocks in `Recv` or finishes. Deterministic by
-    /// construction; byte-identical to the thread backend and to
-    /// [`EventMachine::run_parallel`].
-    pub fn run<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
+    /// Otherwise runnable ranks are taken from a FIFO worklist seeded
+    /// `0..p`; each rank runs greedily until it blocks in `Recv` or
+    /// finishes. Deterministic by construction and byte-identical to
+    /// the thread backend (see the module docs).
+    pub fn run<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram,
         F: FnMut(usize, usize) -> P,
     {
-        check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        if let Some(profile) = fastpath::try_run(p, cfg, &programs) {
+        let programs = build(p, cfg, make)?;
+        if let Some(profile) = fastpath::try_run(p, cfg, &programs)? {
             return Ok(EventOutcome {
                 programs,
                 profile,
                 stats: ExecStats::default(),
             });
         }
-        Self::run_serial(cfg, make_slots(programs, cfg))
+        run_worklist(cfg, programs, (0..p).collect())
     }
 
     /// [`EventMachine::run`] with the analytic fast path disabled: the
-    /// general scheduled executor, unconditionally. This is the oracle
-    /// half of the fast-path differential tests (`fastpath_identity`),
-    /// and what `PSSE_EVENT_NO_FASTPATH=1` forces process-wide.
-    pub fn run_general<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
+    /// scheduled executor, unconditionally. This is the oracle half of
+    /// the fast-path differential tests (`fastpath_identity`).
+    pub fn run_general<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram,
         F: FnMut(usize, usize) -> P,
     {
-        check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        Self::run_serial(cfg, make_slots(programs, cfg))
+        run_worklist(cfg, build(p, cfg, make)?, (0..p).collect())
     }
 
-    fn run_serial<P: RankProgram>(
-        cfg: &SimConfig,
-        mut slots: Vec<Slot<P>>,
-    ) -> SimResult<EventOutcome<P>> {
-        let p = slots.len();
-        // Width heuristic: one max-size chunk latency per bucket. With
-        // zero prices (counters-only runs) this is 0 and the calendar
-        // degenerates to exactly the old single binary heap.
-        let width = cfg.alpha_t + cfg.beta_t * cfg.max_message_words as f64;
-        let mut queue = CalendarQueue::new(width);
-        let mut seq: u64 = 0;
-        for rank in 0..p {
-            queue.push(SchedKey {
-                time: 0.0,
-                rank,
-                seq,
-            });
-            seq += 1;
-        }
-        let mut errors: Vec<(usize, SimError)> = Vec::new();
-        let mut out: Vec<Outgoing> = Vec::new();
-        while let Some(key) = queue.pop() {
-            // Cooperative cancellation: a watchdog can abandon a hung
-            // sweep between scheduler turns (the loop never sleeps, so
-            // one check per pop is cheap and prompt).
-            if let Some(flag) = &cfg.cancel {
-                if flag.is_cancelled() {
-                    return Err(SimError::Cancelled);
-                }
-            }
-            let r = key.rank;
-            if slots[r].status != Status::Runnable {
-                continue;
-            }
-            if let Err(e) = advance(r, &mut slots[r], cfg, &mut out) {
-                slots[r].status = Status::Dead;
-                errors.push((r, e));
-            }
-            // Deliver this turn's sends. A receiver parked on exactly
-            // this (src, tag) gets the wire priced on the spot (its
-            // queue for the key is provably empty; `price_recv` lands
-            // its clock on max(now, depart), which is also the wake
-            // time the old mailbox route would have scheduled).
-            for (dest, src, tag, wire) in out.drain(..) {
-                let slot = &mut slots[dest];
-                if slot.status == Status::Blocked {
-                    if let Some((wsrc, wtag, t0)) = slot.waiting {
-                        if wsrc == src && wtag == tag {
-                            slot.waiting = None;
-                            let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                            slot.pending = Some(d);
-                            slot.status = Status::Runnable;
-                            queue.push(SchedKey {
-                                time: slot.ctx.now(),
-                                rank: dest,
-                                seq,
-                            });
-                            seq += 1;
-                            continue;
-                        }
-                    }
-                }
-                slot.inbox.push(src, tag.0, wire);
-            }
-        }
-        let overflow = queue.overflow_pushes();
-        finish(slots, errors, overflow)
-    }
-
-    /// Run `p` rank programs on `workers` threads with round-based work
-    /// stealing. Observable output (profiles, traces, results, errors)
-    /// is byte-identical to [`EventMachine::run`] — see the module docs
-    /// for the argument, and the tests for the enforcement. The
-    /// analytic fast path applies exactly as in [`EventMachine::run`].
-    ///
-    /// Each round, every runnable rank is advanced to its next block
-    /// (workers steal ranks from a shared cursor); deliveries are
-    /// merged between rounds in worker order, which preserves the
-    /// per-sender FIFO the matching depends on.
+    /// Forwards to [`EventMachine::run`]; `workers` is ignored (there is
+    /// one executor). This name and signature exist only because
+    /// `crates/ledger` (frozen under `BENCHMARK.json` `paths`) calls
+    /// them; the next `benchmark` PR removes both.
     pub fn run_parallel<P, F>(
         p: usize,
         cfg: &SimConfig,
-        mut make: F,
-        workers: usize,
+        make: F,
+        _workers: usize,
     ) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram + Send,
         F: FnMut(usize, usize) -> P,
     {
-        check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        if let Some(profile) = fastpath::try_run(p, cfg, &programs) {
-            return Ok(EventOutcome {
-                programs,
-                profile,
-                stats: ExecStats::default(),
-            });
+        Self::run(p, cfg, make)
+    }
+}
+
+/// The one scheduled executor. `runnable` is the initial worklist — a
+/// permutation of `0..p`; the public entry points pass `0..p`, the
+/// order-independence test passes others.
+fn run_worklist<P: RankProgram>(
+    cfg: &SimConfig,
+    programs: Vec<P>,
+    mut runnable: VecDeque<usize>,
+) -> SimResult<EventOutcome<P>> {
+    let mut slots = make_slots(programs, cfg);
+    let mut errors: Vec<(usize, SimError)> = Vec::new();
+    let mut out: Vec<Outgoing> = Vec::new();
+    // Every rank is on the worklist at most once: it is pushed at seed
+    // time and at each parked → runnable transition, and popped before
+    // it can park again.
+    while let Some(r) = runnable.pop_front() {
+        // Cooperative cancellation: a watchdog can abandon a hung sweep
+        // between turns (the loop never sleeps, so one check per pop is
+        // cheap and prompt).
+        if cancelled(cfg) {
+            return Err(SimError::Cancelled);
         }
-        let workers = workers.max(1);
-        let slots: Vec<Mutex<Slot<P>>> = make_slots(programs, cfg)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let mut runnable: Vec<usize> = (0..p).collect();
-        let mut errors: Vec<(usize, SimError)> = Vec::new();
-        while !runnable.is_empty() {
-            // Same cooperative cancellation point as the serial loop,
-            // checked once per round.
-            if let Some(flag) = &cfg.cancel {
-                if flag.is_cancelled() {
-                    return Err(SimError::Cancelled);
-                }
-            }
-            let cursor = AtomicUsize::new(0);
-            let n_workers = workers.min(runnable.len());
-            // One delivery buffer per worker; merged in worker order
-            // below. A rank runs on exactly one worker per round, so a
-            // sender's wires stay contiguous and in program order.
-            type WorkerBuf = (Vec<Outgoing>, Vec<(usize, SimError)>);
-            let mut buffers: Vec<WorkerBuf> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let runnable = &runnable;
-                        let slots = &slots;
-                        scope.spawn(move || {
-                            let mut out: Vec<Outgoing> = Vec::new();
-                            let mut errs: Vec<(usize, SimError)> = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&r) = runnable.get(i) else { break };
-                                let mut slot = slots[r].lock().expect("slot lock");
-                                if let Err(e) = advance(r, &mut slot, cfg, &mut out) {
-                                    slot.status = Status::Dead;
-                                    errs.push((r, e));
-                                }
-                            }
-                            (out, errs)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("event worker panicked"))
-                    .collect()
-            });
-            // Merge: deliveries in worker order (direct-priced when the
-            // receiver is parked on exactly this key, as in the serial
-            // loop), then the next round's runnable set in ascending
-            // rank order for determinism.
-            let mut woken: Vec<usize> = Vec::new();
-            for (out, errs) in &mut buffers {
-                errors.append(errs);
-                for (dest, src, tag, wire) in out.drain(..) {
-                    let mut slot = slots[dest].lock().expect("slot lock");
-                    if slot.status == Status::Blocked {
-                        if let Some((wsrc, wtag, t0)) = slot.waiting {
-                            if wsrc == src && wtag == tag {
-                                slot.waiting = None;
-                                let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                                slot.pending = Some(d);
-                                slot.status = Status::Runnable;
-                                woken.push(dest);
-                                continue;
-                            }
-                        }
-                    }
-                    slot.inbox.push(src, tag.0, wire);
-                }
-            }
-            woken.sort_unstable();
-            woken.dedup();
-            runnable = woken;
+        if let Err(e) = advance(r, &mut slots[r], cfg, &mut out) {
+            errors.push((r, e));
         }
-        let slots: Vec<Slot<P>> = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot lock"))
-            .collect();
-        finish(slots, errors, 0)
+        // Deliver this turn's sends. A receiver parked on exactly this
+        // (src, tag) gets the wire priced on the spot (its queue for
+        // the key is provably empty) and becomes runnable.
+        for (dest, src, tag, wire) in out.drain(..) {
+            let slot = &mut slots[dest];
+            match slot.waiting {
+                Some((wsrc, wtag, t0)) if wsrc == src && wtag == tag => {
+                    slot.waiting = None;
+                    slot.pending = Some(slot.ctx.price_recv(cfg, t0, src, tag, wire));
+                    runnable.push_back(dest);
+                }
+                _ => slot.inbox.push(src, tag.0, wire),
+            }
+        }
+    }
+    finish(slots, errors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::programs::{Matmul25D, SampleSort};
+    use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy, SplitMix64};
+
+    /// The three initial worklists the test seeds: ascending (what the
+    /// public entry points use), descending, and a seeded Fisher–Yates
+    /// shuffle.
+    fn orders(p: usize) -> [VecDeque<usize>; 3] {
+        let mut shuffled: Vec<usize> = (0..p).collect();
+        let mut rng = SplitMix64::new(0x5eed);
+        for i in (1..p).rev() {
+            shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        [
+            (0..p).collect(),
+            (0..p).rev().collect(),
+            shuffled.into_iter().collect(),
+        ]
+    }
+
+    /// Run the same programs once per initial order.
+    fn in_every_order<P: RankProgram>(
+        cfg: &SimConfig,
+        p: usize,
+        make: impl Fn(usize, usize) -> P,
+    ) -> [EventOutcome<P>; 3] {
+        orders(p)
+            .map(|order| run_worklist(cfg, (0..p).map(|r| make(r, p)).collect(), order).unwrap())
+    }
+
+    /// Schedule independence, stated directly: whatever order ranks
+    /// first take their turns in, the profile — per-rank counters,
+    /// clocks, traces, retry counts — and the program results are the
+    /// same. This is the property that lets the scheduler be a plain
+    /// FIFO.
+    #[test]
+    fn profile_and_results_do_not_depend_on_worklist_order() {
+        // Traced, faulted sample sort with real keys (data-dependent
+        // bucket sizes, retries, multi-chunk transfers).
+        let cfg = SimConfig {
+            gamma_t: 1e-9,
+            beta_t: 1e-6,
+            alpha_t: 1e-3,
+            max_message_words: 37,
+            record_trace: true,
+            faults: Some(FaultPlan {
+                spec: FaultSpec {
+                    seed: 42,
+                    drop_rate: 0.2,
+                    corrupt_rate: 0.1,
+                    duplicate_rate: 0.1,
+                    delay_rate: 0.1,
+                    delay_seconds: 2e-3,
+                    ..FaultSpec::default()
+                },
+                recovery: RecoveryPolicy {
+                    max_retries: 10,
+                    retry_backoff: 1e-4,
+                    checkpoint: None,
+                },
+            }),
+            ..SimConfig::default()
+        };
+        let keys: Vec<f64> = (0..240).map(|i| ((i * 37) % 240) as f64 - 120.0).collect();
+        let [asc, desc, shuffled] = in_every_order(&cfg, 8, SampleSort::with_data(keys));
+        assert!(asc.profile.total_retries() > 0, "the fault plan must bite");
+        for other in [desc, shuffled] {
+            assert_eq!(asc.profile, other.profile);
+            for (x, y) in asc.programs.iter().zip(&other.programs) {
+                assert_eq!(x.result().unwrap(), y.result().unwrap());
+            }
+        }
+
+        // The counted 2.5D matmul skeleton (replication, shifts, layer
+        // reduction) on the default machine.
+        let (q, c, b) = (4, 2, 5);
+        let [asc, desc, shuffled] = in_every_order(
+            &SimConfig::default(),
+            q * q * c,
+            Matmul25D::counted(q, c, b),
+        );
+        let t = Matmul25D::expected_totals(q as u64, c as u64, b);
+        assert_eq!(asc.profile.total_msgs_sent(), t.msgs);
+        assert_eq!(asc.profile, desc.profile);
+        assert_eq!(asc.profile, shuffled.profile);
     }
 }

@@ -21,12 +21,17 @@
 //!   cheap to add, but the general path is the reference until a
 //!   workload needs it);
 //! * every rank's program must claim the *same*
-//!   [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none);
-//! * `PSSE_EVENT_NO_FASTPATH=1` is an operator override that forces
-//!   the general path process-wide.
+//!   [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none).
+//!
+//! Once engaged it honours [`SimConfig::cancel`] like the scheduler
+//! does: checked up front and once per round of the `O(p)`-round
+//! collectives, so a watchdog can abandon a large ring.
 
+use crate::exec::cancelled;
 use crate::program::{AnalyticOp, RankProgram};
-use psse_sim::{Profile, RankStats, SimConfig};
+use crate::programs::{PairwiseSchedule, RecursiveDoubling, Ring};
+use psse_sim::error::SimResult;
+use psse_sim::{Profile, RankStats, SimConfig, SimError};
 
 /// One rank's accounting lane: exactly the fields of `RankStats` the
 /// general path can touch on a trace-less, fault-less, flat run.
@@ -104,32 +109,31 @@ impl Prices {
     }
 }
 
-/// Price the run analytically if every guard passes; `None` falls back
-/// to the general executor.
+/// Price the run analytically if every guard passes; `Ok(None)` falls
+/// back to the general executor.
 pub(crate) fn try_run<P: RankProgram>(
     p: usize,
     cfg: &SimConfig,
     programs: &[P],
-) -> Option<Profile> {
+) -> SimResult<Option<Profile>> {
     if cfg.record_trace || cfg.faults.is_some() || cfg.hierarchy.is_some() {
-        return None;
+        return Ok(None);
     }
-    if std::env::var_os("PSSE_EVENT_NO_FASTPATH").is_some_and(|v| v == "1") {
-        return None;
-    }
-    let op = programs.first()?.analytic()?;
+    let Some(op) = programs.first().and_then(|prog| prog.analytic()) else {
+        return Ok(None);
+    };
     if programs.iter().any(|prog| prog.analytic() != Some(op)) {
-        return None;
+        return Ok(None);
+    }
+    if cancelled(cfg) {
+        return Err(SimError::Cancelled);
     }
     let lanes = match op {
         AnalyticOp::BinomialAllreduce { words } => binomial(p, Prices::new(cfg, words)),
         AnalyticOp::RecursiveDoublingAllreduce { words } => {
-            if !p.is_power_of_two() {
-                return None; // the program would have panicked in new()
-            }
-            recursive_doubling(p, Prices::new(cfg, words))
+            pairwise::<RecursiveDoubling>(p, cfg, words)?
         }
-        AnalyticOp::RingAllreduce { words } => ring(p, Prices::new(cfg, words)),
+        AnalyticOp::RingAllreduce { words } => pairwise::<Ring>(p, cfg, words)?,
     };
     let per_rank: Vec<RankStats> = lanes
         .into_iter()
@@ -147,7 +151,7 @@ pub(crate) fn try_run<P: RankProgram>(
     // tracing off; mirror that shape exactly.
     let profile = Profile::with_events(per_rank, vec![Vec::new(); p]);
     debug_assert!(profile.assert_balanced().is_ok());
-    Some(profile)
+    Ok(Some(profile))
 }
 
 /// `BinomialAllreduce`: reduce pass in *descending* rank order — at
@@ -197,52 +201,38 @@ fn binomial(p: usize, pr: Prices) -> Vec<Lane> {
     lanes
 }
 
-/// `RecursiveDoublingAllreduce`: per round every rank sends to its
-/// partner, then receives and merges — so price each round in two
-/// sweeps (all sends, then all recv+computes), which is exactly each
-/// rank's own program order with every partner depart time ready.
-fn recursive_doubling(p: usize, pr: Prices) -> Vec<Lane> {
+/// The pairwise-round allreduces: per round every rank sends to its
+/// peer, then receives and merges — so price each round in two sweeps
+/// (all sends, then all recv+computes), which is exactly each rank's
+/// own program order with every depart time ready. The ring's `O(p)`
+/// rounds make this `O(p²)` work — still the cheap side of `O(p²)`
+/// scheduled events, but the reason the cancel flag is polled here.
+fn pairwise<S: PairwiseSchedule>(p: usize, cfg: &SimConfig, words: usize) -> SimResult<Vec<Lane>> {
+    let pr = Prices::new(cfg, words);
     let mut lanes = vec![Lane::default(); p];
     let mut depart = vec![0.0f64; p];
-    let mut k = 0usize;
-    while 1usize << k < p {
+    for round in 0..S::rounds(p) {
+        if cancelled(cfg) {
+            return Err(SimError::Cancelled);
+        }
         for (v, lane) in lanes.iter_mut().enumerate() {
             depart[v] = pr.send(lane);
         }
         for (v, lane) in lanes.iter_mut().enumerate() {
-            pr.recv(lane, depart[v ^ (1usize << k)]);
-            pr.compute(lane);
-        }
-        k += 1;
-    }
-    lanes
-}
-
-/// `RingAllreduce`: same two-sweep rounds as recursive doubling, with
-/// the left neighbour as the depart source. `O(p)` rounds — at ring
-/// scale the general path is `O(p²)` scheduled events, so this is still
-/// the cheap side, but the tree collectives are the mega-scale tools.
-fn ring(p: usize, pr: Prices) -> Vec<Lane> {
-    let mut lanes = vec![Lane::default(); p];
-    let mut depart = vec![0.0f64; p];
-    for _round in 0..p.saturating_sub(1) {
-        for (v, lane) in lanes.iter_mut().enumerate() {
-            depart[v] = pr.send(lane);
-        }
-        for (v, lane) in lanes.iter_mut().enumerate() {
-            pr.recv(lane, depart[(v + p - 1) % p]);
+            pr.recv(lane, depart[S::recv_peer(v, round, p)]);
             pr.compute(lane);
         }
     }
-    lanes
+    Ok(lanes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::BinomialAllreduce;
+    use crate::exec::EventMachine;
+    use crate::programs::{BinomialAllreduce, RingAllreduce};
     use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
-    use psse_sim::machine::Hierarchy;
+    use psse_sim::machine::{CancelFlag, Hierarchy};
     use psse_sim::{SimConfig, Tag};
 
     fn counted(p: usize) -> Vec<BinomialAllreduce> {
@@ -256,7 +246,9 @@ mod tests {
     #[test]
     fn engages_for_counted_binomial() {
         let programs = counted(64);
-        let profile = try_run(64, &SimConfig::default(), &programs).expect("fast path");
+        let profile = try_run(64, &SimConfig::default(), &programs)
+            .unwrap()
+            .expect("fast path");
         let t = BinomialAllreduce::expected_totals(64, 100, 1 << 16);
         assert_eq!(profile.total_msgs_sent(), t.msgs);
         assert_eq!(profile.total_words_sent(), t.words);
@@ -272,7 +264,7 @@ mod tests {
             record_trace: true,
             ..SimConfig::default()
         };
-        assert!(try_run(8, &traced, &programs).is_none());
+        assert!(try_run(8, &traced, &programs).unwrap().is_none());
         let faulted = SimConfig {
             faults: Some(FaultPlan {
                 spec: FaultSpec {
@@ -287,7 +279,7 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &faulted, &programs).is_none());
+        assert!(try_run(8, &faulted, &programs).unwrap().is_none());
         let hierarchical = SimConfig {
             hierarchy: Some(Hierarchy {
                 cores_per_node: 4,
@@ -296,9 +288,33 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &hierarchical, &programs).is_none());
+        assert!(try_run(8, &hierarchical, &programs).unwrap().is_none());
         let make = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);
         let data_mode: Vec<BinomialAllreduce> = (0..8).map(|r| make(r, 8)).collect();
-        assert!(try_run(8, &SimConfig::default(), &data_mode).is_none());
+        assert!(try_run(8, &SimConfig::default(), &data_mode)
+            .unwrap()
+            .is_none());
+    }
+
+    /// A raised cancel flag abandons the run on the analytic path
+    /// exactly as it does on the scheduled one — a counted ring at
+    /// large `p` is `O(p²)` sweeps the watchdog must be able to stop.
+    #[test]
+    fn cancel_flag_is_honoured_on_both_paths() {
+        let flag = CancelFlag::new();
+        flag.cancel();
+        let cfg = SimConfig {
+            cancel: Some(flag),
+            ..SimConfig::default()
+        };
+        for p in [1, 64] {
+            let fast = EventMachine::run(p, &cfg, RingAllreduce::counted(Tag(0), 100));
+            assert!(matches!(fast, Err(SimError::Cancelled)), "run, p={p}");
+            let general = EventMachine::run_general(p, &cfg, RingAllreduce::counted(Tag(0), 100));
+            assert!(
+                matches!(general, Err(SimError::Cancelled)),
+                "general, p={p}"
+            );
+        }
     }
 }

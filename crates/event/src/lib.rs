@@ -6,8 +6,12 @@
 //! crate removes the thread: each rank becomes a **resumable state
 //! machine** (a [`RankProgram`] returning explicit continuation
 //! [`Step`]s — compute, send, receive, collective markers, done) and a
-//! single process schedules all of them by **virtual time** from a
-//! deterministic priority queue with `(time, rank, seq)` tie-breaking.
+//! single process runs all of them from one **FIFO worklist** of
+//! runnable ranks: pop a rank, run it until it blocks in a receive,
+//! deliver its sends, push whoever that woke. Virtual time lives in the
+//! ranks' clocks, not in the scheduler — every priced number is a pure
+//! function of the message DAG, so the host order in which ranks take
+//! their turns cannot change one byte (see [`exec`]).
 //!
 //! The contract is bit-identity: the event executor prices every
 //! operation with the same floating-point arithmetic, in the same
@@ -29,28 +33,19 @@
 //! reports the full blocked set as [`psse_sim::SimError::Deadlock`] in
 //! zero wall-clock time.
 //!
-//! An optional round-based work-stealing executor
-//! ([`EventMachine::run_parallel`], selected by the
-//! [`bridge::EVENT_WORKERS_ENV`] variable) spreads ranks across
-//! threads without changing one observable byte: per-`(src, tag)`
-//! matching depends only on per-sender order, which round-merging
-//! preserves.
-//!
 //! ## The mega-scale hot path
 //!
-//! Three structures keep wall-clock cost `O(1)` per event at
-//! `p = 10^6`: a bucketed **calendar queue** scheduler (amortized
-//! constant-time versus a heap's `O(log p)`), per-rank **slab
-//! mailboxes** with free-list recycling and `(src, tag)`-chained
-//! indexing (steady state allocates nothing), and an **analytic fast
-//! path** that prices native counted collectives in closed form when
-//! nothing can observe individual events (no trace, no faults, no
-//! hierarchy, no data payloads) — same f64 operations, same order,
-//! byte-identical profiles, enforced by differential tests against
-//! [`EventMachine::run_general`]. Set `PSSE_EVENT_NO_FASTPATH=1` to
-//! force the general path process-wide. Engine health counters
-//! ([`ExecStats`]) ride on every outcome and aggregate process-wide
-//! for metrics export via [`export_health`].
+//! Two structures keep wall-clock cost `O(1)` per event at `p = 10^6`:
+//! per-rank **slab mailboxes** with free-list recycling and
+//! `(src, tag)`-chained indexing (steady state allocates nothing; a
+//! wire for a rank parked on exactly that key skips the mailbox
+//! altogether), and an **analytic fast path** that prices native
+//! counted collectives in closed form when nothing can observe
+//! individual events (no trace, no faults, no hierarchy, no data
+//! payloads) — same f64 operations, same order, byte-identical
+//! profiles, enforced by differential tests against
+//! [`EventMachine::run_general`], which always schedules. Engine health
+//! counters ([`ExecStats`]) ride on every outcome, per run.
 //!
 //! ## Example
 //!
@@ -74,11 +69,9 @@
 #![warn(missing_docs)]
 
 pub mod bridge;
-mod calq;
 mod ctx;
 pub mod exec;
 mod fastpath;
-mod health;
 pub mod program;
 pub mod programs;
 mod slab;
@@ -86,7 +79,6 @@ pub mod step;
 
 pub use bridge::run_programs;
 pub use exec::{EventMachine, EventOutcome, ExecStats};
-pub use health::{export_health, health_totals};
 pub use program::{AnalyticOp, RankProgram};
 pub use programs::{
     BinomialAllreduce, Matmul25D, OpTotals, RecursiveDoublingAllreduce, RingAllreduce, SampleSort,
@@ -98,7 +90,6 @@ pub use step::{Delivered, Payload, Step};
 pub mod prelude {
     pub use crate::bridge::run_programs;
     pub use crate::exec::{EventMachine, EventOutcome, ExecStats};
-    pub use crate::health::{export_health, health_totals};
     pub use crate::program::{AnalyticOp, RankProgram};
     pub use crate::programs::{
         BinomialAllreduce, Matmul25D, OpTotals, RecursiveDoublingAllreduce, RingAllreduce,

@@ -46,7 +46,7 @@ pub enum AnalyticOp {
 /// [`crate::run_programs`]: on `Backend::Threads` each step is replayed
 /// through a `psse_sim::Rank` on its own pooled thread (the bit-identity
 /// oracle); on `Backend::Events` steps are priced by the event
-/// executor's rank context and scheduled by virtual time —
+/// executor's rank context, one runnable rank at a time —
 /// byte-identical profiles, six orders of magnitude more ranks per
 /// process.
 ///

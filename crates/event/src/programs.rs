@@ -25,6 +25,7 @@
 use crate::program::{AnalyticOp, RankProgram};
 use crate::step::{Delivered, Payload, Step};
 use psse_sim::{SharedPayload, Tag};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Exact Eq. 1 operation totals for a program over the whole machine.
@@ -61,6 +62,22 @@ impl Buf {
         match self {
             Buf::Counted(w) => *w,
             Buf::Data(d) => d.len(),
+        }
+    }
+
+    /// The real values, if this buffer carries any.
+    fn data(&self) -> Option<&[f64]> {
+        match self {
+            Buf::Data(d) => Some(d),
+            Buf::Counted(_) => None,
+        }
+    }
+
+    /// Adopt a delivered payload as-is (zero-copy: the same `Arc`).
+    fn from_delivered(d: &Delivered) -> Buf {
+        match &d.data {
+            Some(data) => Buf::Data(Arc::clone(data)),
+            None => Buf::Counted(d.words),
         }
     }
 
@@ -151,10 +168,7 @@ impl BinomialAllreduce {
 
     /// The reduced values (data mode, after the run completes).
     pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
-        }
+        self.acc.data()
     }
 
     /// Closed-form Eq. 1 totals: the reduce and broadcast trees each
@@ -255,10 +269,7 @@ impl RankProgram for BinomialAllreduce {
                     if let Some(d) = delivered.as_ref() {
                         // The broadcast payload replaces my buffer
                         // (zero-copy: the same Arc fans out below).
-                        self.acc = match &d.data {
-                            Some(data) => Buf::Data(Arc::clone(data)),
-                            None => Buf::Counted(d.words),
-                        };
+                        self.acc = Buf::from_delivered(d);
                     }
                     while self.fan_mask > 0 {
                         let mask = self.fan_mask;
@@ -292,10 +303,77 @@ impl RankProgram for BinomialAllreduce {
 }
 
 // ---------------------------------------------------------------------
-// Recursive-doubling allreduce
+// Pairwise-round allreduces (recursive doubling, ring)
 // ---------------------------------------------------------------------
 
-enum RdState {
+/// The shape of a pairwise-round allreduce: in each of `rounds(p)`
+/// rounds every rank sends one block to `send_peer`, receives one from
+/// `recv_peer` and merges it. This is the whole difference between
+/// recursive doubling and the ring — the stepped program
+/// ([`PairwiseAllreduce`]) and the closed-form pricing
+/// (`crate::fastpath`) are both written once against it.
+pub trait PairwiseSchedule {
+    /// Collective name used for the trace markers.
+    const OP: &'static str;
+    /// Forward the block last received (ring) rather than the running
+    /// sum (recursive doubling).
+    const FORWARDS_RECEIVED: bool;
+    /// Number of exchange rounds on `p` ranks (panics if the schedule
+    /// does not support `p`).
+    fn rounds(p: usize) -> usize;
+    /// Who `me` sends to in round `r`.
+    fn send_peer(me: usize, r: usize, p: usize) -> usize;
+    /// Who `me` receives from in round `r`.
+    fn recv_peer(me: usize, r: usize, p: usize) -> usize;
+    /// The analytic claim of a counted run (see [`AnalyticOp`]).
+    fn analytic(words: usize) -> AnalyticOp;
+}
+
+/// Schedule of [`RecursiveDoublingAllreduce`]: partner `me ⊕ 2^r`.
+pub struct RecursiveDoubling;
+
+impl PairwiseSchedule for RecursiveDoubling {
+    const OP: &'static str = "allreduce_rd";
+    const FORWARDS_RECEIVED: bool = false;
+    fn rounds(p: usize) -> usize {
+        assert!(
+            p.is_power_of_two(),
+            "recursive doubling requires p to be a power of two, got {p}"
+        );
+        p.trailing_zeros() as usize
+    }
+    fn send_peer(me: usize, r: usize, _p: usize) -> usize {
+        me ^ (1usize << r)
+    }
+    fn recv_peer(me: usize, r: usize, _p: usize) -> usize {
+        me ^ (1usize << r)
+    }
+    fn analytic(words: usize) -> AnalyticOp {
+        AnalyticOp::RecursiveDoublingAllreduce { words }
+    }
+}
+
+/// Schedule of [`RingAllreduce`]: send right, receive from the left.
+pub struct Ring;
+
+impl PairwiseSchedule for Ring {
+    const OP: &'static str = "allreduce_ring";
+    const FORWARDS_RECEIVED: bool = true;
+    fn rounds(p: usize) -> usize {
+        p - 1
+    }
+    fn send_peer(me: usize, _r: usize, p: usize) -> usize {
+        (me + 1) % p
+    }
+    fn recv_peer(me: usize, _r: usize, p: usize) -> usize {
+        (me + p - 1) % p
+    }
+    fn analytic(words: usize) -> AnalyticOp {
+        AnalyticOp::RingAllreduce { words }
+    }
+}
+
+enum PwState {
     Begin,
     Round,
     Sent,
@@ -304,20 +382,40 @@ enum RdState {
     Done,
 }
 
+/// A pairwise-round allreduce as a resumable program: per round, send
+/// to `S::send_peer`, receive from `S::recv_peer`, charge an `n`-flop
+/// merge; round `r` travels at tag offset `r`. Use it through the
+/// [`RecursiveDoublingAllreduce`] and [`RingAllreduce`] aliases.
+pub struct PairwiseAllreduce<S> {
+    tag: Tag,
+    /// The accumulated sum.
+    acc: Buf,
+    /// The block to send next when it is not `acc` (ring: the block
+    /// last received).
+    fwd: Option<Buf>,
+    st: PwState,
+    p: usize,
+    me: usize,
+    round: usize,
+    rounds: usize,
+    schedule: PhantomData<S>,
+}
+
 /// Recursive-doubling allreduce (`p` a power of two): `log₂p` rounds of
 /// pairwise exchange with partner `me ⊕ 2^k`, each followed by an
 /// `n`-flop merge. Latency-optimal: every rank is done after `log₂p`
 /// sends, at the cost of `p·log₂p` total messages.
-pub struct RecursiveDoublingAllreduce {
-    tag: Tag,
-    acc: Buf,
-    st: RdState,
-    p: usize,
-    me: usize,
-    k: u64,
-}
+pub type RecursiveDoublingAllreduce = PairwiseAllreduce<RecursiveDoubling>;
 
-impl RecursiveDoublingAllreduce {
+/// Naive ring allreduce: in each of `p − 1` rounds every rank forwards
+/// the block it last received (initially its own contribution) to its
+/// right neighbour and accumulates the block arriving from the left.
+/// After `p − 1` rounds every original block has visited every rank, so
+/// all ranks hold the global sum. `O(p²)` total messages — the
+/// bandwidth-hungry baseline the tree algorithms beat.
+pub type RingAllreduce = PairwiseAllreduce<Ring>;
+
+impl<S: PairwiseSchedule> PairwiseAllreduce<S> {
     /// Counted mode (see [`BinomialAllreduce::counted`]).
     pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
         move |me, p| Self::new(tag, Buf::Counted(words), me, p)
@@ -329,28 +427,26 @@ impl RecursiveDoublingAllreduce {
     }
 
     fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
-        assert!(
-            p.is_power_of_two(),
-            "recursive doubling requires p to be a power of two, got {p}"
-        );
-        RecursiveDoublingAllreduce {
+        PairwiseAllreduce {
             tag,
             acc,
-            st: RdState::Begin,
+            fwd: None,
+            st: PwState::Begin,
             p,
             me,
-            k: 0,
+            round: 0,
+            rounds: S::rounds(p),
+            schedule: PhantomData,
         }
     }
 
     /// The reduced values (data mode, after the run completes).
     pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
-        }
+        self.acc.data()
     }
+}
 
+impl RecursiveDoublingAllreduce {
     /// Closed-form totals: every rank sends `n` words in each of the
     /// `log₂p` rounds and merges once per round.
     pub fn expected_totals(p: u64, n: u64, m: u64) -> OpTotals {
@@ -363,124 +459,7 @@ impl RecursiveDoublingAllreduce {
     }
 }
 
-impl RankProgram for RecursiveDoublingAllreduce {
-    /// Counted runs are analytically priceable; data mode must step.
-    fn analytic(&self) -> Option<AnalyticOp> {
-        match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::RecursiveDoublingAllreduce { words }),
-            Buf::Data(_) => None,
-        }
-    }
-
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        loop {
-            match self.st {
-                RdState::Begin => {
-                    self.st = RdState::Round;
-                    return Step::CollBegin { op: "allreduce_rd" };
-                }
-                RdState::Round => {
-                    if 1usize << self.k >= self.p {
-                        self.st = RdState::End;
-                        continue;
-                    }
-                    let partner = self.me ^ (1usize << self.k);
-                    self.st = RdState::Sent;
-                    return Step::Send {
-                        dest: partner,
-                        tag: self.tag.offset(self.k),
-                        payload: self.acc.payload(),
-                    };
-                }
-                RdState::Sent => {
-                    let partner = self.me ^ (1usize << self.k);
-                    self.st = RdState::Merge;
-                    return Step::Recv {
-                        src: partner,
-                        tag: self.tag.offset(self.k),
-                    };
-                }
-                RdState::Merge => {
-                    let d = delivered.as_ref().expect("recv step delivers");
-                    let flops = self.acc.words() as u64;
-                    self.acc.merge(d);
-                    self.k += 1;
-                    self.st = RdState::Round;
-                    return Step::Compute { flops };
-                }
-                RdState::End => {
-                    self.st = RdState::Done;
-                    return Step::CollEnd { op: "allreduce_rd" };
-                }
-                RdState::Done => return Step::Done,
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ring allreduce
-// ---------------------------------------------------------------------
-
-enum RingState {
-    Begin,
-    Round,
-    Sent,
-    Merge,
-    End,
-    Done,
-}
-
-/// Naive ring allreduce: in each of `p − 1` rounds every rank forwards
-/// the block it last received (initially its own contribution) to its
-/// right neighbour and accumulates the block arriving from the left.
-/// After `p − 1` rounds every original block has visited every rank, so
-/// all ranks hold the global sum. `O(p²)` total messages — the
-/// bandwidth-hungry baseline the tree algorithms beat.
-pub struct RingAllreduce {
-    tag: Tag,
-    /// The accumulated sum.
-    acc: Buf,
-    /// The block to forward next (the last one received).
-    fwd: Buf,
-    st: RingState,
-    p: usize,
-    me: usize,
-    round: u64,
-}
-
 impl RingAllreduce {
-    /// Counted mode (see [`BinomialAllreduce::counted`]).
-    pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Counted(words), me, p)
-    }
-
-    /// Data mode: every rank ends with the elementwise global sum.
-    pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Data(Arc::new(data.clone())), me, p)
-    }
-
-    fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
-        let fwd = acc.clone();
-        RingAllreduce {
-            tag,
-            acc,
-            fwd,
-            st: RingState::Begin,
-            p,
-            me,
-            round: 0,
-        }
-    }
-
-    /// The reduced values (data mode, after the run completes).
-    pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
-        }
-    }
-
     /// Closed-form totals: `p` ranks each send `n` words and merge once
     /// in each of the `p − 1` rounds.
     pub fn expected_totals(p: u64, n: u64, m: u64) -> OpTotals {
@@ -493,11 +472,11 @@ impl RingAllreduce {
     }
 }
 
-impl RankProgram for RingAllreduce {
+impl<S: PairwiseSchedule> RankProgram for PairwiseAllreduce<S> {
     /// Counted runs are analytically priceable; data mode must step.
     fn analytic(&self) -> Option<AnalyticOp> {
         match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::RingAllreduce { words }),
+            Buf::Counted(words) => Some(S::analytic(words)),
             Buf::Data(_) => None,
         }
     }
@@ -505,53 +484,45 @@ impl RankProgram for RingAllreduce {
     fn next(&mut self, delivered: Option<Delivered>) -> Step {
         loop {
             match self.st {
-                RingState::Begin => {
-                    self.st = RingState::Round;
-                    return Step::CollBegin {
-                        op: "allreduce_ring",
-                    };
+                PwState::Begin => {
+                    self.st = PwState::Round;
+                    return Step::CollBegin { op: S::OP };
                 }
-                RingState::Round => {
-                    if self.round as usize >= self.p - 1 {
-                        self.st = RingState::End;
+                PwState::Round => {
+                    if self.round >= self.rounds {
+                        self.st = PwState::End;
                         continue;
                     }
-                    let right = (self.me + 1) % self.p;
-                    self.st = RingState::Sent;
+                    self.st = PwState::Sent;
                     return Step::Send {
-                        dest: right,
-                        tag: self.tag.offset(self.round),
-                        payload: self.fwd.payload(),
+                        dest: S::send_peer(self.me, self.round, self.p),
+                        tag: self.tag.offset(self.round as u64),
+                        payload: self.fwd.as_ref().unwrap_or(&self.acc).payload(),
                     };
                 }
-                RingState::Sent => {
-                    let left = (self.me + self.p - 1) % self.p;
-                    self.st = RingState::Merge;
+                PwState::Sent => {
+                    self.st = PwState::Merge;
                     return Step::Recv {
-                        src: left,
-                        tag: self.tag.offset(self.round),
+                        src: S::recv_peer(self.me, self.round, self.p),
+                        tag: self.tag.offset(self.round as u64),
                     };
                 }
-                RingState::Merge => {
+                PwState::Merge => {
                     let d = delivered.as_ref().expect("recv step delivers");
                     let flops = self.acc.words() as u64;
                     self.acc.merge(d);
-                    // Forward the received block onward next round.
-                    self.fwd = match &d.data {
-                        Some(data) => Buf::Data(Arc::clone(data)),
-                        None => Buf::Counted(d.words),
-                    };
+                    if S::FORWARDS_RECEIVED {
+                        self.fwd = Some(Buf::from_delivered(d));
+                    }
                     self.round += 1;
-                    self.st = RingState::Round;
+                    self.st = PwState::Round;
                     return Step::Compute { flops };
                 }
-                RingState::End => {
-                    self.st = RingState::Done;
-                    return Step::CollEnd {
-                        op: "allreduce_ring",
-                    };
+                PwState::End => {
+                    self.st = PwState::Done;
+                    return Step::CollEnd { op: S::OP };
                 }
-                RingState::Done => return Step::Done,
+                PwState::Done => return Step::Done,
             }
         }
     }

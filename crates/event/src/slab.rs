@@ -135,12 +135,12 @@ impl Mailbox {
         self.live
     }
 
-    /// High-water mark of parked wires (health metric `event.slab.live`).
+    /// High-water mark of parked wires (`ExecStats::slab_live_peak`).
     pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
-    /// Deliveries that reused a freed slab cell (`event.slab.recycled`).
+    /// Deliveries that reused a freed slab cell (`ExecStats::slab_recycled`).
     pub(crate) fn recycled(&self) -> u64 {
         self.recycled
     }

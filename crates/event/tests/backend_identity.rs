@@ -1,6 +1,5 @@
 //! The event backend's fidelity contract: byte-identical output to the
-//! thread-per-rank machine, including traces and fault counters, and
-//! byte-identical serial vs work-stealing execution.
+//! thread-per-rank machine, including traces and fault counters.
 
 use psse_event::prelude::*;
 use psse_faults::{CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, RecoveryPolicy};
@@ -209,34 +208,6 @@ fn backends_bit_identical_matmul_skeleton() {
     assert_eq!(ev.profile.total_msgs_sent(), t.msgs);
     assert_eq!(ev.profile.total_words_sent(), t.words);
     assert_eq!(ev.profile.total_flops(), t.flops);
-}
-
-/// The work-stealing executor must not change one observable byte
-/// relative to the serial scheduler.
-#[test]
-fn parallel_executor_is_byte_identical_to_serial() {
-    let data: Vec<f64> = (0..70).map(|i| (i as f64).cos()).collect();
-    for p in [1, 7, 24] {
-        let c = SimConfig {
-            faults: Some(busy_plan()),
-            ..cfg(Backend::Events)
-        };
-        let serial =
-            EventMachine::run(p, &c, BinomialAllreduce::with_data(Tag(1), data.clone())).unwrap();
-        for workers in [2, 4, 9] {
-            let par = EventMachine::run_parallel(
-                p,
-                &c,
-                BinomialAllreduce::with_data(Tag(1), data.clone()),
-                workers,
-            )
-            .unwrap();
-            assert_eq!(serial.profile, par.profile, "p={p} workers={workers}");
-            for (x, y) in serial.programs.iter().zip(&par.programs) {
-                assert_eq!(x.result().unwrap(), y.result().unwrap());
-            }
-        }
-    }
 }
 
 /// A program that receives a message nobody sends is reported as a

@@ -86,22 +86,6 @@ proptest! {
     }
 }
 
-/// The parallel executor must dispatch to the same fast path (and the
-/// general parallel executor must still agree) — one fixed spot check.
-#[test]
-fn parallel_entry_point_agrees() {
-    let cfg = SimConfig {
-        backend: Backend::Events,
-        max_message_words: 37,
-        ..SimConfig::default()
-    };
-    let fast =
-        EventMachine::run_parallel(96, &cfg, BinomialAllreduce::counted(Tag(0), 100), 4).unwrap();
-    let general =
-        EventMachine::run_general(96, &cfg, BinomialAllreduce::counted(Tag(0), 100)).unwrap();
-    assert_profiles_identical(&fast.profile, &general.profile);
-}
-
 /// The pinned `p = 10^5` fixture: exact totals, fast ≡ general, and the
 /// makespan's exact bit pattern. The pinned bits guard *both* paths
 /// against silent arithmetic drift (a change to either shows up as a

@@ -267,11 +267,6 @@ impl Lab {
             .counter("cache.quarantined")
             .expect("fresh registry")
             .add(cache_stats.quarantined);
-        // Event-engine health (scheduler overflow detours, mailbox slab
-        // high-water/recycling) — process totals, exported once at
-        // snapshot time so repeated sweeps never double-count. Zeros
-        // when no event-backend run has executed in this process.
-        psse_event::export_health(&registry).expect("fresh registry");
         let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
         let labels = keys.iter().map(|k| (k.label(), k.digest())).collect();
         let profile = selfprof::SweepProfile::assemble(

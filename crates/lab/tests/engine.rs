@@ -176,42 +176,3 @@ fn simulator_sweep_is_order_stable_across_jobs() {
     assert_eq!(l1.cache_stats().misses, 3);
     assert_eq!(l1.cache_stats().hits, 3);
 }
-
-#[test]
-fn profiled_sweep_surfaces_event_engine_health() {
-    // Drive the event engine's general (scheduled) executor so the
-    // process-global health counters are non-zero before the sweep.
-    // (The analytic fast path schedules nothing, so force past it; in
-    // recursive doubling every rank sends before its partner is
-    // waiting, so wires genuinely park in the mailbox slab.)
-    use psse_event::prelude::*;
-    let cfg = psse_sim::SimConfig {
-        backend: psse_sim::Backend::Events,
-        ..psse_sim::SimConfig::default()
-    };
-    EventMachine::run_general(64, &cfg, RecursiveDoublingAllreduce::counted(Tag(0), 100)).unwrap();
-
-    let spec = SweepSpec::parse(SPEC).unwrap();
-    let (results, profile) = lab(2, None).run_spec_profiled(&spec);
-    assert_eq!(results.failures(), 0);
-    let json = profile.to_json();
-    let metrics = json.get("metrics").expect("profile has metrics");
-    for name in [
-        "event.slab.live",
-        "event.slab.recycled",
-        "event.calq.overflow",
-    ] {
-        assert!(
-            metrics.get(name).is_some(),
-            "profile metrics missing `{name}`"
-        );
-    }
-    // The scheduled binomial allreduce parked wires in the slab, so the
-    // high-water gauge must have registered it.
-    let live = metrics
-        .get("event.slab.live")
-        .and_then(|m| m.get("value"))
-        .and_then(psse_metrics::Json::as_int)
-        .expect("event.slab.live gauge value");
-    assert!(live > 0, "slab high-water mark should be non-zero: {live}");
-}

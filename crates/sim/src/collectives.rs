@@ -260,38 +260,6 @@ impl Rank {
         })
     }
 
-    /// All-reduce (sum) with an integrity check: every member appends
-    /// the sum of its local contribution as one extra checksum word, so
-    /// after the elementwise reduction the last word must equal the sum
-    /// of the data words (both are `Σᵢ Σⱼ xᵢ[j]`, reassociated). A
-    /// payload corrupted in flight breaks the identity and is reported
-    /// as [`SimError::CorruptPayload`]; `rel_tol` absorbs the
-    /// floating-point reassociation (1e-9 is ample for well-scaled
-    /// data). One extra word per message and `2·⌈log₂g⌉` extra adds.
-    pub fn allreduce_sum_checked(
-        &mut self,
-        tag: Tag,
-        data: Vec<f64>,
-        rel_tol: f64,
-    ) -> SimResult<Vec<f64>> {
-        let mut extended = data;
-        let local_sum: f64 = extended.iter().sum();
-        self.compute(extended.len() as u64);
-        extended.push(local_sum);
-        let mut out = self.allreduce_sum(tag, extended)?;
-        let checksum = out.pop().expect("checksum word survives the reduction");
-        let total: f64 = out.iter().sum();
-        self.compute(out.len() as u64);
-        let scale = 1.0_f64.max(checksum.abs()).max(total.abs());
-        if (checksum - total).abs() > rel_tol * scale {
-            return Err(SimError::CorruptPayload {
-                rank: self.rank(),
-                detail: format!("allreduce checksum {checksum:e} != recomputed sum {total:e}"),
-            });
-        }
-        Ok(out)
-    }
-
     /// Ring allgather: every member contributes a block; all members
     /// return the concatenation of all blocks in group order. `g − 1`
     /// rounds; each rank sends every block once (total `g·(g−1)` block
@@ -664,41 +632,6 @@ impl Rank {
         Ok(Some(out))
     }
 
-    /// Inclusive prefix sum across the group (Hillis–Steele over ranks):
-    /// member `i` returns `Σ_{j ≤ i} contribution_j`. `⌈log₂g⌉` rounds.
-    pub fn scan_sum(&mut self, tag: Tag, group: &Group, data: Vec<f64>) -> SimResult<Vec<f64>> {
-        self.with_collective("scan_sum", |rk| rk.scan_sum_impl(tag, group, data))
-    }
-
-    fn scan_sum_impl(&mut self, tag: Tag, group: &Group, data: Vec<f64>) -> SimResult<Vec<f64>> {
-        let g = group.len();
-        let me = group.my_index(self)?;
-        let len = data.len();
-        let mut partial = data;
-        let mut d = 1usize;
-        let mut round = 0u64;
-        while d < g {
-            if me + d < g {
-                self.send_slice(group.member(me + d), tag.offset(round), &partial)?;
-            }
-            if me >= d {
-                let incoming = self.recv(group.member(me - d), tag.offset(round))?;
-                if incoming.len() != len {
-                    return Err(SimError::Algorithm(
-                        "scan contributions disagree in length".into(),
-                    ));
-                }
-                self.compute(len as u64);
-                for (a, b) in partial.iter_mut().zip(&incoming) {
-                    *a += b;
-                }
-            }
-            d <<= 1;
-            round += 1;
-        }
-        Ok(partial)
-    }
-
     /// Hypercube (store-and-forward) all-to-all: `log₂g` rounds, each
     /// exchanging half of the data with a cube neighbour — the
     /// "tree-based all-to-all" of the paper's FFT analysis
@@ -907,38 +840,6 @@ mod tests {
         for v in out.results {
             assert_eq!(v, vec![21.0]);
         }
-    }
-
-    #[test]
-    fn checked_allreduce_passes_clean_and_catches_corruption() {
-        // Clean run: identical result to the unchecked collective.
-        let out = Machine::run(7, cfg(), |rank| {
-            rank.allreduce_sum_checked(Tag(0), vec![rank.rank() as f64, 1.0], 1e-9)
-        })
-        .unwrap();
-        for v in out.results {
-            assert_eq!(v, vec![21.0, 7.0]);
-        }
-        // Corrupt every transfer (no ack protocol): the checksum word
-        // and the data can no longer agree anywhere a fault landed.
-        let fcfg = crate::machine::SimConfig {
-            faults: Some(psse_faults::FaultPlan {
-                spec: psse_faults::FaultSpec {
-                    seed: 3,
-                    corrupt_rate: 1.0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            }),
-            ..cfg()
-        };
-        let r = Machine::run(7, fcfg, |rank| {
-            rank.allreduce_sum_checked(Tag(0), vec![rank.rank() as f64; 16], 1e-9)
-        });
-        assert!(
-            matches!(r, Err(SimError::CorruptPayload { .. })),
-            "corruption must be detected, got {r:?}"
-        );
     }
 
     #[test]
@@ -1215,21 +1116,6 @@ mod tests {
         // broadcast_large cap is TAG_WINDOW. Both are compile-time
         // constants worth pinning:
         const { assert!(64 < TAG_WINDOW) };
-    }
-
-    #[test]
-    fn scan_computes_prefix_sums() {
-        for p in [1usize, 2, 3, 5, 8] {
-            let out = Machine::run(p, cfg(), |rank| {
-                let group = Group::world(rank.size());
-                rank.scan_sum(Tag(0), &group, vec![rank.rank() as f64 + 1.0, 1.0])
-            })
-            .unwrap();
-            for (i, r) in out.results.iter().enumerate() {
-                let expect0: f64 = (1..=i + 1).map(|v| v as f64).sum();
-                assert_eq!(r, &vec![expect0, (i + 1) as f64], "p={p} rank={i}");
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::time::Duration;
 /// The mega-scale discrete-event executor in `psse-event` also keys off
 /// this flag: its `run_programs` entry point dispatches rank programs
 /// to the thread pool (`Threads`, the bit-identity oracle) or to the
-/// single priority-queue scheduler (`Events`, for p = 10⁵–10⁶).
+/// single-process worklist executor (`Events`, for p = 10⁵–10⁶).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Thread-per-rank with wall-clock recv patience (the default).

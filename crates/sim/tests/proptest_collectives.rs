@@ -171,20 +171,6 @@ proptest! {
         prop_assert_eq!(msgs_sent, msgs_recvd);
     }
 
-    /// Scan produces prefix sums for any world size.
-    #[test]
-    fn scan_prefixes(p in 1usize..10, scale in 1.0..100.0f64) {
-        let out = Machine::run(p, counters(), move |rank| {
-            let group = Group::world(rank.size());
-            rank.scan_sum(Tag(0), &group, vec![scale * (rank.rank() + 1) as f64])
-        })
-        .unwrap();
-        for (i, r) in out.results.iter().enumerate() {
-            let expect: f64 = scale * ((i + 1) * (i + 2)) as f64 / 2.0;
-            prop_assert!((r[0] - expect).abs() < 1e-9 * expect.abs().max(1.0));
-        }
-    }
-
     /// Virtual makespans are deterministic for randomized programs.
     #[test]
     fn makespan_is_deterministic(p in 2usize..8, rounds in 1usize..5, seed in 0u64..50) {

@@ -11,7 +11,7 @@
 //! * [`sim`] (`psse-sim`) — a deterministic virtual-time distributed
 //!   machine simulator with per-rank flop/word/message/memory counters.
 //! * [`event`] (`psse-event`) — the discrete-event simulator backend:
-//!   resumable rank programs scheduled by virtual time, byte-identical
+//!   resumable rank programs run from a FIFO worklist, byte-identical
 //!   to the thread backend (`SimConfig::backend`) and scaling to
 //!   `p = 10^5`–`10^6` ranks in one process.
 //! * [`kernels`] (`psse-kernels`) — local dense kernels (GEMM, Strassen,

@@ -8,7 +8,7 @@
 //! `[see DESIGN.md §10](DESIGN.md#10-...)` is a doc bug this test
 //! catches at CI time.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 /// The documentation set under check, all relative to the repo root.
@@ -18,7 +18,6 @@ const DOCS: &[&str] = &[
     "TUTORIAL.md",
     "EXPERIMENTS.md",
     "ROADMAP.md",
-    "CHANGELOG.md",
     "PAPER.md",
     "CHANGES.md",
 ];
@@ -165,6 +164,68 @@ fn all_doc_links_and_anchors_resolve() {
         "broken documentation links:\n  {}",
         errors.join("\n  ")
     );
+}
+
+/// Every `PSSE_[A-Z_]+` name in `text` (a trailing underscore is a
+/// `PSSE_FOO_*` glob in prose, not a variable).
+fn env_names(text: &str, out: &mut BTreeSet<String>) {
+    let mut rest = text;
+    while let Some(pos) = rest.find("PSSE_") {
+        let name: String = rest[pos..]
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+            .collect();
+        rest = &rest[pos + name.len()..];
+        if !name.ends_with('_') {
+            out.insert(name);
+        }
+    }
+}
+
+fn env_names_in_sources(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            env_names_in_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            env_names(&std::fs::read_to_string(&path).unwrap(), out);
+        }
+    }
+}
+
+/// README's "Environment variables" table lists exactly the `PSSE_*`
+/// variables the sources mention: a knob cannot be added, renamed or
+/// retired without the table following. (`crates/ledger` is the
+/// benchmark instrument and documents its own.)
+#[test]
+fn readme_env_table_matches_the_sources() {
+    let root = repo_root();
+    let mut in_sources = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        if krate.file_name().is_some_and(|n| n == "ledger") {
+            continue;
+        }
+        for sub in ["src", "benches"] {
+            if krate.join(sub).is_dir() {
+                env_names_in_sources(&krate.join(sub), &mut in_sources);
+            }
+        }
+    }
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let section = readme
+        .split("\n## Environment variables\n")
+        .nth(1)
+        .expect("README has an `Environment variables` section");
+    let mut in_table = BTreeSet::new();
+    for row in section
+        .lines()
+        .take_while(|l| !l.starts_with("## "))
+        .filter(|l| l.starts_with("| `PSSE_"))
+    {
+        env_names(row.split('|').nth(1).unwrap(), &mut in_table);
+    }
+    assert_eq!(in_table, in_sources);
 }
 
 #[test]
