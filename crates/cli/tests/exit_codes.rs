@@ -190,6 +190,39 @@ fn trace_and_faults_failures_exit_nonzero() {
 }
 
 #[test]
+fn hostile_trace_counts_exit_nonzero_with_line_number() {
+    let dir = std::env::temp_dir().join(format!("psse-exit-badtrace-{}", std::process::id()));
+    let head = "psse-trace v1\np 1\nmakespan 0.0\nparams 0.0 0.0 0.0 16\n";
+    for (name, body, line) in [
+        (
+            "huge_p.trace",
+            head.replace("p 1\n", "p 18446744073709551615\n") + "rank 0 0\n",
+            "line 2",
+        ),
+        (
+            "overflow_rank.trace",
+            format!("{head}rank 0 18446744073709551615\n"),
+            "line 5",
+        ),
+        (
+            "oom_rank.trace",
+            format!("{head}rank 0 400000000000\n"),
+            "line 5",
+        ),
+    ] {
+        let path = write_spec(&dir, name, &body);
+        let out = psse(&["trace", "replay", "--in", &path]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = stderr_line(&out);
+        assert!(err.starts_with("error:"), "{name}: {err}");
+        assert!(err.contains(line), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn misspelled_subcommand_exits_nonzero_with_hint() {
     let out = psse(&["buond", "solve", "--kernel", "x.kernel"]);
     assert_eq!(out.status.code(), Some(1));

@@ -29,7 +29,7 @@
 //! delivery is sound because a parked rank's queue for its awaited key
 //! is empty by construction (it parked on `pop() == None` and every
 //! later matching wire would have been delivered directly), and pricing
-//! early is invisible because the receiver is parked and its context
+//! early is invisible because the receiver is parked and its meter
 //! depends only on its own state and the wire.
 //!
 //! ## Deadlock
@@ -40,13 +40,12 @@
 //! — a *proven* deadlock, reported as [`SimError::Deadlock`] with the
 //! full blocked set, in zero wall-clock time.
 
-use crate::ctx::RankCtx;
 use crate::fastpath;
 use crate::program::RankProgram;
-use crate::slab::Mailbox;
-use crate::step::Step;
+use crate::slab::{Mailbox, Wire};
+use crate::step::{Delivered, Payload, Step};
 use psse_sim::error::SimResult;
-use psse_sim::{Profile, SimConfig, SimError, Tag};
+use psse_sim::{Meter, Profile, SimConfig, SimError, Tag};
 use std::collections::VecDeque;
 
 /// Executor health counters for one run: how hard the hot-path
@@ -96,23 +95,36 @@ type Waiting = (usize, Tag, f64);
 
 struct Slot<P> {
     program: P,
-    ctx: RankCtx,
+    meter: Meter,
     /// Undelivered transfers, held in per-`(src, tag)` FIFO chains
     /// threaded through a recycling slab (see `crate::slab`).
     inbox: Mailbox,
     /// `Some` exactly while the rank is blocked in `Recv`.
     waiting: Option<Waiting>,
-    pending: Option<crate::step::Delivered>,
+    pending: Option<Delivered>,
+}
+
+impl<P> Slot<P> {
+    /// Complete the receive begun at `t0` with its matching `wire`.
+    #[inline]
+    fn deliver(&mut self, cfg: &SimConfig, t0: f64, src: usize, tag: Tag, wire: Wire) {
+        self.meter
+            .recv(cfg, t0, src, tag, wire.departure, wire.words);
+        self.pending = Some(Delivered {
+            words: wire.words,
+            data: wire.data,
+        });
+    }
 }
 
 /// An outgoing transfer buffered during a rank's turn:
 /// `(dest, src, tag, wire)`.
-type Outgoing = (usize, usize, Tag, crate::ctx::Wire);
+type Outgoing = (usize, usize, Tag, Wire);
 
 /// Run one rank until it blocks, completes, or fails. Outgoing
 /// transfers to other ranks are buffered in `out` (delivery is the
-/// caller's job); self-sends land in the rank's own inbox immediately,
-/// mirroring the thread backend's "self-send is instantly receivable".
+/// caller's job); self-sends land in the rank's own inbox immediately
+/// (a self-send is instantly receivable).
 fn advance<P: RankProgram>(
     r: usize,
     slot: &mut Slot<P>,
@@ -125,11 +137,21 @@ fn advance<P: RankProgram>(
     loop {
         let delivered = slot.pending.take();
         match slot.program.next(delivered) {
-            Step::Compute { flops } => slot.ctx.compute(cfg, flops),
-            Step::CollBegin { op } => slot.ctx.mark_collective_begin(cfg, op),
-            Step::CollEnd { op } => slot.ctx.mark_collective_end(cfg, op),
+            Step::Compute { flops } => slot.meter.compute(cfg, flops),
+            Step::CollBegin { op } => slot.meter.mark_collective_begin(cfg, op),
+            Step::CollEnd { op } => slot.meter.mark_collective_end(cfg, op),
             Step::Send { dest, tag, payload } => {
-                let wire = slot.ctx.price_send(cfg, dest, tag, payload)?;
+                let words = payload.words();
+                let mut data = match payload {
+                    Payload::Counted(_) => None,
+                    Payload::Data(d) => Some(d),
+                };
+                let departure = slot.meter.send(cfg, dest, tag, words, data.as_mut())?;
+                let wire = Wire {
+                    departure,
+                    words,
+                    data,
+                };
                 if dest == r {
                     slot.inbox.push(r, tag.0, wire);
                 } else {
@@ -137,12 +159,9 @@ fn advance<P: RankProgram>(
                 }
             }
             Step::Recv { src, tag } => {
-                let t0 = slot.ctx.begin_recv(src)?;
+                let t0 = slot.meter.begin_recv(src)?;
                 match slot.inbox.pop(src, tag.0) {
-                    Some(wire) => {
-                        let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                        slot.pending = Some(d);
-                    }
+                    Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
                     None => {
                         slot.waiting = Some((src, tag, t0));
                         return Ok(());
@@ -150,7 +169,7 @@ fn advance<P: RankProgram>(
                 }
             }
             Step::Done => {
-                if let Some(e) = slot.ctx.take_fault_error() {
+                if let Some(e) = slot.meter.take_fault_error() {
                     return Err(e);
                 }
                 return Ok(());
@@ -166,7 +185,7 @@ fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
         .enumerate()
         .map(|(r, program)| Slot {
             program,
-            ctx: RankCtx::new(r, p, cfg),
+            meter: Meter::new(r, p, cfg),
             inbox: Mailbox::new(),
             waiting: None,
             pending: None,
@@ -201,13 +220,12 @@ fn finish<P>(slots: Vec<Slot<P>>, errors: Vec<(usize, SimError)>) -> SimResult<E
         stats.slab_live_peak += slot.inbox.peak_live() as u64;
         stats.slab_recycled += slot.inbox.recycled();
         programs.push(slot.program);
-        let (rank_stats, events) = slot.ctx.into_parts();
+        let (rank_stats, events) = slot.meter.into_parts();
         per_rank.push(rank_stats);
         all_events.push(events);
     }
-    // With tracing off each rank's event vec is simply empty — the
-    // thread backend still reports one (empty) vec per rank, so mirror
-    // that shape exactly for byte identity.
+    // With tracing off each rank's event vec is simply empty; there is
+    // still one vec per rank, as on the thread backend.
     let profile = Profile::with_events(per_rank, all_events);
     #[cfg(debug_assertions)]
     profile.assert_balanced()?;
@@ -326,7 +344,7 @@ fn run_worklist<P: RankProgram>(
             match slot.waiting {
                 Some((wsrc, wtag, t0)) if wsrc == src && wtag == tag => {
                     slot.waiting = None;
-                    slot.pending = Some(slot.ctx.price_recv(cfg, t0, src, tag, wire));
+                    slot.deliver(cfg, t0, src, tag, wire);
                     runnable.push_back(dest);
                 }
                 _ => slot.inbox.push(src, tag.0, wire),

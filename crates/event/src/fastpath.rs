@@ -4,12 +4,12 @@
 //! the per-rank Eq. 1/2 counters and virtual clocks, and those are a
 //! pure function of the message DAG (see the `exec` module docs). For
 //! the built-in allreduces the DAG is known in closed form, so instead
-//! of scheduling `O(p log p)` wires one by one, this module replays
-//! each rank's exact pricing sequence — the same `f64` operations, in
-//! the same operand order, with the same `max(clock, depart)` joins —
-//! directly over arrays. The result is byte-identical to the general
-//! executor (enforced by the `fastpath_identity` differential tests and
-//! by `EventMachine::run_general`, which forces the general path).
+//! of scheduling `O(p log p)` wires one by one, this module walks each
+//! rank's pricing sequence directly over arrays — sends through
+//! `psse_sim::meter::charge_chunks`, the same `max(clock, depart)`
+//! joins. The result is byte-identical to the general executor
+//! (enforced by the `fastpath_identity` differential tests against
+//! `EventMachine::run_general`, which forces the general path).
 //!
 //! The fast path refuses to engage unless nothing can observe
 //! individual events:
@@ -31,6 +31,7 @@ use crate::exec::cancelled;
 use crate::program::{AnalyticOp, RankProgram};
 use crate::programs::{PairwiseSchedule, RecursiveDoubling, Ring};
 use psse_sim::error::SimResult;
+use psse_sim::meter::{charge_chunks, chunk_count};
 use psse_sim::{Profile, RankStats, SimConfig, SimError};
 
 /// One rank's accounting lane: exactly the fields of `RankStats` the
@@ -51,11 +52,11 @@ struct Prices {
     alpha: f64,
     beta: f64,
     gamma: f64,
-    m: usize,
-    /// `⌈words/m⌉` (an empty transfer is still one message) — constant
-    /// because every transfer of these collectives carries `words`.
+    m: u64,
+    /// Constant because every transfer of these collectives carries
+    /// `words`.
     n_chunks: u64,
-    words: usize,
+    words: u64,
 }
 
 impl Prices {
@@ -65,46 +66,43 @@ impl Prices {
             alpha: cfg.alpha_t,
             beta: cfg.beta_t,
             gamma: cfg.gamma_t,
-            m,
-            n_chunks: if words == 0 {
-                1
-            } else {
-                words.div_ceil(m) as u64
-            },
-            words,
+            m: m as u64,
+            n_chunks: chunk_count(words, m) as u64,
+            words: words as u64,
         }
     }
 
-    /// `RankCtx::price_send`'s chunk loop, verbatim; returns the depart
-    /// time (the sender's clock after the last chunk).
+    /// A flat-machine `Meter::send`; returns the depart time (the
+    /// sender's clock after the last chunk).
     #[inline]
     fn send(&self, lane: &mut Lane) -> f64 {
-        let mut left = self.words;
-        loop {
-            let k = left.min(self.m);
-            lane.time += self.alpha + self.beta * k as f64;
-            lane.msgs_sent += 1;
-            lane.words_sent += k as u64;
-            if left <= self.m {
-                break;
-            }
-            left -= self.m;
-        }
+        let (msgs, words) = (&mut lane.msgs_sent, &mut lane.words_sent);
+        charge_chunks(
+            &mut lane.time,
+            self.words,
+            self.m,
+            self.alpha,
+            self.beta,
+            |k| {
+                *msgs += 1;
+                *words += k;
+            },
+        );
         lane.time
     }
 
-    /// `RankCtx::price_recv`, verbatim.
+    /// `Meter::recv`.
     #[inline]
     fn recv(&self, lane: &mut Lane, depart: f64) {
         lane.time = lane.time.max(depart);
-        lane.words_recvd += self.words as u64;
+        lane.words_recvd += self.words;
         lane.msgs_recvd += self.n_chunks;
     }
 
-    /// `RankCtx::compute`, verbatim.
+    /// `Meter::compute` of one flop per word.
     #[inline]
     fn compute(&self, lane: &mut Lane) {
-        lane.flops += self.words as u64;
+        lane.flops += self.words;
         lane.time += self.gamma * self.words as f64;
     }
 }
@@ -147,8 +145,8 @@ pub(crate) fn try_run<P: RankProgram>(
             ..RankStats::default()
         })
         .collect();
-    // The general path reports one (empty) trace vec per rank even with
-    // tracing off; mirror that shape exactly.
+    // One (empty) trace vec per rank, as the general path reports with
+    // tracing off.
     let profile = Profile::with_events(per_rank, vec![Vec::new(); p]);
     debug_assert!(profile.assert_balanced().is_ok());
     Ok(Some(profile))

@@ -13,14 +13,16 @@
 //! function of the message DAG, so the host order in which ranks take
 //! their turns cannot change one byte (see [`exec`]).
 //!
-//! The contract is bit-identity: the event executor prices every
-//! operation with the same floating-point arithmetic, in the same
-//! order, as `psse_sim::Rank` — Eq. 1 chunked sends, postal-model
-//! receives, fault injection with retries/backoff/checkpoints, trace
-//! recording. Profiles are pure functions of the message DAG, so both
-//! backends produce byte-identical profiles, traces, and fault
-//! counters (enforced by the cross-backend tests here and the
-//! repo-level `proptest_backends` property test). Pick a backend with
+//! The contract is bit-identity, and pricing cannot break it: every
+//! rank here is a [`psse_sim::Meter`], the same pricing core
+//! `psse_sim::Rank` wraps — Eq. 1 chunked sends, postal-model receives,
+//! fault injection with retries/backoff/checkpoints, trace recording.
+//! What this crate adds is transport and matching (slab mailboxes,
+//! per-`(src, tag)` FIFO delivery), and since profiles are pure
+//! functions of the message DAG, both backends produce byte-identical
+//! profiles, traces, and fault counters (the cross-backend tests here
+//! and the repo-level `proptest_backends` property test pin the
+//! matching). Pick a backend with
 //! [`psse_sim::SimConfig::backend`] and [`run_programs`]; the thread
 //! pool stays the oracle at small `p`, the event backend runs the real
 //! algorithms — binomial/recursive-doubling/ring allreduce, the 2.5D
@@ -42,8 +44,8 @@
 //! altogether), and an **analytic fast path** that prices native
 //! counted collectives in closed form when nothing can observe
 //! individual events (no trace, no faults, no hierarchy, no data
-//! payloads) — same f64 operations, same order, byte-identical
-//! profiles, enforced by differential tests against
+//! payloads) — byte-identical profiles, enforced by differential tests
+//! against
 //! [`EventMachine::run_general`], which always schedules. Engine health
 //! counters ([`ExecStats`]) ride on every outcome, per run.
 //!
@@ -69,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub mod bridge;
-mod ctx;
 pub mod exec;
 mod fastpath;
 pub mod program;

@@ -8,9 +8,9 @@ use crate::step::{Delivered, Step};
 /// feature that observes individual events — tracing, faults,
 /// hierarchy, data payloads — is active), the event executor prices the
 /// whole collective analytically instead of scheduling its `O(p log p)`
-/// messages one by one. The fast path replays the *identical* sequence
-/// of Eq. 1/2 pricing operations per rank, in the same f64 operand
-/// order, so profiles stay byte-identical with the general path; see
+/// messages one by one. The fast path walks the same per-rank sequence
+/// of Eq. 1/2 pricing operations through the same primitives, so
+/// profiles stay byte-identical with the general path; see
 /// `crate::fastpath`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyticOp {
@@ -46,7 +46,7 @@ pub enum AnalyticOp {
 /// [`crate::run_programs`]: on `Backend::Threads` each step is replayed
 /// through a `psse_sim::Rank` on its own pooled thread (the bit-identity
 /// oracle); on `Backend::Events` steps are priced by the event
-/// executor's rank context, one runnable rank at a time —
+/// executor's per-rank `psse_sim::Meter`, one runnable rank at a time —
 /// byte-identical profiles, six orders of magnitude more ranks per
 /// process.
 ///

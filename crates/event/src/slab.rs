@@ -22,9 +22,22 @@
 //! is exactly the `VecDeque` semantics, and the simulator's no-wildcard
 //! matching rule means FIFO-per-key is the whole ordering contract.
 
-use crate::ctx::Wire;
+use psse_sim::{Departure, SharedPayload};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// One transfer on the virtual wire: what the sender's meter returned,
+/// plus the payload (optional, so counted transfers carry no
+/// allocation) — everything the receiver's meter needs.
+#[derive(Debug)]
+pub(crate) struct Wire {
+    /// Chunk count and departure time, from `Meter::send`.
+    pub departure: Departure,
+    /// Total payload words.
+    pub words: usize,
+    /// The payload, when it was a real buffer.
+    pub data: Option<SharedPayload>,
+}
 
 /// The Fx multiplicative hash (as used by rustc): fast, fixed-width,
 /// and deterministic — no per-process random state, so mailbox
@@ -110,8 +123,10 @@ pub(crate) struct Mailbox {
 /// A wire-shaped hole left in a slab cell while its real wire is out.
 fn placeholder() -> Wire {
     Wire {
-        n_chunks: 0,
-        depart_time: 0.0,
+        departure: Departure {
+            n_chunks: 0,
+            depart_time: 0.0,
+        },
         words: 0,
         data: None,
     }
@@ -204,8 +219,10 @@ mod tests {
 
     fn wire(words: usize) -> Wire {
         Wire {
-            n_chunks: 1,
-            depart_time: 0.5,
+            departure: Departure {
+                n_chunks: 1,
+                depart_time: 0.5,
+            },
             words,
             data: None,
         }

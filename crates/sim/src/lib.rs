@@ -21,6 +21,14 @@
 //! (Eq. 2) prices; `psse-algos` bridges a [`profile::Profile`] into
 //! `psse-core`'s `ExecutionSummary`.
 //!
+//! ## Pricing core
+//!
+//! All of that accounting is one transport-free type, [`meter::Meter`]
+//! (the per-chunk charge is written once, in [`meter::charge_chunks`]).
+//! [`rank::Rank`] is a `Meter` plus the thread transport; `psse-event`
+//! drives the same `Meter` from a worklist, and `psse-trace` replay
+//! prices through the same primitives.
+//!
 //! ## Zero-copy transport
 //!
 //! Payloads cross the wire as shared [`message::SharedPayload`] buffers:
@@ -91,6 +99,7 @@ pub mod grid;
 pub mod machine;
 mod mailbox;
 pub mod message;
+pub mod meter;
 mod pool;
 pub mod profile;
 pub mod rank;
@@ -101,6 +110,7 @@ pub mod seqmem;
 pub use error::SimError;
 pub use machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
 pub use message::{SharedPayload, Tag};
+pub use meter::{Departure, Meter};
 pub use profile::{Profile, RankStats};
 pub use psse_faults::FaultPlan;
 pub use rank::Rank;

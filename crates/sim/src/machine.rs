@@ -104,7 +104,7 @@ impl CancelFlag {
 /// nodes of `cores_per_node` consecutive ids; messages between ranks of
 /// the same node use the (cheaper) intra-node link prices instead of the
 /// machine-level `beta_t`/`alpha_t`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     /// Ranks per node (`pl`); rank `r` lives on node `r / cores_per_node`.
     pub cores_per_node: usize,
@@ -112,6 +112,19 @@ pub struct Hierarchy {
     pub intra_beta_t: f64,
     /// `αlt` — virtual seconds per message on intra-node links.
     pub intra_alpha_t: f64,
+}
+
+impl Hierarchy {
+    /// Validate ranges (at least one core per node, non-negative prices).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores_per_node == 0 {
+            return Err("hierarchy.cores_per_node must be at least 1".into());
+        }
+        if !(self.intra_beta_t >= 0.0) || !(self.intra_alpha_t >= 0.0) {
+            return Err("intra-node link prices must be non-negative".into());
+        }
+        Ok(())
+    }
 }
 
 /// Cost-model and safety configuration of a simulated machine. Time
@@ -202,16 +215,7 @@ impl SimConfig {
             ));
         }
         if let Some(h) = &self.hierarchy {
-            if h.cores_per_node == 0 {
-                return Err(SimError::InvalidConfig(
-                    "hierarchy.cores_per_node must be at least 1".into(),
-                ));
-            }
-            if !(h.intra_beta_t >= 0.0) || !(h.intra_alpha_t >= 0.0) {
-                return Err(SimError::InvalidConfig(
-                    "intra-node link prices must be non-negative".into(),
-                ));
-            }
+            h.validate().map_err(SimError::InvalidConfig)?;
         }
         if let Some(plan) = &self.faults {
             plan.validate().map_err(SimError::InvalidConfig)?;
@@ -330,17 +334,9 @@ impl Machine {
                     );
                     let out = catch_unwind(AssertUnwindSafe(|| f(&mut rank)));
                     let res = match out {
-                        Ok(Ok(v)) => {
-                            // A crash that struck during a trailing
-                            // `compute` (which cannot return an error)
-                            // surfaces here instead of being lost.
-                            if let Some(e) = rank.take_fault_error() {
-                                Err(e)
-                            } else {
-                                let (stats, events) = rank.into_parts();
-                                Ok((v, stats, events))
-                            }
-                        }
+                        // A crash that struck during a trailing `compute`
+                        // (which cannot return an error) surfaces here.
+                        Ok(Ok(v)) => rank.finish().map(|(stats, events)| (v, stats, events)),
                         Ok(Err(e)) => Err(e),
                         Err(panic) => {
                             let msg = panic

@@ -141,8 +141,10 @@ mod tests {
         Envelope {
             src,
             tag: Tag(tag),
-            n_chunks: 1,
-            depart_time: 0.0,
+            departure: crate::meter::Departure {
+                n_chunks: 1,
+                depart_time: 0.0,
+            },
             payload: Arc::new(vec![val]),
         }
     }

@@ -1,5 +1,6 @@
 //! Message envelope, tag types, and the shared-payload wire format.
 
+use crate::meter::Departure;
 use std::sync::Arc;
 
 /// A user-level message tag. Point-to-point receives match on
@@ -37,20 +38,18 @@ pub type SharedPayload = Arc<Vec<f64>>;
 /// arithmetically at the sender — the per-chunk `αt + βt·k` clock
 /// advances and counter increments are identical to physically splitting
 /// the payload — but only one envelope carrying the whole transfer
-/// crosses the queue. `n_chunks` records how many virtual messages the
-/// transfer was priced as, so the receiver's `msgs_recvd` counter and
-/// the recorded trace stay bit-identical to the chunked wire format.
+/// crosses the queue. The [`Departure`]'s `n_chunks` records how many
+/// virtual messages the transfer was priced as, so the receiver's
+/// `msgs_recvd` counter and the recorded trace stay bit-identical to the
+/// chunked wire format.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     /// Sending rank.
     pub src: usize,
     /// User tag of the transfer.
     pub tag: Tag,
-    /// Virtual messages the transfer was priced as (`⌈words/m⌉`, min 1).
-    pub n_chunks: usize,
-    /// Virtual departure time of the transfer's last chunk at the
-    /// sender (seconds).
-    pub depart_time: f64,
+    /// Chunk count and departure time, from the sender's `Meter::send`.
+    pub departure: Departure,
     /// The whole transfer's payload, shared, not copied.
     pub payload: SharedPayload,
 }

@@ -1,57 +1,26 @@
-//! The per-rank handle: virtual clock, counters, and point-to-point
-//! messaging.
+//! The per-rank handle: a [`Meter`] plus the thread transport.
 
 use crate::error::{SimError, SimResult};
 use crate::machine::SimConfig;
 use crate::mailbox::{Mailbox, RecvWait};
 use crate::message::{Envelope, SharedPayload, Tag};
+use crate::meter::{same_node, Meter};
 use crate::profile::RankStats;
-use crate::record::{EventKind, TimedEvent};
+use crate::record::TimedEvent;
 use crate::registry::{BlockOutcome, EventRegistry};
-use psse_faults::{FaultPlan, LinkFaultKind};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-rank fault-injection state (present only when
-/// `SimConfig::faults` is set). Fault decisions are pure functions of
-/// the plan seed and the per-link transfer counters kept here, so they
-/// are deterministic regardless of thread interleaving.
-struct FaultState {
-    plan: FaultPlan,
-    /// Transfers initiated on each outgoing link (indexes the plan).
-    link_seq: Vec<u64>,
-    /// Virtual time of the next coordinated checkpoint boundary
-    /// (`+inf` when checkpointing is off).
-    next_cp: f64,
-    /// Last checkpoint boundary crossed (crash rework restarts here).
-    last_cp: f64,
-    /// This rank's scheduled crash, not yet triggered.
-    crash_at: Option<f64>,
-    /// A crash that struck with no checkpoint to restart from; surfaced
-    /// by the next fallible operation (or by `Machine::run` at exit).
-    pending_crash: Option<SimError>,
-}
-
-/// Deterministically perturb a corrupted payload word: the result
-/// always differs from `x` by at least 1.0, so integrity checks with
-/// any reasonable tolerance can see it.
-fn corrupt_word(x: f64) -> f64 {
-    x + 1.0 + x.abs()
-}
-
 /// A rank of the simulated machine. Handed by [`crate::Machine::run`] to
-/// the per-rank program; owns the rank's virtual clock and counters.
+/// the per-rank program. All pricing — clock, counters, faults, trace —
+/// is the rank's [`Meter`]; this type adds only how transfers travel
+/// between OS threads (mailboxes, blocking, cancellation).
 pub struct Rank {
-    id: usize,
-    p: usize,
+    meter: Meter,
     cfg: Arc<SimConfig>,
-    time: f64,
-    stats: RankStats,
     mailboxes: Arc<Vec<Mailbox>>,
     poison: Arc<AtomicBool>,
-    events: Vec<TimedEvent>,
-    fault: Option<Box<FaultState>>,
     /// Present only under [`crate::machine::Backend::Events`]: blocking
     /// receives register here instead of sleeping on a wall clock.
     registry: Option<Arc<EventRegistry>>,
@@ -66,46 +35,28 @@ impl Rank {
         poison: Arc<AtomicBool>,
         registry: Option<Arc<EventRegistry>>,
     ) -> Self {
-        let fault = cfg.faults.as_ref().map(|plan| {
-            Box::new(FaultState {
-                plan: plan.clone(),
-                link_seq: vec![0; p],
-                next_cp: plan
-                    .recovery
-                    .checkpoint
-                    .map_or(f64::INFINITY, |cp| cp.interval),
-                last_cp: 0.0,
-                crash_at: plan.crash_at(id),
-                pending_crash: None,
-            })
-        });
         Rank {
-            id,
-            p,
+            meter: Meter::new(id, p, &cfg),
             cfg,
-            time: 0.0,
-            stats: RankStats::default(),
             mailboxes,
             poison,
-            events: Vec::new(),
-            fault,
             registry,
         }
     }
 
     /// This rank's id in `0..size()`.
     pub fn rank(&self) -> usize {
-        self.id
+        self.meter.id()
     }
 
     /// World size `p`.
     pub fn size(&self) -> usize {
-        self.p
+        self.meter.size()
     }
 
     /// The rank's current virtual time, seconds.
     pub fn now(&self) -> f64 {
-        self.time
+        self.meter.now()
     }
 
     /// The machine configuration.
@@ -115,23 +66,15 @@ impl Rank {
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> &RankStats {
-        &self.stats
+        self.meter.stats()
     }
 
-    pub(crate) fn into_parts(mut self) -> (RankStats, Vec<TimedEvent>) {
-        self.stats.finish_time = self.time;
-        (self.stats, self.events)
-    }
-
-    /// Append an event to the trace log (no-op unless recording).
-    #[inline]
-    fn record(&mut self, t_start: f64, kind: EventKind) {
-        if self.cfg.record_trace {
-            self.events.push(TimedEvent {
-                t_start,
-                t_end: self.time,
-                kind,
-            });
+    /// Finish the rank: its counters and trace, or the crash its program
+    /// never got to observe (no fallible operation followed it).
+    pub(crate) fn finish(mut self) -> SimResult<(RankStats, Vec<TimedEvent>)> {
+        match self.meter.take_fault_error() {
+            Some(e) => Err(e),
+            None => Ok(self.meter.into_parts()),
         }
     }
 
@@ -139,19 +82,13 @@ impl Rank {
     /// Public so external step-driven executors (`psse-event`'s rank
     /// programs) can emit the same markers the built-in collectives do.
     pub fn mark_collective_begin(&mut self, op: &str) {
-        if self.cfg.record_trace {
-            let t = self.time;
-            self.record(t, EventKind::CollBegin { op: op.to_string() });
-        }
+        self.meter.mark_collective_begin(&self.cfg, op);
     }
 
     /// Record the matching collective-end trace marker; see
     /// [`Rank::mark_collective_begin`].
     pub fn mark_collective_end(&mut self, op: &str) {
-        if self.cfg.record_trace {
-            let t = self.time;
-            self.record(t, EventKind::CollEnd { op: op.to_string() });
-        }
+        self.meter.mark_collective_end(&self.cfg, op);
     }
 
     /// Record a collective begin/end marker pair around `body`. The end
@@ -168,232 +105,21 @@ impl Rank {
         Ok(out)
     }
 
-    /// Surface a pending unrecoverable crash (set by a preceding
-    /// `compute`, which cannot return errors itself).
-    fn fail_if_crashed(&mut self) -> SimResult<()> {
-        if let Some(fs) = self.fault.as_deref_mut() {
-            if let Some(e) = fs.pending_crash.take() {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// A crash the rank's program never got to observe (no fallible
-    /// operation followed it). `Machine::run` checks this at rank exit.
-    pub(crate) fn take_fault_error(&mut self) -> Option<SimError> {
-        self.fault
-            .as_deref_mut()
-            .and_then(|fs| fs.pending_crash.take())
-    }
-
-    /// Charge a transfer's link cost without delivering anything: failed
-    /// (dropped / corrupt-detected) attempts, duplicates, and checkpoint
-    /// writes all burn bandwidth this way. The chunking mirrors `send`;
-    /// the words land in the resilience counters, not `words_sent`, so
-    /// the sent/received balance is preserved.
-    fn charge_wasted_transfer(&mut self, total: usize, alpha: f64, beta: f64) {
-        let m = self.cfg.max_message_words;
-        let mut left = total;
-        loop {
-            let k = left.min(m);
-            self.time += alpha + beta * k as f64;
-            self.stats.retrans_msgs += 1;
-            self.stats.retrans_words += k as u64;
-            if left <= m {
-                break;
-            }
-            left -= m;
-        }
-    }
-
-    /// Charge a checkpoint write of `words` words to stable storage at
-    /// the machine-level link prices, chunked at `m` like any transfer.
-    fn charge_checkpoint_write(&mut self, words: u64) {
-        let m = self.cfg.max_message_words as u64;
-        let (alpha, beta) = (self.cfg.alpha_t, self.cfg.beta_t);
-        let mut left = words;
-        loop {
-            let k = left.min(m);
-            self.time += alpha + beta * k as f64;
-            self.stats.checkpoint_msgs += 1;
-            self.stats.checkpoint_words += k;
-            if left <= m {
-                break;
-            }
-            left -= m;
-        }
-    }
-
-    /// Run after every clock-advancing operation: write the coordinated
-    /// checkpoints whose boundaries the operation crossed, then trigger
-    /// this rank's scheduled crash once its clock passes the crash time.
-    /// With a checkpoint policy the crash costs the rework since the
-    /// last checkpoint boundary plus the restart time; without one it is
-    /// fatal ([`SimError::RankCrashed`]).
-    fn fault_epilogue(&mut self) {
-        let Some(mut fs) = self.fault.take() else {
-            return;
-        };
-        if let Some(cp) = fs.plan.recovery.checkpoint {
-            // Only boundaries crossed by the operation itself fire here;
-            // boundaries crossed while writing a checkpoint fire on the
-            // next operation (keeps this loop finite even when a write
-            // costs more than the interval).
-            let t_op = self.time;
-            while fs.next_cp <= t_op {
-                let t0 = self.time;
-                self.charge_checkpoint_write(cp.words);
-                fs.last_cp = fs.next_cp;
-                fs.next_cp += cp.interval;
-                self.record(t0, EventKind::Checkpoint { words: cp.words });
-            }
-        }
-        if let Some(at) = fs.crash_at {
-            if self.time >= at {
-                fs.crash_at = None;
-                if let Some(cp) = fs.plan.recovery.checkpoint {
-                    let t0 = self.time;
-                    let lost = self.time - fs.last_cp;
-                    self.time += lost + cp.restart_seconds;
-                    self.stats.crashes_recovered += 1;
-                    self.record(
-                        t0,
-                        EventKind::CrashRecovery {
-                            lost,
-                            restart: cp.restart_seconds,
-                        },
-                    );
-                } else {
-                    fs.pending_crash = Some(SimError::RankCrashed { rank: self.id, at });
-                }
-            }
-        }
-        self.fault = Some(fs);
-    }
-
-    /// Decide and apply this transfer's injected fault *before*
-    /// delivery. Drop/corrupt faults under an ack protocol
-    /// (`max_retries > 0`) burn failed attempts with exponential
-    /// virtual-time backoff until one succeeds; a drop without retries
-    /// is [`SimError::RetriesExhausted`]; a corruption without retries
-    /// silently perturbs one payload word (ABFT's job to catch) —
-    /// copy-on-write through [`Arc::make_mut`], so a shared payload is
-    /// only duplicated when a corruption actually fires. Delay stalls
-    /// the sender. Returns `true` when the transfer must also be
-    /// re-charged as a duplicate after delivery.
-    fn inject_send_faults(
-        &mut self,
-        dest: usize,
-        tag: Tag,
-        payload: &mut SharedPayload,
-        alpha: f64,
-        beta: f64,
-    ) -> SimResult<bool> {
-        let Some(mut fs) = self.fault.take() else {
-            return Ok(false);
-        };
-        let seq = fs.link_seq[dest];
-        fs.link_seq[dest] += 1;
-        let primary = fs.plan.link_fault(self.id, dest, seq);
-        let res = match primary {
-            None => Ok(false),
-            Some(LinkFaultKind::Duplicate) => Ok(true),
-            Some(LinkFaultKind::Delay) => {
-                let t0 = self.time;
-                let seconds = fs.plan.spec.delay_seconds;
-                self.time += seconds;
-                self.record(t0, EventKind::LinkDelay { seconds });
-                Ok(false)
-            }
-            Some(LinkFaultKind::Corrupt) if fs.plan.recovery.max_retries == 0 => {
-                if !payload.is_empty() {
-                    let i = fs.plan.corrupt_index(self.id, dest, seq, payload.len());
-                    let words = Arc::make_mut(payload);
-                    words[i] = corrupt_word(words[i]);
-                }
-                Ok(false)
-            }
-            Some(LinkFaultKind::Drop) | Some(LinkFaultKind::Corrupt) => {
-                let words = payload.len();
-                let max_retries = fs.plan.recovery.max_retries;
-                let mut attempt: u32 = 0;
-                loop {
-                    let t0 = self.time;
-                    self.charge_wasted_transfer(words, alpha, beta);
-                    let backoff = fs.plan.recovery.retry_backoff * f64::powi(2.0, attempt as i32);
-                    self.time += backoff;
-                    self.stats.retries += 1;
-                    self.record(
-                        t0,
-                        EventKind::Retry {
-                            dest,
-                            tag: tag.0,
-                            attempt: attempt as usize,
-                            words,
-                            backoff,
-                        },
-                    );
-                    attempt += 1;
-                    if attempt > max_retries {
-                        break Err(SimError::RetriesExhausted {
-                            rank: self.id,
-                            dest,
-                            attempts: attempt,
-                        });
-                    }
-                    match fs.plan.attempt_fault(self.id, dest, seq, attempt) {
-                        Some(LinkFaultKind::Drop) | Some(LinkFaultKind::Corrupt) => continue,
-                        _ => break Ok(false),
-                    }
-                }
-            }
-        };
-        self.fault = Some(fs);
-        res
-    }
-
     /// Execute `flops` floating-point operations: advances the virtual
     /// clock by `γt·flops` and the flop counter.
     pub fn compute(&mut self, flops: u64) {
-        let t0 = self.time;
-        self.stats.flops += flops;
-        self.time += self.cfg.gamma_t * flops as f64;
-        self.record(t0, EventKind::Compute { flops });
-        if self.fault.is_some() {
-            self.fault_epilogue();
-        }
+        self.meter.compute(&self.cfg, flops);
     }
 
     /// Track an allocation of `words` words. Errors if the configured
     /// per-rank memory limit would be exceeded.
     pub fn alloc(&mut self, words: u64) -> SimResult<()> {
-        let new = self.stats.mem_current + words;
-        if let Some(limit) = self.cfg.mem_limit_words {
-            if new > limit {
-                return Err(SimError::MemoryLimitExceeded {
-                    rank: self.id,
-                    requested: new,
-                    limit,
-                });
-            }
-        }
-        self.stats.mem_current = new;
-        self.stats.mem_peak = self.stats.mem_peak.max(new);
-        let t = self.time;
-        self.record(t, EventKind::Alloc { words });
-        Ok(())
+        self.meter.alloc(&self.cfg, words)
     }
 
     /// Track the release of `words` words.
     pub fn free(&mut self, words: u64) -> SimResult<()> {
-        if words > self.stats.mem_current {
-            return Err(SimError::MemoryUnderflow { rank: self.id });
-        }
-        self.stats.mem_current -= words;
-        let t = self.time;
-        self.record(t, EventKind::Free { words });
-        Ok(())
+        self.meter.free(&self.cfg, words)
     }
 
     /// Surface an external cancellation request ([`crate::CancelFlag`])
@@ -407,23 +133,10 @@ impl Rank {
         }
     }
 
-    fn check_peer(&self, peer: usize) -> SimResult<()> {
-        if peer >= self.p {
-            return Err(SimError::RankOutOfRange {
-                rank: peer,
-                size: self.p,
-            });
-        }
-        Ok(())
-    }
-
     /// Whether `peer` lives on the same node as this rank (always false
     /// on a flat machine).
     pub fn same_node(&self, peer: usize) -> bool {
-        match &self.cfg.hierarchy {
-            Some(h) => self.id / h.cores_per_node == peer / h.cores_per_node,
-            None => false,
-        }
+        same_node(self.cfg.hierarchy.as_ref(), self.rank(), peer)
     }
 
     /// Send `payload` to `dest` under `tag`. Never blocks (eager,
@@ -454,106 +167,31 @@ impl Rank {
     /// in a broadcast tree, forwarding in an allgather ring). Pricing,
     /// counters, fault decisions, and traces are identical to
     /// [`Rank::send`].
-    pub fn send_shared(&mut self, dest: usize, tag: Tag, payload: SharedPayload) -> SimResult<()> {
-        self.check_peer(dest)?;
+    pub fn send_shared(
+        &mut self,
+        dest: usize,
+        tag: Tag,
+        mut payload: SharedPayload,
+    ) -> SimResult<()> {
         self.check_cancelled()?;
-        self.fail_if_crashed()?;
-        let t0 = self.time;
-        if dest == self.id {
-            let words = payload.len();
-            self.mailboxes[self.id].push(Envelope {
-                src: self.id,
-                tag,
-                n_chunks: 1,
-                depart_time: self.time,
-                payload,
-            });
-            self.record(
-                t0,
-                EventKind::Send {
-                    dest,
-                    tag: tag.0,
-                    words,
-                },
-            );
-            return Ok(());
-        }
-        let intra = self.same_node(dest);
-        let (alpha, beta) = match (&self.cfg.hierarchy, intra) {
-            (Some(h), true) => (h.intra_alpha_t, h.intra_beta_t),
-            _ => (self.cfg.alpha_t, self.cfg.beta_t),
-        };
-        let m = self.cfg.max_message_words;
-        let mut payload = payload;
-        let duplicate = if self.fault.is_some() {
-            self.inject_send_faults(dest, tag, &mut payload, alpha, beta)?
-        } else {
-            false
-        };
-        let t_send = self.time;
-        let total = payload.len();
-        let n_chunks = if total == 0 { 1 } else { total.div_ceil(m) };
-        // Arithmetic chunk pricing: the same per-chunk clock and counter
-        // updates (in the same f64 order) that physically splitting the
-        // payload performed, without materializing any chunk.
-        let mut left = total;
-        loop {
-            let k = left.min(m);
-            self.time += alpha + beta * k as f64;
-            self.stats.msgs_sent += 1;
-            self.stats.words_sent += k as u64;
-            if intra {
-                self.stats.msgs_sent_intra += 1;
-                self.stats.words_sent_intra += k as u64;
-            }
-            if left <= m {
-                break;
-            }
-            left -= m;
-        }
-        // One wire message for the whole transfer. Its departure time is
-        // the sender's clock after all chunk pricing — bit-identical to
-        // the old per-chunk envelopes' latest departure, which is what
-        // the receiver's clock advances to.
+        let words = payload.len();
+        let departure = self
+            .meter
+            .send(&self.cfg, dest, tag, words, Some(&mut payload))?;
+        // One wire message for the whole transfer, however many chunks
+        // it was priced as.
         self.mailboxes[dest].push(Envelope {
-            src: self.id,
+            src: self.rank(),
             tag,
-            n_chunks,
-            depart_time: self.time,
+            departure,
             payload,
         });
-        if let Some(reg) = &self.registry {
-            // Wake registry-parked receivers to re-check their mailboxes
-            // (Events-backend receives never park on the mailbox condvar).
-            reg.notify_send();
-        }
-        self.record(
-            t_send,
-            EventKind::Send {
-                dest,
-                tag: tag.0,
-                words: total,
-            },
-        );
-        if duplicate {
-            // The link sent the transfer twice; the receiver discards
-            // the copy, but its bandwidth and latency are still paid.
-            let td = self.time;
-            self.charge_wasted_transfer(total, alpha, beta);
-            self.stats.retries += 1;
-            self.record(
-                td,
-                EventKind::Retry {
-                    dest,
-                    tag: tag.0,
-                    attempt: 0,
-                    words: total,
-                    backoff: 0.0,
-                },
-            );
-        }
-        if self.fault.is_some() {
-            self.fault_epilogue();
+        if dest != self.rank() {
+            if let Some(reg) = &self.registry {
+                // Wake registry-parked receivers to re-check their mailboxes
+                // (Events-backend receives never park on the mailbox condvar).
+                reg.notify_send();
+            }
         }
         Ok(())
     }
@@ -573,35 +211,22 @@ impl Rank {
     /// still holds a reference, e.g. when forwarding the same payload
     /// onward in a ring or tree.
     pub fn recv_shared(&mut self, src: usize, tag: Tag) -> SimResult<SharedPayload> {
-        self.check_peer(src)?;
         self.check_cancelled()?;
-        self.fail_if_crashed()?;
-        let t0 = self.time;
+        let t0 = self.meter.begin_recv(src)?;
+        let me = self.rank();
         let env = match &self.registry {
             // Events backend: no wall clock anywhere. Block on the
             // registry until the message is queued, the run is poisoned,
             // or deadlock is *proven* (every live rank blocked, nothing
             // queued for any of them).
             Some(reg) => loop {
-                match self.mailboxes[self.id].try_recv(src, tag) {
+                match self.mailboxes[me].try_recv(src, tag) {
                     Some(env) => break env,
-                    None => match reg.block_until_ready(self.id, src, tag, &self.mailboxes) {
+                    None => match reg.block_until_ready(me, src, tag, &self.mailboxes) {
                         BlockOutcome::Ready => continue,
-                        BlockOutcome::Poisoned => {
-                            // Distinguish an external cancellation from
-                            // a failing peer: the watchdog poisons the
-                            // run through the same wakeup path.
-                            self.check_cancelled()?;
-                            return Err(SimError::PeerFailed(format!(
-                                "rank {} abandoned recv from {src}: a peer rank failed",
-                                self.id
-                            )));
-                        }
+                        BlockOutcome::Poisoned => return Err(self.abandoned_recv(src)),
                         BlockOutcome::Deadlocked(blocked) => {
-                            return Err(SimError::Deadlock {
-                                rank: self.id,
-                                blocked,
-                            });
+                            return Err(SimError::Deadlock { rank: me, blocked });
                         }
                     },
                 }
@@ -611,20 +236,12 @@ impl Rank {
             // never complete this receive).
             None => {
                 let deadline = Instant::now() + self.cfg.recv_timeout;
-                match self.mailboxes[self.id].recv(src, tag, deadline, &self.poison) {
+                match self.mailboxes[me].recv(src, tag, deadline, &self.poison) {
                     RecvWait::Message(env) => env,
-                    RecvWait::Poisoned => {
-                        // An external cancellation wakes receivers via
-                        // the same poison flag; report it as such.
-                        self.check_cancelled()?;
-                        return Err(SimError::PeerFailed(format!(
-                            "rank {} abandoned recv from {src}: a peer rank failed",
-                            self.id
-                        )));
-                    }
+                    RecvWait::Poisoned => return Err(self.abandoned_recv(src)),
                     RecvWait::TimedOut => {
                         return Err(SimError::RecvFailed {
-                            rank: self.id,
+                            rank: me,
                             src,
                             cause: format!(
                                 "no matching message for tag {tag:?} within {:?} (deadlock?)",
@@ -635,25 +252,23 @@ impl Rank {
                 }
             }
         };
-        self.time = self.time.max(env.depart_time);
         let words = env.payload.len();
-        if src != self.id {
-            self.stats.words_recvd += words as u64;
-            self.stats.msgs_recvd += env.n_chunks as u64;
-        }
-        self.record(
-            t0,
-            EventKind::Recv {
-                src,
-                tag: tag.0,
-                words,
-                msgs: env.n_chunks,
-            },
-        );
-        if self.fault.is_some() {
-            self.fault_epilogue();
-        }
+        self.meter
+            .recv(&self.cfg, t0, src, tag, env.departure, words);
         Ok(env.payload)
+    }
+
+    /// Why a poisoned run abandoned a receive: an external cancellation
+    /// wakes receivers through the same poison flag as a failing peer,
+    /// so report it as such.
+    fn abandoned_recv(&self, src: usize) -> SimError {
+        match self.check_cancelled() {
+            Err(cancelled) => cancelled,
+            Ok(()) => SimError::PeerFailed(format!(
+                "rank {} abandoned recv from {src}: a peer rank failed",
+                self.rank()
+            )),
+        }
     }
 
     /// Send to `dest` and receive from `src` in one call. Safe in rings

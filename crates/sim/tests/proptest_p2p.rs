@@ -3,6 +3,7 @@
 //! traffic, and produce bit-identical profiles on re-execution.
 
 use proptest::prelude::*;
+use psse_sim::meter::{charge_chunks, chunk_count};
 use psse_sim::prelude::*;
 
 /// A randomly generated transfer: src → dst with a unique tag and a
@@ -132,5 +133,27 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-15);
         }
         prop_assert!((a.profile.makespan - b.profile.makespan).abs() < 1e-15);
+    }
+
+    /// The one chunk-charging primitive: `⌈words/m⌉` chunks (one for an
+    /// empty transfer) of at most `m` words that sum to `words`, and a
+    /// clock equal to the left-to-right fold of `α + β·k`.
+    #[test]
+    fn charge_chunks_splits_and_folds(
+        words in 0u64..5000,
+        m in 1u64..300,
+        alpha in 0.0f64..1e-3,
+        beta in 0.0f64..1e-6,
+        start in 0.0f64..10.0,
+    ) {
+        let mut time = start;
+        let mut ks = Vec::new();
+        charge_chunks(&mut time, words, m, alpha, beta, |k| ks.push(k));
+        prop_assert_eq!(ks.len(), chunk_count(words as usize, m as usize));
+        prop_assert_eq!(ks.len() as u64, words.div_ceil(m).max(1));
+        prop_assert_eq!(ks.iter().sum::<u64>(), words);
+        prop_assert!(ks.iter().all(|&k| k <= m));
+        let fold = ks.iter().fold(start, |t, &k| t + (alpha + beta * k as f64));
+        prop_assert_eq!(time.to_bits(), fold.to_bits());
     }
 }

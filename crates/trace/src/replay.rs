@@ -1,13 +1,14 @@
 //! The replay scheduler: re-executes a recorded event DAG under
 //! arbitrary machine parameters.
 //!
-//! Replay repeats, per event, exactly the floating-point operations the
-//! live simulator performs — `time += γt·f` for a compute, one
-//! `time += α + β·k` per message chunk for a send (chunk sizes re-derived
-//! from the replay `m`), `time = max(time, sender_completion)` for a
-//! receive. Under the trace's own recorded parameters this makes replay
-//! **bit-identical** to the live run; under different parameters it
-//! yields the profile the simulator would have produced on that machine.
+//! Replay prices each event through the simulator's own primitives —
+//! `time += γt·f` for a compute, `psse_sim::meter::charge_chunks` at the
+//! `link_prices` of the replay machine for a send (chunk sizes
+//! re-derived from the replay `m`), `time = max(time, sender_completion)`
+//! for a receive. Under the trace's own recorded parameters this makes
+//! replay **bit-identical** to the live run; under different parameters
+//! it yields the profile the simulator would have produced on that
+//! machine.
 //!
 //! Message matching is FIFO per `(src, dst, tag)` triple: the `k`-th
 //! receive on `dst` for `(src, tag)` matches the `k`-th send on `src`
@@ -17,6 +18,7 @@
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::ReplayParams;
+use psse_sim::meter::{charge_chunks, chunk_count, link_prices};
 use psse_sim::profile::RankStats;
 use psse_sim::record::{EventKind, TimedEvent};
 use std::collections::{HashMap, VecDeque};
@@ -98,14 +100,6 @@ pub(crate) fn resolve_matches(events: &[Vec<TimedEvent>]) -> TraceResult<MatchTa
     Ok(matched)
 }
 
-/// Whether ranks `a` and `b` share a node under the replay hierarchy.
-fn same_node(params: &ReplayParams, a: usize, b: usize) -> bool {
-    match &params.hierarchy {
-        Some(h) => a / h.cores_per_node == b / h.cores_per_node,
-        None => false,
-    }
-}
-
 /// Replay `events` under `params`. Events execute in per-rank program
 /// order; a receive becomes executable once its matched send has
 /// executed. The fixpoint loop sweeps ranks, advancing each as far as
@@ -123,6 +117,9 @@ pub(crate) fn schedule(
         )));
     }
     let matched = resolve_matches(events)?;
+    let hier = params.hierarchy.as_ref();
+    let (alpha_t, beta_t) = (params.alpha_t, params.beta_t);
+    let m = params.max_message_words as u64;
     let mut starts: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
     let mut ends: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
     let mut stats = vec![RankStats::default(); p];
@@ -155,29 +152,16 @@ pub(crate) fn schedule(
                         // Self-sends cross no link: free and uncounted,
                         // exactly as in the live simulator.
                         if *dest != r {
-                            let intra = same_node(params, r, *dest);
-                            let (alpha, beta) = match (&params.hierarchy, intra) {
-                                (Some(h), true) => (h.intra_alpha_t, h.intra_beta_t),
-                                _ => (params.alpha_t, params.beta_t),
-                            };
-                            let m = params.max_message_words;
-                            let n_chunks = if *words == 0 { 1 } else { words.div_ceil(m) };
-                            for c in 0..n_chunks {
-                                let k = if *words == 0 {
-                                    0
-                                } else if c + 1 < n_chunks {
-                                    m
-                                } else {
-                                    words - m * (n_chunks - 1)
-                                };
-                                time[r] += alpha + beta * k as f64;
-                                stats[r].msgs_sent += 1;
-                                stats[r].words_sent += k as u64;
+                            let (alpha, beta, intra) = link_prices(hier, alpha_t, beta_t, r, *dest);
+                            let st = &mut stats[r];
+                            charge_chunks(&mut time[r], *words as u64, m, alpha, beta, |k| {
+                                st.msgs_sent += 1;
+                                st.words_sent += k;
                                 if intra {
-                                    stats[r].msgs_sent_intra += 1;
-                                    stats[r].words_sent_intra += k as u64;
+                                    st.msgs_sent_intra += 1;
+                                    st.words_sent_intra += k;
                                 }
-                            }
+                            });
                         }
                     }
                     EventKind::Recv { src, words, .. } => {
@@ -188,9 +172,8 @@ pub(crate) fn schedule(
                         time[r] = time[r].max(ends[s][j]);
                         if *src != r {
                             stats[r].words_recvd += *words as u64;
-                            let m = params.max_message_words;
-                            let needed = if *words == 0 { 1 } else { words.div_ceil(m) };
-                            stats[r].msgs_recvd += needed as u64;
+                            stats[r].msgs_recvd +=
+                                chunk_count(*words, params.max_message_words) as u64;
                         }
                     }
                     EventKind::Alloc { words } => {
@@ -207,32 +190,20 @@ pub(crate) fn schedule(
                         stats[r].mem_current -= words;
                     }
                     EventKind::CollBegin { .. } | EventKind::CollEnd { .. } => {}
-                    // Fault-layer events. The chunk loops mirror the
-                    // live simulator's charging order exactly so replay
-                    // under the recorded parameters stays bit-identical.
+                    // Fault-layer events, charged as the live simulator
+                    // charged them.
                     EventKind::Retry {
                         dest,
                         words,
                         backoff,
                         ..
                     } => {
-                        let intra = same_node(params, r, *dest);
-                        let (alpha, beta) = match (&params.hierarchy, intra) {
-                            (Some(h), true) => (h.intra_alpha_t, h.intra_beta_t),
-                            _ => (params.alpha_t, params.beta_t),
-                        };
-                        let m = params.max_message_words;
-                        let mut left = *words;
-                        loop {
-                            let k = left.min(m);
-                            time[r] += alpha + beta * k as f64;
-                            stats[r].retrans_msgs += 1;
-                            stats[r].retrans_words += k as u64;
-                            if left <= m {
-                                break;
-                            }
-                            left -= m;
-                        }
+                        let (alpha, beta, _) = link_prices(hier, alpha_t, beta_t, r, *dest);
+                        let st = &mut stats[r];
+                        charge_chunks(&mut time[r], *words as u64, m, alpha, beta, |k| {
+                            st.retrans_msgs += 1;
+                            st.retrans_words += k;
+                        });
                         // The backoff is a recovery-policy constant, not
                         // a machine price: added verbatim.
                         time[r] += backoff;
@@ -244,18 +215,11 @@ pub(crate) fn schedule(
                     EventKind::Checkpoint { words } => {
                         // Stable-storage writes are priced at the
                         // machine-level (inter-node) link prices.
-                        let m = params.max_message_words as u64;
-                        let mut left = *words;
-                        loop {
-                            let k = left.min(m);
-                            time[r] += params.alpha_t + params.beta_t * k as f64;
-                            stats[r].checkpoint_msgs += 1;
-                            stats[r].checkpoint_words += k;
-                            if left <= m {
-                                break;
-                            }
-                            left -= m;
-                        }
+                        let st = &mut stats[r];
+                        charge_chunks(&mut time[r], *words, m, alpha_t, beta_t, |k| {
+                            st.checkpoint_msgs += 1;
+                            st.checkpoint_words += k;
+                        });
                     }
                     EventKind::CrashRecovery { lost, restart } => {
                         // Rework and restart are execution history, not

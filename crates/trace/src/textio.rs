@@ -112,6 +112,7 @@ impl Trace {
 
     /// Parse the text format produced by [`Trace::to_text`].
     pub fn from_text(text: &str) -> TraceResult<Trace> {
+        let n_lines = text.lines().count();
         let mut lines = text.lines().enumerate();
         let mut next = |expect: &str| -> TraceResult<(usize, &str)> {
             lines
@@ -131,7 +132,7 @@ impl Trace {
             });
         }
         let (ln, l) = next("p")?;
-        let p: usize = parse_field(ln, l, "p")?;
+        let p = declared_count(ln, "ranks", parse_field(ln, l, "p")?, n_lines)?;
         let (ln, l) = next("makespan")?;
         let makespan: f64 = parse_field(ln, l, "makespan")?;
         let (ln, l) = next("params")?;
@@ -192,7 +193,7 @@ impl Trace {
                             msg: format!("rank {id} out of order, expected {}", events.len()),
                         });
                     }
-                    let n: usize = parse_tok(ln, rest[1])?;
+                    let n = declared_count(ln, "events", parse_tok(ln, rest[1])?, n_lines)?;
                     events.push(Vec::with_capacity(n));
                     pending_rank = Some((ln, n));
                 }
@@ -237,6 +238,20 @@ impl Trace {
             std::fs::read_to_string(path.as_ref()).map_err(|e| TraceError::Io(e.to_string()))?;
         Trace::from_text(&text)
     }
+}
+
+/// A count declared on line `line` sizes an allocation, and each thing
+/// it counts takes at least one later line: reject a count the rest of
+/// the input cannot hold before reserving anything for it.
+fn declared_count(line: usize, what: &str, n: usize, n_lines: usize) -> TraceResult<usize> {
+    let left = n_lines.saturating_sub(line);
+    if n > left {
+        return Err(TraceError::Parse {
+            line,
+            msg: format!("{n} {what} declared but only {left} lines follow"),
+        });
+    }
+    Ok(n)
 }
 
 fn parse_tok<T: std::str::FromStr>(line: usize, tok: &str) -> TraceResult<T> {
@@ -472,6 +487,23 @@ mod tests {
             Trace::from_text(truncated),
             Err(TraceError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_before_allocating() {
+        let head = "psse-trace v1\np 1\nmakespan 0.0\nparams 0.0 0.0 0.0 16\n";
+        let huge_p = head.replace("p 1\n", "p 18446744073709551615\n") + "rank 0 0\n";
+        assert!(matches!(
+            Trace::from_text(&huge_p),
+            Err(TraceError::Parse { line: 2, .. })
+        ));
+        for n in ["18446744073709551615", "400000000000"] {
+            let huge_rank = format!("{head}rank 0 {n}\n");
+            assert!(matches!(
+                Trace::from_text(&huge_rank),
+                Err(TraceError::Parse { line: 5, .. })
+            ));
+        }
     }
 
     #[test]

@@ -8,17 +8,10 @@ use psse_sim::machine::SimConfig;
 use psse_sim::profile::Profile;
 use psse_sim::record::TimedEvent;
 
-/// Intra-node link prices for replaying on a two-level machine
-/// (mirrors `psse_sim::machine::Hierarchy`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayHierarchy {
-    /// Ranks per node; rank `r` lives on node `r / cores_per_node`.
-    pub cores_per_node: usize,
-    /// `βlt` — seconds per word on intra-node links.
-    pub intra_beta_t: f64,
-    /// `αlt` — seconds per message on intra-node links.
-    pub intra_alpha_t: f64,
-}
+/// Intra-node link prices for replaying on a two-level machine: the
+/// simulator's own hierarchy type, so replay prices links through
+/// `psse_sim::meter::link_prices` like the live run does.
+pub type ReplayHierarchy = psse_sim::machine::Hierarchy;
 
 /// The machine-time parameters a trace is replayed under: the Eq. 1
 /// prices plus the maximum message size (which controls how transfers
@@ -51,16 +44,7 @@ impl ReplayParams {
             ));
         }
         if let Some(h) = &self.hierarchy {
-            if h.cores_per_node == 0 {
-                return Err(TraceError::InvalidParams(
-                    "hierarchy.cores_per_node must be at least 1".into(),
-                ));
-            }
-            if !(h.intra_beta_t >= 0.0) || !(h.intra_alpha_t >= 0.0) {
-                return Err(TraceError::InvalidParams(
-                    "intra-node link prices must be non-negative".into(),
-                ));
-            }
+            h.validate().map_err(TraceError::InvalidParams)?;
         }
         Ok(())
     }
@@ -73,11 +57,7 @@ impl From<&SimConfig> for ReplayParams {
             beta_t: cfg.beta_t,
             alpha_t: cfg.alpha_t,
             max_message_words: cfg.max_message_words,
-            hierarchy: cfg.hierarchy.as_ref().map(|h| ReplayHierarchy {
-                cores_per_node: h.cores_per_node,
-                intra_beta_t: h.intra_beta_t,
-                intra_alpha_t: h.intra_alpha_t,
-            }),
+            hierarchy: cfg.hierarchy.clone(),
         }
     }
 }
