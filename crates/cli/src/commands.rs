@@ -17,8 +17,8 @@ use psse_kernels::matrix::Matrix;
 use psse_kernels::nbody::{accumulate_forces, random_particles};
 use psse_kernels::rng::XorShift64;
 use psse_lab::prelude::{
-    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, spec_digest, sweep_csv, GcConfig, Journal,
-    Lab, LabConfig, RunKey, SweepSpec,
+    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, sweep_csv, ExpandedSweep, GcConfig,
+    Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_sim::profile::Profile;
 use psse_trace::Trace;
@@ -1012,6 +1012,10 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         timeout,
         ..LabConfig::default()
     });
+    // One expansion and one digest per key for the whole command: the
+    // same digests identify the sweep to its journal and each run to
+    // the cache and the journal.
+    let expanded = ExpandedSweep::new(spec.expand());
     // `--journal FILE` appends one checksummed line per finished run;
     // `--resume` replays completed runs from it (skipping their
     // execution) before continuing the sweep.
@@ -1019,7 +1023,7 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     let journal_path = args.get("journal").filter(|v| !v.is_empty());
     match journal_path {
         Some(jp) => {
-            let sd = spec_digest(&spec.expand());
+            let sd = expanded.spec_digest();
             let journal = if args.has("resume") {
                 let (journal, replayed) = Journal::open_resume(std::path::Path::new(jp), &sd)?;
                 replayed_runs = replayed.len();
@@ -1066,10 +1070,10 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         let _ = writeln!(out, "journal   : {jp} ({replayed_runs} runs replayed)");
     }
     let (sweep, profile) = if profile_path.is_some() {
-        let (sweep, profile) = lab.run_spec_profiled(&spec);
+        let (sweep, profile) = lab.run_sweep_profiled(expanded);
         (sweep, Some(profile))
     } else {
-        (lab.run_spec(&spec), None)
+        (lab.run_sweep(expanded), None)
     };
     let (feasible, infeasible) = sweep.feasibility();
     let _ = writeln!(
@@ -1096,6 +1100,9 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         s.corrupt,
         s.quarantined,
     );
+    if let Some(journal) = lab.journal() {
+        let _ = writeln!(out, "appended  : {} journal lines", journal.appended());
+    }
     if args.has("scaling") {
         lab_scaling_report(&sweep, out);
     }

@@ -819,6 +819,56 @@ mod tests {
     }
 
     #[test]
+    fn lab_run_resume_appends_only_what_the_journal_lacks() {
+        let dir = std::env::temp_dir().join("psse-cli-lab-appended-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("nbody.spec");
+        std::fs::write(
+            &spec_path,
+            "kind = model\nalg = nbody\nn = 10000\np = geom:6:100:8\nmem = 2000\nf = 10\n",
+        )
+        .unwrap();
+        let journal = dir.join("sweep.journal");
+        let run = |resume: &str| {
+            call(&format!(
+                "lab run --spec {} --jobs 1 --journal {}{resume} --profile off",
+                spec_path.display(),
+                journal.display(),
+            ))
+            .unwrap()
+        };
+
+        let out = run("");
+        assert!(out.contains("appended  : 8 journal lines"), "{out}");
+        let complete = std::fs::read(&journal).unwrap();
+
+        // A complete journal resumes without growing, however often.
+        for _ in 0..2 {
+            let out = run(" --resume");
+            assert!(out.contains("(8 runs replayed)"), "{out}");
+            assert!(out.contains("appended  : 0 journal lines"), "{out}");
+            assert_eq!(std::fs::read(&journal).unwrap(), complete);
+        }
+
+        // A torn tail costs exactly the torn run.
+        std::fs::write(&journal, &complete[..complete.len() - 11]).unwrap();
+        let out = run(" --resume");
+        assert!(out.contains("(7 runs replayed)"), "{out}");
+        assert!(out.contains("appended  : 1 journal lines"), "{out}");
+        assert_eq!(std::fs::read(&journal).unwrap(), complete);
+
+        // No journal, no line.
+        let out = call(&format!(
+            "lab run --spec {} --profile off",
+            spec_path.display()
+        ))
+        .unwrap();
+        assert!(!out.contains("appended  :"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lab_fsck_quarantines_corrupt_records_and_fails() {
         let dir = std::env::temp_dir().join("psse-cli-lab-fsck-test");
         std::fs::remove_dir_all(&dir).ok();

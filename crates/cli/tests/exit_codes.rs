@@ -249,3 +249,36 @@ fn malformed_kernel_exits_nonzero_with_line_number() {
     assert!(err.contains("bad.kernel"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn empty_memory_band_fails_its_keys_without_panicking() {
+    // tensor.kernel at (n, p) = (16, 4) and (64, 4): one copy of the
+    // data already exceeds the useful memory, so the band is empty.
+    // Those keys fail with the typed range error; the sweep exits 1
+    // and nothing panics.
+    let dir = std::env::temp_dir().join(format!("psse-exit-tensor-{}", std::process::id()));
+    let kernel = format!(
+        "{}/../../specs/kernels/tensor.kernel",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let spec = write_spec(
+        &dir,
+        "tensor.spec",
+        &format!("kind = model\nkernel = {kernel}\nn = 16,64\np = 4,64\n"),
+    );
+    let out = psse(&["lab", "run", "--spec", &spec, "--profile", "off"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_line(&out);
+    assert!(err.starts_with("error: 2 of 4 runs failed"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("runs      : 2 ok"), "{stdout}");
+    let failed: Vec<&str> = stdout.lines().filter(|l| l.contains("failed  :")).collect();
+    assert_eq!(failed.len(), 2, "{stdout}");
+    for line in failed {
+        assert!(line.contains("outside valid range ["), "{line}");
+        assert!(!line.contains("panic:"), "{line}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -88,6 +88,13 @@ pub trait Algorithm {
 
     /// Like [`Algorithm::costs`] but clamps `m_words` into the valid
     /// range first. Convenient for parameter sweeps.
+    ///
+    /// At some `(n, p)` the band is empty (`min_memory >
+    /// max_useful_memory`: one copy of the data already exceeds what
+    /// the algorithm can use). The request then collapses to
+    /// `min_memory` and [`Algorithm::costs`] decides: a band empty only
+    /// by rounding is inside its tolerance and prices, a truly empty
+    /// one is [`CoreError::MemoryOutOfRange`].
     fn costs_clamped(
         &self,
         n: u64,
@@ -97,7 +104,7 @@ pub trait Algorithm {
     ) -> Result<AlgorithmCosts, CoreError> {
         let lo = self.min_memory(n, p);
         let hi = self.max_useful_memory(n, p);
-        self.costs(n, p, m_words.clamp(lo, hi), params)
+        self.costs(n, p, clamp_memory(m_words, lo, hi), params)
     }
 
     /// The perfect strong scaling range `[pmin, pmax]` for fixed problem
@@ -116,6 +123,19 @@ pub trait Algorithm {
             )));
         }
         Ok((self.min_memory(n, p), self.max_useful_memory(n, p)))
+    }
+}
+
+/// Clamp a memory request into the band `[lo, hi]`. [`f64::clamp`]
+/// panics on an empty (`lo > hi`) or NaN band; here such a band
+/// collapses the request to `lo`, which the range check of
+/// [`Algorithm::costs`] then accepts (empty by rounding only) or
+/// rejects with a typed error.
+pub fn clamp_memory(m: Real, lo: Real, hi: Real) -> Real {
+    if lo <= hi {
+        m.clamp(lo, hi)
+    } else {
+        lo
     }
 }
 
@@ -761,6 +781,17 @@ impl Algorithm for HaloStencilModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clamp_memory_never_panics_on_an_empty_or_nan_band() {
+        assert_eq!(clamp_memory(5.0, 1.0, 10.0), 5.0);
+        assert_eq!(clamp_memory(0.5, 1.0, 10.0), 1.0);
+        assert_eq!(clamp_memory(50.0, 1.0, 10.0), 10.0);
+        // Empty band (f64::clamp would panic): collapse to `lo`.
+        assert_eq!(clamp_memory(5.0, 1024.0, 645.0), 1024.0);
+        assert!(clamp_memory(5.0, Real::NAN, 10.0).is_nan());
+        assert_eq!(clamp_memory(5.0, 1.0, Real::NAN), 1.0);
+    }
 
     fn params() -> MachineParams {
         MachineParams::builder()

@@ -35,11 +35,105 @@ pub fn unit_f64(x: u64) -> f64 {
 /// `hash_key(s, &[b, a])`.
 #[must_use]
 pub fn hash_key(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = mix64(seed ^ GOLDEN);
+    let mut h = KeyHasher::new(seed);
     for &p in parts {
-        h = mix64(h.wrapping_add(GOLDEN) ^ mix64(p.wrapping_add(GOLDEN)));
+        h.push(p);
     }
-    h
+    h.finish()
+}
+
+/// The canonical word stream of a byte string, fed to `f`: its length,
+/// then the bytes packed into little-endian 8-byte words, the last one
+/// zero-padded. The length word keeps `("ab", "c")` and `("a", "bc")`
+/// apart.
+#[inline]
+pub fn packed_words(bytes: &[u8], mut f: impl FnMut(u64)) {
+    f(bytes.len() as u64);
+    let mut packer = BytePacker::default();
+    packer.feed(bytes, &mut f);
+    packer.finish(f);
+}
+
+/// The packing of [`packed_words`] for a byte string that arrives in
+/// pieces: feed the pieces in order, then [`BytePacker::finish`] flushes
+/// the zero-padded tail. The words do not depend on where the pieces
+/// were cut. (The length word is the caller's to emit — it has to come
+/// first, so the caller must know it up front.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BytePacker {
+    word: u64,
+    fill: u32,
+}
+
+impl BytePacker {
+    /// Pack `bytes` after everything fed so far; each completed word
+    /// goes to `sink`.
+    #[inline]
+    pub fn feed(&mut self, mut bytes: &[u8], mut sink: impl FnMut(u64)) {
+        // Top up a word left partial by the previous piece.
+        while self.fill != 0 {
+            let Some((&b, rest)) = bytes.split_first() else {
+                return;
+            };
+            self.push_byte(b, &mut sink);
+            bytes = rest;
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            sink(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.push_byte(b, &mut sink);
+        }
+    }
+
+    #[inline]
+    fn push_byte(&mut self, b: u8, sink: &mut impl FnMut(u64)) {
+        self.word |= (b as u64) << (8 * self.fill);
+        self.fill += 1;
+        if self.fill == 8 {
+            sink(self.word);
+            *self = BytePacker::default();
+        }
+    }
+
+    /// Flush the last, zero-padded word (nothing when the bytes fed so
+    /// far fill whole words).
+    #[inline]
+    pub fn finish(self, mut sink: impl FnMut(u64)) {
+        if self.fill != 0 {
+            sink(self.word);
+        }
+    }
+}
+
+/// The fold behind [`hash_key`], one word at a time: pushing
+/// `parts[0], parts[1], ...` and finishing equals `hash_key(seed,
+/// parts)`, so a caller that produces its words on the fly needs no
+/// intermediate vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Start a chain from `seed`.
+    #[inline]
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        KeyHasher(mix64(seed ^ GOLDEN))
+    }
+
+    /// Fold one word into the chain.
+    #[inline]
+    pub fn push(&mut self, part: u64) {
+        self.0 = mix64(self.0.wrapping_add(GOLDEN) ^ mix64(part.wrapping_add(GOLDEN)));
+    }
+
+    /// The chain's current value.
+    #[inline]
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// A sequential splitmix64 stream (Steele, Lea & Flood 2014). Passes
@@ -100,6 +194,45 @@ mod tests {
         assert_eq!(h1, hash_key(1, &[2, 3]));
         assert_ne!(h1, hash_key(1, &[3, 2]));
         assert_ne!(h1, hash_key(2, &[2, 3]));
+    }
+
+    #[test]
+    fn key_hasher_streams_the_same_fold() {
+        let parts = [7u64, 0, u64::MAX, 42];
+        let mut h = KeyHasher::new(9);
+        assert_eq!(h.finish(), hash_key(9, &[]));
+        for (i, &p) in parts.iter().enumerate() {
+            h.push(p);
+            assert_eq!(h.finish(), hash_key(9, &parts[..=i]));
+        }
+    }
+
+    #[test]
+    fn byte_packing_is_length_prefixed_and_cut_independent() {
+        let words = |bytes: &[u8]| {
+            let mut w = Vec::new();
+            packed_words(bytes, |x| w.push(x));
+            w
+        };
+        assert_eq!(words(b""), [0]);
+        assert_eq!(
+            words(b"abcdefghi"),
+            [
+                9,
+                u64::from_le_bytes(*b"abcdefgh"),
+                u64::from_le_bytes(*b"i\0\0\0\0\0\0\0"),
+            ]
+        );
+        // Any cut of the stream packs to the same words.
+        let text = b"the quick brown fox jumps over the lazy dog";
+        for cut in 0..=text.len() {
+            let mut w = vec![text.len() as u64];
+            let mut p = BytePacker::default();
+            p.feed(&text[..cut], |x| w.push(x));
+            p.feed(&text[cut..], |x| w.push(x));
+            p.finish(|x| w.push(x));
+            assert_eq!(w, words(text), "cut at {cut}");
+        }
     }
 
     #[test]

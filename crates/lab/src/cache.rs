@@ -1,10 +1,12 @@
 //! Content-addressed result cache: in-memory memoization with optional
 //! one-line-per-record persistence and self-healing integrity checks.
 //!
-//! Keys are [`RunKey`](crate::key::RunKey) digests (32 hex chars);
-//! values are [`RunResult`]s. The in-memory layer is a bounded map with
-//! FIFO eviction; the optional disk layer stores each record as a file
-//! named after its digest so concurrent writers never interleave.
+//! Keys are [`RunKey`](crate::key::RunKey) digests, held as their two
+//! words ([`Digest`]) in memory and spelled as 32 hex chars in file
+//! names; values are [`RunResult`]s. The in-memory layer is a bounded
+//! map with FIFO eviction; the optional disk layer stores each record
+//! as a file named after its digest so concurrent writers never
+//! interleave.
 //!
 //! Every disk record carries a trailing splitmix64 checksum computed
 //! over `"{digest} {v1-line}"` — binding the record to its *filename*
@@ -24,7 +26,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::result::{line_checksum, RunResult};
+use crate::key::{AsDigest, Digest};
+use crate::result::{push_checksum, split_checksum, LineChecksum, RunResult};
 
 /// Name of the subdirectory corrupt records are moved into (next to the
 /// `.rec` files). Never garbage-collected, never deleted by the lab.
@@ -59,8 +62,8 @@ impl CacheStats {
 }
 
 struct MemCache {
-    map: HashMap<String, RunResult>,
-    order: std::collections::VecDeque<String>,
+    map: HashMap<Digest, RunResult>,
+    order: std::collections::VecDeque<Digest>,
     capacity: usize,
 }
 
@@ -76,46 +79,55 @@ pub struct ResultCache {
     /// Digests whose disk record was found corrupt (and possibly left
     /// in place because quarantining failed, e.g. read-only dir): never
     /// re-read, so a bad record is paid for exactly once.
-    bad: Mutex<std::collections::HashSet<String>>,
+    bad: Mutex<std::collections::HashSet<Digest>>,
     /// Set after the first failed disk write: the cache degrades to
     /// memory-only memoization instead of failing every run.
     disk_dead: AtomicBool,
 }
 
+/// Checksum binding a record to its filename: [`line_checksum`] of
+/// `"{digest} {line}"`, folded from the two pieces.
+///
+/// [`line_checksum`]: crate::result::line_checksum
+fn record_checksum(digest: Digest, line: &[u8]) -> u64 {
+    let mut sum = LineChecksum::new(32 + 1 + line.len());
+    sum.update(&digest.hex());
+    sum.update(b" ");
+    sum.update(line);
+    sum.finish()
+}
+
 /// Encode a disk record: the `v1` result line plus a trailing checksum
 /// over `"{digest} {line}"`, binding content to filename.
-fn encode_record(digest: &str, result: &RunResult) -> String {
-    let line = result.to_line();
-    let sum = line_checksum(&format!("{digest} {line}"));
-    format!("{line} {sum:016x}\n")
+fn encode_record(digest: Digest, result: &RunResult) -> Vec<u8> {
+    let mut record = Vec::with_capacity(224);
+    result.write_line(&mut record);
+    let sum = record_checksum(digest, &record);
+    push_checksum(&mut record, sum);
+    record
 }
 
 /// Decode and verify a disk record read from `{digest}.rec`. `None` on
 /// any malformation: missing/short checksum, checksum mismatch (torn
 /// write, bit rot, record under the wrong filename), or an unparseable
 /// result line.
-fn decode_record(digest: &str, text: &str) -> Option<RunResult> {
-    let text = text.trim_end();
-    let (line, sum_hex) = text.rsplit_once(' ')?;
-    if sum_hex.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum != line_checksum(&format!("{digest} {line}")) {
+fn decode_record(digest: Digest, record: &[u8]) -> Option<RunResult> {
+    let (line, sum) = split_checksum(record.trim_ascii_end())?;
+    if sum != record_checksum(digest, line) {
         return None;
     }
     RunResult::from_line(line)
 }
 
-/// Move `{digest}.rec` into `dir/quarantine/`, creating the
-/// subdirectory on demand. Returns whether the move succeeded (it can
-/// fail on a read-only directory; the record is then left in place).
-fn quarantine_record(dir: &Path, digest: &str) -> bool {
+/// Move `{name}.rec` into `dir/quarantine/`, creating the subdirectory
+/// on demand. Returns whether the move succeeded (it can fail on a
+/// read-only directory; the record is then left in place).
+fn quarantine_record(dir: &Path, name: &str) -> bool {
     let qdir = dir.join(QUARANTINE_SUBDIR);
     std::fs::create_dir_all(&qdir).is_ok()
         && std::fs::rename(
-            dir.join(format!("{digest}.rec")),
-            qdir.join(format!("{digest}.rec")),
+            dir.join(format!("{name}.rec")),
+            qdir.join(format!("{name}.rec")),
         )
         .is_ok()
 }
@@ -141,62 +153,70 @@ impl ResultCache {
         }
     }
 
-    fn record_path(dir: &Path, digest: &str) -> PathBuf {
+    fn record_path(dir: &Path, digest: Digest) -> PathBuf {
         dir.join(format!("{digest}.rec"))
     }
 
     /// Look up a digest; counts a hit or a miss. A disk record that
     /// fails verification is quarantined on first sight (see the module
     /// docs) and the lookup is a miss — so the caller recomputes and
-    /// output bytes are unaffected.
-    pub fn get(&self, digest: &str) -> Option<RunResult> {
+    /// output bytes are unaffected. Text that spells no digest (see
+    /// [`AsDigest`]) is a miss.
+    pub fn get<D: AsDigest + ?Sized>(&self, digest: &D) -> Option<RunResult> {
+        let found = digest.as_digest().and_then(|d| self.lookup(d));
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    fn lookup(&self, digest: Digest) -> Option<RunResult> {
         {
             // A worker panic while holding the lock must not poison the
             // whole sweep's memoization.
             let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(r) = mem.map.get(digest) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(r) = mem.map.get(&digest) {
                 return Some(*r);
             }
         }
-        if let Some(dir) = &self.dir {
-            let known_bad = self
-                .bad
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .contains(digest);
-            if !known_bad {
-                if let Ok(text) = std::fs::read_to_string(Self::record_path(dir, digest)) {
-                    match decode_record(digest, &text) {
-                        Some(r) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            self.insert_mem(digest, r);
-                            return Some(r);
-                        }
-                        None => {
-                            // Corrupt: quarantine once, remember the
-                            // digest so it is never re-read (the move
-                            // can fail on a read-only dir).
-                            self.corrupt.fetch_add(1, Ordering::Relaxed);
-                            if quarantine_record(dir, digest) {
-                                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.bad
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .insert(digest.to_string());
-                        }
-                    }
+        let dir = self.dir.as_ref()?;
+        let known_bad = self
+            .bad
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&digest);
+        if known_bad {
+            return None;
+        }
+        let record = std::fs::read(Self::record_path(dir, digest)).ok()?;
+        match decode_record(digest, &record) {
+            Some(r) => {
+                self.insert_mem(digest, r);
+                Some(r)
+            }
+            None => {
+                // Corrupt: quarantine once, remember the digest so it
+                // is never re-read (the move can fail on a read-only
+                // dir).
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                if quarantine_record(dir, &digest.to_string()) {
+                    self.quarantined.fetch_add(1, Ordering::Relaxed);
                 }
+                self.bad
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(digest);
+                None
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
     }
 
-    fn insert_mem(&self, digest: &str, result: RunResult) {
+    fn insert_mem(&self, digest: Digest, result: RunResult) {
         let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-        if mem.map.contains_key(digest) {
+        if mem.map.contains_key(&digest) {
             return;
         }
         if mem.map.len() >= mem.capacity {
@@ -205,8 +225,8 @@ impl ResultCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        mem.map.insert(digest.to_string(), result);
-        mem.order.push_back(digest.to_string());
+        mem.map.insert(digest, result);
+        mem.order.push_back(digest);
     }
 
     /// Store a result under its digest (memory + disk when configured).
@@ -215,8 +235,12 @@ impl ResultCache {
     /// warning to stderr and the cache degrades to memory-only
     /// memoization — the sweep's results are intact either way. The
     /// returned error reports that first failure so callers that *want*
-    /// to surface it can.
-    pub fn put(&self, digest: &str, result: RunResult) -> Result<(), String> {
+    /// to surface it can. Text that spells no digest (see [`AsDigest`])
+    /// is an error and stores nothing.
+    pub fn put<D: AsDigest + ?Sized>(&self, digest: &D, result: RunResult) -> Result<(), String> {
+        let digest = digest
+            .as_digest()
+            .ok_or("cache key is not a 32-hex run digest")?;
         self.insert_mem(digest, result);
         if let Some(dir) = &self.dir {
             if self.disk_dead.load(Ordering::Relaxed) {
@@ -236,7 +260,7 @@ impl ResultCache {
         Ok(())
     }
 
-    fn disk_put(dir: &Path, digest: &str, result: &RunResult) -> Result<(), String> {
+    fn disk_put(dir: &Path, digest: Digest, result: &RunResult) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
         let path = Self::record_path(dir, digest);
@@ -423,21 +447,22 @@ pub fn fsck_dir(dir: &Path, dry_run: bool) -> Result<FsckReport, String> {
         .collect();
     paths.sort();
     for path in paths {
-        let digest = path
+        let name = path
             .file_stem()
             .and_then(|s| s.to_str())
-            .unwrap_or_default()
-            .to_string();
+            .unwrap_or_default();
         report.scanned += 1;
-        let good = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| decode_record(&digest, &text))
+        // A record whose name spells no digest cannot verify either.
+        let good = name
+            .as_digest()
+            .zip(std::fs::read(&path).ok())
+            .and_then(|(digest, record)| decode_record(digest, &record))
             .is_some();
         if good {
             report.ok += 1;
         } else {
             report.corrupt += 1;
-            if !dry_run && quarantine_record(dir, &digest) {
+            if !dry_run && quarantine_record(dir, name) {
                 report.quarantined += 1;
             }
         }
@@ -460,12 +485,21 @@ mod tests {
         RunResult::model(true, t, 2.0 * t, 100.0)
     }
 
+    /// A distinct digest per tag, and the record file it names.
+    fn d(tag: u64) -> Digest {
+        Digest([tag, !tag])
+    }
+
+    fn rec(tag: u64) -> String {
+        format!("{}.rec", d(tag))
+    }
+
     #[test]
     fn memoizes_and_counts() {
         let cache = ResultCache::new(16, None);
-        assert!(cache.get("aa").is_none());
-        cache.put("aa", r(1.0)).unwrap();
-        assert_eq!(cache.get("aa"), Some(r(1.0)));
+        assert!(cache.get(&d(0xaa)).is_none());
+        cache.put(&d(0xaa), r(1.0)).unwrap();
+        assert_eq!(cache.get(&d(0xaa)), Some(r(1.0)));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
         assert!((s.hit_rate() - 50.0).abs() < 1e-12);
@@ -474,23 +508,23 @@ mod tests {
     #[test]
     fn evicts_fifo_at_capacity() {
         let cache = ResultCache::new(2, None);
-        cache.put("a", r(1.0)).unwrap();
-        cache.put("b", r(2.0)).unwrap();
-        cache.put("c", r(3.0)).unwrap();
+        cache.put(&d(0xa), r(1.0)).unwrap();
+        cache.put(&d(0xb), r(2.0)).unwrap();
+        cache.put(&d(0xc), r(3.0)).unwrap();
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get("a").is_none()); // oldest evicted
-        assert!(cache.get("b").is_some());
-        assert!(cache.get("c").is_some());
+        assert!(cache.get(&d(0xa)).is_none()); // oldest evicted
+        assert!(cache.get(&d(0xb)).is_some());
+        assert!(cache.get(&d(0xc)).is_some());
     }
 
     #[test]
     fn duplicate_put_does_not_grow() {
         let cache = ResultCache::new(2, None);
-        cache.put("a", r(1.0)).unwrap();
-        cache.put("a", r(1.0)).unwrap();
-        cache.put("b", r(2.0)).unwrap();
+        cache.put(&d(0xa), r(1.0)).unwrap();
+        cache.put(&d(0xa), r(1.0)).unwrap();
+        cache.put(&d(0xb), r(2.0)).unwrap();
         assert_eq!(cache.stats().evictions, 0);
-        assert!(cache.get("a").is_some());
+        assert!(cache.get(&d(0xa)).is_some());
     }
 
     /// Write a record and pin its mtime to `age_secs` seconds ago, so
@@ -578,26 +612,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = ResultCache::new(16, Some(dir.clone()));
-            cache.put("deadbeef", r(4.0)).unwrap();
+            cache.put(&d(0xdead_beef), r(4.0)).unwrap();
         }
         // Fresh cache instance: memory empty, record comes from disk.
         let cache = ResultCache::new(16, Some(dir.clone()));
-        assert_eq!(cache.get("deadbeef"), Some(r(4.0)));
+        assert_eq!(cache.get(&d(0xdead_beef)), Some(r(4.0)));
         assert_eq!(cache.stats().hits, 1);
         // Corrupt record reads as a miss and is quarantined, not deleted.
-        std::fs::write(dir.join("ffff.rec"), "garbage\n").unwrap();
-        assert!(cache.get("ffff").is_none());
+        std::fs::write(dir.join(rec(0xffff)), "garbage\n").unwrap();
+        assert!(cache.get(&d(0xffff)).is_none());
         let s = cache.stats();
         assert_eq!((s.corrupt, s.quarantined), (1, 1));
-        assert!(!dir.join("ffff.rec").exists(), "moved out of the cache");
+        assert!(!dir.join(rec(0xffff)).exists(), "moved out of the cache");
         assert!(
-            dir.join(QUARANTINE_SUBDIR).join("ffff.rec").exists(),
+            dir.join(QUARANTINE_SUBDIR).join(rec(0xffff)).exists(),
             "preserved for forensics"
         );
         // Second lookup: still a miss, but the record is not re-read
         // and the corrupt counter does not climb.
-        assert!(cache.get("ffff").is_none());
+        assert!(cache.get(&d(0xffff)).is_none());
         assert_eq!(cache.stats().corrupt, 1);
+        // The text spelling of a digest names the same slot; text that
+        // spells no digest is a miss and cannot be stored under.
+        assert_eq!(cache.get(&d(0xdead_beef).to_string()), Some(r(4.0)));
+        assert!(cache.get("deadbeef").is_none());
+        assert!(cache.put("deadbeef", r(4.0)).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -608,14 +647,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("psse-lab-cache-xname-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(16, Some(dir.clone()));
-        cache.put("aaaa", r(1.0)).unwrap();
-        std::fs::copy(dir.join("aaaa.rec"), dir.join("bbbb.rec")).unwrap();
+        cache.put(&d(0xaaaa), r(1.0)).unwrap();
+        std::fs::copy(dir.join(rec(0xaaaa)), dir.join(rec(0xbbbb))).unwrap();
         let fresh = ResultCache::new(16, Some(dir.clone()));
-        assert!(fresh.get("bbbb").is_none());
+        assert!(fresh.get(&d(0xbbbb)).is_none());
         assert_eq!(fresh.stats().corrupt, 1);
-        assert!(dir.join(QUARANTINE_SUBDIR).join("bbbb.rec").exists());
+        assert!(dir.join(QUARANTINE_SUBDIR).join(rec(0xbbbb)).exists());
         // The genuine record still verifies.
-        assert_eq!(fresh.get("aaaa"), Some(r(1.0)));
+        assert_eq!(fresh.get(&d(0xaaaa)), Some(r(1.0)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -649,11 +688,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("psse-lab-fsck-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(16, Some(dir.clone()));
-        cache.put("good", r(1.0)).unwrap();
-        cache.put("torn", r(2.0)).unwrap();
-        // Truncate one record mid-line, plant one unparseable one.
-        let torn = std::fs::read_to_string(dir.join("torn.rec")).unwrap();
-        std::fs::write(dir.join("torn.rec"), &torn[..torn.len() / 2]).unwrap();
+        let (good, torn) = (rec(1), rec(2));
+        cache.put(&d(1), r(1.0)).unwrap();
+        cache.put(&d(2), r(2.0)).unwrap();
+        // Truncate one record mid-line, plant one unparseable one under
+        // a name that is not even a digest.
+        let bytes = std::fs::read(dir.join(&torn)).unwrap();
+        std::fs::write(dir.join(&torn), &bytes[..bytes.len() / 2]).unwrap();
         std::fs::write(dir.join("junk.rec"), "not a record\n").unwrap();
 
         let dry = fsck_dir(&dir, true).unwrap();
@@ -664,8 +705,8 @@ mod tests {
         let real = fsck_dir(&dir, false).unwrap();
         assert_eq!((real.scanned, real.ok, real.corrupt), (3, 1, 2));
         assert_eq!(real.quarantined, 2);
-        assert!(dir.join("good.rec").exists());
-        assert!(dir.join(QUARANTINE_SUBDIR).join("torn.rec").exists());
+        assert!(dir.join(&good).exists());
+        assert!(dir.join(QUARANTINE_SUBDIR).join(&torn).exists());
         assert!(dir.join(QUARANTINE_SUBDIR).join("junk.rec").exists());
 
         // A second pass sees a clean cache and the old quarantine.
@@ -691,11 +732,15 @@ mod tests {
         let not_a_dir = base.join("file");
         std::fs::write(&not_a_dir, "occupied").unwrap();
         let cache = ResultCache::new(16, Some(not_a_dir.clone()));
-        let first = cache.put("aa", r(1.0));
+        let first = cache.put(&d(0xaa), r(1.0));
         assert!(first.is_err(), "first failure is reported");
-        assert!(cache.put("bb", r(2.0)).is_ok(), "then degraded quietly");
-        assert_eq!(cache.get("aa"), Some(r(1.0)), "memory layer still works");
-        assert_eq!(cache.get("bb"), Some(r(2.0)));
+        assert!(cache.put(&d(0xbb), r(2.0)).is_ok(), "then degraded quietly");
+        assert_eq!(
+            cache.get(&d(0xaa)),
+            Some(r(1.0)),
+            "memory layer still works"
+        );
+        assert_eq!(cache.get(&d(0xbb)), Some(r(2.0)));
         let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -7,6 +7,8 @@
 //! `--jobs 1` and `--jobs 8` must produce byte-identical files, and so
 //! must a warm-cache rerun.
 
+use std::fmt::Write;
+
 use crate::key::RunKey;
 use crate::pareto::pareto_indices;
 use crate::result::RunResult;
@@ -15,11 +17,16 @@ use crate::result::RunResult;
 /// Failed runs are skipped (they have no numbers to report); callers
 /// surface failures separately.
 pub fn sweep_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
-    let mut out = String::from("alg,kind,n,p,c,mem_words,feasible,time_s,energy_j,power_w\n");
+    const HEADER: &str = "alg,kind,n,p,c,mem_words,feasible,time_s,energy_j,power_w\n";
+    // Sized for the whole sweep up front (a row of a model sweep is
+    // about a hundred bytes), so rows are written in place.
+    let mut out = String::with_capacity(HEADER.len() + 128 * results.len());
+    out.push_str(HEADER);
     for (key, res) in keys.iter().zip(results) {
         if let Ok(r) = res {
-            out.push_str(&format!(
-                "{},{},{},{},{},{:?},{},{:?},{:?},{:?}\n",
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{},{:?},{},{:?},{:?},{:?}",
                 key.alg,
                 key.kind.as_str(),
                 key.n,
@@ -30,7 +37,7 @@ pub fn sweep_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> Stri
                 r.time,
                 r.energy,
                 r.power(),
-            ));
+            );
         }
     }
     out
@@ -40,7 +47,11 @@ pub fn sweep_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> Stri
 /// feasible, successful runs compete; rows keep spec order within each
 /// frontier.
 pub fn pareto_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
-    let mut out = String::from("n,p,c,mem_words,time_s,energy_j\n");
+    const HEADER: &str = "n,p,c,mem_words,time_s,energy_j\n";
+    // A frontier holds a small share of the sweep; one row is about
+    // seventy bytes.
+    let mut out = String::with_capacity(HEADER.len() + 8 * results.len());
+    out.push_str(HEADER);
     // Group by n, preserving first-appearance order.
     let mut ns: Vec<u64> = Vec::new();
     for key in keys {
@@ -62,10 +73,11 @@ pub fn pareto_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> Str
         for fi in pareto_indices(&pts) {
             let i = idx[fi];
             let r = results[i].as_ref().unwrap();
-            out.push_str(&format!(
-                "{},{},{},{:?},{:?},{:?}\n",
+            let _ = writeln!(
+                out,
+                "{},{},{},{:?},{:?},{:?}",
                 n, keys[i].p, keys[i].c, r.mem_used, r.time, r.energy,
-            ));
+            );
         }
     }
     out

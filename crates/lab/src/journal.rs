@@ -19,37 +19,54 @@
 //! checksum test, and [`Journal::open_resume`] truncates the file back
 //! to the last intact line before replaying it. Only *successful* runs
 //! are journaled — failures re-execute on resume, which is exactly what
-//! a crashed or timed-out key needs.
+//! a crashed or timed-out key needs — and each digest at most once: a
+//! run the file already holds a line for (replayed, or a duplicate key
+//! of the sweep) is not appended again, so a resumed journal does not
+//! grow.
 //!
 //! Replayed results seed the lab's in-memory cache, so the resumed
 //! sweep recomputes only what is missing and the final CSV is
 //! byte-identical to an uninterrupted run (results round-trip through
 //! the same exact-bits `v1` encoding the disk cache uses).
 
-use std::collections::HashMap;
-use std::io::Write;
+use std::collections::{HashMap, HashSet};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::key::RunKey;
-use crate::result::{line_checksum, RunResult};
+use crate::key::{AsDigest, Digest, RunKey};
+use crate::result::{line_checksum, push_checksum, split_checksum, LineChecksum, RunResult};
 
 const HEADER_PREFIX: &str = "psse-lab-journal v1";
 
-/// Digest of a sweep's identity: splitmix64 chains over the ordered
-/// run-key digests. Two sweeps share a journal iff they expand to the
-/// same keys in the same order.
+/// Digest of a sweep's identity: two salted splitmix64 chains over the
+/// ordered run-key digests (the checksums of `"spec-hi <d0> <d1> ..."`
+/// and `"spec-lo ..."`). Two sweeps share a journal iff they expand to
+/// the same keys in the same order. Each key is digested once and its
+/// hex folded straight into both chains — the joined string's length is
+/// known from the key count, so the string itself is never built.
 pub fn spec_digest(keys: &[RunKey]) -> String {
-    let joined = keys
-        .iter()
-        .map(|k| k.digest())
-        .collect::<Vec<_>>()
-        .join(" ");
-    // Two salted chains for 128 bits, like the run-key digest itself.
-    let hi = line_checksum(&format!("spec-hi {joined}"));
-    let lo = line_checksum(&format!("spec-lo {joined}"));
-    format!("{hi:016x}{lo:016x}")
+    spec_digest_of(keys.len(), keys.iter().map(RunKey::digest_bits))
+}
+
+/// [`spec_digest`] over `count` already-computed key digests.
+pub(crate) fn spec_digest_of(count: usize, digests: impl Iterator<Item = Digest>) -> String {
+    // "spec-?? " + count digests of 32 hex chars + the spaces between.
+    let len = 8 + (33 * count).saturating_sub(1);
+    let (mut hi, mut lo) = (LineChecksum::new(len), LineChecksum::new(len));
+    hi.update(b"spec-hi ");
+    lo.update(b"spec-lo ");
+    for (i, digest) in digests.enumerate() {
+        if i > 0 {
+            hi.update(b" ");
+            lo.update(b" ");
+        }
+        let hex = digest.hex();
+        hi.update(&hex);
+        lo.update(&hex);
+    }
+    Digest([hi.finish(), lo.finish()]).to_string()
 }
 
 fn header_line(spec: &str) -> String {
@@ -57,42 +74,30 @@ fn header_line(spec: &str) -> String {
     format!("{body} {:016x}\n", line_checksum(&body))
 }
 
-/// Parse a (newline-stripped) header line; returns the spec digest it
-/// claims, `None` on any malformation.
-fn parse_header(line: &str) -> Option<String> {
-    let (body, sum_hex) = line.rsplit_once(' ')?;
-    if sum_hex.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum != line_checksum(body) {
-        return None;
-    }
-    let spec = body.strip_prefix(HEADER_PREFIX)?.strip_prefix(' ')?;
-    Some(spec.to_string())
+/// The body of a (newline-stripped) line whose trailing checksum
+/// matches it; `None` otherwise — which is what a torn tail looks like.
+fn checked_body(line: &[u8]) -> Option<&[u8]> {
+    let (body, sum) = split_checksum(line)?;
+    (sum == line_checksum(body)).then_some(body)
 }
 
-fn run_line(digest: &str, result: &RunResult) -> String {
-    let body = format!("run {digest} {}", result.to_line());
-    format!("{body} {:016x}\n", line_checksum(&body))
+/// Parse a (newline-stripped) header line; returns the spec digest it
+/// claims, `None` on any malformation.
+fn parse_header(line: &[u8]) -> Option<&str> {
+    let spec = checked_body(line)?
+        .strip_prefix(HEADER_PREFIX.as_bytes())?
+        .strip_prefix(b" ")?;
+    std::str::from_utf8(spec).ok()
 }
 
 /// Parse a (newline-stripped) run line into `(key digest, result)`;
 /// `None` on any malformation — including a torn tail, whose checksum
 /// cannot match.
-fn parse_run_line(line: &str) -> Option<(String, RunResult)> {
-    let (body, sum_hex) = line.rsplit_once(' ')?;
-    if sum_hex.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum != line_checksum(body) {
-        return None;
-    }
-    let rest = body.strip_prefix("run ")?;
-    let (digest, result_line) = rest.split_once(' ')?;
-    let result = RunResult::from_line(result_line)?;
-    Some((digest.to_string(), result))
+fn parse_run_line(line: &[u8]) -> Option<(Digest, RunResult)> {
+    let rest = checked_body(line)?.strip_prefix(b"run ")?;
+    let (digest, result_line) = rest.split_at_checked(32)?;
+    let result = RunResult::from_line(result_line.strip_prefix(b" ")?)?;
+    Some((Digest::from_hex(digest)?, result))
 }
 
 /// An append-only sweep journal (see the module docs for the format).
@@ -100,8 +105,17 @@ fn parse_run_line(line: &str) -> Option<(String, RunResult)> {
 /// written with a single `write_all` under a lock.
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<std::fs::File>,
+    state: Mutex<State>,
     write_failed: AtomicBool,
+}
+
+/// What the lock guards: the file, the buffer every line is assembled
+/// in, and the digests the file already holds a line for.
+struct State {
+    file: std::fs::File,
+    line: Vec<u8>,
+    present: HashSet<Digest>,
+    appended: u64,
 }
 
 impl std::fmt::Debug for Journal {
@@ -111,6 +125,19 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
+    fn over(path: &Path, file: std::fs::File, present: HashSet<Digest>) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            state: Mutex::new(State {
+                file,
+                line: Vec::with_capacity(256),
+                present,
+                appended: 0,
+            }),
+            write_failed: AtomicBool::new(false),
+        }
+    }
+
     /// Start a fresh journal at `path` for the sweep identified by
     /// `spec` (see [`spec_digest`]): truncates whatever was there and
     /// writes the header.
@@ -119,11 +146,7 @@ impl Journal {
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
         file.write_all(header_line(spec).as_bytes())
             .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            write_failed: AtomicBool::new(false),
-        })
+        Ok(Journal::over(path, file, HashSet::new()))
     }
 
     /// Resume from an existing journal: validate the header against
@@ -139,17 +162,21 @@ impl Journal {
     pub fn open_resume(
         path: &Path,
         spec: &str,
-    ) -> Result<(Journal, HashMap<String, RunResult>), String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+    ) -> Result<(Journal, HashMap<Digest, RunResult>), String> {
+        let unreadable = |e| format!("cannot read journal {}: {e}", path.display());
+        let mut reader = match std::fs::File::open(path) {
+            Ok(file) => BufReader::with_capacity(1 << 16, file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok((Journal::create(path, spec)?, HashMap::new()));
             }
-            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
+            Err(e) => return Err(unreadable(e)),
         };
-        let mut lines = text.split_inclusive('\n');
-        let header_ok = match lines.next() {
-            Some(h) if h.ends_with('\n') => match parse_header(h.trim_end()) {
+        // One line at a time through one buffer: resuming never holds
+        // the whole file.
+        let mut line = Vec::with_capacity(256);
+        reader.read_until(b'\n', &mut line).map_err(unreadable)?;
+        let header_ok = match &line[..] {
+            [header @ .., b'\n'] => match parse_header(header) {
                 Some(found) if found == spec => true,
                 Some(found) => {
                     return Err(format!(
@@ -167,19 +194,24 @@ impl Journal {
             // Torn or empty header: nothing trustworthy to replay.
             return Ok((Journal::create(path, spec)?, HashMap::new()));
         }
-        let mut valid_bytes = header_line(spec).len() as u64;
-        let mut replayed = HashMap::new();
-        for line in lines {
-            if !line.ends_with('\n') {
+        let mut valid_bytes = line.len() as u64;
+        // Sized from the file (a run line is at least 160 bytes), so the
+        // map is allocated once instead of rehashed as it grows.
+        let file_len = reader.get_ref().metadata().map_or(0, |m| m.len());
+        let mut replayed = HashMap::with_capacity((file_len / 160) as usize);
+        loop {
+            line.clear();
+            reader.read_until(b'\n', &mut line).map_err(unreadable)?;
+            // End of file, a line without its newline, or one whose
+            // checksum fails: the intact prefix ends here.
+            let [body @ .., b'\n'] = &line[..] else {
                 break;
-            }
-            match parse_run_line(line.trim_end()) {
-                Some((digest, result)) => {
-                    replayed.insert(digest, result);
-                    valid_bytes += line.len() as u64;
-                }
-                None => break,
-            }
+            };
+            let Some((digest, result)) = parse_run_line(body) else {
+                break;
+            };
+            replayed.insert(digest, result);
+            valid_bytes += line.len() as u64;
         }
         // Drop the torn tail (if any), then append after the intact
         // prefix.
@@ -189,37 +221,72 @@ impl Journal {
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
         file.set_len(valid_bytes)
             .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-        let mut file = std::fs::OpenOptions::new()
+        let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-        file.flush().ok();
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-                write_failed: AtomicBool::new(false),
-            },
-            replayed,
-        ))
+        let present = replayed.keys().copied().collect();
+        Ok((Journal::over(path, file, present), replayed))
     }
 
-    /// Append one completed run. Best-effort: a write failure warns
-    /// once on stderr and the sweep continues (the journal is a
-    /// recovery aid, not a correctness dependency).
-    pub fn record(&self, digest: &str, result: &RunResult) {
-        let line = run_line(digest, result);
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let wrote = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-        if let Err(e) = wrote {
-            if !self.write_failed.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: journal {} stopped accepting writes ({e}); \
-                     a crash from here on will not be resumable",
-                    self.path.display()
-                );
+    /// Append one completed run — unless this journal already holds a
+    /// line for `digest` (replayed by [`Journal::open_resume`], or
+    /// recorded earlier for a duplicate key), so resuming a sweep never
+    /// grows its journal. A digest spelled as text must be the 32 hex
+    /// characters of [`RunKey::digest`]; anything else names no run and
+    /// is ignored.
+    ///
+    /// The line `run <digest> <v1 line> <checksum>\n` is assembled in one
+    /// buffer reused across calls and handed to the file in a single
+    /// `write_all`, all under the journal's lock: when `record` returns,
+    /// the run's intact, checksummed line has been written, and a crash
+    /// can tear at most the one line in flight.
+    ///
+    /// Best-effort: a write failure warns once on stderr and the sweep
+    /// continues (the journal is a recovery aid, not a correctness
+    /// dependency).
+    pub fn record<D: AsDigest + ?Sized>(&self, digest: &D, result: &RunResult) {
+        let Some(digest) = digest.as_digest() else {
+            return;
+        };
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let State {
+            file,
+            line,
+            present,
+            appended,
+        } = &mut *state;
+        if !present.insert(digest) {
+            return;
+        }
+        line.clear();
+        line.extend_from_slice(b"run ");
+        line.extend_from_slice(&digest.hex());
+        line.push(b' ');
+        result.write_line(line);
+        let sum = line_checksum(&line[..]);
+        push_checksum(line, sum);
+        match file.write_all(line).and_then(|()| file.flush()) {
+            Ok(()) => *appended += 1,
+            Err(e) => {
+                if !self.write_failed.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "warning: journal {} stopped accepting writes ({e}); \
+                         a crash from here on will not be resumable",
+                        self.path.display()
+                    );
+                }
             }
         }
+    }
+
+    /// Lines this handle has appended since it was opened (replayed
+    /// lines and skipped duplicates do not count).
+    pub fn appended(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .appended
     }
 }
 
@@ -236,6 +303,11 @@ mod tests {
 
     fn r(t: f64) -> RunResult {
         RunResult::model(true, t, 2.0 * t, 100.0)
+    }
+
+    /// A distinct digest per tag.
+    fn d(tag: u64) -> Digest {
+        Digest([tag, !tag])
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -259,13 +331,13 @@ mod tests {
         let spec = spec_digest(&keys());
         {
             let j = Journal::create(&path, &spec).unwrap();
-            j.record("aaaa", &r(1.0));
-            j.record("bbbb", &r(2.0));
+            j.record(&d(0xa), &r(1.0));
+            j.record(&d(0xb), &r(2.0));
         }
         let (_j, replayed) = Journal::open_resume(&path, &spec).unwrap();
         assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed.get("aaaa"), Some(&r(1.0)));
-        assert_eq!(replayed.get("bbbb"), Some(&r(2.0)));
+        assert_eq!(replayed.get(&d(0xa)), Some(&r(1.0)));
+        assert_eq!(replayed.get(&d(0xb)), Some(&r(2.0)));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -275,21 +347,21 @@ mod tests {
         let spec = spec_digest(&keys());
         {
             let j = Journal::create(&path, &spec).unwrap();
-            j.record("aaaa", &r(1.0));
-            j.record("bbbb", &r(2.0));
+            j.record(&d(0xa), &r(1.0));
+            j.record(&d(0xb), &r(2.0));
         }
         // Simulate a crash mid-write: chop the file mid last line.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         let (j, replayed) = Journal::open_resume(&path, &spec).unwrap();
         assert_eq!(replayed.len(), 1, "torn line dropped");
-        assert_eq!(replayed.get("aaaa"), Some(&r(1.0)));
+        assert_eq!(replayed.get(&d(0xa)), Some(&r(1.0)));
         // Appending after the truncation yields an intact journal again.
-        j.record("cccc", &r(3.0));
+        j.record(&d(0xc), &r(3.0));
         drop(j);
         let (_j, again) = Journal::open_resume(&path, &spec).unwrap();
         assert_eq!(again.len(), 2);
-        assert_eq!(again.get("cccc"), Some(&r(3.0)));
+        assert_eq!(again.get(&d(0xc)), Some(&r(3.0)));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -299,7 +371,7 @@ mod tests {
         let spec = spec_digest(&keys());
         {
             let j = Journal::create(&path, &spec).unwrap();
-            j.record("aaaa", &r(1.0));
+            j.record(&d(0xa), &r(1.0));
         }
         let other = spec_digest(&keys()[..2]);
         let err = Journal::open_resume(&path, &other).unwrap_err();
@@ -338,10 +410,10 @@ mod tests {
         };
         {
             let j = Journal::create(&path, &spec).unwrap();
-            j.record("dddd", &exotic);
+            j.record(&d(0xd), &exotic);
         }
         let (_j, replayed) = Journal::open_resume(&path, &spec).unwrap();
-        let back = replayed.get("dddd").unwrap();
+        let back = replayed.get(&d(0xd)).unwrap();
         assert_eq!(back.words.to_bits(), exotic.words.to_bits());
         assert_eq!(back, &exotic);
         let _ = std::fs::remove_file(&path);

@@ -8,17 +8,124 @@
 //! and, optionally, on disk under `bench_results/.labcache/`.
 //!
 //! The digest is built from the workspace's existing splitmix64
-//! machinery ([`psse_faults::rng::hash_key`]): every field is reduced to
-//! `u64` words (floats via [`f64::to_bits`], strings via chunked byte
-//! packing) and the word stream is hashed twice with independent salts,
-//! yielding a 128-bit hex digest. The mapping contains **no**
-//! process-dependent state (no `RandomState`, no pointers), so digests
-//! are stable across runs, platforms and process invocations.
+//! machinery ([`psse_faults::rng::KeyHasher`], the fold behind
+//! `hash_key`): every field is reduced to `u64` words (floats via
+//! [`f64::to_bits`], strings via chunked byte packing) and the word
+//! stream is folded through two chains with independent salts, yielding
+//! a 128-bit [`Digest`]. The mapping contains **no** process-dependent
+//! state (no `RandomState`, no pointers), so digests are stable across
+//! runs, platforms and process invocations.
+//!
+//! Inside the engine a digest travels as its two words; the 32-character
+//! hex spelling exists only where a digest meets a file (journal lines,
+//! `.rec` names, profile JSON) or a human.
+
+use std::sync::Arc;
 
 use psse_core::params::MachineParams;
-use psse_faults::rng::hash_key;
+use psse_faults::rng::{packed_words, KeyHasher};
+use psse_hbl::prelude::{derive, HblError, Kernel, KernelCost};
 use psse_sim::prelude::FaultPlan;
 use psse_sim::Backend;
+
+/// A 128-bit content digest: the `hi` and `lo` chain values. `Display`
+/// is the 32-lowercase-hex spelling used in journals, `.rec` file names
+/// and summaries; [`Digest::from_hex`] is its inverse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Digest(pub [u64; 2]);
+
+impl Digest {
+    /// The 32 lowercase hex characters, on the stack.
+    pub fn hex(&self) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out[..16].copy_from_slice(&crate::result::hex16(self.0[0]));
+        out[16..].copy_from_slice(&crate::result::hex16(self.0[1]));
+        out
+    }
+
+    /// Parse the 32-character spelling: two 16-digit hex halves.
+    pub fn from_hex(hex: &[u8]) -> Option<Digest> {
+        if hex.len() != 32 {
+            return None;
+        }
+        Some(Digest([
+            crate::result::parse_hex(&hex[..16])?,
+            crate::result::parse_hex(&hex[16..])?,
+        ]))
+    }
+}
+
+impl std::fmt::Display for Digest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(std::str::from_utf8(&self.hex()).expect("hex digits are ASCII"))
+    }
+}
+
+/// A spelling of a run digest that the cache and the journal accept:
+/// the engine's own [`Digest`], or the 32-hex text [`RunKey::digest`]
+/// returns. Text that is not 32 hex characters names no run (`None`).
+pub trait AsDigest {
+    /// The digest this value spells, if it spells one.
+    fn as_digest(&self) -> Option<Digest>;
+}
+
+impl AsDigest for Digest {
+    fn as_digest(&self) -> Option<Digest> {
+        Some(*self)
+    }
+}
+
+impl AsDigest for str {
+    fn as_digest(&self) -> Option<Digest> {
+        Digest::from_hex(self.as_bytes())
+    }
+}
+
+impl AsDigest for String {
+    fn as_digest(&self) -> Option<Digest> {
+        self.as_str().as_digest()
+    }
+}
+
+impl<T: AsDigest + ?Sized> AsDigest for &T {
+    fn as_digest(&self) -> Option<Digest> {
+        (**self).as_digest()
+    }
+}
+
+/// An HBL kernel file compiled for a sweep: the file's text, which is
+/// the run identity, and the cost model derived from it. The HBL
+/// exponent is a property of the loop nest's subscripts, not of
+/// `(n, p, M)`, so [`KernelModel::compile`] runs once per spec and every
+/// expanded key shares the result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelModel {
+    text: String,
+    cost: KernelCost,
+}
+
+impl KernelModel {
+    /// Parse the kernel text and derive its cost model (lattice closure
+    /// and the exact-rational LP). Errors carry the kernel's own line
+    /// numbers.
+    pub fn compile(text: &str) -> Result<KernelModel, HblError> {
+        let (cost, _) = derive(&Kernel::parse(text)?)?;
+        Ok(KernelModel {
+            text: text.to_string(),
+            cost,
+        })
+    }
+
+    /// The kernel file's full text (what the digest covers).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The derived cost model.
+    pub fn cost(&self) -> &KernelCost {
+        &self.cost
+    }
+}
 
 /// What kind of execution a [`RunKey`] requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,12 +202,14 @@ pub struct RunKey {
     /// contract, but the backend is still part of the identity so a
     /// cross-backend comparison sweep gets distinct cache slots.
     pub backend: Backend,
-    /// Full text of an HBL kernel file (model runs only). When set, the
-    /// runner derives the cost model from the loop nest instead of
-    /// looking `alg` up in the hand-written table; the *content* is the
-    /// identity, so editing a kernel file invalidates its cache slots
-    /// even when the path is unchanged.
-    pub kernel: Option<String>,
+    /// The compiled HBL kernel (model runs only), shared by every key of
+    /// a sweep as a refcount. When set, the runner prices from its
+    /// derived cost model instead of looking `alg` up in the hand-written
+    /// table. Only the kernel *text* enters the digest, so editing a
+    /// kernel file invalidates its cache slots even when the path is
+    /// unchanged, and the key stays self-contained: the file is not read
+    /// again after [`crate::spec::SweepSpec::parse`].
+    pub kernel: Option<Arc<KernelModel>>,
     /// Stencil halo width (`alg = stencil` only; ignored elsewhere).
     /// Default 1 — the default pair `(halo, iters) = (1, 4)` adds
     /// nothing to the digest word stream, preserving every pre-stencil
@@ -145,25 +254,21 @@ impl RunKey {
         }
     }
 
-    /// Reduce the key to its canonical `u64` word stream. Field order is
-    /// part of the format; extending the key must append words (or bump
-    /// the salts) to avoid digest collisions with older layouts.
-    fn words(&self) -> Vec<u64> {
-        let mut w = Vec::with_capacity(40);
-        w.push(self.kind.tag());
+    /// Fold the key's canonical `u64` word stream into `h`. Field order
+    /// is part of the format; extending the key must append words (or
+    /// bump the salts) to avoid digest collisions with older layouts.
+    fn fold_into(&self, h: &mut impl FnMut(u64)) {
+        h(self.kind.tag());
         // Strings: length then packed little-endian 8-byte chunks, so
         // `("ab", "c")` and `("a", "bc")` cannot collide.
-        w.push(self.alg.len() as u64);
-        for chunk in self.alg.as_bytes().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            w.push(u64::from_le_bytes(word));
-        }
-        w.extend([self.n, self.p, self.c]);
-        w.push(self.mem.to_bits());
-        w.push(self.f.to_bits());
-        w.push(self.seed);
-        w.push(self.clamp_mem as u64);
+        packed_words(self.alg.as_bytes(), &mut *h);
+        h(self.n);
+        h(self.p);
+        h(self.c);
+        h(self.mem.to_bits());
+        h(self.f.to_bits());
+        h(self.seed);
+        h(self.clamp_mem as u64);
         let m = &self.machine;
         for v in [
             m.gamma_t,
@@ -177,14 +282,14 @@ impl RunKey {
             m.max_message_words,
             m.mem_words,
         ] {
-            w.push(v.to_bits());
+            h(v.to_bits());
         }
         match &self.faults {
-            None => w.push(0),
+            None => h(0),
             Some(plan) => {
-                w.push(1);
+                h(1);
                 let s = &plan.spec;
-                w.push(s.seed);
+                h(s.seed);
                 for v in [
                     s.drop_rate,
                     s.corrupt_rate,
@@ -192,23 +297,23 @@ impl RunKey {
                     s.delay_rate,
                     s.delay_seconds,
                 ] {
-                    w.push(v.to_bits());
+                    h(v.to_bits());
                 }
-                w.push(s.crashes.len() as u64);
+                h(s.crashes.len() as u64);
                 for crash in &s.crashes {
-                    w.push(crash.rank as u64);
-                    w.push(crash.at.to_bits());
+                    h(crash.rank as u64);
+                    h(crash.at.to_bits());
                 }
                 let r = &plan.recovery;
-                w.push(r.max_retries as u64);
-                w.push(r.retry_backoff.to_bits());
+                h(r.max_retries as u64);
+                h(r.retry_backoff.to_bits());
                 match &r.checkpoint {
-                    None => w.push(0),
+                    None => h(0),
                     Some(cp) => {
-                        w.push(1);
-                        w.push(cp.interval.to_bits());
-                        w.push(cp.words);
-                        w.push(cp.restart_seconds.to_bits());
+                        h(1);
+                        h(cp.interval.to_bits());
+                        h(cp.words);
+                        h(cp.restart_seconds.to_bits());
                     }
                 }
             }
@@ -217,8 +322,8 @@ impl RunKey {
         // preserved: the default (`Threads`) adds nothing, and only a
         // non-default backend extends the word stream.
         if self.backend != Backend::Threads {
-            w.push(u64::from_le_bytes(*b"backend\0"));
-            w.push(match self.backend {
+            h(u64::from_le_bytes(*b"backend\0"));
+            h(match self.backend {
                 Backend::Threads => unreachable!(),
                 Backend::Events => 1,
             });
@@ -226,36 +331,38 @@ impl RunKey {
         // Same append-only discipline for the kernel text: absent (the
         // pre-kernel layout) adds nothing, present appends a marker plus
         // the length-prefixed packed bytes.
-        if let Some(text) = &self.kernel {
-            w.push(u64::from_le_bytes(*b"kernel\0\0"));
-            w.push(text.len() as u64);
-            for chunk in text.as_bytes().chunks(8) {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                w.push(u64::from_le_bytes(word));
-            }
+        if let Some(model) = &self.kernel {
+            h(u64::from_le_bytes(*b"kernel\0\0"));
+            packed_words(model.text().as_bytes(), &mut *h);
         }
         // Stencil knobs, same append-only discipline: the default pair
         // adds nothing, so every pre-stencil digest is preserved.
         if (self.halo, self.iters) != STENCIL_DEFAULTS {
-            w.push(u64::from_le_bytes(*b"stencil\0"));
-            w.push(self.halo);
-            w.push(self.iters);
+            h(u64::from_le_bytes(*b"stencil\0"));
+            h(self.halo);
+            h(self.iters);
         }
-        w
     }
 
-    /// The 128-bit content digest as 32 lowercase hex characters.
+    /// The 128-bit content digest, as the engine carries it.
     ///
     /// Stable across processes (pure splitmix64 over the canonical word
     /// stream) and effectively injective: a grid would need ~2⁶⁴ keys
     /// before a birthday collision becomes likely.
-    pub fn digest(&self) -> String {
-        let words = self.words();
+    pub fn digest_bits(&self) -> Digest {
         // Two independent salted chains give 128 bits.
-        let hi = hash_key(0x7073_7365_2d6c_6162, &words); // "psse-lab"
-        let lo = hash_key(0x6c61_6263_6163_6865, &words); // "labcache"
-        format!("{hi:016x}{lo:016x}")
+        let mut hi = KeyHasher::new(0x7073_7365_2d6c_6162); // "psse-lab"
+        let mut lo = KeyHasher::new(0x6c61_6263_6163_6865); // "labcache"
+        self.fold_into(&mut |w| {
+            hi.push(w);
+            lo.push(w);
+        });
+        Digest([hi.finish(), lo.finish()])
+    }
+
+    /// [`RunKey::digest_bits`] as 32 lowercase hex characters.
+    pub fn digest(&self) -> String {
+        self.digest_bits().to_string()
     }
 
     /// A short human-readable label for summaries and error messages.
@@ -375,10 +482,11 @@ mod tests {
         // while each distinct kernel *text* gets its own cache slot.
         let base = RunKey::model("kernel:matmul", 1024, 8, jaketown());
         let mut k = base.clone();
-        k.kernel = Some("for i in 0..n\nC[i] += A[i] * B[i]\n".into());
+        let compiled = |text| Some(Arc::new(KernelModel::compile(text).unwrap()));
+        k.kernel = compiled("for i in 0..n\nC[i] += A[i] * B[i]\n");
         assert_ne!(base.digest(), k.digest());
         let mut k2 = k.clone();
-        k2.kernel = Some("for i in 0..n\nC[i] += A[i] * D[i]\n".into());
+        k2.kernel = compiled("for i in 0..n\nC[i] += A[i] * D[i]\n");
         assert_ne!(k.digest(), k2.digest());
     }
 

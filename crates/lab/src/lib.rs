@@ -54,7 +54,7 @@ pub mod spec;
 use std::path::PathBuf;
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::key::RunKey;
+use crate::key::{Digest, RunKey};
 use crate::result::RunResult;
 
 /// Engine configuration.
@@ -84,6 +84,37 @@ impl Default for LabConfig {
             cache_capacity: 65_536,
             timeout: None,
         }
+    }
+}
+
+/// A sweep's run list with every key digested exactly once. The digests
+/// feed everything downstream that identifies a run — the journal's
+/// spec digest, each cache probe, each journal line, the self-profile —
+/// so a sweep pays one digest per key however many of those it uses.
+#[derive(Debug, Clone)]
+pub struct ExpandedSweep {
+    keys: Vec<RunKey>,
+    digests: Vec<Digest>,
+}
+
+impl ExpandedSweep {
+    /// Digest each key of an expanded run list (spec order is kept).
+    pub fn new(keys: Vec<RunKey>) -> ExpandedSweep {
+        let digests = keys.iter().map(RunKey::digest_bits).collect();
+        ExpandedSweep { keys, digests }
+    }
+
+    /// The run list, in spec order.
+    pub fn keys(&self) -> &[RunKey] {
+        &self.keys
+    }
+
+    /// The sweep's identity for [`journal::Journal::create`] and
+    /// [`journal::Journal::open_resume`]: the same value as
+    /// [`journal::spec_digest`] of [`ExpandedSweep::keys`], folded from
+    /// the digests already computed.
+    pub fn spec_digest(&self) -> String {
+        journal::spec_digest_of(self.digests.len(), self.digests.iter().copied())
     }
 }
 
@@ -135,19 +166,26 @@ impl Lab {
         }
     }
 
-    /// Attach a sweep journal: every successful run (fresh or cached)
-    /// is appended as a checksummed line, so a killed process resumes
-    /// via [`Lab::seed`] + [`journal::Journal::open_resume`] instead of
+    /// Attach a sweep journal: every successful run (fresh or served
+    /// from the cache) is recorded as a checksummed line unless the
+    /// journal already holds one for it, so a killed process resumes via
+    /// [`Lab::seed`] + [`journal::Journal::open_resume`] instead of
     /// restarting.
     pub fn set_journal(&mut self, journal: journal::Journal) {
         self.journal = Some(journal);
+    }
+
+    /// The attached journal, if any (for its
+    /// [`appended`](journal::Journal::appended) count).
+    pub fn journal(&self) -> Option<&journal::Journal> {
+        self.journal.as_ref()
     }
 
     /// Pre-load `digest → result` pairs (typically a journal replay)
     /// into the cache, so the next sweep treats them as hits. Results
     /// round-trip bit-exactly, which is what keeps a resumed CSV
     /// byte-identical to an uninterrupted one.
-    pub fn seed(&self, replayed: &std::collections::HashMap<String, RunResult>) {
+    pub fn seed(&self, replayed: &std::collections::HashMap<Digest, RunResult>) {
         for (digest, result) in replayed {
             let _ = self.cache.put(digest, *result);
         }
@@ -159,14 +197,15 @@ impl Lab {
     }
 
     /// One key, end to end: cache lookup, watched execution with panic
-    /// containment, cache fill, journal append. Returns the outcome and
-    /// whether it was served from cache.
+    /// containment, cache fill, journal append — all under the digest
+    /// the caller computed. Returns the outcome and whether it was
+    /// served from cache.
     fn run_one(
         &self,
         key: &RunKey,
+        digest: Digest,
         registry: Option<&psse_metrics::Registry>,
     ) -> (Result<RunResult, String>, bool) {
-        let digest = key.digest();
         if let Some(hit) = self.cache.get(&digest) {
             if let Some(j) = &self.journal {
                 j.record(&digest, &hit);
@@ -211,7 +250,9 @@ impl Lab {
     /// (modulo benign races between workers — counters may vary, bytes
     /// never do).
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        pool::run_ordered(self.jobs(), keys, |_, key| self.run_one(key, None).0)
+        pool::run_ordered(self.jobs(), keys, |_, key| {
+            self.run_one(key, key.digest_bits(), None).0
+        })
     }
 
     /// [`Lab::run_keys`] plus a self-profile: host wall-clock per key,
@@ -223,9 +264,18 @@ impl Lab {
         &self,
         keys: &[RunKey],
     ) -> (Vec<Result<RunResult, String>>, selfprof::SweepProfile) {
+        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
+        self.run_digested_profiled(keys, &digests)
+    }
+
+    fn run_digested_profiled(
+        &self,
+        keys: &[RunKey],
+        digests: &[Digest],
+    ) -> (Vec<Result<RunResult, String>>, selfprof::SweepProfile) {
         let registry = psse_metrics::Registry::new();
-        let (outcomes, pool_profile) = pool::run_ordered_timed(self.jobs(), keys, |_, key| {
-            self.run_one(key, Some(&registry))
+        let (outcomes, pool_profile) = pool::run_ordered_timed(self.jobs(), keys, |i, key| {
+            self.run_one(key, digests[i], Some(&registry))
         });
         let mut results = Vec::with_capacity(outcomes.len());
         let mut cached = Vec::with_capacity(outcomes.len());
@@ -268,7 +318,11 @@ impl Lab {
             .expect("fresh registry")
             .add(cache_stats.quarantined);
         let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
-        let labels = keys.iter().map(|k| (k.label(), k.digest())).collect();
+        let labels = keys
+            .iter()
+            .zip(digests)
+            .map(|(k, d)| (k.label(), d.to_string()))
+            .collect();
         let profile = selfprof::SweepProfile::assemble(
             &pool_profile,
             labels,
@@ -280,10 +334,12 @@ impl Lab {
         (results, profile)
     }
 
-    /// Expand a spec and execute it.
-    pub fn run_spec(&self, spec: &spec::SweepSpec) -> SweepResults {
-        let keys = spec.expand();
-        let results = self.run_keys(&keys);
+    /// Execute an expanded sweep under the digests it already carries.
+    pub fn run_sweep(&self, sweep: ExpandedSweep) -> SweepResults {
+        let ExpandedSweep { keys, digests } = sweep;
+        let results = pool::run_ordered(self.jobs(), &keys, |i, key| {
+            self.run_one(key, digests[i], None).0
+        });
         SweepResults {
             keys,
             results,
@@ -291,13 +347,14 @@ impl Lab {
         }
     }
 
-    /// Expand a spec and execute it with a self-profile.
-    pub fn run_spec_profiled(
+    /// [`Lab::run_sweep`] with a self-profile (see
+    /// [`Lab::run_keys_profiled`]).
+    pub fn run_sweep_profiled(
         &self,
-        spec: &spec::SweepSpec,
+        sweep: ExpandedSweep,
     ) -> (SweepResults, selfprof::SweepProfile) {
-        let keys = spec.expand();
-        let (results, profile) = self.run_keys_profiled(&keys);
+        let ExpandedSweep { keys, digests } = sweep;
+        let (results, profile) = self.run_digested_profiled(&keys, &digests);
         (
             SweepResults {
                 keys,
@@ -306,6 +363,19 @@ impl Lab {
             },
             profile,
         )
+    }
+
+    /// Expand a spec and execute it.
+    pub fn run_spec(&self, spec: &spec::SweepSpec) -> SweepResults {
+        self.run_sweep(ExpandedSweep::new(spec.expand()))
+    }
+
+    /// Expand a spec and execute it with a self-profile.
+    pub fn run_spec_profiled(
+        &self,
+        spec: &spec::SweepSpec,
+    ) -> (SweepResults, selfprof::SweepProfile) {
+        self.run_sweep_profiled(ExpandedSweep::new(spec.expand()))
     }
 
     /// Cache counters accumulated so far.
@@ -322,7 +392,7 @@ pub mod prelude {
     pub use crate::csvout::{pareto_csv, sweep_csv};
     pub use crate::error::LabError;
     pub use crate::journal::{spec_digest, Journal};
-    pub use crate::key::{RunKey, RunKind};
+    pub use crate::key::{AsDigest, Digest, KernelModel, RunKey, RunKind};
     pub use crate::pareto::{
         detect_scaling_range, pareto_indices, pareto_indices_naive, DetectedRange,
     };
@@ -330,7 +400,7 @@ pub mod prelude {
     pub use crate::runner::{execute, execute_into, execute_watched, model_algorithm};
     pub use crate::selfprof::{RunProfile, SweepProfile};
     pub use crate::spec::SweepSpec;
-    pub use crate::{Lab, LabConfig, SweepResults};
+    pub use crate::{ExpandedSweep, Lab, LabConfig, SweepResults};
 }
 
 #[cfg(test)]

@@ -51,7 +51,86 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_ordered_timed(jobs, items, f).0
+    run_workers(worker_count(jobs, items.len()), items, |_, i, item| {
+        f(i, item)
+    })
+}
+
+/// Worker threads actually used: at least one, at most one per item.
+fn worker_count(jobs: usize, items: usize) -> usize {
+    jobs.max(1).min(items.max(1))
+}
+
+/// An item's result, or the panic payload `f` raised for it.
+type Slot<T> = Result<T, Box<dyn std::any::Any + Send>>;
+
+/// The one worker loop behind both entry points: `f` receives `(worker,
+/// index, &item)`; every item runs whatever its siblings do; results
+/// come back in input order and the lowest-index panic is re-raised
+/// after the last item has run. `jobs` is already clamped by
+/// [`worker_count`]; one worker runs inline on the caller's thread.
+fn run_workers<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, usize, &I) -> T + Sync,
+{
+    if jobs <= 1 {
+        return reassemble(
+            items.len(),
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| catch_unwind(AssertUnwindSafe(|| f(0, i, item)))),
+        );
+    }
+    let next = AtomicUsize::new(0);
+    // One slot per item, so one bad item cannot leave any unfilled.
+    let slots: Vec<Mutex<Option<Slot<T>>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for w in 0..jobs {
+            let (next, slots, f) = (&next, &slots, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
+                }
+                let out = catch_unwind(AssertUnwindSafe(|| f(w, i, &items[i])));
+                // A peer's panic while holding this lock cannot happen
+                // (each slot has exactly one writer), but poison
+                // tolerance costs nothing and keeps the reassembly
+                // below total.
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+            });
+        }
+    });
+    reassemble(
+        items.len(),
+        slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("worker pool filled every slot")
+        }),
+    )
+}
+
+/// Drain every slot in input order, then re-raise the first panic (by
+/// index, so deterministically) if there was one.
+fn reassemble<T>(len: usize, slots: impl Iterator<Item = Slot<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    let mut first_panic = None;
+    for slot in slots {
+        match slot {
+            Ok(r) => out.push(r),
+            Err(payload) => {
+                first_panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
+    }
+    out
 }
 
 /// One worker's accounting over a [`run_ordered_timed`] call.
@@ -95,111 +174,32 @@ impl PoolProfile {
 }
 
 /// [`run_ordered`] plus host-side timing: returns the results in input
-/// order and a [`PoolProfile`] of where the wall-clock went.
+/// order and a [`PoolProfile`] of where the wall-clock went. The clock
+/// lives in the closure handed to the shared worker loop, so only this
+/// entry point reads it.
 pub fn run_ordered_timed<I, T, F>(jobs: usize, items: &[I], f: F) -> (Vec<T>, PoolProfile)
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    let jobs = jobs.max(1).min(items.len().max(1));
+    let jobs = worker_count(jobs, items.len());
     let started = Instant::now();
-    if jobs <= 1 {
-        // Inline path: same containment contract as the pool — finish
-        // every item, then re-raise the first panic.
-        let mut item_ns = Vec::with_capacity(items.len());
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut out: Vec<T> = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
-            let t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| f(i, it))) {
-                Ok(r) => {
-                    item_ns.push(saturating_nanos(t0.elapsed().as_secs_f64()));
-                    out.push(r);
-                }
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        let busy: u64 = item_ns.iter().fold(0u64, |a, &b| a.saturating_add(b));
-        let profile = PoolProfile {
-            jobs: 1,
-            wall_ns: saturating_nanos(started.elapsed().as_secs_f64()),
-            item_ns,
-            workers: vec![WorkerSpan {
-                busy_ns: busy,
-                items: items.len() as u64,
-            }],
-        };
-        return (out, profile);
-    }
-    let next = AtomicUsize::new(0);
-    // A slot holds the item's result or the panic payload `f` raised
-    // for it — so one bad item cannot leave any slot unfilled.
-    type SlotValue<T> = Result<(T, u64), Box<dyn std::any::Any + Send>>;
-    let slots: Vec<Mutex<Option<SlotValue<T>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
     let spans: Vec<Mutex<WorkerSpan>> = (0..jobs)
         .map(|_| Mutex::new(WorkerSpan::default()))
         .collect();
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let next = &next;
-            let slots = &slots;
-            let spans = &spans;
-            let f = &f;
-            scope.spawn(move || {
-                let mut span = WorkerSpan::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                    let ns = saturating_nanos(t0.elapsed().as_secs_f64());
-                    span.busy_ns = span.busy_ns.saturating_add(ns);
-                    span.items += 1;
-                    // A peer's panic while holding this lock cannot
-                    // happen (each slot has exactly one writer), but
-                    // poison tolerance costs nothing and keeps the
-                    // reassembly below total.
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some(out.map(|r| (r, ns)));
-                }
-                *spans[w].lock().unwrap_or_else(PoisonError::into_inner) = span;
-            });
-        }
+    let timed = run_workers(jobs, items, |w, i, item| {
+        let t0 = Instant::now();
+        let r = f(i, item);
+        let ns = saturating_nanos(t0.elapsed().as_secs_f64());
+        // Each span has one writer, its worker; the lock is never
+        // contended.
+        let mut span = spans[w].lock().unwrap_or_else(PoisonError::into_inner);
+        span.busy_ns = span.busy_ns.saturating_add(ns);
+        span.items += 1;
+        (r, ns)
     });
-    let mut item_ns = Vec::with_capacity(items.len());
-    let mut out = Vec::with_capacity(items.len());
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for slot in slots {
-        let filled = slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .expect("worker pool filled every slot");
-        match filled {
-            Ok((r, ns)) => {
-                item_ns.push(ns);
-                out.push(r);
-            }
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
-    }
+    let (out, item_ns) = timed.into_iter().unzip();
     let profile = PoolProfile {
         jobs,
         wall_ns: saturating_nanos(started.elapsed().as_secs_f64()),

@@ -5,6 +5,12 @@
 //! bit patterns (`{:016x}` of [`f64::to_bits`]) so a round trip through
 //! the cache reproduces *bit-identical* values — a cached sweep must
 //! emit the same CSV bytes as a cold one.
+//!
+//! The encoders append to a caller-owned byte buffer and the decoders
+//! read byte slices, so the journal and the `.rec` cache assemble and
+//! check whole lines without a per-field allocation.
+
+use psse_faults::rng::{BytePacker, KeyHasher};
 
 /// Everything a sweep can want to know about one completed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,54 +68,74 @@ impl RunResult {
         }
     }
 
-    /// Serialize to the one-line `v1` cache record.
-    pub fn to_line(&self) -> String {
-        format!(
-            "v1 {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {} {} {} {} {:016x}",
-            self.feasible as u8,
-            self.verified as u8,
-            self.time.to_bits(),
-            self.energy.to_bits(),
-            self.flops.to_bits(),
-            self.words.to_bits(),
-            self.msgs.to_bits(),
-            self.mem_used.to_bits(),
+    /// Append the one-line `v1` record to `out`: the flags, the six
+    /// floats as 16-hex-digit bit patterns, the four counters in
+    /// decimal, the output digest in hex, single-space separated. No
+    /// allocation beyond `out`'s own growth, so a caller that reuses its
+    /// buffer encodes for free.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"v1 ");
+        out.push(b'0' + self.feasible as u8);
+        out.push(b' ');
+        out.push(b'0' + self.verified as u8);
+        for v in [
+            self.time,
+            self.energy,
+            self.flops,
+            self.words,
+            self.msgs,
+            self.mem_used,
+        ] {
+            out.push(b' ');
+            out.extend_from_slice(&hex16(v.to_bits()));
+        }
+        for v in [
             self.retries,
             self.checkpoint_words,
             self.resilience_words,
             self.resilience_msgs,
-            self.output_digest,
-        )
+        ] {
+            out.push(b' ');
+            push_dec(out, v);
+        }
+        out.push(b' ');
+        out.extend_from_slice(&hex16(self.output_digest));
     }
 
-    /// Parse a `v1` cache record; `None` on any malformation (the cache
+    /// [`RunResult::write_line`] as an owned string.
+    pub fn to_line(&self) -> String {
+        let mut out = Vec::with_capacity(200);
+        self.write_line(&mut out);
+        String::from_utf8(out).expect("the v1 line is ASCII")
+    }
+
+    /// Parse a `v1` record; `None` on any malformation (the cache
     /// treats unreadable records as misses, never as errors).
-    pub fn from_line(line: &str) -> Option<RunResult> {
-        let mut it = line.split_ascii_whitespace();
-        if it.next()? != "v1" {
+    pub fn from_line(line: impl AsRef<[u8]>) -> Option<RunResult> {
+        let mut it = line.as_ref().split(|&b| b == b' ');
+        if it.next()? != b"v1" {
             return None;
         }
-        let flag = |s: &str| match s {
-            "0" => Some(false),
-            "1" => Some(true),
+        let mut flag = || match it.next()? {
+            b"0" => Some(false),
+            b"1" => Some(true),
             _ => None,
         };
-        let feasible = flag(it.next()?)?;
-        let verified = flag(it.next()?)?;
-        let mut f64_bits =
-            || -> Option<f64> { Some(f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?)) };
+        let feasible = flag()?;
+        let verified = flag()?;
+        let mut f64_bits = || Some(f64::from_bits(parse_hex(it.next()?)?));
         let time = f64_bits()?;
         let energy = f64_bits()?;
         let flops = f64_bits()?;
         let words = f64_bits()?;
         let msgs = f64_bits()?;
         let mem_used = f64_bits()?;
-        let mut dec = || -> Option<u64> { it.next()?.parse().ok() };
+        let mut dec = || parse_dec(it.next()?);
         let retries = dec()?;
         let checkpoint_words = dec()?;
         let resilience_words = dec()?;
         let resilience_msgs = dec()?;
-        let output_digest = u64::from_str_radix(it.next()?, 16).ok()?;
+        let output_digest = parse_hex(it.next()?)?;
         if it.next().is_some() {
             return None;
         }
@@ -151,18 +177,123 @@ pub fn digest_f64s(values: &[f64]) -> u64 {
 /// splitmix64 checksum of a line's raw bytes: length word, then the
 /// bytes packed into little-endian 8-byte chunks (the same packing the
 /// run-key digest uses for strings, so `"ab" + "c"` and `"a" + "bc"`
-/// cannot collide). Shared by the self-checksummed cache records and
-/// the sweep journal's torn-tail detection.
-pub fn line_checksum(line: &str) -> u64 {
-    let bytes = line.as_bytes();
-    let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(w));
+/// cannot collide), folded word by word with no intermediate vector.
+/// Shared by the self-checksummed cache records and the sweep journal's
+/// torn-tail detection.
+pub fn line_checksum(line: impl AsRef<[u8]>) -> u64 {
+    let line = line.as_ref();
+    let mut sum = LineChecksum::new(line.len());
+    sum.update(line);
+    sum.finish()
+}
+
+/// [`line_checksum`] of a line that arrives in pieces. The total length
+/// is the first word of the fold, so it is declared up front; the pieces
+/// then follow in order and the value equals the checksum of their
+/// concatenation.
+pub(crate) struct LineChecksum {
+    fold: KeyHasher,
+    packer: BytePacker,
+}
+
+impl LineChecksum {
+    /// Start the checksum of a line of `len` bytes in total.
+    pub(crate) fn new(len: usize) -> LineChecksum {
+        let mut fold = KeyHasher::new(0x7265_6331_6373_756d); // "rec1csum"
+        fold.push(len as u64);
+        LineChecksum {
+            fold,
+            packer: BytePacker::default(),
+        }
     }
-    psse_faults::rng::hash_key(0x7265_6331_6373_756d, &words) // "rec1csum"
+
+    /// Fold the next piece of the line.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        self.packer.feed(bytes, |w| self.fold.push(w));
+    }
+
+    /// The checksum, once `len` bytes have been fed.
+    pub(crate) fn finish(mut self) -> u64 {
+        self.packer.finish(|w| self.fold.push(w));
+        self.fold.finish()
+    }
+}
+
+/// `v` as 16 lowercase hex digits (the bytes of `{:016x}`).
+pub(crate) fn hex16(v: u64) -> [u8; 16] {
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    buf
+}
+
+/// Append `v` in decimal (the bytes of `{}`).
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Value of each ASCII hex digit (either case); `0xff` for any other
+/// byte, so one OR over a field's values exposes a bad digit.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Parse a field of 1 to 16 hex digits. Every line carries ten such
+/// fields, so replaying a journal is mostly this loop: one table load
+/// per digit and a single validity test at the end.
+pub(crate) fn parse_hex(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 16 {
+        return None;
+    }
+    let (mut value, mut seen) = (0u64, 0u8);
+    for &b in digits {
+        let v = HEX_VALUE[b as usize];
+        seen |= v;
+        value = value << 4 | (v & 0xf) as u64;
+    }
+    (seen < 16).then_some(value)
+}
+
+/// Parse a decimal counter field.
+fn parse_dec(digits: &[u8]) -> Option<u64> {
+    std::str::from_utf8(digits).ok()?.parse().ok()
+}
+
+/// Close a checksummed line: append `" <16 hex digits>\n"`.
+pub(crate) fn push_checksum(out: &mut Vec<u8>, sum: u64) {
+    out.push(b' ');
+    out.extend_from_slice(&hex16(sum));
+    out.push(b'\n');
+}
+
+/// Split a (newline-stripped) checksummed line into its body and the
+/// checksum it claims; `None` when the 16-digit trailer is missing or
+/// malformed. What the checksum must cover is the caller's format.
+pub(crate) fn split_checksum(line: &[u8]) -> Option<(&[u8], u64)> {
+    let at = line.iter().rposition(|&b| b == b' ')?;
+    let sum_hex = &line[at + 1..];
+    if sum_hex.len() != 16 {
+        return None;
+    }
+    Some((&line[..at], parse_hex(sum_hex)?))
 }
 
 #[cfg(test)]
@@ -200,6 +331,17 @@ mod tests {
         let mut line = RunResult::model(true, 1.0, 2.0, 3.0).to_line();
         line.push_str(" extra");
         assert!(RunResult::from_line(&line).is_none());
+        // Field parsers: either hex case, 1 to 16 digits, digits only;
+        // decimal counters must fit a u64.
+        assert_eq!(parse_hex(b"fF"), Some(0xff));
+        assert_eq!(parse_hex(b"ffffffffffffffff"), Some(u64::MAX));
+        for bad in [&b""[..], b"+f", b"fg", b" f", b"00000000000000000"] {
+            assert_eq!(parse_hex(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_dec(b"18446744073709551615"), Some(u64::MAX));
+        for bad in [&b""[..], b"18446744073709551616", b"1x"] {
+            assert_eq!(parse_dec(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

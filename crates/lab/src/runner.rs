@@ -15,12 +15,12 @@ use psse_algos::prelude::{
     summa_matmul, summa_matmul_abft, Decomp,
 };
 use psse_core::costs::{
-    Algorithm, Cholesky25d, ClassicalMatMul, DirectNBody, FftAllToAll, FftTree, HaloStencilModel,
-    Lu25d, MatVec, SampleSortModel, StrassenMatMul,
+    clamp_memory, Algorithm, Cholesky25d, ClassicalMatMul, DirectNBody, FftAllToAll, FftTree,
+    HaloStencilModel, Lu25d, MatVec, SampleSortModel, StrassenMatMul,
 };
 use psse_core::optimize::matmul::MatMulOptimizer;
 use psse_core::optimize::nbody::NBodyOptimizer;
-use psse_hbl::prelude::{derive, Kernel};
+use psse_hbl::prelude::KernelCost;
 use psse_kernels::matrix::Matrix;
 use psse_kernels::nbody::random_particles;
 
@@ -151,22 +151,28 @@ pub fn execute_watched(
     }
 }
 
-fn execute_model(key: &RunKey) -> Result<RunResult, String> {
-    if let Some(text) = &key.kernel {
-        return execute_kernel_model(key, text);
-    }
-    let alg = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;
-    let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
-    // mem = 0 means "minimal memory at (n, p)"; clamp_mem folds
-    // out-of-band requests back into [lo, hi] instead of flagging them.
+/// Resolve a model key's memory request against the band `[lo, hi]`:
+/// `mem = 0` means "minimal memory at (n, p)", `clamp_mem` folds an
+/// out-of-band request back into the band instead of flagging it.
+/// Returns the memory to price at and whether it is feasible — the same
+/// predicate as the Fig. 4 bench's `feasible()`.
+fn effective_memory(key: &RunKey, lo: f64, hi: f64) -> (f64, bool) {
     let mem = if key.mem == 0.0 { lo } else { key.mem };
     let mem_eff = if key.clamp_mem {
-        mem.clamp(lo, hi)
+        clamp_memory(mem, lo, hi)
     } else {
         mem
     };
-    // Same predicate as the Fig. 4 bench's `feasible()`.
-    let feasible = (lo..=hi).contains(&mem_eff);
+    (mem_eff, (lo..=hi).contains(&mem_eff))
+}
+
+fn execute_model(key: &RunKey) -> Result<RunResult, String> {
+    if let Some(model) = &key.kernel {
+        return execute_kernel_model(key, model.cost());
+    }
+    let alg = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;
+    let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
+    let (mem_eff, feasible) = effective_memory(key, lo, hi);
 
     let (time, energy) = match key.alg.as_str() {
         // Closed forms, bit-identical to the figure benches.
@@ -195,22 +201,15 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
     Ok(r)
 }
 
-/// Model a run whose cost model is derived from an HBL kernel file
-/// instead of the hand-written table. The family dispatch inside
+/// Model a run whose cost model was derived from an HBL kernel file
+/// (once, by [`crate::spec::SweepSpec::parse`]) instead of the
+/// hand-written table. The family dispatch inside
 /// [`psse_hbl::bridge::KernelCost::evaluate_point`] mirrors the `alg`
 /// match above, so a kernel whose derived exponents match a table
 /// algorithm prices bit-for-bit identically to it.
-fn execute_kernel_model(key: &RunKey, text: &str) -> Result<RunResult, String> {
-    let kernel = Kernel::parse(text).map_err(|e| e.to_string())?;
-    let (cost, _) = derive(&kernel).map_err(|e| e.to_string())?;
+fn execute_kernel_model(key: &RunKey, cost: &KernelCost) -> Result<RunResult, String> {
     let (lo, hi) = cost.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
-    let mem = if key.mem == 0.0 { lo } else { key.mem };
-    let mem_eff = if key.clamp_mem {
-        mem.clamp(lo, hi)
-    } else {
-        mem
-    };
-    let feasible = (lo..=hi).contains(&mem_eff);
+    let (mem_eff, feasible) = effective_memory(key, lo, hi);
     let cfg = cost
         .evaluate_point(&key.machine, key.n, key.p, mem_eff)
         .map_err(|e| e.to_string())?;

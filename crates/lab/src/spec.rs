@@ -26,6 +26,7 @@
 //! Unknown keys are rejected with the offending line number.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
 use psse_core::machines::{cloud_instance, cluster_node, embedded_soc, jaketown};
 use psse_core::params::MachineParams;
@@ -33,7 +34,7 @@ use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
 use psse_sim::Backend;
 
 use crate::error::LabError;
-use crate::key::{RunKey, RunKind};
+use crate::key::{KernelModel, RunKey, RunKind};
 
 /// A parsed sweep specification. See the module docs for the text
 /// format; [`SweepSpec::expand`] produces the deterministic run list.
@@ -75,11 +76,12 @@ pub struct SweepSpec {
     /// identity: it routes into [`crate::LabConfig::timeout`], so cache
     /// digests and CSV bytes are unaffected by the budget chosen.
     pub timeout: Option<f64>,
-    /// Full text of an HBL kernel file (`kernel = path/to/foo.kernel`,
-    /// model sweeps only, mutually exclusive with `alg`). The file is
-    /// read and validated at parse time; the *content* enters every
-    /// [`RunKey`], so cache slots track edits to the file.
-    pub kernel: Option<String>,
+    /// The compiled HBL kernel (`kernel = path/to/foo.kernel`, model
+    /// sweeps only, mutually exclusive with `alg`). The file is read,
+    /// validated and its cost model derived once, at parse time; every
+    /// expanded [`RunKey`] shares the result, and the file's *content*
+    /// is what the key digests, so cache slots track edits to the file.
+    pub kernel: Option<Arc<KernelModel>>,
 }
 
 const MACHINE_KEYS: [&str; 10] = [
@@ -221,7 +223,7 @@ impl SweepSpec {
         let mut backend = Backend::Threads;
         let mut timeout: Option<f64> = None;
         let mut fault_vals: Vec<(usize, f64)> = Vec::new(); // (FAULT_KEYS index, value)
-        let mut kernel: Option<(usize, String, String)> = None; // (line, name, text)
+        let mut kernel: Option<(usize, KernelModel)> = None; // (line, compiled file)
 
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
@@ -247,18 +249,17 @@ impl SweepSpec {
                 }
                 "alg" => alg = Some(value.to_string()),
                 "kernel" => {
-                    // Read and fully validate the kernel file now, so a
-                    // bad path or a malformed loop nest surfaces with
-                    // this spec line (plus the kernel's own line number)
-                    // instead of failing every expanded run later.
+                    // Read and compile the kernel file now: a bad path or
+                    // a malformed loop nest surfaces with this spec line
+                    // (plus the kernel's own line number) instead of
+                    // failing every expanded run later, and the derived
+                    // model is the one every key prices from.
                     let text = std::fs::read_to_string(value).map_err(|e| {
                         LabError::spec(lineno, format!("cannot read kernel file `{value}`: {e}"))
                     })?;
-                    let parsed = psse_hbl::prelude::Kernel::parse(&text)
+                    let model = KernelModel::compile(&text)
                         .map_err(|e| LabError::spec(lineno, format!("{value}: {e}")))?;
-                    psse_hbl::prelude::derive(&parsed)
-                        .map_err(|e| LabError::spec(lineno, format!("{value}: {e}")))?;
-                    kernel = Some((lineno, parsed.name.clone(), text));
+                    kernel = Some((lineno, model));
                 }
                 "machine" => {
                     if machine_preset(value).is_none() {
@@ -335,7 +336,7 @@ impl SweepSpec {
 
         let kind = kind.ok_or_else(|| LabError::spec(0, "missing `kind = model|simulate`"))?;
         let (alg, kernel) = match kernel {
-            Some((lineno, name, text)) => {
+            Some((lineno, model)) => {
                 if alg.is_some() {
                     return Err(LabError::spec(
                         lineno,
@@ -348,7 +349,10 @@ impl SweepSpec {
                         "`kernel` sweeps are model-only (kind = model)",
                     ));
                 }
-                (format!("kernel:{name}"), Some(text))
+                (
+                    format!("kernel:{}", model.cost().kernel_name()),
+                    Some(Arc::new(model)),
+                )
             }
             None => (
                 alg.ok_or_else(|| LabError::spec(0, "missing `alg = <algorithm>`"))?,
@@ -652,7 +656,11 @@ mod tests {
         .unwrap();
         assert_eq!(spec.alg, "kernel:mm");
         let keys = spec.expand();
-        assert!(keys[0].kernel.as_deref().unwrap().contains("C[i,j]"));
+        assert!(keys[0].kernel.as_ref().unwrap().text().contains("C[i,j]"));
+        // Every key shares the one compiled model.
+        assert!(keys
+            .iter()
+            .all(|k| Arc::ptr_eq(k.kernel.as_ref().unwrap(), spec.kernel.as_ref().unwrap())));
 
         // `kernel` and `alg` are mutually exclusive, and model-only.
         let err = SweepSpec::parse(&format!(

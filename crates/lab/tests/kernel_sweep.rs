@@ -64,3 +64,78 @@ fn kernel_sweep_minimal_memory_sentinel_matches_too() {
         assert_eq!(a.feasible, b.feasible);
     }
 }
+
+#[test]
+fn kernel_model_rides_on_the_key_after_the_file_is_gone() {
+    // The spec compiles the kernel file once; expansion and pricing
+    // never go back to the path.
+    let dir = std::env::temp_dir().join(format!("psse-kernel-gone-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let copy = dir.join("mm.kernel");
+    std::fs::copy(kernel_path(), &copy).unwrap();
+    let spec = SweepSpec::parse(&format!(
+        "kind = model\nkernel = {}\n{GRID}",
+        copy.display()
+    ))
+    .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let by_alg = SweepSpec::parse(&format!("kind = model\nalg = matmul\n{GRID}")).unwrap();
+    let lab = Lab::new(LabConfig::default());
+    let (ra, rb) = (lab.run_spec(&spec), lab.run_spec(&by_alg));
+    assert_eq!(ra.failures(), 0);
+    assert_eq!(ra.results, rb.results);
+    // `execute` is a pure function of the key alone.
+    assert_eq!(execute(&ra.keys[0]), ra.results[0]);
+}
+
+#[test]
+fn empty_memory_band_is_a_typed_error_not_a_panic() {
+    // tensor.kernel: one copy of the rank-3 operand needs n³/p words,
+    // the replication limit is n^(8/3)/p^(2/3). At (16, 4) and (64, 4)
+    // the first exceeds the second — an empty band; at (64, 64) they
+    // are equal up to rounding (4096 vs 4095.9999999999977).
+    let tensor = format!(
+        "{}/../../specs/kernels/tensor.kernel",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let spec = SweepSpec::parse(&format!(
+        "kind = model\nkernel = {tensor}\nn = 16,64\np = 4,64\n"
+    ))
+    .unwrap();
+    let sweep = Lab::new(LabConfig::default()).run_spec(&spec);
+    let at = |n, p| {
+        let i = sweep
+            .keys
+            .iter()
+            .position(|k| (k.n, k.p) == (n, p))
+            .unwrap();
+        &sweep.results[i]
+    };
+    for (n, p) in [(16, 4), (64, 4)] {
+        let err = at(n, p).as_ref().unwrap_err();
+        assert!(err.contains("outside valid range ["), "({n}, {p}): {err}");
+        assert!(!err.contains("panic"), "({n}, {p}): {err}");
+    }
+    assert_eq!(
+        at(16, 4).as_ref().unwrap_err(),
+        "memory per processor M = 1024 words outside valid range [1024, 645.0795775461748]"
+    );
+    assert!(at(16, 64).as_ref().unwrap().feasible);
+    // Empty by rounding only: priced at the one admissible memory.
+    let edge = at(64, 64).as_ref().unwrap();
+    assert_eq!(edge.mem_used, 4096.0);
+    assert!(edge.time > 0.0 && edge.energy > 0.0);
+
+    // `clamp = true` meets the same bands and must not panic either.
+    let clamped = SweepSpec::parse(&format!(
+        "kind = model\nkernel = {tensor}\nn = 16,64\np = 4,64\nmem = 100\nclamp = true\n"
+    ))
+    .unwrap();
+    let sweep = Lab::new(LabConfig::default()).run_spec(&clamped);
+    assert_eq!(sweep.failures(), 2);
+    assert!(sweep
+        .results
+        .iter()
+        .all(|r| r.as_ref().map_or_else(|e| !e.contains("panic"), |_| true)));
+}

@@ -1,11 +1,14 @@
 //! Property-based tests: the fast Pareto extractor against the naive
 //! O(n²) dominance reference (and permutation invariance), RunKey
-//! digest injectivity over generated grids, and the self-profile's
-//! JSON round-trip.
+//! digest injectivity over generated grids, the self-profile's JSON
+//! round-trip, and the allocation-free line codecs / streaming digests
+//! against the `format!`-and-word-vector definitions of the formats
+//! (kept here as reference oracles).
 
 use proptest::prelude::*;
 use psse_core::machines::jaketown;
-use psse_faults::rng::SplitMix64;
+use psse_faults::rng::{hash_key, SplitMix64};
+use psse_lab::cache::ResultCache;
 use psse_lab::pool::WorkerSpan;
 use psse_lab::prelude::*;
 use psse_metrics::{Json, Registry};
@@ -39,8 +42,183 @@ fn frontier_points(pts: &[(f64, f64)]) -> Vec<(u64, u64)> {
     v
 }
 
+/// Reference oracle: the `v1` result line as the format defines it.
+fn v1_line_oracle(r: &RunResult) -> String {
+    format!(
+        "v1 {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {} {} {} {} {:016x}",
+        r.feasible as u8,
+        r.verified as u8,
+        r.time.to_bits(),
+        r.energy.to_bits(),
+        r.flops.to_bits(),
+        r.words.to_bits(),
+        r.msgs.to_bits(),
+        r.mem_used.to_bits(),
+        r.retries,
+        r.checkpoint_words,
+        r.resilience_words,
+        r.resilience_msgs,
+        r.output_digest,
+    )
+}
+
+/// Reference oracle: the line checksum over a materialised word vector
+/// (length, then zero-padded little-endian 8-byte chunks).
+fn line_checksum_oracle(bytes: &[u8]) -> u64 {
+    let mut words = vec![bytes.len() as u64];
+    for chunk in bytes.chunks(8) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        words.push(u64::from_le_bytes(w));
+    }
+    hash_key(0x7265_6331_6373_756d, &words)
+}
+
+/// Reference oracle: a line followed by the checksum of its body.
+fn checksummed(body: &str) -> String {
+    format!("{body} {:016x}\n", line_checksum_oracle(body.as_bytes()))
+}
+
+/// Reference oracle: one journal run line.
+fn run_line_oracle(digest: &str, r: &RunResult) -> String {
+    checksummed(&format!("run {digest} {}", v1_line_oracle(r)))
+}
+
+/// Reference oracle: a `.rec` file, checksummed over `"{digest} {line}"`.
+fn record_oracle(digest: &str, r: &RunResult) -> String {
+    let line = v1_line_oracle(r);
+    let sum = line_checksum_oracle(format!("{digest} {line}").as_bytes());
+    format!("{line} {sum:016x}\n")
+}
+
+/// Reference oracle: the spec digest over the joined digest string.
+fn spec_digest_oracle(keys: &[RunKey]) -> String {
+    let joined = keys
+        .iter()
+        .map(|k| k.digest())
+        .collect::<Vec<_>>()
+        .join(" ");
+    let hi = line_checksum_oracle(format!("spec-hi {joined}").as_bytes());
+    let lo = line_checksum_oracle(format!("spec-lo {joined}").as_bytes());
+    format!("{hi:016x}{lo:016x}")
+}
+
+/// A result built from raw words, with the fields `edges` selects
+/// replaced by the encodings most likely to trip a codec: all-ones
+/// (`u64::MAX` counters, a NaN with a full payload), `-0.0`, a
+/// signalling-NaN pattern, zero.
+fn result_from_words(w: &[u64], edges: u64) -> RunResult {
+    const EDGES: [u64; 4] = [
+        u64::MAX,
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff0_0000_0000_0001, // NaN, payload 1
+        0,
+    ];
+    let field = |i: usize| {
+        if edges >> i & 1 == 1 {
+            EDGES[(edges >> (16 + 2 * i)) as usize & 3]
+        } else {
+            w[i]
+        }
+    };
+    RunResult {
+        feasible: w[11] & 1 == 1,
+        verified: w[11] & 2 == 2,
+        time: f64::from_bits(field(0)),
+        energy: f64::from_bits(field(1)),
+        flops: f64::from_bits(field(2)),
+        words: f64::from_bits(field(3)),
+        msgs: f64::from_bits(field(4)),
+        mem_used: f64::from_bits(field(5)),
+        retries: field(6),
+        checkpoint_words: field(7),
+        resilience_words: field(8),
+        resilience_msgs: field(9),
+        output_digest: field(10),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The buffer encoders emit exactly the bytes the formats define —
+    /// `v1` line, journal run line, `.rec` record — and decoding them
+    /// restores every bit (NaN payloads and `-0.0` included).
+    #[test]
+    fn codecs_emit_the_defined_bytes_and_round_trip_bit_exactly(
+        words in prop::collection::vec(any::<u64>(), 12..13),
+        edges in any::<u64>(),
+        digest in (any::<u64>(), any::<u64>()),
+    ) {
+        let r = result_from_words(&words, edges);
+        let digest = Digest([digest.0, digest.1]);
+        let hex = digest.to_string();
+        prop_assert_eq!(&hex, &format!("{:016x}{:016x}", digest.0[0], digest.0[1]));
+        prop_assert_eq!(Digest::from_hex(hex.as_bytes()), Some(digest));
+
+        let line = v1_line_oracle(&r);
+        prop_assert_eq!(&r.to_line(), &line);
+        let mut buf = b"prefix ".to_vec();
+        r.write_line(&mut buf);
+        prop_assert_eq!(&buf[7..], line.as_bytes(), "write_line appends");
+        let back = RunResult::from_line(&line).expect("own line parses");
+        prop_assert_eq!(&v1_line_oracle(&back), &line, "bit-exact round trip");
+
+        // Through the real files: a journal and a `.rec` cache.
+        let dir = std::env::temp_dir().join(format!(
+            "psse-lab-codec-{}-{hex}",
+            std::process::id(),
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let jpath = dir.join("codec.journal");
+        let journal = Journal::create(&jpath, "feedface").unwrap();
+        journal.record(&digest, &r);
+        journal.record(&hex, &r); // same run, spelled as text: not appended twice
+        prop_assert_eq!(journal.appended(), 1);
+        drop(journal);
+        prop_assert_eq!(
+            std::fs::read_to_string(&jpath).unwrap(),
+            checksummed("psse-lab-journal v1 feedface") + &run_line_oracle(&hex, &r)
+        );
+        let (_, replayed) = Journal::open_resume(&jpath, "feedface").unwrap();
+        prop_assert_eq!(replayed.len(), 1);
+        prop_assert_eq!(&v1_line_oracle(&replayed[&digest]), &line);
+
+        let cache = ResultCache::new(4, Some(dir.clone()));
+        cache.put(&digest, r).unwrap();
+        prop_assert_eq!(
+            std::fs::read_to_string(dir.join(format!("{hex}.rec"))).unwrap(),
+            record_oracle(&hex, &r)
+        );
+        let reread = ResultCache::new(4, Some(dir.clone())).get(&hex).expect("disk hit");
+        prop_assert_eq!(&v1_line_oracle(&reread), &line);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The streaming checksum equals the word-vector definition for
+    /// every tail length, and does not depend on how the line is cut.
+    #[test]
+    fn streaming_checksum_matches_the_word_vector_definition(
+        bytes in prop::collection::vec(any::<u8>(), 0..65),
+    ) {
+        prop_assert_eq!(line_checksum(&bytes), line_checksum_oracle(&bytes));
+    }
+
+    /// The streamed spec digest equals the joined-string definition, from
+    /// a key list and from the digests an `ExpandedSweep` already holds.
+    #[test]
+    fn streaming_spec_digest_matches_the_joined_string_definition(
+        points in prop::collection::vec((2u64..5000, 1u64..300, 0u64..4), 0..12),
+    ) {
+        let algs = ["nbody", "matmul", "lu", "cholesky"];
+        let keys: Vec<RunKey> = points
+            .iter()
+            .map(|&(n, p, a)| RunKey::model(algs[a as usize], n, p, jaketown()))
+            .collect();
+        let expect = spec_digest_oracle(&keys);
+        prop_assert_eq!(&spec_digest(&keys), &expect);
+        prop_assert_eq!(ExpandedSweep::new(keys).spec_digest(), expect);
+    }
 
     /// The O(n log n) extractor agrees with the O(n²) reference.
     #[test]
