@@ -18,12 +18,13 @@
 //! stencil **does** admit a perfect strong scaling range; `psse-core`'s
 //! `HaloStencilModel` derives its `[pmin, pmax]` band.
 //!
-//! Determinism: the distributed update sums the neighbourhood in the
-//! same `(di, dj)` order as [`serial_stencil`], so the two are
-//! **bit-identical** — the tests assert equality of f64 bit patterns,
-//! not approximate closeness.
+//! Determinism: [`serial_stencil`] and the per-rank update both fill a
+//! halo-extended buffer and run `psse_kernels::stencil::box_sweep` over
+//! it, so the two are **bit-identical** — the tests assert equality of
+//! f64 bit patterns, not approximate closeness.
 
 use psse_kernels::rng::XorShift64;
+use psse_kernels::stencil::{box_sweep, extend_periodic};
 use psse_sim::prelude::*;
 
 /// How the grid is split across ranks.
@@ -50,33 +51,20 @@ pub fn stencil_flops_per_cell(halo: usize) -> u64 {
     k * k
 }
 
-/// Reference sweep: one periodic box-average pass over the full grid,
-/// summing the neighbourhood in ascending `(di, dj)` order — the same
-/// order the distributed kernel uses, so results match bit-for-bit.
-fn serial_sweep(grid: &[f64], n: usize, h: usize) -> Vec<f64> {
-    let inv = 1.0 / ((2 * h + 1) * (2 * h + 1)) as f64;
-    let mut out = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for di in 0..=2 * h {
-                let r = (i + n + di - h) % n;
-                for dj in 0..=2 * h {
-                    let c = (j + n + dj - h) % n;
-                    acc += grid[r * n + c];
-                }
-            }
-            out[i * n + j] = acc * inv;
-        }
-    }
-    out
-}
-
-/// Apply `iters` sweeps of the radius-`halo` box stencil serially.
+/// Apply `iters` sweeps of the radius-`halo` box stencil serially: each
+/// sweep extends the grid periodically by `halo` cells (any `halo`,
+/// wrapping as often as needed) and runs [`box_sweep`] over it. Panics
+/// unless `grid` holds `n² > 0` values.
 pub fn serial_stencil(grid: &[f64], n: usize, halo: usize, iters: usize) -> Vec<f64> {
+    assert!(
+        n > 0 && n.checked_mul(n) == Some(grid.len()),
+        "serial_stencil: an n×n grid with n = {n} must hold n² > 0 values, got {}",
+        grid.len()
+    );
     let mut g = grid.to_vec();
     for _ in 0..iters {
-        g = serial_sweep(&g, n, halo);
+        let ext = extend_periodic(&g, n, n, halo, halo);
+        box_sweep(&ext, n + 2 * halo, n, n, halo, &mut g);
     }
     g
 }
@@ -128,7 +116,8 @@ fn process_grid(
 /// Advance the periodic `n × n` grid `iters` sweeps of the radius-`halo`
 /// box stencil on `p` ranks. Returns the final grid (row-major) and the
 /// execution profile. Requires the process grid to divide `n` and
-/// `halo ≤` block side.
+/// `halo ≤` block side. Each rank exchanges halos into an extended copy
+/// of its tile and updates it with [`box_sweep`], as [`serial_stencil`].
 pub fn halo_stencil(
     grid: &[f64],
     n: usize,
@@ -171,7 +160,9 @@ pub fn halo_stencil(
         let south = ((bi + 1) % pr) * pc + bj;
         let west = bi * pc + (bj + pc - 1) % pc;
         let east = bi * pc + (bj + 1) % pc;
-        let inv = 1.0 / ((2 * h + 1) * (2 * h + 1)) as f64;
+        // Halo-extended tile, (br + 2h) × (bc + 2h), refilled every sweep.
+        let (vr, ec) = (br + 2 * h, bc + 2 * h);
+        let mut ext = vec![0.0; vr * ec];
 
         for t in 0..iters {
             let tag = Tag(4 * t as u64);
@@ -188,19 +179,21 @@ pub fn halo_stencil(
                 (ht, hb)
             };
 
-            // Vertically extended block: (br + 2h) × bc.
-            let vr = br + 2 * h;
-            let mut vert = Vec::with_capacity(vr * bc);
-            vert.extend_from_slice(&halo_top);
-            vert.extend_from_slice(&block);
-            vert.extend_from_slice(&halo_bottom);
+            // Centre columns: the vertically extended block, vr × bc.
+            let rows = halo_top
+                .chunks_exact(bc)
+                .chain(block.chunks_exact(bc))
+                .chain(halo_bottom.chunks_exact(bc));
+            for (r, row) in rows.enumerate() {
+                ext[r * ec + h..r * ec + h + bc].copy_from_slice(row);
+            }
 
             // Phase B (cols): h-wide edge columns of the *extended*
             // block travel west/east, carrying the corner halos.
             let col_slab = |cs: usize| -> Vec<f64> {
                 let mut v = Vec::with_capacity(vr * h);
                 for r in 0..vr {
-                    v.extend_from_slice(&vert[r * bc + cs..r * bc + cs + h]);
+                    v.extend_from_slice(&ext[r * ec + h + cs..][..h]);
                 }
                 v
             };
@@ -213,30 +206,12 @@ pub fn halo_stencil(
                 let hl = rank.sendrecv(east, tag.offset(3), right, west, tag.offset(3))?;
                 (hl, hr)
             };
-
-            // Fully extended block: (br + 2h) × (bc + 2h).
-            let ec = bc + 2 * h;
-            let mut ext = vec![0.0; vr * ec];
             for r in 0..vr {
                 ext[r * ec..r * ec + h].copy_from_slice(&halo_left[r * h..(r + 1) * h]);
-                ext[r * ec + h..r * ec + h + bc].copy_from_slice(&vert[r * bc..(r + 1) * bc]);
                 ext[r * ec + h + bc..(r + 1) * ec].copy_from_slice(&halo_right[r * h..(r + 1) * h]);
             }
 
-            // Update: ascending (di, dj) sum — bit-identical to
-            // `serial_sweep`'s order.
-            for i in 0..br {
-                for j in 0..bc {
-                    let mut acc = 0.0;
-                    for di in 0..=2 * h {
-                        let base = (i + di) * ec + j;
-                        for dj in 0..=2 * h {
-                            acc += ext[base + dj];
-                        }
-                    }
-                    block[i * bc + j] = acc * inv;
-                }
-            }
+            box_sweep(&ext, ec, br, bc, h, &mut block);
             rank.compute((br * bc) as u64 * stencil_flops_per_cell(h));
         }
 
@@ -311,6 +286,29 @@ mod tests {
             let reference = serial_stencil(&grid, n, h, iters);
             assert_bits_equal(&out, &reference, &format!("2d n={n} p={p} h={h}"));
         }
+    }
+
+    #[test]
+    fn serial_stencil_wraps_a_halo_wider_than_the_grid() {
+        // n = 3, h = 4: the 9×9 window laps the torus three times each
+        // way, so every cell averages every grid value nine times over.
+        let grid = random_grid(3, 17);
+        let mean = grid.iter().sum::<f64>() / 9.0;
+        for v in serial_stencil(&grid, 3, 4, 1) {
+            assert!((v - mean).abs() < 1e-12, "{v} vs mean {mean}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 4 must hold n² > 0 values, got 15")]
+    fn serial_stencil_names_a_grid_of_the_wrong_length() {
+        serial_stencil(&[0.0; 15], 4, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 0 must hold n² > 0 values, got 0")]
+    fn serial_stencil_rejects_an_empty_grid() {
+        serial_stencil(&[], 0, 1, 1);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use crate::program::{AnalyticOp, RankProgram};
 use crate::step::{Delivered, Payload, Step};
+use psse_kernels::stencil::{box_sweep, extend_periodic};
 use psse_sim::{SharedPayload, Tag};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -1120,9 +1121,10 @@ enum StState {
 /// program: each sweep sends the `h` top rows north and the `h` bottom
 /// rows south (`2` messages of `h·n` words per rank — the halo
 /// *surface*), then updates the `(n/p)·n` interior (the *volume*). In
-/// data mode the update sums the neighbourhood in the same `(di, dj)`
-/// order as `psse-algos`' `serial_stencil`, so per-rank results are
-/// bit-identical to the serial reference at any `p`.
+/// data mode the update is `psse_kernels::stencil::box_sweep` — the
+/// kernel `psse-algos`' `serial_stencil` and `halo_stencil` run — so
+/// per-rank results are bit-identical to the serial reference at any
+/// `p`.
 ///
 /// [`Stencil1D::expected_totals`] is exact for both modes (the halo
 /// sizes are data-independent, unlike [`SampleSort`]'s buckets).
@@ -1211,8 +1213,8 @@ impl Stencil1D {
         Tag(ST_HALO + 4 * self.t as u64 + off)
     }
 
-    /// One periodic sweep of the local slab using the received halos —
-    /// ascending `(di, dj)` order, bit-identical to the serial kernel.
+    /// One periodic sweep of the local slab using the received halos:
+    /// stack them around the slab, wrap the columns, run the kernel.
     fn update(&mut self) {
         let (n, h, rows) = (self.n, self.h, self.rows);
         let Some(block) = &mut self.block else { return };
@@ -1221,19 +1223,8 @@ impl Stencil1D {
         vert.extend_from_slice(&self.halo_top);
         vert.extend_from_slice(block);
         vert.extend_from_slice(&self.halo_bottom);
-        let inv = 1.0 / ((2 * h + 1) * (2 * h + 1)) as f64;
-        for i in 0..rows {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for di in 0..=2 * h {
-                    let base = (i + di) * n;
-                    for dj in 0..=2 * h {
-                        acc += vert[base + (j + n + dj - h) % n];
-                    }
-                }
-                block[i * n + j] = acc * inv;
-            }
-        }
+        let ext = extend_periodic(&vert, vr, n, 0, h);
+        box_sweep(&ext, n + 2 * h, rows, n, h, block);
     }
 }
 

@@ -14,6 +14,9 @@
 //! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT over our own
 //!   [`fft::Complex64`], plus a naive DFT reference;
 //! * [`nbody`] — softened gravitational pairwise force accumulation;
+//! * [`stencil`] — the periodic box-stencil sweep over a halo-extended
+//!   buffer (the one box-sweep kernel of the serial reference and both
+//!   simulator backends);
 //! * [`rng`] — a tiny deterministic xorshift generator for reproducible
 //!   workload construction without external dependencies.
 //!
@@ -36,6 +39,7 @@ pub mod matrix;
 pub mod nbody;
 pub mod qr;
 pub mod rng;
+pub mod stencil;
 pub mod strassen;
 
 pub use fft::Complex64;

@@ -170,8 +170,11 @@ impl RunResult {
 /// runs can be compared for bit-identical outputs without retaining the
 /// payloads.
 pub fn digest_f64s(values: &[f64]) -> u64 {
-    let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-    psse_faults::rng::hash_key(0x6f75_7470_7574_6467, &words)
+    let mut h = KeyHasher::new(0x6f75_7470_7574_6467);
+    for v in values {
+        h.push(v.to_bits());
+    }
+    h.finish()
 }
 
 /// splitmix64 checksum of a line's raw bytes: length word, then the
@@ -364,5 +367,11 @@ mod tests {
         assert_ne!(a, b);
         // -0.0 and +0.0 differ in bits, so they differ in digest.
         assert_ne!(digest_f64s(&[0.0]), digest_f64s(&[-0.0]));
+        // Values of the `Vec<u64>` + `hash_key` implementation this
+        // fold replaced.
+        let thousand: Vec<f64> = (0..1000).map(|i| (i as f64 - 500.0) * 0.125).collect();
+        assert_eq!(digest_f64s(&[]), 0x56bc_05d6_d156_8146);
+        assert_eq!(digest_f64s(&[1.5]), 0x9042_8323_fb77_2519);
+        assert_eq!(digest_f64s(&thousand), 0xb293_1883_b8f8_8c5a);
     }
 }

@@ -147,3 +147,34 @@ fn journal_written_before_the_buffer_codecs_replays_unchanged() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn stencil_journals_match_the_ones_written_before_the_shared_kernel() {
+    // `tests/fixtures/stencil_sweep{,_threads}_prepr.journal` are `psse
+    // lab run --spec specs/stencil_sweep.spec --jobs 1 --journal …` (and
+    // the same spec with `backend = threads`) at the commit before the
+    // serial reference and the simulated sweep shared
+    // `psse_kernels::stencil::box_sweep`. The runner's in-run check now
+    // compares that kernel with itself; these bytes (output digest,
+    // time, energy, counters) are what ties its arithmetic to the
+    // per-cell loops it replaced.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let events = std::fs::read_to_string(root.join("specs/stencil_sweep.spec")).unwrap();
+    assert!(events.contains("backend = events"));
+    let threads = events.replace("backend = events", "backend = threads");
+    for (text, stem) in [
+        (events, "stencil_sweep_prepr"),
+        (threads, "stencil_sweep_threads_prepr"),
+    ] {
+        let fixture = std::fs::read(root.join(format!("tests/fixtures/{stem}.journal"))).unwrap();
+        let sweep = ExpandedSweep::new(SweepSpec::parse(&text).unwrap().expand());
+        let path = tmp(stem);
+        let mut lab = lab(None);
+        lab.set_journal(Journal::create(&path, &sweep.spec_digest()).unwrap());
+        assert_eq!(lab.run_sweep(sweep).failures(), 0, "{stem}");
+        drop(lab);
+        let written = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(written == fixture, "{stem}: journal bytes drifted");
+    }
+}

@@ -1,6 +1,7 @@
 //! Cross-algorithm consistency: every distributed implementation must
 //! agree with its sequential reference and with each other.
 
+use psse::event::{run_programs, Stencil1D};
 use psse::kernels::fft::{fft, Complex64};
 use psse::kernels::gemm::matmul;
 use psse::kernels::lu::{lu_nopivot_inplace, split_lu};
@@ -88,6 +89,42 @@ fn nbody_variants_agree_with_serial() {
             assert!((ring[i][d] - serial[i][d]).abs() < 1e-9);
             assert!((repl[i][d] - serial[i][d]).abs() < 1e-9);
         }
+    }
+}
+
+#[test]
+fn stencil_implementations_agree_bit_for_bit() {
+    // Serial, thread 1-D slabs, thread 2-D tiles and the event program
+    // fill their halo-extended buffers four different ways and share one
+    // sweep kernel: the same grid must come out, to the bit.
+    let (n, h, iters) = (24usize, 2usize, 3usize);
+    let grid = random_grid(n, 21);
+    let cfg = SimConfig::counters_only;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let reference = bits(&serial_stencil(&grid, n, h, iters));
+
+    for (decomp, p) in [
+        (Decomp::OneD, 1),
+        (Decomp::OneD, 4),
+        (Decomp::TwoD, 1),
+        (Decomp::TwoD, 9),
+    ] {
+        let (out, _) = halo_stencil(&grid, n, h, iters, decomp, p, cfg()).unwrap();
+        assert_eq!(bits(&out), reference, "threads {decomp:?} p={p}");
+    }
+    for (p, backend) in [
+        (1, Backend::Events),
+        (6, Backend::Events),
+        (6, Backend::Threads),
+    ] {
+        let cfg = SimConfig { backend, ..cfg() };
+        let run = run_programs(p, &cfg, Stencil1D::with_data(grid.clone(), n, h, iters)).unwrap();
+        let out: Vec<f64> = run
+            .programs
+            .iter()
+            .flat_map(|prog| prog.result().expect("data mode").to_vec())
+            .collect();
+        assert_eq!(bits(&out), reference, "Stencil1D p={p} {backend:?}");
     }
 }
 
