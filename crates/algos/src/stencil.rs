@@ -38,6 +38,21 @@ pub enum Decomp {
     TwoD,
 }
 
+impl Decomp {
+    /// The decomposition the CLI and the lab runner pick for an `n × n`
+    /// grid on `p` ranks: 2-D tiles when `p` is a perfect square whose
+    /// side divides `n`, 1-D row slabs otherwise. A pure function of
+    /// `(n, p)`, so a lab cache key needs no extra word.
+    pub fn for_grid(n: usize, p: usize) -> Decomp {
+        let q = (p as f64).sqrt().round() as usize;
+        if q * q == p && q > 0 && n.is_multiple_of(q) {
+            Decomp::TwoD
+        } else {
+            Decomp::OneD
+        }
+    }
+}
+
 /// Deterministic seeded initial grid values in `[-1, 1)`.
 pub fn random_grid(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = XorShift64::new(seed);
@@ -240,6 +255,16 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: cell {i}: {x} vs {y}");
         }
+    }
+
+    #[test]
+    fn for_grid_picks_tiles_only_for_a_square_p_dividing_n() {
+        assert_eq!(Decomp::for_grid(32, 1), Decomp::TwoD);
+        assert_eq!(Decomp::for_grid(32, 4), Decomp::TwoD);
+        assert_eq!(Decomp::for_grid(32, 16), Decomp::TwoD);
+        assert_eq!(Decomp::for_grid(32, 8), Decomp::OneD); // not a square
+        assert_eq!(Decomp::for_grid(32, 9), Decomp::OneD); // 3 does not divide 32
+        assert_eq!(Decomp::for_grid(32, 0), Decomp::OneD); // rejected downstream
     }
 
     #[test]

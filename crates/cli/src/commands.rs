@@ -2,10 +2,7 @@
 
 use crate::args::Args;
 use psse_algos::prelude::*;
-use psse_core::costs::{
-    Algorithm, ClassicalMatMul, DirectNBody, FftTree, HaloStencilModel, Lu25d, MatVec,
-    SampleSortModel, StrassenMatMul,
-};
+use psse_core::costs::Algorithm;
 use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
@@ -17,8 +14,8 @@ use psse_kernels::matrix::Matrix;
 use psse_kernels::nbody::{accumulate_forces, random_particles};
 use psse_kernels::rng::XorShift64;
 use psse_lab::prelude::{
-    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, sweep_csv, ExpandedSweep, GcConfig,
-    Journal, Lab, LabConfig, RunKey, SweepSpec,
+    detect_scaling_range, fsck_dir, gc_dir, model_algorithm, pareto_csv, sweep_csv, ExpandedSweep,
+    GcConfig, Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_sim::profile::Profile;
 use psse_trace::Trace;
@@ -109,29 +106,16 @@ fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
     args.str_or("backend", "threads").parse()
 }
 
+/// Resolve `--alg` (with `--f`, `--halo`, `--iters`) through the lab's
+/// model table, so `psse model` and a `kind = model` spec accept the
+/// same ids.
 fn algorithm_from(args: &Args) -> Result<Box<dyn Algorithm>, String> {
-    let f = args.f64_or("f", 20.0)?;
-    Ok(match args.req("alg")? {
-        "matmul" => Box::new(ClassicalMatMul),
-        "strassen" => Box::new(StrassenMatMul::default()),
-        "nbody" => Box::new(DirectNBody {
-            flops_per_interaction: f,
-        }),
-        "fft" => Box::new(FftTree),
-        "lu" => Box::new(Lu25d),
-        "matvec" => Box::new(MatVec),
-        "samplesort" => Box::new(SampleSortModel),
-        "stencil" => Box::new(HaloStencilModel {
-            halo: args.u64_or("halo", 1)?,
-            iters: args.u64_or("iters", 4)?,
-        }),
-        other => {
-            return Err(format!(
-                "unknown algorithm `{other}` \
-                 (matmul|strassen|nbody|fft|lu|matvec|samplesort|stencil)"
-            ))
-        }
-    })
+    model_algorithm(
+        args.req("alg")?,
+        args.f64_or("f", 20.0)?,
+        args.u64_or("halo", 1)?,
+        args.u64_or("iters", 4)?,
+    )
 }
 
 pub fn machines(args: &Args, out: &mut String) -> CmdResult {
@@ -455,17 +439,10 @@ fn run_algorithm(
         "stencil" => {
             let halo = args.u64_or("halo", 1)? as usize;
             let iters = args.u64_or("iters", 4)? as usize;
-            // 2-D blocks when p is a perfect square dividing n, 1-D row
-            // slabs otherwise (same rule as the lab runner).
-            let q = (p as f64).sqrt().round() as usize;
-            let decomp = if q * q == p && q > 0 && n.is_multiple_of(q) {
-                Decomp::TwoD
-            } else {
-                Decomp::OneD
-            };
             let grid = random_grid(n, seed);
             let (out, profile) =
-                halo_stencil(&grid, n, halo, iters, decomp, p, cfg).map_err(|e| e.to_string())?;
+                halo_stencil(&grid, n, halo, iters, Decomp::for_grid(n, p), p, cfg)
+                    .map_err(|e| e.to_string())?;
             let reference = serial_stencil(&grid, n, halo, iters);
             (profile, out == reference)
         }

@@ -119,7 +119,8 @@ USAGE: psse <command> [--option value]...
 COMMANDS:
   machines   Print the paper's Table II processor database.
   model      Evaluate T (Eq. 1), E (Eq. 2) and P for an algorithm at a point.
-               --alg matmul|strassen|nbody|fft|lu|matvec  --n N  --p P
+               --alg matmul|strassen|lu|cholesky|nbody|matvec|fft|fft-a2a|
+                     samplesort|stencil  --n N  --p P
                [--mem WORDS]        memory/processor (default: minimal)
                [--machine jaketown] plus per-parameter overrides, e.g.
                [--gamma-t S] [--beta-t S] [--alpha-t S] [--gamma-e J]
@@ -131,10 +132,12 @@ COMMANDS:
                --n N [--f FLOPS] [--tmax S] [--emax J]
                [--power-total W] [--power-proc W]
   simulate   Run the real algorithm on the virtual machine and price it.
-               --alg cannon|summa|mm25d|mm3d|strassen|lu|solve|nbody|fft|matvec
+               --alg cannon|summa|mm25d|mm3d|strassen|lu|solve|cholesky|tsqr|
+                     nbody|fft|matvec|samplesort|stencil
                --n N --p P [--c C] [--panel W] [--seed S]
-               [--backend threads|events]  execution backend (default threads;
-                                           both are bit-identical by contract)
+               [--backend threads|events]  recorded and printed; both values
+                                           run the thread machine today and
+                                           are bit-identical by contract
   tech       Technology scaling (Figs. 6-7): generations to a target.
                [--target GFLOPS_W]
   trace      Record, replay, analyse and export event traces.
@@ -423,8 +426,24 @@ mod tests {
     }
 
     #[test]
+    fn model_and_scaling_accept_the_lab_model_ids() {
+        // One table (the lab's): ids and aliases the CLI used to reject.
+        for alg in ["cholesky", "fft-a2a", "mm25d", "fft-tree"] {
+            let out = call(&format!("model --alg {alg} --n 4096 --p 64")).unwrap();
+            assert!(out.contains("runtime"), "{alg}: {out}");
+            call(&format!("scaling --alg {alg} --n 4096 --mem 1e6")).unwrap();
+        }
+        // Aliases price exactly like the id they stand for.
+        assert_eq!(
+            call("model --alg mm25d --n 4096 --p 64").unwrap(),
+            call("model --alg matmul --n 4096 --p 64").unwrap()
+        );
+    }
+
+    #[test]
     fn model_rejects_bad_algorithms() {
-        assert!(call("model --alg quicksort --n 8 --p 2").is_err());
+        let err = call("model --alg quicksort --n 8 --p 2").unwrap_err();
+        assert!(err.contains("cholesky") && err.contains("fft-a2a"), "{err}");
         assert!(call("model --alg matmul --p 2").is_err());
     }
 

@@ -225,14 +225,36 @@ fn deadlock_is_proven_with_blocked_set() {
     }
     let t0 = std::time::Instant::now();
     let err = EventMachine::run(3, &cfg(Backend::Events), |_r, _p| RecvForever).unwrap_err();
-    match err {
+    match &err {
         SimError::Deadlock { rank, blocked } => {
-            assert_eq!(rank, 0);
-            assert_eq!(blocked, vec![0, 1, 2]);
+            assert_eq!(*rank, 0);
+            assert_eq!(*blocked, vec![0, 1, 2]);
         }
         other => panic!("expected Deadlock, got {other:?}"),
     }
+    assert_eq!(deadlock_on_both_executors(3, |_r, _p| RecvForever), err);
     assert!(t0.elapsed().as_secs() < 2, "deadlock proof must not sleep");
+}
+
+/// Run programs that cannot finish through [`run_programs`] on the
+/// thread machine and on the worklist executor: both must prove the
+/// deadlock, with one report — same blocked set, `rank == blocked[0]`.
+fn deadlock_on_both_executors<P, F>(p: usize, make: F) -> SimError
+where
+    P: RankProgram + Send,
+    F: Fn(usize, usize) -> P + Sync,
+{
+    let [threads, events] = [Backend::Threads, Backend::Events].map(|backend| {
+        run_programs(p, &cfg(backend), &make)
+            .err()
+            .unwrap_or_else(|| panic!("{backend}: programs that cannot finish returned Ok"))
+    });
+    assert_eq!(threads, events, "one deadlock report across executors");
+    match &events {
+        SimError::Deadlock { rank, blocked } => assert_eq!(*rank, blocked[0]),
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+    events
 }
 
 /// A partial deadlock — some ranks finish, the rest wait on each other
@@ -263,13 +285,17 @@ fn partial_deadlock_reports_only_blocked_ranks() {
         }
     }
     let err = EventMachine::run(4, &cfg(Backend::Events), |me, _p| Half { me, st: 0 }).unwrap_err();
-    match err {
+    match &err {
         SimError::Deadlock { rank, blocked } => {
-            assert_eq!(rank, 1);
-            assert_eq!(blocked, vec![1, 3]);
+            assert_eq!(*rank, 1);
+            assert_eq!(*blocked, vec![1, 3]);
         }
         other => panic!("expected Deadlock, got {other:?}"),
     }
+    assert_eq!(
+        deadlock_on_both_executors(4, |me, _p| Half { me, st: 0 }),
+        err
+    );
 }
 
 /// Self-sends are free and immediately receivable on the event backend,

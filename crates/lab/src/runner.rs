@@ -286,23 +286,13 @@ fn execute_simulate(
             (digest_f64s(&sorted), true, profile)
         }
         "stencil" => {
-            // Deterministic decomposition rule: 2-D blocks when p is a
-            // perfect square dividing the grid, 1-D row slabs otherwise
-            // — a pure function of (n, p), so the cache key needs no
-            // extra word.
-            let q = (p as f64).sqrt().round() as usize;
-            let decomp = if q * q == p && q > 0 && n.is_multiple_of(q) {
-                Decomp::TwoD
-            } else {
-                Decomp::OneD
-            };
             let grid = random_grid(n, key.seed);
             let (out, profile) = halo_stencil(
                 &grid,
                 n,
                 key.halo as usize,
                 key.iters as usize,
-                decomp,
+                Decomp::for_grid(n, p),
                 p,
                 cfg,
             )

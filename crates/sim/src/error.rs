@@ -33,17 +33,6 @@ pub enum SimError {
         /// Rank with broken accounting.
         rank: usize,
     },
-    /// A receive could not complete because a peer rank failed or the
-    /// program deadlocked (no matching message before the wall-clock
-    /// timeout).
-    RecvFailed {
-        /// Receiving rank.
-        rank: usize,
-        /// Expected source.
-        src: usize,
-        /// Human-readable cause.
-        cause: String,
-    },
     /// Another rank returned an error or panicked, poisoning the run.
     PeerFailed(String),
     /// The run's traffic did not balance: words sent across links and
@@ -89,11 +78,11 @@ pub enum SimError {
     Cancelled,
     /// True deadlock, proven rather than timed out: every live rank is
     /// blocked in a receive and no blocked rank has a matching message
-    /// queued, so no progress is possible. Raised by the event-driven
-    /// backend ([`crate::machine::Backend::Events`]), which never
-    /// sleeps on a wall clock.
+    /// queued, so no progress is possible. Raised on every run — by
+    /// [`crate::Machine::run`] and by `psse-event`'s executor alike,
+    /// with the same fields — and never after a wall-clock wait.
     Deadlock {
-        /// The rank that proved the deadlock (lowest blocked rank id).
+        /// The lowest blocked rank id (`blocked[0]`).
         rank: usize,
         /// Every blocked rank id, ascending.
         blocked: Vec<usize>,
@@ -117,9 +106,6 @@ impl fmt::Display for SimError {
             ),
             SimError::MemoryUnderflow { rank } => {
                 write!(f, "rank {rank} freed more words than it allocated")
-            }
-            SimError::RecvFailed { rank, src, cause } => {
-                write!(f, "rank {rank} failed receiving from {src}: {cause}")
             }
             SimError::PeerFailed(m) => write!(f, "peer rank failed: {m}"),
             SimError::UnbalancedProfile { sent, recvd } => write!(
@@ -181,14 +167,6 @@ mod tests {
                 "100 > 50",
             ),
             (SimError::MemoryUnderflow { rank: 2 }, "rank 2"),
-            (
-                SimError::RecvFailed {
-                    rank: 0,
-                    src: 3,
-                    cause: "deadlock".into(),
-                },
-                "deadlock",
-            ),
             (SimError::PeerFailed("boom".into()), "boom"),
             (
                 SimError::UnbalancedProfile {

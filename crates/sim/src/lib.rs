@@ -38,7 +38,10 @@
 //! [`rank::Rank::recv_shared`] pair; all variants are bit-identical in
 //! virtual time, counters, and traces (see `DESIGN.md`, "Zero-copy
 //! transport"). Rank threads are pooled and reused across `Machine::run`
-//! calls, and blocked receives wake by condvar, not by polling.
+//! calls, and blocked receives wake by condvar, not by polling. There is
+//! no receive timeout: a counter of parked ranks proves a deadlock the
+//! instant it forms and the run returns [`SimError::Deadlock`] with the
+//! blocked set.
 //!
 //! ## Trace recording (opt-in)
 //!
@@ -104,7 +107,6 @@ mod pool;
 pub mod profile;
 pub mod rank;
 pub mod record;
-mod registry;
 pub mod seqmem;
 
 pub use error::SimError;

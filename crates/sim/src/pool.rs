@@ -30,41 +30,20 @@ struct Worker {
     tx: Sender<Job>,
 }
 
-/// Default ceiling on parked workers; beyond it, workers are dropped
-/// and their threads exit when the channel disconnects. Configurable
-/// per run via `SimConfig::pool_idle_max` and overridable process-wide
-/// with the `PSSE_POOL_IDLE_MAX` environment variable.
-pub(crate) const IDLE_CAP: usize = 4096;
+/// Ceiling on parked workers; beyond it, workers are dropped and their
+/// threads exit when the channel disconnects.
+const IDLE_CAP: usize = 4096;
 
 /// Parked threads are not free: even fully blocked, each one taxes the
 /// small runs that follow (measurably ~1 µs per parked thread per
 /// `Machine::run` at small `p` — scheduler/allocator bookkeeping, seen
 /// on single-core hosts). So the pool tracks demand: when a run
 /// finishes, the idle list is trimmed to twice that run's rank count,
-/// but never below this floor (default; see
-/// `SimConfig::pool_idle_floor`). Consecutive same-`p` runs (a sweep's
+/// but never below this floor. Consecutive same-`p` runs (a sweep's
 /// hot loop) stay fully pooled; dropping from `p = 1024` to a small-`p`
 /// phase sheds the oversized fleet after the first small run instead of
 /// taxing every one that follows.
-pub(crate) const IDLE_FLOOR: usize = 64;
-
-/// Resolve the idle-trim limits a run will use: the configured values,
-/// with the cap overridden by `PSSE_POOL_IDLE_MAX` when set to a valid
-/// number, and the floor clamped so `floor <= cap` always holds (a
-/// reversed pair would make `usize::clamp` panic in `Drop for Crew`).
-pub(crate) fn effective_limits(cfg_floor: usize, cfg_cap: usize) -> (usize, usize) {
-    let env = std::env::var("PSSE_POOL_IDLE_MAX").ok();
-    resolve_limits(cfg_floor, cfg_cap, env.as_deref())
-}
-
-/// Pure core of [`effective_limits`], testable without touching the
-/// process environment.
-fn resolve_limits(cfg_floor: usize, cfg_cap: usize, env_cap: Option<&str>) -> (usize, usize) {
-    let cap = env_cap
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(cfg_cap);
-    (cfg_floor.min(cap), cap)
-}
+const IDLE_FLOOR: usize = 64;
 
 fn idle() -> &'static Mutex<Vec<Worker>> {
     static IDLE: OnceLock<Mutex<Vec<Worker>>> = OnceLock::new();
@@ -116,30 +95,16 @@ pub(crate) struct Crew {
     dispatched: usize,
     done_tx: Sender<()>,
     done_rx: Receiver<()>,
-    /// Idle-trim floor applied by this crew's destructor.
-    idle_floor: usize,
-    /// Idle-pool ceiling applied by this crew's destructor.
-    idle_cap: usize,
 }
 
 impl Crew {
-    #[cfg(test)]
     pub(crate) fn new() -> Crew {
-        Crew::with_limits(IDLE_FLOOR, IDLE_CAP)
-    }
-
-    /// A crew whose destructor trims the idle pool to
-    /// `(2·dispatched).clamp(floor, cap)`. Callers must guarantee
-    /// `floor <= cap` (see [`effective_limits`]).
-    pub(crate) fn with_limits(floor: usize, cap: usize) -> Crew {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         Crew {
             workers: Vec::new(),
             dispatched: 0,
             done_tx,
             done_rx,
-            idle_floor: floor,
-            idle_cap: cap,
         }
     }
 
@@ -190,10 +155,10 @@ impl Drop for Crew {
             // that signals when the wrapper is dropped — run or not.
             let _ = self.done_rx.recv();
         }
-        let cap = (2 * self.dispatched).clamp(self.idle_floor, self.idle_cap);
+        let cap = (2 * self.dispatched).clamp(IDLE_FLOOR, IDLE_CAP);
         let mut idle = lock_idle();
         while let Some(w) = self.workers.pop() {
-            if idle.len() >= self.idle_cap {
+            if idle.len() >= IDLE_CAP {
                 break; // dropped workers let their threads exit
             }
             idle.push(w);
@@ -287,38 +252,6 @@ mod tests {
         assert!(
             idle_now < big,
             "idle pool must be trimmed after a small run: {idle_now}"
-        );
-    }
-
-    #[test]
-    fn resolve_limits_applies_env_and_orders_the_pair() {
-        // No override: configured values pass through.
-        assert_eq!(resolve_limits(64, 4096, None), (64, 4096));
-        // Valid override replaces the cap.
-        assert_eq!(resolve_limits(64, 4096, Some("128")), (64, 128));
-        assert_eq!(resolve_limits(64, 4096, Some(" 9000 ")), (64, 9000));
-        // Garbage override is ignored.
-        assert_eq!(resolve_limits(64, 4096, Some("lots")), (64, 4096));
-        // A cap below the floor pulls the floor down — never a reversed
-        // pair (usize::clamp panics on min > max).
-        assert_eq!(resolve_limits(64, 4096, Some("8")), (8, 8));
-        assert_eq!(resolve_limits(100, 10, None), (10, 10));
-    }
-
-    #[test]
-    fn tiny_cap_crew_trims_the_pool_hard() {
-        {
-            let mut crew = Crew::with_limits(2, 2);
-            for _ in 0..16 {
-                crew.execute(std::thread::yield_now);
-            }
-        }
-        // Loose bound: other tests share the process-wide pool and may
-        // park their own workers concurrently, but this crew's 16 must
-        // not survive its own cap-2 trim.
-        assert!(
-            lock_idle().len() < 16,
-            "cap 2 must trim this crew's 16 parked workers"
         );
     }
 

@@ -2,15 +2,12 @@
 
 use crate::error::{SimError, SimResult};
 use crate::machine::SimConfig;
-use crate::mailbox::{Mailbox, RecvWait};
+use crate::mailbox::{Mailboxes, RecvWait};
 use crate::message::{Envelope, SharedPayload, Tag};
 use crate::meter::{same_node, Meter};
 use crate::profile::RankStats;
 use crate::record::TimedEvent;
-use crate::registry::{BlockOutcome, EventRegistry};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A rank of the simulated machine. Handed by [`crate::Machine::run`] to
 /// the per-rank program. All pricing — clock, counters, faults, trace —
@@ -19,28 +16,15 @@ use std::time::Instant;
 pub struct Rank {
     meter: Meter,
     cfg: Arc<SimConfig>,
-    mailboxes: Arc<Vec<Mailbox>>,
-    poison: Arc<AtomicBool>,
-    /// Present only under [`crate::machine::Backend::Events`]: blocking
-    /// receives register here instead of sleeping on a wall clock.
-    registry: Option<Arc<EventRegistry>>,
+    mailboxes: Arc<Mailboxes>,
 }
 
 impl Rank {
-    pub(crate) fn new(
-        id: usize,
-        p: usize,
-        cfg: Arc<SimConfig>,
-        mailboxes: Arc<Vec<Mailbox>>,
-        poison: Arc<AtomicBool>,
-        registry: Option<Arc<EventRegistry>>,
-    ) -> Self {
+    pub(crate) fn new(id: usize, p: usize, cfg: Arc<SimConfig>, mailboxes: Arc<Mailboxes>) -> Self {
         Rank {
             meter: Meter::new(id, p, &cfg),
             cfg,
             mailboxes,
-            poison,
-            registry,
         }
     }
 
@@ -180,19 +164,15 @@ impl Rank {
             .send(&self.cfg, dest, tag, words, Some(&mut payload))?;
         // One wire message for the whole transfer, however many chunks
         // it was priced as.
-        self.mailboxes[dest].push(Envelope {
-            src: self.rank(),
-            tag,
-            departure,
-            payload,
-        });
-        if dest != self.rank() {
-            if let Some(reg) = &self.registry {
-                // Wake registry-parked receivers to re-check their mailboxes
-                // (Events-backend receives never park on the mailbox condvar).
-                reg.notify_send();
-            }
-        }
+        self.mailboxes.push(
+            dest,
+            Envelope {
+                src: self.rank(),
+                tag,
+                departure,
+                payload,
+            },
+        );
         Ok(())
     }
 
@@ -214,61 +194,26 @@ impl Rank {
         self.check_cancelled()?;
         let t0 = self.meter.begin_recv(src)?;
         let me = self.rank();
-        let env = match &self.registry {
-            // Events backend: no wall clock anywhere. Block on the
-            // registry until the message is queued, the run is poisoned,
-            // or deadlock is *proven* (every live rank blocked, nothing
-            // queued for any of them).
-            Some(reg) => loop {
-                match self.mailboxes[me].try_recv(src, tag) {
-                    Some(env) => break env,
-                    None => match reg.block_until_ready(me, src, tag, &self.mailboxes) {
-                        BlockOutcome::Ready => continue,
-                        BlockOutcome::Poisoned => return Err(self.abandoned_recv(src)),
-                        BlockOutcome::Deadlocked(blocked) => {
-                            return Err(SimError::Deadlock { rank: me, blocked });
-                        }
-                    },
-                }
-            },
-            // Threads backend: park on the mailbox condvar, woken by the
-            // matching push or by the poison flag (a poisoned run can
-            // never complete this receive).
-            None => {
-                let deadline = Instant::now() + self.cfg.recv_timeout;
-                match self.mailboxes[me].recv(src, tag, deadline, &self.poison) {
-                    RecvWait::Message(env) => env,
-                    RecvWait::Poisoned => return Err(self.abandoned_recv(src)),
-                    RecvWait::TimedOut => {
-                        return Err(SimError::RecvFailed {
-                            rank: me,
-                            src,
-                            cause: format!(
-                                "no matching message for tag {tag:?} within {:?} (deadlock?)",
-                                self.cfg.recv_timeout
-                            ),
-                        });
-                    }
-                }
+        // Parks until the matching push; never on a wall clock. A run
+        // that can no longer complete this receive says why.
+        let env = match self.mailboxes.recv(me, src, tag) {
+            RecvWait::Message(env) => env,
+            RecvWait::Poisoned => {
+                // An external cancellation wakes receivers through the
+                // same poison flag as a failing peer.
+                self.check_cancelled()?;
+                return Err(SimError::PeerFailed(format!(
+                    "rank {me} abandoned recv from {src}: a peer rank failed"
+                )));
+            }
+            RecvWait::Deadlocked(blocked) => {
+                return Err(SimError::Deadlock { rank: me, blocked });
             }
         };
         let words = env.payload.len();
         self.meter
             .recv(&self.cfg, t0, src, tag, env.departure, words);
         Ok(env.payload)
-    }
-
-    /// Why a poisoned run abandoned a receive: an external cancellation
-    /// wakes receivers through the same poison flag as a failing peer,
-    /// so report it as such.
-    fn abandoned_recv(&self, src: usize) -> SimError {
-        match self.check_cancelled() {
-            Err(cancelled) => cancelled,
-            Ok(()) => SimError::PeerFailed(format!(
-                "rank {} abandoned recv from {src}: a peer rank failed",
-                self.rank()
-            )),
-        }
     }
 
     /// Send to `dest` and receive from `src` in one call. Safe in rings
