@@ -22,15 +22,20 @@
 //!
 //! ## The hot path
 //!
-//! Each mailbox is a slab of recycled wire cells indexed by
-//! `(src, tag)` chains (`crate::slab`, no steady-state allocation), and
-//! a delivery to a rank parked on exactly that `(src, tag)` is priced
-//! on the spot — the wire never touches a mailbox at all. Direct
-//! delivery is sound because a parked rank's queue for its awaited key
-//! is empty by construction (it parked on `pop() == None` and every
-//! later matching wire would have been delivered directly), and pricing
-//! early is invisible because the receiver is parked and its meter
-//! depends only on its own state and the wire.
+//! A rank costs what it uses. Programs stay in the `Vec` they were
+//! built into and come back in the outcome as that same allocation; a
+//! rank's executor state is one fixed-size `Slot`; undelivered wires of
+//! every rank share one recycling slab owned by the run (`crate::slab`,
+//! no steady-state allocation), reachable from the destination's slot
+//! by `(src, tag)`. A delivery to a rank parked on exactly that
+//! `(src, tag)` is priced on the spot — the wire never touches the slab
+//! at all. Direct delivery is sound because a parked rank's queue for
+//! its awaited key is empty by construction (it parked on
+//! `pop() == None` and every later matching wire would have been
+//! delivered directly), and pricing early is invisible because the
+//! receiver is parked and its meter depends only on its own state and
+//! the wire. Every `p`-sized reservation is fallible (`per_rank`): a
+//! world the host cannot hold is an `InvalidConfig`, not an abort.
 //!
 //! ## Deadlock
 //!
@@ -42,7 +47,7 @@
 
 use crate::fastpath;
 use crate::program::RankProgram;
-use crate::slab::{Mailbox, Wire};
+use crate::slab::{Inbox, Slab, Wire};
 use crate::step::{Delivered, Payload, Step};
 use psse_sim::error::SimResult;
 use psse_sim::{Meter, Profile, SimConfig, SimError, Tag};
@@ -54,8 +59,10 @@ use std::collections::VecDeque;
 /// this is the engine's only telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Sum over ranks of the peak number of wires parked in the rank's
-    /// mailbox slab (an upper bound on the global in-flight peak).
+    /// Peak number of undelivered wires parked in the run's slab at any
+    /// one moment, machine-wide. Exact: the slab is shared by all ranks.
+    /// (Before the shared slab this was a sum of per-rank peaks, an
+    /// upper bound that no single moment need have reached.)
     pub slab_live_peak: u64,
     /// Deliveries that reused a freed slab cell instead of growing.
     pub slab_recycled: u64,
@@ -69,7 +76,10 @@ pub struct ExecStats {
 /// The result of running programs on the event backend: the finished
 /// programs (which carry any algorithm results) plus the run's profile.
 pub struct EventOutcome<P> {
-    /// The per-rank programs after completion, indexed by rank id.
+    /// The per-rank programs after completion, indexed by rank id —
+    /// or **empty** when the run was priced analytically: nothing ran,
+    /// so there is nothing finished to hand back (an analytic claim is
+    /// only made by counted programs, which carry no results).
     pub programs: Vec<P>,
     /// Per-rank counters, traces, and the virtual makespan — the same
     /// `Profile` the thread backend produces, byte-identical.
@@ -93,18 +103,21 @@ impl<P> std::fmt::Debug for EventOutcome<P> {
 /// A receive the rank is parked on: `(src, tag, t0)`.
 type Waiting = (usize, Tag, f64);
 
-struct Slot<P> {
-    program: P,
+/// One rank's executor state, fixed size: the program stays in the
+/// `Vec` it was built into and parked wires live in the run's [`Slab`].
+/// All a rank may still own on the heap is what its run asks for — the
+/// meter's trace and fault state, an inbox map if it spilled.
+struct Slot {
     meter: Meter,
-    /// Undelivered transfers, held in per-`(src, tag)` FIFO chains
-    /// threaded through a recycling slab (see `crate::slab`).
-    inbox: Mailbox,
+    /// Undelivered transfers to this rank, findable by `(src, tag)` in
+    /// FIFO order (see `crate::slab`).
+    inbox: Inbox,
     /// `Some` exactly while the rank is blocked in `Recv`.
     waiting: Option<Waiting>,
     pending: Option<Delivered>,
 }
 
-impl<P> Slot<P> {
+impl Slot {
     /// Complete the receive begun at `t0` with its matching `wire`.
     #[inline]
     fn deliver(&mut self, cfg: &SimConfig, t0: f64, src: usize, tag: Tag, wire: Wire) {
@@ -121,13 +134,15 @@ impl<P> Slot<P> {
 /// `(dest, src, tag, wire)`.
 type Outgoing = (usize, usize, Tag, Wire);
 
-/// Run one rank until it blocks, completes, or fails. Outgoing
+/// Run rank `r` until it blocks, completes, or fails. Outgoing
 /// transfers to other ranks are buffered in `out` (delivery is the
 /// caller's job); self-sends land in the rank's own inbox immediately
 /// (a self-send is instantly receivable).
 fn advance<P: RankProgram>(
     r: usize,
-    slot: &mut Slot<P>,
+    program: &mut P,
+    slot: &mut Slot,
+    slab: &mut Slab,
     cfg: &SimConfig,
     out: &mut Vec<Outgoing>,
 ) -> SimResult<()> {
@@ -136,7 +151,7 @@ fn advance<P: RankProgram>(
     debug_assert!(slot.waiting.is_none());
     loop {
         let delivered = slot.pending.take();
-        match slot.program.next(delivered) {
+        match program.next(delivered) {
             Step::Compute { flops } => slot.meter.compute(cfg, flops),
             Step::CollBegin { op } => slot.meter.mark_collective_begin(cfg, op),
             Step::CollEnd { op } => slot.meter.mark_collective_end(cfg, op),
@@ -153,14 +168,14 @@ fn advance<P: RankProgram>(
                     data,
                 };
                 if dest == r {
-                    slot.inbox.push(r, tag.0, wire);
+                    slab.push(&mut slot.inbox, r, tag.0, wire);
                 } else {
                     out.push((dest, r, tag, wire));
                 }
             }
             Step::Recv { src, tag } => {
                 let t0 = slot.meter.begin_recv(src)?;
-                match slot.inbox.pop(src, tag.0) {
+                match slab.pop(&mut slot.inbox, src, tag.0) {
                     Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
                     None => {
                         slot.waiting = Some((src, tag, t0));
@@ -178,55 +193,53 @@ fn advance<P: RankProgram>(
     }
 }
 
-fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
-    let p = programs.len();
-    programs
-        .into_iter()
-        .enumerate()
-        .map(|(r, program)| Slot {
-            program,
-            meter: Meter::new(r, p, cfg),
-            inbox: Mailbox::new(),
-            waiting: None,
-            pending: None,
-        })
-        .collect()
+/// Collect `items` into a `Vec` reserved for one `T` per rank — or, when
+/// the host cannot reserve that much, return the typed error an absurd
+/// `p` deserves (the infallible `Vec::with_capacity` aborts the process
+/// instead). Every `p`-sized allocation of this crate is made here.
+pub(crate) fn per_rank<T>(p: usize, items: impl Iterator<Item = T>) -> SimResult<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(p).map_err(|_| {
+        SimError::InvalidConfig(format!(
+            "world size p = {p} is too large for this host: cannot reserve {} bytes of per-rank state",
+            p as u128 * std::mem::size_of::<T>() as u128
+        ))
+    })?;
+    v.extend(items);
+    Ok(v)
 }
 
 /// Collapse a finished run into its outcome, or the error the thread
 /// backend's triage would surface: the lowest-ranked real failure wins;
 /// otherwise all-blocked is a proven deadlock.
-fn finish<P>(slots: Vec<Slot<P>>, errors: Vec<(usize, SimError)>) -> SimResult<EventOutcome<P>> {
+fn finish<P>(
+    programs: Vec<P>,
+    slots: Vec<Slot>,
+    stats: ExecStats,
+    errors: Vec<(usize, SimError)>,
+) -> SimResult<EventOutcome<P>> {
     if let Some((_, err)) = errors.into_iter().min_by_key(|(r, _)| *r) {
         return Err(err);
     }
-    let blocked: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.waiting.is_some())
-        .map(|(r, _)| r)
-        .collect();
-    if !blocked.is_empty() {
+    let is_blocked = |(r, s): (usize, &Slot)| s.waiting.is_some().then_some(r);
+    let n_blocked = slots.iter().enumerate().filter_map(is_blocked).count();
+    if n_blocked > 0 {
+        let blocked = per_rank(n_blocked, slots.iter().enumerate().filter_map(is_blocked))?;
         return Err(SimError::Deadlock {
             rank: blocked[0],
             blocked,
         });
     }
-    let mut stats = ExecStats::default();
-    let mut programs = Vec::with_capacity(slots.len());
-    let mut per_rank = Vec::with_capacity(slots.len());
-    let mut all_events = Vec::with_capacity(slots.len());
+    let mut per_rank_stats = per_rank(slots.len(), std::iter::empty())?;
+    let mut all_events = per_rank(slots.len(), std::iter::empty())?;
     for slot in slots {
-        stats.slab_live_peak += slot.inbox.peak_live() as u64;
-        stats.slab_recycled += slot.inbox.recycled();
-        programs.push(slot.program);
         let (rank_stats, events) = slot.meter.into_parts();
-        per_rank.push(rank_stats);
+        per_rank_stats.push(rank_stats);
         all_events.push(events);
     }
     // With tracing off each rank's event vec is simply empty; there is
     // still one vec per rank, as on the thread backend.
-    let profile = Profile::with_events(per_rank, all_events);
+    let profile = Profile::with_events(per_rank_stats, all_events);
     #[cfg(debug_assertions)]
     profile.assert_balanced()?;
     Ok(EventOutcome {
@@ -241,17 +254,24 @@ pub(crate) fn cancelled(cfg: &SimConfig) -> bool {
     cfg.cancel.as_ref().is_some_and(|flag| flag.is_cancelled())
 }
 
-/// Validate the world and construct its `p` programs.
-fn build<P>(
-    p: usize,
-    cfg: &SimConfig,
-    mut make: impl FnMut(usize, usize) -> P,
-) -> SimResult<Vec<P>> {
+/// Validate the world before anything is built for it.
+fn check_world(p: usize, cfg: &SimConfig) -> SimResult<()> {
     if p == 0 {
         return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
     }
-    cfg.validate()?;
-    Ok((0..p).map(|r| make(r, p)).collect())
+    cfg.validate()
+}
+
+/// Construct the world's `p` programs, in rank order, into the `Vec`
+/// they will run in and be returned in. `rank0` is rank 0's program
+/// when the caller already had to construct it.
+fn build<P>(
+    p: usize,
+    rank0: Option<P>,
+    mut make: impl FnMut(usize, usize) -> P,
+) -> SimResult<Vec<P>> {
+    let rest = (rank0.is_some() as usize..p).map(|r| make(r, p));
+    per_rank(p, rank0.into_iter().chain(rest))
 }
 
 /// The discrete-event machine.
@@ -267,20 +287,42 @@ impl EventMachine {
     /// `0..p`; each rank runs greedily until it blocks in `Recv` or
     /// finishes. Deterministic by construction and byte-identical to
     /// the thread backend (see the module docs).
-    pub fn run<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
+    ///
+    /// The dispatch is decided without materialising the world, and
+    /// `make` runs exactly `p` times whichever way it goes. If the
+    /// configuration rules the closed form out (trace, faults,
+    /// hierarchy) or rank 0's program claims nothing, the programs are
+    /// built once, in rank order, and scheduled. If rank 0 claims a
+    /// collective, every further `make(r, p)` is asked for its claim
+    /// and dropped, and the collective is priced straight into the
+    /// profile; [`EventOutcome::programs`] is then empty. The one
+    /// exception: a rank `d > 0` whose claim differs from rank 0's
+    /// stops the stream, and the world is built afresh and scheduled —
+    /// `p + d + 1` calls, the outcome of [`EventMachine::run_general`].
+    pub fn run<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram,
         F: FnMut(usize, usize) -> P,
     {
-        let programs = build(p, cfg, make)?;
-        if let Some(profile) = fastpath::try_run(p, cfg, &programs)? {
-            return Ok(EventOutcome {
-                programs,
-                profile,
-                stats: ExecStats::default(),
-            });
+        check_world(p, cfg)?;
+        let mut rank0 = None;
+        if fastpath::eligible(cfg) {
+            let program = make(0, p);
+            match program.analytic() {
+                Some(op) => {
+                    drop(program);
+                    if let Some(profile) = fastpath::price(p, cfg, op, |r| make(r, p).analytic())? {
+                        return Ok(EventOutcome {
+                            programs: Vec::new(),
+                            profile,
+                            stats: ExecStats::default(),
+                        });
+                    }
+                }
+                None => rank0 = Some(program),
+            }
         }
-        run_worklist(cfg, programs, (0..p).collect())
+        run_worklist(cfg, build(p, rank0, make)?, per_rank(p, 0..p)?.into())
     }
 
     /// [`EventMachine::run`] with the analytic fast path disabled: the
@@ -291,7 +333,8 @@ impl EventMachine {
         P: RankProgram,
         F: FnMut(usize, usize) -> P,
     {
-        run_worklist(cfg, build(p, cfg, make)?, (0..p).collect())
+        check_world(p, cfg)?;
+        run_worklist(cfg, build(p, None, make)?, per_rank(p, 0..p)?.into())
     }
 
     /// Forwards to [`EventMachine::run`]; `workers` is ignored (there is
@@ -314,13 +357,22 @@ impl EventMachine {
 
 /// The one scheduled executor. `runnable` is the initial worklist — a
 /// permutation of `0..p`; the public entry points pass `0..p`, the
-/// order-independence test passes others.
+/// order-independence test passes others. The programs run where they
+/// were built and leave in the outcome as the same allocation.
 fn run_worklist<P: RankProgram>(
     cfg: &SimConfig,
-    programs: Vec<P>,
+    mut programs: Vec<P>,
     mut runnable: VecDeque<usize>,
 ) -> SimResult<EventOutcome<P>> {
-    let mut slots = make_slots(programs, cfg);
+    let p = programs.len();
+    let fresh = |r| Slot {
+        meter: Meter::new(r, p, cfg),
+        inbox: Inbox::new(),
+        waiting: None,
+        pending: None,
+    };
+    let mut slots = per_rank(p, (0..p).map(fresh))?;
+    let mut slab = Slab::new();
     let mut errors: Vec<(usize, SimError)> = Vec::new();
     let mut out: Vec<Outgoing> = Vec::new();
     // Every rank is on the worklist at most once: it is pushed at seed
@@ -333,7 +385,7 @@ fn run_worklist<P: RankProgram>(
         if cancelled(cfg) {
             return Err(SimError::Cancelled);
         }
-        if let Err(e) = advance(r, &mut slots[r], cfg, &mut out) {
+        if let Err(e) = advance(r, &mut programs[r], &mut slots[r], &mut slab, cfg, &mut out) {
             errors.push((r, e));
         }
         // Deliver this turn's sends. A receiver parked on exactly this
@@ -347,11 +399,18 @@ fn run_worklist<P: RankProgram>(
                     slot.deliver(cfg, t0, src, tag, wire);
                     runnable.push_back(dest);
                 }
-                _ => slot.inbox.push(src, tag.0, wire),
+                _ => slab.push(&mut slot.inbox, src, tag.0, wire),
             }
         }
     }
-    finish(slots, errors)
+    let stats = ExecStats {
+        slab_live_peak: slab.peak_live,
+        slab_recycled: slab.recycled,
+        calq_overflow: 0,
+    };
+    // Free the run's scratch before `finish` reserves the profile.
+    drop((slab, runnable, out));
+    finish(programs, slots, stats, errors)
 }
 
 #[cfg(test)]
@@ -441,5 +500,60 @@ mod tests {
         assert_eq!(asc.profile.total_msgs_sent(), t.msgs);
         assert_eq!(asc.profile, desc.profile);
         assert_eq!(asc.profile, shuffled.profile);
+    }
+
+    /// Ranks `1..p` each send rank 0 three transfers of distinct sizes
+    /// under one tag; rank 0 collects from the highest rank down —
+    /// against arrival order, so its receives scan far and its inbox
+    /// spills into keyed chains mid-run.
+    struct ReverseGather {
+        me: usize,
+        p: usize,
+        /// Transfers sent (leaves) or received (rank 0) so far.
+        done: usize,
+    }
+
+    impl RankProgram for ReverseGather {
+        fn next(&mut self, delivered: Option<Delivered>) -> Step {
+            let tag = Tag(7);
+            if self.me > 0 {
+                if self.done == 3 {
+                    return Step::Done;
+                }
+                self.done += 1;
+                let payload = Payload::Counted(10 * self.me + self.done);
+                return Step::Send {
+                    dest: 0,
+                    tag,
+                    payload,
+                };
+            }
+            if let Some(d) = delivered {
+                let src = self.p - 1 - (self.done - 1) / 3;
+                assert_eq!(d.words, 10 * src + 1 + (self.done - 1) % 3, "per-key FIFO");
+            }
+            if self.done == 3 * (self.p - 1) {
+                return Step::Done;
+            }
+            self.done += 1;
+            let src = self.p - 1 - (self.done - 1) / 3;
+            Step::Recv { src, tag }
+        }
+    }
+
+    /// Per-`(src, tag)` FIFO matching survives an inbox that changes
+    /// form under it, and the bytes are the thread backend's.
+    #[test]
+    fn out_of_order_receives_match_fifo_and_the_thread_backend() {
+        let p = 48;
+        let make = |me, p| ReverseGather { me, p, done: 0 };
+        let events = EventMachine::run(p, &SimConfig::default(), make).unwrap();
+        assert_eq!(events.stats.slab_live_peak, 3 * (p as u64 - 1) - 1);
+        let threads = SimConfig {
+            backend: psse_sim::Backend::Threads,
+            ..SimConfig::default()
+        };
+        let threads = crate::run_programs(p, &threads, make).unwrap();
+        assert_eq!(events.profile, threads.profile);
     }
 }

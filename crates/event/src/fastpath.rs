@@ -5,9 +5,9 @@
 //! pure function of the message DAG (see the `exec` module docs). For
 //! the built-in allreduces the DAG is known in closed form, so instead
 //! of scheduling `O(p log p)` wires one by one, this module walks each
-//! rank's pricing sequence directly over arrays — sends through
-//! `psse_sim::meter::charge_chunks`, the same `max(clock, depart)`
-//! joins. The result is byte-identical to the general executor
+//! rank's pricing sequence directly over arrays — sends as the chunks
+//! `psse_sim::meter::charge_chunks` cuts, each at its `chunk_charge`,
+//! and the same `max(clock, depart)` joins. The result is byte-identical to the general executor
 //! (enforced by the `fastpath_identity` differential tests against
 //! `EventMachine::run_general`, which forces the general path).
 //!
@@ -23,131 +23,148 @@
 //! * every rank's program must claim the *same*
 //!   [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none).
 //!
+//! Eligibility is decided before any program exists ([`eligible`], then
+//! rank 0's claim), and the remaining claims are *streamed*: each
+//! `make(r, p)` is constructed, asked, and dropped, so an analytic run
+//! never holds `p` programs. The collective is then priced straight
+//! into the `Vec<RankStats>` the profile will own — the clock of a rank
+//! in flight is its `finish_time` — so the run's whole footprint is the
+//! profile plus one `f64` of depart time per rank (two for the
+//! pairwise collectives).
+//!
 //! Once engaged it honours [`SimConfig::cancel`] like the scheduler
 //! does: checked up front and once per round of the `O(p)`-round
 //! collectives, so a watchdog can abandon a large ring.
 
-use crate::exec::cancelled;
-use crate::program::{AnalyticOp, RankProgram};
+use crate::exec::{cancelled, per_rank};
+use crate::program::AnalyticOp;
 use crate::programs::{PairwiseSchedule, RecursiveDoubling, Ring};
 use psse_sim::error::SimResult;
-use psse_sim::meter::{charge_chunks, chunk_count};
+use psse_sim::meter::{charge_chunks, chunk_charge};
 use psse_sim::{Profile, RankStats, SimConfig, SimError};
 
-/// One rank's accounting lane: exactly the fields of `RankStats` the
-/// general path can touch on a trace-less, fault-less, flat run.
-#[derive(Clone, Copy, Default)]
-struct Lane {
-    time: f64,
-    flops: u64,
-    msgs_sent: u64,
-    words_sent: u64,
-    msgs_recvd: u64,
-    words_recvd: u64,
-}
-
-/// The flat-machine prices the evaluators thread through every lane.
-#[derive(Clone, Copy)]
+/// The flat-machine prices of one collective, whose every transfer
+/// carries the same `words`. A rank's lane is its `RankStats` itself:
+/// of its fields, exactly the ones the general path can touch on a
+/// trace-less, fault-less, flat run are written, with `finish_time` as
+/// the running clock.
 struct Prices {
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    m: u64,
-    /// Constant because every transfer of these collectives carries
-    /// `words`.
+    /// What the messages of one transfer add to the sender's clock, in
+    /// order, as runs `(charge, messages)`: the chunks `charge_chunks`
+    /// cuts `words` into, each at its `chunk_charge`, bit-equal
+    /// neighbours folded (full chunks, then the remainder — two runs at
+    /// most, so a transfer of a billion messages is still a few bytes
+    /// of prices). Derived once; every send replays it.
+    charges: Vec<(f64, u64)>,
+    /// Messages per transfer.
     n_chunks: u64,
+    /// What merging one received block adds to the clock: `γ·words`.
+    merge: f64,
     words: u64,
 }
 
 impl Prices {
     fn new(cfg: &SimConfig, words: usize) -> Self {
-        let m = cfg.max_message_words;
+        let (m, alpha, beta) = (cfg.max_message_words as u64, cfg.alpha_t, cfg.beta_t);
+        let mut charges: Vec<(f64, u64)> = Vec::new();
+        charge_chunks(&mut 0.0, words as u64, m, alpha, beta, |k| {
+            let charge = chunk_charge(k, alpha, beta);
+            match charges.last_mut() {
+                Some((last, n)) if last.to_bits() == charge.to_bits() => *n += 1,
+                _ => charges.push((charge, 1)),
+            }
+        });
         Prices {
-            alpha: cfg.alpha_t,
-            beta: cfg.beta_t,
-            gamma: cfg.gamma_t,
-            m: m as u64,
-            n_chunks: chunk_count(words, m) as u64,
+            n_chunks: charges.iter().map(|&(_, n)| n).sum(),
+            charges,
+            merge: cfg.gamma_t * words as f64,
             words: words as u64,
+        }
+    }
+
+    /// Advance every clock of `clocks` by one transfer's messages: each
+    /// lane adds the same charges in the same order a lone
+    /// `charge_chunks` would, lane-innermost so the loop vectorises.
+    #[inline]
+    fn charge(&self, clocks: &mut [f64]) {
+        for &(charge, n) in &self.charges {
+            for _ in 0..n {
+                for clock in &mut *clocks {
+                    *clock += charge;
+                }
+            }
         }
     }
 
     /// A flat-machine `Meter::send`; returns the depart time (the
     /// sender's clock after the last chunk).
     #[inline]
-    fn send(&self, lane: &mut Lane) -> f64 {
-        let (msgs, words) = (&mut lane.msgs_sent, &mut lane.words_sent);
-        charge_chunks(
-            &mut lane.time,
-            self.words,
-            self.m,
-            self.alpha,
-            self.beta,
-            |k| {
-                *msgs += 1;
-                *words += k;
-            },
-        );
-        lane.time
+    fn send(&self, lane: &mut RankStats) -> f64 {
+        self.charge(std::slice::from_mut(&mut lane.finish_time));
+        lane.msgs_sent += self.n_chunks;
+        lane.words_sent += self.words;
+        lane.finish_time
     }
 
     /// `Meter::recv`.
     #[inline]
-    fn recv(&self, lane: &mut Lane, depart: f64) {
-        lane.time = lane.time.max(depart);
+    fn recv(&self, lane: &mut RankStats, depart: f64) {
+        lane.finish_time = lane.finish_time.max(depart);
         lane.words_recvd += self.words;
         lane.msgs_recvd += self.n_chunks;
     }
 
     /// `Meter::compute` of one flop per word.
     #[inline]
-    fn compute(&self, lane: &mut Lane) {
+    fn compute(&self, lane: &mut RankStats) {
         lane.flops += self.words;
-        lane.time += self.gamma * self.words as f64;
+        lane.finish_time += self.merge;
     }
 }
 
-/// Price the run analytically if every guard passes; `Ok(None)` falls
-/// back to the general executor.
-pub(crate) fn try_run<P: RankProgram>(
+/// Can a run under `cfg` be priced in closed form at all? Only when
+/// nothing observes individual events (see the module docs).
+pub(crate) fn eligible(cfg: &SimConfig) -> bool {
+    !cfg.record_trace && cfg.faults.is_none() && cfg.hierarchy.is_none()
+}
+
+/// `len` copies of `value`, reserved fallibly (see [`per_rank`]).
+fn filled<T: Clone>(len: usize, value: T) -> SimResult<Vec<T>> {
+    per_rank(len, std::iter::repeat_n(value, len))
+}
+
+/// Price `op`, which rank 0 of an [`eligible`] run claims, on `p`
+/// ranks. `claim(r)` is rank `r`'s own claim, asked once each for
+/// `1..p` in order; the first rank that disagrees ends the attempt with
+/// `Ok(None)` and the caller falls back to the general executor.
+pub(crate) fn price(
     p: usize,
     cfg: &SimConfig,
-    programs: &[P],
+    op: AnalyticOp,
+    claim: impl FnMut(usize) -> Option<AnalyticOp>,
 ) -> SimResult<Option<Profile>> {
-    if cfg.record_trace || cfg.faults.is_some() || cfg.hierarchy.is_some() {
-        return Ok(None);
-    }
-    let Some(op) = programs.first().and_then(|prog| prog.analytic()) else {
-        return Ok(None);
-    };
-    if programs.iter().any(|prog| prog.analytic() != Some(op)) {
+    // Reserve before streaming: an absurd `p` fails here, at once.
+    let mut lanes = filled(p, RankStats::default())?;
+    if (1..p).map(claim).any(|claimed| claimed != Some(op)) {
         return Ok(None);
     }
     if cancelled(cfg) {
         return Err(SimError::Cancelled);
     }
-    let lanes = match op {
-        AnalyticOp::BinomialAllreduce { words } => binomial(p, Prices::new(cfg, words)),
-        AnalyticOp::RecursiveDoublingAllreduce { words } => {
-            pairwise::<RecursiveDoubling>(p, cfg, words)?
+    let (AnalyticOp::BinomialAllreduce { words }
+    | AnalyticOp::RecursiveDoublingAllreduce { words }
+    | AnalyticOp::RingAllreduce { words }) = op;
+    let pr = Prices::new(cfg, words);
+    match op {
+        AnalyticOp::BinomialAllreduce { .. } => binomial(&mut lanes, &pr)?,
+        AnalyticOp::RecursiveDoublingAllreduce { .. } => {
+            pairwise::<RecursiveDoubling>(&mut lanes, cfg, &pr)?
         }
-        AnalyticOp::RingAllreduce { words } => pairwise::<Ring>(p, cfg, words)?,
-    };
-    let per_rank: Vec<RankStats> = lanes
-        .into_iter()
-        .map(|lane| RankStats {
-            flops: lane.flops,
-            msgs_sent: lane.msgs_sent,
-            words_sent: lane.words_sent,
-            msgs_recvd: lane.msgs_recvd,
-            words_recvd: lane.words_recvd,
-            finish_time: lane.time,
-            ..RankStats::default()
-        })
-        .collect();
+        AnalyticOp::RingAllreduce { .. } => pairwise::<Ring>(&mut lanes, cfg, &pr)?,
+    }
     // One (empty) trace vec per rank, as the general path reports with
     // tracing off.
-    let profile = Profile::with_events(per_rank, vec![Vec::new(); p]);
+    let profile = Profile::with_events(lanes, filled(p, Vec::new())?);
     debug_assert!(profile.assert_balanced().is_ok());
     Ok(Some(profile))
 }
@@ -158,11 +175,11 @@ pub(crate) fn try_run<P: RankProgram>(
 /// reduce action, so processing high ranks first has every depart time
 /// ready. Broadcast pass in *ascending* order: rank `v > 0` receives
 /// from parent `v − lowbit(v) < v`, then fans to children `> v`.
-fn binomial(p: usize, pr: Prices) -> Vec<Lane> {
-    let mut lanes = vec![Lane::default(); p];
+fn binomial(lanes: &mut [RankStats], pr: &Prices) -> SimResult<()> {
+    let p = lanes.len();
     // depart[c] = depart time of c's reduce send (each rank sends at
     // most once in the reduce tree).
-    let mut depart = vec![0.0f64; p];
+    let mut depart = filled(p, 0.0f64)?;
     for v in (0..p).rev() {
         let mut mask = 1usize;
         while mask < p {
@@ -196,73 +213,88 @@ fn binomial(p: usize, pr: Prices) -> Vec<Lane> {
             mask >>= 1;
         }
     }
-    lanes
+    Ok(())
 }
 
 /// The pairwise-round allreduces: per round every rank sends to its
 /// peer, then receives and merges — so price each round in two sweeps
 /// (all sends, then all recv+computes), which is exactly each rank's
-/// own program order with every depart time ready. The ring's `O(p)`
-/// rounds make this `O(p²)` work — still the cheap side of `O(p²)`
-/// scheduled events, but the reason the cancel flag is polled here.
-fn pairwise<S: PairwiseSchedule>(p: usize, cfg: &SimConfig, words: usize) -> SimResult<Vec<Lane>> {
-    let pr = Prices::new(cfg, words);
-    let mut lanes = vec![Lane::default(); p];
-    let mut depart = vec![0.0f64; p];
+/// own program order with every depart time ready. Every rank performs
+/// the same operations on the same sizes, so only the clocks differ:
+/// the sweeps run over dense `f64` arrays, in loops a compiler can
+/// vectorise — each lane still adds the same charges in the same order
+/// — one lane is priced per round for the counters all ranks share, and
+/// the two are joined at the end. The receive sweep walks the
+/// schedule's [`PairwiseSchedule::recv_run`]s — stretches of consecutive
+/// ranks whose peers are consecutive too (the ring's rotation is two,
+/// recursive doubling's xor-stride `p / 2^r`) — so a lane-round is a
+/// zipped slice step, not a peer computation. The ring's `O(p)` rounds
+/// make this `O(p²)` work — still the cheap side of `O(p²)` scheduled
+/// events, but the reason the cancel flag is polled here.
+fn pairwise<S: PairwiseSchedule>(
+    lanes: &mut [RankStats],
+    cfg: &SimConfig,
+    pr: &Prices,
+) -> SimResult<()> {
+    let p = lanes.len();
+    let mut counters = RankStats::default();
+    let mut clock = filled(p, 0.0f64)?;
+    let mut depart = filled(p, 0.0f64)?;
     for round in 0..S::rounds(p) {
         if cancelled(cfg) {
             return Err(SimError::Cancelled);
         }
-        for (v, lane) in lanes.iter_mut().enumerate() {
-            depart[v] = pr.send(lane);
-        }
-        for (v, lane) in lanes.iter_mut().enumerate() {
-            pr.recv(lane, depart[S::recv_peer(v, round, p)]);
-            pr.compute(lane);
+        pr.send(&mut counters);
+        pr.recv(&mut counters, 0.0);
+        pr.compute(&mut counters);
+        pr.charge(&mut clock);
+        depart.copy_from_slice(&clock);
+        let mut v = 0;
+        while v < p {
+            let (peer, len) = S::recv_run(v, round, p);
+            for (clock, depart) in clock[v..v + len].iter_mut().zip(&depart[peer..peer + len]) {
+                *clock = clock.max(*depart) + pr.merge;
+            }
+            v += len;
         }
     }
-    Ok(lanes)
+    for (lane, clock) in lanes.iter_mut().zip(clock) {
+        *lane = RankStats {
+            finish_time: clock,
+            ..counters
+        };
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::EventMachine;
+    use crate::exec::{EventMachine, EventOutcome};
+    use crate::program::RankProgram;
     use crate::programs::{BinomialAllreduce, RingAllreduce};
+    use crate::step::{Delivered, Step};
     use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
     use psse_sim::machine::{CancelFlag, Hierarchy};
     use psse_sim::{SimConfig, Tag};
 
-    fn counted(p: usize) -> Vec<BinomialAllreduce> {
-        let make = BinomialAllreduce::counted(Tag(0), 100);
-        (0..p).map(|r| make(r, p)).collect()
+    const WORDS: usize = 100;
+
+    /// Was the run priced in closed form? Byte-identity can't tell
+    /// (identical output is the whole point); the outcome's programs
+    /// can: an analytic run has none to hand back, a scheduled run
+    /// hands back all `p`.
+    fn priced<P>(out: &EventOutcome<P>) -> bool {
+        assert!(out.programs.is_empty() || out.programs.len() == out.profile.p());
+        out.programs.is_empty()
     }
 
-    /// The fast path must actually engage on the headline workload —
-    /// byte-identity alone can't prove that (identical output is the
-    /// whole point), so pin the dispatch decision here.
-    #[test]
-    fn engages_for_counted_binomial() {
-        let programs = counted(64);
-        let profile = try_run(64, &SimConfig::default(), &programs)
-            .unwrap()
-            .expect("fast path");
-        let t = BinomialAllreduce::expected_totals(64, 100, 1 << 16);
-        assert_eq!(profile.total_msgs_sent(), t.msgs);
-        assert_eq!(profile.total_words_sent(), t.words);
-        assert_eq!(profile.total_flops(), t.flops);
-        assert_eq!(profile.events.len(), 64, "one (empty) trace vec per rank");
-    }
-
-    /// Every event-observing feature must force the general path.
-    #[test]
-    fn guards_refuse_trace_faults_hierarchy_and_data() {
-        let programs = counted(8);
+    /// The three configurations that observe individual events.
+    fn observing_cfgs() -> [(&'static str, SimConfig); 3] {
         let traced = SimConfig {
             record_trace: true,
             ..SimConfig::default()
         };
-        assert!(try_run(8, &traced, &programs).unwrap().is_none());
         let faulted = SimConfig {
             faults: Some(FaultPlan {
                 spec: FaultSpec {
@@ -277,7 +309,6 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &faulted, &programs).unwrap().is_none());
         let hierarchical = SimConfig {
             hierarchy: Some(Hierarchy {
                 cores_per_node: 4,
@@ -286,12 +317,130 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &hierarchical, &programs).unwrap().is_none());
-        let make = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);
-        let data_mode: Vec<BinomialAllreduce> = (0..8).map(|r| make(r, 8)).collect();
-        assert!(try_run(8, &SimConfig::default(), &data_mode)
-            .unwrap()
-            .is_none());
+        [
+            ("trace", traced),
+            ("faults", faulted),
+            ("hierarchy", hierarchical),
+        ]
+    }
+
+    /// `make`, counting its calls.
+    fn counting<'a, P>(
+        calls: &'a mut usize,
+        make: impl Fn(usize, usize) -> P + 'a,
+    ) -> impl FnMut(usize, usize) -> P + 'a {
+        move |r, p| {
+            *calls += 1;
+            make(r, p)
+        }
+    }
+
+    /// A counted binomial rank whose claim is whatever the test says.
+    struct Claiming {
+        inner: BinomialAllreduce,
+        claim: Option<AnalyticOp>,
+    }
+
+    impl RankProgram for Claiming {
+        fn next(&mut self, delivered: Option<Delivered>) -> Step {
+            self.inner.next(delivered)
+        }
+        fn analytic(&self) -> Option<AnalyticOp> {
+            self.claim
+        }
+    }
+
+    /// Counted binomial ranks that all claim it, except that rank
+    /// `dissenter` claims `claim`.
+    fn all_but(dissenter: usize, claim: Option<AnalyticOp>) -> impl Fn(usize, usize) -> Claiming {
+        let make = BinomialAllreduce::counted(Tag(0), WORDS);
+        move |r, p| {
+            let inner = make(r, p);
+            let claim = if r == dissenter {
+                claim
+            } else {
+                inner.analytic()
+            };
+            Claiming { inner, claim }
+        }
+    }
+
+    /// The fast path must actually engage on the headline workload —
+    /// pin the dispatch decision, and that `make` ran once per rank.
+    #[test]
+    fn engages_for_counted_binomial() {
+        let mut calls = 0;
+        let make = counting(&mut calls, BinomialAllreduce::counted(Tag(0), WORDS));
+        let out = EventMachine::run(64, &SimConfig::default(), make).unwrap();
+        assert!(priced(&out));
+        assert_eq!(calls, 64, "each rank constructed once, asked, dropped");
+        let t = BinomialAllreduce::expected_totals(64, WORDS as u64, 1 << 16);
+        assert_eq!(out.profile.total_msgs_sent(), t.msgs);
+        assert_eq!(out.profile.total_words_sent(), t.words);
+        assert_eq!(out.profile.total_flops(), t.flops);
+        assert_eq!(
+            out.profile.events.len(),
+            64,
+            "one (empty) trace vec per rank"
+        );
+    }
+
+    /// Every event-observing feature must force the general path, and a
+    /// run scheduled from rank 0 on builds each program exactly once.
+    #[test]
+    fn guards_refuse_trace_faults_hierarchy_and_data() {
+        for (what, cfg) in observing_cfgs() {
+            assert!(!eligible(&cfg), "{what}");
+            let mut calls = 0;
+            let make = counting(&mut calls, BinomialAllreduce::counted(Tag(0), WORDS));
+            let out = EventMachine::run(8, &cfg, make).unwrap();
+            assert!(!priced(&out), "{what}");
+            assert_eq!(calls, 8, "{what}");
+        }
+        let mut calls = 0;
+        let data_mode = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);
+        let out =
+            EventMachine::run(8, &SimConfig::default(), counting(&mut calls, data_mode)).unwrap();
+        assert!(!priced(&out), "data mode claims nothing");
+        assert_eq!(calls, 8, "rank 0's program is kept, not rebuilt");
+        assert_eq!(out.programs[7].result(), Some(&[8.0; 8][..]));
+    }
+
+    /// One rank that claims nothing — or the same collective at another
+    /// size — sends the whole run to the scheduler, with the outcome
+    /// `run_general` gives. A dissenter after rank 0 is the one case
+    /// that constructs programs twice: the streamed ranks `0..=d`, then
+    /// the whole world.
+    #[test]
+    fn a_dissenting_rank_falls_back_to_the_scheduler() {
+        let p = 12;
+        let cfg = SimConfig::default();
+        let other_size = Some(AnalyticOp::BinomialAllreduce { words: WORDS + 1 });
+        for claim in [None, other_size] {
+            for d in [0, 5, p - 1] {
+                let mut calls = 0;
+                let out =
+                    EventMachine::run(p, &cfg, counting(&mut calls, all_but(d, claim))).unwrap();
+                assert!(!priced(&out), "rank {d} claims {claim:?}");
+                // The stream stops at the first rank that differs from
+                // rank 0 (which is rank 1 when rank 0 is the odd one),
+                // unless rank 0 claims nothing and is simply kept.
+                let streamed = match (d, claim) {
+                    (0, None) => 0,
+                    (0, Some(_)) => 2,
+                    _ => d + 1,
+                };
+                assert_eq!(calls, p + streamed, "rank {d} claims {claim:?}");
+                let general = EventMachine::run_general(p, &cfg, all_but(d, claim)).unwrap();
+                assert_eq!(out.profile, general.profile);
+                assert_eq!(out.stats, general.stats);
+            }
+        }
+        // The control: with no dissenter the same programs are priced.
+        let out = EventMachine::run(p, &cfg, all_but(p, None)).unwrap();
+        assert!(priced(&out));
+        let general = EventMachine::run_general(p, &cfg, all_but(p, None)).unwrap();
+        assert_eq!(out.profile, general.profile);
     }
 
     /// A raised cancel flag abandons the run on the analytic path
@@ -313,6 +462,52 @@ mod tests {
                 matches!(general, Err(SimError::Cancelled)),
                 "general, p={p}"
             );
+        }
+    }
+
+    /// A world that cannot exist is refused identically by both entry
+    /// points, before any program is constructed: `p = 0` and a bad
+    /// configuration with today's messages, and a `p` whose per-rank
+    /// state the host cannot reserve with a typed error naming `p` and
+    /// the bytes — not the allocator's abort.
+    #[test]
+    fn invalid_worlds_fail_alike_on_both_paths() {
+        let both = |p: usize, cfg: &SimConfig| {
+            let make = |_: usize, _: usize| -> BinomialAllreduce {
+                panic!("an invalid world constructs no program")
+            };
+            let fast = EventMachine::run(p, cfg, make).unwrap_err();
+            let general = EventMachine::run_general(p, cfg, make).unwrap_err();
+            assert_eq!(fast, general);
+            fast
+        };
+        assert_eq!(
+            both(0, &SimConfig::default()),
+            SimError::InvalidConfig("world size p must be >= 1".into())
+        );
+        let no_words = SimConfig {
+            max_message_words: 0,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            both(1 << 40, &no_words),
+            SimError::InvalidConfig("max_message_words must be at least 1".into())
+        );
+
+        let p = 1usize << 40;
+        let make = BinomialAllreduce::counted(Tag(0), WORDS);
+        for (entry, err) in [
+            ("run", EventMachine::run(p, &SimConfig::default(), &make)),
+            (
+                "run_general",
+                EventMachine::run_general(p, &SimConfig::default(), &make),
+            ),
+        ] {
+            let Err(SimError::InvalidConfig(msg)) = err else {
+                panic!("{entry}: expected InvalidConfig, got {err:?}");
+            };
+            assert!(msg.contains("p = 1099511627776"), "{entry}: {msg}");
+            assert!(msg.contains("bytes"), "{entry}: {msg}");
         }
     }
 }

@@ -17,8 +17,8 @@
 //! rank here is a [`psse_sim::Meter`], the same pricing core
 //! `psse_sim::Rank` wraps — Eq. 1 chunked sends, postal-model receives,
 //! fault injection with retries/backoff/checkpoints, trace recording.
-//! What this crate adds is transport and matching (slab mailboxes,
-//! per-`(src, tag)` FIFO delivery), and since profiles are pure
+//! What this crate adds is transport and matching (one shared wire
+//! slab, per-`(src, tag)` FIFO delivery), and since profiles are pure
 //! functions of the message DAG, both backends produce byte-identical
 //! profiles, traces, and fault counters (the cross-backend tests here
 //! and the repo-level `proptest_backends` property test pin the
@@ -37,17 +37,26 @@
 //!
 //! ## The mega-scale hot path
 //!
-//! Two structures keep wall-clock cost `O(1)` per event at `p = 10^6`:
-//! per-rank **slab mailboxes** with free-list recycling and
-//! `(src, tag)`-chained indexing (steady state allocates nothing; a
-//! wire for a rank parked on exactly that key skips the mailbox
-//! altogether), and an **analytic fast path** that prices native
-//! counted collectives in closed form when nothing can observe
-//! individual events (no trace, no faults, no hierarchy, no data
-//! payloads) — byte-identical profiles, enforced by differential tests
-//! against
-//! [`EventMachine::run_general`], which always schedules. Engine health
-//! counters ([`ExecStats`]) ride on every outcome, per run.
+//! At `p = 10^6` host cost is bytes touched per rank, so a rank costs
+//! what it uses. Programs run in the `Vec` they were built into; a
+//! rank's executor state is one fixed-size slot; the undelivered wires
+//! of all ranks share **one recycling slab** owned by the run, found
+//! from the destination's slot by `(src, tag)` in FIFO order (steady
+//! state allocates nothing, per rank or otherwise; a wire for a rank
+//! parked on exactly that key skips the slab altogether). An
+//! **analytic fast path** prices native counted collectives in closed
+//! form when nothing can observe individual events (no trace, no
+//! faults, no hierarchy, no data payloads): each rank's program is
+//! constructed, asked for its claim and dropped, and the collective is
+//! priced straight into the profile — no world is built, and
+//! [`EventOutcome::programs`] is empty — with byte-identical profiles,
+//! enforced by differential tests against
+//! [`EventMachine::run_general`], which always schedules. Every
+//! `p`-sized allocation is a fallible reservation, so a world the host
+//! cannot hold is a [`psse_sim::SimError::InvalidConfig`], not an
+//! abort. Engine health counters ([`ExecStats`]) ride on every outcome,
+//! per run; `tests/bytes_per_rank.rs` holds the per-rank budget under a
+//! counting allocator.
 //!
 //! ## Example
 //!

@@ -325,7 +325,14 @@ pub trait PairwiseSchedule {
     /// Who `me` sends to in round `r`.
     fn send_peer(me: usize, r: usize, p: usize) -> usize;
     /// Who `me` receives from in round `r`.
-    fn recv_peer(me: usize, r: usize, p: usize) -> usize;
+    fn recv_peer(me: usize, r: usize, p: usize) -> usize {
+        Self::recv_run(me, r, p).0
+    }
+    /// Round `r`'s receive pattern from `me` on, as a run `(peer, len)`:
+    /// ranks `me .. me + len` receive from `peer .. peer + len`, one to
+    /// one (`len ≥ 1`). This is what lets the closed form price a round
+    /// over slices instead of asking for one peer at a time.
+    fn recv_run(me: usize, r: usize, p: usize) -> (usize, usize);
     /// The analytic claim of a counted run (see [`AnalyticOp`]).
     fn analytic(words: usize) -> AnalyticOp;
 }
@@ -346,8 +353,10 @@ impl PairwiseSchedule for RecursiveDoubling {
     fn send_peer(me: usize, r: usize, _p: usize) -> usize {
         me ^ (1usize << r)
     }
-    fn recv_peer(me: usize, r: usize, _p: usize) -> usize {
-        me ^ (1usize << r)
+    fn recv_run(me: usize, r: usize, _p: usize) -> (usize, usize) {
+        // Up to the end of `me`'s block of `2^r` ranks.
+        let stride = 1usize << r;
+        (me ^ stride, stride - (me & (stride - 1)))
     }
     fn analytic(words: usize) -> AnalyticOp {
         AnalyticOp::RecursiveDoublingAllreduce { words }
@@ -366,8 +375,13 @@ impl PairwiseSchedule for Ring {
     fn send_peer(me: usize, _r: usize, p: usize) -> usize {
         (me + 1) % p
     }
-    fn recv_peer(me: usize, _r: usize, p: usize) -> usize {
-        (me + p - 1) % p
+    fn recv_run(me: usize, _r: usize, p: usize) -> (usize, usize) {
+        // The rotation by one: rank 0 wraps, everyone else runs on.
+        if me == 0 {
+            (p - 1, 1)
+        } else {
+            (me - 1, p - me)
+        }
     }
     fn analytic(words: usize) -> AnalyticOp {
         AnalyticOp::RingAllreduce { words }

@@ -9,15 +9,16 @@
 //! whatever means it has, and hands it to [`Meter::recv`]; delivering
 //! per `(src, tag)` in FIFO order is the whole transport contract.
 //!
-//! The per-chunk charge `α + β·k` is written once, in [`charge_chunks`];
-//! trace replay and the analytic fast path price through it too.
+//! The per-chunk charge `α + β·k` is written once, in [`chunk_charge`],
+//! and the chunking of a transfer once, in [`charge_chunks`]; trace
+//! replay and the analytic fast path price through them too.
 
 use crate::error::{SimError, SimResult};
 use crate::machine::{Hierarchy, SimConfig};
 use crate::message::{SharedPayload, Tag};
 use crate::profile::RankStats;
 use crate::record::{EventKind, TimedEvent};
-use psse_faults::{FaultPlan, LinkFaultKind};
+use psse_faults::LinkFaultKind;
 use std::sync::Arc;
 
 /// Whether ranks `a` and `b` share a node (never, on a flat machine).
@@ -50,11 +51,19 @@ pub fn chunk_count(words: usize, m: usize) -> usize {
     words.div_ceil(m).max(1)
 }
 
+/// What one message of `k` words adds to its sender's clock:
+/// `alpha + beta·k`, Eq. 1's per-message charge.
+#[inline]
+pub fn chunk_charge(k: u64, alpha: f64, beta: f64) -> f64 {
+    alpha + beta * k as f64
+}
+
 /// Charge one `words`-word transfer to `time`, chunk by chunk (the
 /// paper's `S = W/m`): each of the [`chunk_count`] chunks of `k ≤ m`
-/// words advances the clock by `alpha + beta·k`, then `per_chunk(k)`
-/// books it into whichever counters the caller keeps. Sends, wasted
-/// retransmissions and checkpoint writes differ only in that closure.
+/// words advances the clock by its [`chunk_charge`], then
+/// `per_chunk(k)` books it into whichever counters the caller keeps.
+/// Sends, wasted retransmissions and checkpoint writes differ only in
+/// that closure.
 #[inline]
 pub fn charge_chunks(
     time: &mut f64,
@@ -67,7 +76,7 @@ pub fn charge_chunks(
     let mut left = words;
     loop {
         let k = left.min(m);
-        *time += alpha + beta * k as f64;
+        *time += chunk_charge(k, alpha, beta);
         per_chunk(k);
         if left <= m {
             break;
@@ -84,11 +93,12 @@ fn corrupt_word(x: f64) -> f64 {
 }
 
 /// Per-rank fault-injection state (present only when
-/// `SimConfig::faults` is set). Fault decisions are pure functions of
-/// the plan seed and the per-link transfer counters kept here, so they
-/// do not depend on the order ranks execute in.
+/// `SimConfig::faults` is set). Only what changes per rank lives here;
+/// the plan itself is read from the `SimConfig` every call receives, so
+/// a million faulted meters share one plan. Fault decisions are pure
+/// functions of the plan seed and the per-link transfer counters kept
+/// here, so they do not depend on the order ranks execute in.
 struct FaultState {
-    plan: FaultPlan,
     /// Transfers initiated per outgoing link (indexes the plan): a
     /// peer-sorted arena with one entry per distinct peer ever sent to,
     /// so whole-machine fault state is `O(edges)`, not `O(p²)`.
@@ -160,7 +170,6 @@ impl Meter {
     pub fn new(id: usize, p: usize, cfg: &SimConfig) -> Self {
         let fault = cfg.faults.as_ref().map(|plan| {
             Box::new(FaultState {
-                plan: plan.clone(),
                 link_seq: Vec::new(),
                 next_cp: plan
                     .recovery
@@ -293,10 +302,10 @@ impl Meter {
     /// last checkpoint boundary plus the restart time; without one it is
     /// fatal ([`SimError::RankCrashed`]).
     fn fault_epilogue(&mut self, cfg: &SimConfig) {
-        let Some(mut fs) = self.fault.take() else {
+        let (Some(plan), Some(mut fs)) = (&cfg.faults, self.fault.take()) else {
             return;
         };
-        if let Some(cp) = fs.plan.recovery.checkpoint {
+        if let Some(cp) = plan.recovery.checkpoint {
             // Only boundaries crossed by the operation itself fire here;
             // boundaries crossed while writing a checkpoint fire on the
             // next operation (keeps this loop finite even when a write
@@ -318,7 +327,7 @@ impl Meter {
         if let Some(at) = fs.crash_at {
             if self.time >= at {
                 fs.crash_at = None;
-                if let Some(cp) = fs.plan.recovery.checkpoint {
+                if let Some(cp) = plan.recovery.checkpoint {
                     let t0 = self.time;
                     let lost = self.time - fs.last_cp;
                     self.time += lost + cp.restart_seconds;
@@ -356,24 +365,24 @@ impl Meter {
         x: &Transfer,
         payload: Option<&mut SharedPayload>,
     ) -> SimResult<bool> {
-        let Some(mut fs) = self.fault.take() else {
+        let (Some(plan), Some(mut fs)) = (&cfg.faults, self.fault.take()) else {
             return Ok(false);
         };
         let (src, dest) = (self.id, x.dest);
         let seq = fs.next_link_seq(dest);
-        let res = match fs.plan.link_fault(src, dest, seq) {
+        let res = match plan.link_fault(src, dest, seq) {
             None => Ok(false),
             Some(LinkFaultKind::Duplicate) => Ok(true),
             Some(LinkFaultKind::Delay) => {
                 let t0 = self.time;
-                let seconds = fs.plan.spec.delay_seconds;
+                let seconds = plan.spec.delay_seconds;
                 self.time += seconds;
                 self.record(cfg, t0, EventKind::LinkDelay { seconds });
                 Ok(false)
             }
-            Some(LinkFaultKind::Corrupt) if fs.plan.recovery.max_retries == 0 => {
+            Some(LinkFaultKind::Corrupt) if plan.recovery.max_retries == 0 => {
                 if let Some(data) = payload.filter(|d| !d.is_empty()) {
-                    let i = fs.plan.corrupt_index(src, dest, seq, data.len());
+                    let i = plan.corrupt_index(src, dest, seq, data.len());
                     let buf = Arc::make_mut(data);
                     buf[i] = corrupt_word(buf[i]);
                 }
@@ -382,17 +391,17 @@ impl Meter {
             Some(LinkFaultKind::Drop) | Some(LinkFaultKind::Corrupt) => {
                 let mut attempt: u32 = 0;
                 loop {
-                    let backoff = fs.plan.recovery.retry_backoff * f64::powi(2.0, attempt as i32);
+                    let backoff = plan.recovery.retry_backoff * f64::powi(2.0, attempt as i32);
                     self.wasted_attempt(cfg, x, attempt as usize, backoff);
                     attempt += 1;
-                    if attempt > fs.plan.recovery.max_retries {
+                    if attempt > plan.recovery.max_retries {
                         break Err(SimError::RetriesExhausted {
                             rank: src,
                             dest,
                             attempts: attempt,
                         });
                     }
-                    match fs.plan.attempt_fault(src, dest, seq, attempt) {
+                    match plan.attempt_fault(src, dest, seq, attempt) {
                         Some(LinkFaultKind::Drop) | Some(LinkFaultKind::Corrupt) => continue,
                         _ => break Ok(false),
                     }
@@ -558,7 +567,7 @@ impl Meter {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use psse_faults::{FaultSpec, RecoveryPolicy};
+    use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
 
     fn drop_plan(drop_rate: f64) -> FaultPlan {
         FaultPlan {
