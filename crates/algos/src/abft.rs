@@ -23,11 +23,9 @@
 //! word via `Rank::compute`, so the resilience overhead of ABFT shows
 //! up in the Eq. 1/Eq. 2 accounting like any other work.
 
-use crate::bridge::gather_blocks_2d;
 use crate::mm25d::matmul_25d;
-use psse_kernels::gemm;
+use crate::summa::{summa_with, Panels};
 use psse_kernels::matrix::Matrix;
-use psse_sim::collectives::TAG_WINDOW;
 use psse_sim::error::SimResult;
 use psse_sim::prelude::*;
 
@@ -112,11 +110,40 @@ pub fn verify_matmul(a: &Matrix, b: &Matrix, c: &Matrix, rel_tol: f64) -> Result
     }
 }
 
-/// SUMMA matmul with checksum-protected panel broadcasts: structurally
-/// identical to [`crate::summa::summa_matmul`], but every broadcast
-/// payload carries a trailing checksum word verified by each receiver,
-/// and the gathered product is re-verified end to end. Detected
-/// corruption fails the run with [`SimError::CorruptPayload`].
+/// Broadcast a panel with an appended checksum word; verify on receipt
+/// and strip the checksum before use. Summing k words costs k flops on
+/// the root (computing) and on every receiver (re-checking).
+fn protected_broadcast(
+    rank: &mut Rank,
+    tag: Tag,
+    group: &Group,
+    root: usize,
+    payload: Option<Vec<f64>>,
+    what: &str,
+) -> SimResult<Vec<f64>> {
+    let payload = payload.map(|mut v| {
+        let s = checksum(&v);
+        rank.compute(v.len() as u64);
+        v.push(s);
+        v
+    });
+    let mut got = rank.broadcast(tag, group, root, payload)?;
+    let carried = got
+        .pop()
+        .ok_or_else(|| SimError::Algorithm("summa-abft: empty protected panel".into()))?;
+    if rank.rank() != root {
+        rank.compute(got.len() as u64);
+        verify_panel(rank.rank(), what, &got, carried, ABFT_REL_TOL)?;
+    }
+    Ok(got)
+}
+
+/// SUMMA matmul with checksum-protected panel broadcasts: the body of
+/// [`crate::summa::summa_matmul`], but every broadcast payload carries a
+/// trailing checksum word (one extra word of memory per in-flight
+/// panel) verified by each receiver, and the gathered product is
+/// re-verified end to end. Detected corruption fails the run with
+/// [`SimError::CorruptPayload`].
 pub fn summa_matmul_abft(
     a: &Matrix,
     b: &Matrix,
@@ -124,117 +151,17 @@ pub fn summa_matmul_abft(
     panel: usize,
     cfg: SimConfig,
 ) -> Result<(Matrix, Profile), SimError> {
-    let grid = Grid2::from_p(p)?;
-    let q = grid.q();
-    let n = a.rows();
-    if a.cols() != n || b.rows() != n || b.cols() != n {
-        return Err(SimError::Algorithm(format!(
-            "summa-abft: need square n×n inputs, got A {}x{}, B {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    if !n.is_multiple_of(q) {
-        return Err(SimError::Algorithm(format!(
-            "summa-abft: grid edge q = {q} must divide n = {n}"
-        )));
-    }
-    let bs = n / q;
-    if panel == 0 || !bs.is_multiple_of(panel) {
-        return Err(SimError::Algorithm(format!(
-            "summa-abft: panel width {panel} must divide the block size {bs}"
-        )));
-    }
-
-    let out = Machine::run(p, cfg, |rank| {
-        let (r, c) = grid.coords(rank.rank());
-        let block_words = (bs * bs) as u64;
-        let panel_words = (bs * panel) as u64;
-        // One extra word per in-flight panel for the checksum.
-        rank.alloc(3 * block_words + 2 * (panel_words + 1))?;
-        let la = a.block(r * bs, c * bs, bs, bs);
-        let lb = b.block(r * bs, c * bs, bs, bs);
-        let mut lc = Matrix::zeros(bs, bs);
-        let row = grid.row_group(r);
-        let col = grid.col_group(c);
-
-        // Broadcast a panel with an appended checksum word; verify on
-        // receipt and strip the checksum before use. Summing k words
-        // costs k flops on the root (computing) and on every receiver
-        // (re-checking).
-        let protected = |rank: &mut Rank,
-                         tag: Tag,
-                         group: &Group,
-                         root: usize,
-                         payload: Option<Vec<f64>>,
-                         what: &str| {
-            let payload = payload.map(|mut v| {
-                let s = checksum(&v);
-                rank.compute(v.len() as u64);
-                v.push(s);
-                v
-            });
-            let mut got = rank.broadcast(tag, group, root, payload)?;
-            let carried = got
-                .pop()
-                .ok_or_else(|| SimError::Algorithm("summa-abft: empty protected panel".into()))?;
-            if rank.rank() != root {
-                rank.compute(got.len() as u64);
-                verify_panel(rank.rank(), what, &got, carried, ABFT_REL_TOL)?;
-            }
-            Ok::<Vec<f64>, SimError>(got)
-        };
-
-        for k in 0..n / panel {
-            let owner = k * panel / bs;
-            let offset = (k * panel) % bs;
-            let base = 2 * TAG_WINDOW * k as u64;
-
-            let a_panel = if owner == c {
-                Some(la.block(0, offset, bs, panel).into_vec())
-            } else {
-                None
-            };
-            let a_panel = protected(
-                rank,
-                Tag(base),
-                &row,
-                grid.rank_of(r, owner),
-                a_panel,
-                "A panel",
-            )?;
-            let a_panel = Matrix::from_vec(bs, panel, a_panel);
-
-            let b_panel = if owner == r {
-                Some(lb.block(offset, 0, panel, bs).into_vec())
-            } else {
-                None
-            };
-            let b_panel = protected(
-                rank,
-                Tag(base + TAG_WINDOW),
-                &col,
-                grid.rank_of(owner, c),
-                b_panel,
-                "B panel",
-            )?;
-            let b_panel = Matrix::from_vec(panel, bs, b_panel);
-
-            gemm::matmul_add_into(&mut lc, &a_panel, &b_panel);
-            rank.compute(gemm::gemm_flops(bs, panel, bs));
-        }
-        rank.free(3 * block_words + 2 * (panel_words + 1))?;
-        Ok(lc.into_vec())
-    })?;
-
-    let c_mat = gather_blocks_2d(&out.results, n, q);
+    let protected = Panels {
+        label: "summa-abft",
+        extra_words: 1,
+        broadcast: protected_broadcast,
+    };
+    let (c_mat, profile) = summa_with(a, b, p, panel, cfg, &protected)?;
     verify_matmul(a, b, &c_mat, ABFT_REL_TOL).map_err(|detail| SimError::CorruptPayload {
         rank: 0,
         detail: format!("summa-abft end-to-end check: {detail}"),
     })?;
-    Ok((c_mat, out.profile))
+    Ok((c_mat, profile))
 }
 
 /// 2.5D matmul with an end-to-end ABFT verification of the gathered

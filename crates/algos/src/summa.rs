@@ -11,7 +11,23 @@ use crate::bridge::gather_blocks_2d;
 use psse_kernels::gemm;
 use psse_kernels::matrix::Matrix;
 use psse_sim::collectives::TAG_WINDOW;
+use psse_sim::error::SimResult;
 use psse_sim::prelude::*;
+
+/// A panel broadcast: `(rank, tag, group, root, the root's payload,
+/// panel name for error details)` to every member's copy of the payload.
+pub(crate) type PanelBroadcast =
+    fn(&mut Rank, Tag, &Group, usize, Option<Vec<f64>>, &str) -> SimResult<Vec<f64>>;
+
+/// How panels travel in one SUMMA variant.
+pub(crate) struct Panels {
+    /// Names the variant in error strings.
+    pub label: &'static str,
+    /// Words each in-flight panel holds on top of its payload.
+    pub extra_words: u64,
+    /// Moves one panel.
+    pub broadcast: PanelBroadcast,
+}
 
 /// Multiply `a · b` with SUMMA on `p = q²` ranks using panels of width
 /// `panel` (`panel | n/q` required; `panel = n/q` broadcasts whole
@@ -23,12 +39,30 @@ pub fn summa_matmul(
     panel: usize,
     cfg: SimConfig,
 ) -> Result<(Matrix, Profile), SimError> {
+    let plain = Panels {
+        label: "summa",
+        extra_words: 0,
+        broadcast: |rank, tag, group, root, payload, _| rank.broadcast(tag, group, root, payload),
+    };
+    summa_with(a, b, p, panel, cfg, &plain)
+}
+
+/// The SUMMA body, with the panel transport left to `panels`.
+pub(crate) fn summa_with(
+    a: &Matrix,
+    b: &Matrix,
+    p: usize,
+    panel: usize,
+    cfg: SimConfig,
+    panels: &Panels,
+) -> Result<(Matrix, Profile), SimError> {
+    let label = panels.label;
     let grid = Grid2::from_p(p)?;
     let q = grid.q();
     let n = a.rows();
     if a.cols() != n || b.rows() != n || b.cols() != n {
         return Err(SimError::Algorithm(format!(
-            "summa: need square n×n inputs, got A {}x{}, B {}x{}",
+            "{label}: need square n×n inputs, got A {}x{}, B {}x{}",
             a.rows(),
             a.cols(),
             b.rows(),
@@ -37,13 +71,13 @@ pub fn summa_matmul(
     }
     if !n.is_multiple_of(q) {
         return Err(SimError::Algorithm(format!(
-            "summa: grid edge q = {q} must divide n = {n}"
+            "{label}: grid edge q = {q} must divide n = {n}"
         )));
     }
     let bs = n / q;
     if panel == 0 || !bs.is_multiple_of(panel) {
         return Err(SimError::Algorithm(format!(
-            "summa: panel width {panel} must divide the block size {bs}"
+            "{label}: panel width {panel} must divide the block size {bs}"
         )));
     }
 
@@ -51,7 +85,7 @@ pub fn summa_matmul(
         let (r, c) = grid.coords(rank.rank());
         let block_words = (bs * bs) as u64;
         let panel_words = (bs * panel) as u64;
-        rank.alloc(3 * block_words + 2 * panel_words)?;
+        rank.alloc(3 * block_words + 2 * (panel_words + panels.extra_words))?;
         let la = a.block(r * bs, c * bs, bs, bs);
         let lb = b.block(r * bs, c * bs, bs, bs);
         let mut lc = Matrix::zeros(bs, bs);
@@ -70,7 +104,14 @@ pub fn summa_matmul(
             } else {
                 None
             };
-            let a_panel = rank.broadcast(Tag(base), &row, grid.rank_of(r, owner), a_panel)?;
+            let a_panel = (panels.broadcast)(
+                rank,
+                Tag(base),
+                &row,
+                grid.rank_of(r, owner),
+                a_panel,
+                "A panel",
+            )?;
             let a_panel = Matrix::from_vec(bs, panel, a_panel);
 
             // B panel: rows [offset, offset+panel) of B_{owner,c},
@@ -80,18 +121,20 @@ pub fn summa_matmul(
             } else {
                 None
             };
-            let b_panel = rank.broadcast(
+            let b_panel = (panels.broadcast)(
+                rank,
                 Tag(base + TAG_WINDOW),
                 &col,
                 grid.rank_of(owner, c),
                 b_panel,
+                "B panel",
             )?;
             let b_panel = Matrix::from_vec(panel, bs, b_panel);
 
             gemm::matmul_add_into(&mut lc, &a_panel, &b_panel);
             rank.compute(gemm::gemm_flops(bs, panel, bs));
         }
-        rank.free(3 * block_words + 2 * panel_words)?;
+        rank.free(3 * block_words + 2 * (panel_words + panels.extra_words))?;
         Ok(lc.into_vec())
     })?;
 

@@ -1,10 +1,11 @@
 //! # psse-bench — figure/table regeneration harness
 //!
 //! One bench target per table and figure of the paper (see the
-//! `[[bench]]` sections in `Cargo.toml`), plus Criterion
-//! micro-benchmarks for the local kernels. Each figure bench prints the
+//! `[[bench]]` sections in `Cargo.toml`). Each figure bench prints the
 //! paper's rows/series to stdout, renders a quick ASCII view, and writes
-//! CSVs under `bench_results/` for external plotting.
+//! CSVs under `bench_results/` for external plotting. Every number here
+//! is virtual time or energy; host seconds are measured in one place,
+//! `psse-ledger` (`BENCHMARK.json`).
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -15,7 +16,6 @@
 //! | `table1_case_study` | Table I — case-study machine + model predictions |
 //! | `table2_machines` | Table II — processor efficiency comparison |
 //! | `validate_strong_scaling` | our end-to-end check of the headline theorem |
-//! | `kernels_criterion` | Criterion micro-benchmarks of the local kernels |
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)` deliberately rejects NaN alongside non-positive values;
@@ -24,4 +24,3 @@
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod wallclock;

@@ -2,10 +2,12 @@
 
 use crate::args::Args;
 use psse_algos::prelude::*;
+use psse_core::bounds::ScalingRange;
 use psse_core::costs::Algorithm;
 use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
+use psse_core::optimize::RunConfig;
 use psse_core::params::MachineParams;
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
@@ -118,6 +120,50 @@ fn algorithm_from(args: &Args) -> Result<Box<dyn Algorithm>, String> {
     )
 }
 
+/// `--n` of the range and optimisation commands: below two elements
+/// every closed form degenerates to `0` or `0/0`.
+fn problem_size(args: &Args) -> Result<u64, String> {
+    let n = args.req_u64("n")?;
+    if n < 2 {
+        return Err(format!("--n must be at least 2, got {n}"));
+    }
+    Ok(n)
+}
+
+/// `--mem` as a fixed per-processor memory. The range endpoints divide
+/// by it: anything else prints `inf`, `NaN` or a negative `p`.
+fn fixed_memory(args: &Args) -> Result<f64, String> {
+    let mem = args.req_f64("mem")?;
+    if !(mem > 0.0 && mem.is_finite()) {
+        return Err(format!(
+            "--mem must be a finite, positive number of words, got {mem}"
+        ));
+    }
+    Ok(mem)
+}
+
+/// The `[p_min, p_max]` block of `scaling` and `bound range`.
+fn print_range(out: &mut String, name: &str, range: Option<ScalingRange>) {
+    match range {
+        Some(r) => {
+            let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
+            let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
+            let _ = writeln!(
+                out,
+                "headroom = {}x: scale processors by that factor for the same\n\
+                 energy and proportionally less time.",
+                fmt(r.headroom())
+            );
+        }
+        None => {
+            let _ = writeln!(
+                out,
+                "{name}: no perfect strong scaling range exists (see paper §IV)."
+            );
+        }
+    }
+}
+
 pub fn machines(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&[])?;
     let _ = writeln!(
@@ -191,30 +237,64 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
 pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&["alg", "n", "mem", "f", "halo", "iters"])?;
     let alg = algorithm_from(args)?;
-    let n = args.req_u64("n")?;
-    let mem = args.req_f64("mem")?;
-    match alg.strong_scaling_range(n, mem) {
-        Some(r) => {
-            let _ = writeln!(out, "algorithm : {}", alg.name());
-            let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
-            let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
-            let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
-            let _ = writeln!(
-                out,
-                "headroom = {}x: scale processors by that factor for the same\n\
-                 energy and proportionally less time.",
-                fmt(r.headroom())
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "{}: no perfect strong scaling range exists (see paper §IV).",
-                alg.name()
-            );
-        }
+    let n = problem_size(args)?;
+    let mem = fixed_memory(args)?;
+    let range = alg.strong_scaling_range(n, mem);
+    if range.is_some() {
+        let _ = writeln!(out, "algorithm : {}", alg.name());
+        let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
     }
+    print_range(out, alg.name(), range);
     Ok(())
+}
+
+/// The `M0`/`E*` lines of `optimize` and `bound price`. The band where
+/// `M0` is feasible is empty for a problem smaller than `M0`'s own
+/// footprint (n-body: `n < M0`); `E*` is then a bound no run attains,
+/// and the band's endpoints are not printed as a range. Returns whether
+/// it is attainable.
+fn print_optimum(out: &mut String, n: u64, m0: f64, e_star: f64, band: (f64, f64)) -> bool {
+    let (p_lo, p_hi) = band;
+    let _ = writeln!(
+        out,
+        "M0 = {} words/processor (energy-optimal, any p)",
+        fmt(m0)
+    );
+    let attainable = p_lo <= p_hi;
+    let _ = if attainable {
+        writeln!(
+            out,
+            "E* = {} J, attainable for p in [{}, {}]",
+            fmt(e_star),
+            fmt(p_lo),
+            fmt(p_hi)
+        )
+    } else {
+        writeln!(
+            out,
+            "E* = {} J is not attainable at n = {n}: M0 exceeds the whole problem",
+            fmt(e_star)
+        )
+    };
+    attainable
+}
+
+/// §V answers a continuous relaxation; its optimum is a run only for
+/// `1 ≤ p ≤ n²` (at least one processor, at least one word on each —
+/// the 2-D boundary `M = n/√p` ends at `M = 1`). The reason when it is
+/// not.
+fn not_a_run(cfg: &RunConfig, n: u64) -> Option<String> {
+    let nf = n as f64;
+    if cfg.p < 1.0 {
+        Some(format!("infeasible, it needs p = {} < 1", fmt(cfg.p)))
+    } else if cfg.p > nf * nf {
+        Some(format!(
+            "infeasible, it needs p = {} > n^2 (under one word per processor)",
+            fmt(cfg.p)
+        ))
+    } else {
+        None
+    }
 }
 
 pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
@@ -223,25 +303,25 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
         &["n", "f", "tmax", "emax", "power-total", "power-proc"],
     ]))?;
     let (mp, mname) = machine_from(args)?;
-    let n = args.req_u64("n")?;
+    let n = problem_size(args)?;
     let f = args.f64_or("f", 20.0)?;
     let opt = NBodyOptimizer::new(&mp, f).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
     match (opt.m0(), opt.e_star(n)) {
         (Ok(m0), Ok(e_star)) => {
-            let (p_lo, p_hi) = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
-            let _ = writeln!(
-                out,
-                "M0 = {} words/processor (energy-optimal, any p)",
-                fmt(m0)
-            );
-            let _ = writeln!(
-                out,
-                "E* = {} J, attainable for p in [{}, {}]",
-                fmt(e_star),
-                fmt(p_lo),
-                fmt(p_hi)
-            );
+            let band = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
+            if !print_optimum(out, n, m0, e_star, band) {
+                // Energy still falls with M below M0, and one processor
+                // holding the whole problem is all the memory it can use.
+                let cfg = opt.evaluate(n, 1, n as f64);
+                let _ = writeln!(
+                    out,
+                    "feasible minimum: E = {} J at p = 1, M = {} (T = {} s)",
+                    fmt(cfg.energy),
+                    fmt(cfg.mem),
+                    fmt(cfg.time)
+                );
+            }
         }
         (Err(e), _) | (_, Err(e)) => {
             let _ = writeln!(out, "no interior optimum: {e}");
@@ -252,28 +332,47 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
         let cfg = opt
             .min_energy_given_tmax(n, tmax)
             .map_err(|e| e.to_string())?;
-        let _ = writeln!(
-            out,
-            "cheapest run within Tmax = {} s: E = {} J at p = {}, M = {}",
-            fmt(tmax),
-            fmt(cfg.energy),
-            fmt(cfg.p),
-            fmt(cfg.mem)
-        );
+        let _ = match not_a_run(&cfg, n) {
+            Some(why) => writeln!(out, "cheapest run within Tmax = {} s: {why}", fmt(tmax)),
+            None => writeln!(
+                out,
+                "cheapest run within Tmax = {} s: E = {} J at p = {}, M = {}",
+                fmt(tmax),
+                fmt(cfg.energy),
+                fmt(cfg.p),
+                fmt(cfg.mem)
+            ),
+        };
     }
     if args.has("emax") {
         let emax = args.req_f64("emax")?;
-        let cfg = opt
+        let mut cfg = opt
             .min_time_given_emax(n, emax)
             .map_err(|e| e.to_string())?;
-        let _ = writeln!(
-            out,
-            "fastest run within Emax = {} J: T = {} s at p = {}, M = {}",
-            fmt(emax),
-            fmt(cfg.time),
-            fmt(cfg.p),
-            fmt(cfg.mem)
-        );
+        // §V.C solves its quadratic on the 2-D boundary wherever the
+        // root falls. Past the boundary's end (p = n², M = 1) the budget
+        // is not what limits the run: the fastest one is the end itself,
+        // if it fits.
+        let p_end = n.saturating_mul(n);
+        let mut note = "";
+        if cfg.p > p_end as f64 {
+            let end = opt.min_time(n, p_end);
+            if end.energy <= emax {
+                cfg = end;
+                note = " (the 2-D boundary ends here: the budget is not binding)";
+            }
+        }
+        let _ = match not_a_run(&cfg, n) {
+            Some(why) => writeln!(out, "fastest run within Emax = {} J: {why}", fmt(emax)),
+            None => writeln!(
+                out,
+                "fastest run within Emax = {} J: T = {} s at p = {}, M = {}{note}",
+                fmt(emax),
+                fmt(cfg.time),
+                fmt(cfg.p),
+                fmt(cfg.mem)
+            ),
+        };
     }
     if args.has("power-total") {
         let cap = args.req_f64("power-total")?;
@@ -987,7 +1086,6 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         jobs: args.u64_or("jobs", 0)? as usize,
         cache_dir,
         timeout,
-        ..LabConfig::default()
     });
     // One expansion and one digest per key for the whole command: the
     // same digests identify the sweep to its journal and each run to
@@ -1348,26 +1446,15 @@ fn bound_price(args: &Args, out: &mut String) -> CmdResult {
         cost.kernel_name()
     );
     let _ = writeln!(out, "family    : {}", family_str(cost.family()));
-    let _ = writeln!(
-        out,
-        "M0 = {} words/processor (energy-optimal, any p)",
-        fmt(opt.m0)
-    );
-    let _ = writeln!(
-        out,
-        "E* = {} J, attainable for p in [{}, {}]",
-        fmt(opt.e_star),
-        fmt(opt.p_lo),
-        fmt(opt.p_hi)
-    );
+    print_optimum(out, n, opt.m0, opt.e_star, (opt.p_lo, opt.p_hi));
     Ok(())
 }
 
 fn bound_range(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&["kernel", "n", "mem", "csv"])?;
     let (_, cost, _) = kernel_from(args)?;
-    let n = args.req_u64("n")?;
-    let mem = args.req_f64("mem")?;
+    let n = problem_size(args)?;
+    let mem = fixed_memory(args)?;
     let range = psse_core::costs::Algorithm::strong_scaling_range(&cost, n, mem);
     if args.has("csv") {
         // One machine-readable row per invocation: full-precision
@@ -1393,25 +1480,7 @@ fn bound_range(args: &Args, out: &mut String) -> CmdResult {
         cost.sigma
     );
     let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
-    match range {
-        Some(r) => {
-            let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
-            let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
-            let _ = writeln!(
-                out,
-                "headroom = {}x: scale processors by that factor for the same\n\
-                 energy and proportionally less time.",
-                fmt(r.headroom())
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "{}: no perfect strong scaling range exists (see paper §IV).",
-                cost.kernel_name()
-            );
-        }
-    }
+    print_range(out, cost.kernel_name(), range);
     Ok(())
 }
 

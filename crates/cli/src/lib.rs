@@ -170,7 +170,7 @@ COMMANDS:
                       [--jobs N]  worker threads for the sweep (default: auto)
   lab        Parallel batch experiment engine over declarative sweep specs.
                run    --spec FILE  execute the sweep and print a summary
-                      [--jobs N]        worker threads (0 = PSSE_LAB_JOBS/auto);
+                      [--jobs N]        worker threads (0 = auto, the default);
                                         output bytes are identical for any N
                       [--out FILE.csv]  full sweep CSV (spec order)
                       [--pareto FILE]   per-n (time, energy) Pareto frontier CSV

@@ -282,3 +282,66 @@ fn empty_memory_band_fails_its_keys_without_panicking() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn degenerate_sizes_exit_nonzero_naming_the_flag() {
+    // Each of these used to print `inf`, `NaN` or a negative processor
+    // count and exit 0.
+    let kernel = format!(
+        "{}/../../specs/kernels/matmul.kernel",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let scaling = ["scaling", "--alg", "nbody", "--n", "1e6", "--mem"];
+    let cases: [(Vec<&str>, &str); 5] = [
+        ([&scaling[..], &["0"]].concat(), "--mem"),
+        ([&scaling[..], &["-5"]].concat(), "--mem"),
+        ([&scaling[..], &["nan"]].concat(), "--mem"),
+        (
+            vec![
+                "bound", "range", "--kernel", &kernel, "--n", "8192", "--mem", "0",
+            ],
+            "--mem",
+        ),
+        (vec!["optimize", "--n", "0"], "--n"),
+    ];
+    for (args, flag) in cases {
+        let out = psse(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr_line(&out);
+        assert!(err.starts_with("error:") && err.contains(flag), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a number");
+    }
+}
+
+#[test]
+fn optimize_reports_answers_that_are_not_runs() {
+    // n < M0 (36 039.7 words on jaketown): §V.A's band is empty, so E*
+    // is out of reach and the feasible minimum is one processor holding
+    // the whole problem.
+    let out = psse(&["optimize", "--n", "30000", "--tmax", "1"]);
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        stdout.contains("is not attainable at n = 30000"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("at p = 1, M = 30000"), "{stdout}");
+    assert!(!stdout.contains("attainable for p in ["), "{stdout}");
+    // The deadline is loose, so §V.B answers with the E* run — which
+    // needs 0.69 of a processor here.
+    assert!(stdout.contains("Tmax = 1.0000 s: infeasible"), "{stdout}");
+
+    // A budget 1 300 times E*: the quadratic's root is past the end of
+    // the 2-D boundary (p = n², M = 1), where the parent printed
+    // p = 6.9872e18 and M = 3.7831e-5.
+    let out = psse(&["optimize", "--n", "100000", "--emax", "1e5"]);
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("fastest run within Emax"))
+        .unwrap_or_else(|| panic!("no Emax line in: {stdout}"));
+    assert!(line.contains("at p = 1.0000e10, M = 1.0000"), "{line}");
+    assert!(line.contains("not binding"), "{line}");
+}

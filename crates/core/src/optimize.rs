@@ -191,7 +191,10 @@ pub mod nbody {
         /// from any replicating run until the 2D boundary decreases `T`
         /// without changing `E`. The largest 2D-feasible `p` solves
         /// `B·n·x² − (Emax − A·n²)·x + D·n³ = 0` with `x = √p`
-        /// (paper's quadratic, `A`/`B` as in §V.C).
+        /// (paper's quadratic, `A`/`B` as in §V.C). The root is not
+        /// held to the boundary's own end (`M ≥ 1`, i.e. `p ≤ n²`): a
+        /// loose budget passes it, and the fastest real run is then
+        /// [`Self::min_time`] at `p = n²`.
         pub fn min_time_given_emax(&self, n: u64, emax: Real) -> Result<RunConfig, CoreError> {
             let e_star = self.e_star(n)?;
             if emax < e_star {
@@ -686,15 +689,25 @@ pub mod numeric {
         })
     }
 
-    /// Question 2 (min energy under a deadline): sweep `p` over
-    /// `p_candidates` and, for each, minimize energy over `M` subject to
-    /// `T(p, M) ≤ tmax`; return the best compliant configuration.
-    pub fn min_energy_given_tmax(
+    /// The loop behind Questions 2, 3, 4a and 4b: sweep `p` over
+    /// `p_candidates`; for each, minimize `objective(T, E)` over `M` by
+    /// golden section, with every point whose `(p, T, E)` is `over` the
+    /// constraint priced at `+∞`; keep the best compliant configuration,
+    /// or fail with `none_fits`.
+    ///
+    /// The objectives are unimodal in `M`, but the constraint clips the
+    /// domain; golden section still finds the clipped minimum because the
+    /// excluded region (small `M` means *less* time for the replicating
+    /// algorithms, large `M` less communication — both monotone) stays on
+    /// one side.
+    fn constrained_min(
         alg: &dyn Algorithm,
         params: &MachineParams,
         n: u64,
         p_candidates: &[u64],
-        tmax: Real,
+        objective: fn(Real, Real) -> Real,
+        over: impl Fn(u64, Real, Real) -> bool,
+        none_fits: String,
     ) -> Result<RunConfig, CoreError> {
         let mut best: Option<RunConfig> = None;
         for &p in p_candidates {
@@ -705,38 +718,47 @@ pub mod numeric {
                 match alg.costs(n, p, m, params) {
                     Ok(c) => {
                         let t = params.time(&c);
-                        if t > tmax {
+                        let e = params.energy(p, &c, m, t);
+                        if over(p, t, e) {
                             Real::INFINITY
                         } else {
-                            params.energy(p, &c, m, t)
+                            objective(t, e)
                         }
                     }
                     Err(_) => Real::INFINITY,
                 }
             };
-            // Energy is unimodal in M, but the deadline clips the domain;
-            // golden section still finds the clipped minimum because the
-            // infeasible region (small M means *less* time for the
-            // replicating algorithms, large M less communication — both
-            // monotone) stays on one side.
-            let (m, e) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !e.is_finite() {
+            let (m, v) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
+            if !v.is_finite() {
                 continue;
             }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: params.time(&c),
-                energy: e,
-            };
-            if best.as_ref().is_none_or(|b| cfg.energy < b.energy) {
-                best = Some(cfg);
+            if best.is_none_or(|b| v < objective(b.time, b.energy)) {
+                let c = alg.costs(n, p, m, params)?;
+                let time = params.time(&c);
+                best = Some(RunConfig {
+                    p: p as Real,
+                    mem: m,
+                    time,
+                    energy: params.energy(p, &c, m, time),
+                });
             }
         }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!("no candidate p meets the deadline Tmax = {tmax} s"))
-        })
+        best.ok_or(CoreError::Infeasible(none_fits))
+    }
+
+    /// Question 2 (min energy under a deadline): sweep `p` over
+    /// `p_candidates` and, for each, minimize energy over `M` subject to
+    /// `T(p, M) ≤ tmax`; return the best compliant configuration.
+    pub fn min_energy_given_tmax(
+        alg: &dyn Algorithm,
+        params: &MachineParams,
+        n: u64,
+        p_candidates: &[u64],
+        tmax: Real,
+    ) -> Result<RunConfig, CoreError> {
+        let none_fits = format!("no candidate p meets the deadline Tmax = {tmax} s");
+        let over = |_, t, _| t > tmax;
+        constrained_min(alg, params, n, p_candidates, |_, e| e, over, none_fits)
     }
 
     /// Question 3 (min time under an energy budget): sweep `p`, minimize
@@ -748,42 +770,9 @@ pub mod numeric {
         p_candidates: &[u64],
         emax: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        if params.energy(p, &c, m, t) > emax {
-                            Real::INFINITY
-                        } else {
-                            t
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, t) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !t.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: t,
-                energy: params.energy(p, &c, m, params.time(&c)),
-            };
-            if best.as_ref().is_none_or(|b| cfg.time < b.time) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!("no candidate p fits the budget Emax = {emax} J"))
-        })
+        let none_fits = format!("no candidate p fits the budget Emax = {emax} J");
+        let over = |_, _, e| e > emax;
+        constrained_min(alg, params, n, p_candidates, |t, _| t, over, none_fits)
     }
 
     /// Average power `E/T` of `alg` at an explicit `(p, M)`.
@@ -808,44 +797,10 @@ pub mod numeric {
         p_candidates: &[u64],
         p_total_max: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        if params.energy(p, &c, m, t) / t > p_total_max {
-                            Real::INFINITY
-                        } else {
-                            t
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, t) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !t.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: t,
-                energy: params.energy(p, &c, m, params.time(&c)),
-            };
-            if best.as_ref().is_none_or(|b| cfg.time < b.time) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!(
-                "no candidate p runs within the total power budget {p_total_max} W"
-            ))
-        })
+        let none_fits =
+            format!("no candidate p runs within the total power budget {p_total_max} W");
+        let over = |_, t, e| e / t > p_total_max;
+        constrained_min(alg, params, n, p_candidates, |t, _| t, over, none_fits)
     }
 
     /// Question 4b (min energy under a **per-processor** power cap):
@@ -857,45 +812,10 @@ pub mod numeric {
         p_candidates: &[u64],
         p_proc_max: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        let e = params.energy(p, &c, m, t);
-                        if e / (t * p as Real) > p_proc_max {
-                            Real::INFINITY
-                        } else {
-                            e
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, e) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !e.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: params.time(&c),
-                energy: e,
-            };
-            if best.as_ref().is_none_or(|b| cfg.energy < b.energy) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!(
-                "no candidate p runs within the per-processor power budget {p_proc_max} W"
-            ))
-        })
+        let none_fits =
+            format!("no candidate p runs within the per-processor power budget {p_proc_max} W");
+        let over = |p, t, e| e / (t * p as Real) > p_proc_max;
+        constrained_min(alg, params, n, p_candidates, |_, e| e, over, none_fits)
     }
 
     /// Logarithmically spaced processor-count candidates in `[lo, hi]`,

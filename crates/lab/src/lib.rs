@@ -10,7 +10,7 @@
 //! 2. **Parallel executor** ([`pool`]): a fixed-size `std::thread`
 //!    worker pool that runs independent evaluations concurrently and
 //!    reassembles results in spec order — output is byte-identical for
-//!    any `--jobs` value (`PSSE_LAB_JOBS` sets the default).
+//!    any `--jobs` value.
 //! 3. **Content-addressed cache** ([`cache`]): each [`RunKey`] hashes
 //!    (via the workspace's splitmix64 machinery) to a stable 128-bit
 //!    digest; results are memoized in memory and optionally persisted
@@ -57,16 +57,14 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::key::{Digest, RunKey};
 use crate::result::RunResult;
 
-/// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Engine configuration. The default is all workers, no persistent
+/// cache, no watchdog.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabConfig {
-    /// Worker threads. `0` defers to `PSSE_LAB_JOBS`, then to the
-    /// machine's available parallelism.
+    /// Worker threads. `0` means the machine's available parallelism.
     pub jobs: usize,
     /// Directory for the persistent cache (`None` = in-memory only).
     pub cache_dir: Option<PathBuf>,
-    /// In-memory cache capacity (records; FIFO eviction beyond it).
-    pub cache_capacity: usize,
     /// Per-run wall-clock watchdog for simulator runs: a run that
     /// exceeds the budget is cancelled cooperatively and recorded as a
     /// deterministic `timeout: ...` failure while the rest of the sweep
@@ -74,17 +72,6 @@ pub struct LabConfig {
     /// the timeout is deliberately *not* part of the run identity, so
     /// it never perturbs cache digests.
     pub timeout: Option<std::time::Duration>,
-}
-
-impl Default for LabConfig {
-    fn default() -> Self {
-        LabConfig {
-            jobs: 0,
-            cache_dir: None,
-            cache_capacity: 65_536,
-            timeout: None,
-        }
-    }
 }
 
 /// A sweep's run list with every key digested exactly once. The digests
@@ -155,10 +142,13 @@ pub struct Lab {
     journal: Option<journal::Journal>,
 }
 
+/// In-memory cache capacity (records; FIFO eviction beyond it).
+const CACHE_CAPACITY: usize = 65_536;
+
 impl Lab {
     /// Build an engine with the given configuration.
     pub fn new(config: LabConfig) -> Lab {
-        let cache = ResultCache::new(config.cache_capacity, config.cache_dir.clone());
+        let cache = ResultCache::new(CACHE_CAPACITY, config.cache_dir.clone());
         Lab {
             config,
             cache,

@@ -19,19 +19,11 @@ use std::time::Instant;
 
 use psse_metrics::saturating_nanos;
 
-/// Resolve the worker count: an explicit `jobs >= 1` wins; `0` defers to
-/// the `PSSE_LAB_JOBS` environment variable, then to the machine's
-/// available parallelism, then to 1.
+/// Resolve the worker count: an explicit `jobs >= 1` wins; `0` means the
+/// machine's available parallelism (1 if that cannot be determined).
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs >= 1 {
         return jobs;
-    }
-    if let Ok(v) = std::env::var("PSSE_LAB_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -193,10 +193,11 @@ fn env_names_in_sources(dir: &Path, out: &mut BTreeSet<String>) {
     }
 }
 
-/// README's "Environment variables" table lists exactly the `PSSE_*`
-/// variables the sources mention: a knob cannot be added, renamed or
-/// retired without the table following. (`crates/ledger` is the
-/// benchmark instrument and documents its own.)
+/// The workspace reads no environment variable, and stays that way: no
+/// `PSSE_*` name in any crate's sources, the bench targets or the
+/// vendored shims, and README's "Environment variables" section says so
+/// without naming one. (`crates/ledger` is the benchmark instrument: it
+/// clears `PSSE_*` before it measures and documents that itself.)
 #[test]
 fn readme_env_table_matches_the_sources() {
     let root = repo_root();
@@ -212,20 +213,27 @@ fn readme_env_table_matches_the_sources() {
             }
         }
     }
+    env_names_in_sources(&root.join("shims"), &mut in_sources);
+    assert!(
+        in_sources.is_empty(),
+        "configuration belongs on the command line, not in {in_sources:?}"
+    );
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
     let section = readme
         .split("\n## Environment variables\n")
         .nth(1)
-        .expect("README has an `Environment variables` section");
-    let mut in_table = BTreeSet::new();
-    for row in section
+        .expect("README has an `Environment variables` section")
         .lines()
         .take_while(|l| !l.starts_with("## "))
-        .filter(|l| l.starts_with("| `PSSE_"))
-    {
-        env_names(row.split('|').nth(1).unwrap(), &mut in_table);
-    }
-    assert_eq!(in_table, in_sources);
+        .collect::<Vec<_>>()
+        .join(" ");
+    assert!(
+        section.contains("reads no environment variable"),
+        "{section}"
+    );
+    let mut in_readme = BTreeSet::new();
+    env_names(&section, &mut in_readme);
+    assert!(in_readme.is_empty(), "README still documents {in_readme:?}");
 }
 
 #[test]
