@@ -18,6 +18,9 @@
 //! | distributed sample sort | [`samplesort`] | regular sampling + pairwise all-to-all (Scquizzato–Silvestri bound family) |
 //! | iterated halo stencil | [`stencil`] | periodic box stencil, 1-D/2-D blocks, configurable halo width |
 //!
+//! [`table`] maps each algorithm's name to its cost model and its
+//! simulator; the CLI and the lab look names up there and nowhere else.
+//!
 //! Every entry point takes global inputs, distributes them logically
 //! (initial layout is free, matching the paper's cost models, which
 //! assume data already resides in place), runs the ranks, gathers and
@@ -49,6 +52,7 @@ pub mod seq_matmul;
 pub mod stencil;
 pub mod strassen_dist;
 pub mod summa;
+pub mod table;
 pub mod tsqr;
 
 /// One-stop imports.

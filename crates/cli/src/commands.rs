@@ -1,7 +1,8 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use psse_algos::prelude::*;
+use psse_algos::prelude::{measure, sim_config_from};
+use psse_algos::table::{self, Shape};
 use psse_core::bounds::ScalingRange;
 use psse_core::costs::Algorithm;
 use psse_core::machines::{jaketown, table2};
@@ -11,13 +12,9 @@ use psse_core::optimize::RunConfig;
 use psse_core::params::MachineParams;
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
-use psse_kernels::fft::fft as kernel_fft;
-use psse_kernels::matrix::Matrix;
-use psse_kernels::nbody::{accumulate_forces, random_particles};
-use psse_kernels::rng::XorShift64;
 use psse_lab::prelude::{
-    detect_scaling_range, fsck_dir, gc_dir, model_algorithm, pareto_csv, sweep_csv, ExpandedSweep,
-    GcConfig, Journal, Lab, LabConfig, RunKey, SweepSpec,
+    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, sweep_csv, ExpandedSweep, GcConfig,
+    Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_sim::profile::Profile;
 use psse_trace::Trace;
@@ -108,16 +105,15 @@ fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
     args.str_or("backend", "threads").parse()
 }
 
-/// Resolve `--alg` (with `--f`, `--halo`, `--iters`) through the lab's
-/// model table, so `psse model` and a `kind = model` spec accept the
-/// same ids.
+/// Resolve `--alg` (with `--f`, `--halo`, `--iters`) through the
+/// algorithm table, so `psse model` and a `kind = model` spec accept
+/// the same ids.
 fn algorithm_from(args: &Args) -> Result<Box<dyn Algorithm>, String> {
-    model_algorithm(
-        args.req("alg")?,
+    Ok(table::model(args.req("alg")?)?.costs(
         args.f64_or("f", 20.0)?,
         args.u64_or("halo", 1)?,
         args.u64_or("iters", 4)?,
-    )
+    ))
 }
 
 /// `--n` of the range and optimisation commands: below two elements
@@ -419,141 +415,19 @@ fn run_algorithm(
     args: &Args,
     cfg: psse_sim::machine::SimConfig,
 ) -> Result<(Profile, bool), String> {
+    let sim = table::simulator(args.req("alg")?)?;
     let n = args.req_u64("n")? as usize;
     let p = args.u64_or("p", 4)? as usize;
     let c = args.u64_or("c", 1)? as usize;
-    let seed = args.u64_or("seed", 42)?;
-    let alg = args.req("alg")?;
-
-    let (profile, verified) = match alg {
-        "cannon" | "summa" | "mm25d" | "mm3d" | "strassen" => {
-            let a = Matrix::random(n, n, seed);
-            let b = Matrix::random(n, n, seed + 1);
-            let reference = psse_kernels::gemm::matmul(&a, &b);
-            let (cm, profile) = match alg {
-                "cannon" => cannon_matmul(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                "summa" => {
-                    let panel = args
-                        .u64_or("panel", (n / (p as f64).sqrt() as usize).max(1) as u64)?
-                        as usize;
-                    summa_matmul(&a, &b, p, panel, cfg).map_err(|e| e.to_string())?
-                }
-                "mm25d" => matmul_25d(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                "mm3d" => matmul_3d(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                _ => strassen_distributed(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-            };
-            (profile, cm.max_abs_diff(&reference) < 1e-8)
-        }
-        "cholesky" => {
-            let b = Matrix::random(n, n, seed);
-            let mut a = psse_kernels::gemm::matmul(&b.transpose(), &b);
-            for i in 0..n {
-                a[(i, i)] += n as f64;
-            }
-            let (l, profile) =
-                psse_algos::cholesky2d::cholesky_2d(&a, p, cfg).map_err(|e| e.to_string())?;
-            let recon = psse_kernels::gemm::matmul(&l, &l.transpose());
-            (profile, recon.relative_error(&a) < 1e-8)
-        }
-        "lu" | "solve" => {
-            let a = Matrix::random_diagonally_dominant(n, seed);
-            if alg == "lu" {
-                let (packed, profile) = lu_2d(&a, p, cfg).map_err(|e| e.to_string())?;
-                let (l, u) = psse_kernels::lu::split_lu(&packed);
-                let ok = psse_kernels::gemm::matmul(&l, &u).relative_error(&a) < 1e-8;
-                (profile, ok)
-            } else {
-                let x_true: Vec<f64> = (0..n).map(|i| i as f64 - n as f64 / 2.0).collect();
-                let b: Vec<f64> = (0..n)
-                    .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
-                    .collect();
-                let (x, profile) = solve_2d(&a, &b, p, cfg).map_err(|e| e.to_string())?;
-                let ok = x
-                    .iter()
-                    .zip(&x_true)
-                    .all(|(a, b)| (a - b).abs() < 1e-6 * (1.0 + b.abs()));
-                (profile, ok)
-            }
-        }
-        "nbody" => {
-            if c == 0 || !p.is_multiple_of(c) {
-                return Err(format!(
-                    "--c {c} must divide --p {p} for the replicated n-body layout"
-                ));
-            }
-            let particles = random_particles(n, seed);
-            let pr = p / c;
-            let (acc, profile) =
-                nbody_replicated(&particles, pr, c, cfg).map_err(|e| e.to_string())?;
-            let mut serial = vec![[0.0; 3]; n];
-            accumulate_forces(&particles, &particles, &mut serial);
-            let ok = acc
-                .iter()
-                .zip(&serial)
-                .all(|(a, b)| (0..3).all(|d| (a[d] - b[d]).abs() < 1e-8));
-            (profile, ok)
-        }
-        "fft" => {
-            let mut rng = XorShift64::new(seed);
-            let x: Vec<psse_kernels::Complex64> = (0..n)
-                .map(|_| {
-                    psse_kernels::Complex64::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0))
-                })
-                .collect();
-            let (spec, profile) =
-                distributed_fft(&x, p, AllToAllKind::Pairwise, cfg).map_err(|e| e.to_string())?;
-            let reference = kernel_fft(&x);
-            let ok = spec
-                .iter()
-                .zip(&reference)
-                .all(|(a, b)| (*a - *b).abs() < 1e-7);
-            (profile, ok)
-        }
-        "tsqr" => {
-            let cols = args.u64_or("cols", 4)? as usize;
-            let a = Matrix::random(n, cols, seed);
-            let (r, profile) = tsqr(&a, p, cfg).map_err(|e| e.to_string())?;
-            let (_, r_seq) = psse_kernels::qr::householder_qr(&a);
-            (profile, r.max_abs_diff(&r_seq) < 1e-7)
-        }
-        "matvec" => {
-            let a = Matrix::random(n, n, seed);
-            let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-            let (y, profile) = matvec_1d(&a, &x, p, cfg).map_err(|e| e.to_string())?;
-            let ok = (0..n).all(|i| {
-                let serial: f64 = a.row(i).iter().zip(&x).map(|(aij, xj)| aij * xj).sum();
-                (y[i] - serial).abs() < 1e-8 * (1.0 + serial.abs())
-            });
-            (profile, ok)
-        }
-        "samplesort" => {
-            let keys = random_keys(n, seed);
-            let (sorted, profile) = sample_sort(&keys, p, cfg).map_err(|e| e.to_string())?;
-            let mut reference = keys;
-            reference.sort_by(|a, b| a.total_cmp(b));
-            // Bit-identical, not approximately equal: sorting permutes,
-            // it never rounds.
-            (profile, sorted == reference)
-        }
-        "stencil" => {
-            let halo = args.u64_or("halo", 1)? as usize;
-            let iters = args.u64_or("iters", 4)? as usize;
-            let grid = random_grid(n, seed);
-            let (out, profile) =
-                halo_stencil(&grid, n, halo, iters, Decomp::for_grid(n, p), p, cfg)
-                    .map_err(|e| e.to_string())?;
-            let reference = serial_stencil(&grid, n, halo, iters);
-            (profile, out == reference)
-        }
-        other => {
-            return Err(format!(
-                "unknown simulation `{other}` \
-                 (cannon|summa|mm25d|mm3d|strassen|lu|solve|cholesky|tsqr|nbody|fft|matvec|\
-                 samplesort|stencil)"
-            ))
-        }
-    };
-    Ok((profile, verified))
+    let mut shape = Shape::new(n, p, c, args.u64_or("seed", 42)?);
+    if args.has("panel") {
+        shape.panel = Some(args.req_u64("panel")? as usize);
+    }
+    shape.cols = args.u64_or("cols", shape.cols as u64)? as usize;
+    shape.halo = args.u64_or("halo", shape.halo as u64)? as usize;
+    shape.iters = args.u64_or("iters", shape.iters as u64)? as usize;
+    let run = sim.run(&shape, cfg, true).map_err(|e| e.to_string())?;
+    Ok((run.profile, run.verified))
 }
 
 pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
@@ -962,7 +836,7 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
     for &c in &c_list {
         let p = q * q * c;
         for faults in [None, Some(plan.clone())] {
-            let mut k = RunKey::simulate("mm25d-abft", n as u64, p as u64, mp.clone());
+            let mut k = RunKey::simulate(table::MM25D_ABFT, n as u64, p as u64, mp.clone());
             k.c = c as u64;
             k.seed = seed;
             k.faults = faults;

@@ -43,7 +43,7 @@ use std::fmt::Write as _;
 /// Execute a CLI invocation; human-readable output is appended to `out`.
 pub fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        let _ = write!(out, "{}", HELP);
+        let _ = write!(out, "{}", help());
         return Ok(());
     }
     if !argv[0].starts_with("--") && !COMMANDS.contains(&argv[0].as_str()) {
@@ -111,6 +111,32 @@ const COMMANDS: &[&str] = &[
     "bound", "help",
 ];
 
+/// `a|b|c` for a `--alg ` list of [`HELP`], which starts at column 21:
+/// broken after a `|` before column 79 and continued under the first name.
+fn alg_list(names: impl Iterator<Item = &'static str>) -> String {
+    let (mut list, mut col) = (String::new(), 21);
+    for name in names {
+        if col + name.len() > 78 {
+            list.push_str("\n                     ");
+            col = 21;
+        }
+        list.push_str(name);
+        list.push('|');
+        col += name.len() + 1;
+    }
+    list.pop();
+    list
+}
+
+/// [`HELP`] with its `--alg` lists enumerated from the algorithm table.
+fn help() -> String {
+    use psse_algos::table::names;
+    let models = alg_list(names(|e| e.model.is_some()));
+    let simulators = alg_list(names(|e| e.simulate.is_some()));
+    HELP.replace("{MODEL_ALGS}", &models)
+        .replace("{SIMULATE_ALGS}", &simulators)
+}
+
 const HELP: &str = "\
 psse — Perfect Strong Scaling Using No Additional Energy (IPDPS 2013)
 
@@ -119,8 +145,8 @@ USAGE: psse <command> [--option value]...
 COMMANDS:
   machines   Print the paper's Table II processor database.
   model      Evaluate T (Eq. 1), E (Eq. 2) and P for an algorithm at a point.
-               --alg matmul|strassen|lu|cholesky|nbody|matvec|fft|fft-a2a|
-                     samplesort|stencil  --n N  --p P
+               --alg {MODEL_ALGS}
+               --n N  --p P
                [--mem WORDS]        memory/processor (default: minimal)
                [--machine jaketown] plus per-parameter overrides, e.g.
                [--gamma-t S] [--beta-t S] [--alpha-t S] [--gamma-e J]
@@ -132,8 +158,7 @@ COMMANDS:
                --n N [--f FLOPS] [--tmax S] [--emax J]
                [--power-total W] [--power-proc W]
   simulate   Run the real algorithm on the virtual machine and price it.
-               --alg cannon|summa|mm25d|mm3d|strassen|lu|solve|cholesky|tsqr|
-                     nbody|fft|matvec|samplesort|stencil
+               --alg {SIMULATE_ALGS}
                --n N --p P [--c C] [--panel W] [--seed S]
                [--backend threads|events]  recorded and printed; both values
                                            run the thread machine today and
@@ -247,6 +272,43 @@ mod tests {
         ] {
             assert!(out.contains(cmd), "help should mention {cmd}");
         }
+    }
+
+    /// The `|`-separated list that follows `--alg ` in the help block
+    /// of `command`, continuation lines joined.
+    fn help_alg_list(help: &str, command: &str) -> Vec<String> {
+        let block = help.split(&format!("\n  {command} ")).nth(1).unwrap();
+        let list = block.split("--alg ").nth(1).unwrap();
+        let mut names = String::new();
+        for line in list.lines() {
+            names.push_str(line.trim());
+            if !line.ends_with('|') {
+                break;
+            }
+        }
+        names.split('|').map(str::to_string).collect()
+    }
+
+    #[test]
+    fn help_alg_lists_are_the_algorithm_table() {
+        use psse_algos::table::names;
+        let out = call("help").unwrap();
+        assert!(!out.contains("_ALGS}"), "placeholder left in: {out}");
+        assert!(out.lines().all(|l| l.chars().count() <= 80), "{out}");
+        assert_eq!(
+            help_alg_list(&out, "model"),
+            names(|e| e.model.is_some()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            help_alg_list(&out, "simulate"),
+            names(|e| e.simulate.is_some()).collect::<Vec<_>>()
+        );
+        // The lists are what the commands accept: a name from the other
+        // list is refused with this command's own.
+        let err = call("simulate --alg fft-a2a --n 16 --p 2").unwrap_err();
+        assert!(err.contains("(cannon|summa|"), "{err}");
+        let err = call("model --alg cannon --n 16 --p 4").unwrap_err();
+        assert!(err.contains("(matmul|mm25d|"), "{err}");
     }
 
     #[test]

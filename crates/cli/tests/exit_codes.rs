@@ -345,3 +345,135 @@ fn optimize_reports_answers_that_are_not_runs() {
     assert!(line.contains("at p = 1.0000e10, M = 1.0000"), "{line}");
     assert!(line.contains("not binding"), "{line}");
 }
+
+#[test]
+fn absurd_simulate_sizes_exit_nonzero_without_aborting() {
+    // Both aborted (exit 134) at the parent: 70 000 rank threads ran the
+    // process out of memory mappings, a 39 GB matrix out of memory.
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--alg", "tsqr", "--n", "560000", "--p", "70000"],
+            "16384 ranks",
+        ),
+        (&["--alg", "matvec", "--n", "70000"], "--n is too large"),
+        // The default SUMMA panel is n/√p: a panic (exit 101) at p = 0.
+        (&["--alg", "summa", "--n", "16", "--p", "0"], "p = 0"),
+        // n² words no longer fit a `usize`: refused by arithmetic alone.
+        (
+            &["--alg", "stencil", "--n", "5000000000"],
+            "--n is too large",
+        ),
+    ];
+    for (args, reason) in cases {
+        let out = psse(&[&["simulate"], args].concat());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr_line(&out);
+        assert!(err.starts_with("error:") && err.contains(reason), "{err}");
+        assert_eq!(err.lines().count(), 1, "no backtrace: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a measurement");
+    }
+}
+
+#[test]
+fn a_lab_row_cannot_name_a_machine_it_did_not_run_on() {
+    // c = 3 does not divide p = 10. The parent ran the 3 x 3 layout on
+    // nine ranks and wrote a `p = 10` row with exit 0.
+    let dir = std::env::temp_dir().join(format!("psse-exit-nbody-{}", std::process::id()));
+    let spec = write_spec(
+        &dir,
+        "nb.spec",
+        "kind = simulate\nalg = nbody\nn = 60\np = 10\nc = 3\n",
+    );
+    let out = psse(&["lab", "run", "--spec", &spec, "--profile", "off"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_line(&out);
+    assert!(err.contains("1 of 1 runs failed"), "{err}");
+    assert!(err.contains("nbody n=60 p=10 c=3"), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("--c 3 must divide --p 10"), "{stdout}");
+
+    // A misspelt `alg` is one line-numbered parse error, not one failed
+    // run per expanded key.
+    let spec = write_spec(
+        &dir,
+        "typo.spec",
+        "kind = simulate\nalg = nbdy\nn = 60\np = 1..64\n",
+    );
+    let out = psse(&["lab", "run", "--spec", &spec, "--profile", "off"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_line(&out);
+    assert!(err.contains("line 2") && err.contains("`nbdy`"), "{err}");
+    assert!(err.contains("|nbody|"), "accepted names listed: {err}");
+    assert!(out.stdout.is_empty(), "no key ran");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first number after `label` on the line of `text` that starts
+/// with `head`.
+fn printed(text: &str, head: &str, label: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(head))
+        .unwrap_or_else(|| panic!("no `{head}` line in: {text}"));
+    let rest = &line[line.find(label).expect(label) + label.len()..];
+    rest.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn every_simulate_name_is_sweepable_and_the_row_is_the_cli_measurement() {
+    // The eight names a spec could not reach at the parent, Strassen at
+    // both of its small rank counts, and the ABFT pair the CLI rejected.
+    let dir = std::env::temp_dir().join(format!("psse-exit-sweepable-{}", std::process::id()));
+    let cases = [
+        ("strassen", "8", "7"),
+        ("strassen", "28", "49"),
+        ("mm3d", "8", "8"),
+        ("lu", "32", "4"),
+        ("solve", "32", "4"),
+        ("cholesky", "32", "4"),
+        ("tsqr", "64", "4"),
+        ("fft", "256", "8"),
+        ("matvec", "64", "4"),
+        ("mm25d-abft", "16", "4"),
+        ("summa-abft", "16", "4"),
+    ];
+    for (alg, n, p) in cases {
+        // SUMMA's `c` is its panel in a spec; n/√p is the CLI's default.
+        let c = if alg == "summa-abft" { "8" } else { "1" };
+        let spec = write_spec(
+            &dir,
+            "one.spec",
+            &format!("kind = simulate\nalg = {alg}\nn = {n}\np = {p}\nc = {c}\nseed = 9\n"),
+        );
+        let csv = dir.join("one.csv").display().to_string();
+        let out = psse(&[
+            "lab",
+            "run",
+            "--spec",
+            &spec,
+            "--out",
+            &csv,
+            "--profile",
+            "off",
+        ]);
+        assert!(out.status.success(), "{alg}: {}", stderr_line(&out));
+        let rows = std::fs::read_to_string(&csv).unwrap();
+        let row: Vec<&str> = rows.lines().nth(1).expect("one row").split(',').collect();
+        assert_eq!((row[0], row[2], row[3]), (alg, n, p), "{rows}");
+        let (t, e): (f64, f64) = (row[7].parse().unwrap(), row[8].parse().unwrap());
+
+        let out = psse(&["simulate", "--alg", alg, "--n", n, "--p", p, "--seed", "9"]);
+        assert!(out.status.success(), "{alg}: {}", stderr_line(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(stdout.contains("verified against"), "{alg}: {stdout}");
+        // `simulate` prints five significant digits of the same floats
+        // (bit-equality is asserted in psse-lab's `algorithm_table`).
+        for (cli, lab) in [
+            (printed(&stdout, "measured runtime", "T = "), t),
+            (printed(&stdout, "measured energy", "E = "), e),
+        ] {
+            assert!((cli - lab).abs() <= 1e-4 * lab, "{alg}: {cli} vs {lab}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

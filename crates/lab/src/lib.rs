@@ -387,7 +387,7 @@ pub mod prelude {
         detect_scaling_range, pareto_indices, pareto_indices_naive, DetectedRange,
     };
     pub use crate::result::{digest_f64s, line_checksum, RunResult};
-    pub use crate::runner::{execute, execute_into, execute_watched, model_algorithm};
+    pub use crate::runner::{execute, execute_into, execute_watched};
     pub use crate::selfprof::{RunProfile, SweepProfile};
     pub use crate::spec::SweepSpec;
     pub use crate::{ExpandedSweep, Lab, LabConfig, SweepResults};

@@ -1,62 +1,22 @@
 //! Execute one [`RunKey`]: model evaluation or simulator run.
 //!
-//! Model runs reproduce the *exact* float paths used by the existing
-//! figure benches — [`NBodyOptimizer::evaluate`] for n-body and the
-//! `t_matmul_25d`/`e_matmul_25d` closed forms for 2.5D matmul — so a
+//! Both kinds look `key.alg` up in [`psse_algos::table`], the one place
+//! an algorithm name is matched, and call what they find. Model runs
+//! price through [`table::Model::price`], which reproduces the *exact*
+//! float paths of the figure benches for n-body and 2.5D matmul — a
 //! sweep routed through the lab regenerates checked-in CSVs
-//! byte-identically. Everything else goes through the generic
-//! [`Algorithm`] cost model (Eqs. 1–2). Simulator runs execute the real
-//! distributed algorithm on the virtual machine and price the recorded
+//! byte-identically — and Eqs. 1–2 over the generic cost model for
+//! everything else. Simulator runs execute the real distributed
+//! algorithm on the virtual machine and price the recorded
 //! [`Profile`](psse_sim::prelude::Profile).
 
-use psse_algos::prelude::{
-    cannon_matmul, halo_stencil, matmul_25d, matmul_25d_abft, measure, measure_into,
-    nbody_replicated, random_grid, random_keys, sample_sort, serial_stencil, sim_config_from,
-    summa_matmul, summa_matmul_abft, Decomp,
-};
-use psse_core::costs::{
-    clamp_memory, Algorithm, Cholesky25d, ClassicalMatMul, DirectNBody, FftAllToAll, FftTree,
-    HaloStencilModel, Lu25d, MatVec, SampleSortModel, StrassenMatMul,
-};
-use psse_core::optimize::matmul::MatMulOptimizer;
-use psse_core::optimize::nbody::NBodyOptimizer;
+use psse_algos::prelude::{measure, measure_into, sim_config_from};
+use psse_algos::table::{self, Check, Shape};
+use psse_core::costs::{clamp_memory, Algorithm};
 use psse_hbl::prelude::KernelCost;
-use psse_kernels::matrix::Matrix;
-use psse_kernels::nbody::random_particles;
 
 use crate::key::{RunKey, RunKind};
 use crate::result::{digest_f64s, RunResult};
-
-/// Resolve a model-run algorithm id to its cost model. `f` is the
-/// n-body flops-per-interaction knob, `halo`/`iters` the stencil shape
-/// (each ignored by the other algorithms).
-pub fn model_algorithm(
-    alg: &str,
-    f: f64,
-    halo: u64,
-    iters: u64,
-) -> Result<Box<dyn Algorithm>, String> {
-    Ok(match alg {
-        "matmul" | "mm25d" => Box::new(ClassicalMatMul),
-        "strassen" => Box::new(StrassenMatMul::default()),
-        "lu" => Box::new(Lu25d),
-        "cholesky" => Box::new(Cholesky25d),
-        "nbody" => Box::new(DirectNBody {
-            flops_per_interaction: f,
-        }),
-        "matvec" => Box::new(MatVec),
-        "fft" | "fft-tree" => Box::new(FftTree),
-        "fft-a2a" => Box::new(FftAllToAll),
-        "samplesort" => Box::new(SampleSortModel),
-        "stencil" => Box::new(HaloStencilModel { halo, iters }),
-        other => {
-            return Err(format!(
-                "unknown model algorithm `{other}` \
-                 (matmul|strassen|lu|cholesky|nbody|matvec|fft|fft-a2a|samplesort|stencil)"
-            ));
-        }
-    })
-}
 
 /// Execute one run. Deterministic: equal keys produce equal results,
 /// bit-for-bit, which is what makes the content-addressed cache sound.
@@ -170,32 +130,13 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
     if let Some(model) = &key.kernel {
         return execute_kernel_model(key, model.cost());
     }
-    let alg = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;
+    let model = table::model(&key.alg)?;
+    let alg = model.costs(key.f, key.halo, key.iters);
     let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
     let (mem_eff, feasible) = effective_memory(key, lo, hi);
-
-    let (time, energy) = match key.alg.as_str() {
-        // Closed forms, bit-identical to the figure benches.
-        "nbody" => {
-            let opt = NBodyOptimizer::new(&key.machine, key.f).map_err(|e| e.to_string())?;
-            let cfg = opt.evaluate(key.n, key.p, mem_eff);
-            (cfg.time, cfg.energy)
-        }
-        "matmul" | "mm25d" => {
-            let opt = MatMulOptimizer::new(&key.machine).map_err(|e| e.to_string())?;
-            let cfg = opt.evaluate(key.n, key.p, mem_eff);
-            (cfg.time, cfg.energy)
-        }
-        // Everything else prices the generic (F, W, S) model.
-        _ => {
-            let costs = alg
-                .costs_clamped(key.n, key.p, mem_eff, &key.machine)
-                .map_err(|e| e.to_string())?;
-            let t = key.machine.time(&costs);
-            let e = key.machine.energy(key.p, &costs, mem_eff, t);
-            (t, e)
-        }
-    };
+    let (time, energy) = model
+        .price(&*alg, &key.machine, key.f, key.n, key.p, mem_eff)
+        .map_err(|e| e.to_string())?;
     let mut r = RunResult::model(feasible, time, energy, mem_eff);
     r.flops = alg.total_flops(key.n);
     Ok(r)
@@ -204,9 +145,9 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
 /// Model a run whose cost model was derived from an HBL kernel file
 /// (once, by [`crate::spec::SweepSpec::parse`]) instead of the
 /// hand-written table. The family dispatch inside
-/// [`psse_hbl::bridge::KernelCost::evaluate_point`] mirrors the `alg`
-/// match above, so a kernel whose derived exponents match a table
-/// algorithm prices bit-for-bit identically to it.
+/// [`psse_hbl::bridge::KernelCost::evaluate_point`] mirrors the closed
+/// forms of [`table::Model::price`], so a kernel whose derived exponents
+/// match a table algorithm prices bit-for-bit identically to it.
 fn execute_kernel_model(key: &RunKey, cost: &KernelCost) -> Result<RunResult, String> {
     let (lo, hi) = cost.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
     let (mem_eff, feasible) = effective_memory(key, lo, hi);
@@ -223,9 +164,12 @@ fn execute_simulate(
     registry: Option<&psse_metrics::Registry>,
     cancel: Option<psse_sim::CancelFlag>,
 ) -> Result<RunResult, String> {
-    let n = key.n as usize;
-    let p = key.p as usize;
-    let c = key.c as usize;
+    let sim = table::simulator(&key.alg)?;
+    let mut shape = Shape::new(key.n as usize, key.p as usize, key.c as usize, key.seed);
+    shape.halo = key.halo as usize;
+    shape.iters = key.iters as usize;
+    // A spec has no panel key: a SUMMA row reads `c` as the panel width.
+    shape.panel = Some(shape.c.max(1));
     let mut cfg = sim_config_from(&key.machine);
     cfg.faults = key.faults.clone();
     cfg.backend = key.backend;
@@ -234,85 +178,15 @@ fn execute_simulate(
     // bit-identical to an unwatched one.
     cfg.cancel = cancel;
 
-    let (output_digest, verified, profile) = match key.alg.as_str() {
-        "mm25d" | "mm25d-abft" | "summa" | "summa-abft" | "cannon" => {
-            let a = Matrix::random(n, n, key.seed);
-            let b = Matrix::random(n, n, key.seed + 1);
-            let ((c_mat, profile), verified) = match key.alg.as_str() {
-                "mm25d" => (
-                    matmul_25d(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                "mm25d-abft" => (
-                    matmul_25d_abft(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                    true,
-                ),
-                "summa" => (
-                    summa_matmul(&a, &b, p, c.max(1), cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                "summa-abft" => (
-                    summa_matmul_abft(&a, &b, p, c.max(1), cfg).map_err(|e| e.to_string())?,
-                    true,
-                ),
-                "cannon" => (
-                    cannon_matmul(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                _ => unreachable!(),
-            };
-            (digest_f64s(c_mat.as_slice()), verified, profile)
-        }
-        "nbody" => {
-            // `p = pr·c`: the key's p is total ranks, c the replication
-            // factor, so the ring size is p/c.
-            let particles = random_particles(n, key.seed);
-            let c = c.max(1);
-            let (forces, profile) =
-                nbody_replicated(&particles, p / c, c, cfg).map_err(|e| e.to_string())?;
-            let flat: Vec<f64> = forces.iter().flatten().copied().collect();
-            (digest_f64s(&flat), false, profile)
-        }
-        "samplesort" => {
-            let keys = random_keys(n, key.seed);
-            let (sorted, profile) = sample_sort(&keys, p, cfg).map_err(|e| e.to_string())?;
-            // Verified in-run: the concatenated buckets must be the
-            // permutation `sort` would produce.
-            let mut reference = keys;
-            reference.sort_by(|a, b| a.total_cmp(b));
-            if sorted != reference {
-                return Err("samplesort: output does not match the serial sort".into());
-            }
-            (digest_f64s(&sorted), true, profile)
-        }
-        "stencil" => {
-            let grid = random_grid(n, key.seed);
-            let (out, profile) = halo_stencil(
-                &grid,
-                n,
-                key.halo as usize,
-                key.iters as usize,
-                Decomp::for_grid(n, p),
-                p,
-                cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            // Verified in-run, bit-for-bit: identical (di, dj) update
-            // order makes the distributed sweep reproduce the serial
-            // one exactly, not approximately.
-            let reference = serial_stencil(&grid, n, key.halo as usize, key.iters as usize);
-            if out != reference {
-                return Err("stencil: output does not match the serial sweep".into());
-            }
-            (digest_f64s(&out), true, profile)
-        }
-        other => {
-            return Err(format!(
-                "unknown simulator algorithm `{other}` \
-                 (mm25d|mm25d-abft|summa|summa-abft|cannon|nbody|samplesort|stencil)"
-            ));
-        }
-    };
+    // A sweep asks for the sequential reference only where it is exact
+    // and no dearer than the run — not a serial n³ product per key.
+    let exact = sim.check == Check::Exact;
+    let run = sim.run(&shape, cfg, exact).map_err(|e| e.to_string())?;
+    if exact && !run.verified {
+        return Err("output does not match the sequential reference".into());
+    }
+    let verified = sim.check != Check::Tolerance;
+    let (output_digest, profile) = (digest_f64s(&run.output), run.profile);
 
     let m = match registry {
         Some(reg) => {
@@ -343,7 +217,9 @@ fn execute_simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psse_core::costs::ClassicalMatMul;
     use psse_core::machines::jaketown;
+    use psse_core::optimize::nbody::NBodyOptimizer;
     use psse_core::params::MachineParams;
 
     fn contrived() -> MachineParams {

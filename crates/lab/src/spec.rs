@@ -28,6 +28,7 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
+use psse_algos::table;
 use psse_core::machines::{cloud_instance, cluster_node, embedded_soc, jaketown};
 use psse_core::params::MachineParams;
 use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
@@ -42,7 +43,8 @@ use crate::key::{KernelModel, RunKey, RunKind};
 pub struct SweepSpec {
     /// Model evaluation or simulator execution.
     pub kind: RunKind,
-    /// Algorithm id (validated at execution time by the runner).
+    /// Algorithm id, a name of [`psse_algos::table`] that has the half
+    /// `kind` asks for (or `kernel:<name>` for a kernel sweep).
     pub alg: String,
     /// Machine preset name (for summaries).
     pub machine_name: String,
@@ -209,7 +211,7 @@ impl SweepSpec {
     /// Parse the `key = value` spec text. Unknown keys are an error.
     pub fn parse(text: &str) -> Result<SweepSpec, LabError> {
         let mut kind: Option<RunKind> = None;
-        let mut alg: Option<String> = None;
+        let mut alg: Option<(usize, String)> = None; // (line, id)
         let mut machine_name = String::from("jaketown");
         let mut overrides: Vec<(usize, f64)> = Vec::new(); // (MACHINE_KEYS index, value)
         let mut n = vec![];
@@ -247,7 +249,7 @@ impl SweepSpec {
                 "kind" => {
                     kind = Some(RunKind::from_str(value).map_err(|e| LabError::spec(lineno, e))?)
                 }
-                "alg" => alg = Some(value.to_string()),
+                "alg" => alg = Some((lineno, value.to_string())),
                 "kernel" => {
                     // Read and compile the kernel file now: a bad path or
                     // a malformed loop nest surfaces with this spec line
@@ -354,10 +356,17 @@ impl SweepSpec {
                     Some(Arc::new(model)),
                 )
             }
-            None => (
-                alg.ok_or_else(|| LabError::spec(0, "missing `alg = <algorithm>`"))?,
-                None,
-            ),
+            None => {
+                let (lineno, alg) =
+                    alg.ok_or_else(|| LabError::spec(0, "missing `alg = <algorithm>`"))?;
+                // One parse error, not one failed run per expanded key.
+                match kind {
+                    RunKind::Model => table::model(&alg).map(drop),
+                    RunKind::Simulate => table::simulator(&alg).map(drop),
+                }
+                .map_err(|e| LabError::spec(lineno, e))?;
+                (alg, None)
+            }
         };
         if n.is_empty() {
             return Err(LabError::spec(0, "missing `n = <sizes>`"));

@@ -224,6 +224,12 @@ pub struct SimOutcome<R> {
 /// The simulated distributed machine.
 pub struct Machine;
 
+/// The most ranks [`Machine::run`] hosts. Each rank is an OS thread,
+/// and a thread maps a stack and a guard page: Linux's default
+/// `vm.max_map_count` (65 530) runs out near 3·10⁴ of them, and the
+/// process then aborts inside `std::thread` instead of returning.
+pub const MAX_THREAD_RANKS: usize = 1 << 14;
+
 impl Machine {
     /// Run `f` on `p` ranks. Each rank executes `f(&mut rank)` on its own
     /// OS thread (reused from a process-wide pool across runs, so a
@@ -244,6 +250,12 @@ impl Machine {
     {
         if p == 0 {
             return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
+        }
+        if p > MAX_THREAD_RANKS {
+            return Err(SimError::InvalidConfig(format!(
+                "world size p = {p} exceeds the thread machine's {MAX_THREAD_RANKS} ranks \
+                 (one OS thread each); the event engine (`psse-event`) is the tool for larger p"
+            )));
         }
         cfg.validate()?;
         let cfg = Arc::new(cfg);

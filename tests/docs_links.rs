@@ -236,6 +236,34 @@ fn readme_env_table_matches_the_sources() {
     assert!(in_readme.is_empty(), "README still documents {in_readme:?}");
 }
 
+/// The `--alg` column of README's workload catalog names exactly the
+/// entries of the algorithm table — the list `psse help` prints and the
+/// spec parser accepts (`psse-cli` holds its help text to the same
+/// table in `help_alg_lists_are_the_algorithm_table`).
+#[test]
+fn readme_workload_catalog_matches_the_algorithm_table() {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
+    let section = readme
+        .split("\n## Workload catalog\n")
+        .nth(1)
+        .expect("README has a `Workload catalog` section");
+    let mut in_readme = BTreeSet::new();
+    for row in section
+        .lines()
+        .take_while(|l| !l.starts_with("## "))
+        .filter(|l| l.starts_with("| ") && !l.starts_with("| workload"))
+    {
+        let column = row.split('|').nth(2).expect("an `--alg` column");
+        // Backticked words, i.e. the odd pieces of a split on '`'.
+        in_readme.extend(column.split('`').skip(1).step_by(2).map(str::to_string));
+    }
+    let in_table: BTreeSet<String> = psse_algos::table::TABLE
+        .iter()
+        .map(|e| e.name.to_string())
+        .collect();
+    assert_eq!(in_readme, in_table);
+}
+
 #[test]
 fn slugger_matches_github_conventions() {
     assert_eq!(slug("Observability"), "observability");
