@@ -144,10 +144,10 @@ pub fn export_eq_terms(
     let h_flops = reg.histogram(&format!("{prefix}.eq1.flops_ns"))?;
     let h_words = reg.histogram(&format!("{prefix}.eq1.words_ns"))?;
     let h_msgs = reg.histogram(&format!("{prefix}.eq1.msgs_ns"))?;
-    for r in &profile.per_rank {
+    for (r, o) in profile.ranks() {
         h_flops.record_secs(params.gamma_t * r.flops as f64);
-        h_words.record_secs(params.beta_t * (r.words_sent + r.retrans_words) as f64);
-        h_msgs.record_secs(params.alpha_t * (r.msgs_sent + r.retrans_msgs) as f64);
+        h_words.record_secs(params.beta_t * (r.words_sent + o.retrans_words) as f64);
+        h_msgs.record_secs(params.alpha_t * (r.msgs_sent + o.retrans_msgs) as f64);
     }
     let s = summarize(profile);
     let t = profile.makespan;

@@ -138,6 +138,22 @@ fn fixed_memory(args: &Args) -> Result<f64, String> {
     Ok(mem)
 }
 
+/// `--<flag>`, if given, as a target or a cap the closed forms divide by
+/// and compare against: anything but a finite, positive number prints
+/// `NaN`, `inf` or a plan for a negative budget.
+fn positive(args: &Args, flag: &str) -> Result<Option<f64>, String> {
+    if !args.has(flag) {
+        return Ok(None);
+    }
+    let x = args.req_f64(flag)?;
+    if !(x > 0.0 && x.is_finite()) {
+        return Err(format!(
+            "--{flag} must be a finite, positive number, got {x}"
+        ));
+    }
+    Ok(Some(x))
+}
+
 /// The `[p_min, p_max]` block of `scaling` and `bound range`.
 fn print_range(out: &mut String, name: &str, range: Option<ScalingRange>) {
     match range {
@@ -301,6 +317,9 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     let (mp, mname) = machine_from(args)?;
     let n = problem_size(args)?;
     let f = args.f64_or("f", 20.0)?;
+    // Refused before anything is printed.
+    let power_total = positive(args, "power-total")?;
+    let power_proc = positive(args, "power-proc")?;
     let opt = NBodyOptimizer::new(&mp, f).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
     match (opt.m0(), opt.e_star(n)) {
@@ -370,31 +389,29 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             ),
         };
     }
-    if args.has("power-total") {
-        let cap = args.req_f64("power-total")?;
+    if let Some(power_total) = power_total {
         if let Ok(m0) = opt.m0() {
-            let p_max = opt.max_p_given_total_power(cap, m0);
+            let p_max = opt.max_p_given_total_power(power_total, m0);
             let _ = writeln!(
                 out,
                 "total power {} W at M0 allows p <= {}",
-                fmt(cap),
+                fmt(power_total),
                 fmt(p_max)
             );
         }
     }
-    if args.has("power-proc") {
-        let cap = args.req_f64("power-proc")?;
-        match opt.max_memory_given_proc_power(cap) {
+    if let Some(power_proc) = power_proc {
+        match opt.max_memory_given_proc_power(power_proc) {
             Ok(m) => {
                 let _ = writeln!(
                     out,
                     "per-processor power {} W caps memory at M <= {}",
-                    fmt(cap),
+                    fmt(power_proc),
                     fmt(m)
                 );
             }
             Err(e) => {
-                let _ = writeln!(out, "per-processor power {} W: {e}", fmt(cap));
+                let _ = writeln!(out, "per-processor power {} W: {e}", fmt(power_proc));
             }
         }
     }
@@ -482,7 +499,7 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
 pub fn tech(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&allowed(&[&MACHINE_KEYS, &["target"]]))?;
     let (mp, _) = machine_from(args)?;
-    let target = args.f64_or("target", 75.0)?;
+    let target = positive(args, "target")?.unwrap_or(75.0);
     let study = CaseStudy::default();
     let base = study.gflops_per_watt(&mp);
     let _ = writeln!(

@@ -305,13 +305,83 @@ fn degenerate_sizes_exit_nonzero_naming_the_flag() {
         (vec!["optimize", "--n", "0"], "--n"),
     ];
     for (args, flag) in cases {
-        let out = psse(&args);
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let err = stderr_line(&out);
-        assert!(err.starts_with("error:") && err.contains(flag), "{err}");
-        assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} printed a number");
+        assert_refused_naming(&args, flag);
     }
+}
+
+/// `args` must exit 1 with a one-line reason that names `flag`, and
+/// print nothing — in particular no number.
+fn assert_refused_naming(args: &[&str], flag: &str) {
+    let out = psse(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}");
+    let err = stderr_line(&out);
+    assert!(err.starts_with("error:") && err.contains(flag), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a number");
+}
+
+#[test]
+fn non_finite_prices_targets_and_caps_exit_nonzero_naming_the_flag() {
+    // Each of these used to print `inf` or `NaN` (or a plan for a
+    // negative target) and exit 0.
+    let dir = std::env::temp_dir().join(format!("psse-nonfinite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.trace").display().to_string();
+    let record = [
+        "trace", "record", "--alg", "mm25d", "--n", "16", "--p", "8", "--c", "2", "--out", &trace,
+    ];
+    let out = psse(&record);
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    let simulate = [
+        "simulate", "--alg", "mm25d", "--n", "32", "--p", "8", "--c", "2",
+    ];
+    let replay = ["trace", "replay", "--in", &trace];
+    let cases: [(Vec<&str>, &str); 9] = [
+        // An infinite price is refused by the validators...
+        ([&simulate[..], &["--beta-t", "inf"]].concat(), "beta_t"),
+        ([&replay[..], &["--beta-t", "inf"]].concat(), "beta_t"),
+        // ...and finite prices whose charges overflow, by the replay.
+        (
+            [&replay[..], &["--beta-t", "1e308", "--alpha-t", "1e308"]].concat(),
+            "beta_t",
+        ),
+        (vec!["tech", "--target", "nan"], "--target"),
+        (vec!["tech", "--target", "-1"], "--target"),
+        (vec!["tech", "--target", "0"], "--target"),
+        (
+            vec!["optimize", "--n", "1e6", "--power-total", "nan"],
+            "--power-total",
+        ),
+        (
+            vec!["optimize", "--n", "1e6", "--power-total", "inf"],
+            "--power-total",
+        ),
+        (
+            vec!["optimize", "--n", "1e6", "--power-proc", "-3"],
+            "--power-proc",
+        ),
+    ];
+    for (args, flag) in cases {
+        assert_refused_naming(&args, flag);
+    }
+    // The closed-form commands already refused it, in these words.
+    let out = psse(&[
+        "model",
+        "--alg",
+        "matmul",
+        "--n",
+        "8192",
+        "--p",
+        "64",
+        "--gamma-t",
+        "inf",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        stderr_line(&out),
+        "error: invalid machine parameter gamma_t = inf"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

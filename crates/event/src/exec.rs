@@ -106,7 +106,8 @@ type Waiting = (usize, Tag, f64);
 /// One rank's executor state, fixed size: the program stays in the
 /// `Vec` it was built into and parked wires live in the run's [`Slab`].
 /// All a rank may still own on the heap is what its run asks for — the
-/// meter's trace and fault state, an inbox map if it spilled.
+/// meter's trace, its overhead counters and fault state, an inbox map
+/// if it spilled.
 struct Slot {
     meter: Meter,
     /// Undelivered transfers to this rank, findable by `(src, tag)` in
@@ -213,6 +214,7 @@ pub(crate) fn per_rank<T>(p: usize, items: impl Iterator<Item = T>) -> SimResult
 /// backend's triage would surface: the lowest-ranked real failure wins;
 /// otherwise all-blocked is a proven deadlock.
 fn finish<P>(
+    cfg: &SimConfig,
     programs: Vec<P>,
     slots: Vec<Slot>,
     stats: ExecStats,
@@ -230,16 +232,20 @@ fn finish<P>(
             blocked,
         });
     }
-    let mut per_rank_stats = per_rank(slots.len(), std::iter::empty())?;
-    let mut all_events = per_rank(slots.len(), std::iter::empty())?;
+    // Overhead blocks and event logs exist per rank or not at all, by
+    // `cfg` — as on the thread backend.
+    let p = slots.len();
+    let mut per_rank_stats = per_rank(p, std::iter::empty())?;
+    let n_if = |present: bool| if present { p } else { 0 };
+    let mut overheads = per_rank(n_if(cfg.tracks_overheads()), std::iter::empty())?;
+    let mut all_events = per_rank(n_if(cfg.record_trace), std::iter::empty())?;
     for slot in slots {
-        let (rank_stats, events) = slot.meter.into_parts();
+        let (rank_stats, rank_overheads, events) = slot.meter.into_parts(cfg);
         per_rank_stats.push(rank_stats);
-        all_events.push(events);
+        overheads.extend(rank_overheads);
+        all_events.extend(events);
     }
-    // With tracing off each rank's event vec is simply empty; there is
-    // still one vec per rank, as on the thread backend.
-    let profile = Profile::with_events(per_rank_stats, all_events);
+    let profile = Profile::from_parts(per_rank_stats, overheads, all_events);
     #[cfg(debug_assertions)]
     profile.assert_balanced()?;
     Ok(EventOutcome {
@@ -410,7 +416,7 @@ fn run_worklist<P: RankProgram>(
     };
     // Free the run's scratch before `finish` reserves the profile.
     drop((slab, runnable, out));
-    finish(programs, slots, stats, errors)
+    finish(cfg, programs, slots, stats, errors)
 }
 
 #[cfg(test)]

@@ -44,10 +44,9 @@ use psse_sim::meter::{charge_chunks, chunk_charge};
 use psse_sim::{Profile, RankStats, SimConfig, SimError};
 
 /// The flat-machine prices of one collective, whose every transfer
-/// carries the same `words`. A rank's lane is its `RankStats` itself:
-/// of its fields, exactly the ones the general path can touch on a
-/// trace-less, fault-less, flat run are written, with `finish_time` as
-/// the running clock.
+/// carries the same `words`. A rank's lane is its `RankStats` itself —
+/// the one cache line the general path can touch on a trace-less,
+/// fault-less, flat run — with `finish_time` as the running clock.
 struct Prices {
     /// What the messages of one transfer add to the sender's clock, in
     /// order, as runs `(charge, messages)`: the chunks `charge_chunks`
@@ -125,7 +124,7 @@ impl Prices {
 /// Can a run under `cfg` be priced in closed form at all? Only when
 /// nothing observes individual events (see the module docs).
 pub(crate) fn eligible(cfg: &SimConfig) -> bool {
-    !cfg.record_trace && cfg.faults.is_none() && cfg.hierarchy.is_none()
+    !cfg.record_trace && !cfg.tracks_overheads()
 }
 
 /// `len` copies of `value`, reserved fallibly (see [`per_rank`]).
@@ -162,9 +161,9 @@ pub(crate) fn price(
         }
         AnalyticOp::RingAllreduce { .. } => pairwise::<Ring>(&mut lanes, cfg, &pr)?,
     }
-    // One (empty) trace vec per rank, as the general path reports with
-    // tracing off.
-    let profile = Profile::with_events(lanes, filled(p, Vec::new())?);
+    // An `eligible` run has no overhead block and no event logs, as the
+    // general path reports without a hierarchy, a fault plan or tracing.
+    let profile = Profile::from_parts(lanes, Vec::new(), Vec::new());
     debug_assert!(profile.assert_balanced().is_ok());
     Ok(Some(profile))
 }
@@ -378,11 +377,8 @@ mod tests {
         assert_eq!(out.profile.total_msgs_sent(), t.msgs);
         assert_eq!(out.profile.total_words_sent(), t.words);
         assert_eq!(out.profile.total_flops(), t.flops);
-        assert_eq!(
-            out.profile.events.len(),
-            64,
-            "one (empty) trace vec per rank"
-        );
+        assert!(out.profile.events.is_empty(), "untraced: no event logs");
+        assert!(out.profile.overheads().is_empty());
     }
 
     /// Every event-observing feature must force the general path, and a

@@ -207,7 +207,7 @@ fn execute_simulate(
         msgs: profile.total_msgs_sent() as f64,
         mem_used: profile.max_mem_peak() as f64,
         retries: profile.total_retries(),
-        checkpoint_words: profile.per_rank.iter().map(|r| r.checkpoint_words).sum(),
+        checkpoint_words: profile.total_checkpoint_words(),
         resilience_words: profile.resilience_words(),
         resilience_msgs: profile.resilience_msgs(),
         output_digest,

@@ -62,7 +62,7 @@
 //! the plan's recovery policy: acked sends with bounded exponential
 //! backoff, and coordinated checkpoint/restart whose write volume is
 //! charged through the same Eq. 1 link prices (the words land in
-//! dedicated [`profile::RankStats`] resilience counters so the energy
+//! dedicated [`profile::RankOverheads`] resilience counters so the energy
 //! model can price them). `None` (the default) keeps every run
 //! bit-identical to the pre-fault-layer simulator.
 //!
@@ -113,7 +113,7 @@ pub use error::SimError;
 pub use machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
 pub use message::{SharedPayload, Tag};
 pub use meter::{Departure, Meter};
-pub use profile::{Profile, RankStats};
+pub use profile::{Profile, RankOverheads, RankStats};
 pub use psse_faults::FaultPlan;
 pub use rank::Rank;
 
@@ -124,7 +124,7 @@ pub mod prelude {
     pub use crate::grid::{Grid2, Grid3};
     pub use crate::machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
     pub use crate::message::{SharedPayload, Tag};
-    pub use crate::profile::{Profile, RankStats};
+    pub use crate::profile::{Profile, RankOverheads, RankStats};
     pub use crate::rank::Rank;
     pub use crate::record::{EventKind, TimedEvent};
     pub use crate::seqmem::{FastMemory, MemStats};

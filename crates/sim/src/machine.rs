@@ -3,8 +3,9 @@
 
 use crate::error::{SimError, SimResult};
 use crate::mailbox::Mailboxes;
+use crate::meter::RankParts;
 use crate::pool::Crew;
-use crate::profile::{Profile, RankStats};
+use crate::profile::Profile;
 use crate::rank::Rank;
 use psse_faults::FaultPlan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,6 +91,18 @@ impl CancelFlag {
     }
 }
 
+/// Refuse, by name, the first of `prices` the simulator cannot charge:
+/// an infinite, negative or NaN one would carry `inf` and `NaN` into
+/// every clock it touches and out to the printed `T`, `E` and `P`.
+pub fn check_prices(prices: &[(&str, f64)]) -> Result<(), String> {
+    match prices.iter().find(|(_, x)| !(x.is_finite() && *x >= 0.0)) {
+        Some((name, x)) => Err(format!(
+            "{name} = {x}: time prices must be finite and non-negative"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Two-level machine hierarchy (paper Fig. 2): ranks are grouped into
 /// nodes of `cores_per_node` consecutive ids; messages between ranks of
 /// the same node use the (cheaper) intra-node link prices instead of the
@@ -105,15 +118,15 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Validate ranges (at least one core per node, non-negative prices).
+    /// Validate ranges (at least one core per node, [`check_prices`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores_per_node == 0 {
             return Err("hierarchy.cores_per_node must be at least 1".into());
         }
-        if !(self.intra_beta_t >= 0.0) || !(self.intra_alpha_t >= 0.0) {
-            return Err("intra-node link prices must be non-negative".into());
-        }
-        Ok(())
+        check_prices(&[
+            ("intra_beta_t", self.intra_beta_t),
+            ("intra_alpha_t", self.intra_alpha_t),
+        ])
     }
 }
 
@@ -180,11 +193,12 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Validate parameter ranges.
     pub fn validate(&self) -> SimResult<()> {
-        if !(self.gamma_t >= 0.0) || !(self.beta_t >= 0.0) || !(self.alpha_t >= 0.0) {
-            return Err(SimError::InvalidConfig(
-                "time parameters must be non-negative and not NaN".into(),
-            ));
-        }
+        check_prices(&[
+            ("gamma_t", self.gamma_t),
+            ("beta_t", self.beta_t),
+            ("alpha_t", self.alpha_t),
+        ])
+        .map_err(SimError::InvalidConfig)?;
         if self.max_message_words == 0 {
             return Err(SimError::InvalidConfig(
                 "max_message_words must be at least 1".into(),
@@ -197,6 +211,13 @@ impl SimConfig {
             plan.validate().map_err(SimError::InvalidConfig)?;
         }
         Ok(())
+    }
+
+    /// Can a run under this configuration move a [`crate::RankOverheads`]
+    /// counter? Without a hierarchy or a fault plan no rank keeps the
+    /// block and the profile has none.
+    pub fn tracks_overheads(&self) -> bool {
+        self.hierarchy.is_some() || self.faults.is_some()
     }
 
     /// A configuration with all time prices zero — useful when only the
@@ -261,7 +282,7 @@ impl Machine {
         let cfg = Arc::new(cfg);
         let mailboxes = Arc::new(Mailboxes::new(p));
 
-        type RankOutput<R> = (R, RankStats, Vec<crate::record::TimedEvent>);
+        type RankOutput<R> = (R, RankParts);
         let mut slots: Vec<Option<SimResult<RankOutput<R>>>> = Vec::with_capacity(p);
         slots.resize_with(p, || None);
 
@@ -296,7 +317,7 @@ impl Machine {
                     let res = match out {
                         // A crash that struck during a trailing `compute`
                         // (which cannot return an error) surfaces here.
-                        Ok(Ok(v)) => rank.finish().map(|(stats, events)| (v, stats, events)),
+                        Ok(Ok(v)) => rank.finish().map(|parts| (v, parts)),
                         Ok(Err(e)) => Err(e),
                         Err(panic) => {
                             let msg = panic
@@ -332,7 +353,8 @@ impl Machine {
 
         let mut results = Vec::with_capacity(p);
         let mut stats = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
+        // One entry per rank, or none: every rank answers alike, by `cfg`.
+        let (mut overheads, mut events) = (Vec::new(), Vec::new());
         // Prefer the root cause over derived noise: the lowest rank that
         // actually failed beats the PeerFailed abandonment its poisoned
         // peers report. Every deadlocked rank reports the same blocked
@@ -343,10 +365,11 @@ impl Machine {
             let filled =
                 slot.unwrap_or_else(|| Err(SimError::PeerFailed(format!("rank {id} thread died"))));
             match filled {
-                Ok((r, s, e)) => {
+                Ok((r, (s, o, e))) => {
                     results.push(r);
                     stats.push(s);
-                    events.push(e);
+                    overheads.extend(o);
+                    events.extend(e);
                 }
                 Err(e @ SimError::PeerFailed(_)) => {
                     first_peer_failed.get_or_insert(e);
@@ -359,7 +382,7 @@ impl Machine {
         if let Some(e) = first_real.or(first_peer_failed) {
             return Err(e);
         }
-        let profile = Profile::with_events(stats, events);
+        let profile = Profile::from_parts(stats, overheads, events);
         // In debug builds, catch programs that leave transfers
         // unreceived — every word sent across a link must be received
         // (`Profile::words_balance`). Release builds skip the check.
@@ -388,6 +411,32 @@ mod tests {
         };
         let r = Machine::run(2, cfg, |_| Ok(()));
         assert!(matches!(r, Err(SimError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn non_finite_prices_are_rejected_by_name() {
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            let cfg = SimConfig {
+                beta_t: bad,
+                ..SimConfig::default()
+            };
+            match cfg.validate() {
+                Err(SimError::InvalidConfig(m)) => assert!(m.starts_with("beta_t = "), "{m}"),
+                other => panic!("beta_t = {bad}: {other:?}"),
+            }
+            let cfg = SimConfig {
+                hierarchy: Some(Hierarchy {
+                    cores_per_node: 2,
+                    intra_beta_t: 0.0,
+                    intra_alpha_t: bad,
+                }),
+                ..SimConfig::default()
+            };
+            match cfg.validate() {
+                Err(SimError::InvalidConfig(m)) => assert!(m.starts_with("intra_alpha_t"), "{m}"),
+                other => panic!("intra_alpha_t = {bad}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The pricing core: one rank's Eq. 1 accounting, with no transport.
 //!
 //! A [`Meter`] owns everything the cost model says about one rank — the
-//! virtual clock, the `F`/`W`/`S`/`M` counters, the trace log and the
+//! virtual clock, the `F`/`W`/`S`/`M` counters, the trace log and, on a
+//! machine with a hierarchy or a fault plan, the overhead counters and
 //! fault-injection state — and nothing about how messages travel. A
 //! transport (the thread mailboxes of [`crate::Rank`], `psse-event`'s
 //! slab, a test driving two meters by hand) calls [`Meter::send`], moves
@@ -16,7 +17,7 @@
 use crate::error::{SimError, SimResult};
 use crate::machine::{Hierarchy, SimConfig};
 use crate::message::{SharedPayload, Tag};
-use crate::profile::RankStats;
+use crate::profile::{RankOverheads, RankStats};
 use crate::record::{EventKind, TimedEvent};
 use psse_faults::LinkFaultKind;
 use std::sync::Arc;
@@ -92,13 +93,18 @@ fn corrupt_word(x: f64) -> f64 {
     x + 1.0 + x.abs()
 }
 
-/// Per-rank fault-injection state (present only when
-/// `SimConfig::faults` is set). Only what changes per rank lives here;
-/// the plan itself is read from the `SimConfig` every call receives, so
-/// a million faulted meters share one plan. Fault decisions are pure
-/// functions of the plan seed and the per-link transfer counters kept
-/// here, so they do not depend on the order ranks execute in.
-struct FaultState {
+/// What a rank keeps only on a machine with a hierarchy or a fault plan
+/// ([`SimConfig::tracks_overheads`]), boxed so that a flat fault-free
+/// meter pays one null pointer for all of it: the counters nothing else
+/// can move, and the per-rank fault-injection state (inert without a
+/// plan: no checkpoint is ever due, no crash scheduled). Only what
+/// changes per rank lives here; the plan itself is read from the
+/// `SimConfig` every call receives, so a million faulted meters share
+/// one plan. Fault decisions are pure functions of the plan seed and the
+/// per-link transfer counters kept here, so they do not depend on the
+/// order ranks execute in.
+struct Cold {
+    overheads: RankOverheads,
     /// Transfers initiated per outgoing link (indexes the plan): a
     /// peer-sorted arena with one entry per distinct peer ever sent to,
     /// so whole-machine fault state is `O(edges)`, not `O(p²)`.
@@ -115,7 +121,7 @@ struct FaultState {
     pending_crash: Option<SimError>,
 }
 
-impl FaultState {
+impl Cold {
     /// Post-increment the sequence number of the link to `dest`,
     /// creating its arena entry on first contact.
     fn next_link_seq(&mut self, dest: usize) -> u64 {
@@ -153,6 +159,9 @@ pub struct Departure {
     pub depart_time: f64,
 }
 
+/// What a finished rank hands its profile ([`Meter::into_parts`]).
+pub type RankParts = (RankStats, Option<RankOverheads>, Option<Vec<TimedEvent>>);
+
 /// One rank's accounting state; see the module docs. The machine
 /// configuration is passed to each call rather than stored, so a
 /// million meters share one `SimConfig`.
@@ -162,21 +171,22 @@ pub struct Meter {
     time: f64,
     stats: RankStats,
     events: Vec<TimedEvent>,
-    fault: Option<Box<FaultState>>,
+    cold: Option<Box<Cold>>,
 }
 
 impl Meter {
     /// The meter of rank `id` in a world of `p`, at virtual time zero.
     pub fn new(id: usize, p: usize, cfg: &SimConfig) -> Self {
-        let fault = cfg.faults.as_ref().map(|plan| {
-            Box::new(FaultState {
+        let plan = cfg.faults.as_ref();
+        let cold = cfg.tracks_overheads().then(|| {
+            Box::new(Cold {
+                overheads: RankOverheads::default(),
                 link_seq: Vec::new(),
                 next_cp: plan
-                    .recovery
-                    .checkpoint
+                    .and_then(|plan| plan.recovery.checkpoint)
                     .map_or(f64::INFINITY, |cp| cp.interval),
                 last_cp: 0.0,
-                crash_at: plan.crash_at(id),
+                crash_at: plan.and_then(|plan| plan.crash_at(id)),
                 pending_crash: None,
             })
         });
@@ -186,7 +196,7 @@ impl Meter {
             time: 0.0,
             stats: RankStats::default(),
             events: Vec::new(),
-            fault,
+            cold,
         }
     }
 
@@ -205,15 +215,18 @@ impl Meter {
         self.time
     }
 
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &RankStats {
-        &self.stats
-    }
-
-    /// Finish the rank: its counters (with `finish_time` set) and trace.
-    pub fn into_parts(mut self) -> (RankStats, Vec<TimedEvent>) {
+    /// Finish the rank: its counters (with `finish_time` set), plus what
+    /// `cfg` had it keep — an overhead block iff
+    /// [`SimConfig::tracks_overheads`], a trace iff `record_trace` — so a
+    /// collector can `extend` a profile's three vectors with the parts.
+    pub fn into_parts(mut self, cfg: &SimConfig) -> RankParts {
         self.stats.finish_time = self.time;
-        (self.stats, self.events)
+        let overheads = self.cold.map(|c| c.overheads);
+        (
+            self.stats,
+            overheads,
+            cfg.record_trace.then_some(self.events),
+        )
     }
 
     /// Append an event to the trace log (no-op unless recording).
@@ -248,9 +261,7 @@ impl Meter {
     /// operation followed it); the transport checks this at rank exit.
     #[inline]
     pub fn take_fault_error(&mut self) -> Option<SimError> {
-        self.fault
-            .as_deref_mut()
-            .and_then(|fs| fs.pending_crash.take())
+        self.cold.as_deref_mut()?.pending_crash.take()
     }
 
     /// The fallible prologue of a send or receive: `peer` must exist,
@@ -272,15 +283,17 @@ impl Meter {
     /// The words land in the resilience counters, not `words_sent`, so
     /// the sent/received balance is preserved.
     fn wasted_attempt(&mut self, cfg: &SimConfig, x: &Transfer, attempt: usize, backoff: f64) {
+        let cold = self.cold.as_deref_mut();
+        let cold = cold.expect("a fault plan gives every meter its block");
+        let overheads = &mut cold.overheads;
         let t0 = self.time;
         let (words, m) = (x.words as u64, cfg.max_message_words as u64);
-        let stats = &mut self.stats;
         charge_chunks(&mut self.time, words, m, x.alpha, x.beta, |k| {
-            stats.retrans_msgs += 1;
-            stats.retrans_words += k;
+            overheads.retrans_msgs += 1;
+            overheads.retrans_words += k;
         });
         self.time += backoff;
-        self.stats.retries += 1;
+        overheads.retries += 1;
         self.record(
             cfg,
             t0,
@@ -302,7 +315,7 @@ impl Meter {
     /// last checkpoint boundary plus the restart time; without one it is
     /// fatal ([`SimError::RankCrashed`]).
     fn fault_epilogue(&mut self, cfg: &SimConfig) {
-        let (Some(plan), Some(mut fs)) = (&cfg.faults, self.fault.take()) else {
+        let (Some(plan), Some(mut cold)) = (&cfg.faults, self.cold.take()) else {
             return;
         };
         if let Some(cp) = plan.recovery.checkpoint {
@@ -311,27 +324,26 @@ impl Meter {
             // next operation (keeps this loop finite even when a write
             // costs more than the interval).
             let t_op = self.time;
-            while fs.next_cp <= t_op {
+            while cold.next_cp <= t_op {
                 let t0 = self.time;
                 let m = cfg.max_message_words as u64;
-                let stats = &mut self.stats;
                 charge_chunks(&mut self.time, cp.words, m, cfg.alpha_t, cfg.beta_t, |k| {
-                    stats.checkpoint_msgs += 1;
-                    stats.checkpoint_words += k;
+                    cold.overheads.checkpoint_msgs += 1;
+                    cold.overheads.checkpoint_words += k;
                 });
-                fs.last_cp = fs.next_cp;
-                fs.next_cp += cp.interval;
+                cold.last_cp = cold.next_cp;
+                cold.next_cp += cp.interval;
                 self.record(cfg, t0, EventKind::Checkpoint { words: cp.words });
             }
         }
-        if let Some(at) = fs.crash_at {
+        if let Some(at) = cold.crash_at {
             if self.time >= at {
-                fs.crash_at = None;
+                cold.crash_at = None;
                 if let Some(cp) = plan.recovery.checkpoint {
                     let t0 = self.time;
-                    let lost = self.time - fs.last_cp;
+                    let lost = self.time - cold.last_cp;
                     self.time += lost + cp.restart_seconds;
-                    self.stats.crashes_recovered += 1;
+                    cold.overheads.crashes_recovered += 1;
                     self.record(
                         cfg,
                         t0,
@@ -341,11 +353,11 @@ impl Meter {
                         },
                     );
                 } else {
-                    fs.pending_crash = Some(SimError::RankCrashed { rank: self.id, at });
+                    cold.pending_crash = Some(SimError::RankCrashed { rank: self.id, at });
                 }
             }
         }
-        self.fault = Some(fs);
+        self.cold = Some(cold);
     }
 
     /// Decide and apply this transfer's injected fault *before*
@@ -365,12 +377,12 @@ impl Meter {
         x: &Transfer,
         payload: Option<&mut SharedPayload>,
     ) -> SimResult<bool> {
-        let (Some(plan), Some(mut fs)) = (&cfg.faults, self.fault.take()) else {
+        let (Some(plan), Some(cold)) = (&cfg.faults, self.cold.as_deref_mut()) else {
             return Ok(false);
         };
         let (src, dest) = (self.id, x.dest);
-        let seq = fs.next_link_seq(dest);
-        let res = match plan.link_fault(src, dest, seq) {
+        let seq = cold.next_link_seq(dest);
+        match plan.link_fault(src, dest, seq) {
             None => Ok(false),
             Some(LinkFaultKind::Duplicate) => Ok(true),
             Some(LinkFaultKind::Delay) => {
@@ -407,9 +419,7 @@ impl Meter {
                     }
                 }
             }
-        };
-        self.fault = Some(fs);
-        res
+        }
     }
 
     /// Execute `flops` floating-point operations: advances the virtual
@@ -420,7 +430,7 @@ impl Meter {
         self.stats.flops += flops;
         self.time += cfg.gamma_t * flops as f64;
         self.record(cfg, t0, EventKind::Compute { flops });
-        if self.fault.is_some() {
+        if cfg.faults.is_some() {
             self.fault_epilogue(cfg);
         }
     }
@@ -492,16 +502,18 @@ impl Meter {
             alpha,
             beta,
         };
-        let duplicate = self.fault.is_some() && self.inject_send_faults(cfg, &x, payload)?;
+        let duplicate = cfg.faults.is_some() && self.inject_send_faults(cfg, &x, payload)?;
         let t_send = self.time;
         let m = cfg.max_message_words;
         let stats = &mut self.stats;
+        // `intra` takes a hierarchy, and a hierarchy gives the meter its block.
+        let mut intra_block = self.cold.as_deref_mut().filter(|_| intra);
         charge_chunks(&mut self.time, words as u64, m as u64, alpha, beta, |k| {
             stats.msgs_sent += 1;
             stats.words_sent += k;
-            if intra {
-                stats.msgs_sent_intra += 1;
-                stats.words_sent_intra += k;
+            if let Some(cold) = &mut intra_block {
+                cold.overheads.msgs_sent_intra += 1;
+                cold.overheads.words_sent_intra += k;
             }
         });
         let departure = Departure {
@@ -514,7 +526,7 @@ impl Meter {
             // the copy, but its bandwidth and latency are still paid.
             self.wasted_attempt(cfg, &x, 0, 0.0);
         }
-        if self.fault.is_some() {
+        if cfg.faults.is_some() {
             self.fault_epilogue(cfg);
         }
         Ok(departure)
@@ -557,7 +569,7 @@ impl Meter {
                 msgs: departure.n_chunks,
             },
         );
-        if self.fault.is_some() {
+        if cfg.faults.is_some() {
             self.fault_epilogue(cfg);
         }
     }
@@ -603,18 +615,18 @@ mod tests {
                 .send(&cfg, dest, Tag(round as u64), 8, None)
                 .expect("send");
         }
-        let fs = meter.fault.as_deref().expect("fault state");
+        let cold = meter.cold.as_deref().expect("fault state");
         assert_eq!(
-            fs.link_seq.len(),
+            cold.link_seq.len(),
             peers.len(),
             "arena must hold one entry per distinct peer, not per transfer"
         );
         // ...and the entries really are per-link transfer counts.
-        for &(peer, seq) in &fs.link_seq {
+        for &(peer, seq) in &cold.link_seq {
             assert!(peers.contains(&(peer as usize)));
             assert!(seq == 34 || seq == 33, "100 sends over 3 links");
         }
-        assert!(fs.link_seq.is_sorted_by_key(|&(d, _)| d));
+        assert!(cold.link_seq.is_sorted_by_key(|&(d, _)| d));
     }
 
     /// A `Meter` needs no transport: two of them driven by hand through
@@ -653,7 +665,7 @@ mod tests {
             a.recv(&cfg, t0, 2, Tag(100 + round), back, WORDS);
         }
 
-        let live = Machine::run(4, cfg, |rank| {
+        let live = Machine::run(4, cfg.clone(), |rank| {
             for round in 0..ROUNDS {
                 match rank.rank() {
                     0 => drop(rank.recv(1, Tag(500 + round))?),
@@ -677,13 +689,14 @@ mod tests {
         .profile;
 
         for (meter, r) in [(a, 1), (b, 2)] {
-            let (stats, events) = meter.into_parts();
+            let (stats, overheads, events) = meter.into_parts(&cfg);
             assert_eq!(stats, live.per_rank[r], "rank {r} counters");
-            assert_eq!(events, live.events[r], "rank {r} trace");
+            assert_eq!(overheads, Some(live.overheads_of(r)), "rank {r} overheads");
+            assert_eq!(events.as_ref(), Some(&live.events[r]), "rank {r} trace");
         }
-        let s = &live.per_rank[1];
-        assert!(s.retries > 0, "the drop plan must bite");
-        assert_eq!(s.msgs_sent_intra, ROUNDS, "the node-mate pings are intra");
+        let (s, o) = (&live.per_rank[1], live.overheads_of(1));
+        assert!(o.retries > 0, "the drop plan must bite");
+        assert_eq!(o.msgs_sent_intra, ROUNDS, "the node-mate pings are intra");
         assert_eq!(
             s.msgs_sent,
             ROUNDS * (1 + 3),

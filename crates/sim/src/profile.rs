@@ -5,7 +5,8 @@ use psse_metrics::{saturating_nanos, Registry};
 use crate::error::{SimError, SimResult};
 use crate::record::TimedEvent;
 
-/// Counters accumulated by one rank over a run. All units are words,
+/// The counters every run moves (a hierarchy's and a fault plan's are
+/// in [`RankOverheads`]), one cache line per rank. All units are words,
 /// messages, flops and (virtual) seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankStats {
@@ -16,11 +17,6 @@ pub struct RankStats {
     pub words_sent: u64,
     /// Messages sent across links (after splitting at `m` words).
     pub msgs_sent: u64,
-    /// Of `words_sent`, the words that stayed within the sender's node
-    /// (zero on flat machines).
-    pub words_sent_intra: u64,
-    /// Of `msgs_sent`, the messages that stayed within the sender's node.
-    pub msgs_sent_intra: u64,
     /// Words received across links.
     pub words_recvd: u64,
     /// Messages received across links.
@@ -29,8 +25,24 @@ pub struct RankStats {
     pub mem_current: u64,
     /// High-water mark of tracked allocation, words.
     pub mem_peak: u64,
-    /// Failed transfer attempts retransmitted plus link-level duplicates
-    /// (fault injection only; see `SimConfig::faults`).
+    /// The rank's virtual clock at the end of its program.
+    pub finish_time: f64,
+}
+
+// A counter added here costs every p = 10⁶ run 8 MB (DESIGN §11.3).
+const _: () = assert!(std::mem::size_of::<RankStats>() == 64);
+
+/// The counters of one rank that only `SimConfig::hierarchy` (the
+/// intra-node shares) or `SimConfig::faults` (the rest) can move. A
+/// [`Profile`] holds them in a block of its own, present only when some
+/// rank's is non-zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RankOverheads {
+    /// Of `words_sent`, the words that stayed within the sender's node.
+    pub words_sent_intra: u64,
+    /// Of `msgs_sent`, the messages that stayed within the sender's node.
+    pub msgs_sent_intra: u64,
+    /// Failed transfer attempts retransmitted plus link-level duplicates.
     pub retries: u64,
     /// Words that crossed a link without being delivered (failed
     /// attempts, duplicates). Kept out of `words_sent` so the
@@ -44,33 +56,40 @@ pub struct RankStats {
     pub checkpoint_msgs: u64,
     /// Crashes absorbed by checkpoint/restart on this rank.
     pub crashes_recovered: u64,
-    /// The rank's virtual clock at the end of its program.
-    pub finish_time: f64,
 }
 
 /// The complete accounting of one simulated run.
+/// `==` means "same numbers" whichever executor or replay built it:
+/// the overhead block has one stored form ([`Profile::overheads`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Per-rank counters, indexed by rank id.
     pub per_rank: Vec<RankStats>,
     /// Virtual makespan: max over ranks of `finish_time`.
     pub makespan: f64,
-    /// Per-rank event logs, indexed by rank id. Empty unless the run
-    /// was executed with [`crate::machine::SimConfig::record_trace`]
-    /// set (see [`crate::record`]).
+    /// Per-rank event logs, indexed by rank id — one per rank when the
+    /// run was executed with [`crate::machine::SimConfig::record_trace`]
+    /// set (see [`crate::record`]), otherwise none at all.
     pub events: Vec<Vec<TimedEvent>>,
+    /// Indexed by rank id, or empty when every rank's block is zero.
+    overheads: Vec<RankOverheads>,
 }
 
 impl Profile {
-    pub(crate) fn new(per_rank: Vec<RankStats>) -> Self {
-        Profile::with_events(per_rank, Vec::new())
-    }
-
-    /// Build a profile from per-rank counters plus per-rank event logs
-    /// (makespan is the max of the `finish_time`s). Used by the
-    /// thread-per-rank runner and by external executors (`psse-event`)
-    /// that account the same counters outside this crate.
-    pub fn with_events(per_rank: Vec<RankStats>, events: Vec<Vec<TimedEvent>>) -> Self {
+    /// Build a profile (makespan is the max of the `finish_time`s);
+    /// every executor and replay engine ends here. `overheads` and
+    /// `events` each hold one entry per rank or none, and an all-zero
+    /// `overheads` is stored as none.
+    pub fn from_parts(
+        per_rank: Vec<RankStats>,
+        mut overheads: Vec<RankOverheads>,
+        events: Vec<Vec<TimedEvent>>,
+    ) -> Self {
+        let per_rank_or_absent = |n: usize| n == 0 || n == per_rank.len();
+        assert!(per_rank_or_absent(overheads.len()) && per_rank_or_absent(events.len()));
+        if overheads.iter().all(|o| *o == RankOverheads::default()) {
+            overheads = Vec::new();
+        }
         let makespan = per_rank
             .iter()
             .map(|r| r.finish_time)
@@ -79,19 +98,32 @@ impl Profile {
             per_rank,
             makespan,
             events,
+            overheads,
         }
-    }
-
-    /// Build a profile directly from per-rank counters (makespan is the
-    /// max of the `finish_time`s). Used by replay engines that
-    /// reconstruct counters outside the simulator.
-    pub fn from_stats(per_rank: Vec<RankStats>) -> Self {
-        Profile::new(per_rank)
     }
 
     /// World size.
     pub fn p(&self) -> usize {
         self.per_rank.len()
+    }
+
+    /// The overhead blocks, indexed by rank id — or none when every
+    /// rank's is zero, as on any flat, fault-free run.
+    pub fn overheads(&self) -> &[RankOverheads] {
+        &self.overheads
+    }
+
+    /// Rank `r`'s overhead block (all zero when the profile has none).
+    pub fn overheads_of(&self, r: usize) -> RankOverheads {
+        self.overheads.get(r).copied().unwrap_or_default()
+    }
+
+    /// Every rank's counters beside its overhead block, in rank order.
+    pub fn ranks(&self) -> impl Iterator<Item = (&RankStats, RankOverheads)> + '_ {
+        self.per_rank
+            .iter()
+            .enumerate()
+            .map(|(r, stats)| (stats, self.overheads_of(r)))
     }
 
     /// Sum over ranks of flops.
@@ -135,7 +167,7 @@ impl Profile {
 
     /// Sum over ranks of intra-node words sent (hierarchical machines).
     pub fn total_words_intra(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.words_sent_intra).sum()
+        self.overheads.iter().map(|o| o.words_sent_intra).sum()
     }
 
     /// Sum over ranks of inter-node words sent.
@@ -145,23 +177,23 @@ impl Profile {
 
     /// Sum over ranks of intra-node messages sent.
     pub fn total_msgs_intra(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.msgs_sent_intra).sum()
+        self.overheads.iter().map(|o| o.msgs_sent_intra).sum()
     }
 
     /// Sum over ranks of resilience-overhead words: retransmissions,
     /// duplicates and checkpoint writes. Zero on fault-free runs.
     pub fn resilience_words(&self) -> u64 {
-        self.per_rank
+        self.overheads
             .iter()
-            .map(|r| r.retrans_words + r.checkpoint_words)
+            .map(|o| o.retrans_words + o.checkpoint_words)
             .sum()
     }
 
     /// Sum over ranks of resilience-overhead messages.
     pub fn resilience_msgs(&self) -> u64 {
-        self.per_rank
+        self.overheads
             .iter()
-            .map(|r| r.retrans_msgs + r.checkpoint_msgs)
+            .map(|o| o.retrans_msgs + o.checkpoint_msgs)
             .sum()
     }
 
@@ -169,37 +201,41 @@ impl Profile {
     /// (retransmissions, duplicates, checkpoint writes) — the `W` the
     /// energy model should price on a faulted run.
     pub fn max_words_with_resilience(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|r| r.words_sent + r.retrans_words + r.checkpoint_words)
+        self.ranks()
+            .map(|(r, o)| r.words_sent + o.retrans_words + o.checkpoint_words)
             .max()
             .unwrap_or(0)
     }
 
     /// Max over ranks of messages sent *including* resilience traffic.
     pub fn max_msgs_with_resilience(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|r| r.msgs_sent + r.retrans_msgs + r.checkpoint_msgs)
+        self.ranks()
+            .map(|(r, o)| r.msgs_sent + o.retrans_msgs + o.checkpoint_msgs)
             .max()
             .unwrap_or(0)
     }
 
     /// Sum over ranks of failed/duplicate transfer attempts.
     pub fn total_retries(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.retries).sum()
+        self.overheads.iter().map(|o| o.retries).sum()
     }
 
     /// Sum over ranks of crashes absorbed by checkpoint/restart.
     pub fn total_crashes_recovered(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.crashes_recovered).sum()
+        self.overheads.iter().map(|o| o.crashes_recovered).sum()
+    }
+
+    /// Sum over ranks of words written by coordinated checkpoints.
+    pub fn total_checkpoint_words(&self) -> u64 {
+        self.overheads.iter().map(|o| o.checkpoint_words).sum()
     }
 
     /// Combine with the profile of a run executed *after* this one on
     /// the same machine: counters add; the makespan is the sum of the
     /// two makespans (phase 2 starts when phase 1 completes globally).
-    /// Event logs are dropped — composing them would require
-    /// time-shifting phase 2; record the composite run instead.
+    /// The result has an overhead block when either side does. Event
+    /// logs are dropped — composing them would require time-shifting
+    /// phase 2; record the composite run instead.
     pub fn then(&self, later: &Profile) -> Profile {
         assert_eq!(
             self.p(),
@@ -214,25 +250,34 @@ impl Profile {
                 flops: a.flops + b.flops,
                 words_sent: a.words_sent + b.words_sent,
                 msgs_sent: a.msgs_sent + b.msgs_sent,
-                words_sent_intra: a.words_sent_intra + b.words_sent_intra,
-                msgs_sent_intra: a.msgs_sent_intra + b.msgs_sent_intra,
                 words_recvd: a.words_recvd + b.words_recvd,
                 msgs_recvd: a.msgs_recvd + b.msgs_recvd,
                 mem_current: b.mem_current,
                 mem_peak: a.mem_peak.max(b.mem_peak),
+                finish_time: a.finish_time + b.finish_time,
+            })
+            .collect();
+        // A block on either side makes the sum non-zero: stored form.
+        let either = !(self.overheads.is_empty() && later.overheads.is_empty());
+        let sum = |r| {
+            let (a, b) = (self.overheads_of(r), later.overheads_of(r));
+            RankOverheads {
+                words_sent_intra: a.words_sent_intra + b.words_sent_intra,
+                msgs_sent_intra: a.msgs_sent_intra + b.msgs_sent_intra,
                 retries: a.retries + b.retries,
                 retrans_words: a.retrans_words + b.retrans_words,
                 retrans_msgs: a.retrans_msgs + b.retrans_msgs,
                 checkpoint_words: a.checkpoint_words + b.checkpoint_words,
                 checkpoint_msgs: a.checkpoint_msgs + b.checkpoint_msgs,
                 crashes_recovered: a.crashes_recovered + b.crashes_recovered,
-                finish_time: a.finish_time + b.finish_time,
-            })
-            .collect();
+            }
+        };
+        let overheads = (0..if either { self.p() } else { 0 }).map(sum).collect();
         Profile {
             per_rank,
             makespan: self.makespan + later.makespan,
             events: Vec::new(),
+            overheads,
         }
     }
 
@@ -317,13 +362,16 @@ mod tests {
             mem_current: 0,
             mem_peak: 2 * words,
             finish_time: t,
-            ..RankStats::default()
         }
+    }
+
+    fn flat(per_rank: Vec<RankStats>) -> Profile {
+        Profile::from_parts(per_rank, Vec::new(), Vec::new())
     }
 
     #[test]
     fn intra_accessors_default_to_zero() {
-        let p = Profile::new(vec![stats(1, 100, 1.0), stats(2, 50, 2.0)]);
+        let p = flat(vec![stats(1, 100, 1.0), stats(2, 50, 2.0)]);
         assert_eq!(p.total_words_intra(), 0);
         assert_eq!(p.total_msgs_intra(), 0);
         assert_eq!(p.total_words_inter(), 150);
@@ -331,7 +379,7 @@ mod tests {
 
     #[test]
     fn aggregates() {
-        let p = Profile::new(vec![
+        let p = flat(vec![
             stats(100, 10, 1.0),
             stats(300, 30, 2.5),
             stats(200, 0, 0.5),
@@ -350,8 +398,8 @@ mod tests {
 
     #[test]
     fn then_composes_counters_and_makespan() {
-        let a = Profile::new(vec![stats(100, 10, 1.0), stats(50, 20, 2.0)]);
-        let b = Profile::new(vec![stats(10, 1, 0.5), stats(20, 2, 0.25)]);
+        let a = flat(vec![stats(100, 10, 1.0), stats(50, 20, 2.0)]);
+        let b = flat(vec![stats(10, 1, 0.5), stats(20, 2, 0.25)]);
         let c = a.then(&b);
         assert_eq!(c.total_flops(), 180);
         assert_eq!(c.per_rank[0].flops, 110);
@@ -360,18 +408,69 @@ mod tests {
         assert_eq!(c.per_rank[0].mem_peak, 20); // max of phases
     }
 
+    /// The stored form is fixed by the constructor: a block of zeros is
+    /// no block, so `==` means "same numbers" however it was built.
+    #[test]
+    fn an_all_zero_overhead_block_equals_none() {
+        let ranks = vec![stats(1, 100, 1.0), stats(2, 50, 2.0)];
+        let zeros = vec![RankOverheads::default(); 2];
+        let built_with = Profile::from_parts(ranks.clone(), zeros, Vec::new());
+        assert_eq!(built_with, flat(ranks.clone()));
+        assert!(built_with.overheads().is_empty());
+        assert_eq!(built_with.overheads_of(1), RankOverheads::default());
+
+        let one_retry = RankOverheads {
+            retries: 1,
+            retrans_words: 50,
+            retrans_msgs: 1,
+            ..RankOverheads::default()
+        };
+        let bitten = Profile::from_parts(
+            ranks.clone(),
+            vec![Default::default(), one_retry],
+            Vec::new(),
+        );
+        assert_ne!(bitten, flat(ranks));
+        assert_eq!(bitten.overheads().len(), 2);
+        assert_eq!(bitten.total_retries(), 1);
+        assert_eq!(bitten.max_words_with_resilience(), 100);
+        assert_eq!(bitten.resilience_words(), 50);
+    }
+
+    /// `then` for every presence combination of the overhead block.
+    #[test]
+    fn then_composes_with_and_without_overheads() {
+        let ranks = vec![stats(1, 100, 1.0), stats(2, 50, 2.0)];
+        let cp = RankOverheads {
+            checkpoint_words: 7,
+            checkpoint_msgs: 1,
+            crashes_recovered: 1,
+            ..RankOverheads::default()
+        };
+        let plain = flat(ranks.clone());
+        let faulted = Profile::from_parts(ranks, vec![cp, Default::default()], Vec::new());
+        assert!(plain.then(&plain).overheads().is_empty());
+        assert_eq!(plain.then(&faulted).overheads(), faulted.overheads());
+        assert_eq!(faulted.then(&plain).overheads(), faulted.overheads());
+        let twice = faulted.then(&faulted);
+        assert_eq!(twice.total_checkpoint_words(), 14);
+        assert_eq!(twice.total_crashes_recovered(), 2);
+        assert_eq!(twice.overheads_of(1), RankOverheads::default());
+        assert_eq!(plain.then(&faulted).per_rank, plain.then(&plain).per_rank);
+    }
+
     #[test]
     #[should_panic(expected = "same world size")]
     fn then_requires_matching_worlds() {
-        let a = Profile::new(vec![stats(1, 1, 1.0)]);
-        let b = Profile::new(vec![stats(1, 1, 1.0), stats(1, 1, 1.0)]);
+        let a = flat(vec![stats(1, 1, 1.0)]);
+        let b = flat(vec![stats(1, 1, 1.0), stats(1, 1, 1.0)]);
         let _ = a.then(&b);
     }
 
     #[test]
     fn export_metrics_names_every_series() {
         let reg = Registry::new();
-        let p = Profile::new(vec![stats(100, 10, 1.0), stats(300, 30, 2.5)]);
+        let p = flat(vec![stats(100, 10, 1.0), stats(300, 30, 2.5)]);
         p.export_metrics(&reg, "sim").unwrap();
         let snap = reg.snapshot();
         use psse_metrics::SnapshotValue;
@@ -396,13 +495,13 @@ mod tests {
         );
         // A kind collision is an error, not silent aliasing.
         reg.counter("clash.rank.flops").unwrap();
-        let q = Profile::new(vec![stats(1, 1, 1.0)]);
+        let q = flat(vec![stats(1, 1, 1.0)]);
         assert!(q.export_metrics(&reg, "clash").is_err());
     }
 
     #[test]
     fn empty_profile_is_safe() {
-        let p = Profile::new(vec![]);
+        let p = flat(vec![]);
         assert_eq!(p.total_flops(), 0);
         assert_eq!(p.max_flops(), 0);
         assert_eq!(p.makespan, 0.0);

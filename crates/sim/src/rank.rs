@@ -4,9 +4,7 @@ use crate::error::{SimError, SimResult};
 use crate::machine::SimConfig;
 use crate::mailbox::{Mailboxes, RecvWait};
 use crate::message::{Envelope, SharedPayload, Tag};
-use crate::meter::{same_node, Meter};
-use crate::profile::RankStats;
-use crate::record::TimedEvent;
+use crate::meter::{same_node, Meter, RankParts};
 use std::sync::Arc;
 
 /// A rank of the simulated machine. Handed by [`crate::Machine::run`] to
@@ -48,17 +46,12 @@ impl Rank {
         &self.cfg
     }
 
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &RankStats {
-        self.meter.stats()
-    }
-
-    /// Finish the rank: its counters and trace, or the crash its program
-    /// never got to observe (no fallible operation followed it).
-    pub(crate) fn finish(mut self) -> SimResult<(RankStats, Vec<TimedEvent>)> {
+    /// Finish the rank ([`Meter::into_parts`]), or report the crash its
+    /// program never got to observe (no fallible operation followed it).
+    pub(crate) fn finish(mut self) -> SimResult<RankParts> {
         match self.meter.take_fault_error() {
             Some(e) => Err(e),
-            None => Ok(self.meter.into_parts()),
+            None => Ok(self.meter.into_parts(&self.cfg)),
         }
     }
 
@@ -249,6 +242,7 @@ impl Rank {
 mod tests {
     use super::*;
     use crate::machine::{Machine, SimConfig};
+    use crate::profile::RankOverheads;
 
     #[test]
     fn ping_pong_times_and_counters() {
@@ -522,12 +516,22 @@ mod tests {
         // Rank 1's arrival: after the intra send only.
         assert!((out.results[1] - 2e-5).abs() < 1e-12);
         // Counters split by level.
-        let s0 = &out.profile.per_rank[0];
+        let (s0, o0) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
         assert_eq!(s0.words_sent, 2000);
-        assert_eq!(s0.words_sent_intra, 1000);
-        assert_eq!(s0.msgs_sent_intra, 1);
+        assert_eq!(o0.words_sent_intra, 1000);
+        assert_eq!(o0.msgs_sent_intra, 1);
         assert!(out.profile.per_rank[0].msgs_sent == 2);
         assert_eq!(out.profile.total_words_inter(), 1000);
+        // A hierarchy alone moves the intra shares and nothing else, and
+        // the block covers every rank once any rank's is non-zero.
+        let only_intra = RankOverheads {
+            words_sent_intra: 1000,
+            msgs_sent_intra: 1,
+            ..RankOverheads::default()
+        };
+        let mut block = vec![RankOverheads::default(); 4];
+        block[0] = only_intra;
+        assert_eq!(out.profile.overheads(), block);
     }
 
     #[test]
@@ -617,12 +621,24 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let s = &out.profile.per_rank[0];
-        assert!(s.retries > 0, "a 50% drop rate must hit at least once");
-        assert_eq!(s.retrans_words, 100 * s.retries); // single-chunk transfers
+        let (s, o) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
+        assert!(o.retries > 0, "a 50% drop rate must hit at least once");
+        assert_eq!(o.retrans_words, 100 * o.retries); // single-chunk transfers
         assert_eq!(s.words_sent, 20 * 100, "delivered words are unchanged");
+        // The plan is seeded, so the block is exact — and a fault plan
+        // alone moves no intra-node counter.
+        let nineteen_drops = RankOverheads {
+            retries: 19,
+            retrans_words: 1900,
+            retrans_msgs: 19,
+            ..RankOverheads::default()
+        };
+        assert_eq!(
+            out.profile.overheads(),
+            [nineteen_drops, Default::default()]
+        );
         // Each failed attempt costs at least the link price plus backoff.
-        let min_overhead = s.retries as f64 * (1e-3 + 100.0 * 1e-6 + 1e-4);
+        let min_overhead = o.retries as f64 * (1e-3 + 100.0 * 1e-6 + 1e-4);
         let clean = 20.0 * (1e-3 + 100.0 * 1e-6);
         assert!(out.profile.makespan >= clean + min_overhead - 1e-12);
     }
@@ -689,7 +705,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.results[1], 0, "acked sends deliver clean payloads");
-        assert!(out.profile.per_rank[0].retries > 0);
+        assert!(out.profile.overheads_of(0).retries > 0);
     }
 
     #[test]
@@ -725,10 +741,10 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let s = &out.profile.per_rank[0];
+        let (s, o) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
         assert_eq!(s.words_sent, 100);
-        assert_eq!(s.retrans_words, 100);
-        assert_eq!(s.retries, 1);
+        assert_eq!(o.retrans_words, 100);
+        assert_eq!(o.retries, 1);
         out.profile.assert_balanced().unwrap();
     }
 
@@ -780,9 +796,10 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let s = &out.profile.per_rank[0];
-        assert_eq!(s.crashes_recovered, 1);
-        assert!(s.checkpoint_words >= 2 * 1000, "several checkpoints due");
+        let o = out.profile.overheads_of(0);
+        assert_eq!(o.crashes_recovered, 1);
+        assert_eq!(o.checkpoint_words, 5 * 1000, "five checkpoints fell due");
+        assert_eq!(out.profile.total_checkpoint_words(), 5000);
         assert!(
             out.profile.makespan > 1.0 + 0.1,
             "rework + restart + checkpoint writes must show up: {}",

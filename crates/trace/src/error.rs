@@ -8,7 +8,8 @@ pub enum TraceError {
     /// The run was executed without `SimConfig::record_trace`, so there
     /// is no event log to build a trace from.
     NotRecorded,
-    /// Replay parameters rejected (negative price, zero message size).
+    /// Replay parameters rejected (negative or infinite price, zero
+    /// message size, prices whose charges over this trace overflow).
     InvalidParams(String),
     /// A `Recv` event has no matching `Send` in the sender's log.
     UnmatchedRecv {

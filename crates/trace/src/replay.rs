@@ -19,7 +19,7 @@
 use crate::error::{TraceError, TraceResult};
 use crate::trace::ReplayParams;
 use psse_sim::meter::{charge_chunks, chunk_count, link_prices};
-use psse_sim::profile::RankStats;
+use psse_sim::profile::{Profile, RankOverheads, RankStats};
 use psse_sim::record::{EventKind, TimedEvent};
 use std::collections::{HashMap, VecDeque};
 
@@ -40,17 +40,21 @@ pub(crate) struct Schedule {
     pub matched: MatchTable,
     /// Re-derived per-rank counters (without `finish_time`).
     stats: Vec<RankStats>,
+    /// Re-derived per-rank hierarchy and resilience counters.
+    overheads: Vec<RankOverheads>,
     /// Final replay clock per rank.
     finish: Vec<f64>,
 }
 
 impl Schedule {
-    /// Consume the schedule into per-rank counters with finish times.
-    pub fn into_stats(mut self) -> Vec<RankStats> {
+    /// Consume the schedule into the profile it priced: per-rank
+    /// counters with finish times, and the overhead block in the form
+    /// every live executor reports (none when nothing moved it).
+    pub fn into_profile(mut self) -> Profile {
         for (s, t) in self.stats.iter_mut().zip(&self.finish) {
             s.finish_time = *t;
         }
-        self.stats
+        Profile::from_parts(self.stats, self.overheads, Vec::new())
     }
 }
 
@@ -123,6 +127,7 @@ pub(crate) fn schedule(
     let mut starts: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
     let mut ends: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
     let mut stats = vec![RankStats::default(); p];
+    let mut overheads = vec![RankOverheads::default(); p];
     let mut time = vec![0.0_f64; p];
     let mut cursor = vec![0_usize; p];
     let total: usize = events.iter().map(|evs| evs.len()).sum();
@@ -153,13 +158,13 @@ pub(crate) fn schedule(
                         // exactly as in the live simulator.
                         if *dest != r {
                             let (alpha, beta, intra) = link_prices(hier, alpha_t, beta_t, r, *dest);
-                            let st = &mut stats[r];
+                            let (st, ov) = (&mut stats[r], &mut overheads[r]);
                             charge_chunks(&mut time[r], *words as u64, m, alpha, beta, |k| {
                                 st.msgs_sent += 1;
                                 st.words_sent += k;
                                 if intra {
-                                    st.msgs_sent_intra += 1;
-                                    st.words_sent_intra += k;
+                                    ov.msgs_sent_intra += 1;
+                                    ov.words_sent_intra += k;
                                 }
                             });
                         }
@@ -199,15 +204,15 @@ pub(crate) fn schedule(
                         ..
                     } => {
                         let (alpha, beta, _) = link_prices(hier, alpha_t, beta_t, r, *dest);
-                        let st = &mut stats[r];
+                        let ov = &mut overheads[r];
                         charge_chunks(&mut time[r], *words as u64, m, alpha, beta, |k| {
-                            st.retrans_msgs += 1;
-                            st.retrans_words += k;
+                            ov.retrans_msgs += 1;
+                            ov.retrans_words += k;
                         });
                         // The backoff is a recovery-policy constant, not
                         // a machine price: added verbatim.
                         time[r] += backoff;
-                        stats[r].retries += 1;
+                        overheads[r].retries += 1;
                     }
                     EventKind::LinkDelay { seconds } => {
                         time[r] += seconds;
@@ -215,17 +220,17 @@ pub(crate) fn schedule(
                     EventKind::Checkpoint { words } => {
                         // Stable-storage writes are priced at the
                         // machine-level (inter-node) link prices.
-                        let st = &mut stats[r];
+                        let ov = &mut overheads[r];
                         charge_chunks(&mut time[r], *words, m, alpha_t, beta_t, |k| {
-                            st.checkpoint_msgs += 1;
-                            st.checkpoint_words += k;
+                            ov.checkpoint_msgs += 1;
+                            ov.checkpoint_words += k;
                         });
                     }
                     EventKind::CrashRecovery { lost, restart } => {
                         // Rework and restart are execution history, not
                         // re-priceable quantities: added verbatim.
                         time[r] += lost + restart;
-                        stats[r].crashes_recovered += 1;
+                        overheads[r].crashes_recovered += 1;
                     }
                 }
                 ends[r][i] = time[r];
@@ -239,11 +244,17 @@ pub(crate) fn schedule(
         }
     }
 
+    if let Some(rank) = time.iter().position(|t| !t.is_finite()) {
+        return Err(TraceError::InvalidParams(format!(
+            "rank {rank}'s clock overflows: gamma_t, beta_t and alpha_t are too large for this trace"
+        )));
+    }
     Ok(Schedule {
         starts,
         ends,
         matched,
         stats,
+        overheads,
         finish: time,
     })
 }
@@ -347,7 +358,63 @@ mod tests {
             },
         );
         tr.check_consistency(&live).unwrap();
-        assert_eq!(live.per_rank[0].words_sent_intra, 500);
+        assert_eq!(live.overheads_of(0).words_sent_intra, 500);
+        // Replay re-derives the overhead block too, in the live form.
+        let replayed = tr.replay(&tr.params).unwrap();
+        assert_eq!(replayed.per_rank, live.per_rank);
+        assert_eq!(replayed.overheads(), live.overheads());
+        assert_eq!(replayed.overheads().len(), 4);
+    }
+
+    #[test]
+    fn a_flat_recording_gains_the_overhead_block_under_a_hierarchy() {
+        let (tr, live) = record(2, SimConfig::default(), |rank| {
+            if rank.rank() == 0 {
+                rank.send(1, Tag(0), vec![0.0; 1000])?;
+            } else {
+                rank.recv(0, Tag(0))?;
+            }
+            Ok(())
+        });
+        assert!(live.overheads().is_empty(), "flat and fault-free: no block");
+        assert!(tr.replay(&tr.params).unwrap().overheads().is_empty());
+        let mut two_level = tr.params.clone();
+        two_level.hierarchy = Some(crate::trace::ReplayHierarchy {
+            cores_per_node: 2,
+            intra_beta_t: 1e-9,
+            intra_alpha_t: 1e-7,
+        });
+        let re = tr.replay(&two_level).unwrap();
+        assert_eq!(re.per_rank[0].words_sent, 1000);
+        assert_eq!(re.overheads().len(), 2);
+        assert_eq!(re.overheads_of(0).words_sent_intra, 1000);
+        assert_eq!(re.overheads_of(0).msgs_sent_intra, 1);
+        assert_eq!(re.overheads_of(1), Default::default());
+    }
+
+    #[test]
+    fn prices_that_are_or_overflow_to_infinity_are_typed_errors() {
+        let (tr, _) = record(2, SimConfig::default(), |rank| {
+            if rank.rank() == 0 {
+                rank.send(1, Tag(0), vec![0.0; 1000])?;
+            } else {
+                rank.recv(0, Tag(0))?;
+            }
+            Ok(())
+        });
+        let mut params = tr.params.clone();
+        params.beta_t = f64::INFINITY;
+        match tr.replay(&params) {
+            Err(TraceError::InvalidParams(m)) => assert!(m.contains("beta_t = inf"), "{m}"),
+            other => panic!("expected InvalidParams, got {other:?}"),
+        }
+        // Each price finite, their charge over 1000 words not.
+        params.beta_t = 1e308;
+        match tr.replay(&params) {
+            Err(TraceError::InvalidParams(m)) => assert!(m.contains("rank 0's clock"), "{m}"),
+            other => panic!("expected InvalidParams, got {other:?}"),
+        }
+        assert!(tr.critical_path(&params).is_err());
     }
 
     #[test]
@@ -454,6 +521,10 @@ mod tests {
         );
         assert!(live.resilience_words() > 0);
         tr.check_consistency(&live).unwrap();
+        let replayed = tr.replay(&tr.params).unwrap();
+        assert_eq!(replayed.per_rank, live.per_rank);
+        assert_eq!(replayed.overheads(), live.overheads());
+        assert!(live.total_checkpoint_words() > 0 && live.total_retries() > 0);
 
         // Text round-trip preserves the fault events exactly.
         let back = Trace::from_text(&tr.to_text()).unwrap();

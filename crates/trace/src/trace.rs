@@ -4,7 +4,7 @@ use crate::error::{TraceError, TraceResult};
 use psse_core::params::MachineParams;
 use psse_core::summary::{ExecutionSummary, Measured};
 use psse_core::twolevel::TwoLevelParams;
-use psse_sim::machine::SimConfig;
+use psse_sim::machine::{check_prices, SimConfig};
 use psse_sim::profile::Profile;
 use psse_sim::record::TimedEvent;
 
@@ -31,13 +31,14 @@ pub struct ReplayParams {
 }
 
 impl ReplayParams {
-    /// Validate parameter ranges (non-negative prices, `m ≥ 1`).
+    /// Validate parameter ranges (finite non-negative prices, `m ≥ 1`).
     pub fn validate(&self) -> TraceResult<()> {
-        if !(self.gamma_t >= 0.0) || !(self.beta_t >= 0.0) || !(self.alpha_t >= 0.0) {
-            return Err(TraceError::InvalidParams(
-                "time parameters must be non-negative and not NaN".into(),
-            ));
-        }
+        check_prices(&[
+            ("gamma_t", self.gamma_t),
+            ("beta_t", self.beta_t),
+            ("alpha_t", self.alpha_t),
+        ])
+        .map_err(TraceError::InvalidParams)?;
         if self.max_message_words == 0 {
             return Err(TraceError::InvalidParams(
                 "max_message_words must be at least 1".into(),
@@ -151,12 +152,12 @@ impl Trace {
     pub fn replay(&self, params: &ReplayParams) -> TraceResult<Profile> {
         params.validate()?;
         let sched = crate::replay::schedule(self.p, &self.events, params)?;
-        Ok(Profile::from_stats(sched.into_stats()))
+        Ok(sched.into_profile())
     }
 
     /// Verify that replaying under the recorded parameters reproduces
-    /// `live` exactly — bitwise-equal per-rank counters, finish times
-    /// and makespan.
+    /// `live` exactly — bitwise-equal per-rank counters (overhead block
+    /// included), finish times and makespan.
     pub fn check_consistency(&self, live: &Profile) -> TraceResult<()> {
         let replayed = self.replay(&self.params)?;
         if replayed.per_rank.len() != live.per_rank.len() {
@@ -166,7 +167,7 @@ impl Trace {
                 live.per_rank.len()
             )));
         }
-        for (r, (a, b)) in replayed.per_rank.iter().zip(&live.per_rank).enumerate() {
+        for (r, (a, b)) in replayed.ranks().zip(live.ranks()).enumerate() {
             if a != b {
                 return Err(TraceError::Inconsistent(format!(
                     "rank {r}: replayed {a:?} vs live {b:?}"

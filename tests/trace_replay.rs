@@ -76,6 +76,34 @@ fn replay_reproduces_live_run_exactly() {
     );
 }
 
+/// A profile carries event logs by configuration alone: one per rank
+/// when `record_trace` is set — on either backend, and `Trace::from_run`
+/// takes them — and none at all otherwise.
+#[test]
+fn event_logs_are_per_rank_when_traced_and_absent_otherwise() {
+    use psse::event::prelude::{run_programs, Backend, BinomialAllreduce};
+    let p = 12;
+    for backend in [Backend::Threads, Backend::Events] {
+        let cfg = SimConfig {
+            backend,
+            ..recording_config()
+        };
+        let traced = run_programs(p, &cfg, BinomialAllreduce::counted(Tag(0), 100)).unwrap();
+        assert_eq!(traced.profile.events.len(), p, "{backend}");
+        let trace = Trace::from_run(&cfg, &traced.profile).unwrap();
+        trace.check_consistency(&traced.profile).unwrap();
+
+        let cfg = SimConfig {
+            record_trace: false,
+            ..cfg
+        };
+        let untraced = run_programs(p, &cfg, BinomialAllreduce::counted(Tag(0), 100)).unwrap();
+        assert!(untraced.profile.events.is_empty(), "{backend}");
+        assert_eq!(untraced.profile.per_rank, traced.profile.per_rank);
+        assert!(Trace::from_run(&cfg, &untraced.profile).is_err());
+    }
+}
+
 #[test]
 fn text_roundtrip_preserves_replay() {
     let (cfg, profile) = record_mm25d();
