@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use psse_lab::vocab::{Values, INTEGER};
+
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
@@ -44,11 +46,6 @@ impl Args {
         Ok(Args { command, opts })
     }
 
-    /// Raw option lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.opts.get(key).map(String::as_str)
-    }
-
     /// Whether a bare flag (or any value) was supplied.
     pub fn has(&self, key: &str) -> bool {
         self.opts.contains_key(key)
@@ -56,47 +53,25 @@ impl Args {
 
     /// Required string option.
     pub fn req(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
+        self.raw(key)
             .filter(|v| !v.is_empty())
             .ok_or_else(|| format!("missing required option --{key}"))
     }
 
-    /// Required numeric option (accepts scientific notation).
-    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
-        self.req(key)?
-            .parse::<f64>()
-            .map_err(|_| format!("--{key} must be a number"))
-    }
-
-    /// Required integer option (accepts `1e6`-style floats that are
-    /// exact integers).
+    /// Required integer option, by the vocabulary's integer rule (a
+    /// decimal literal, or an exact-integer float such as `1e6`).
     pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.req_f64(key)?;
-        if v < 0.0 || v.fract() != 0.0 || v > 2f64.powi(53) {
-            return Err(format!("--{key} must be a non-negative integer"));
-        }
-        Ok(v as u64)
-    }
-
-    /// Optional numeric option with a default.
-    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(_) => self.req_f64(key),
-        }
+        Ok(INTEGER.parse(key, self.req(key)?)?)
     }
 
     /// Optional integer option with a default.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(_) => self.req_u64(key),
-        }
+        Ok(self.value(key, INTEGER)?.unwrap_or(default))
     }
 
     /// Optional string option with a default.
     pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.get(key).filter(|v| !v.is_empty()).unwrap_or(default)
+        self.raw(key).filter(|v| !v.is_empty()).unwrap_or(default)
     }
 
     /// Reject any option outside `allowed`, with a nearest-match hint —
@@ -121,6 +96,13 @@ impl Args {
             "unknown option --{key} for `{}`{hint}",
             self.command
         ))
+    }
+}
+
+/// The flags are one of the two spellings of a run's vocabulary.
+impl Values for Args {
+    fn raw(&self, key: &str) -> Option<&str> {
+        self.opts.get(key).map(String::as_str)
     }
 }
 
@@ -168,7 +150,7 @@ mod tests {
         assert_eq!(a.command, "model");
         assert_eq!(a.req("alg").unwrap(), "matmul");
         assert_eq!(a.req_u64("n").unwrap(), 8192);
-        assert_eq!(a.req_f64("mem").unwrap(), 1e6);
+        assert_eq!(a.value("mem", psse_lab::vocab::NUMBER).unwrap(), Some(1e6));
     }
 
     #[test]
@@ -191,7 +173,7 @@ mod tests {
         let a = Args::parse(&argv("m --x 1.5 --y -3 --z abc --w 1e3")).unwrap();
         assert!(a.req_u64("x").is_err());
         assert!(a.req_u64("y").is_err());
-        assert!(a.req_f64("z").is_err());
+        assert!(a.value("z", psse_lab::vocab::NUMBER).is_err());
         assert_eq!(a.req_u64("w").unwrap(), 1000);
         assert!(a.req("missing").is_err());
     }
@@ -241,7 +223,7 @@ mod tests {
         let a = Args::parse(&argv("m --p 8")).unwrap();
         assert_eq!(a.u64_or("p", 1).unwrap(), 8);
         assert_eq!(a.u64_or("q", 7).unwrap(), 7);
-        assert_eq!(a.f64_or("f", 20.0).unwrap(), 20.0);
+        assert_eq!(a.get(&psse_lab::vocab::F).unwrap(), 20.0);
         assert_eq!(a.str_or("machine", "jaketown"), "jaketown");
     }
 }

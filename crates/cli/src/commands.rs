@@ -9,45 +9,33 @@ use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
 use psse_core::optimize::RunConfig;
-use psse_core::params::MachineParams;
+use psse_core::params::OVERRIDES;
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
 use psse_lab::prelude::{
     detect_scaling_range, fsck_dir, gc_dir, pareto_csv, sweep_csv, ExpandedSweep, GcConfig,
     Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
+use psse_lab::vocab::{
+    self, Values, C, CHECKPOINT_WORDS, F, FAULT_KEYS, FAULT_SEED, HALO, INTEGER, ITERS, NUMBER,
+    POSITIVE, POSITIVE_INTEGER, SECONDS, SEED, TIMEOUT,
+};
 use psse_sim::profile::Profile;
-use psse_trace::Trace;
+use psse_trace::{ReplayParams, Trace};
 use std::fmt::Write as _;
 
 type CmdResult = Result<(), String>;
 
-/// `--machine` plus its per-parameter override keys, shared by every
-/// command that prices runs.
-const MACHINE_KEYS: [&str; 11] = [
-    "machine",
-    "gamma-t",
-    "beta-t",
-    "alpha-t",
-    "gamma-e",
-    "beta-e",
-    "alpha-e",
-    "delta-e",
-    "epsilon-e",
-    "max-message",
-    "mem-words",
-];
-
 /// Keys consumed by [`run_algorithm`] (shared by `simulate` and
 /// `trace record`).
 const RUN_KEYS: [&str; 10] = [
-    "alg", "n", "p", "c", "seed", "panel", "cols", "backend", "halo", "iters",
+    "alg", "n", "p", C.key, SEED.key, "panel", "cols", "backend", HALO.key, ITERS.key,
 ];
 
-/// Build the allowed-key list for [`crate::args::Args::expect_keys`]
-/// from slices of shared and command-specific keys.
-fn allowed(groups: &[&[&'static str]]) -> Vec<&'static str> {
-    groups.iter().flat_map(|g| g.iter().copied()).collect()
+/// The allowed-key list of a command that prices runs on a machine:
+/// `--machine`, its overrides, and its `own` keys.
+fn priced(own: &[&'static str]) -> Vec<&'static str> {
+    vocab::machine_keys().chain(own.iter().copied()).collect()
 }
 
 fn fmt(x: f64) -> String {
@@ -60,46 +48,6 @@ fn fmt(x: f64) -> String {
     }
 }
 
-/// Resolve `--machine` plus per-parameter overrides into machine params.
-fn machine_from(args: &Args) -> Result<(MachineParams, String), String> {
-    let name = args.str_or("machine", "jaketown").to_string();
-    let base = match name.as_str() {
-        "jaketown" => jaketown(),
-        other => return Err(format!("unknown machine `{other}` (available: jaketown)")),
-    };
-    let mut mp = base;
-    for (key, field) in [
-        ("gamma-t", 0usize),
-        ("beta-t", 1),
-        ("alpha-t", 2),
-        ("gamma-e", 3),
-        ("beta-e", 4),
-        ("alpha-e", 5),
-        ("delta-e", 6),
-        ("epsilon-e", 7),
-        ("max-message", 8),
-        ("mem-words", 9),
-    ] {
-        if args.has(key) {
-            let v = args.req_f64(key)?;
-            match field {
-                0 => mp.gamma_t = v,
-                1 => mp.beta_t = v,
-                2 => mp.alpha_t = v,
-                3 => mp.gamma_e = v,
-                4 => mp.beta_e = v,
-                5 => mp.alpha_e = v,
-                6 => mp.delta_e = v,
-                7 => mp.epsilon_e = v,
-                8 => mp.max_message_words = v,
-                _ => mp.mem_words = v,
-            }
-        }
-    }
-    mp.validate().map_err(|e| e.to_string())?;
-    Ok((mp, name))
-}
-
 /// Resolve `--backend threads|events` (default threads).
 fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
     args.str_or("backend", "threads").parse()
@@ -109,11 +57,8 @@ fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
 /// algorithm table, so `psse model` and a `kind = model` spec accept
 /// the same ids.
 fn algorithm_from(args: &Args) -> Result<Box<dyn Algorithm>, String> {
-    Ok(table::model(args.req("alg")?)?.costs(
-        args.f64_or("f", 20.0)?,
-        args.u64_or("halo", 1)?,
-        args.u64_or("iters", 4)?,
-    ))
+    let (f, halo, iters) = (args.get(&F)?, args.get(&HALO)?, args.get(&ITERS)?);
+    Ok(table::model(args.req("alg")?)?.costs(f, halo, iters))
 }
 
 /// `--n` of the range and optimisation commands: below two elements
@@ -129,29 +74,7 @@ fn problem_size(args: &Args) -> Result<u64, String> {
 /// `--mem` as a fixed per-processor memory. The range endpoints divide
 /// by it: anything else prints `inf`, `NaN` or a negative `p`.
 fn fixed_memory(args: &Args) -> Result<f64, String> {
-    let mem = args.req_f64("mem")?;
-    if !(mem > 0.0 && mem.is_finite()) {
-        return Err(format!(
-            "--mem must be a finite, positive number of words, got {mem}"
-        ));
-    }
-    Ok(mem)
-}
-
-/// `--<flag>`, if given, as a target or a cap the closed forms divide by
-/// and compare against: anything but a finite, positive number prints
-/// `NaN`, `inf` or a plan for a negative budget.
-fn positive(args: &Args, flag: &str) -> Result<Option<f64>, String> {
-    if !args.has(flag) {
-        return Ok(None);
-    }
-    let x = args.req_f64(flag)?;
-    if !(x > 0.0 && x.is_finite()) {
-        return Err(format!(
-            "--{flag} must be a finite, positive number, got {x}"
-        ));
-    }
-    Ok(Some(x))
+    Ok(POSITIVE.parse("mem", args.req("mem")?)?)
 }
 
 /// The `[p_min, p_max]` block of `scaling` and `bound range`.
@@ -210,18 +133,14 @@ pub fn machines(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn model(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &["alg", "n", "p", "mem", "f", "halo", "iters"],
-    ]))?;
-    let (mp, mname) = machine_from(args)?;
+    let own = ["alg", "n", "p", "mem", F.key, HALO.key, ITERS.key];
+    args.expect_keys(&priced(&own))?;
+    let (mname, mp) = vocab::machine(args)?;
     let alg = algorithm_from(args)?;
     let n = args.req_u64("n")?;
     let p = args.req_u64("p")?;
-    let mem = match args.get("mem") {
-        Some(_) => args.req_f64("mem")?,
-        None => alg.min_memory(n, p),
-    };
+    let mem = args.value("mem", NUMBER)?;
+    let mem = mem.unwrap_or_else(|| alg.min_memory(n, p));
     let costs = alg.costs(n, p, mem, &mp).map_err(|e| e.to_string())?;
     let t = mp.time(&costs);
     let e = mp.energy(p, &costs, mem, t);
@@ -247,7 +166,7 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["alg", "n", "mem", "f", "halo", "iters"])?;
+    args.expect_keys(&["alg", "n", "mem", F.key, HALO.key, ITERS.key])?;
     let alg = algorithm_from(args)?;
     let n = problem_size(args)?;
     let mem = fixed_memory(args)?;
@@ -310,16 +229,14 @@ fn not_a_run(cfg: &RunConfig, n: u64) -> Option<String> {
 }
 
 pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &["n", "f", "tmax", "emax", "power-total", "power-proc"],
-    ]))?;
-    let (mp, mname) = machine_from(args)?;
+    let own = ["n", F.key, "tmax", "emax", "power-total", "power-proc"];
+    args.expect_keys(&priced(&own))?;
+    let (mname, mp) = vocab::machine(args)?;
     let n = problem_size(args)?;
-    let f = args.f64_or("f", 20.0)?;
+    let f = args.get(&F)?;
     // Refused before anything is printed.
-    let power_total = positive(args, "power-total")?;
-    let power_proc = positive(args, "power-proc")?;
+    let power_total: Option<f64> = args.value("power-total", POSITIVE)?;
+    let power_proc: Option<f64> = args.value("power-proc", POSITIVE)?;
     let opt = NBodyOptimizer::new(&mp, f).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
     match (opt.m0(), opt.e_star(n)) {
@@ -342,8 +259,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             let _ = writeln!(out, "no interior optimum: {e}");
         }
     }
-    if args.has("tmax") {
-        let tmax = args.req_f64("tmax")?;
+    if let Some(tmax) = args.value("tmax", NUMBER)? {
         let cfg = opt
             .min_energy_given_tmax(n, tmax)
             .map_err(|e| e.to_string())?;
@@ -359,8 +275,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             ),
         };
     }
-    if args.has("emax") {
-        let emax = args.req_f64("emax")?;
+    if let Some(emax) = args.value("emax", NUMBER)? {
         let mut cfg = opt
             .min_time_given_emax(n, emax)
             .map_err(|e| e.to_string())?;
@@ -435,21 +350,19 @@ fn run_algorithm(
     let sim = table::simulator(args.req("alg")?)?;
     let n = args.req_u64("n")? as usize;
     let p = args.u64_or("p", 4)? as usize;
-    let c = args.u64_or("c", 1)? as usize;
-    let mut shape = Shape::new(n, p, c, args.u64_or("seed", 42)?);
-    if args.has("panel") {
-        shape.panel = Some(args.req_u64("panel")? as usize);
-    }
+    let c = args.get(&C)? as usize;
+    let mut shape = Shape::new(n, p, c, args.get(&SEED)?);
+    shape.panel = args.value("panel", INTEGER)?.map(|w: u64| w as usize);
     shape.cols = args.u64_or("cols", shape.cols as u64)? as usize;
-    shape.halo = args.u64_or("halo", shape.halo as u64)? as usize;
-    shape.iters = args.u64_or("iters", shape.iters as u64)? as usize;
+    shape.halo = args.get(&HALO)? as usize;
+    shape.iters = args.get(&ITERS)? as usize;
     let run = sim.run(&shape, cfg, true).map_err(|e| e.to_string())?;
     Ok((run.profile, run.verified))
 }
 
 pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &RUN_KEYS]))?;
-    let (mp, mname) = machine_from(args)?;
+    args.expect_keys(&priced(&RUN_KEYS))?;
+    let (mname, mp) = vocab::machine(args)?;
     let mut cfg = sim_config_from(&mp);
     cfg.backend = backend_from(args)?;
     let alg = args.req("alg")?;
@@ -497,9 +410,9 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn tech(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["target"]]))?;
-    let (mp, _) = machine_from(args)?;
-    let target = positive(args, "target")?.unwrap_or(75.0);
+    args.expect_keys(&priced(&["target"]))?;
+    let (_, mp) = vocab::machine(args)?;
+    let target = args.value("target", POSITIVE)?.unwrap_or(75.0);
     let study = CaseStudy::default();
     let base = study.gflops_per_watt(&mp);
     let _ = writeln!(
@@ -563,8 +476,8 @@ pub fn trace_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn trace_record(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &RUN_KEYS, &["out"]]))?;
-    let (mp, mname) = machine_from(args)?;
+    args.expect_keys(&priced(&[&RUN_KEYS[..], &["out"]].concat()))?;
+    let (mname, mp) = vocab::machine(args)?;
     let mut cfg = sim_config_from(&mp);
     cfg.backend = backend_from(args)?;
     cfg.record_trace = true;
@@ -593,7 +506,7 @@ fn trace_record(args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["in"]]))?;
+    args.expect_keys(&priced(&["in"]))?;
     let trace = Trace::load(args.req("in")?).map_err(|e| e.to_string())?;
     // Self-replay under the recorded parameters must reproduce the
     // recorded makespan exactly.
@@ -604,7 +517,7 @@ fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
             self_prof.makespan, trace.makespan
         ));
     }
-    let (mp, mname) = machine_from(args)?;
+    let (mname, mp) = vocab::machine(args)?;
     let m = trace.reprice(&mp).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
@@ -693,23 +606,28 @@ fn trace_export(args: &Args, out: &mut String) -> CmdResult {
 /// with `--out` the lines go to the file and a summary is printed.
 /// Replay-parameter overrides re-price the fold without re-running.
 fn trace_flame(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["in", "out", "gamma-t", "beta-t", "alpha-t", "max-message"])?;
+    let mut keys = vec!["in", "out"];
+    keys.extend(OVERRIDES.iter().filter(|o| o.schedule).map(|o| o.key));
+    args.expect_keys(&keys)?;
+    // A replay chunks messages in whole words.
+    for o in OVERRIDES.iter().filter(|o| o.schedule && o.unit == "words") {
+        args.value(o.key, INTEGER)?;
+    }
     let trace = Trace::load(args.req("in")?).map_err(|e| e.to_string())?;
-    let mut params = trace.params.clone();
-    if args.has("gamma-t") {
-        params.gamma_t = args.req_f64("gamma-t")?;
-    }
-    if args.has("beta-t") {
-        params.beta_t = args.req_f64("beta-t")?;
-    }
-    if args.has("alpha-t") {
-        params.alpha_t = args.req_f64("alpha-t")?;
-    }
-    if args.has("max-message") {
-        params.max_message_words = args.req_u64("max-message")? as usize;
-    }
+    // The recorded prices, overridden as any machine is; only the
+    // schedule prices are accepted, and the energy ones are never read.
+    let recorded = &trace.params;
+    let mut machine = jaketown();
+    let m = &mut machine;
+    (m.gamma_t, m.beta_t, m.alpha_t) = (recorded.gamma_t, recorded.beta_t, recorded.alpha_t);
+    m.max_message_words = recorded.max_message_words as f64;
+    vocab::override_machine(args, &mut machine)?;
+    let params = ReplayParams {
+        hierarchy: recorded.hierarchy.clone(),
+        ..ReplayParams::from(&machine)
+    };
     let folded = trace.flame_folded(&params).map_err(|e| e.to_string())?;
-    match args.get("out").filter(|v| !v.is_empty()) {
+    match args.raw("out").filter(|v| !v.is_empty()) {
         Some(path) => {
             std::fs::write(path, &folded).map_err(|e| e.to_string())?;
             let _ = writeln!(
@@ -741,35 +659,19 @@ pub fn faults_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
 
 fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
     use psse_core::optimize::resilience::{daly_optimal_interval, resilience_energy};
-    use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
+    use psse_sim::prelude::CheckpointPolicy;
 
-    args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &[
-            "n",
-            "q",
-            "c-list",
-            "seed",
-            "checkpoint-interval",
-            "drop-rate",
-            "corrupt-rate",
-            "duplicate-rate",
-            "delay-rate",
-            "delay-seconds",
-            "retries",
-            "backoff",
-            "checkpoint-words",
-            "restart",
-            "mtbf",
-            "out",
-            "jobs",
-            "backend",
-        ],
-    ]))?;
-    let (mp, mname) = machine_from(args)?;
+    let own = ["n", "q", "c-list", SEED.key, "restart", "mtbf"];
+    let mut keys = priced(&own);
+    keys.extend(["out", "jobs", "backend"]);
+    // Every fault key but `fault-seed`: the plan draws from `--seed`.
+    let plan_keys = FAULT_KEYS.iter().map(|k| k.key());
+    keys.extend(plan_keys.filter(|&k| k != FAULT_SEED.key));
+    args.expect_keys(&keys)?;
+    let (mname, mp) = vocab::machine(args)?;
     let backend = backend_from(args)?;
-    let n = args.u64_or("n", 32)? as usize;
-    let q = args.u64_or("q", 4)? as usize;
+    let n = args.value("n", POSITIVE_INTEGER)?.unwrap_or(32u64) as usize;
+    let q = args.value("q", POSITIVE_INTEGER)?.unwrap_or(4u64) as usize;
     let c_list: Vec<usize> = args
         .str_or("c-list", "1,2,4")
         .split(',')
@@ -779,39 +681,29 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
                 .map_err(|_| format!("bad replication factor `{s}` in --c-list"))
         })
         .collect::<Result<_, _>>()?;
-    let seed = args.u64_or("seed", 42)?;
-    let interval = args.f64_or("checkpoint-interval", 0.0)?;
-    let spec = FaultSpec {
-        seed,
-        drop_rate: args.f64_or("drop-rate", 0.02)?,
-        corrupt_rate: args.f64_or("corrupt-rate", 0.01)?,
-        duplicate_rate: args.f64_or("duplicate-rate", 0.0)?,
-        delay_rate: args.f64_or("delay-rate", 0.0)?,
-        delay_seconds: args.f64_or("delay-seconds", 0.0)?,
-        crashes: Vec::new(),
-    };
-    let recovery = RecoveryPolicy {
-        max_retries: args.u64_or("retries", 16)? as u32,
-        retry_backoff: args.f64_or("backoff", 0.0)?,
-        checkpoint: if interval > 0.0 {
-            Some(CheckpointPolicy {
-                interval,
-                words: args.u64_or("checkpoint-words", ((n / q) * (n / q)) as u64)?,
-                restart_seconds: args.f64_or("restart", 0.0)?,
-            })
-        } else {
-            None
-        },
-    };
-    let plan = FaultPlan { spec, recovery };
-    plan.validate()
-        .map_err(|e| format!("bad fault plan: {e}"))?;
+    let seed = args.get(&SEED)?;
+    // The sweep's own defaults under the flags: a sweep that names no
+    // plan still injects drops and corruptions, and a checkpoint saves a
+    // rank's `(n/q)²` block.
+    let block = ((n / q) * (n / q)) as u64;
+    let words = args.value(CHECKPOINT_WORDS.key, CHECKPOINT_WORDS.rule)?;
+    let words = words.unwrap_or(block);
+    let mut plan = vocab::default_plan(seed);
+    (plan.spec.drop_rate, plan.spec.corrupt_rate) = (0.02, 0.01);
+    plan.recovery.checkpoint = Some(CheckpointPolicy {
+        interval: 0.0,
+        words,
+        restart_seconds: args.value("restart", SECONDS)?.unwrap_or(0.0),
+    });
+    let plan = vocab::fault_plan(args, plan)?;
+    let mtbf = args.value("mtbf", POSITIVE)?;
 
     let _ = writeln!(
         out,
         "fault sweep: 2.5D matmul, n = {n}, q = {q}, machine `{mname}`, seed {seed}, backend {backend}"
     );
-    let _ = writeln!(
+    let _ =
+        writeln!(
         out,
         "plan: drop {:.3}, corrupt {:.3}, duplicate {:.3}, delay {:.3}, retries {}, checkpoint {}",
         plan.spec.drop_rate,
@@ -819,14 +711,13 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
         plan.spec.duplicate_rate,
         plan.spec.delay_rate,
         plan.recovery.max_retries,
-        if interval > 0.0 { "on" } else { "off" }
+        if plan.recovery.checkpoint.is_some() { "on" } else { "off" }
     );
-    if let Some(mtbf) = args.get("mtbf").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(mtbf) = mtbf {
         // Advisory: the Daly-optimal interval for a checkpoint whose
         // write time follows from the policy's word count at this
         // machine's link prices.
-        let words = args.u64_or("checkpoint-words", ((n / q) * (n / q)) as u64)? as f64;
-        let delta = mp.alpha_t + mp.beta_t * words;
+        let delta = mp.alpha_t + mp.beta_t * words as f64;
         let tau = daly_optimal_interval(delta, mtbf).map_err(|e| e.to_string())?;
         let _ = writeln!(
             out,
@@ -889,6 +780,13 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
             p as f64,
             r_fault.mem_used,
         );
+        // Resilience costs exactly its Eq. 2 term: retransmissions and
+        // checkpoints advance W and S, lost time runs under standby power.
+        if (overhead - model).abs() > 1e-9 * overhead.abs() {
+            return Err(format!(
+                "c = {c}: measured overhead {overhead} J is not the Eq. 2 resilience term {model} J"
+            ));
+        }
         let retries = r_fault.retries;
         let ckpt_words = r_fault.checkpoint_words;
         let _ = writeln!(
@@ -919,7 +817,7 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
         out,
         "numerics  : all faulted runs identical to fault-free (retry + ABFT verified)"
     );
-    if let Some(path) = args.get("out").filter(|v| !v.is_empty()) {
+    if let Some(path) = args.raw("out").filter(|v| !v.is_empty()) {
         std::fs::write(path, &csv).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote CSV to {path}");
     }
@@ -946,37 +844,25 @@ fn lab_spec_from(args: &Args) -> Result<(SweepSpec, String), String> {
 }
 
 fn lab_run(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&[
-        "spec", "jobs", "out", "pareto", "cache", "scaling", "profile", "top", "journal", "resume",
-        "timeout",
-    ])?;
+    let own = [
+        "spec", "jobs", "out", "pareto", "cache", "scaling", "profile", "top", "journal",
+    ];
+    args.expect_keys(&[&own[..], &["resume", TIMEOUT.key]].concat())?;
     let (spec, path) = lab_spec_from(args)?;
     // `--cache DIR` persists results under DIR; `off` (or omitting the
     // flag) keeps the cache in-memory only.
-    let cache_dir = match args.get("cache") {
+    let cache_dir = match args.raw("cache") {
         None | Some("") | Some("off") => None,
         Some(dir) => Some(std::path::PathBuf::from(dir)),
     };
     // Watchdog budget: `--timeout S` overrides the spec's `timeout`
     // key. The budget never enters run identity, so cache digests and
     // CSV bytes are independent of it.
-    let timeout_secs = match args.get("timeout") {
-        None => spec.timeout,
-        Some(_) => Some(args.req_f64("timeout")?),
-    };
-    let timeout = match timeout_secs {
-        None => None,
-        Some(s) if s > 0.0 && s.is_finite() => Some(std::time::Duration::from_secs_f64(s)),
-        Some(s) => {
-            return Err(format!(
-                "--timeout must be a positive number of seconds, got {s}"
-            ))
-        }
-    };
+    let timeout = args.get(&TIMEOUT)?.or(spec.timeout);
     let mut lab = Lab::new(LabConfig {
         jobs: args.u64_or("jobs", 0)? as usize,
         cache_dir,
-        timeout,
+        timeout: timeout.map(std::time::Duration::from_secs_f64),
     });
     // One expansion and one digest per key for the whole command: the
     // same digests identify the sweep to its journal and each run to
@@ -986,7 +872,7 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // `--resume` replays completed runs from it (skipping their
     // execution) before continuing the sweep.
     let mut replayed_runs = 0usize;
-    let journal_path = args.get("journal").filter(|v| !v.is_empty());
+    let journal_path = args.raw("journal").filter(|v| !v.is_empty());
     match journal_path {
         Some(jp) => {
             let sd = expanded.spec_digest();
@@ -1009,10 +895,10 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // FILE` overrides it, and by default the JSON lands next to the
     // sweep CSV (`<out>.profile.json`) or, with no `--out`, in the
     // working directory as `<spec stem>.profile.json`.
-    let profile_path = match args.get("profile") {
+    let profile_path = match args.raw("profile") {
         Some("off") => None,
         Some(p) if !p.is_empty() => Some(p.to_string()),
-        _ => Some(match args.get("out").filter(|v| !v.is_empty()) {
+        _ => Some(match args.raw("out").filter(|v| !v.is_empty()) {
             Some(o) => format!("{o}.profile.json"),
             None => {
                 let stem = std::path::Path::new(&path)
@@ -1027,8 +913,8 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         out,
         "spec      : {path} ({} {} runs, alg `{}`, machine `{}`)",
         spec.len(),
-        spec.kind.as_str(),
-        spec.alg,
+        spec.key.kind.as_str(),
+        spec.key.alg,
         spec.machine_name
     );
     let _ = writeln!(out, "jobs      : {}", lab.jobs());
@@ -1072,11 +958,11 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     if args.has("scaling") {
         lab_scaling_report(&sweep, out);
     }
-    if let Some(p) = args.get("out").filter(|v| !v.is_empty()) {
+    if let Some(p) = args.raw("out").filter(|v| !v.is_empty()) {
         std::fs::write(p, sweep_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote sweep CSV to {p}");
     }
-    if let Some(p) = args.get("pareto").filter(|v| !v.is_empty()) {
+    if let Some(p) = args.raw("pareto").filter(|v| !v.is_empty()) {
         std::fs::write(p, pareto_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote Pareto CSV to {p}");
     }
@@ -1146,14 +1032,8 @@ fn lab_gc(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&["cache", "max-bytes", "max-age", "dry-run"])?;
     let dir = args.req("cache")?;
     let cfg = GcConfig {
-        max_bytes: match args.get("max-bytes") {
-            None => None,
-            Some(_) => Some(args.req_u64("max-bytes")?),
-        },
-        max_age_secs: match args.get("max-age") {
-            None => None,
-            Some(_) => Some(args.req_u64("max-age")?),
-        },
+        max_bytes: args.value("max-bytes", INTEGER)?,
+        max_age_secs: args.value("max-age", INTEGER)?,
         dry_run: args.has("dry-run"),
     };
     let report = gc_dir(std::path::Path::new(dir), &cfg).map_err(|e| e.to_string())?;
@@ -1308,15 +1188,14 @@ fn bound_solve(args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn bound_price(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["kernel", "n", "p"]]))?;
+    args.expect_keys(&priced(&["kernel", "n", "p"]))?;
     let (_, cost, _) = kernel_from(args)?;
-    let (mp, mname) = machine_from(args)?;
+    let (mname, mp) = vocab::machine(args)?;
     let n = args.req_u64("n")?;
-    if args.has("p") {
+    if let Some(p) = args.value("p", INTEGER)? {
         // Explicit processor count: numeric argmin over M — the only
         // route for kernels outside the closed-form families, and a
         // cross-check for those inside them.
-        let p = args.req_u64("p")?;
         let cfg = argmin_energy_memory(&cost, &mp, n, p).map_err(|e| e.to_string())?;
         let _ = writeln!(
             out,

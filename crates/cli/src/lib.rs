@@ -111,30 +111,49 @@ const COMMANDS: &[&str] = &[
     "bound", "help",
 ];
 
-/// `a|b|c` for a `--alg ` list of [`HELP`], which starts at column 21:
-/// broken after a `|` before column 79 and continued under the first name.
-fn alg_list(names: impl Iterator<Item = &'static str>) -> String {
-    let (mut list, mut col) = (String::new(), 21);
-    for name in names {
-        if col + name.len() > 78 {
-            list.push_str("\n                     ");
-            col = 21;
+/// `items` separated by `sep` for a [`HELP`] line starting at column
+/// `indent`: broken before column 79 and continued at `indent`.
+fn wrap(items: impl IntoIterator<Item = String>, sep: char, indent: usize) -> String {
+    let (mut list, mut col) = (String::new(), indent);
+    for item in items {
+        if col + item.len() > 78 {
+            list.push('\n');
+            list.push_str(&" ".repeat(indent));
+            col = indent;
         }
-        list.push_str(name);
-        list.push('|');
-        col += name.len() + 1;
+        list.push_str(&item);
+        list.push(sep);
+        col += item.len() + 1;
     }
     list.pop();
-    list
+    list.replace(" \n", "\n")
 }
 
-/// [`HELP`] with its `--alg` lists enumerated from the algorithm table.
+/// [`HELP`] with its lists — algorithms, machines, override and fault
+/// flags — enumerated from the tables that define them.
 fn help() -> String {
-    use psse_algos::table::names;
-    let models = alg_list(names(|e| e.model.is_some()));
-    let simulators = alg_list(names(|e| e.simulate.is_some()));
-    HELP.replace("{MODEL_ALGS}", &models)
-        .replace("{SIMULATE_ALGS}", &simulators)
+    use psse_algos::table::{names, Entry};
+    use psse_core::{machines::PRESETS, params::OVERRIDES};
+    use psse_lab::vocab::{F, FAULT_KEYS, FAULT_SEED};
+    let algs = |keep: fn(&Entry) -> bool| wrap(names(keep).map(str::to_string), '|', 21);
+    let overrides = |schedule: bool, indent| {
+        let chosen = OVERRIDES.iter().filter(|o| o.schedule || !schedule);
+        wrap(
+            chosen.map(|o| format!("[--{} {}]", o.key, o.unit)),
+            ' ',
+            indent,
+        )
+    };
+    let faults = FAULT_KEYS.iter().filter(|k| k.key() != FAULT_SEED.key);
+    let faults = faults.map(|k| format!("[--{} {}]", k.key(), k.rule().1));
+    let machines: Vec<&str> = PRESETS.iter().map(|(name, _)| *name).collect();
+    HELP.replace("{MODEL_ALGS}", &algs(|e| e.model.is_some()))
+        .replace("{SIMULATE_ALGS}", &algs(|e| e.simulate.is_some()))
+        .replace("{MACHINES}", &machines.join("|"))
+        .replace("{OVERRIDES}", &overrides(false, 15))
+        .replace("{SCHEDULE}", &overrides(true, 29))
+        .replace("{FAULT_FLAGS}", &wrap(faults, ' ', 22))
+        .replace("{F}", &F.default.to_string())
 }
 
 const HELP: &str = "\
@@ -148,10 +167,10 @@ COMMANDS:
                --alg {MODEL_ALGS}
                --n N  --p P
                [--mem WORDS]        memory/processor (default: minimal)
-               [--machine jaketown] plus per-parameter overrides, e.g.
-               [--gamma-t S] [--beta-t S] [--alpha-t S] [--gamma-e J]
-               [--beta-e J] [--alpha-e J] [--delta-e J] [--epsilon-e J]
-               [--f FLOPS]          n-body flops per interaction (20)
+               [--f FLOPS]          n-body flops per interaction ({F})
+               [--machine {MACHINES}]
+               plus per-parameter overrides of the machine:
+               {OVERRIDES}
   scaling    Print the perfect strong scaling range at fixed memory.
                --alg ... --n N --mem WORDS
   optimize   Section V answers for the n-body problem (closed form).
@@ -169,24 +188,22 @@ COMMANDS:
                record        --alg ... --n N --p P [--c C] [--out FILE]
                              run once with recording on, verify that replay
                              reproduces the live run, save the trace
-               replay        --in FILE [--machine jaketown + overrides]
+               replay        --in FILE [--machine NAME + overrides]
                              re-price the recorded DAG on another machine
                critical-path --in FILE [--top K]
                              longest chain and per-rank compute/comm/idle
                export        --in FILE [--out FILE.json]
                              Chrome trace-event JSON (Perfetto-loadable)
-               flame         --in FILE [--out FILE] [--gamma-t S] [--beta-t S]
-                             [--alpha-t S] [--max-message W]
+               flame         --in FILE [--out FILE]
+                             {SCHEDULE}
                              fold the DAG into collapsed-stack format
                              (rank;phase;op + virtual ns); with no --out
                              prints only the folded lines, ready to pipe
                              into flamegraph.pl or speedscope
   faults     Deterministic fault injection and resilience pricing.
                sweep  --q Q (grid edge, default 4) --c-list 1,2,4 --n N
-                      [--seed S] [--drop-rate R] [--corrupt-rate R]
-                      [--duplicate-rate R] [--delay-rate R] [--delay-seconds S]
-                      [--retries K] [--backoff S] [--checkpoint-interval S]
-                      [--checkpoint-words W] [--restart S] [--mtbf S]
+                      [--seed S] [--restart S] [--mtbf S]
+                      {FAULT_FLAGS}
                       [--backend threads|events] [--out FILE.csv]
                       run 2.5D matmul per c with and without the fault plan,
                       verify faulted numerics match fault-free, report the
@@ -232,7 +249,7 @@ COMMANDS:
                        per-array exponents and the symbolic W bound
                explain --kernel FILE  show the whole proof: the rank
                        inequalities, the dual certificate and the bound
-               price   --kernel FILE --n N [--machine jaketown + overrides]
+               price   --kernel FILE --n N [--machine NAME + overrides]
                        energy-optimal point M0/E* via the closed forms;
                        with [--p P], numeric argmin over M at that p
                        (the only route for generic-family kernels)
@@ -309,6 +326,34 @@ mod tests {
         assert!(err.contains("(cannon|summa|"), "{err}");
         let err = call("model --alg cannon --n 16 --p 4").unwrap_err();
         assert!(err.contains("(matmul|mm25d|"), "{err}");
+    }
+
+    #[test]
+    fn help_lists_the_vocabulary_tables() {
+        use psse_core::{machines::PRESETS, params::OVERRIDES};
+        use psse_lab::vocab::{FAULT_KEYS, FAULT_SEED};
+        let out = call("help").unwrap();
+        assert!(!out.contains('{'), "placeholder left in: {out}");
+        let presets: Vec<&str> = PRESETS.iter().map(|(name, _)| *name).collect();
+        assert!(
+            out.contains(&format!("[--machine {}]", presets.join("|"))),
+            "{out}"
+        );
+        for o in &OVERRIDES {
+            assert!(out.contains(&format!("[--{} {}]", o.key, o.unit)), "{out}");
+        }
+        for k in FAULT_KEYS.iter().filter(|k| k.key() != FAULT_SEED.key) {
+            let flag = format!("[--{} {}]", k.key(), k.rule().1);
+            assert!(out.contains(&flag), "{flag}: {out}");
+        }
+        // What help lists is what `--machine` accepts.
+        for name in presets {
+            let out = call(&format!(
+                "model --alg matmul --n 4096 --p 64 --machine {name}"
+            ))
+            .unwrap();
+            assert!(out.contains(&format!("machine   : {name}")), "{out}");
+        }
     }
 
     #[test]

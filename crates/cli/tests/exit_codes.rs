@@ -379,7 +379,7 @@ fn non_finite_prices_targets_and_caps_exit_nonzero_naming_the_flag() {
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(
         stderr_line(&out),
-        "error: invalid machine parameter gamma_t = inf"
+        "error: --gamma-t must keep the machine valid: invalid machine parameter gamma_t = inf"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -546,4 +546,150 @@ fn every_simulate_name_is_sweepable_and_the_row_is_the_cli_measurement() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// One run vocabulary (`psse_lab::vocab`): each invocation below printed
+// a number — `inf`, a wrapped count, a dropped line, a zero sweep — or
+// digested a coerced value, and exited 0 at the parent.
+
+/// `args` must exit 1 naming `flag`, print nothing, and say no `inf`
+/// or `NaN`.
+fn assert_flag_refused(args: &[&str], flag: &str) {
+    assert_refused_naming(args, flag);
+    let err = stderr_line(&psse(args));
+    assert!(!err.contains("inf") && !err.contains("NaN"), "{err}");
+}
+
+/// A spec whose line 5 is `line` must fail to parse, naming `key` and
+/// the line, before any run is listed.
+fn assert_spec_line_refused(line: &str, key: &str) {
+    let dir = std::env::temp_dir().join(format!("psse-exit-vocab-{key}-{}", std::process::id()));
+    let spec = write_spec(
+        &dir,
+        "v.spec",
+        &format!("kind = simulate\nalg = mm25d-abft\nn = 32\np = 4\n{line}\n"),
+    );
+    let out = psse(&["lab", "expand", "--spec", &spec]);
+    assert_eq!(out.status.code(), Some(1), "{line}");
+    let err = stderr_line(&out);
+    assert!(
+        err.contains("line 5") && err.contains(&format!("`{key}`")),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "{line}: a run was listed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const STENCIL_RANGE: [&str; 7] = ["scaling", "--alg", "stencil", "--n", "4096", "--mem", "1e6"];
+const SWEEP: [&str; 8] = ["faults", "sweep", "--q", "2", "--c-list", "1", "--n", "16"];
+
+#[test]
+fn stencil_range_refuses_halo_zero() {
+    assert_flag_refused(&[&STENCIL_RANGE[..], &["--halo", "0"]].concat(), "--halo");
+}
+
+#[test]
+fn stencil_range_refuses_iters_zero() {
+    assert_flag_refused(&[&STENCIL_RANGE[..], &["--iters", "0"]].concat(), "--iters");
+}
+
+#[test]
+fn faults_sweep_refuses_a_non_numeric_mtbf() {
+    assert_flag_refused(&[&SWEEP[..], &["--mtbf", "abc"]].concat(), "--mtbf");
+}
+
+#[test]
+fn faults_sweep_refuses_a_negative_checkpoint_interval() {
+    let args = [&SWEEP[..], &["--checkpoint-interval", "-1"]].concat();
+    assert_flag_refused(&args, "--checkpoint-interval");
+}
+
+#[test]
+fn faults_sweep_refuses_retries_beyond_u32() {
+    assert_flag_refused(
+        &[&SWEEP[..], &["--retries", "99999999999"]].concat(),
+        "--retries",
+    );
+}
+
+#[test]
+fn faults_sweep_refuses_an_empty_problem() {
+    assert_flag_refused(
+        &["faults", "sweep", "--q", "2", "--c-list", "1", "--n", "0"],
+        "--n",
+    );
+}
+
+#[test]
+fn spec_refuses_a_negative_seed() {
+    assert_spec_line_refused("seed = -3", "seed");
+}
+
+#[test]
+fn spec_refuses_a_fractional_seed() {
+    assert_spec_line_refused("seed = 2.7", "seed");
+}
+
+#[test]
+fn spec_refuses_retries_beyond_u32() {
+    assert_spec_line_refused("retries = 1e12", "retries");
+}
+
+#[test]
+fn spec_refuses_a_negative_checkpoint_interval() {
+    assert_spec_line_refused("checkpoint-interval = -1", "checkpoint-interval");
+}
+
+#[test]
+fn spec_refuses_a_negative_fault_seed() {
+    assert_spec_line_refused("fault-seed = -1", "fault-seed");
+}
+
+#[test]
+fn spec_refuses_negative_checkpoint_words() {
+    assert_spec_line_refused("checkpoint-words = -5", "checkpoint-words");
+}
+
+#[test]
+fn spec_refuses_a_negative_flop_count_at_its_line() {
+    assert_spec_line_refused("f = -1", "f");
+}
+
+#[test]
+fn spec_refuses_a_zero_replication_factor_at_its_line() {
+    assert_spec_line_refused("c = 1,0", "c");
+}
+
+#[test]
+fn trace_flame_refuses_a_fractional_or_huge_message_size() {
+    let dir = std::env::temp_dir().join(format!("psse-exit-flame-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.trace");
+    let trace = trace.to_str().unwrap();
+    let record = ["trace", "record", "--alg", "mm25d", "--n", "16", "--p", "8"];
+    let out = psse(&[&record[..], &["--c", "2", "--out", trace]].concat());
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    for m in ["2.5", "1e300"] {
+        let flame = ["trace", "flame", "--in", trace, "--max-message", m];
+        assert_flag_refused(&flame, "--max-message");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_preset_a_spec_names_is_a_machine_flag() {
+    let out = psse(&[
+        "model",
+        "--alg",
+        "lu",
+        "--n",
+        "16384",
+        "--p",
+        "1024",
+        "--machine",
+        "cloud-instance",
+    ]);
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("machine   : cloud-instance"), "{stdout}");
 }

@@ -187,6 +187,18 @@ pub fn cloud_instance() -> MachineParams {
     )
 }
 
+/// A machine a run can name, and how to build it.
+pub type Preset = (&'static str, fn() -> MachineParams);
+
+/// The machines a run can name (`--machine cloud-instance`, `machine =
+/// cloud-instance`), the default first.
+pub const PRESETS: [Preset; 4] = [
+    ("jaketown", jaketown),
+    ("embedded-soc", embedded_soc),
+    ("cluster-node", cluster_node),
+    ("cloud-instance", cloud_instance),
+];
+
 /// The eleven processors of paper Table II, with their published
 /// specification inputs. Derived columns (`γt`, `γe`, GFLOPS/W) are
 /// computed by [`MachineSpec`] methods and verified against the paper's

@@ -157,6 +157,36 @@ impl MachineParams {
     }
 }
 
+/// One per-parameter override of a machine preset: `--beta-t S` on the
+/// command line, `beta-t = S` in a sweep spec.
+#[derive(Debug, Clone, Copy)]
+pub struct Override {
+    /// The key both spellings use.
+    pub key: &'static str,
+    /// The unit of its value.
+    pub unit: &'static str,
+    /// One of `γt`, `βt`, `αt`, `m`: the prices that fix a run's schedule,
+    /// and all a recorded trace is re-timed by.
+    pub schedule: bool,
+    /// The field it sets.
+    pub field: fn(&mut MachineParams) -> &mut Real,
+}
+
+/// Every [`Override`], in field order.
+#[rustfmt::skip]
+pub const OVERRIDES: [Override; 10] = [
+    Override { key: "gamma-t", unit: "s/flop", schedule: true, field: |m| &mut m.gamma_t },
+    Override { key: "beta-t", unit: "s/word", schedule: true, field: |m| &mut m.beta_t },
+    Override { key: "alpha-t", unit: "s/msg", schedule: true, field: |m| &mut m.alpha_t },
+    Override { key: "gamma-e", unit: "J/flop", schedule: false, field: |m| &mut m.gamma_e },
+    Override { key: "beta-e", unit: "J/word", schedule: false, field: |m| &mut m.beta_e },
+    Override { key: "alpha-e", unit: "J/msg", schedule: false, field: |m| &mut m.alpha_e },
+    Override { key: "delta-e", unit: "J/word/s", schedule: false, field: |m| &mut m.delta_e },
+    Override { key: "epsilon-e", unit: "J/s", schedule: false, field: |m| &mut m.epsilon_e },
+    Override { key: "max-message", unit: "words", schedule: true, field: |m| &mut m.max_message_words },
+    Override { key: "mem-words", unit: "words", schedule: false, field: |m| &mut m.mem_words },
+];
+
 /// Builder for [`MachineParams`]; `build()` validates all invariants.
 #[derive(Debug, Clone)]
 pub struct MachineParamsBuilder {

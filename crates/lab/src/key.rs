@@ -28,6 +28,8 @@ use psse_hbl::prelude::{derive, HblError, Kernel, KernelCost};
 use psse_sim::prelude::FaultPlan;
 use psse_sim::Backend;
 
+use crate::vocab::{C, F, HALO, ITERS, SEED};
+
 /// A 128-bit content digest: the `hi` and `lo` chain values. `Display`
 /// is the 32-lowercase-hex spelling used in journals, `.rec` file names
 /// and summaries; [`Digest::from_hex`] is its inverse.
@@ -221,7 +223,7 @@ pub struct RunKey {
 
 /// The `(halo, iters)` pair that leaves the digest word stream
 /// untouched (pre-stencil layout compatibility).
-pub const STENCIL_DEFAULTS: (u64, u64) = (1, 4);
+pub const STENCIL_DEFAULTS: (u64, u64) = (HALO.default, ITERS.default);
 
 impl RunKey {
     /// A model-run key with the common defaults (`c = 1`, minimal
@@ -232,10 +234,10 @@ impl RunKey {
             alg: alg.to_string(),
             n,
             p,
-            c: 1,
+            c: C.default,
             mem: 0.0,
-            f: 20.0,
-            seed: 42,
+            f: F.default,
+            seed: SEED.default,
             clamp_mem: false,
             machine,
             faults: None,

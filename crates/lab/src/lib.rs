@@ -50,6 +50,7 @@ pub mod result;
 pub mod runner;
 pub mod selfprof;
 pub mod spec;
+pub mod vocab;
 
 use std::path::PathBuf;
 

@@ -25,31 +25,25 @@
 //!
 //! Unknown keys are rejected with the offending line number.
 
-use std::str::FromStr;
 use std::sync::Arc;
 
 use psse_algos::table;
-use psse_core::machines::{cloud_instance, cluster_node, embedded_soc, jaketown};
-use psse_core::params::MachineParams;
-use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
-use psse_sim::Backend;
 
 use crate::error::LabError;
 use crate::key::{KernelModel, RunKey, RunKind};
+use crate::vocab::{self, ParamError, Values, C, F, FAULT_KEYS, HALO, ITERS, SEED, TIMEOUT};
 
 /// A parsed sweep specification. See the module docs for the text
 /// format; [`SweepSpec::expand`] produces the deterministic run list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Model evaluation or simulator execution.
-    pub kind: RunKind,
-    /// Algorithm id, a name of [`psse_algos::table`] that has the half
-    /// `kind` asks for (or `kernel:<name>` for a kernel sweep).
-    pub alg: String,
+    /// What every run shares: kind, algorithm (`kernel:<name>` for a
+    /// kernel sweep, whose compiled model every key shares), machine,
+    /// knobs, seed, faults, backend. Its grid coordinates (`n`, `p`, `c`,
+    /// `mem`) are the lists' to fill.
+    pub key: RunKey,
     /// Machine preset name (for summaries).
     pub machine_name: String,
-    /// The machine after preset + overrides.
-    pub machine: MachineParams,
     /// Problem sizes (outermost loop).
     pub n: Vec<u64>,
     /// Processor counts.
@@ -59,67 +53,59 @@ pub struct SweepSpec {
     /// Memories per processor, words (innermost loop). Empty ⇒ one run
     /// at the algorithm's minimal memory (`mem = 0` sentinel).
     pub mem: Vec<f64>,
-    /// n-body flops per interaction.
-    pub f: f64,
-    /// Stencil halo width (`alg = stencil`; ignored elsewhere).
-    pub halo: u64,
-    /// Stencil sweep count (`alg = stencil`).
-    pub iters: u64,
-    /// Input seed for simulator runs.
-    pub seed: u64,
-    /// Clamp out-of-band memories instead of flagging them infeasible.
-    pub clamp_mem: bool,
-    /// Fault plan applied to every run (simulator sweeps).
-    pub faults: Option<FaultPlan>,
-    /// Simulator backend (`backend = threads|events`, default threads).
-    pub backend: Backend,
     /// Per-run wall-clock watchdog budget in seconds (`timeout = 30`).
     /// `None` never cancels. Deliberately *not* part of [`RunKey`]
     /// identity: it routes into [`crate::LabConfig::timeout`], so cache
     /// digests and CSV bytes are unaffected by the budget chosen.
     pub timeout: Option<f64>,
-    /// The compiled HBL kernel (`kernel = path/to/foo.kernel`, model
-    /// sweeps only, mutually exclusive with `alg`). The file is read,
-    /// validated and its cost model derived once, at parse time; every
-    /// expanded [`RunKey`] shares the result, and the file's *content*
-    /// is what the key digests, so cache slots track edits to the file.
-    pub kernel: Option<Arc<KernelModel>>,
 }
 
-const MACHINE_KEYS: [&str; 10] = [
-    "gamma-t",
-    "beta-t",
-    "alpha-t",
-    "gamma-e",
-    "beta-e",
-    "alpha-e",
-    "delta-e",
-    "epsilon-e",
-    "max-message",
-    "mem-words",
-];
+/// The keys only a spec has: what to run and the grid it sweeps. The
+/// rest are [`vocab::keys`].
+const SPEC_KEYS: [&str; 8] = ["kind", "alg", "kernel", "backend", "n", "p", "mem", "clamp"];
 
-const FAULT_KEYS: [&str; 10] = [
-    "fault-seed",
-    "drop-rate",
-    "corrupt-rate",
-    "duplicate-rate",
-    "delay-rate",
-    "delay-seconds",
-    "retries",
-    "backoff",
-    "checkpoint-interval",
-    "checkpoint-words",
-];
+/// A spec's `key = value` lines, each with its line number; the last
+/// line of a key wins.
+struct Lines<'a>(Vec<(&'a str, usize, &'a str)>);
 
-fn machine_preset(name: &str) -> Option<MachineParams> {
-    match name {
-        "jaketown" => Some(jaketown()),
-        "embedded-soc" => Some(embedded_soc()),
-        "cluster-node" => Some(cluster_node()),
-        "cloud-instance" => Some(cloud_instance()),
-        _ => None,
+impl Lines<'_> {
+    fn find(&self, key: &str) -> Option<(usize, &str)> {
+        let mut found = self.0.iter().rev().filter(|(k, ..)| *k == key);
+        found.next().map(|&(_, line, value)| (line, value))
     }
+
+    /// `key`'s value read by `parse` (given the value and its line).
+    fn with<T>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str, usize) -> Result<T, LabError>,
+    ) -> Result<Option<T>, LabError> {
+        self.find(key)
+            .map(|(line, value)| parse(value, line))
+            .transpose()
+    }
+
+    /// `e` at the line of the key it names.
+    fn error(&self, e: ParamError) -> LabError {
+        match e.key {
+            Some(key) => {
+                let line = self.find(&key).map_or(0, |(line, _)| line);
+                LabError::spec(line, format!("`{key}` {}", e.message))
+            }
+            None => LabError::spec(0, e.message),
+        }
+    }
+}
+
+impl Values for Lines<'_> {
+    fn raw(&self, key: &str) -> Option<&str> {
+        self.find(key).map(|(_, value)| value)
+    }
+}
+
+/// A `FromStr` value, its error at `line`.
+fn from_str<T: std::str::FromStr<Err = String>>(value: &str, line: usize) -> Result<T, LabError> {
+    value.parse().map_err(|e| LabError::spec(line, e))
 }
 
 /// Parse one list atom into f64 values (integer users round afterwards).
@@ -210,23 +196,7 @@ fn parse_u64_list(value: &str, line: usize) -> Result<Vec<u64>, LabError> {
 impl SweepSpec {
     /// Parse the `key = value` spec text. Unknown keys are an error.
     pub fn parse(text: &str) -> Result<SweepSpec, LabError> {
-        let mut kind: Option<RunKind> = None;
-        let mut alg: Option<(usize, String)> = None; // (line, id)
-        let mut machine_name = String::from("jaketown");
-        let mut overrides: Vec<(usize, f64)> = Vec::new(); // (MACHINE_KEYS index, value)
-        let mut n = vec![];
-        let mut p = vec![];
-        let mut c = vec![1u64];
-        let mut mem: Vec<f64> = vec![];
-        let mut f = 20.0;
-        let (mut halo, mut iters) = crate::key::STENCIL_DEFAULTS;
-        let mut seed = 42u64;
-        let mut clamp_mem = false;
-        let mut backend = Backend::Threads;
-        let mut timeout: Option<f64> = None;
-        let mut fault_vals: Vec<(usize, f64)> = Vec::new(); // (FAULT_KEYS index, value)
-        let mut kernel: Option<(usize, KernelModel)> = None; // (line, compiled file)
-
+        let mut lines = Lines(Vec::new());
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
             // Strip comments and blanks.
@@ -241,105 +211,19 @@ impl SweepSpec {
             if value.is_empty() {
                 return Err(LabError::spec(lineno, format!("`{key}` has no value")));
             }
-            let scalar = |v: &str| -> Result<f64, LabError> {
-                v.parse()
-                    .map_err(|_| LabError::spec(lineno, format!("bad number `{v}` for `{key}`")))
-            };
-            match key {
-                "kind" => {
-                    kind = Some(RunKind::from_str(value).map_err(|e| LabError::spec(lineno, e))?)
-                }
-                "alg" => alg = Some((lineno, value.to_string())),
-                "kernel" => {
-                    // Read and compile the kernel file now: a bad path or
-                    // a malformed loop nest surfaces with this spec line
-                    // (plus the kernel's own line number) instead of
-                    // failing every expanded run later, and the derived
-                    // model is the one every key prices from.
-                    let text = std::fs::read_to_string(value).map_err(|e| {
-                        LabError::spec(lineno, format!("cannot read kernel file `{value}`: {e}"))
-                    })?;
-                    let model = KernelModel::compile(&text)
-                        .map_err(|e| LabError::spec(lineno, format!("{value}: {e}")))?;
-                    kernel = Some((lineno, model));
-                }
-                "machine" => {
-                    if machine_preset(value).is_none() {
-                        return Err(LabError::spec(
-                            lineno,
-                            format!(
-                                "unknown machine `{value}` \
-                                 (jaketown|embedded-soc|cluster-node|cloud-instance)"
-                            ),
-                        ));
-                    }
-                    machine_name = value.to_string();
-                }
-                "backend" => {
-                    backend = value
-                        .parse::<Backend>()
-                        .map_err(|e| LabError::spec(lineno, e))?;
-                }
-                "n" => n = parse_u64_list(value, lineno)?,
-                "p" => p = parse_u64_list(value, lineno)?,
-                "c" => c = parse_u64_list(value, lineno)?,
-                "mem" => mem = parse_f64_list(value, lineno)?,
-                "f" => f = scalar(value)?,
-                "halo" | "iters" => {
-                    let v = scalar(value)?;
-                    if v < 1.0 || v.fract() != 0.0 {
-                        return Err(LabError::spec(
-                            lineno,
-                            format!("`{key}` must be a positive integer, got `{value}`"),
-                        ));
-                    }
-                    if key == "halo" {
-                        halo = v as u64;
-                    } else {
-                        iters = v as u64;
-                    }
-                }
-                "seed" => seed = scalar(value)? as u64,
-                "timeout" => {
-                    let v = scalar(value)?;
-                    if !(v > 0.0 && v.is_finite()) {
-                        return Err(LabError::spec(
-                            lineno,
-                            format!(
-                                "`timeout` must be a positive number of seconds, got `{value}`"
-                            ),
-                        ));
-                    }
-                    timeout = Some(v);
-                }
-                "clamp" => {
-                    clamp_mem = match value {
-                        "true" | "1" | "yes" => true,
-                        "false" | "0" | "no" => false,
-                        _ => {
-                            return Err(LabError::spec(
-                                lineno,
-                                format!("bad boolean `{value}` for `clamp`"),
-                            ));
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(idx) = MACHINE_KEYS.iter().position(|k| *k == key) {
-                        overrides.push((idx, scalar(value)?));
-                    } else if let Some(idx) = FAULT_KEYS.iter().position(|k| *k == key) {
-                        fault_vals.push((idx, scalar(value)?));
-                    } else {
-                        return Err(LabError::spec(lineno, format!("unknown key `{key}`")));
-                    }
-                }
+            if !SPEC_KEYS.contains(&key) && !vocab::keys().any(|k| k == key) {
+                return Err(LabError::spec(lineno, format!("unknown key `{key}`")));
             }
+            lines.0.push((key, lineno, value));
         }
+        let err = |e| lines.error(e);
 
-        let kind = kind.ok_or_else(|| LabError::spec(0, "missing `kind = model|simulate`"))?;
-        let (alg, kernel) = match kernel {
-            Some((lineno, model)) => {
-                if alg.is_some() {
+        let kind: RunKind = lines
+            .with("kind", from_str)?
+            .ok_or_else(|| LabError::spec(0, "missing `kind = model|simulate`"))?;
+        let (alg, kernel) = match lines.find("kernel") {
+            Some((lineno, path)) => {
+                if lines.raw("alg").is_some() {
                     return Err(LabError::spec(
                         lineno,
                         "`kernel` and `alg` are mutually exclusive",
@@ -351,109 +235,80 @@ impl SweepSpec {
                         "`kernel` sweeps are model-only (kind = model)",
                     ));
                 }
+                // Read and compile the kernel file now: a bad path or a
+                // malformed loop nest surfaces with this spec line (plus
+                // the kernel's own line number) instead of failing every
+                // expanded run later, and the derived model is the one
+                // every key prices from.
+                let text = std::fs::read_to_string(path).map_err(|e| {
+                    LabError::spec(lineno, format!("cannot read kernel file `{path}`: {e}"))
+                })?;
+                let model = KernelModel::compile(&text)
+                    .map_err(|e| LabError::spec(lineno, format!("{path}: {e}")))?;
                 (
                     format!("kernel:{}", model.cost().kernel_name()),
                     Some(Arc::new(model)),
                 )
             }
             None => {
-                let (lineno, alg) =
-                    alg.ok_or_else(|| LabError::spec(0, "missing `alg = <algorithm>`"))?;
+                let (lineno, alg) = lines
+                    .find("alg")
+                    .ok_or_else(|| LabError::spec(0, "missing `alg = <algorithm>`"))?;
                 // One parse error, not one failed run per expanded key.
                 match kind {
-                    RunKind::Model => table::model(&alg).map(drop),
-                    RunKind::Simulate => table::simulator(&alg).map(drop),
+                    RunKind::Model => table::model(alg).map(drop),
+                    RunKind::Simulate => table::simulator(alg).map(drop),
                 }
                 .map_err(|e| LabError::spec(lineno, e))?;
-                (alg, None)
+                (alg.to_string(), None)
             }
         };
-        if n.is_empty() {
-            return Err(LabError::spec(0, "missing `n = <sizes>`"));
-        }
-        if p.is_empty() {
-            return Err(LabError::spec(0, "missing `p = <processor counts>`"));
-        }
-
-        let mut machine = machine_preset(&machine_name).expect("validated above");
-        for (idx, v) in overrides {
-            match idx {
-                0 => machine.gamma_t = v,
-                1 => machine.beta_t = v,
-                2 => machine.alpha_t = v,
-                3 => machine.gamma_e = v,
-                4 => machine.beta_e = v,
-                5 => machine.alpha_e = v,
-                6 => machine.delta_e = v,
-                7 => machine.epsilon_e = v,
-                8 => machine.max_message_words = v,
-                _ => machine.mem_words = v,
+        let n = lines.with("n", parse_u64_list)?;
+        let n = n.ok_or_else(|| LabError::spec(0, "missing `n = <sizes>`"))?;
+        let p = lines.with("p", parse_u64_list)?;
+        let p = p.ok_or_else(|| LabError::spec(0, "missing `p = <processor counts>`"))?;
+        let clamp_mem = match lines.find("clamp") {
+            None | Some((_, "false" | "0" | "no")) => false,
+            Some((_, "true" | "1" | "yes")) => true,
+            Some((lineno, value)) => {
+                return Err(LabError::spec(
+                    lineno,
+                    format!("bad boolean `{value}` for `clamp`"),
+                ))
             }
-        }
-        machine
-            .validate()
-            .map_err(|e| LabError::spec(0, format!("invalid machine after overrides: {e}")))?;
-
-        let faults = if fault_vals.is_empty() {
-            None
-        } else {
-            let get = |name: &str, default: f64| -> f64 {
-                let idx = FAULT_KEYS.iter().position(|k| *k == name).unwrap();
-                fault_vals
-                    .iter()
-                    .rev()
-                    .find(|(i, _)| *i == idx)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(default)
-            };
-            let interval = get("checkpoint-interval", 0.0);
-            let plan = FaultPlan {
-                spec: FaultSpec {
-                    seed: get("fault-seed", seed as f64) as u64,
-                    drop_rate: get("drop-rate", 0.0),
-                    corrupt_rate: get("corrupt-rate", 0.0),
-                    duplicate_rate: get("duplicate-rate", 0.0),
-                    delay_rate: get("delay-rate", 0.0),
-                    delay_seconds: get("delay-seconds", 0.0),
-                    crashes: Vec::new(),
-                },
-                recovery: RecoveryPolicy {
-                    max_retries: get("retries", 16.0) as u32,
-                    retry_backoff: get("backoff", 0.0),
-                    checkpoint: if interval > 0.0 {
-                        Some(CheckpointPolicy {
-                            interval,
-                            words: get("checkpoint-words", 0.0) as u64,
-                            restart_seconds: 0.0,
-                        })
-                    } else {
-                        None
-                    },
-                },
-            };
-            plan.validate()
-                .map_err(|e| LabError::spec(0, format!("bad fault plan: {e}")))?;
-            Some(plan)
         };
-
-        Ok(SweepSpec {
+        let (machine_name, machine) = vocab::machine(&lines).map_err(err)?;
+        let seed = lines.get(&SEED).map_err(err)?;
+        let given = FAULT_KEYS.iter().any(|k| lines.raw(k.key()).is_some());
+        let faults = given.then(|| vocab::fault_plan(&lines, vocab::default_plan(seed)));
+        let key = RunKey {
             kind,
-            alg,
-            machine_name,
-            machine,
-            n,
-            p,
-            c,
-            mem,
-            f,
-            halo,
-            iters,
+            f: lines.get(&F).map_err(err)?,
             seed,
             clamp_mem,
-            faults,
-            backend,
-            timeout,
+            faults: faults.transpose().map_err(err)?,
+            backend: lines.with("backend", from_str)?.unwrap_or_default(),
             kernel,
+            halo: lines.get(&HALO).map_err(err)?,
+            iters: lines.get(&ITERS).map_err(err)?,
+            ..RunKey::model(&alg, 0, 0, machine)
+        };
+        Ok(SweepSpec {
+            key,
+            machine_name: machine_name.to_string(),
+            n,
+            p,
+            c: match lines.find(C.key) {
+                None => vec![C.default],
+                // Each element is an integer by `c`'s own rule, unrounded.
+                Some((line, value)) => parse_f64_list(value, line)?
+                    .iter()
+                    .map(|v| C.rule.parse(C.key, &v.to_string()))
+                    .collect::<Result<_, _>>()
+                    .map_err(err)?,
+            },
+            mem: lines.with("mem", parse_f64_list)?.unwrap_or_default(),
+            timeout: lines.get(&TIMEOUT).map_err(err)?,
         })
     }
 
@@ -481,21 +336,11 @@ impl SweepSpec {
                 for &c in &self.c {
                     for &mem in mems {
                         keys.push(RunKey {
-                            kind: self.kind,
-                            alg: self.alg.clone(),
                             n,
                             p,
                             c,
                             mem,
-                            f: self.f,
-                            seed: self.seed,
-                            clamp_mem: self.clamp_mem,
-                            machine: self.machine.clone(),
-                            faults: self.faults.clone(),
-                            backend: self.backend,
-                            kernel: self.kernel.clone(),
-                            halo: self.halo,
-                            iters: self.iters,
+                            ..self.key.clone()
                         });
                     }
                 }
@@ -508,6 +353,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psse_sim::Backend;
 
     const SPEC: &str = "\
         # n-body model grid\n\
@@ -521,8 +367,8 @@ mod tests {
     #[test]
     fn parses_and_expands_in_document_order() {
         let spec = SweepSpec::parse(SPEC).unwrap();
-        assert_eq!(spec.alg, "nbody");
-        assert_eq!(spec.f, 10.0);
+        assert_eq!(spec.key.alg, "nbody");
+        assert_eq!(spec.key.f, 10.0);
         assert_eq!(spec.len(), 12);
         let keys = spec.expand();
         assert_eq!(keys.len(), 12);
@@ -559,6 +405,21 @@ mod tests {
     }
 
     #[test]
+    fn replication_factors_follow_the_c_rule() {
+        for bad in ["0", "1.5", "2,0", "0..2"] {
+            let err = SweepSpec::parse(&format!(
+                "kind = model\nalg = matmul\nn = 64\np = 4\nc = {bad}\n"
+            ))
+            .unwrap_err()
+            .to_string();
+            assert!(
+                err.contains("(line 5): `c` must be a positive integer"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn unknown_keys_and_machines_are_rejected_with_line() {
         let err =
             SweepSpec::parse("kind = model\nalg = nbody\nn = 4\np = 2\nbogus = 1\n").unwrap_err();
@@ -591,8 +452,8 @@ mod tests {
             "kind = model\nalg = nbody\nn = 4\np = 2\nbeta-e = 9e-9\nmem-words = 1e10\n",
         )
         .unwrap();
-        assert_eq!(spec.machine.beta_e, 9e-9);
-        assert_eq!(spec.machine.mem_words, 1e10);
+        assert_eq!(spec.key.machine.beta_e, 9e-9);
+        assert_eq!(spec.key.machine.mem_words, 1e10);
     }
 
     #[test]
@@ -601,7 +462,7 @@ mod tests {
             "kind = simulate\nalg = mm25d-abft\nn = 32\np = 4\ndrop-rate = 0.02\nretries = 8\n",
         )
         .unwrap();
-        let plan = spec.faults.unwrap();
+        let plan = spec.key.faults.unwrap();
         assert_eq!(plan.spec.drop_rate, 0.02);
         assert_eq!(plan.recovery.max_retries, 8);
         assert!(plan.recovery.checkpoint.is_none());
@@ -612,11 +473,11 @@ mod tests {
         let spec =
             SweepSpec::parse("kind = simulate\nalg = mm25d\nn = 16\np = 8\nbackend = events\n")
                 .unwrap();
-        assert_eq!(spec.backend, Backend::Events);
+        assert_eq!(spec.key.backend, Backend::Events);
         assert!(spec.expand().iter().all(|k| k.backend == Backend::Events));
         // Default is the thread backend; bad values are line-reported.
         let spec = SweepSpec::parse("kind = model\nalg = nbody\nn = 4\np = 2\n").unwrap();
-        assert_eq!(spec.backend, Backend::Threads);
+        assert_eq!(spec.key.backend, Backend::Threads);
         let err = SweepSpec::parse("kind = model\nalg = nbody\nn = 4\np = 2\nbackend = fibers\n")
             .unwrap_err();
         assert!(err.to_string().contains("fibers"), "{err}");
@@ -663,13 +524,14 @@ mod tests {
             path.display()
         ))
         .unwrap();
-        assert_eq!(spec.alg, "kernel:mm");
+        assert_eq!(spec.key.alg, "kernel:mm");
         let keys = spec.expand();
         assert!(keys[0].kernel.as_ref().unwrap().text().contains("C[i,j]"));
         // Every key shares the one compiled model.
-        assert!(keys
-            .iter()
-            .all(|k| Arc::ptr_eq(k.kernel.as_ref().unwrap(), spec.kernel.as_ref().unwrap())));
+        assert!(keys.iter().all(|k| Arc::ptr_eq(
+            k.kernel.as_ref().unwrap(),
+            spec.key.kernel.as_ref().unwrap()
+        )));
 
         // `kernel` and `alg` are mutually exclusive, and model-only.
         let err = SweepSpec::parse(&format!(
@@ -716,12 +578,15 @@ mod tests {
             "kind = simulate\nalg = stencil\nn = 64\np = 4\nhalo = 2\niters = 8\n",
         )
         .unwrap();
-        assert_eq!((spec.halo, spec.iters), (2, 8));
+        assert_eq!((spec.key.halo, spec.key.iters), (2, 8));
         let keys = spec.expand();
         assert!(keys.iter().all(|k| k.halo == 2 && k.iters == 8));
         // Defaults leave old digests alone.
         let plain = SweepSpec::parse("kind = simulate\nalg = mm25d\nn = 16\np = 8\n").unwrap();
-        assert_eq!((plain.halo, plain.iters), crate::key::STENCIL_DEFAULTS);
+        assert_eq!(
+            (plain.key.halo, plain.key.iters),
+            crate::key::STENCIL_DEFAULTS
+        );
         // Zero or fractional values are line-reported errors.
         for bad in ["halo = 0", "iters = 2.5"] {
             let err = SweepSpec::parse(&format!(
@@ -737,6 +602,6 @@ mod tests {
         let spec =
             SweepSpec::parse("\n# header\nkind = model # trailing\nalg = nbody\nn = 4\np = 2\n\n")
                 .unwrap();
-        assert_eq!(spec.kind, RunKind::Model);
+        assert_eq!(spec.key.kind, RunKind::Model);
     }
 }

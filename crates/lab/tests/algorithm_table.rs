@@ -72,15 +72,19 @@ fn every_simulator_is_sweepable_and_its_row_is_what_the_cli_measures() {
 fn a_shape_the_cli_rejects_fails_its_key() {
     // At the parent this ran `nbody_replicated(.., 10 / 3, 3)` on nine
     // ranks and wrote a `p = 10` row.
-    for (p, c) in [(10, 3), (4, 0)] {
-        let err = one_key("nbody", 60, p, c).unwrap_err();
-        assert_eq!(
-            err,
-            format!(
-                "algorithm error: --c {c} must divide --p {p} for the replicated n-body layout"
-            )
-        );
-    }
+    let err = one_key("nbody", 60, 10, 3).unwrap_err();
+    assert_eq!(
+        err,
+        "algorithm error: --c 3 must divide --p 10 for the replicated n-body layout"
+    );
+    // `c = 0` is no replication factor: the spec refuses it at its line.
+    let err = SweepSpec::parse("kind = simulate\nalg = nbody\nn = 60\np = 4\nc = 0\n")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("(line 5): `c` must be a positive integer"),
+        "{err}"
+    );
     // The valid neighbours (the ledger's `c = 1, 2` at even `p`) run.
     for c in [1, 2] {
         one_key("nbody", 60, 4, c).unwrap();

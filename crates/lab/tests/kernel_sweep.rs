@@ -21,7 +21,7 @@ fn kernel_matmul_sweep_is_bit_identical_to_alg_matmul() {
     let by_kernel =
         SweepSpec::parse(&format!("kind = model\nkernel = {}\n{GRID}", kernel_path())).unwrap();
     let by_alg = SweepSpec::parse(&format!("kind = model\nalg = matmul\n{GRID}")).unwrap();
-    assert_eq!(by_kernel.alg, "kernel:matmul");
+    assert_eq!(by_kernel.key.alg, "kernel:matmul");
     assert_eq!(by_kernel.len(), by_alg.len());
 
     // Distinct identities: every kernel-run digest differs from its

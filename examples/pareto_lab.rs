@@ -23,7 +23,7 @@ fn main() {
     println!(
         "sweep: {} runs (alg `{}`, machine `{}`)",
         spec.len(),
-        spec.alg,
+        spec.key.alg,
         spec.machine_name
     );
 

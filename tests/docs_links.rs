@@ -283,3 +283,79 @@ fn anchor_duplicates_get_numbered() {
     assert!(a.contains("same-1"));
     assert!(a.contains("other"));
 }
+
+/// README's "Run vocabulary" table is `psse_lab::vocab`: every key the
+/// flags and the spec lines share, in table order, with the default and
+/// the accepted values the parsers use.
+#[test]
+fn readme_run_vocabulary_matches_the_table() {
+    use psse_core::{machines::PRESETS, params::OVERRIDES};
+    use psse_lab::vocab::*;
+    let row = |key: &str, default: String, accepts: String| {
+        // `fault-seed` is a spec key only: the sweep seeds its plan with
+        // `--seed`.
+        let flag = match key == FAULT_SEED.key {
+            true => "—".to_string(),
+            false => format!("`--{key}`"),
+        };
+        format!("| `{key}` | {flag} | `{key} =` | {default} | {accepts} |")
+    };
+    let presets: Vec<String> = PRESETS
+        .iter()
+        .map(|(name, _)| format!("`{name}`"))
+        .collect();
+    let mut want = vec![row(MACHINE, presets[0].clone(), presets.join(", "))];
+    for o in &OVERRIDES {
+        let accepts = format!("a number, {}; the machine must stay valid", o.unit);
+        want.push(row(o.key, "the preset's".into(), accepts));
+    }
+    // Each rule's words; a spec's `c` is a list whose every element obeys it.
+    let of = |p: &dyn Key, default: String| {
+        let accepts = p.rule().0.to_string();
+        match p.key() == C.key {
+            true => row(
+                p.key(),
+                default,
+                format!("{accepts}; in a spec, a list of them"),
+            ),
+            false => row(p.key(), default, accepts),
+        }
+    };
+    let plain = |p: &Param<f64>| p.default.to_string();
+    want.extend([
+        of(&SEED, SEED.default.to_string()),
+        of(&F, plain(&F)),
+        of(&HALO, HALO.default.to_string()),
+        of(&ITERS, ITERS.default.to_string()),
+        of(&C, C.default.to_string()),
+        of(&TIMEOUT, "none".into()),
+        of(&FAULT_SEED, format!("`{}`", SEED.key)),
+        of(&DROP_RATE, plain(&DROP_RATE)),
+        of(&CORRUPT_RATE, plain(&CORRUPT_RATE)),
+        of(&DUPLICATE_RATE, plain(&DUPLICATE_RATE)),
+        of(&DELAY_RATE, plain(&DELAY_RATE)),
+        of(&DELAY_SECONDS, plain(&DELAY_SECONDS)),
+        of(&RETRIES, RETRIES.default.to_string()),
+        of(&BACKOFF, plain(&BACKOFF)),
+        of(
+            &CHECKPOINT_INTERVAL,
+            format!("{} (off)", plain(&CHECKPOINT_INTERVAL)),
+        ),
+        of(&CHECKPOINT_WORDS, CHECKPOINT_WORDS.default.to_string()),
+    ]);
+    // Every key, once, in the table's order.
+    let listed: Vec<&str> = want.iter().map(|r| r.split('`').nth(1).unwrap()).collect();
+    assert_eq!(listed, keys().collect::<Vec<_>>());
+
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
+    let section = readme
+        .split("\n## Run vocabulary\n")
+        .nth(1)
+        .expect("README has a `Run vocabulary` section");
+    let rows: Vec<&str> = section
+        .lines()
+        .take_while(|l| !l.starts_with("## "))
+        .filter(|l| l.starts_with("| `"))
+        .collect();
+    assert_eq!(rows, want, "expected rows:\n{}", want.join("\n"));
+}
