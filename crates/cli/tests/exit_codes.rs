@@ -661,6 +661,12 @@ fn spec_refuses_a_zero_replication_factor_at_its_line() {
 }
 
 #[test]
+fn spec_refuses_an_empty_world_or_problem_at_its_line() {
+    assert_spec_line_refused("p = 0", "p");
+    assert_spec_line_refused("n = 32,0", "n");
+}
+
+#[test]
 fn trace_flame_refuses_a_fractional_or_huge_message_size() {
     let dir = std::env::temp_dir().join(format!("psse-exit-flame-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,13 +1,16 @@
-//! Closed-form pricing of native counted collectives.
+//! Closed-form pricing of native counted programs.
 //!
-//! A counted collective moves no data — its entire observable output is
+//! A counted program moves no data — its entire observable output is
 //! the per-rank Eq. 1/2 counters and virtual clocks, and those are a
 //! pure function of the message DAG (see the `exec` module docs). For
-//! the built-in allreduces the DAG is known in closed form, so instead
-//! of scheduling `O(p log p)` wires one by one, this module walks each
+//! every built-in counted program the DAG is known in closed form, so
+//! instead of scheduling its wires one by one, this module walks each
 //! rank's pricing sequence directly over arrays — sends as the chunks
 //! `psse_sim::meter::charge_chunks` cuts, each at its `chunk_charge`,
-//! and the same `max(clock, depart)` joins. The result is byte-identical to the general executor
+//! and the same `max(clock, depart)` joins. The allreduces have pricers
+//! of their own ([`binomial`], [`pairwise`]); the stencil, the 2.5D
+//! skeleton and sample sort are bulk-synchronous and share one
+//! ([`phased`]). The result is byte-identical to the general executor
 //! (enforced by the `fastpath_identity` differential tests against
 //! `EventMachine::run_general`, which forces the general path).
 //!
@@ -26,35 +29,39 @@
 //! Eligibility is decided before any program exists ([`eligible`], then
 //! rank 0's claim), and the remaining claims are *streamed*: each
 //! `make(r, p)` is constructed, asked, and dropped, so an analytic run
-//! never holds `p` programs. The collective is then priced straight
+//! never holds `p` programs. The program is then priced straight
 //! into the `Vec<RankStats>` the profile will own — the clock of a rank
 //! in flight is its `finish_time` — so the run's whole footprint is the
-//! profile plus one `f64` of depart time per rank (two for the
-//! pairwise collectives).
+//! profile plus one `f64` of depart (or, phased, arrival) time per
+//! rank (two for the pairwise collectives).
 //!
 //! Once engaged it honours [`SimConfig::cancel`] like the scheduler
-//! does: checked up front and once per round of the `O(p)`-round
-//! collectives, so a watchdog can abandon a large ring.
+//! does: checked up front and once per round or phase, so a watchdog
+//! can abandon a large ring or sample sort.
 
 use crate::exec::{cancelled, per_rank};
 use crate::program::AnalyticOp;
-use crate::programs::{PairwiseSchedule, RecursiveDoubling, Ring};
+use crate::programs::{
+    ceil_log2, sort_flops, sweep_flops, PairwiseSchedule, RecursiveDoubling, Ring,
+};
 use psse_sim::error::SimResult;
 use psse_sim::meter::{charge_chunks, chunk_charge};
 use psse_sim::{Profile, RankStats, SimConfig, SimError};
 
-/// The flat-machine prices of one collective, whose every transfer
-/// carries the same `words`. A rank's lane is its `RankStats` itself —
-/// the one cache line the general path can touch on a trace-less,
-/// fault-less, flat run — with `finish_time` as the running clock.
+/// The flat-machine prices of one transfer size: a collective's, or a
+/// phase's, whose every transfer carries the same `words`. A rank's
+/// lane is its `RankStats` itself — the one cache line the general path
+/// can touch on a trace-less, fault-less, flat run — with `finish_time`
+/// as the running clock.
 struct Prices {
     /// What the messages of one transfer add to the sender's clock, in
     /// order, as runs `(charge, messages)`: the chunks `charge_chunks`
     /// cuts `words` into, each at its `chunk_charge`, bit-equal
     /// neighbours folded (full chunks, then the remainder — two runs at
-    /// most, so a transfer of a billion messages is still a few bytes
-    /// of prices). Derived once; every send replays it.
-    charges: Vec<(f64, u64)>,
+    /// most, so a transfer of a billion messages is still 32 bytes of
+    /// prices; an unused run has no messages). Derived once; every send
+    /// replays it.
+    charges: [(f64, u64); 2],
     /// Messages per transfer.
     n_chunks: u64,
     /// What merging one received block adds to the clock: `γ·words`.
@@ -65,12 +72,15 @@ struct Prices {
 impl Prices {
     fn new(cfg: &SimConfig, words: usize) -> Self {
         let (m, alpha, beta) = (cfg.max_message_words as u64, cfg.alpha_t, cfg.beta_t);
-        let mut charges: Vec<(f64, u64)> = Vec::new();
+        let (mut charges, mut runs) = ([(0.0f64, 0u64); 2], 0);
         charge_chunks(&mut 0.0, words as u64, m, alpha, beta, |k| {
             let charge = chunk_charge(k, alpha, beta);
-            match charges.last_mut() {
+            match charges[..runs].last_mut() {
                 Some((last, n)) if last.to_bits() == charge.to_bits() => *n += 1,
-                _ => charges.push((charge, 1)),
+                _ => {
+                    charges[runs] = (charge, 1);
+                    runs += 1;
+                }
             }
         });
         Prices {
@@ -121,6 +131,13 @@ impl Prices {
     }
 }
 
+/// `Meter::compute`.
+#[inline]
+fn compute(lane: &mut RankStats, cfg: &SimConfig, flops: u64) {
+    lane.flops += flops;
+    lane.finish_time += cfg.gamma_t * flops as f64;
+}
+
 /// Can a run under `cfg` be priced in closed form at all? Only when
 /// nothing observes individual events (see the module docs).
 pub(crate) fn eligible(cfg: &SimConfig) -> bool {
@@ -150,16 +167,19 @@ pub(crate) fn price(
     if cancelled(cfg) {
         return Err(SimError::Cancelled);
     }
-    let (AnalyticOp::BinomialAllreduce { words }
-    | AnalyticOp::RecursiveDoublingAllreduce { words }
-    | AnalyticOp::RingAllreduce { words }) = op;
-    let pr = Prices::new(cfg, words);
     match op {
-        AnalyticOp::BinomialAllreduce { .. } => binomial(&mut lanes, &pr)?,
-        AnalyticOp::RecursiveDoublingAllreduce { .. } => {
-            pairwise::<RecursiveDoubling>(&mut lanes, cfg, &pr)?
+        AnalyticOp::BinomialAllreduce { words } => binomial(&mut lanes, &Prices::new(cfg, words))?,
+        AnalyticOp::RecursiveDoublingAllreduce { words } => {
+            pairwise::<RecursiveDoubling>(&mut lanes, cfg, &Prices::new(cfg, words))?
         }
-        AnalyticOp::RingAllreduce { .. } => pairwise::<Ring>(&mut lanes, cfg, &pr)?,
+        AnalyticOp::RingAllreduce { words } => {
+            pairwise::<Ring>(&mut lanes, cfg, &Prices::new(cfg, words))?
+        }
+        AnalyticOp::Stencil1D { n, h, iters } => {
+            phased(&mut lanes, cfg, &Stencil { p, n, h, iters })?
+        }
+        AnalyticOp::Matmul25D { q, c, b } => phased(&mut lanes, cfg, &Mm25d { q, c, b })?,
+        AnalyticOp::SampleSort { bs } => phased(&mut lanes, cfg, &Sort { p, bs })?,
     }
     // An `eligible` run has no overhead block and no event logs, as the
     // general path reports without a hierarchy, a fault plan or tracing.
@@ -266,12 +286,199 @@ fn pairwise<S: PairwiseSchedule>(
     Ok(())
 }
 
+/// A counted program as a list of bulk-synchronous phases. In each,
+/// every rank makes its sends — all `words(phase)` long, in program
+/// order, each priced from its own clock — then receives every transfer
+/// sent to it in the phase (and none sent in another), then computes.
+trait Phases {
+    /// Number of phases.
+    fn count(&self) -> usize;
+    /// Words of every transfer of `phase`.
+    fn words(&self, phase: usize) -> usize;
+    /// Rank `r`'s destinations in `phase`, in program order.
+    fn sends(&self, phase: usize, r: usize, send: impl FnMut(usize));
+    /// Rank `r`'s flop counts after the receives of `phase`, in order.
+    fn computes(&self, phase: usize, r: usize, compute: impl FnMut(u64));
+}
+
+/// Price a [`Phases`] program. Between a rank's sends and its next
+/// compute, its clock only meets `max(clock, depart)` joins, and `max`
+/// is exact and order-free: the phase's receives end the clock at the
+/// largest of itself and the departs sent its way. So one sweep prices
+/// every rank's sends in program order, folding each depart into its
+/// destination's `arrive`, and a second joins and computes — one `f64`
+/// per rank however many transfers a phase has. A self-send is free and
+/// its receive a no-op (`Meter::send`, `Meter::recv`), so neither
+/// prices anything here.
+fn phased(lanes: &mut [RankStats], cfg: &SimConfig, program: &impl Phases) -> SimResult<()> {
+    let mut arrive = filled(lanes.len(), f64::NEG_INFINITY)?;
+    for phase in 0..program.count() {
+        if cancelled(cfg) {
+            return Err(SimError::Cancelled);
+        }
+        let pr = Prices::new(cfg, program.words(phase));
+        for r in 0..lanes.len() {
+            program.sends(phase, r, |dest| {
+                if dest != r {
+                    let depart = pr.send(&mut lanes[r]);
+                    arrive[dest] = arrive[dest].max(depart);
+                    lanes[dest].words_recvd += pr.words;
+                    lanes[dest].msgs_recvd += pr.n_chunks;
+                }
+            });
+        }
+        for (r, (lane, arrive)) in lanes.iter_mut().zip(&mut arrive).enumerate() {
+            lane.finish_time = lane.finish_time.max(*arrive);
+            *arrive = f64::NEG_INFINITY;
+            program.computes(phase, r, |flops| compute(lane, cfg, flops));
+        }
+    }
+    Ok(())
+}
+
+/// `Stencil1D`: one phase per sweep — the halo north, the halo south
+/// (none at `p = 1`: the halos wrap locally), then the update.
+struct Stencil {
+    p: usize,
+    n: usize,
+    h: usize,
+    iters: usize,
+}
+
+impl Phases for Stencil {
+    fn count(&self) -> usize {
+        self.iters
+    }
+    fn words(&self, _: usize) -> usize {
+        self.h * self.n
+    }
+    fn sends(&self, _: usize, r: usize, mut send: impl FnMut(usize)) {
+        if self.p > 1 {
+            send((r + self.p - 1) % self.p);
+            send((r + 1) % self.p);
+        }
+    }
+    fn computes(&self, _: usize, _: usize, mut compute: impl FnMut(u64)) {
+        compute(sweep_flops(self.n / self.p, self.n, self.h));
+    }
+}
+
+/// `Matmul25D` on rank `k·q² + i·q + j`: replication (layer 0 sends A
+/// then B to each layer above), `q/c` shift rounds (A right, B down),
+/// then one phase per level of the binomial layer reduce. Every round's
+/// `2b³`-flop multiply precedes its sends, so it closes the phase
+/// before.
+struct Mm25d {
+    q: usize,
+    c: usize,
+    b: u64,
+}
+
+impl Mm25d {
+    /// Shift rounds `q/c`; the reduce starts at phase `1 + q/c`.
+    fn rounds(&self) -> usize {
+        self.q / self.c
+    }
+
+    /// `(i, j, k)` of rank `r`.
+    fn coords(&self, r: usize) -> (usize, usize, usize) {
+        let q = self.q;
+        ((r % (q * q)) / q, r % q, r / (q * q))
+    }
+
+    /// The rank at `(i, j, k)`.
+    fn id(&self, i: usize, j: usize, k: usize) -> usize {
+        k * self.q * self.q + i * self.q + j
+    }
+
+    /// The reduce level of `phase`, as its mask `2^level`.
+    fn mask(&self, phase: usize) -> usize {
+        1 << (phase - 1 - self.rounds())
+    }
+}
+
+impl Phases for Mm25d {
+    fn count(&self) -> usize {
+        1 + self.rounds() + ceil_log2(self.c) as usize
+    }
+    fn words(&self, _: usize) -> usize {
+        (self.b * self.b) as usize
+    }
+    fn sends(&self, phase: usize, r: usize, mut send: impl FnMut(usize)) {
+        let (q, (i, j, k)) = (self.q, self.coords(r));
+        if phase == 0 {
+            if k == 0 {
+                for layer in 1..self.c {
+                    send(self.id(i, j, layer));
+                    send(self.id(i, j, layer));
+                }
+            }
+        } else if phase <= self.rounds() {
+            send(self.id(i, (j + 1) % q, k));
+            send(self.id((i + 1) % q, j, k));
+        } else {
+            // A layer sends to its parent at the level of its lowest set bit.
+            let mask = self.mask(phase);
+            if k & mask != 0 && k & (mask - 1) == 0 {
+                send(self.id(i, j, k - mask));
+            }
+        }
+    }
+    fn computes(&self, phase: usize, r: usize, mut compute: impl FnMut(u64)) {
+        let (b, k) = (self.b, self.coords(r).2);
+        if phase < self.rounds() {
+            compute(2 * b * b * b);
+        } else if phase > self.rounds() {
+            let mask = self.mask(phase);
+            if k & (2 * mask - 1) == 0 && k + mask < self.c {
+                compute(b * b);
+            }
+        }
+    }
+}
+
+/// `SampleSort` with uniform buckets: the local sort, the `p − 1`-word
+/// sample all-to-all and the splitter sort and cuts, then the
+/// `bs/p`-word bucket all-to-all and the merge of the `bs` keys
+/// received (own bucket included). Peers go in rank order, skipping self.
+struct Sort {
+    p: usize,
+    bs: usize,
+}
+
+impl Phases for Sort {
+    fn count(&self) -> usize {
+        3
+    }
+    fn words(&self, phase: usize) -> usize {
+        [0, self.p - 1, self.bs / self.p][phase]
+    }
+    fn sends(&self, phase: usize, r: usize, mut send: impl FnMut(usize)) {
+        if phase > 0 {
+            (0..self.p).filter(|&d| d != r).for_each(&mut send);
+        }
+    }
+    fn computes(&self, phase: usize, _: usize, mut compute: impl FnMut(u64)) {
+        let (p, bs, s) = (self.p, self.bs, self.p - 1);
+        match phase {
+            0 => compute(sort_flops(bs)),
+            1 => {
+                compute(sort_flops(p * s));
+                compute(s as u64 * ceil_log2(bs));
+            }
+            _ => compute(bs as u64 * ceil_log2(p)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{EventMachine, EventOutcome};
     use crate::program::RankProgram;
-    use crate::programs::{BinomialAllreduce, RingAllreduce};
+    use crate::programs::{
+        BinomialAllreduce, Matmul25D, OpTotals, RingAllreduce, SampleSort, Stencil1D,
+    };
     use crate::step::{Delivered, Step};
     use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
     use psse_sim::machine::{CancelFlag, Hierarchy};
@@ -364,21 +571,38 @@ mod tests {
         }
     }
 
-    /// The fast path must actually engage on the headline workload —
-    /// pin the dispatch decision, and that `make` ran once per rank.
+    /// The fast path must actually engage on every counted program —
+    /// the headline binomial, and the phased programs at the shapes the
+    /// ledger's `event-mega` runs them: pin the dispatch decision, that
+    /// `make` ran once per rank, and the closed-form totals.
     #[test]
-    fn engages_for_counted_binomial() {
-        let mut calls = 0;
-        let make = counting(&mut calls, BinomialAllreduce::counted(Tag(0), WORDS));
-        let out = EventMachine::run(64, &SimConfig::default(), make).unwrap();
-        assert!(priced(&out));
-        assert_eq!(calls, 64, "each rank constructed once, asked, dropped");
-        let t = BinomialAllreduce::expected_totals(64, WORDS as u64, 1 << 16);
-        assert_eq!(out.profile.total_msgs_sent(), t.msgs);
-        assert_eq!(out.profile.total_words_sent(), t.words);
-        assert_eq!(out.profile.total_flops(), t.flops);
-        assert!(out.profile.events.is_empty(), "untraced: no event logs");
-        assert!(out.profile.overheads().is_empty());
+    fn engages_for_every_counted_program() {
+        fn pinned<P: RankProgram>(p: usize, make: impl Fn(usize, usize) -> P, t: OpTotals) {
+            let mut calls = 0;
+            let out = EventMachine::run(p, &SimConfig::default(), counting(&mut calls, make));
+            let out = out.unwrap();
+            assert!(priced(&out), "p = {p}");
+            assert_eq!(calls, p, "each rank constructed once, asked, dropped");
+            let got = OpTotals {
+                msgs: out.profile.total_msgs_sent(),
+                words: out.profile.total_words_sent(),
+                flops: out.profile.total_flops(),
+            };
+            assert_eq!(got, t);
+            assert!(out.profile.events.is_empty(), "untraced: no event logs");
+            assert!(out.profile.overheads().is_empty());
+        }
+        let m = 1 << 16;
+        let binomial = BinomialAllreduce::expected_totals(64, WORDS as u64, m);
+        pinned(64, BinomialAllreduce::counted(Tag(0), WORDS), binomial);
+        let p = 100_000;
+        let stencil = Stencil1D::expected_totals(p as u64, p as u64, 1, 2, m);
+        pinned(p, Stencil1D::counted(p, 1, 2), stencil);
+        let (q, c, b) = (64, 4, 4);
+        let mm = Matmul25D::expected_totals(q as u64, c as u64, b);
+        pinned(q * q * c, Matmul25D::counted(q, c, b), mm);
+        let sort = SampleSort::expected_totals(512, 512, m);
+        pinned(512, SampleSort::counted(512), sort);
     }
 
     /// Every event-observing feature must force the general path, and a

@@ -44,10 +44,11 @@
 //! from the destination's slot by `(src, tag)` in FIFO order (steady
 //! state allocates nothing, per rank or otherwise; a wire for a rank
 //! parked on exactly that key skips the slab altogether). An
-//! **analytic fast path** prices native counted collectives in closed
-//! form when nothing can observe individual events (no trace, no
+//! **analytic fast path** prices every built-in counted program — the
+//! three allreduces, the stencil, the 2.5D skeleton, sample sort — in
+//! closed form when nothing can observe individual events (no trace, no
 //! faults, no hierarchy, no data payloads): each rank's program is
-//! constructed, asked for its claim and dropped, and the collective is
+//! constructed, asked for its claim and dropped, and the program is
 //! priced straight into the profile — no world is built, and
 //! [`EventOutcome::programs`] is empty — with byte-identical profiles,
 //! enforced by differential tests against
@@ -56,7 +57,10 @@
 //! cannot hold is a [`psse_sim::SimError::InvalidConfig`], not an
 //! abort. Engine health counters ([`ExecStats`]) ride on every outcome,
 //! per run; `tests/bytes_per_rank.rs` holds the per-rank budget under a
-//! counting allocator.
+//! counting allocator. What the scheduler still runs at scale is what
+//! the closed form refuses: a faulted run (the ledger's scheduled
+//! exemplar, `event.faulted_ms`), a traced or hierarchical one, data
+//! payloads, and [`EventMachine::run_general`].
 //!
 //! ## Example
 //!

@@ -2,16 +2,16 @@
 
 use crate::step::{Delivered, Step};
 
-/// A collective whose per-rank step sequence is known in closed form.
+/// A counted program whose per-rank step sequence is known in closed
+/// form.
 ///
 /// When every rank of a run reports the same `AnalyticOp` (and no
 /// feature that observes individual events — tracing, faults,
 /// hierarchy, data payloads — is active), the event executor prices the
-/// whole collective analytically instead of scheduling its `O(p log p)`
-/// messages one by one. The fast path walks the same per-rank sequence
-/// of Eq. 1/2 pricing operations through the same primitives, so
-/// profiles stay byte-identical with the general path; see
-/// `crate::fastpath`.
+/// whole program analytically instead of scheduling its messages one by
+/// one. The fast path walks the same per-rank sequence of Eq. 1/2
+/// pricing operations through the same primitives, so profiles stay
+/// byte-identical with the general path; see `crate::fastpath`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyticOp {
     /// Binomial-tree reduce to rank 0 followed by binomial broadcast,
@@ -31,6 +31,32 @@ pub enum AnalyticOp {
     RingAllreduce {
         /// Payload words per ring hop.
         words: usize,
+    },
+    /// `iters` periodic halo sweeps of an `n × n` grid in row slabs,
+    /// halo width `h` (`programs::Stencil1D`, counted mode).
+    Stencil1D {
+        /// Grid side.
+        n: usize,
+        /// Halo width.
+        h: usize,
+        /// Sweeps.
+        iters: usize,
+    },
+    /// The 2.5D matmul skeleton on a `q × q × c` grid with `b × b`
+    /// blocks (`programs::Matmul25D`).
+    Matmul25D {
+        /// Grid edge.
+        q: usize,
+        /// Replication factor.
+        c: usize,
+        /// Block edge.
+        b: u64,
+    },
+    /// Sample sort of `bs` keys per rank in uniform buckets
+    /// (`programs::SampleSort`, counted mode).
+    SampleSort {
+        /// Keys per rank.
+        bs: usize,
     },
 }
 
@@ -62,11 +88,11 @@ pub trait RankProgram {
     /// contract.
     fn next(&mut self, delivered: Option<Delivered>) -> Step;
 
-    /// Declare this (not-yet-started) program as an analytically priced
-    /// collective. `None` (the default) always takes the general
-    /// stepped path. Returning `Some` is a *claim* that the program's
-    /// full step sequence is exactly the named collective's — the
-    /// executor cross-checks only that all ranks agree, and the
+    /// Declare this (not-yet-started) program as analytically priced.
+    /// `None` (the default) always takes the general stepped path.
+    /// Returning `Some` is a *claim* that the program's full step
+    /// sequence is exactly the named program's — the executor
+    /// cross-checks only that all ranks agree, and the
     /// `fastpath_identity` differential tests hold the two paths
     /// byte-equal.
     fn analytic(&self) -> Option<AnalyticOp> {

@@ -665,6 +665,15 @@ impl Matmul25D {
 }
 
 impl RankProgram for Matmul25D {
+    /// Always counted, so always analytically priceable.
+    fn analytic(&self) -> Option<AnalyticOp> {
+        Some(AnalyticOp::Matmul25D {
+            q: self.q,
+            c: self.c,
+            b: self.b,
+        })
+    }
+
     fn next(&mut self, delivered: Option<Delivered>) -> Step {
         let (q, c, bw) = (self.q, self.c, self.bw);
         loop {
@@ -812,7 +821,7 @@ const SS_SAMPLE: u64 = 1 << 20;
 const SS_EXCHANGE: u64 = 1 << 21;
 
 /// `⌈log₂ x⌉` for comparison accounting (0 for `x ≤ 1`).
-fn ceil_log2(x: usize) -> u64 {
+pub(crate) fn ceil_log2(x: usize) -> u64 {
     if x < 2 {
         0
     } else {
@@ -821,7 +830,7 @@ fn ceil_log2(x: usize) -> u64 {
 }
 
 /// Comparisons charged for sorting `x` keys: `x·⌈log₂ x⌉`.
-fn sort_flops(x: usize) -> u64 {
+pub(crate) fn sort_flops(x: usize) -> u64 {
     x as u64 * ceil_log2(x)
 }
 
@@ -859,11 +868,11 @@ pub struct SampleSort {
     st: SsState,
     /// `None` in counted mode; the sorted local block in data mode.
     block: Option<Vec<f64>>,
-    /// Sample sets by source rank (data mode).
+    /// Sample sets by source rank (data mode; empty when counted).
     candidates: Vec<Vec<f64>>,
     /// Outgoing buckets (data mode), indexed by destination.
     buckets: Vec<Vec<f64>>,
-    /// Received buckets by source rank (data mode).
+    /// Received buckets by source rank (data mode; empty when counted).
     received: Vec<Vec<f64>>,
     /// Words received (all modes; drives the merge charge).
     recv_words: usize,
@@ -902,15 +911,21 @@ impl SampleSort {
     }
 
     fn new(me: usize, p: usize, bs: usize, block: Option<Vec<f64>>) -> Self {
+        // Per-source tables only where keys travel: a counted rank
+        // keeps none (`48·p` bytes each, otherwise).
+        let by_source = || match block {
+            Some(_) => vec![Vec::new(); p],
+            None => Vec::new(),
+        };
         SampleSort {
             me,
             p,
             bs,
             st: SsState::Begin,
-            block,
-            candidates: vec![Vec::new(); p],
+            candidates: by_source(),
             buckets: Vec::new(),
-            received: vec![Vec::new(); p],
+            received: by_source(),
+            block,
             recv_words: 0,
             out: None,
             cursor: 0,
@@ -962,6 +977,15 @@ impl SampleSort {
 }
 
 impl RankProgram for SampleSort {
+    /// Counted runs are analytically priceable; data mode must step so
+    /// the keys actually move.
+    fn analytic(&self) -> Option<AnalyticOp> {
+        let bs = self.bs;
+        self.block
+            .is_none()
+            .then_some(AnalyticOp::SampleSort { bs })
+    }
+
     fn next(&mut self, delivered: Option<Delivered>) -> Step {
         let mut delivered = delivered;
         let (p, bs, s) = (self.p, self.bs, self.p - 1);
@@ -1119,6 +1143,13 @@ impl RankProgram for SampleSort {
 /// Tag base for halo exchanges (4 tags per sweep).
 const ST_HALO: u64 = 1 << 22;
 
+/// Flops of one sweep of a `rows × n` slab with halo width `h`: a
+/// `(2h+1)²`-point box per cell.
+pub(crate) fn sweep_flops(rows: usize, n: usize, h: usize) -> u64 {
+    let k = 2 * h as u64 + 1;
+    (rows * n) as u64 * k * k
+}
+
 enum StState {
     Begin,
     IterStart,
@@ -1243,6 +1274,15 @@ impl Stencil1D {
 }
 
 impl RankProgram for Stencil1D {
+    /// Counted runs are analytically priceable; data mode must step so
+    /// the halos actually carry rows.
+    fn analytic(&self) -> Option<AnalyticOp> {
+        let (n, h, iters) = (self.n, self.h, self.iters);
+        self.block
+            .is_none()
+            .then_some(AnalyticOp::Stencil1D { n, h, iters })
+    }
+
     fn next(&mut self, delivered: Option<Delivered>) -> Step {
         let mut delivered = delivered;
         let (p, n, h, rows) = (self.p, self.n, self.h, self.rows);
@@ -1320,9 +1360,8 @@ impl RankProgram for Stencil1D {
                     self.update();
                     self.t += 1;
                     self.st = StState::IterStart;
-                    let k = 2 * h as u64 + 1;
                     return Step::Compute {
-                        flops: (rows * n) as u64 * k * k,
+                        flops: sweep_flops(rows, n, h),
                     };
                 }
                 StState::End => {

@@ -1,6 +1,7 @@
 //! A memory budget CI can hold: peak live heap bytes per rank, and
-//! allocator calls per rank, of the engine's five shapes of run — under
-//! a counting global allocator, so the numbers are exact and repeat.
+//! allocator calls per rank, of the engine's shapes of run — each
+//! counted program scheduled and priced, plus a faulted run — under a
+//! counting global allocator, so the numbers are exact and repeat.
 //!
 //! At `p = 10^5`–`10^6` host cost is bytes touched per rank, not
 //! arithmetic, so the footprint is what a user waits on and what decides
@@ -162,11 +163,21 @@ fn events_cfg() -> SimConfig {
 /// large `p` is.
 fn fast_binomial(p: usize) {
     let totals = BinomialAllreduce::expected_totals(p as u64, WORDS as u64, M as u64);
-    let (cost, out) = measure(totals, || {
-        run_programs(p, &events_cfg(), BinomialAllreduce::counted(Tag(0), WORDS)).unwrap()
-    });
+    let make = BinomialAllreduce::counted(Tag(0), WORDS);
+    fast("fast binomial", p, &events_cfg(), make, totals);
+}
+
+/// Any counted program on the analytic path: the profile plus one
+/// depart (phased: arrival) time per rank, in a handful of allocations
+/// however many transfers it makes.
+fn fast<P, F>(run: &str, p: usize, cfg: &SimConfig, make: F, totals: OpTotals)
+where
+    P: RankProgram + Send,
+    F: Fn(usize, usize) -> P + Sync,
+{
+    let (cost, out) = measure(totals, || run_programs(p, cfg, make).unwrap());
     assert!(out.programs.is_empty(), "priced, not scheduled");
-    cost.within("fast binomial", p, 80.0, 8.0);
+    cost.within(run, p, 80.0, 8.0);
 }
 
 #[test]
@@ -181,23 +192,51 @@ fn bytes_and_allocations_per_rank_stay_in_budget() {
     };
     let totals = Stencil1D::expected_totals(p as u64, p as u64, 1, 2, 1 << 16);
     let (cost, out) = measure(totals, || {
-        run_programs(p, &cfg, Stencil1D::counted(p, 1, 2)).unwrap()
+        EventMachine::run_general(p, &cfg, Stencil1D::counted(p, 1, 2)).unwrap()
     });
     assert_eq!(out.programs.len(), p);
     // Peaks mid-run (136 B program + 192 B slot + 8 B worklist entry +
     // the slab doubling to 131 072 cells), so only the slot's 64 bytes
     // of the split show here; at collection the run is at 392.
     cost.within("stencil", p, 448.0, 0.01 * p as f64);
+    fast("fast stencil", p, &cfg, Stencil1D::counted(p, 1, 2), totals);
 
     // The 2.5D skeleton, the ledger's grid.
     let (q, c, b) = (64, 4, 4);
     let totals = Matmul25D::expected_totals(q as u64, c as u64, b);
-    let (cost, _out) = measure(totals, || {
-        run_programs(q * q * c, &cfg, Matmul25D::counted(q, c, b)).unwrap()
+    let (cost, out) = measure(totals, || {
+        EventMachine::run_general(q * q * c, &cfg, Matmul25D::counted(q, c, b)).unwrap()
     });
+    assert_eq!(out.programs.len(), q * q * c);
     // Mid-run peak again: 27 145 parked wires double the slab to
     // 32 768 cells, 144 B/rank while old and new block coexist.
     cost.within("2.5D matmul", q * q * c, 456.0, f64::INFINITY);
+    fast(
+        "fast 2.5D",
+        q * q * c,
+        &cfg,
+        Matmul25D::counted(q, c, b),
+        totals,
+    );
+
+    // Scheduled sample sort, the ledger's shape: `p(p − 1)` transfers of
+    // each all-to-all, so the slab's parked wires are most of it. A
+    // counted rank keeps no per-source tables: with two `Vec` headers
+    // per peer (48·p bytes) it was 43 456 B/rank in 1 053 calls.
+    let (p_ss, bs) = (512, 512);
+    let totals = SampleSort::expected_totals(p_ss as u64, bs as u64, 1 << 16);
+    let (cost, out) = measure(totals, || {
+        EventMachine::run_general(p_ss, &cfg, SampleSort::counted(bs)).unwrap()
+    });
+    assert_eq!(out.programs.len(), p_ss);
+    cost.within("samplesort", p_ss, 20_480.0, 64.0);
+    fast(
+        "fast samplesort",
+        p_ss,
+        &cfg,
+        SampleSort::counted(bs),
+        totals,
+    );
 
     // The ledger's drop + delay plan: faults force the scheduler and
     // give every rank its link-sequence arena.

@@ -25,6 +25,15 @@ fn assert_profiles_identical(fast: &psse_sim::Profile, general: &psse_sim::Profi
     }
 }
 
+/// `run` prices `make`'s programs in closed form, and `run_general`
+/// schedules the same programs to the same bytes.
+fn assert_paths_agree<P: RankProgram>(p: usize, cfg: &SimConfig, make: impl Fn(usize, usize) -> P) {
+    let fast = EventMachine::run(p, cfg, &make).unwrap();
+    assert!(fast.programs.is_empty(), "p = {p}: priced, not scheduled");
+    let general = EventMachine::run_general(p, cfg, &make).unwrap();
+    assert_profiles_identical(&fast.profile, &general.profile);
+}
+
 /// Machines spanning the pricing space: zero prices (the degenerate
 /// counters-only calendar), defaults, and adversarially lopsided
 /// latency/bandwidth ratios; `m` down to 1 exercises heavy chunking.
@@ -83,6 +92,49 @@ proptest! {
         let general =
             EventMachine::run_general(p, &cfg, RingAllreduce::counted(Tag(9), words)).unwrap();
         assert_profiles_identical(&fast.profile, &general.profile);
+    }
+
+    /// Any slab count and halo width, and in every case the degenerate
+    /// worlds: `p = 1` (halos wrap locally, no traffic), `p = 2` (north
+    /// and south are one rank), each with a halo the whole slab deep.
+    #[test]
+    fn stencil_fast_path_is_byte_identical(
+        cfg in arb_cfg(),
+        p in 1usize..17,
+        rows in 1usize..5,
+        h in 1usize..5,
+        iters in 0usize..4,
+    ) {
+        let h = h.min(rows);
+        assert_paths_agree(p, &cfg, Stencil1D::counted(p * rows, h, iters));
+        for (p, rows) in [(1, 1), (1, 3), (2, 1), (2, 3)] {
+            assert_paths_agree(p, &cfg, Stencil1D::counted(p * rows, rows, iters));
+        }
+    }
+
+    /// Every grid up to `q = 6` with `c | q`: `q = 1` (every shift a
+    /// self-send), `c = 1` (no replication, no reduce), `c = q` (one
+    /// shift round), and a reduce tree of uneven depth (`c = 3`, `6`);
+    /// `b = 0` sends empty blocks.
+    #[test]
+    fn matmul_25d_fast_path_is_byte_identical(cfg in arb_cfg(), b in 0u64..5) {
+        for q in 1usize..7 {
+            for c in (1..=q).filter(|c| q % c == 0) {
+                assert_paths_agree(q * q * c, &cfg, Matmul25D::counted(q, c, b));
+            }
+        }
+    }
+
+    /// Any world with `p | bs`, and in every case the one-key-per-bucket
+    /// world `bs = p` (one-word buckets; at `p = 1` nothing is sent).
+    #[test]
+    fn samplesort_fast_path_is_byte_identical(
+        cfg in arb_cfg(),
+        p in 1usize..13,
+        per in 1usize..5,
+    ) {
+        assert_paths_agree(p, &cfg, SampleSort::counted(p * per));
+        assert_paths_agree(p, &cfg, SampleSort::counted(p));
     }
 }
 

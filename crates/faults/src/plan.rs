@@ -127,13 +127,6 @@ const DOMAIN_LINK: u64 = 1;
 const DOMAIN_INDEX: u64 = 2;
 
 impl FaultPlan {
-    /// A plan that injects nothing and recovers nothing (useful as a
-    /// base for struct-update syntax).
-    #[must_use]
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// Validate rates and policy parameters. Returns a human-readable
     /// description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -297,18 +290,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// True when the plan can inject at least one fault.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        let s = &self.spec;
-        s.drop_rate > 0.0
-            || s.corrupt_rate > 0.0
-            || s.duplicate_rate > 0.0
-            || s.delay_rate > 0.0
-            || !s.crashes.is_empty()
-            || self.recovery.checkpoint.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -449,14 +430,5 @@ mod tests {
             snap.get("faults.checkpoint_words"),
             Some(&SnapshotValue::Gauge(0))
         );
-    }
-
-    #[test]
-    fn is_active_detects_injection() {
-        assert!(!FaultPlan::none().is_active());
-        assert!(plan(0.1, 0.0).is_active());
-        let mut p = FaultPlan::none();
-        p.spec.crashes.push(CrashEvent { rank: 0, at: 1.0 });
-        assert!(p.is_active());
     }
 }

@@ -178,13 +178,21 @@ fn parse_f64_list(value: &str, line: usize) -> Result<Vec<f64>, LabError> {
     Ok(out)
 }
 
-fn parse_u64_list(value: &str, line: usize) -> Result<Vec<u64>, LabError> {
+/// The `key` list of problem sizes or rank counts: every element
+/// rounded to an integer and at least 1, so an empty world is refused
+/// at its line rather than by every run it would expand to.
+fn parse_count_list(key: &str, value: &str, line: usize) -> Result<Vec<u64>, LabError> {
     parse_f64_list(value, line)?
         .into_iter()
         .map(|v| {
             // Round like the benches round their log-spaced p grids.
             let r = v.round();
-            if r < 0.0 || r > u64::MAX as f64 {
+            if r < 1.0 {
+                Err(LabError::spec(
+                    line,
+                    format!("`{key}` must be at least 1, got {v}"),
+                ))
+            } else if r > u64::MAX as f64 {
                 Err(LabError::spec(line, format!("value {v} out of u64 range")))
             } else {
                 Ok(r as u64)
@@ -263,9 +271,9 @@ impl SweepSpec {
                 (alg.to_string(), None)
             }
         };
-        let n = lines.with("n", parse_u64_list)?;
+        let n = lines.with("n", |v, l| parse_count_list("n", v, l))?;
         let n = n.ok_or_else(|| LabError::spec(0, "missing `n = <sizes>`"))?;
-        let p = lines.with("p", parse_u64_list)?;
+        let p = lines.with("p", |v, l| parse_count_list("p", v, l))?;
         let p = p.ok_or_else(|| LabError::spec(0, "missing `p = <processor counts>`"))?;
         let clamp_mem = match lines.find("clamp") {
             None | Some((_, "false" | "0" | "no")) => false,
