@@ -1,5 +1,7 @@
-//! The resumable rank-program trait.
+//! The resumable rank-program trait, and the closed forms a counted
+//! program can claim.
 
+use crate::programs::{Matmul25DPhases, SampleSortPhases, StencilPhases};
 use crate::step::{Delivered, Step};
 
 /// A counted program whose per-rank step sequence is known in closed
@@ -32,32 +34,14 @@ pub enum AnalyticOp {
         /// Payload words per ring hop.
         words: usize,
     },
-    /// `iters` periodic halo sweeps of an `n × n` grid in row slabs,
-    /// halo width `h` (`programs::Stencil1D`, counted mode).
-    Stencil1D {
-        /// Grid side.
-        n: usize,
-        /// Halo width.
-        h: usize,
-        /// Sweeps.
-        iters: usize,
-    },
-    /// The 2.5D matmul skeleton on a `q × q × c` grid with `b × b`
-    /// blocks (`programs::Matmul25D`).
-    Matmul25D {
-        /// Grid edge.
-        q: usize,
-        /// Replication factor.
-        c: usize,
-        /// Block edge.
-        b: u64,
-    },
-    /// Sample sort of `bs` keys per rank in uniform buckets
-    /// (`programs::SampleSort`, counted mode).
-    SampleSort {
-        /// Keys per rank.
-        bs: usize,
-    },
+    /// Periodic halo sweeps in row slabs (`programs::Stencil1D`, counted
+    /// mode), by the phase description the scheduler steps.
+    Stencil1D(StencilPhases),
+    /// The 2.5D matmul skeleton (`programs::Matmul25D`), likewise.
+    Matmul25D(Matmul25DPhases),
+    /// Sample sort in uniform buckets (`programs::SampleSort`, counted
+    /// mode), likewise.
+    SampleSort(SampleSortPhases),
 }
 
 /// A rank's algorithm as a resumable state machine.
