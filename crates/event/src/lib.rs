@@ -26,8 +26,17 @@
 //! [`psse_sim::SimConfig::backend`] and [`run_programs`]; the thread
 //! pool stays the oracle at small `p`, the event backend runs the real
 //! algorithms — binomial/recursive-doubling/ring allreduce, the 2.5D
-//! matmul skeleton — at `p = 10^5`–`10^6` in one process, with counted
-//! (allocation-free) payloads.
+//! matmul skeleton, sample sort, the halo stencil — at
+//! `p = 10^5`–`10^6` in one process, with counted (allocation-free)
+//! payloads.
+//!
+//! Each program is defined once. The binomial allreduce is a
+//! hand-written state machine that mirrors the native collective; every
+//! other built-in is a bulk-synchronous [`programs::Phases`]
+//! description — per phase, each rank's sends, receives and computes —
+//! read by two interpreters: one stepper ([`programs::Phased`]) that
+//! both executors run, and the closed-form pricer of the fast path
+//! below.
 //!
 //! Deadlocks are *proven*, not timed out: sends are eager, so when no
 //! rank is runnable and some are live, every live rank is blocked on a
