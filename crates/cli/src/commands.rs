@@ -77,9 +77,20 @@ fn fixed_memory(args: &Args) -> Result<f64, String> {
     Ok(POSITIVE.parse("mem", args.req("mem")?)?)
 }
 
-/// The `[p_min, p_max]` block of `scaling` and `bound range`.
+/// The `[p_min, p_max]` block of `scaling` and `bound range`. A band
+/// whose ends cross (more memory than the replicated problem can use) is
+/// empty, not a range with a headroom below one.
 fn print_range(out: &mut String, name: &str, range: Option<ScalingRange>) {
     match range {
+        Some(r) if r.p_min > r.p_max => {
+            let _ = writeln!(
+                out,
+                "{name}: no perfect strong scaling range exists at this n and M: \
+                 p_min = {} > p_max = {}.",
+                fmt(r.p_min),
+                fmt(r.p_max)
+            );
+        }
         Some(r) => {
             let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
             let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
@@ -348,12 +359,15 @@ fn run_algorithm(
     cfg: psse_sim::machine::SimConfig,
 ) -> Result<(Profile, bool), String> {
     let sim = table::simulator(args.req("alg")?)?;
-    let n = args.req_u64("n")? as usize;
+    // An empty problem would "verify" against an empty reference.
+    let n = POSITIVE_INTEGER.parse("n", args.req("n")?)? as usize;
     let p = args.u64_or("p", 4)? as usize;
     let c = args.get(&C)? as usize;
     let mut shape = Shape::new(n, p, c, args.get(&SEED)?);
     shape.panel = args.value("panel", INTEGER)?.map(|w: u64| w as usize);
-    shape.cols = args.u64_or("cols", shape.cols as u64)? as usize;
+    if let Some(cols) = args.value("cols", POSITIVE_INTEGER)? {
+        shape.cols = cols as usize;
+    }
     shape.halo = args.get(&HALO)? as usize;
     shape.iters = args.get(&ITERS)? as usize;
     let run = sim.run(&shape, cfg, true).map_err(|e| e.to_string())?;
@@ -1191,7 +1205,7 @@ fn bound_price(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&priced(&["kernel", "n", "p"]))?;
     let (_, cost, _) = kernel_from(args)?;
     let (mname, mp) = vocab::machine(args)?;
-    let n = args.req_u64("n")?;
+    let n = problem_size(args)?;
     if let Some(p) = args.value("p", INTEGER)? {
         // Explicit processor count: numeric argmin over M — the only
         // route for kernels outside the closed-form families, and a

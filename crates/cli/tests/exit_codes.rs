@@ -699,3 +699,108 @@ fn every_preset_a_spec_names_is_a_machine_flag() {
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("machine   : cloud-instance"), "{stdout}");
 }
+
+#[test]
+fn an_empty_scaling_band_is_printed_as_no_range() {
+    // p_min > p_max: at the parent each printed both ends as a range and
+    // a headroom below one ("scale processors by 0.0082x").
+    let kernels = format!("{}/../../specs/kernels", env!("CARGO_MANIFEST_DIR"));
+    let (nbody, matmul) = (
+        format!("{kernels}/nbody.kernel"),
+        format!("{kernels}/matmul.kernel"),
+    );
+    let cases: [(Vec<&str>, &str, &str); 4] = [
+        (
+            vec!["scaling", "--alg", "nbody", "--n", "8192", "--mem", "1e6"],
+            "p_min = 0.0082",
+            "p_max = 6.7109e-5",
+        ),
+        (
+            vec![
+                "bound", "range", "--kernel", &nbody, "--n", "8192", "--mem", "1e6",
+            ],
+            "p_min = 0.0082",
+            "p_max = 6.7109e-5",
+        ),
+        (
+            vec![
+                "scaling", "--alg", "stencil", "--n", "16", "--mem", "1", "--halo", "9",
+            ],
+            "p_min = 256.0000",
+            "p_max = 0.7901",
+        ),
+        (
+            vec![
+                "bound", "range", "--kernel", &matmul, "--n", "2", "--mem", "1e300",
+            ],
+            "p_min = 4.0000e-300",
+            "p_max = 0.",
+        ),
+    ];
+    for (args, p_min, p_max) in cases {
+        let out = psse(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr_line(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let line = stdout
+            .lines()
+            .find(|l| l.contains("no perfect strong scaling range exists"))
+            .unwrap_or_else(|| panic!("{args:?}: no no-range line in {stdout}"));
+        assert!(line.contains(p_min) && line.contains(p_max), "{line}");
+        assert!(!stdout.contains("headroom"), "{args:?}: {stdout}");
+    }
+    // The CSV row is a compatibility surface: both ends, as before.
+    let out = psse(&[
+        "bound", "range", "--kernel", &matmul, "--n", "2", "--mem", "1e300", "--csv",
+    ]);
+    assert!(out.status.success(), "{}", stderr_line(&out));
+    let row = String::from_utf8_lossy(&out.stdout).trim().to_string();
+    assert!(
+        row.starts_with("matmul,3/2,2,1000") && row.ends_with(",0"),
+        "{row}"
+    );
+}
+
+#[test]
+fn an_empty_problem_is_refused_naming_the_flag() {
+    // Each "verified against the sequential reference" (or saved the
+    // trace of) an empty problem, or priced one, and exited 0 at the
+    // parent.
+    for alg in [
+        "cholesky",
+        "cannon",
+        "summa",
+        "summa-abft",
+        "mm25d",
+        "mm25d-abft",
+        "lu",
+        "solve",
+        "matvec",
+    ] {
+        assert_refused_naming(&["simulate", "--alg", alg, "--n", "0", "--p", "4"], "--n");
+    }
+    let dir = std::env::temp_dir().join(format!("psse-exit-empty-{}", std::process::id()));
+    let trace = dir.join("empty.trace");
+    let record = [
+        "trace",
+        "record",
+        "--alg",
+        "mm25d",
+        "--n",
+        "0",
+        "--p",
+        "8",
+        "--c",
+        "2",
+        "--out",
+        trace.to_str().unwrap(),
+    ];
+    assert_refused_naming(&record, "--n");
+    assert!(!trace.exists(), "no trace of an empty problem");
+    let tsqr = ["simulate", "--alg", "tsqr", "--n", "64", "--cols", "0"];
+    assert_refused_naming(&tsqr, "--cols");
+    let kernel = format!(
+        "{}/../../specs/kernels/matmul.kernel",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    assert_refused_naming(&["bound", "price", "--kernel", &kernel, "--n", "0"], "--n");
+}
