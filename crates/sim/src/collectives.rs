@@ -87,28 +87,6 @@ impl Group {
 }
 
 impl Rank {
-    /// Barrier over `group` (dissemination algorithm, `⌈log₂g⌉` rounds of
-    /// empty messages).
-    pub fn barrier(&mut self, tag: Tag, group: &Group) -> SimResult<()> {
-        self.with_collective("barrier", |rk| rk.barrier_impl(tag, group))
-    }
-
-    fn barrier_impl(&mut self, tag: Tag, group: &Group) -> SimResult<()> {
-        let g = group.len();
-        let me = group.my_index(self)?;
-        let mut round = 0u64;
-        let mut dist = 1usize;
-        while dist < g {
-            let to = group.member((me + dist) % g);
-            let from = group.member((me + g - dist % g) % g);
-            self.send(to, tag.offset(round), Vec::new())?;
-            self.recv(from, tag.offset(round))?;
-            dist <<= 1;
-            round += 1;
-        }
-        Ok(())
-    }
-
     /// Broadcast from the group member with global rank `root`. The root
     /// passes `Some(data)`, everyone else `None`; all members return the
     /// broadcast data. Binomial tree: `⌈log₂g⌉` rounds.
@@ -886,17 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_completes_on_all_sizes() {
-        for p in [1usize, 2, 3, 7, 8] {
-            Machine::run(p, cfg(), |rank| {
-                let group = Group::world(rank.size());
-                rank.barrier(Tag(0), &group)
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
     fn subgroup_collectives_are_independent() {
         // Two disjoint groups run allreduce concurrently with the same
         // base tag — no cross-talk because sources differ.
@@ -921,9 +888,9 @@ mod tests {
         let r = Machine::run(2, cfg(), |rank| {
             let group = Group::new(vec![0]).unwrap();
             if rank.rank() == 1 {
-                rank.barrier(Tag(0), &group)
+                rank.allreduce_sum_group(Tag(0), &group, vec![1.0])
             } else {
-                Ok(())
+                Ok(Vec::new())
             }
         });
         assert!(matches!(r, Err(SimError::Algorithm(_))));

@@ -159,7 +159,6 @@ proptest! {
             let data: Vec<f64> = vec![seed as f64; len + 1];
             rank.allreduce_sum_group(Tag(0), &group, data.clone())?;
             rank.allgather(Tag(10_000), &group, data)?;
-            rank.barrier(Tag(20_000), &group)?;
             Ok(())
         })
         .unwrap()
