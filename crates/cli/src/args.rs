@@ -7,7 +7,8 @@ use psse_lab::vocab::{Values, INTEGER};
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
-    /// The subcommand (first non-flag argument).
+    /// The subcommand (first non-flag argument); `psse_cli::run` names
+    /// the full command here (`trace record`).
     pub command: String,
     opts: HashMap<String, String>,
 }
@@ -54,7 +55,6 @@ impl Args {
     /// Required string option.
     pub fn req(&self, key: &str) -> Result<&str, String> {
         self.raw(key)
-            .filter(|v| !v.is_empty())
             .ok_or_else(|| format!("missing required option --{key}"))
     }
 
@@ -67,11 +67,6 @@ impl Args {
     /// Optional integer option with a default.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
         Ok(self.value(key, INTEGER)?.unwrap_or(default))
-    }
-
-    /// Optional string option with a default.
-    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.raw(key).filter(|v| !v.is_empty()).unwrap_or(default)
     }
 
     /// Reject any option outside `allowed`, with a nearest-match hint —
@@ -97,6 +92,20 @@ impl Args {
             self.command
         ))
     }
+
+    /// Reject a `switches` flag given a value and any other flag given
+    /// none, so an empty value never reaches a command.
+    pub fn expect_shapes(&self, switches: &[&str]) -> Result<(), String> {
+        let misshapen = |(key, value): &(&String, &String)| {
+            switches.contains(&key.as_str()) != value.is_empty()
+        };
+        // The first in key order, for reproducible error messages.
+        match self.opts.iter().filter(misshapen).min() {
+            None => Ok(()),
+            Some((key, value)) if value.is_empty() => Err(format!("--{key} needs a value")),
+            Some((key, value)) => Err(format!("--{key} takes no value, got `{value}`")),
+        }
+    }
 }
 
 /// The flags are one of the two spellings of a run's vocabulary.
@@ -108,8 +117,8 @@ impl Values for Args {
 
 /// The candidate closest to `word` in edit distance, if close enough to
 /// be a plausible typo (distance at most `max(len/2, 2)`). Shared by the
-/// `--option` hints above and the subcommand hints in `run`, so
-/// `psse buond` helps exactly like `--machne` does.
+/// `--option` hints above and the command and action hints of `run`, so
+/// `psse buond` and `psse trace replya` help exactly like `--machne` does.
 pub fn suggest<'a>(word: &str, candidates: &[&'a str]) -> Option<&'a str> {
     candidates
         .iter()
@@ -224,6 +233,5 @@ mod tests {
         assert_eq!(a.u64_or("p", 1).unwrap(), 8);
         assert_eq!(a.u64_or("q", 7).unwrap(), 7);
         assert_eq!(a.get(&psse_lab::vocab::F).unwrap(), 20.0);
-        assert_eq!(a.str_or("machine", "jaketown"), "jaketown");
     }
 }

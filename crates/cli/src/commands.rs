@@ -9,7 +9,7 @@ use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
 use psse_core::optimize::RunConfig;
-use psse_core::params::OVERRIDES;
+use psse_core::params::{MachineParams, OVERRIDES};
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
 use psse_lab::prelude::{
@@ -17,26 +17,15 @@ use psse_lab::prelude::{
     Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_lab::vocab::{
-    self, Values, C, CHECKPOINT_WORDS, F, FAULT_KEYS, FAULT_SEED, HALO, INTEGER, ITERS, NUMBER,
-    POSITIVE, POSITIVE_INTEGER, SECONDS, SEED, TIMEOUT,
+    self, Values, C, CHECKPOINT_WORDS, F, HALO, INTEGER, ITERS, NUMBER, POSITIVE, POSITIVE_INTEGER,
+    SECONDS, SEED, TIMEOUT,
 };
+use psse_sim::machine::{Backend, SimConfig};
 use psse_sim::profile::Profile;
 use psse_trace::{ReplayParams, Trace};
 use std::fmt::Write as _;
 
 type CmdResult = Result<(), String>;
-
-/// Keys consumed by [`run_algorithm`] (shared by `simulate` and
-/// `trace record`).
-const RUN_KEYS: [&str; 10] = [
-    "alg", "n", "p", C.key, SEED.key, "panel", "cols", "backend", HALO.key, ITERS.key,
-];
-
-/// The allowed-key list of a command that prices runs on a machine:
-/// `--machine`, its overrides, and its `own` keys.
-fn priced(own: &[&'static str]) -> Vec<&'static str> {
-    vocab::machine_keys().chain(own.iter().copied()).collect()
-}
 
 fn fmt(x: f64) -> String {
     if x == 0.0 {
@@ -46,11 +35,6 @@ fn fmt(x: f64) -> String {
     } else {
         format!("{x:.4e}")
     }
-}
-
-/// Resolve `--backend threads|events` (default threads).
-fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
-    args.str_or("backend", "threads").parse()
 }
 
 /// Resolve `--alg` (with `--f`, `--halo`, `--iters`) through the
@@ -110,8 +94,7 @@ fn print_range(out: &mut String, name: &str, range: Option<ScalingRange>) {
     }
 }
 
-pub fn machines(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&[])?;
+pub fn machines(_: &Args, out: &mut String) -> CmdResult {
     let _ = writeln!(
         out,
         "{:<28} {:>10} {:>6} {:>5} {:>8} {:>14} {:>12} {:>12} {:>9}",
@@ -144,8 +127,6 @@ pub fn machines(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn model(args: &Args, out: &mut String) -> CmdResult {
-    let own = ["alg", "n", "p", "mem", F.key, HALO.key, ITERS.key];
-    args.expect_keys(&priced(&own))?;
     let (mname, mp) = vocab::machine(args)?;
     let alg = algorithm_from(args)?;
     let n = args.req_u64("n")?;
@@ -177,7 +158,6 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["alg", "n", "mem", F.key, HALO.key, ITERS.key])?;
     let alg = algorithm_from(args)?;
     let n = problem_size(args)?;
     let mem = fixed_memory(args)?;
@@ -240,8 +220,6 @@ fn not_a_run(cfg: &RunConfig, n: u64) -> Option<String> {
 }
 
 pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
-    let own = ["n", F.key, "tmax", "emax", "power-total", "power-proc"];
-    args.expect_keys(&priced(&own))?;
     let (mname, mp) = vocab::machine(args)?;
     let n = problem_size(args)?;
     let f = args.get(&F)?;
@@ -351,13 +329,18 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-/// Run the algorithm selected by `--alg` on the virtual machine under
-/// `cfg`, returning its profile and whether the numerics matched the
-/// sequential reference. Shared by `simulate` and `trace record`.
+/// Run the algorithm selected by `--alg` on the virtual machine `mp`
+/// with `--backend` (default threads), returning the run's config, its
+/// profile and whether the numerics matched the sequential reference.
+/// Shared by `simulate` and `trace record`.
 fn run_algorithm(
     args: &Args,
-    cfg: psse_sim::machine::SimConfig,
-) -> Result<(Profile, bool), String> {
+    mp: &MachineParams,
+    record_trace: bool,
+) -> Result<(SimConfig, Profile, bool), String> {
+    let mut cfg = sim_config_from(mp);
+    cfg.backend = args.raw("backend").unwrap_or("threads").parse()?;
+    cfg.record_trace = record_trace;
     let sim = table::simulator(args.req("alg")?)?;
     // An empty problem would "verify" against an empty reference.
     let n = POSITIVE_INTEGER.parse("n", args.req("n")?)? as usize;
@@ -370,26 +353,23 @@ fn run_algorithm(
     }
     shape.halo = args.get(&HALO)? as usize;
     shape.iters = args.get(&ITERS)? as usize;
-    let run = sim.run(&shape, cfg, true).map_err(|e| e.to_string())?;
-    Ok((run.profile, run.verified))
+    let run = sim
+        .run(&shape, cfg.clone(), true)
+        .map_err(|e| e.to_string())?;
+    Ok((cfg, run.profile, run.verified))
 }
 
 pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&priced(&RUN_KEYS))?;
     let (mname, mp) = vocab::machine(args)?;
-    let mut cfg = sim_config_from(&mp);
-    cfg.backend = backend_from(args)?;
+    let (cfg, profile, verified) = run_algorithm(args, &mp, false)?;
     let alg = args.req("alg")?;
-    let backend = cfg.backend;
-    let (profile, verified) = run_algorithm(args, cfg)?;
-
     let m = measure(&profile, &mp);
     let _ = writeln!(
         out,
         "algorithm : {alg} on {} ranks (machine `{mname}`)",
         profile.p()
     );
-    let _ = writeln!(out, "backend   : {backend}");
+    let _ = writeln!(out, "backend   : {}", cfg.backend);
     let _ = writeln!(
         out,
         "numerics  : {}",
@@ -424,7 +404,6 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn tech(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&priced(&["target"]))?;
     let (_, mp) = vocab::machine(args)?;
     let target = args.value("target", POSITIVE)?.unwrap_or(75.0);
     let study = CaseStudy::default();
@@ -473,30 +452,10 @@ pub fn tech(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-/// `psse trace <action>`: record an algorithm run as an event trace,
-/// replay/re-price it on another machine, analyse its critical path, or
-/// export it as Chrome trace-event JSON.
-pub fn trace_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
-    match action {
-        "record" => trace_record(args, out),
-        "replay" => trace_replay(args, out),
-        "critical-path" => trace_critical_path(args, out),
-        "export" => trace_export(args, out),
-        "flame" => trace_flame(args, out),
-        other => Err(format!(
-            "unknown trace action `{other}` (record|replay|critical-path|export|flame)"
-        )),
-    }
-}
-
-fn trace_record(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&priced(&[&RUN_KEYS[..], &["out"]].concat()))?;
+pub fn trace_record(args: &Args, out: &mut String) -> CmdResult {
     let (mname, mp) = vocab::machine(args)?;
-    let mut cfg = sim_config_from(&mp);
-    cfg.backend = backend_from(args)?;
-    cfg.record_trace = true;
-    let alg = args.req("alg")?.to_string();
-    let (profile, verified) = run_algorithm(args, cfg.clone())?;
+    let (cfg, profile, verified) = run_algorithm(args, &mp, true)?;
+    let alg = args.req("alg")?;
     if !verified {
         return Err("numerical verification failed; not saving the trace".into());
     }
@@ -504,8 +463,9 @@ fn trace_record(args: &Args, out: &mut String) -> CmdResult {
     trace
         .check_consistency(&profile)
         .map_err(|e| e.to_string())?;
-    let default_out = format!("{alg}.trace");
-    let path = args.str_or("out", &default_out).to_string();
+    let path = args
+        .raw("out")
+        .map_or_else(|| format!("{alg}.trace"), str::to_string);
     trace.save(&path).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
@@ -519,8 +479,7 @@ fn trace_record(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&priced(&["in"]))?;
+pub fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
     let trace = Trace::load(args.req("in")?).map_err(|e| e.to_string())?;
     // Self-replay under the recorded parameters must reproduce the
     // recorded makespan exactly.
@@ -551,8 +510,7 @@ fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn trace_critical_path(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["in", "top"])?;
+pub fn trace_critical_path(args: &Args, out: &mut String) -> CmdResult {
     let trace = Trace::load(args.req("in")?).map_err(|e| e.to_string())?;
     let rep = trace
         .critical_path(&trace.params)
@@ -594,12 +552,12 @@ fn trace_critical_path(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn trace_export(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["in", "out"])?;
-    let input = args.req("in")?.to_string();
-    let trace = Trace::load(&input).map_err(|e| e.to_string())?;
-    let default_out = format!("{input}.json");
-    let path = args.str_or("out", &default_out).to_string();
+pub fn trace_export(args: &Args, out: &mut String) -> CmdResult {
+    let input = args.req("in")?;
+    let trace = Trace::load(input).map_err(|e| e.to_string())?;
+    let path = args
+        .raw("out")
+        .map_or_else(|| format!("{input}.json"), str::to_string);
     std::fs::write(&path, trace.to_chrome_json()).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
@@ -619,10 +577,7 @@ fn trace_export(args: &Args, out: &mut String) -> CmdResult {
 /// `psse trace flame --in run.trace | flamegraph.pl` works unmodified;
 /// with `--out` the lines go to the file and a summary is printed.
 /// Replay-parameter overrides re-price the fold without re-running.
-fn trace_flame(args: &Args, out: &mut String) -> CmdResult {
-    let mut keys = vec!["in", "out"];
-    keys.extend(OVERRIDES.iter().filter(|o| o.schedule).map(|o| o.key));
-    args.expect_keys(&keys)?;
+pub fn trace_flame(args: &Args, out: &mut String) -> CmdResult {
     // A replay chunks messages in whole words.
     for o in OVERRIDES.iter().filter(|o| o.schedule && o.unit == "words") {
         args.value(o.key, INTEGER)?;
@@ -641,7 +596,7 @@ fn trace_flame(args: &Args, out: &mut String) -> CmdResult {
         ..ReplayParams::from(&machine)
     };
     let folded = trace.flame_folded(&params).map_err(|e| e.to_string())?;
-    match args.raw("out").filter(|v| !v.is_empty()) {
+    match args.raw("out") {
         Some(path) => {
             std::fs::write(path, &folded).map_err(|e| e.to_string())?;
             let _ = writeln!(
@@ -660,40 +615,21 @@ fn trace_flame(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-/// `psse faults <action>`: fault-injection experiments on the simulated
-/// machine. The one action, `sweep`, runs 2.5D matmul across replication
-/// factors with and without an injected fault plan and reports the
-/// measured vs model-predicted resilience-energy overhead.
-pub fn faults_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
-    match action {
-        "sweep" => faults_sweep(args, out),
-        other => Err(format!("unknown faults action `{other}` (sweep)")),
-    }
-}
-
-fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
+/// `psse faults sweep`: 2.5D matmul across replication factors with and
+/// without an injected fault plan, the measured resilience-energy
+/// overhead against its Eq. 2 term.
+pub fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
     use psse_core::optimize::resilience::{daly_optimal_interval, resilience_energy};
     use psse_sim::prelude::CheckpointPolicy;
 
-    let own = ["n", "q", "c-list", SEED.key, "restart", "mtbf"];
-    let mut keys = priced(&own);
-    keys.extend(["out", "jobs", "backend"]);
-    // Every fault key but `fault-seed`: the plan draws from `--seed`.
-    let plan_keys = FAULT_KEYS.iter().map(|k| k.key());
-    keys.extend(plan_keys.filter(|&k| k != FAULT_SEED.key));
-    args.expect_keys(&keys)?;
     let (mname, mp) = vocab::machine(args)?;
-    let backend = backend_from(args)?;
+    let backend: Backend = args.raw("backend").unwrap_or("threads").parse()?;
     let n = args.value("n", POSITIVE_INTEGER)?.unwrap_or(32u64) as usize;
     let q = args.value("q", POSITIVE_INTEGER)?.unwrap_or(4u64) as usize;
-    let c_list: Vec<usize> = args
-        .str_or("c-list", "1,2,4")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad replication factor `{s}` in --c-list"))
-        })
+    // Each factor by `c`'s rule, as a spec's `c` list is read.
+    let c_list = args.raw("c-list").unwrap_or("1,2,4").split(',');
+    let c_list: Vec<usize> = c_list
+        .map(|s| C.rule.parse("c-list", s.trim()).map(|c| c as usize))
         .collect::<Result<_, _>>()?;
     let seed = args.get(&SEED)?;
     // The sweep's own defaults under the flags: a sweep that names no
@@ -831,21 +767,11 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
         out,
         "numerics  : all faulted runs identical to fault-free (retry + ABFT verified)"
     );
-    if let Some(path) = args.raw("out").filter(|v| !v.is_empty()) {
+    if let Some(path) = args.raw("out") {
         std::fs::write(path, &csv).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote CSV to {path}");
     }
     Ok(())
-}
-
-pub fn lab_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
-    match action {
-        "run" => lab_run(args, out),
-        "expand" => lab_expand(args, out),
-        "gc" => lab_gc(args, out),
-        "fsck" => lab_fsck(args, out),
-        other => Err(format!("unknown lab action `{other}` (run|expand|gc|fsck)")),
-    }
 }
 
 /// Read and parse the `--spec` file.
@@ -857,18 +783,12 @@ fn lab_spec_from(args: &Args) -> Result<(SweepSpec, String), String> {
     Ok((spec, path.to_string()))
 }
 
-fn lab_run(args: &Args, out: &mut String) -> CmdResult {
-    let own = [
-        "spec", "jobs", "out", "pareto", "cache", "scaling", "profile", "top", "journal",
-    ];
-    args.expect_keys(&[&own[..], &["resume", TIMEOUT.key]].concat())?;
+pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     let (spec, path) = lab_spec_from(args)?;
     // `--cache DIR` persists results under DIR; `off` (or omitting the
     // flag) keeps the cache in-memory only.
-    let cache_dir = match args.raw("cache") {
-        None | Some("") | Some("off") => None,
-        Some(dir) => Some(std::path::PathBuf::from(dir)),
-    };
+    let cache_dir = args.raw("cache").filter(|&dir| dir != "off");
+    let cache_dir = cache_dir.map(std::path::PathBuf::from);
     // Watchdog budget: `--timeout S` overrides the spec's `timeout`
     // key. The budget never enters run identity, so cache digests and
     // CSV bytes are independent of it.
@@ -886,24 +806,20 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // `--resume` replays completed runs from it (skipping their
     // execution) before continuing the sweep.
     let mut replayed_runs = 0usize;
-    let journal_path = args.raw("journal").filter(|v| !v.is_empty());
-    match journal_path {
-        Some(jp) => {
-            let sd = expanded.spec_digest();
-            let journal = if args.has("resume") {
-                let (journal, replayed) = Journal::open_resume(std::path::Path::new(jp), &sd)?;
-                replayed_runs = replayed.len();
-                lab.seed(&replayed);
-                journal
-            } else {
-                Journal::create(std::path::Path::new(jp), &sd)?
-            };
-            lab.set_journal(journal);
-        }
-        None if args.has("resume") => {
-            return Err("--resume requires --journal FILE".into());
-        }
-        None => {}
+    let journal_path = args.raw("journal");
+    if let Some(jp) = journal_path.map(std::path::Path::new) {
+        let sd = expanded.spec_digest();
+        let journal = if args.has("resume") {
+            let (journal, replayed) = Journal::open_resume(jp, &sd)?;
+            replayed_runs = replayed.len();
+            lab.seed(&replayed);
+            journal
+        } else {
+            Journal::create(jp, &sd)?
+        };
+        lab.set_journal(journal);
+    } else if args.has("resume") {
+        return Err("--resume requires --journal FILE".into());
     }
     // Self-profile destination: `--profile off` disables it, `--profile
     // FILE` overrides it, and by default the JSON lands next to the
@@ -911,15 +827,13 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // working directory as `<spec stem>.profile.json`.
     let profile_path = match args.raw("profile") {
         Some("off") => None,
-        Some(p) if !p.is_empty() => Some(p.to_string()),
-        _ => Some(match args.raw("out").filter(|v| !v.is_empty()) {
+        Some(p) => Some(p.to_string()),
+        None => Some(match args.raw("out") {
             Some(o) => format!("{o}.profile.json"),
             None => {
-                let stem = std::path::Path::new(&path)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("sweep");
-                format!("{stem}.profile.json")
+                // A spec that was read is a file, so it has a stem.
+                let stem = std::path::Path::new(&path).file_stem().unwrap_or_default();
+                format!("{}.profile.json", stem.to_string_lossy())
             }
         }),
     };
@@ -972,11 +886,11 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     if args.has("scaling") {
         lab_scaling_report(&sweep, out);
     }
-    if let Some(p) = args.raw("out").filter(|v| !v.is_empty()) {
+    if let Some(p) = args.raw("out") {
         std::fs::write(p, sweep_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote sweep CSV to {p}");
     }
-    if let Some(p) = args.raw("pareto").filter(|v| !v.is_empty()) {
+    if let Some(p) = args.raw("pareto") {
         std::fs::write(p, pareto_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote Pareto CSV to {p}");
     }
@@ -1010,8 +924,7 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
 /// `psse lab fsck`: offline verification of a persistent cache
 /// directory — every record's checksum is re-checked and corrupt
 /// records are moved (never deleted) into `quarantine/`.
-fn lab_fsck(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["cache", "dry-run"])?;
+pub fn lab_fsck(args: &Args, out: &mut String) -> CmdResult {
     let dir = args.req("cache")?;
     let dry_run = args.has("dry-run");
     let report = fsck_dir(std::path::Path::new(dir), dry_run)?;
@@ -1042,8 +955,7 @@ fn lab_fsck(args: &Args, out: &mut String) -> CmdResult {
 
 /// `psse lab gc`: size/age-bounded eviction over a persistent cache
 /// directory, oldest records first.
-fn lab_gc(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["cache", "max-bytes", "max-age", "dry-run"])?;
+pub fn lab_gc(args: &Args, out: &mut String) -> CmdResult {
     let dir = args.req("cache")?;
     let cfg = GcConfig {
         max_bytes: args.value("max-bytes", INTEGER)?,
@@ -1117,21 +1029,6 @@ fn lab_scaling_report(sweep: &psse_lab::SweepResults, out: &mut String) {
     }
 }
 
-/// `psse bound <action>`: derive a communication lower bound from a
-/// loop-nest kernel file via the HBL linear program, then price it with
-/// the paper's Eq. 1/2 machinery.
-pub fn bound_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
-    match action {
-        "solve" => bound_solve(args, out),
-        "price" => bound_price(args, out),
-        "range" => bound_range(args, out),
-        "explain" => bound_explain(args, out),
-        other => Err(format!(
-            "unknown bound action `{other}` (solve|price|range|explain)"
-        )),
-    }
-}
-
 /// Read, parse and derive the `--kernel` file. Parse errors carry the
 /// offending line number, prefixed with the path (`foo.kernel: line 3:
 /// ...`) so editors can jump to it.
@@ -1153,8 +1050,7 @@ fn family_str(f: Family) -> &'static str {
     }
 }
 
-fn bound_solve(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["kernel"])?;
+pub fn bound_solve(args: &Args, out: &mut String) -> CmdResult {
     let (kernel, cost, derived) = kernel_from(args)?;
     match derived {
         Derived::Pebbling => {
@@ -1201,8 +1097,7 @@ fn bound_solve(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn bound_price(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&priced(&["kernel", "n", "p"]))?;
+pub fn bound_price(args: &Args, out: &mut String) -> CmdResult {
     let (_, cost, _) = kernel_from(args)?;
     let (mname, mp) = vocab::machine(args)?;
     let n = problem_size(args)?;
@@ -1234,8 +1129,7 @@ fn bound_price(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn bound_range(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["kernel", "n", "mem", "csv"])?;
+pub fn bound_range(args: &Args, out: &mut String) -> CmdResult {
     let (_, cost, _) = kernel_from(args)?;
     let n = problem_size(args)?;
     let mem = fixed_memory(args)?;
@@ -1268,8 +1162,7 @@ fn bound_range(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn bound_explain(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["kernel"])?;
+pub fn bound_explain(args: &Args, out: &mut String) -> CmdResult {
     let (kernel, cost, derived) = kernel_from(args)?;
     let a = match derived {
         Derived::Pebbling => {
@@ -1355,8 +1248,7 @@ fn bound_explain(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-fn lab_expand(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&["spec"])?;
+pub fn lab_expand(args: &Args, out: &mut String) -> CmdResult {
     let (spec, path) = lab_spec_from(args)?;
     let keys = spec.expand();
     let _ = writeln!(out, "spec      : {path} expands to {} runs", keys.len());

@@ -3,30 +3,8 @@
 //! A command-line front end to the whole workspace: evaluate the paper's
 //! time/energy models at a point, inspect strong-scaling ranges, run the
 //! §V optimizers, execute the real algorithms on the simulated machine,
-//! and print the machine tables.
-//!
-//! ```text
-//! psse machines
-//! psse model    --alg matmul --n 8192 --p 64 [--mem 2e6] [--machine jaketown]
-//! psse scaling  --alg nbody --n 1e6 --mem 4096
-//! psse optimize --n 1e5 [--f 20] [--tmax 1e-2] [--emax 5.0]
-//! psse simulate --alg mm25d --n 64 --p 32 --c 2
-//! psse tech     --target 75
-//! psse trace    record --alg mm25d --n 16 --p 8 --c 2 --out run.trace
-//! psse trace    replay --in run.trace --gamma-t 1e-10
-//! psse trace    critical-path --in run.trace --top 5
-//! psse trace    export --in run.trace --out run.trace.json
-//! psse trace    flame --in run.trace | flamegraph.pl > flame.svg
-//! psse lab      run --spec sweep.spec --jobs 8 --out sweep.csv --pareto front.csv
-//! psse lab      run --spec sweep.spec --journal sweep.journal --resume
-//! psse lab      expand --spec sweep.spec
-//! psse lab      gc --cache .labcache --max-bytes 1e8 --max-age 604800
-//! psse lab      fsck --cache .labcache
-//! psse bound    solve --kernel specs/kernels/matmul.kernel
-//! psse bound    explain --kernel specs/kernels/matmul.kernel
-//! psse bound    price --kernel specs/kernels/nbody.kernel --n 1e5
-//! psse bound    range --kernel specs/kernels/matmul.kernel --n 8192 --mem 1e6
-//! ```
+//! and print the machine tables. `psse help` lists every command, action
+//! and flag.
 //!
 //! All logic lives in [`run`] so it can be tested without spawning the
 //! binary; `main.rs` is a thin wrapper.
@@ -38,77 +16,137 @@ pub mod args;
 mod commands;
 
 use args::Args;
-use std::fmt::Write as _;
+use commands as cmd;
+use psse_core::params::OVERRIDES;
+use psse_lab::vocab::{self, C, F, FAULT_KEYS, FAULT_SEED, HALO, ITERS, SEED, TIMEOUT};
+use Family::{Faults, Machine, Schedule};
 
 /// Execute a CLI invocation; human-readable output is appended to `out`.
+/// The command and action name a row of `COMMANDS`, and every flag is
+/// checked against that row before the action runs.
 pub fn run(argv: &[String], out: &mut String) -> Result<(), String> {
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        let _ = write!(out, "{}", help());
-        return Ok(());
-    }
-    if !argv[0].starts_with("--") && !COMMANDS.contains(&argv[0].as_str()) {
-        let hint = args::suggest(&argv[0], COMMANDS)
-            .map(|cand| format!(" (did you mean `{cand}`?)"))
-            .unwrap_or_default();
+    // `psse` and `psse --help` are `psse help`, the last row.
+    let Row(help, ..) = &COMMANDS[COMMANDS.len() - 1];
+    let help = [help.to_string()];
+    let argv = match argv.first() {
+        Some(word) if word != "--help" => argv,
+        _ => &help,
+    };
+    let word = argv[0].as_str();
+    let rows = || COMMANDS.iter().filter(|Row(command, ..)| *command == word);
+    let Some(first) = rows().next() else {
+        let mut names: Vec<&str> = COMMANDS.iter().map(|Row(command, ..)| *command).collect();
+        names.dedup();
+        let hint = hint(word, &names);
         return Err(format!(
-            "unknown subcommand `{}`; try `psse help`{hint}",
-            argv[0]
+            "unknown subcommand `{word}`; try `psse help`{hint}"
         ));
-    }
-    if argv[0] == "trace" {
-        if argv.len() < 2 {
-            return Err(
-                "usage: psse trace <record|replay|critical-path|export|flame> [--option value]..."
-                    .into(),
-            );
+    };
+    let (row, rest) = if let Row(_, "", ..) = first {
+        (first, argv)
+    } else {
+        let actions: Vec<&str> = rows().map(|Row(_, action, ..)| *action).collect();
+        let list = actions.join("|");
+        let usage = format!("usage: psse {word} <{list}> [--option value]...");
+        let action = argv.get(1).map_or("--", String::as_str);
+        let Some(row) = rows().find(|Row(_, name, ..)| *name == action) else {
+            if action.starts_with("--") {
+                return Err(usage);
+            }
+            let hint = hint(action, &actions);
+            return Err(format!("unknown {word} action `{action}`{hint}; {usage}"));
+        };
+        (row, &argv[1..])
+    };
+    let Row(_, action, run, families, switches, flags) = row;
+    let mut args = Args::parse(rest)?;
+    args.command = format!("{word} {action}").trim_end().to_string();
+    let mut keys = [*flags, *switches].concat();
+    keys.extend(families.iter().flat_map(|f| f.flags()).map(|(key, _)| key));
+    args.expect_keys(&keys)?;
+    args.expect_shapes(switches)?;
+    run(&args, out)
+}
+
+/// ` (did you mean `…`?)` when `word` is a plausible typo of one of
+/// `names` (a flag where a name belongs is not).
+fn hint(word: &str, names: &[&str]) -> String {
+    let name = args::suggest(word, names).filter(|_| !word.starts_with("--"));
+    name.map(|name| format!(" (did you mean `{name}`?)"))
+        .unwrap_or_default()
+}
+
+/// One action of `psse`: its command, its name (empty for a one-level
+/// command), what it runs, the flag families it shares, its bare
+/// switches and its own flags that take a value.
+struct Row(
+    &'static str,
+    &'static str,
+    fn(&Args, &mut String) -> Result<(), String>,
+    &'static [Family],
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+/// Flags several rows accept, each defined once in the vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    /// `--machine` and its overrides.
+    Machine,
+    /// The fault plan's flags but `--fault-seed`: the plan draws from `--seed`.
+    Faults,
+    /// The overrides that re-price a recorded schedule.
+    Schedule,
+}
+
+impl Family {
+    /// The family's flags, each with its placeholder in [`HELP`].
+    fn flags(self) -> Vec<(&'static str, &'static str)> {
+        let overrides = OVERRIDES.iter().filter(|o| o.schedule || self != Schedule);
+        let overrides = overrides.map(|o| (o.key, o.unit));
+        match self {
+            Machine => std::iter::once((vocab::MACHINE, "NAME"))
+                .chain(overrides)
+                .collect(),
+            Faults => {
+                let faults = FAULT_KEYS.iter().filter(|k| k.key() != FAULT_SEED.key);
+                faults.map(|k| (k.key(), k.rule().1)).collect()
+            }
+            Schedule => overrides.collect(),
         }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::trace_cmd(&action, &args, out);
-    }
-    if argv[0] == "faults" {
-        if argv.len() < 2 {
-            return Err("usage: psse faults <sweep> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::faults_cmd(&action, &args, out);
-    }
-    if argv[0] == "lab" {
-        if argv.len() < 2 {
-            return Err("usage: psse lab <run|expand|gc|fsck> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::lab_cmd(&action, &args, out);
-    }
-    if argv[0] == "bound" {
-        if argv.len() < 2 {
-            return Err("usage: psse bound <solve|price|range|explain> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::bound_cmd(&action, &args, out);
-    }
-    let args = Args::parse(argv)?;
-    match args.command.as_str() {
-        "machines" => commands::machines(&args, out),
-        "model" => commands::model(&args, out),
-        "scaling" => commands::scaling(&args, out),
-        "optimize" => commands::optimize(&args, out),
-        "simulate" => commands::simulate(&args, out),
-        "tech" => commands::tech(&args, out),
-        // Unreachable in practice — the COMMANDS gate above already
-        // rejected anything outside this match — but kept so the match
-        // stays total if the two lists ever drift.
-        other => Err(format!("unknown subcommand `{other}`; try `psse help`")),
     }
 }
 
-/// Every top-level subcommand, for the `psse buond` → `bound` hint.
-const COMMANDS: &[&str] = &[
-    "machines", "model", "scaling", "optimize", "simulate", "tech", "trace", "faults", "lab",
-    "bound", "help",
+/// Every command and action of `psse`, in [`HELP`]'s order: the one place
+/// their names are matched.
+#[rustfmt::skip]
+const COMMANDS: [Row; 21] = [
+    Row("machines", "", cmd::machines, &[], &[], &[]),
+    Row("model", "", cmd::model, &[Machine], &[], &["alg", "n", "p", "mem", F.key, HALO.key, ITERS.key]),
+    Row("scaling", "", cmd::scaling, &[], &[], &["alg", "n", "mem", F.key, HALO.key, ITERS.key]),
+    Row("optimize", "", cmd::optimize, &[Machine], &[],
+        &["n", F.key, "tmax", "emax", "power-total", "power-proc"]),
+    Row("simulate", "", cmd::simulate, &[Machine], &[],
+        &["alg", "n", "p", C.key, SEED.key, "panel", "cols", "backend", HALO.key, ITERS.key]),
+    Row("tech", "", cmd::tech, &[Machine], &[], &["target"]),
+    Row("trace", "record", cmd::trace_record, &[Machine], &[],
+        &["alg", "n", "p", C.key, SEED.key, "panel", "cols", "backend", HALO.key, ITERS.key, "out"]),
+    Row("trace", "replay", cmd::trace_replay, &[Machine], &[], &["in"]),
+    Row("trace", "critical-path", cmd::trace_critical_path, &[], &[], &["in", "top"]),
+    Row("trace", "export", cmd::trace_export, &[], &[], &["in", "out"]),
+    Row("trace", "flame", cmd::trace_flame, &[Schedule], &[], &["in", "out"]),
+    Row("faults", "sweep", cmd::faults_sweep, &[Machine, Faults], &[],
+        &["n", "q", "c-list", SEED.key, "restart", "mtbf", "out", "jobs", "backend"]),
+    Row("lab", "run", cmd::lab_run, &[], &["scaling", "resume"],
+        &["spec", "jobs", "out", "pareto", "cache", "profile", "top", "journal", TIMEOUT.key]),
+    Row("lab", "expand", cmd::lab_expand, &[], &[], &["spec"]),
+    Row("lab", "gc", cmd::lab_gc, &[], &["dry-run"], &["cache", "max-bytes", "max-age"]),
+    Row("lab", "fsck", cmd::lab_fsck, &[], &["dry-run"], &["cache"]),
+    Row("bound", "solve", cmd::bound_solve, &[], &[], &["kernel"]),
+    Row("bound", "explain", cmd::bound_explain, &[], &[], &["kernel"]),
+    Row("bound", "price", cmd::bound_price, &[Machine], &[], &["kernel", "n", "p"]),
+    Row("bound", "range", cmd::bound_range, &[], &["csv"], &["kernel", "n", "mem"]),
+    Row("help", "", |_, out| { out.push_str(&help()); Ok(()) }, &[], &[], &[]),
 ];
 
 /// `items` separated by `sep` for a [`HELP`] line starting at column
@@ -133,26 +171,18 @@ fn wrap(items: impl IntoIterator<Item = String>, sep: char, indent: usize) -> St
 /// flags — enumerated from the tables that define them.
 fn help() -> String {
     use psse_algos::table::{names, Entry};
-    use psse_core::{machines::PRESETS, params::OVERRIDES};
-    use psse_lab::vocab::{F, FAULT_KEYS, FAULT_SEED};
+    use psse_core::machines::PRESETS;
     let algs = |keep: fn(&Entry) -> bool| wrap(names(keep).map(str::to_string), '|', 21);
-    let overrides = |schedule: bool, indent| {
-        let chosen = OVERRIDES.iter().filter(|o| o.schedule || !schedule);
-        wrap(
-            chosen.map(|o| format!("[--{} {}]", o.key, o.unit)),
-            ' ',
-            indent,
-        )
-    };
-    let faults = FAULT_KEYS.iter().filter(|k| k.key() != FAULT_SEED.key);
-    let faults = faults.map(|k| format!("[--{} {}]", k.key(), k.rule().1));
+    let flag = |(key, metavar): &(&str, &str)| format!("[--{key} {metavar}]");
+    let flags = |flags: &[(&str, &str)], indent| wrap(flags.iter().map(flag), ' ', indent);
     let machines: Vec<&str> = PRESETS.iter().map(|(name, _)| *name).collect();
     HELP.replace("{MODEL_ALGS}", &algs(|e| e.model.is_some()))
         .replace("{SIMULATE_ALGS}", &algs(|e| e.simulate.is_some()))
         .replace("{MACHINES}", &machines.join("|"))
-        .replace("{OVERRIDES}", &overrides(false, 15))
-        .replace("{SCHEDULE}", &overrides(true, 29))
-        .replace("{FAULT_FLAGS}", &wrap(faults, ' ', 22))
+        // The overrides: the machine family after `--machine` itself.
+        .replace("{OVERRIDES}", &flags(&Machine.flags()[1..], 15))
+        .replace("{SCHEDULE}", &flags(&Schedule.flags(), 29))
+        .replace("{FAULT_FLAGS}", &flags(&Faults.flags(), 22))
         .replace("{F}", &F.default.to_string())
 }
 
@@ -165,27 +195,31 @@ COMMANDS:
   machines   Print the paper's Table II processor database.
   model      Evaluate T (Eq. 1), E (Eq. 2) and P for an algorithm at a point.
                --alg {MODEL_ALGS}
-               --n N  --p P
+               --n N  --p P  [--halo H] [--iters K] (the stencil's)
                [--mem WORDS]        memory/processor (default: minimal)
                [--f FLOPS]          n-body flops per interaction ({F})
                [--machine {MACHINES}]
                plus per-parameter overrides of the machine:
                {OVERRIDES}
   scaling    Print the perfect strong scaling range at fixed memory.
-               --alg ... --n N --mem WORDS
+               --alg ... --n N --mem WORDS [--f FLOPS] [--halo H] [--iters K]
   optimize   Section V answers for the n-body problem (closed form).
                --n N [--f FLOPS] [--tmax S] [--emax J]
-               [--power-total W] [--power-proc W]
+               [--power-total W] [--power-proc W] [--machine NAME + overrides]
   simulate   Run the real algorithm on the virtual machine and price it.
                --alg {SIMULATE_ALGS}
-               --n N --p P [--c C] [--panel W] [--seed S]
+               --n N --p P [--c C] [--panel W] [--cols K] [--seed S]
+               [--halo H] [--iters K] [--machine NAME + overrides]
                [--backend threads|events]  recorded and printed; both values
                                            run the thread machine today and
                                            are bit-identical by contract
   tech       Technology scaling (Figs. 6-7): generations to a target.
-               [--target GFLOPS_W]
+               [--target GFLOPS_W] [--machine NAME + overrides]
   trace      Record, replay, analyse and export event traces.
                record        --alg ... --n N --p P [--c C] [--out FILE]
+                             [--seed S] [--panel W] [--cols K] [--halo H]
+                             [--iters K] [--backend threads|events]
+                             [--machine NAME + overrides]
                              run once with recording on, verify that replay
                              reproduces the live run, save the trace
                replay        --in FILE [--machine NAME + overrides]
@@ -203,6 +237,7 @@ COMMANDS:
   faults     Deterministic fault injection and resilience pricing.
                sweep  --q Q (grid edge, default 4) --c-list 1,2,4 --n N
                       [--seed S] [--restart S] [--mtbf S]
+                      [--machine NAME + overrides]
                       {FAULT_FLAGS}
                       [--backend threads|events] [--out FILE.csv]
                       run 2.5D matmul per c with and without the fault plan,
@@ -270,24 +305,58 @@ mod tests {
         Ok(out)
     }
 
+    /// `command`'s entry in `help`: its line and the indented lines below.
+    fn help_block(help: &str, command: &str) -> String {
+        let head = format!("  {command} ");
+        let mut lines = help.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no `{command}` in {help}"));
+        let rest = lines.take_while(|l| l.starts_with("   "));
+        std::iter::once(first)
+            .chain(rest)
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Whether `block` names `--flag` itself, not only a longer flag.
+    fn names_flag(block: &str, flag: &str) -> bool {
+        let flag = format!("--{flag}");
+        let ends = |rest: &str| !rest.starts_with(|c: char| c.is_alphanumeric() || c == '-');
+        block
+            .match_indices(&flag)
+            .any(|(i, _)| ends(&block[i + flag.len()..]))
+    }
+
     #[test]
     fn help_lists_commands() {
         let out = call("help").unwrap();
-        for cmd in [
-            "machines",
-            "model",
-            "scaling",
-            "optimize",
-            "simulate",
-            "tech",
-            "trace",
-            "faults",
-            "lab",
-            "flame",
-            "gc",
-            "--profile",
-        ] {
-            assert!(out.contains(cmd), "help should mention {cmd}");
+        for Row(command, action, ..) in &COMMANDS {
+            let block = help_block(&out, command);
+            let entry = format!("\n               {action} ");
+            assert!(action.is_empty() || block.contains(&entry), "{block}");
+        }
+    }
+
+    #[test]
+    fn help_names_every_flag_a_command_accepts() {
+        let out = call("help").unwrap();
+        assert!(out.lines().all(|l| l.chars().count() <= 80), "{out}");
+        for Row(command, action, _, families, switches, flags) in &COMMANDS {
+            let block = help_block(&out, command);
+            let mut named = [*flags, *switches].concat();
+            for &family in *families {
+                match family {
+                    Machine => named.push(vocab::MACHINE),
+                    Faults | Schedule => named.extend(family.flags().iter().map(|f| f.0)),
+                }
+            }
+            for flag in named {
+                assert!(
+                    names_flag(&block, flag),
+                    "`{command} {action}`: no --{flag}"
+                );
+            }
         }
     }
 

@@ -804,3 +804,96 @@ fn an_empty_problem_is_refused_naming_the_flag() {
     );
     assert_refused_naming(&["bound", "price", "--kernel", &kernel, "--n", "0"], "--n");
 }
+
+// One command table: every flag's shape is checked before the command
+// body runs. Each invocation below exited 0 at the parent — no CSV, the
+// `threads` backend, a dry run, a CSV row.
+
+fn shipped(path: &str) -> String {
+    format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn lab_run_refuses_an_out_flag_without_a_value() {
+    let spec = shipped("specs/ci_smoke.spec");
+    let args = ["lab", "run", "--spec", &spec, "--profile", "off", "--out"];
+    assert_refused_naming(&args, "--out");
+}
+
+#[test]
+fn simulate_refuses_a_backend_flag_without_a_value() {
+    let args = [
+        "simulate",
+        "--alg",
+        "fft",
+        "--n",
+        "64",
+        "--p",
+        "4",
+        "--backend",
+    ];
+    assert_refused_naming(&args, "--backend");
+}
+
+#[test]
+fn lab_gc_refuses_a_dry_run_switch_given_a_value() {
+    let dir = std::env::temp_dir().join(format!("psse-exit-gc-shape-{}", std::process::id()));
+    let cache = dir.display().to_string();
+    let args = [
+        "lab",
+        "gc",
+        "--cache",
+        &cache,
+        "--max-bytes",
+        "0",
+        "--dry-run",
+        "no",
+    ];
+    assert_refused_naming(&args, "--dry-run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bound_range_refuses_a_csv_switch_given_a_value() {
+    let kernel = shipped("specs/kernels/matmul.kernel");
+    let args = [
+        "bound", "range", "--kernel", &kernel, "--n", "8192", "--mem", "1e6", "--csv", "5",
+    ];
+    assert_refused_naming(&args, "--csv");
+}
+
+#[test]
+fn a_misspelt_action_gets_a_hint() {
+    let out = psse(&["trace", "replya", "--in", "x"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_line(&out);
+    assert!(
+        err.starts_with("error: unknown trace action `replya`"),
+        "{err}"
+    );
+    assert!(err.contains("did you mean `replay`?"), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+}
+
+#[test]
+fn an_unknown_flag_names_the_full_command() {
+    let out = psse(&[
+        "trace", "record", "--alg", "mm25d", "--n", "16", "--p", "8", "--bogus", "1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_line(&out);
+    assert_eq!(err, "error: unknown option --bogus for `trace record`");
+}
+
+#[test]
+fn faults_sweep_reads_each_replication_factor_by_the_c_rule() {
+    // At the parent `0` printed the table header, then failed inside the
+    // run; `-1` was a "bad replication factor".
+    for c in ["0", "-1"] {
+        let args = ["faults", "sweep", "--q", "2", "--c-list", c, "--n", "16"];
+        assert_refused_naming(&args, "--c-list");
+        let err = stderr_line(&psse(&args));
+        let want = format!("error: --c-list must be a positive integer, got `{c}`");
+        assert_eq!(err, want);
+    }
+}
