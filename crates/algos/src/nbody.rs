@@ -4,11 +4,10 @@
 //!
 //! Particles are split into `pr` blocks. In the **ring** algorithm
 //! (`c = 1`, `M = Θ(n/p)`) each of the `p = pr` ranks owns one target
-//! block and passes source blocks around a ring for `pr` steps:
-//! `W = Θ(n)` per rank... no — per rank `W = Θ((p−1)·n/p) = Θ(n)` words?
-//! Each step moves one block of `n/p` particles, `p − 1` steps:
-//! `W = Θ(n/p·p) = Θ(n)`. Against the model: `W = n²/(p·M)` with
-//! `M = n/p` gives `n` — matching.
+//! block and passes source blocks around a ring for `pr` steps. Each of
+//! the `p − 1` shifts moves one block of `n/p` particles, so a rank
+//! sends `W = Θ((p − 1)·n/p) = Θ(n)` words — the model's
+//! `W = n²/(p·M)` at `M = n/p`.
 //!
 //! In the **replicated** algorithm ranks form a `pr × c` grid
 //! (`p = pr·c`, `c | pr`). The source blocks are replicated so that layer

@@ -10,8 +10,12 @@
 //! 3. the local block is partitioned into `p` buckets by splitter and a
 //!    pairwise **all-to-all** redistributes every key to its bucket
 //!    owner,
-//! 4. each rank merges its received (sorted) runs; the concatenation of
-//!    rank outputs in rank order is the globally sorted sequence.
+//! 4. each rank sorts the concatenation of its received (sorted) runs,
+//!    charged as a `⌈log₂ p⌉`-level merge; the concatenation of rank
+//!    outputs in rank order is the globally sorted sequence.
+//!
+//! Every sort is `psse_kernels::sort::sort_total`, whose output any
+//! correct sort in `f64::total_cmp` order would match bit for bit.
 //!
 //! Cost shape: `F = Θ((n/p)·log n)`, `W = Θ(n/p)` (every key crosses the
 //! network once — the Scquizzato–Silvestri sorting bandwidth bound
@@ -23,6 +27,7 @@
 //! quantify the departure from `1/p`.
 
 use psse_kernels::rng::XorShift64;
+use psse_kernels::sort::sort_total;
 use psse_sim::prelude::*;
 
 /// Tag base for the splitter allgather (ring offsets `0..p−1`).
@@ -87,7 +92,7 @@ pub fn sample_sort(
 
         // Phase 1: local sort.
         let mut block: Vec<f64> = keys[me * bs..(me + 1) * bs].to_vec();
-        block.sort_by(|a, b| a.total_cmp(b));
+        sort_total(&mut block);
         rank.compute(sort_flops(bs));
 
         // Phase 2: regular samples + splitter agreement. Sample i sits
@@ -98,7 +103,7 @@ pub fn sample_sort(
         let samples: Vec<f64> = (1..p).map(|i| block[i * bs / p]).collect();
         let gathered = rank.allgather(Tag(SS_SAMPLE), &group, samples)?;
         let mut candidates: Vec<f64> = gathered.into_iter().flatten().collect();
-        candidates.sort_by(|a, b| a.total_cmp(b));
+        sort_total(&mut candidates);
         rank.compute(sort_flops(p * s));
         let splitters: Vec<f64> = (0..s).map(|j| candidates[(j + 1) * s]).collect();
 
@@ -117,12 +122,13 @@ pub fn sample_sort(
             .collect();
         let received = rank.alltoall(Tag(SS_EXCHANGE), &group, blocks)?;
 
-        // Phase 4: p-way merge of the received sorted runs (charged as
-        // one comparison per key per merge level, ⌈log₂ p⌉ levels).
+        // Phase 4: sort the received sorted runs together (charged as
+        // their p-way merge: one comparison per key per merge level,
+        // ⌈log₂ p⌉ levels).
         let total: usize = received.iter().map(Vec::len).sum();
         rank.alloc(total as u64)?;
         let mut bucket: Vec<f64> = received.into_iter().flatten().collect();
-        bucket.sort_by(|a, b| a.total_cmp(b));
+        sort_total(&mut bucket);
         rank.compute(total as u64 * ceil_log2(p));
 
         rank.free(base_words + total as u64)?;

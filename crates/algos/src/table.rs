@@ -20,6 +20,7 @@ use psse_core::params::MachineParams;
 use psse_kernels::gemm::matmul;
 use psse_kernels::nbody::{accumulate_forces, random_particles};
 use psse_kernels::rng::XorShift64;
+use psse_kernels::sort::sort_total;
 use psse_kernels::{Complex64, Matrix};
 use psse_sim::machine::SimConfig;
 use psse_sim::profile::Profile;
@@ -84,6 +85,13 @@ fn done(output: Vec<f64>, profile: Profile, verified: bool) -> Result<Run, SimEr
         profile,
         verified,
     })
+}
+
+/// `a` and `b` hold the same words bit for bit — what a
+/// [`Check::Exact`] comparison means. `==` on `f64` would take `-0.0`
+/// for `+0.0` and fail a run whose output holds a NaN.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// What kind of sequential reference a simulator has, which is what a
@@ -427,8 +435,8 @@ fn samplesort(s: &Shape, cfg: SimConfig, verify: bool) -> Result<Run, SimError> 
     // never rounds.
     let verified = verify && {
         let mut reference = keys;
-        reference.sort_by(|a, b| a.total_cmp(b));
-        sorted == reference
+        sort_total(&mut reference);
+        same_bits(&sorted, &reference)
     };
     done(sorted, profile, verified)
 }
@@ -440,7 +448,7 @@ fn stencil(s: &Shape, cfg: SimConfig, verify: bool) -> Result<Run, SimError> {
     let (out, profile) = halo_stencil(&grid, n, halo, iters, Decomp::for_grid(n, s.p), s.p, cfg)?;
     // Bit-for-bit: identical (di, dj) update order makes the distributed
     // sweep reproduce the serial one exactly.
-    let verified = verify && out == serial_stencil(&grid, n, halo, iters);
+    let verified = verify && same_bits(&out, &serial_stencil(&grid, n, halo, iters));
     done(out, profile, verified)
 }
 
@@ -492,6 +500,16 @@ mod tests {
             ran += 1;
         }
         assert_eq!(ran, 16);
+    }
+
+    #[test]
+    fn exact_checks_compare_bits() {
+        let nan = |payload: u64| f64::from_bits(f64::NAN.to_bits() | payload);
+        assert!(same_bits(&[nan(1), -0.0, 1.5], &[nan(1), -0.0, 1.5]));
+        assert!(!same_bits(&[-0.0], &[0.0]));
+        assert!(!same_bits(&[nan(1)], &[nan(2)]));
+        assert!(!same_bits(&[1.0], &[1.0, 1.0]));
+        assert!(same_bits(&[], &[]));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 use crate::program::{AnalyticOp, RankProgram};
 use crate::step::{Delivered, Payload, Step};
+use psse_kernels::sort::sort_total;
 use psse_kernels::stencil::{box_sweep, extend_periodic};
 use psse_sim::{SharedPayload, Tag};
 use std::convert::Infallible;
@@ -1016,7 +1017,7 @@ impl Hook<SampleSortPhases> for SortKeys {
         let (p, bs, s, me) = (d.p, d.bs, d.p - 1, self.me);
         match (phase, i) {
             (0, _) => {
-                self.keys.sort_by(|a, b| a.total_cmp(b));
+                sort_total(&mut self.keys);
                 // Regular samples at positions (i+1)·bs/p.
                 let samples: Vec<f64> = (1..p).map(|i| self.keys[i * bs / p]).collect();
                 self.from[me] = samples.clone();
@@ -1028,7 +1029,7 @@ impl Hook<SampleSortPhases> for SortKeys {
                 // as the closure algorithm. The cuts are phase 1's
                 // second compute.
                 let mut cand: Vec<f64> = self.from.iter_mut().flat_map(std::mem::take).collect();
-                cand.sort_by(|a, b| a.total_cmp(b));
+                sort_total(&mut cand);
                 let mut cuts = vec![0usize];
                 for j in 0..s {
                     let sp = cand[(j + 1) * s];
@@ -1042,7 +1043,7 @@ impl Hook<SampleSortPhases> for SortKeys {
             }
             (2, _) => {
                 let mut bucket: Vec<f64> = self.from.iter().flatten().copied().collect();
-                bucket.sort_by(|a, b| a.total_cmp(b));
+                sort_total(&mut bucket);
                 self.keys = bucket;
                 return self.keys.len() as u64 * ceil_log2(p);
             }

@@ -14,6 +14,7 @@
 //! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT over our own
 //!   [`fft::Complex64`], plus a naive DFT reference;
 //! * [`nbody`] — softened gravitational pairwise force accumulation;
+//! * [`sort`] — in-place sorting of `f64` keys in IEEE 754 total order;
 //! * [`stencil`] — the periodic box-stencil sweep over a halo-extended
 //!   buffer (the one box-sweep kernel of the serial reference and both
 //!   simulator backends);
@@ -39,6 +40,7 @@ pub mod matrix;
 pub mod nbody;
 pub mod qr;
 pub mod rng;
+pub mod sort;
 pub mod stencil;
 pub mod strassen;
 

@@ -41,6 +41,11 @@ pub const SOFTENING: f64 = 1e-9;
 /// round numbers, matching `DirectNBody::default()` in `psse-core`.
 pub const FLOPS_PER_INTERACTION: u64 = 20;
 
+/// Targets per block of [`accumulate_forces`]'s vector kernel: each
+/// target is one lane, so a block's positions and accumulators stay in
+/// registers while the sources stream past.
+const LANES: usize = 4;
+
 /// Accumulate into `acc[i]` the gravitational acceleration exerted on
 /// `targets[i]` by every particle in `sources` (skipping exact
 /// self-pairs). `acc` must have `targets.len()` entries.
@@ -48,8 +53,90 @@ pub const FLOPS_PER_INTERACTION: u64 = 20;
 /// Associativity: calling this repeatedly with disjoint source blocks
 /// sums to the full interaction — the property the replicating algorithm
 /// relies on (verified by tests and by `psse-algos`).
+///
+/// Every output bit is the scalar loop's: targets are computed four at
+/// a time, one target per lane, each lane performing that target's
+/// operations in source order (DESIGN §14.1).
 pub fn accumulate_forces(targets: &[Particle], sources: &[Particle], acc: &mut [[f64; 3]]) {
     assert_eq!(targets.len(), acc.len(), "one accumulator per target");
+    let mut blocks = targets.chunks_exact(LANES);
+    let mut accs = acc.chunks_exact_mut(LANES);
+    for (t, a) in (&mut blocks).zip(&mut accs) {
+        if a.iter().flatten().all(|&x| adds_zero_exactly(x)) {
+            let exact = "chunks_exact yields LANES items";
+            accumulate_lanes(
+                t.try_into().expect(exact),
+                sources,
+                a.try_into().expect(exact),
+            );
+        } else {
+            accumulate_scalar(t, sources, a);
+        }
+    }
+    accumulate_scalar(blocks.remainder(), sources, accs.into_remainder());
+}
+
+/// `x + ±0.0` has the bits of `x`: true for every value but `-0.0`
+/// (`-0.0 + +0.0 = +0.0`) and a NaN (whose payload an add may quiet).
+/// A sum of two values is `-0.0` only if both are, and an add that
+/// makes a NaN makes it quiet, so a lane whose accumulator starts this
+/// way keeps it — and a masked increment equals the skipped one.
+fn adds_zero_exactly(x: f64) -> bool {
+    !x.is_nan() && x.to_bits() != (-0.0f64).to_bits()
+}
+
+/// [`accumulate_forces`] on one block of targets, one per lane. A self
+/// or coincident pair cannot `continue` in a lane: its `f` is masked to
+/// `+0.0` by clearing its bits (a `0·f` would be NaN for an infinite
+/// mass), so the lane adds `±0.0 · d = ±0.0`, which leaves an
+/// accumulator allowed by [`adds_zero_exactly`] bit for bit unchanged.
+fn accumulate_lanes(
+    targets: &[Particle; LANES],
+    sources: &[Particle],
+    acc: &mut [[f64; 3]; LANES],
+) {
+    let (tx, ty, tz) = (
+        targets.map(|t| t.pos[0]),
+        targets.map(|t| t.pos[1]),
+        targets.map(|t| t.pos[2]),
+    );
+    let (mut ax, mut ay, mut az) = (acc.map(|a| a[0]), acc.map(|a| a[1]), acc.map(|a| a[2]));
+    for s in sources {
+        // Three passes over the lanes, so each is one straight-line
+        // vector sequence (`sqrtpd`, `divpd`) with no branch inside.
+        let (mut dx, mut dy, mut dz) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+        for l in 0..LANES {
+            dx[l] = s.pos[0] - tx[l];
+            dy[l] = s.pos[1] - ty[l];
+            dz[l] = s.pos[2] - tz[l];
+        }
+        let mut f = [0.0; LANES];
+        for l in 0..LANES {
+            let r2 = dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + SOFTENING * SOFTENING;
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r3 = inv_r * inv_r * inv_r;
+            let keep = if r2 <= 2.0 * SOFTENING * SOFTENING {
+                0
+            } else {
+                u64::MAX
+            };
+            f[l] = f64::from_bits((s.mass * inv_r3).to_bits() & keep);
+        }
+        for l in 0..LANES {
+            ax[l] += f[l] * dx[l];
+            ay[l] += f[l] * dy[l];
+            az[l] += f[l] * dz[l];
+        }
+    }
+    for l in 0..LANES {
+        acc[l] = [ax[l], ay[l], az[l]];
+    }
+}
+
+/// [`accumulate_forces`] one target at a time: the remainder of the
+/// lane blocks, and any block whose accumulators a masked increment
+/// could change.
+fn accumulate_scalar(targets: &[Particle], sources: &[Particle], acc: &mut [[f64; 3]]) {
     for (t, a) in targets.iter().zip(acc.iter_mut()) {
         for s in sources {
             let dx = s.pos[0] - t.pos[0];

@@ -8,8 +8,10 @@ use psse_kernels::lu::{
     apply_permutation, lu_partial_pivot_inplace, solve, solve_unit_lower, solve_upper, split_lu,
 };
 use psse_kernels::matrix::Matrix;
+use psse_kernels::nbody::{accumulate_forces, Particle, SOFTENING};
 use psse_kernels::qr::householder_qr;
 use psse_kernels::rng::XorShift64;
+use psse_kernels::sort::sort_total;
 use psse_kernels::stencil::{box_sweep, extend_periodic};
 use psse_kernels::strassen::{strassen_winograd, strassen_with_cutoff};
 
@@ -69,8 +71,194 @@ fn awkward_grid(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// The per-target force loop `accumulate_forces` replaced, kept
+/// verbatim as its oracle.
+fn per_target_forces(targets: &[Particle], sources: &[Particle], acc: &mut [[f64; 3]]) {
+    assert_eq!(targets.len(), acc.len(), "one accumulator per target");
+    for (t, a) in targets.iter().zip(acc.iter_mut()) {
+        for s in sources {
+            let dx = s.pos[0] - t.pos[0];
+            let dy = s.pos[1] - t.pos[1];
+            let dz = s.pos[2] - t.pos[2];
+            let r2 = dx * dx + dy * dy + dz * dz + SOFTENING * SOFTENING;
+            if r2 <= 2.0 * SOFTENING * SOFTENING {
+                // Same position (self-interaction under block replication).
+                continue;
+            }
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r3 = inv_r * inv_r * inv_r;
+            let f = s.mass * inv_r3;
+            a[0] += f * dx;
+            a[1] += f * dy;
+            a[2] += f * dz;
+        }
+    }
+}
+
+/// A quiet NaN carrying `payload`.
+fn nan(payload: u64) -> f64 {
+    f64::from_bits(f64::NAN.to_bits() | payload)
+}
+
+/// A signalling NaN: an add returns it quieted, so its bits change.
+const SIGNALLING_NAN: f64 = f64::from_bits(0x7ff0_0000_0000_0001);
+
+/// Particles in the unit cube salted with what a lane kernel could get
+/// wrong: copies of an earlier particle (a coincident pair), copies
+/// moved by up to two softening lengths along one axis (`|d|² ≤ S²`
+/// and just past it, with two differences exactly zero), and masses
+/// drawn from `masses`.
+fn awkward_particles(n: usize, masses: &[f64], seed: u64) -> Vec<Particle> {
+    let mut rng = XorShift64::new(seed);
+    let mut ps: Vec<Particle> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pos = [(); 3].map(|_| rng.range_f64(0.0, 1.0));
+        let mut p = Particle::at(pos, rng.range_f64(0.0, 1.0));
+        match rng.below(6) {
+            0 if !ps.is_empty() => p.pos = ps[rng.below(ps.len())].pos,
+            1 if !ps.is_empty() => {
+                p.pos = ps[rng.below(ps.len())].pos;
+                p.pos[rng.below(3)] += rng.range_f64(-2.0, 2.0) * SOFTENING;
+            }
+            2 => p.mass = masses[rng.below(masses.len())],
+            _ => {}
+        }
+        ps.push(p);
+    }
+    ps
+}
+
+/// Starting accumulators: `+0.0`, as every in-tree caller passes, with
+/// a quarter of the words drawn from `salt`.
+fn awkward_accumulators(n: usize, salt: &[f64], seed: u64) -> Vec<[f64; 3]> {
+    let mut rng = XorShift64::new(seed ^ 0x5eed);
+    let mut pick = || match rng.below(4) {
+        0 if !salt.is_empty() => salt[rng.below(salt.len())],
+        _ => 0.0,
+    };
+    (0..n).map(|_| [pick(), pick(), pick()]).collect()
+}
+
+/// Sort keys salted with every class `f64::total_cmp` orders: both
+/// zeros, both infinities, NaNs of both signs with payloads (quiet and
+/// signalling), subnormals, extremes, and duplicates of earlier keys.
+fn awkward_keys(len: usize, seed: u64) -> Vec<f64> {
+    let awkward = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        nan(0xabc),
+        -nan(0x123),
+        SIGNALLING_NAN,
+        f64::from_bits(0xfff0_0000_0000_0002),
+        5e-324,
+        -5e-324,
+        2.5e-310,
+        -2.5e-310,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+    ];
+    let mut rng = XorShift64::new(seed);
+    let mut keys: Vec<f64> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let key = match rng.below(3) {
+            0 => awkward[rng.below(awkward.len())],
+            1 if !keys.is_empty() => keys[rng.below(keys.len())],
+            _ => rng.range_f64(-1.0, 1.0),
+        };
+        keys.push(key);
+    }
+    keys
+}
+
+/// The bits of every accumulator word.
+fn acc_bits(acc: &[[f64; 3]]) -> Vec<u64> {
+    acc.iter().flatten().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn a_skipped_pair_leaves_its_accumulator_bits_alone() {
+    // Four coincident targets (one lane block), each its own only
+    // source: every pair is skipped, so `-0.0` stays `-0.0`, a
+    // signalling NaN stays signalling, and an infinite mass never meets
+    // the `0` it would make NaN.
+    let ps = vec![Particle::at([0.5; 3], f64::INFINITY); 4];
+    for start in [-0.0, 0.0, SIGNALLING_NAN] {
+        let mut fast = vec![[start; 3]; 4];
+        let mut slow = fast.clone();
+        accumulate_forces(&ps, &ps, &mut fast);
+        per_target_forces(&ps, &ps, &mut slow);
+        assert_eq!(acc_bits(&fast), acc_bits(&slow), "start {start:?}");
+        assert_eq!(acc_bits(&fast), vec![start.to_bits(); 12]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The lane-blocked force kernel reproduces the per-target loop bit
+    /// for bit: 0–9 targets and larger blocks (every lane remainder), a
+    /// partial source block of the same cloud (self pairs included),
+    /// coincident and near-coincident pairs, non-finite masses, and
+    /// accumulators starting at `+0.0` or salted with `-0.0` and NaNs.
+    ///
+    /// An add of two different NaNs may return either (IEEE 754 leaves
+    /// it open, and so does Rust: the operand order is the register
+    /// allocator's), for the loop as much as for the lanes. So each
+    /// `mode` lets one NaN pattern arise per word: finite masses with
+    /// any accumulator; NaN masses of one payload; or infinite masses,
+    /// whose `inf·0` and `inf − inf` make the host's default NaN, with
+    /// that NaN as the NaN mass.
+    #[test]
+    fn accumulate_forces_matches_the_per_target_loop(
+        few in 0usize..10,
+        many in 10usize..70,
+        wide in 0usize..2,
+        from in 0usize..80,
+        len in 0usize..80,
+        mode in 0usize..3,
+        salted in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let host_nan = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
+        let (masses, salt) = match mode {
+            0 => (vec![0.0], vec![-0.0, nan(7), SIGNALLING_NAN, f64::NEG_INFINITY, -1.5]),
+            1 => (vec![nan(0x2a), 0.0], vec![-0.0, f64::INFINITY, 0.25]),
+            _ => (vec![f64::INFINITY, f64::NEG_INFINITY, host_nan], vec![-0.0, host_nan]),
+        };
+        let salt = if salted == 1 { salt } else { Vec::new() };
+        let nt = if wide == 1 { many } else { few };
+        let cloud = awkward_particles(nt + 16, &masses, seed);
+        let targets = &cloud[..nt];
+        let from = from % cloud.len();
+        let sources = &cloud[from..(from + len).min(cloud.len())];
+        let mut fast = awkward_accumulators(nt, &salt, seed);
+        let mut slow = fast.clone();
+        accumulate_forces(targets, sources, &mut fast);
+        per_target_forces(targets, sources, &mut slow);
+        for (i, (a, b)) in fast.iter().flatten().zip(slow.iter().flatten()).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(), b.to_bits(),
+                "mode {} {} targets, sources {}..+{}, word {}: {:?} vs {:?}",
+                mode, nt, from, len, i, a, b
+            );
+        }
+    }
+
+    /// `sort_total` leaves the bits `sort_by(f64::total_cmp)` leaves.
+    #[test]
+    fn sort_total_matches_the_total_cmp_sort(len in 0usize..300, seed in 0u64..1_000_000) {
+        let mut fast = awkward_keys(len, seed);
+        let mut slow = fast.clone();
+        sort_total(&mut fast);
+        slow.sort_by(f64::total_cmp);
+        let bits = |keys: &[f64]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fast), bits(&slow));
+    }
 
     /// Periodic extension + the row-innermost kernel reproduce the
     /// per-cell loop bit for bit: square and non-square tiles, a single

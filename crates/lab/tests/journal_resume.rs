@@ -149,22 +149,27 @@ fn journal_written_before_the_buffer_codecs_replays_unchanged() {
 }
 
 #[test]
-fn stencil_journals_match_the_ones_written_before_the_shared_kernel() {
-    // `tests/fixtures/stencil_sweep{,_threads}_prepr.journal` are `psse
-    // lab run --spec specs/stencil_sweep.spec --jobs 1 --journal …` (and
-    // the same spec with `backend = threads`) at the commit before the
-    // serial reference and the simulated sweep shared
-    // `psse_kernels::stencil::box_sweep`. The runner's in-run check now
-    // compares that kernel with itself; these bytes (output digest,
-    // time, energy, counters) are what ties its arithmetic to the
-    // per-cell loops it replaced.
+fn fresh_journals_match_the_ones_written_before_their_kernels() {
+    // Each fixture is `psse lab run --spec specs/<spec> --jobs 1
+    // --journal …` at the commit before a kernel it runs was rewritten:
+    // `stencil_sweep{,_threads}_prepr` before the serial reference and
+    // the simulated sweep shared `psse_kernels::stencil::box_sweep`
+    // (the threads one from the same spec with `backend = threads`);
+    // `nbody_sweep_prepr` before the lane-blocked force kernel;
+    // `samplesort_sweep_prepr` before `psse_kernels::sort::sort_total`.
+    // The runner's in-run checks compare each kernel with itself or
+    // check a tolerance; these bytes (output digest, time, energy,
+    // counters) are what tie its arithmetic to the loops it replaced.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let events = std::fs::read_to_string(root.join("specs/stencil_sweep.spec")).unwrap();
+    let read = |spec: &str| std::fs::read_to_string(root.join("specs").join(spec)).unwrap();
+    let events = read("stencil_sweep.spec");
     assert!(events.contains("backend = events"));
     let threads = events.replace("backend = events", "backend = threads");
     for (text, stem) in [
         (events, "stencil_sweep_prepr"),
         (threads, "stencil_sweep_threads_prepr"),
+        (read("nbody_sweep.spec"), "nbody_sweep_prepr"),
+        (read("samplesort_sweep.spec"), "samplesort_sweep_prepr"),
     ] {
         let fixture = std::fs::read(root.join(format!("tests/fixtures/{stem}.journal"))).unwrap();
         let sweep = ExpandedSweep::new(SweepSpec::parse(&text).unwrap().expand());
