@@ -613,6 +613,16 @@ fn faults_sweep_refuses_retries_beyond_u32() {
 }
 
 #[test]
+fn faults_sweep_refuses_retries_whose_backoff_overflows() {
+    // Retry 1024 waits `backoff · 2^1024`: `NaN` at the default backoff
+    // of 0. At the parent every transfer retried until exhausted and the
+    // run failed after printing the table header, naming no flag.
+    let every_drop = ["--drop-rate", "1", "--corrupt-rate", "0"];
+    let args = [&SWEEP[..], &every_drop, &["--retries", "1024"]].concat();
+    assert_flag_refused(&args, "--retries");
+}
+
+#[test]
 fn faults_sweep_refuses_an_empty_problem() {
     assert_flag_refused(
         &["faults", "sweep", "--q", "2", "--c-list", "1", "--n", "0"],

@@ -45,11 +45,14 @@ fn valid(key: &str, kind: Kind, bits: u64, x: f64) -> String {
         Kind::Override(_) => format!("{:e}", (x + 1e-3) * 1e-9),
         // A spec's `c` is a list, read through `f64`.
         Kind::Rule(_) if key == C.key => (1 + bits % 1_000_000).to_string(),
-        // Integers also as exact floats (`7e3`).
+        // Integers also as exact floats (`7e3`); retry counts stop at 1023.
+        Kind::Rule(a) if a == RETRIES.rule.accepts => match bits % 4 {
+            0 => format!("{}e2", bits % 11),
+            _ => (bits % 1024).to_string(),
+        },
         Kind::Rule(a) if a.contains("integer") && bits.is_multiple_of(4) => {
             format!("{}e3", 1 + bits % 999)
         }
-        Kind::Rule(a) if a == RETRIES.rule.accepts => (bits % (1 << 32)).to_string(),
         Kind::Rule(a) if a == INTEGER.accepts => bits.to_string(),
         Kind::Rule(a) if a == POSITIVE_INTEGER.accepts => (1 + bits % 100_000).to_string(),
         Kind::Rule(a) if a == RATE.accepts => x.to_string(),
@@ -66,7 +69,7 @@ fn invalid(kind: Kind, bits: u64) -> String {
         Kind::Machine => pick(&["pdp11", "Jaketown"]),
         Kind::Override(_) => pick(&["abc", "-1", "nan"]),
         Kind::Rule(a) if a == INTEGER.accepts => pick(&["-1", "2.5", "abc", "1e300", "inf"]),
-        Kind::Rule(a) if a == RETRIES.rule.accepts => pick(&["4294967296", "1e12", "-1"]),
+        Kind::Rule(a) if a == RETRIES.rule.accepts => pick(&["1024", "4294967296", "1e12", "-1"]),
         Kind::Rule(a) if a == POSITIVE_INTEGER.accepts => pick(&["0", "-3", "2.5", "x"]),
         Kind::Rule(a) if a == RATE.accepts => pick(&["1.5", "-0.1", "nan", "r"]),
         Kind::Rule(a) if a == SECONDS.accepts => pick(&["-1", "inf", "nan", "s"]),

@@ -232,15 +232,27 @@ fn finish<P>(
             blocked,
         });
     }
-    // Overhead blocks and event logs exist per rank or not at all, by
-    // `cfg` — as on the thread backend.
-    let p = slots.len();
+    Ok(EventOutcome {
+        programs,
+        profile: collect(cfg, slots.into_iter().map(|slot| slot.meter))?,
+        stats,
+    })
+}
+
+/// The profile of a finished run's meters, in rank order. Overhead
+/// blocks and event logs exist per rank or not at all, by `cfg` — as on
+/// the thread backend.
+pub(crate) fn collect(
+    cfg: &SimConfig,
+    meters: impl ExactSizeIterator<Item = Meter>,
+) -> SimResult<Profile> {
+    let p = meters.len();
     let mut per_rank_stats = per_rank(p, std::iter::empty())?;
     let n_if = |present: bool| if present { p } else { 0 };
     let mut overheads = per_rank(n_if(cfg.tracks_overheads()), std::iter::empty())?;
     let mut all_events = per_rank(n_if(cfg.record_trace), std::iter::empty())?;
-    for slot in slots {
-        let (rank_stats, rank_overheads, events) = slot.meter.into_parts(cfg);
+    for meter in meters {
+        let (rank_stats, rank_overheads, events) = meter.into_parts(cfg);
         per_rank_stats.push(rank_stats);
         overheads.extend(rank_overheads);
         all_events.extend(events);
@@ -248,11 +260,7 @@ fn finish<P>(
     let profile = Profile::from_parts(per_rank_stats, overheads, all_events);
     #[cfg(debug_assertions)]
     profile.assert_balanced()?;
-    Ok(EventOutcome {
-        programs,
-        profile,
-        stats,
-    })
+    Ok(profile)
 }
 
 /// Has the run's watchdog flag (if any) been raised?
@@ -286,47 +294,53 @@ pub struct EventMachine;
 impl EventMachine {
     /// Run `p` rank programs on the event executor.
     ///
-    /// When every program claims the same analytic collective and
-    /// nothing observes individual events, the run is priced in closed
-    /// form (`crate::fastpath`) — byte-identical output, no scheduling.
-    /// Otherwise runnable ranks are taken from a FIFO worklist seeded
-    /// `0..p`; each rank runs greedily until it blocks in `Recv` or
-    /// finishes. Deterministic by construction and byte-identical to
-    /// the thread backend (see the module docs).
+    /// When every program claims the same analytic program and the
+    /// configuration lets the closed form price it, the run is priced
+    /// (`crate::fastpath`) — byte-identical output, no scheduling. A
+    /// traced run is never priced; a flat, fault-free one always is; a
+    /// run under a fault plan or a hierarchy is priced when it is the
+    /// binomial allreduce, whose pricer drives the scheduler's own
+    /// `Meter` per rank, in each rank's program order, with the departs
+    /// the scheduler would deliver — so every fault decision, checkpoint
+    /// and crash lands on the same bits. Otherwise runnable ranks are
+    /// taken from a FIFO worklist seeded `0..p`; each rank runs greedily
+    /// until it blocks in `Recv` or finishes. Deterministic by
+    /// construction and byte-identical to the thread backend (see the
+    /// module docs).
     ///
     /// The dispatch is decided without materialising the world, and
-    /// `make` runs exactly `p` times whichever way it goes. If the
-    /// configuration rules the closed form out (trace, faults,
-    /// hierarchy) or rank 0's program claims nothing, the programs are
-    /// built once, in rank order, and scheduled. If rank 0 claims a
-    /// collective, every further `make(r, p)` is asked for its claim
-    /// and dropped, and the collective is priced straight into the
-    /// profile; [`EventOutcome::programs`] is then empty. The one
-    /// exception: a rank `d > 0` whose claim differs from rank 0's
-    /// stops the stream, and the world is built afresh and scheduled —
-    /// `p + d + 1` calls, the outcome of [`EventMachine::run_general`].
+    /// `make` runs exactly `p` times whichever way it goes. If rank 0's
+    /// program claims nothing, or a claim the configuration rules out,
+    /// it is kept and the rest built, in rank order, and scheduled. If
+    /// its claim is priced, every further `make(r, p)` is asked for its
+    /// claim and dropped, and the program is priced straight into the
+    /// profile; [`EventOutcome::programs`] is then empty. The two
+    /// exceptions build the world afresh and schedule it, with the
+    /// outcome of [`EventMachine::run_general`]: a rank `d > 0` whose
+    /// claim differs from rank 0's stops the stream (`p + d + 1`
+    /// calls), and a metered rank that fails — retries exhausted, or a
+    /// crash with no checkpoint — ends the closed form (`2p` calls), so
+    /// the error reported is the scheduler's.
     pub fn run<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram,
         F: FnMut(usize, usize) -> P,
     {
         check_world(p, cfg)?;
+        let program = make(0, p);
         let mut rank0 = None;
-        if fastpath::eligible(cfg) {
-            let program = make(0, p);
-            match program.analytic() {
-                Some(op) => {
-                    drop(program);
-                    if let Some(profile) = fastpath::price(p, cfg, op, |r| make(r, p).analytic())? {
-                        return Ok(EventOutcome {
-                            programs: Vec::new(),
-                            profile,
-                            stats: ExecStats::default(),
-                        });
-                    }
+        match program.analytic().filter(|op| fastpath::eligible(cfg, op)) {
+            Some(op) => {
+                drop(program);
+                if let Some(profile) = fastpath::price(p, cfg, op, |r| make(r, p).analytic())? {
+                    return Ok(EventOutcome {
+                        programs: Vec::new(),
+                        profile,
+                        stats: ExecStats::default(),
+                    });
                 }
-                None => rank0 = Some(program),
             }
+            None => rank0 = Some(program),
         }
         run_worklist(cfg, build(p, rank0, make)?, per_rank(p, 0..p)?.into())
     }

@@ -17,37 +17,49 @@
 //! `fastpath_identity` differential tests against
 //! `EventMachine::run_general`, which forces the general path).
 //!
-//! The fast path refuses to engage unless nothing can observe
-//! individual events:
+//! When the fast path engages is decided from the configuration and
+//! rank 0's claim ([`eligible`]); every rank's program must then claim
+//! the *same* [`AnalyticOp`](crate::AnalyticOp) (data-mode programs
+//! claim none):
 //!
-//! * `record_trace` must be off (traces list every send/recv);
-//! * no fault plan (fault injection is keyed on per-link sequence
-//!   numbers of real transfers);
-//! * no hierarchy (intra/inter pricing needs per-edge node tests —
-//!   cheap to add, but the general path is the reference until a
-//!   workload needs it);
-//! * every rank's program must claim the *same*
-//!   [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none).
+//! * a traced run is always scheduled (a trace lists every event);
+//! * on a flat, fault-free machine every claim is priced, each rank's
+//!   lane its `RankStats` and the prices of a transfer one shared
+//!   [`Prices`];
+//! * under a fault plan or a hierarchy only the binomial allreduce is,
+//!   with one `psse_sim::Meter` per rank as its lane. A meter's output
+//!   is a pure function of its own call sequence plus, per receive, the
+//!   sender's [`Departure`] — fault decisions are keyed on the seed, the
+//!   link and the sender's own transfer count, and checkpoints and
+//!   crashes on the rank's own clock — and the binomial pricer makes
+//!   each rank's calls in that rank's program order, with the departs
+//!   the scheduler would deliver. So retries, delays, duplicates,
+//!   checkpoint epilogues, crash recovery and intra-node prices come out
+//!   bit for bit through the one pricing core, with no second copy of
+//!   the fault semantics. The pairwise and phased pricers keep
+//!   scheduling there: the first shares one counter lane across ranks,
+//!   the second folds a phase's receives into one `max`, which a
+//!   checkpoint or crash between two receives would observe.
 //!
-//! Eligibility is decided before any program exists ([`eligible`], then
-//! rank 0's claim), and the remaining claims are *streamed*: each
-//! `make(r, p)` is constructed, asked, and dropped, so an analytic run
-//! never holds `p` programs. The program is then priced straight
-//! into the `Vec<RankStats>` the profile will own — the clock of a rank
-//! in flight is its `finish_time` — so the run's whole footprint is the
-//! profile plus one `f64` of depart (or, phased, arrival) time per
-//! rank (two for the pairwise collectives).
+//! The remaining claims are *streamed*: each `make(r, p)` is
+//! constructed, asked, and dropped, so an analytic run never holds `p`
+//! programs. A flat program is then priced straight into the
+//! `Vec<RankStats>` the profile will own — the clock of a rank in flight
+//! is its `finish_time` — so the run's whole footprint is the profile
+//! plus one `f64` of depart (or, phased, arrival) time per rank (two
+//! for the pairwise collectives). A metered one adds a `Meter` per rank,
+//! collected into the profile as the scheduler collects its own.
 //!
 //! Once engaged it honours [`SimConfig::cancel`] like the scheduler
-//! does: checked up front and once per round or phase, so a watchdog
-//! can abandon a large ring or sample sort.
+//! does: checked up front and once per pass, round or phase, so a
+//! watchdog can abandon a large ring or sample sort.
 
-use crate::exec::{cancelled, per_rank};
+use crate::exec::{cancelled, collect, per_rank};
 use crate::program::AnalyticOp;
 use crate::programs::{PairwiseSchedule, Phases, RecursiveDoubling, Ring};
 use psse_sim::error::SimResult;
-use psse_sim::meter::{charge_chunks, chunk_charge};
-use psse_sim::{Profile, RankStats, SimConfig, SimError};
+use psse_sim::meter::{charge_chunks, chunk_charge, chunk_count};
+use psse_sim::{Departure, Meter, Profile, RankStats, SimConfig, SimError, Tag};
 
 /// The flat-machine prices of one transfer size: a collective's, or a
 /// phase's, whose every transfer carries the same `words`. A rank's
@@ -139,15 +151,119 @@ fn compute(lane: &mut RankStats, cfg: &SimConfig, flops: u64) {
     lane.finish_time += cfg.gamma_t * flops as f64;
 }
 
-/// Can a run under `cfg` be priced in closed form at all? Only when
-/// nothing observes individual events (see the module docs).
-pub(crate) fn eligible(cfg: &SimConfig) -> bool {
-    !cfg.record_trace && !cfg.tracks_overheads()
+/// One rank's pricing state in the binomial walk, priced at `Pr`: what
+/// every transfer of the walk shares. Each method is the `Meter` call
+/// the scheduler's slot makes for the same step.
+trait Lane<Pr> {
+    /// `Meter::send` to `dest`; returns the depart time.
+    fn send(&mut self, pr: &Pr, dest: usize) -> SimResult<f64>;
+    /// `Meter::begin_recv`, then `Meter::recv` of the transfer from
+    /// `src` that departed at `depart`.
+    fn recv(&mut self, pr: &Pr, src: usize, depart: f64) -> SimResult<()>;
+    /// `Meter::compute` of one flop per word.
+    fn merge(&mut self, pr: &Pr);
+    /// The rank's program is done: a crash its last operations left
+    /// pending fails it, as `Step::Done` does on the scheduler.
+    fn done(&mut self) -> SimResult<()>;
+}
+
+/// The flat lane: a flat, fault-free meter's whole state is its
+/// `RankStats`, and nothing it does can fail.
+impl Lane<Prices> for RankStats {
+    #[inline]
+    fn send(&mut self, pr: &Prices, _dest: usize) -> SimResult<f64> {
+        Ok(pr.send(self))
+    }
+
+    #[inline]
+    fn recv(&mut self, pr: &Prices, _src: usize, depart: f64) -> SimResult<()> {
+        pr.recv(self, depart);
+        Ok(())
+    }
+
+    #[inline]
+    fn merge(&mut self, pr: &Prices) {
+        pr.compute(self);
+    }
+
+    #[inline]
+    fn done(&mut self) -> SimResult<()> {
+        Ok(())
+    }
+}
+
+/// A metered walk's prices: the machine, and the transfer size.
+struct Metered<'a> {
+    cfg: &'a SimConfig,
+    words: usize,
+    /// Messages per transfer, as `Meter::send` reports them.
+    n_chunks: usize,
+}
+
+/// The tag every metered transfer carries. An untraced meter reads a
+/// tag only to record it, and a traced run is never priced.
+const UNRECORDED: Tag = Tag(0);
+
+/// The metered lane: the scheduler's own pricing core.
+impl Lane<Metered<'_>> for Meter {
+    #[inline]
+    fn send(&mut self, pr: &Metered<'_>, dest: usize) -> SimResult<f64> {
+        let departure = Meter::send(self, pr.cfg, dest, UNRECORDED, pr.words, None)?;
+        Ok(departure.depart_time)
+    }
+
+    #[inline]
+    fn recv(&mut self, pr: &Metered<'_>, src: usize, depart: f64) -> SimResult<()> {
+        let t0 = self.begin_recv(src)?;
+        let departure = Departure {
+            n_chunks: pr.n_chunks,
+            depart_time: depart,
+        };
+        Meter::recv(self, pr.cfg, t0, src, UNRECORDED, departure, pr.words);
+        Ok(())
+    }
+
+    #[inline]
+    fn merge(&mut self, pr: &Metered<'_>) {
+        self.compute(pr.cfg, pr.words as u64);
+    }
+
+    #[inline]
+    fn done(&mut self) -> SimResult<()> {
+        self.take_fault_error().map_or(Ok(()), Err)
+    }
+}
+
+/// Can `op`, rank 0's claim, be priced in closed form under `cfg`?
+/// Never when traced; always on a flat, fault-free machine; under a
+/// fault plan or a hierarchy only the binomial allreduce, whose pricer
+/// drives a `Meter` per rank (see the module docs).
+pub(crate) fn eligible(cfg: &SimConfig, op: &AnalyticOp) -> bool {
+    !cfg.record_trace
+        && (!cfg.tracks_overheads() || matches!(op, AnalyticOp::BinomialAllreduce { .. }))
 }
 
 /// `len` copies of `value`, reserved fallibly (see [`per_rank`]).
 fn filled<T: Clone>(len: usize, value: T) -> SimResult<Vec<T>> {
     per_rank(len, std::iter::repeat_n(value, len))
+}
+
+/// Do ranks `1..p` all claim `op`? Asks `claim(r)` once each, in
+/// order, up to the first rank that disagrees; then polls the cancel
+/// flag.
+fn agreed(
+    p: usize,
+    cfg: &SimConfig,
+    op: AnalyticOp,
+    claim: impl FnMut(usize) -> Option<AnalyticOp>,
+) -> SimResult<bool> {
+    if (1..p).map(claim).any(|claimed| claimed != Some(op)) {
+        return Ok(false);
+    }
+    if cancelled(cfg) {
+        return Err(SimError::Cancelled);
+    }
+    Ok(true)
 }
 
 /// Price `op`, which rank 0 of an [`eligible`] run claims, on `p`
@@ -160,16 +276,18 @@ pub(crate) fn price(
     op: AnalyticOp,
     claim: impl FnMut(usize) -> Option<AnalyticOp>,
 ) -> SimResult<Option<Profile>> {
+    if cfg.tracks_overheads() {
+        return metered(p, cfg, op, claim);
+    }
     // Reserve before streaming: an absurd `p` fails here, at once.
     let mut lanes = filled(p, RankStats::default())?;
-    if (1..p).map(claim).any(|claimed| claimed != Some(op)) {
+    if !agreed(p, cfg, op, claim)? {
         return Ok(None);
     }
-    if cancelled(cfg) {
-        return Err(SimError::Cancelled);
-    }
     match op {
-        AnalyticOp::BinomialAllreduce { words } => binomial(&mut lanes, &Prices::new(cfg, words))?,
+        AnalyticOp::BinomialAllreduce { words } => {
+            binomial(&mut lanes, cfg, &Prices::new(cfg, words))?
+        }
         AnalyticOp::RecursiveDoublingAllreduce { words } => {
             pairwise::<RecursiveDoubling>(&mut lanes, cfg, &Prices::new(cfg, words))?
         }
@@ -187,13 +305,50 @@ pub(crate) fn price(
     Ok(Some(profile))
 }
 
+/// Price the binomial allreduce `op` under a fault plan or a hierarchy,
+/// one `Meter` per rank, and collect the meters as the scheduler does.
+/// A meter that fails — retries exhausted, a crash with no checkpoint,
+/// surfaced mid-walk or pending at its rank's end — ends the attempt
+/// with `Ok(None)` too: the caller then builds and schedules the world,
+/// so the error, and which rank's error wins, are the scheduler's own.
+/// That costs `2p` calls of `make`, as a dissenting rank costs up to
+/// `2p`.
+fn metered(
+    p: usize,
+    cfg: &SimConfig,
+    op: AnalyticOp,
+    claim: impl FnMut(usize) -> Option<AnalyticOp>,
+) -> SimResult<Option<Profile>> {
+    let AnalyticOp::BinomialAllreduce { words } = op else {
+        unreachable!("only the binomial allreduce is eligible under a plan or a hierarchy");
+    };
+    // Reserve before streaming, as on a flat machine.
+    let mut meters = per_rank(p, std::iter::empty())?;
+    if !agreed(p, cfg, op, claim)? {
+        return Ok(None);
+    }
+    meters.extend((0..p).map(|r| Meter::new(r, p, cfg)));
+    let pr = Metered {
+        cfg,
+        words,
+        n_chunks: chunk_count(words, cfg.max_message_words),
+    };
+    match binomial(&mut meters, cfg, &pr) {
+        Ok(()) => collect(cfg, meters.into_iter()).map(Some),
+        Err(SimError::Cancelled) => Err(SimError::Cancelled),
+        Err(_) => Ok(None),
+    }
+}
+
 /// `BinomialAllreduce`: reduce pass in *descending* rank order — at
 /// level `k` a parent `v` (with `v mod 2^(k+1) = 0`) receives from
 /// child `v + 2^k > v`, and the child's single reduce send is its last
 /// reduce action, so processing high ranks first has every depart time
 /// ready. Broadcast pass in *ascending* order: rank `v > 0` receives
-/// from parent `v − lowbit(v) < v`, then fans to children `> v`.
-fn binomial(lanes: &mut [RankStats], pr: &Prices) -> SimResult<()> {
+/// from parent `v − lowbit(v) < v`, then fans to children `> v`. Each
+/// lane so makes its rank's calls in program order, with every depart
+/// its receives need already priced.
+fn binomial<Pr, L: Lane<Pr>>(lanes: &mut [L], cfg: &SimConfig, pr: &Pr) -> SimResult<()> {
     let p = lanes.len();
     // depart[c] = depart time of c's reduce send (each rank sends at
     // most once in the reduce tree).
@@ -202,16 +357,19 @@ fn binomial(lanes: &mut [RankStats], pr: &Prices) -> SimResult<()> {
         let mut mask = 1usize;
         while mask < p {
             if v & mask != 0 {
-                depart[v] = pr.send(&mut lanes[v]);
+                depart[v] = lanes[v].send(pr, v - mask)?;
                 break;
             }
             let child = v + mask;
             if child < p {
-                pr.recv(&mut lanes[v], depart[child]);
-                pr.compute(&mut lanes[v]);
+                lanes[v].recv(pr, child, depart[child])?;
+                lanes[v].merge(pr);
             }
             mask <<= 1;
         }
+    }
+    if cancelled(cfg) {
+        return Err(SimError::Cancelled);
     }
     // depart[c] now re-used for c's *incoming* broadcast edge.
     for v in 0..p {
@@ -219,17 +377,18 @@ fn binomial(lanes: &mut [RankStats], pr: &Prices) -> SimResult<()> {
             p.next_power_of_two() >> 1
         } else {
             let lowbit = v & v.wrapping_neg();
-            pr.recv(&mut lanes[v], depart[v]);
+            lanes[v].recv(pr, v - lowbit, depart[v])?;
             lowbit >> 1
         };
         let mut mask = fan_start;
         while mask > 0 {
             let child = v + mask;
             if child < p {
-                depart[child] = pr.send(&mut lanes[v]);
+                depart[child] = lanes[v].send(pr, child)?;
             }
             mask >>= 1;
         }
+        lanes[v].done()?;
     }
     Ok(())
 }
@@ -457,17 +616,30 @@ mod tests {
         pinned(512, SampleSort::counted(512), sort);
     }
 
-    /// Every event-observing feature must force the general path, and a
-    /// run scheduled from rank 0 on builds each program exactly once.
+    /// Tracing always schedules; a fault plan or a hierarchy prices the
+    /// binomial allreduce and schedules a phased program; data mode
+    /// schedules. Priced or scheduled from rank 0 on, each program is
+    /// built exactly once.
     #[test]
     fn guards_refuse_trace_faults_hierarchy_and_data() {
         for (what, cfg) in observing_cfgs() {
-            assert!(!eligible(&cfg), "{what}");
+            let metered = what != "trace";
+            let binomial = AnalyticOp::BinomialAllreduce { words: WORDS };
+            assert_eq!(eligible(&cfg, &binomial), metered, "{what}");
             let mut calls = 0;
             let make = counting(&mut calls, BinomialAllreduce::counted(Tag(0), WORDS));
             let out = EventMachine::run(8, &cfg, make).unwrap();
-            assert!(!priced(&out), "{what}");
+            assert_eq!(priced(&out), metered, "{what}");
             assert_eq!(calls, 8, "{what}");
+            let general =
+                EventMachine::run_general(8, &cfg, BinomialAllreduce::counted(Tag(0), WORDS));
+            assert_eq!(out.profile, general.unwrap().profile, "{what}");
+
+            let mut calls = 0;
+            let make = counting(&mut calls, Stencil1D::counted(8, 1, 2));
+            let out = EventMachine::run(8, &cfg, make).unwrap();
+            assert!(!priced(&out), "{what}: phased programs schedule");
+            assert_eq!(calls, 8, "{what}: rank 0's program is kept");
         }
         let mut calls = 0;
         let data_mode = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);

@@ -55,21 +55,23 @@
 //! parked on exactly that key skips the slab altogether). An
 //! **analytic fast path** prices every built-in counted program — the
 //! three allreduces, the stencil, the 2.5D skeleton, sample sort — in
-//! closed form when nothing can observe individual events (no trace, no
-//! faults, no hierarchy, no data payloads): each rank's program is
-//! constructed, asked for its claim and dropped, and the program is
-//! priced straight into the profile — no world is built, and
-//! [`EventOutcome::programs`] is empty — with byte-identical profiles,
-//! enforced by differential tests against
+//! closed form on an untraced, flat, fault-free machine, and the
+//! binomial allreduce under a fault plan or a hierarchy as well, with
+//! the scheduler's own [`psse_sim::Meter`] per rank as its lane: each
+//! rank's program is constructed, asked for its claim and dropped, and
+//! the program is priced straight into the profile — no world is built,
+//! and [`EventOutcome::programs`] is empty — with byte-identical
+//! profiles, enforced by differential tests against
 //! [`EventMachine::run_general`], which always schedules. Every
 //! `p`-sized allocation is a fallible reservation, so a world the host
 //! cannot hold is a [`psse_sim::SimError::InvalidConfig`], not an
 //! abort. Engine health counters ([`ExecStats`]) ride on every outcome,
 //! per run; `tests/bytes_per_rank.rs` holds the per-rank budget under a
 //! counting allocator. What the scheduler still runs at scale is what
-//! the closed form refuses: a faulted run (the ledger's scheduled
-//! exemplar, `event.faulted_ms`), a traced or hierarchical one, data
-//! payloads, and [`EventMachine::run_general`].
+//! the closed form refuses: a traced run, a faulted or hierarchical
+//! program other than the binomial allreduce, a faulted run whose meter
+//! fails (so the error is the scheduler's), data payloads, and
+//! [`EventMachine::run_general`].
 //!
 //! ## Example
 //!

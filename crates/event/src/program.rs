@@ -7,11 +7,12 @@ use crate::step::{Delivered, Step};
 /// A counted program whose per-rank step sequence is known in closed
 /// form.
 ///
-/// When every rank of a run reports the same `AnalyticOp` (and no
-/// feature that observes individual events — tracing, faults,
-/// hierarchy, data payloads — is active), the event executor prices the
-/// whole program analytically instead of scheduling its messages one by
-/// one. The fast path walks the same per-rank sequence of Eq. 1/2
+/// When every rank of a run reports the same `AnalyticOp` and the run is
+/// not traced, the event executor prices the whole program analytically
+/// instead of scheduling its messages one by one — any claim on a flat,
+/// fault-free machine, and the binomial allreduce under a fault plan or
+/// a hierarchy too, where its pricer drives one `psse_sim::Meter` per
+/// rank. The fast path walks the same per-rank sequence of Eq. 1/2
 /// pricing operations through the same primitives, so profiles stay
 /// byte-identical with the general path; see `crate::fastpath`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

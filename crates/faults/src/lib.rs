@@ -28,7 +28,9 @@
 pub mod plan;
 pub mod rng;
 
-pub use plan::{CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, LinkFaultKind, RecoveryPolicy};
+pub use plan::{
+    CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, LinkFaultKind, RecoveryPolicy, MAX_RETRIES,
+};
 pub use rng::SplitMix64;
 
 /// Convenience re-exports.

@@ -87,12 +87,19 @@ pub struct CheckpointPolicy {
     pub restart_seconds: f64,
 }
 
+/// The most retries a [`RecoveryPolicy`] may allow. The wait before
+/// retry `j` is `retry_backoff · 2^j`, and `2^j` is a finite `f64` only
+/// up to `j = 1023`: past it an attempt's backoff is `∞`, or `NaN` at a
+/// zero base.
+pub const MAX_RETRIES: u32 = 1023;
+
 /// How the machine reacts to link faults and crashes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries after a failed (dropped / corrupt-detected) transfer
-    /// attempt. 0 disables the ack protocol: drops become
-    /// `RetriesExhausted` and corruptions are delivered silently.
+    /// attempt, at most [`MAX_RETRIES`]. 0 disables the ack protocol:
+    /// drops become `RetriesExhausted` and corruptions are delivered
+    /// silently.
     pub max_retries: u32,
     /// Base backoff before retry `j` (the wait is `retry_backoff · 2^j`
     /// virtual seconds).
@@ -164,6 +171,22 @@ impl FaultPlan {
             return Err(format!(
                 "retry_backoff must be finite and >= 0, got {}",
                 rp.retry_backoff
+            ));
+        }
+        if rp.max_retries > MAX_RETRIES {
+            return Err(format!(
+                "max_retries must be at most {MAX_RETRIES}, got {}",
+                rp.max_retries
+            ));
+        }
+        // A full streak waits `retry_backoff · (2^(max_retries+1) − 1)`;
+        // multiplying the base first keeps a zero base at zero.
+        let streak = rp.retry_backoff * f64::powi(2.0, rp.max_retries as i32) * 2.0;
+        if !streak.is_finite() {
+            return Err(format!(
+                "retry_backoff · 2^(max_retries + 1) must be finite, got {} · 2^{}",
+                rp.retry_backoff,
+                rp.max_retries + 1
             ));
         }
         if let Some(cp) = &rp.checkpoint {
@@ -403,6 +426,32 @@ mod tests {
             restart_seconds: 0.0,
         });
         assert!(p.validate().is_err());
+    }
+
+    /// Retry `j` waits `retry_backoff · 2^j`: past 1023 retries the
+    /// doubling overflows, so such a plan, or one whose base is large
+    /// enough to overflow a shorter streak, is refused.
+    #[test]
+    fn validate_refuses_a_retry_streak_whose_backoff_overflows() {
+        let with = |max_retries, retry_backoff| FaultPlan {
+            recovery: RecoveryPolicy {
+                max_retries,
+                retry_backoff,
+                checkpoint: None,
+            },
+            ..plan(1.0, 0.0)
+        };
+        assert!(with(MAX_RETRIES, 0.0).validate().is_ok());
+        assert!(with(MAX_RETRIES, 1e-8).validate().is_ok());
+        let err = with(MAX_RETRIES + 1, 0.0).validate().unwrap_err();
+        assert!(err.contains("at most 1023"), "{err}");
+        assert!(with(u32::MAX, 1e-8).validate().is_err());
+        let err = with(64, 1e300).validate().unwrap_err();
+        assert!(err.contains("must be finite"), "{err}");
+        assert!(!err.contains("inf"), "{err}");
+        // The last base a full streak can double: 2^-1 · 2^1024 = 2^1023.
+        assert!(with(MAX_RETRIES, 0.5).validate().is_ok());
+        assert!(with(MAX_RETRIES, 1.0).validate().is_err());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use psse_core::machines::PRESETS;
 use psse_core::params::{MachineParams, OVERRIDES};
+use psse_faults::MAX_RETRIES;
 use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
 
 /// What a key's text must be, and the value it reads it into.
@@ -82,11 +83,12 @@ pub const POSITIVE: Rule<f64> = Rule {
     metavar: "X",
     read: |text| number(text).filter(|x| *x > 0.0 && x.is_finite()),
 };
-/// A `u32`, spelled as for [`INTEGER`].
-pub const U32: Rule<u32> = Rule {
-    accepts: "an integer in [0, 4294967295]",
+/// A retry count, spelled as for [`INTEGER`]: at most [`MAX_RETRIES`],
+/// past which a retry's exponential backoff is no longer a number.
+pub const RETRY_COUNT: Rule<u32> = Rule {
+    accepts: "an integer in [0, 1023]",
     metavar: "N",
-    read: |text| integer(text)?.try_into().ok(),
+    read: |text| integer(text)?.try_into().ok().filter(|&n| n <= MAX_RETRIES),
 };
 /// Any number: a machine price, which the machine validates.
 pub const NUMBER: Rule<f64> = Rule {
@@ -159,7 +161,7 @@ pub const DELAY_RATE: Param<f64> = Param::new("delay-rate", RATE, 0.0);
 /// The stall of a delayed transfer.
 pub const DELAY_SECONDS: Param<f64> = Param::new("delay-seconds", SECONDS, 0.0);
 /// Retries after a failed transfer attempt (0 turns the ack protocol off).
-pub const RETRIES: Param<u32> = Param::new("retries", U32, 16);
+pub const RETRIES: Param<u32> = Param::new("retries", RETRY_COUNT, 16);
 /// Base backoff before a retry.
 pub const BACKOFF: Param<f64> = Param::new("backoff", SECONDS, 0.0);
 /// Checkpoint interval; 0 turns checkpointing off.
@@ -340,8 +342,11 @@ mod tests {
         for refused in ["-3", "2.7", "1e16", "inf", "nan", "", "0x10"] {
             assert_eq!(integer(refused), None, "{refused}");
         }
-        assert_eq!(RETRIES.rule.parse("retries", "4294967295"), Ok(u32::MAX));
-        assert!(RETRIES.rule.parse("retries", "1e12").is_err());
+        assert_eq!(RETRIES.rule.parse("retries", "1023"), Ok(MAX_RETRIES));
+        assert!(RETRY_COUNT.accepts.ends_with(&format!("{MAX_RETRIES}]")));
+        for refused in ["1024", "4294967295", "1e12"] {
+            assert!(RETRIES.rule.parse("retries", refused).is_err(), "{refused}");
+        }
         assert!(POSITIVE_INTEGER.parse("halo", "0").is_err());
     }
 
