@@ -1,7 +1,7 @@
 //! The step streams of the bulk-synchronous programs, pinned.
 //!
-//! `Stencil1D`, `Matmul25D`, `SampleSort` and the pairwise-round
-//! allreduces are each run through the scheduler
+//! `Stencil1D`, `Matmul25D`, `SampleSort`, the binomial allreduce and
+//! the pairwise-round allreduces are each run through the scheduler
 //! ([`EventMachine::run_general`]) with tracing on, counted and — all
 //! but the 2.5D skeleton — with real data, on a clean machine and under
 //! a drop-and-duplicate fault plan, over the degenerate shapes
@@ -247,6 +247,34 @@ fn pairwise_allreduce_step_streams_are_pinned() {
     }
 }
 
+/// The binomial allreduce at `p` ∈ {1, 2, 3, 5, 8, 13}: one rank (six
+/// empty markers), a lone pair, trees with an unpaired last rank at
+/// several levels, a full tree, and a ragged one.
+#[test]
+fn binomial_allreduce_step_streams_are_pinned() {
+    for (faulted, counted_pin, data_pin) in [
+        (false, BINOMIAL_COUNTED, BINOMIAL_DATA),
+        (true, BINOMIAL_COUNTED_FAULTED, BINOMIAL_DATA_FAULTED),
+    ] {
+        let cfg = cfg(faulted);
+        let (mut counted, mut data, mut retries) = (Fnv::new(), Fnv::new(), 0);
+        let values: Vec<f64> = (0..7).map(|i| (i as f64 * 0.7).sin()).collect();
+        for p in [1usize, 2, 3, 5, 8, 13] {
+            let make = BinomialAllreduce::counted(Tag(5), 7);
+            retries += fold(&mut counted, p, &cfg, make, BinomialAllreduce::result);
+            let make = BinomialAllreduce::with_data(Tag(5), values.clone());
+            retries += fold(&mut data, p, &cfg, make, BinomialAllreduce::result);
+        }
+        assert_eq!(retries > 0, faulted, "the fault plan bites iff present");
+        pinned(
+            &format!("binomial counted, faulted={faulted}"),
+            counted,
+            counted_pin,
+        );
+        pinned(&format!("binomial data, faulted={faulted}"), data, data_pin);
+    }
+}
+
 // The digests, captured from the hand-written state machines these
 // programs were before they became phase descriptions.
 const STENCIL_COUNTED: u64 = 0x323f_db97_f03e_200e;
@@ -263,3 +291,7 @@ const PAIRWISE_COUNTED: u64 = 0x8176_62cf_ee70_e8a6;
 const PAIRWISE_DATA: u64 = 0x62b6_64fa_49e3_a3fd;
 const PAIRWISE_COUNTED_FAULTED: u64 = 0x65f2_af66_bbda_5c9d;
 const PAIRWISE_DATA_FAULTED: u64 = 0x695f_a3e1_674c_a9be;
+const BINOMIAL_COUNTED: u64 = 0x8079_8034_27a7_2925;
+const BINOMIAL_DATA: u64 = 0x99f2_59ba_6b02_e357;
+const BINOMIAL_COUNTED_FAULTED: u64 = 0xc046_a2ff_c4d0_2bd5;
+const BINOMIAL_DATA_FAULTED: u64 = 0x3b49_d79a_dbd6_2085;
