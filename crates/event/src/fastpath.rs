@@ -7,15 +7,22 @@
 //! instead of scheduling its wires one by one, this module walks each
 //! rank's pricing sequence directly over arrays — sends as the chunks
 //! `psse_sim::meter::charge_chunks` cuts, each at its `chunk_charge`,
-//! and the same `max(clock, depart)` joins. The allreduces have pricers
-//! of their own ([`binomial`], [`pairwise`]); the stencil, the 2.5D
-//! skeleton and sample sort share one, [`phased`], which reads the
-//! program's [`Phases`] description — the same one the scheduler steps
-//! (`crate::programs::Phased`), carried in the claim itself — so there
-//! is no second copy of those programs to drift. The result is
-//! byte-identical to the general executor (enforced by the
+//! and the same `max(clock, depart)` joins. The stencil, the 2.5D
+//! skeleton and sample sort share one pricer, [`phased`], which reads
+//! the program's [`Phases`] description — the same one the scheduler
+//! steps (`crate::programs::Phased`), carried in the claim itself — so
+//! there is no second copy of those programs to drift. Every program is
+//! such a description, the allreduces too, but they keep pricers of
+//! their own that walk the same trees and rounds rank-major
+//! ([`binomial`], [`pairwise`]): [`phased`] sweeps every rank once per
+//! phase, which for the binomial's `2⌈log₂p⌉` levels re-reads the
+//! 64-byte lanes once per level where the rank-major walk reads them
+//! twice in all (at `p = 2^20`, about 8× slower end to end, and still
+//! about 3× with both sweeps stepping by the level's stride). The
+//! result is byte-identical to the general executor (enforced by the
 //! `fastpath_identity` differential tests against
-//! `EventMachine::run_general`, which forces the general path).
+//! `EventMachine::run_general`, which forces the general path, and by
+//! the step pins of `program_steps`).
 //!
 //! When the fast path engages is decided from the configuration and
 //! rank 0's claim ([`eligible`]); every rank's program must then claim

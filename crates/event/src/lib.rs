@@ -30,13 +30,12 @@
 //! `p = 10^5`–`10^6` in one process, with counted (allocation-free)
 //! payloads.
 //!
-//! Each program is defined once. The binomial allreduce is a
-//! hand-written state machine that mirrors the native collective; every
-//! other built-in is a bulk-synchronous [`programs::Phases`]
-//! description — per phase, each rank's sends, receives and computes —
-//! read by two interpreters: one stepper ([`programs::Phased`]) that
-//! both executors run, and the closed-form pricer of the fast path
-//! below.
+//! Each program is defined once, as a bulk-synchronous
+//! [`programs::Phases`] description — per phase, each rank's sends,
+//! receives and computes, with nested collective sections where the
+//! native collective has them (the binomial allreduce's `reduce_sum`
+//! and `broadcast`) — stepped by one [`programs::Phased`] that both
+//! executors run, and priced in closed form by the fast path below.
 //!
 //! Deadlocks are *proven*, not timed out: sends are eager, so when no
 //! rank is runnable and some are live, every live rank is blocked on a

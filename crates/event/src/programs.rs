@@ -1,31 +1,32 @@
 //! Built-in rank programs: the paper's real algorithms in resumable
 //! form, with closed-form Eq. 1 count helpers for exact verification.
 //!
-//! [`BinomialAllreduce`] replays `psse-sim`'s
-//! `Rank::allreduce_sum` (binomial reduce to rank 0, binomial
-//! broadcast back, including the nested collective trace markers)
-//! step-for-step, so on the thread backend it is bit-identical to the
-//! native collective — that test is the anchor of the whole backend's
-//! fidelity. It is the one hand-written state machine here.
-//!
-//! Every other program is bulk-synchronous and written once, as a
-//! [`Phases`] description: per phase, each rank's sends and receives
-//! (peer and tag) and its computes. One stepper, [`Phased`], turns a
+//! Every program is written once, as a [`Phases`] description: per
+//! phase, each rank's sends and receives (peer and tag) and its
+//! computes, optionally grouped into named sections that nest inside
+//! the program's own collective. One stepper, [`Phased`], turns a
 //! description into a [`RankProgram`] for the scheduler and the thread
-//! backend; `crate::fastpath` prices a counted run in closed form —
+//! backend — it is the only `RankProgram` here. With data, a [`Hook`]
+//! supplies each payload, absorbs each delivery and does each compute's
+//! real work. `crate::fastpath` prices a counted run in closed form:
 //! the stencil, the 2.5D skeleton and the sort from the same
-//! description the stepper reads. With data, a [`Hook`] supplies each
-//! payload, absorbs each delivery and does each compute's real work.
-//! The programs: [`RecursiveDoublingAllreduce`] and [`RingAllreduce`],
-//! the classic alternatives with different S/W trade-offs;
-//! [`Matmul25D`], the communication skeleton of the paper's 2.5D
-//! matrix multiply (replication, Cannon-style shifts, layer reduction)
-//! in counted form for `p = 10^5`–`10^6` runs; [`SampleSort`], the
-//! regular-sampling distributed sort (the Scquizzato–Silvestri bound
-//! family: `W = Θ(n/p)` attained, but `S = Θ(p)` — the
-//! scaling-breaker); and [`Stencil1D`], the iterated periodic
-//! halo-exchange stencil (surface `W = Θ(h·n)` per slab, `S = 2` per
-//! sweep).
+//! description the stepper reads, the allreduces by rank-major walks of
+//! the same trees and rounds.
+//!
+//! The programs: [`BinomialAllreduce`] replays `psse-sim`'s
+//! `Rank::allreduce_sum` (binomial reduce to rank 0, binomial broadcast
+//! back, each nested in its own collective markers) step for step, so
+//! on the thread backend it is bit-identical to the native collective —
+//! that test is the anchor of the whole backend's fidelity;
+//! [`RecursiveDoublingAllreduce`] and [`RingAllreduce`], the classic
+//! alternatives with different S/W trade-offs; [`Matmul25D`], the
+//! communication skeleton of the paper's 2.5D matrix multiply
+//! (replication, Cannon-style shifts, layer reduction) in counted form
+//! for `p = 10^5`–`10^6` runs; [`SampleSort`], the regular-sampling
+//! distributed sort (the Scquizzato–Silvestri bound family: `W =
+//! Θ(n/p)` attained, but `S = Θ(p)` — the scaling-breaker); and
+//! [`Stencil1D`], the iterated periodic halo-exchange stencil (surface
+//! `W = Θ(h·n)` per slab, `S = 2` per sweep).
 //!
 //! Every program supports *counted* payloads (words priced, no buffers
 //! allocated — mandatory at mega-scale) and the allreduces, the sort
@@ -62,61 +63,23 @@ fn chunks(words: u64, m: u64) -> u64 {
     }
 }
 
-/// The payload a program sends: real data when it has any, counted
-/// words otherwise.
-#[derive(Debug, Clone)]
-enum Buf {
-    Counted(usize),
-    Data(SharedPayload),
+/// Add a delivered contribution into `acc` elementwise. The arithmetic
+/// itself is free: the matching `Compute` step prices the adds, exactly
+/// like `reduce_sum_impl`.
+fn merge(acc: &mut SharedPayload, d: &Delivered) {
+    assert_eq!(
+        d.words,
+        acc.len(),
+        "reduce contributions disagree in length"
+    );
+    for (a, b) in Arc::make_mut(acc).iter_mut().zip(d.values()) {
+        *a += b;
+    }
 }
 
-impl Buf {
-    fn words(&self) -> usize {
-        match self {
-            Buf::Counted(w) => *w,
-            Buf::Data(d) => d.len(),
-        }
-    }
-
-    /// The real values, if this buffer carries any.
-    fn data(&self) -> Option<&[f64]> {
-        match self {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
-        }
-    }
-
-    /// Adopt a delivered payload as-is (zero-copy: the same `Arc`).
-    fn from_delivered(d: &Delivered) -> Buf {
-        match &d.data {
-            Some(data) => Buf::Data(Arc::clone(data)),
-            None => Buf::Counted(d.words),
-        }
-    }
-
-    fn payload(&self) -> Payload {
-        match self {
-            Buf::Counted(w) => Payload::Counted(*w),
-            Buf::Data(d) => Payload::Data(Arc::clone(d)),
-        }
-    }
-
-    /// Merge a delivered contribution elementwise (data mode only; the
-    /// arithmetic itself is free — the matching `Compute` step prices
-    /// the adds, exactly like `reduce_sum_impl`).
-    fn merge(&mut self, d: &Delivered) {
-        assert_eq!(
-            d.words,
-            self.words(),
-            "reduce contributions disagree in length"
-        );
-        if let Buf::Data(acc) = self {
-            let acc = Arc::make_mut(acc);
-            for (a, b) in acc.iter_mut().zip(d.values()) {
-                *a += b;
-            }
-        }
-    }
+/// A delivered payload, as-is (zero-copy: the same `Arc`).
+fn adopt(d: Delivered) -> SharedPayload {
+    d.data.expect("a data-mode program is delivered data")
 }
 
 // ---------------------------------------------------------------------
@@ -135,11 +98,26 @@ impl Buf {
 pub trait Phases: Copy {
     /// Collective name of the trace markers around the whole program.
     const OP: &'static str;
+    /// Collectives nested inside [`Phases::OP`], in order: section `s`
+    /// runs from phase [`Phases::section_start`]`(s)` up to the next
+    /// section's start, the last one to the end. Each is bracketed by
+    /// its own markers, an empty one too.
+    const SECTIONS: &'static [&'static str] = &[];
     /// What a rank holds in data mode; [`Infallible`] for a program
     /// that only runs counted.
     type Data: Hook<Self>;
     /// Number of phases.
     fn count(&self) -> usize;
+    /// The first phase of section `s`: never below the one before it,
+    /// never past [`Phases::count`].
+    fn section_start(&self, _s: usize) -> usize {
+        0
+    }
+    /// Only ranks that are multiples of `stride(phase)` have items in
+    /// `phase`; the stepper skips it for the others without asking.
+    fn stride(&self, _phase: usize) -> usize {
+        1
+    }
     /// Words of every counted transfer of `phase`.
     fn words(&self, phase: usize) -> usize;
     /// Rank `r`'s `i`-th send of `phase`, as `(dest, tag)`.
@@ -178,6 +156,9 @@ impl<D> Hook<D> for Infallible {
 
 enum Stage {
     Begin,
+    /// At the start of `phase` (at `count()`, the end): the section
+    /// markers due there, then the stride test.
+    Open,
     Send,
     Recv,
     Compute,
@@ -186,10 +167,12 @@ enum Stage {
 
 /// One rank of a [`Phases`] program, as a resumable program: a
 /// `CollBegin` marker, then phase by phase the rank's sends, receives
-/// and computes, then `CollEnd`. Counted, a send carries `words(phase)`
-/// and a compute charges the described flops; with data, the rank's
-/// [`Hook`] supplies each payload, absorbs each delivery and does each
-/// compute's work.
+/// and computes, each section bracketed by markers of its own, then
+/// `CollEnd`. A phase whose stride the rank is not a multiple of is
+/// skipped whole. Counted, a send carries `words(phase)` and a compute
+/// charges the described flops; with data, the rank's [`Hook`]
+/// supplies each payload, absorbs each delivery and does each compute's
+/// work.
 pub struct Phased<D: Phases> {
     d: D,
     me: usize,
@@ -197,6 +180,8 @@ pub struct Phased<D: Phases> {
     /// of the stage's next item.
     phase: usize,
     stage: Stage,
+    /// Section markers made (see [`Phased::marker_due`]).
+    marks: u32,
     i: usize,
     /// `None` when counted.
     data: Option<D::Data>,
@@ -209,8 +194,31 @@ impl<D: Phases> Phased<D> {
             me,
             phase: 0,
             stage: Stage::Begin,
+            marks: 0,
             i: 0,
             data,
+        }
+    }
+
+    /// The phase the next section marker is due at the start of: marker
+    /// `m` — `2s` begins section `s`, `2s + 1` ends it — at the start of
+    /// section `⌈m/2⌉`, the end counting as the start of one past the
+    /// last.
+    fn marker_due(&self) -> Option<usize> {
+        let (m, n) = (self.marks as usize, D::SECTIONS.len());
+        (m < 2 * n).then(|| match m.div_ceil(2) {
+            s if s < n => self.d.section_start(s),
+            _ => self.d.count(),
+        })
+    }
+
+    /// The next section marker, made.
+    fn marker(&mut self) -> Step {
+        let (m, op) = (self.marks, D::SECTIONS[self.marks as usize / 2]);
+        self.marks += 1;
+        match m % 2 {
+            0 => Step::CollBegin { op },
+            _ => Step::CollEnd { op },
         }
     }
 }
@@ -236,12 +244,28 @@ impl<D: Phases> RankProgram for Phased<D> {
             let (phase, i) = (self.phase, self.i);
             let step = match self.stage {
                 Stage::Begin => {
-                    self.stage = Stage::Send;
+                    self.stage = Stage::Open;
                     return Step::CollBegin { op: D::OP };
                 }
-                Stage::Send if phase == d.count() => {
-                    self.stage = Stage::Done;
-                    return Step::CollEnd { op: D::OP };
+                Stage::Open => {
+                    let stop = match self.marker_due() {
+                        Some(at) if at == phase => return self.marker(),
+                        Some(at) => at,
+                        None if phase == d.count() => {
+                            self.stage = Stage::Done;
+                            return Step::CollEnd { op: D::OP };
+                        }
+                        None => d.count(),
+                    };
+                    // Sit out, up to the next marker, the phases whose
+                    // stride this rank is not a multiple of.
+                    while self.phase < stop && me % d.stride(self.phase) != 0 {
+                        self.phase += 1;
+                    }
+                    if self.phase < stop {
+                        self.stage = Stage::Send;
+                    }
+                    continue;
                 }
                 Stage::Send => d.send(phase, me, i).map(|(dest, tag)| Step::Send {
                     dest,
@@ -272,7 +296,7 @@ impl<D: Phases> RankProgram for Phased<D> {
                 Stage::Recv => Stage::Compute,
                 _ => {
                     self.phase += 1;
-                    Stage::Send
+                    Stage::Open
                 }
             };
         }
@@ -283,65 +307,52 @@ impl<D: Phases> RankProgram for Phased<D> {
 // Binomial allreduce (the native collective, resumable)
 // ---------------------------------------------------------------------
 
-enum ArState {
-    Begin,
-    BeginReduce,
-    Reduce,
-    ReduceMerge,
-    EndReduce,
-    BeginBcast,
-    BcastRoot,
-    BcastFan,
-    EndBcast,
-    End,
-    Done,
-}
-
 /// `Rank::allreduce_sum` as a resumable program: binomial-tree reduce
-/// to rank 0 (`⌈log₂p⌉` rounds, one `n`-flop merge per child), then
+/// to rank 0 (`⌈log₂p⌉` levels, one `n`-flop merge per child), then
 /// binomial-tree broadcast back at tag offset 64 — the exact step and
 /// trace-marker sequence of the thread backend's native collective.
-pub struct BinomialAllreduce {
+pub type BinomialAllreduce = Phased<BinomialPhases>;
+
+/// [`BinomialAllreduce`] as phases: one per reduce level, masks
+/// ascending, then one per broadcast level, masks descending, in the
+/// sections `reduce_sum` and `broadcast`. At the level of mask `2^k` a
+/// rank whose lowest set bit is the mask is a child of `r − mask`; a
+/// rank whose low `k + 1` bits are clear is the parent of `r + mask`,
+/// if that rank exists. A reduce level moves child to parent at tag
+/// offset `k` and the parent merges; a broadcast level moves parent to
+/// child at `64 + k`. Every rank with a part in a level is a multiple
+/// of its mask — the level's stride.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BinomialPhases {
     tag: Tag,
-    acc: Buf,
-    st: ArState,
     p: usize,
-    me: usize,
-    mask: usize,
-    round: u64,
-    fan_mask: usize,
+    words: usize,
 }
 
 impl BinomialAllreduce {
     /// Counted mode: price an allreduce of `words` words per rank
     /// without allocating payloads (the mega-scale form).
     pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Counted(words), me, p)
+        move |me, p| Phased::new(BinomialPhases { tag, p, words }, me, None)
     }
 
     /// Data mode: really sum `data` across all ranks (every rank ends
     /// with the elementwise global sum, retrievable via
     /// [`BinomialAllreduce::result`]).
     pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Data(Arc::new(data.clone())), me, p)
-    }
-
-    fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
-        BinomialAllreduce {
-            tag,
-            acc,
-            st: ArState::Begin,
-            p,
-            me,
-            mask: 1,
-            round: 0,
-            fan_mask: 0,
+        move |me, p| {
+            let d = BinomialPhases {
+                tag,
+                p,
+                words: data.len(),
+            };
+            Phased::new(d, me, Some(Arc::new(data.clone())))
         }
     }
 
     /// The reduced values (data mode, after the run completes).
     pub fn result(&self) -> Option<&[f64]> {
-        self.acc.data()
+        self.data.as_deref().map(Vec::as_slice)
     }
 
     /// Closed-form Eq. 1 totals: the reduce and broadcast trees each
@@ -357,120 +368,89 @@ impl BinomialAllreduce {
     }
 }
 
-impl RankProgram for BinomialAllreduce {
-    /// Counted runs are analytically priceable; data mode must step so
-    /// payloads actually merge.
-    fn analytic(&self) -> Option<AnalyticOp> {
-        match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::BinomialAllreduce { words }),
-            Buf::Data(_) => None,
+impl BinomialPhases {
+    /// Levels of each tree, `⌈log₂p⌉` (derived, not stored, so the
+    /// program stays small).
+    #[inline]
+    fn levels(&self) -> usize {
+        ceil_log2(self.p) as usize
+    }
+
+    /// `phase` as its level's mask, and whether it broadcasts.
+    #[inline]
+    fn level(&self, phase: usize) -> (usize, bool) {
+        let levels = self.levels();
+        match phase < levels {
+            true => (1 << phase, false),
+            false => (1 << (2 * levels - 1 - phase), true),
         }
     }
 
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        let (g, v) = (self.p, self.me); // world group, root 0: v == me
-        loop {
-            match self.st {
-                ArState::Begin => {
-                    self.st = ArState::BeginReduce;
-                    return Step::CollBegin {
-                        op: "allreduce_sum",
-                    };
-                }
-                ArState::BeginReduce => {
-                    self.st = ArState::Reduce;
-                    return Step::CollBegin { op: "reduce_sum" };
-                }
-                ArState::Reduce => {
-                    if self.mask >= g {
-                        self.st = ArState::EndReduce;
-                        continue;
-                    }
-                    if v & self.mask != 0 {
-                        // Child: one send to the parent ends my reduce.
-                        let parent = v - self.mask;
-                        let tag = self.tag.offset(self.round);
-                        self.st = ArState::EndReduce;
-                        return Step::Send {
-                            dest: parent,
-                            tag,
-                            payload: self.acc.payload(),
-                        };
-                    }
-                    let child = v + self.mask;
-                    if child < g {
-                        let tag = self.tag.offset(self.round);
-                        self.st = ArState::ReduceMerge;
-                        return Step::Recv { src: child, tag };
-                    }
-                    self.mask <<= 1;
-                    self.round += 1;
-                }
-                ArState::ReduceMerge => {
-                    let d = delivered.as_ref().expect("recv step delivers");
-                    let flops = self.acc.words() as u64;
-                    self.acc.merge(d);
-                    self.mask <<= 1;
-                    self.round += 1;
-                    self.st = ArState::Reduce;
-                    return Step::Compute { flops };
-                }
-                ArState::EndReduce => {
-                    self.st = ArState::BeginBcast;
-                    return Step::CollEnd { op: "reduce_sum" };
-                }
-                ArState::BeginBcast => {
-                    self.st = ArState::BcastRoot;
-                    return Step::CollBegin { op: "broadcast" };
-                }
-                ArState::BcastRoot => {
-                    if v == 0 {
-                        self.fan_mask = g.next_power_of_two() >> 1;
-                        self.st = ArState::BcastFan;
-                        continue;
-                    }
-                    let lowbit = v & v.wrapping_neg();
-                    let round = lowbit.trailing_zeros() as u64;
-                    self.st = ArState::BcastFan; // fan starts after recv
-                    self.fan_mask = lowbit >> 1;
-                    return Step::Recv {
-                        src: v - lowbit,
-                        tag: self.tag.offset(64 + round),
-                    };
-                }
-                ArState::BcastFan => {
-                    if let Some(d) = delivered.as_ref() {
-                        // The broadcast payload replaces my buffer
-                        // (zero-copy: the same Arc fans out below).
-                        self.acc = Buf::from_delivered(d);
-                    }
-                    while self.fan_mask > 0 {
-                        let mask = self.fan_mask;
-                        self.fan_mask >>= 1;
-                        let child = v + mask;
-                        if child < g {
-                            let round = mask.trailing_zeros() as u64;
-                            return Step::Send {
-                                dest: child,
-                                tag: self.tag.offset(64 + round),
-                                payload: self.acc.payload(),
-                            };
-                        }
-                    }
-                    self.st = ArState::EndBcast;
-                }
-                ArState::EndBcast => {
-                    self.st = ArState::End;
-                    return Step::CollEnd { op: "broadcast" };
-                }
-                ArState::End => {
-                    self.st = ArState::Done;
-                    return Step::CollEnd {
-                        op: "allreduce_sum",
-                    };
-                }
-                ArState::Done => return Step::Done,
-            }
+    /// Rank `r`'s transfer `i` of `phase`, sent or received: toward the
+    /// root when a reduce sends or a broadcast receives.
+    #[inline]
+    fn edge(&self, phase: usize, r: usize, i: usize, send: bool) -> Option<(usize, Tag)> {
+        let (mask, broadcast) = self.level(phase);
+        let k = mask.trailing_zeros() as u64;
+        let tag = self.tag.offset(if broadcast { 64 + k } else { k });
+        let low = r & (2 * mask - 1);
+        match send != broadcast {
+            _ if i > 0 => None,
+            true => (low == mask).then(|| (r - mask, tag)),
+            false => (low == 0 && r + mask < self.p).then(|| (r + mask, tag)),
+        }
+    }
+}
+
+impl Phases for BinomialPhases {
+    const OP: &'static str = "allreduce_sum";
+    const SECTIONS: &'static [&'static str] = &["reduce_sum", "broadcast"];
+    type Data = SharedPayload;
+    #[inline]
+    fn count(&self) -> usize {
+        2 * self.levels()
+    }
+    #[inline]
+    fn section_start(&self, s: usize) -> usize {
+        s * self.levels()
+    }
+    #[inline]
+    fn stride(&self, phase: usize) -> usize {
+        self.level(phase).0
+    }
+    fn words(&self, _: usize) -> usize {
+        self.words
+    }
+    #[inline]
+    fn send(&self, phase: usize, r: usize, i: usize) -> Option<(usize, Tag)> {
+        self.edge(phase, r, i, true)
+    }
+    #[inline]
+    fn recv(&self, phase: usize, r: usize, i: usize) -> Option<(usize, Tag)> {
+        self.edge(phase, r, i, false)
+    }
+    #[inline]
+    fn compute(&self, phase: usize, r: usize, i: usize) -> Option<u64> {
+        let merges = phase < self.levels() && self.recv(phase, r, i).is_some();
+        merges.then_some(self.words as u64)
+    }
+    fn claim(self) -> AnalyticOp {
+        AnalyticOp::BinomialAllreduce { words: self.words }
+    }
+}
+
+/// A data-mode binomial rank's running sum: a reduce level merges the
+/// child's, a broadcast level adopts the total (zero-copy: the same
+/// `Arc` fans out).
+impl Hook<BinomialPhases> for SharedPayload {
+    fn payload(&mut self, _: &BinomialPhases, _: usize, _: usize, _: usize) -> Payload {
+        Payload::Data(Arc::clone(self))
+    }
+
+    fn absorb(&mut self, d: &BinomialPhases, phase: usize, _: usize, _: usize, got: Delivered) {
+        match d.level(phase) {
+            (_, false) => merge(self, &got),
+            (_, true) => *self = adopt(got),
         }
     }
 }
@@ -594,8 +574,8 @@ pub struct PairwisePhases<S> {
 /// A data-mode allreduce rank's running sum, and the block it forwards
 /// when that is not the sum (ring: the block last received).
 pub struct RunningSum {
-    acc: Buf,
-    fwd: Option<Buf>,
+    acc: SharedPayload,
+    fwd: Option<SharedPayload>,
 }
 
 impl<S: PairwiseSchedule> PairwiseAllreduce<S> {
@@ -607,7 +587,7 @@ impl<S: PairwiseSchedule> PairwiseAllreduce<S> {
     /// Data mode: every rank ends with the elementwise global sum.
     pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
         move |me, p| {
-            let acc = Buf::Data(Arc::new(data.clone()));
+            let acc = Arc::new(data.clone());
             let d = PairwisePhases::new(tag, p, data.len());
             Phased::new(d, me, Some(RunningSum { acc, fwd: None }))
         }
@@ -615,7 +595,7 @@ impl<S: PairwiseSchedule> PairwiseAllreduce<S> {
 
     /// The reduced values (data mode, after the run completes).
     pub fn result(&self) -> Option<&[f64]> {
-        self.data.as_ref().and_then(|sum| sum.acc.data())
+        self.data.as_ref().map(|sum| &sum.acc[..])
     }
 }
 
@@ -684,13 +664,13 @@ impl<S: PairwiseSchedule> Phases for PairwisePhases<S> {
 
 impl<S: PairwiseSchedule> Hook<PairwisePhases<S>> for RunningSum {
     fn payload(&mut self, _: &PairwisePhases<S>, _: usize, _: usize, _: usize) -> Payload {
-        self.fwd.as_ref().unwrap_or(&self.acc).payload()
+        Payload::Data(Arc::clone(self.fwd.as_ref().unwrap_or(&self.acc)))
     }
 
     fn absorb(&mut self, _: &PairwisePhases<S>, _: usize, _: usize, _: usize, d: Delivered) {
-        self.acc.merge(&d);
+        merge(&mut self.acc, &d);
         if S::FORWARDS_RECEIVED {
-            self.fwd = Some(Buf::from_delivered(&d));
+            self.fwd = Some(adopt(d));
         }
     }
 }
@@ -859,6 +839,7 @@ const SS_SAMPLE: u64 = 1 << 20;
 const SS_EXCHANGE: u64 = 1 << 21;
 
 /// `⌈log₂ x⌉` for comparison accounting (0 for `x ≤ 1`).
+#[inline]
 fn ceil_log2(x: usize) -> u64 {
     if x < 2 {
         0
@@ -1215,5 +1196,111 @@ impl Hook<StencilPhases> for StencilSlab {
         let ext = extend_periodic(&[top, b, bottom].concat(), rows + 2 * h, n, 0, h);
         box_sweep(&ext, n + 2 * h, rows, n, h, &mut self.block);
         flops
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What [`Phases`] promises its interpreters, over `p` ranks: a rank
+    /// that is not a multiple of a phase's stride has no item in it, and
+    /// the sections start in order, within the phases.
+    fn holds<D: Phases>(what: &str, d: D, p: usize) {
+        let starts: Vec<usize> = (0..D::SECTIONS.len()).map(|s| d.section_start(s)).collect();
+        assert!(
+            starts.windows(2).all(|w| w[0] <= w[1]),
+            "{what}: section starts {starts:?} decrease"
+        );
+        assert!(
+            starts.iter().all(|&s| s <= d.count()),
+            "{what}: a section of {starts:?} starts past phase {}",
+            d.count()
+        );
+        for phase in 0..d.count() {
+            let stride = d.stride(phase);
+            assert!(stride >= 1, "{what}: phase {phase} has stride 0");
+            for r in (0..p).filter(|r| r % stride != 0) {
+                // `None` at index 0 is an empty list.
+                let first = (d.send(phase, r, 0), d.recv(phase, r, 0));
+                assert_eq!(
+                    (first, d.compute(phase, r, 0)),
+                    ((None, None), None),
+                    "{what}: rank {r} has items in phase {phase}, stride {stride}"
+                );
+            }
+        }
+    }
+
+    /// Every built-in description over the degenerate shapes the step
+    /// pins run.
+    #[test]
+    fn descriptions_keep_their_promises() {
+        for p in [1usize, 2, 3, 5, 8, 13] {
+            let d = BinomialPhases {
+                tag: Tag(5),
+                p,
+                words: 7,
+            };
+            holds(&format!("binomial p={p}"), d, p);
+        }
+        for p in [1usize, 2, 5] {
+            holds(
+                &format!("ring p={p}"),
+                PairwisePhases::<Ring>::new(Tag(7), p, 7),
+                p,
+            );
+            for (rows, h) in [(1, 1), (3, 1), (3, 3)] {
+                let d = StencilPhases::new(p, p * rows, h, 2);
+                holds(&format!("stencil p={p} rows={rows} h={h}"), d, p);
+            }
+            for bs in [p, 3 * p] {
+                holds(
+                    &format!("sort p={p} bs={bs}"),
+                    SampleSortPhases { p, bs },
+                    p,
+                );
+            }
+        }
+        for p in [1usize, 2, 8] {
+            let d = PairwisePhases::<RecursiveDoubling>::new(Tag(9), p, 7);
+            holds(&format!("recursive doubling p={p}"), d, p);
+        }
+        for q in [1usize, 2, 6] {
+            for c in [1, 3, q].into_iter().filter(|c| q % c == 0) {
+                let d = Matmul25DPhases {
+                    q,
+                    c,
+                    rounds: q / c,
+                    b: 2,
+                };
+                holds(&format!("2.5D q={q} c={c}"), d, q * q * c);
+            }
+        }
+    }
+
+    /// One rank has no tree, so both sections are empty: each is still
+    /// bracketed by its markers, as the native collective's are.
+    #[test]
+    fn empty_sections_keep_their_markers() {
+        let mut rank = BinomialAllreduce::counted(Tag(0), 4)(0, 1);
+        let markers: Vec<(bool, &str)> = std::iter::from_fn(|| match rank.next(None) {
+            Step::CollBegin { op } => Some((true, op)),
+            Step::CollEnd { op } => Some((false, op)),
+            Step::Done => None,
+            step => panic!("one rank has nothing to do, got {step:?}"),
+        })
+        .collect();
+        assert_eq!(
+            markers,
+            [
+                (true, "allreduce_sum"),
+                (true, "reduce_sum"),
+                (false, "reduce_sum"),
+                (true, "broadcast"),
+                (false, "broadcast"),
+                (false, "allreduce_sum"),
+            ]
+        );
     }
 }

@@ -23,6 +23,11 @@
 //! events: `Y t0 t1 dest tag attempt words backoff` (retry /
 //! duplicate), `D t0 t1 seconds` (link delay), `K t0 t1 words`
 //! (checkpoint write), `X t0 t1 lost restart` (crash recovery).
+//!
+//! Every time and duration — the makespan, each event's `t0` and `t1`,
+//! `backoff`, `seconds`, `lost`, `restart` — is finite and not
+//! negative, and no event ends before it starts; the parser refuses
+//! anything else with the line it is on.
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
@@ -134,7 +139,7 @@ impl Trace {
         let (ln, l) = next("p")?;
         let p = declared_count(ln, "ranks", parse_field(ln, l, "p")?, n_lines)?;
         let (ln, l) = next("makespan")?;
-        let makespan: f64 = parse_field(ln, l, "makespan")?;
+        let makespan = parse_secs(ln, keyword_fields(ln, l, "makespan", 1)?[0])?;
         let (ln, l) = next("params")?;
         let toks = keyword_fields(ln, l, "params", 4)?;
         let mut params = ReplayParams {
@@ -261,6 +266,20 @@ fn parse_tok<T: std::str::FromStr>(line: usize, tok: &str) -> TraceResult<T> {
     })
 }
 
+/// A time or a duration: finite and not negative, as every one a run
+/// records is (a NaN would reach the Chrome export as `NaN`, which is
+/// not JSON).
+fn parse_secs(line: usize, tok: &str) -> TraceResult<f64> {
+    let x: f64 = parse_tok(line, tok)?;
+    if !(x.is_finite() && x >= 0.0) {
+        return Err(TraceError::Parse {
+            line,
+            msg: format!("{tok:?} is not a finite, non-negative time"),
+        });
+    }
+    Ok(x)
+}
+
 /// Parse a `keyword value` line, returning the value.
 fn parse_field<T: std::str::FromStr>(line: usize, l: &str, kw: &str) -> TraceResult<T> {
     let toks = keyword_fields(line, l, kw, 1)?;
@@ -300,8 +319,8 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "C" => {
             need(3)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Compute {
                     flops: parse_tok(ln, rest[2])?,
                 },
@@ -310,8 +329,8 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "S" => {
             need(5)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Send {
                     dest: parse_tok(ln, rest[2])?,
                     tag: parse_tok(ln, rest[3])?,
@@ -322,8 +341,8 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "R" => {
             need(6)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Recv {
                     src: parse_tok(ln, rest[2])?,
                     tag: parse_tok(ln, rest[3])?,
@@ -335,8 +354,8 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "A" => {
             need(3)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Alloc {
                     words: parse_tok(ln, rest[2])?,
                 },
@@ -345,8 +364,8 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "F" => {
             need(3)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Free {
                     words: parse_tok(ln, rest[2])?,
                 },
@@ -354,7 +373,7 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         }
         "B" | "E" => {
             need(2)?;
-            let t: f64 = parse_tok(ln, rest[0])?;
+            let t = parse_secs(ln, rest[0])?;
             let op = rest[1].to_string();
             TimedEvent {
                 t_start: t,
@@ -369,32 +388,32 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "Y" => {
             need(7)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Retry {
                     dest: parse_tok(ln, rest[2])?,
                     tag: parse_tok(ln, rest[3])?,
                     attempt: parse_tok(ln, rest[4])?,
                     words: parse_tok(ln, rest[5])?,
-                    backoff: parse_tok(ln, rest[6])?,
+                    backoff: parse_secs(ln, rest[6])?,
                 },
             }
         }
         "D" => {
             need(3)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::LinkDelay {
-                    seconds: parse_tok(ln, rest[2])?,
+                    seconds: parse_secs(ln, rest[2])?,
                 },
             }
         }
         "K" => {
             need(3)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::Checkpoint {
                     words: parse_tok(ln, rest[2])?,
                 },
@@ -403,11 +422,11 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
         "X" => {
             need(4)?;
             TimedEvent {
-                t_start: parse_tok(ln, rest[0])?,
-                t_end: parse_tok(ln, rest[1])?,
+                t_start: parse_secs(ln, rest[0])?,
+                t_end: parse_secs(ln, rest[1])?,
                 kind: EventKind::CrashRecovery {
-                    lost: parse_tok(ln, rest[2])?,
-                    restart: parse_tok(ln, rest[3])?,
+                    lost: parse_secs(ln, rest[2])?,
+                    restart: parse_secs(ln, rest[3])?,
                 },
             }
         }
@@ -418,6 +437,15 @@ fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
             });
         }
     };
+    if ev.t_end < ev.t_start {
+        return Err(TraceError::Parse {
+            line: ln,
+            msg: format!(
+                "event ends at {:?}, before it starts at {:?}",
+                ev.t_end, ev.t_start
+            ),
+        });
+    }
     Ok(ev)
 }
 
@@ -504,6 +532,39 @@ mod tests {
                 Err(TraceError::Parse { line: 5, .. })
             ));
         }
+    }
+
+    /// A NaN or infinite time, a negative one, or an event that ends
+    /// before it starts is a parse error on its line, not a number that
+    /// reaches the Chrome export as `"dur":NaN` or a negative duration.
+    #[test]
+    fn impossible_times_are_rejected_with_their_line() {
+        let head = "psse-trace v1\np 1\nmakespan 0.0\nparams 0.0 0.0 0.0 16\nrank 0 1\n";
+        for event in [
+            "C 0.0 nan 5",
+            "C 3.0 1.0 5",
+            "C -1.0 0.0 5",
+            "S 0.0 inf 0 7 100",
+            "B NaN allreduce_sum",
+            "Y 0.0 1.0 0 7 1 100 -1e-4",
+            "D 0.0 1.0 NaN",
+            "X 0.0 1.0 inf 0.5",
+            "X 0.0 1.0 0.5 -0.5",
+        ] {
+            let text = format!("{head}{event}\n");
+            let err = Trace::from_text(&text).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Parse { line: 6, .. }),
+                "{event}: {err}"
+            );
+        }
+        let makespan = head.replace("makespan 0.0", "makespan NaN") + "C 0.0 0.0 5\n";
+        assert!(matches!(
+            Trace::from_text(&makespan),
+            Err(TraceError::Parse { line: 3, .. })
+        ));
+        let fine = format!("{head}C 1.0 1.0 5\n");
+        assert!(Trace::from_text(&fine).is_ok(), "an instant event parses");
     }
 
     #[test]
