@@ -358,6 +358,6 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(out.profile.per_rank[0].msgs_sent, 4); // ceil(2000/512)
+        assert_eq!(out.profile.per_rank()[0].msgs_sent, 4); // ceil(2000/512)
     }
 }

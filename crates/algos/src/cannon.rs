@@ -136,7 +136,7 @@ mod tests {
         let b = Matrix::random(n, n, 4);
         let (_, profile) = cannon_matmul(&a, &b, p, SimConfig::counters_only()).unwrap();
         let per_rank = 2 * (n as u64).pow(3) / p as u64;
-        for s in &profile.per_rank {
+        for s in profile.per_rank() {
             assert_eq!(s.flops, per_rank);
         }
     }
@@ -151,7 +151,7 @@ mod tests {
         let (_, profile) = cannon_matmul(&a, &b, p, SimConfig::counters_only()).unwrap();
         let b2 = (n * n / p) as u64;
         let upper = 2 * 4 * b2; // 2q·b²
-        for s in &profile.per_rank {
+        for s in profile.per_rank() {
             assert!(s.words_sent <= upper, "{} > {upper}", s.words_sent);
         }
         // Interior ranks do the full 2(q−1) shifts plus both skews.

@@ -327,8 +327,8 @@ mod tests {
         // Same per-rank peak (same q ⇒ same block size)...
         assert_eq!(c1.max_mem_peak(), c4.max_mem_peak());
         // ...but 4× the ranks ⇒ 4× the aggregate memory (replication).
-        let agg1: u64 = c1.per_rank.iter().map(|s| s.mem_peak).sum();
-        let agg4: u64 = c4.per_rank.iter().map(|s| s.mem_peak).sum();
+        let agg1: u64 = c1.per_rank().iter().map(|s| s.mem_peak).sum();
+        let agg4: u64 = c4.per_rank().iter().map(|s| s.mem_peak).sum();
         assert_eq!(agg4, 4 * agg1);
     }
 

@@ -231,8 +231,8 @@ mod tests {
         let (_, profile) = strassen_distributed(&a, &b, p, SimConfig::counters_only()).unwrap();
         let leaf_words = (n / 4) * (n / 4); // k = 2
                                             // Rank 1 (digit path 0,1) is a deepest-level non-leader.
-        assert_eq!(profile.per_rank[1].words_sent as usize, leaf_words);
-        assert_eq!(profile.per_rank[1].msgs_sent, 1);
+        assert_eq!(profile.per_rank()[1].words_sent as usize, leaf_words);
+        assert_eq!(profile.per_rank()[1].msgs_sent, 1);
     }
 
     #[test]

@@ -211,7 +211,7 @@ mod tests {
         let b = Matrix::random(n, n, 8);
         let (_, profile) = summa_matmul(&a, &b, p, 4, SimConfig::counters_only()).unwrap();
         let per_rank = 2 * (n as u64).pow(3) / p as u64;
-        for s in &profile.per_rank {
+        for s in profile.per_rank() {
             assert_eq!(s.flops, per_rank);
         }
     }

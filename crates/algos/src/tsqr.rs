@@ -153,12 +153,12 @@ mod tests {
             let a = Matrix::random(n * p, n, p as u64);
             let (_, profile) = tsqr(&a, p, SimConfig::counters_only()).unwrap();
             assert_eq!(
-                profile.per_rank[0].msgs_recvd,
+                profile.per_rank()[0].msgs_recvd,
                 (p as f64).log2() as u64,
                 "p = {p}"
             );
             // And every non-root sends exactly one R.
-            for s in &profile.per_rank[1..] {
+            for s in &profile.per_rank()[1..] {
                 assert_eq!(s.msgs_sent, 1);
             }
         }
@@ -173,7 +173,7 @@ mod tests {
         let p = 16;
         let a = Matrix::random(n * p, n, 7);
         let (_, profile) = tsqr(&a, p, SimConfig::counters_only()).unwrap();
-        let root_recv = profile.per_rank[0].words_recvd;
+        let root_recv = profile.per_rank()[0].words_recvd;
         assert_eq!(root_recv, (p as f64).log2() as u64 * (n * n) as u64);
         assert!(root_recv < ((p - 1) * n * n) as u64);
     }

@@ -62,8 +62,8 @@ fn main() {
         let sag = run(true);
         t.row(&[
             len.to_string(),
-            bin.per_rank[0].words_sent.to_string(),
-            sag.per_rank[0].words_sent.to_string(),
+            bin.per_rank()[0].words_sent.to_string(),
+            sag.per_rank()[0].words_sent.to_string(),
             sci(bin.makespan),
             sci(sag.makespan),
             if bin.makespan <= sag.makespan {

@@ -175,7 +175,7 @@ fn main() {
         t5.row(&[
             p.to_string(),
             sci(m.time),
-            profile.per_rank[0].words_recvd.to_string(),
+            profile.per_rank()[0].words_recvd.to_string(),
             ((p - 1) * 64).to_string(),
         ]);
     }

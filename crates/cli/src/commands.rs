@@ -10,6 +10,7 @@ use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
 use psse_core::optimize::RunConfig;
 use psse_core::params::{MachineParams, OVERRIDES};
+use psse_core::summary::{self, Measured};
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
 use psse_lab::prelude::{
@@ -136,6 +137,11 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
     let costs = alg.costs(n, p, mem, &mp).map_err(|e| e.to_string())?;
     let t = mp.time(&costs);
     let e = mp.energy(p, &costs, mem, t);
+    let m = priced(Measured {
+        time: t,
+        energy: e,
+        power: e / t,
+    })?;
     let _ = writeln!(out, "algorithm : {}", alg.name());
     let _ = writeln!(out, "machine   : {mname}");
     let _ = writeln!(out, "n = {n}, p = {p}, M = {} words/processor", fmt(mem));
@@ -146,9 +152,9 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
         fmt(costs.words),
         fmt(costs.messages)
     );
-    let _ = writeln!(out, "runtime  T = {} s   (Eq. 1)", fmt(t));
-    let _ = writeln!(out, "energy   E = {} J   (Eq. 2)", fmt(e));
-    let _ = writeln!(out, "power    P = {} W", fmt(e / t));
+    let _ = writeln!(out, "runtime  T = {} s   (Eq. 1)", fmt(m.time));
+    let _ = writeln!(out, "energy   E = {} J   (Eq. 2)", fmt(m.energy));
+    let _ = writeln!(out, "power    P = {} W", fmt(m.power));
     let _ = writeln!(
         out,
         "efficiency = {} GFLOPS/W",
@@ -170,13 +176,42 @@ pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
+/// `m`, or an error naming the prices when finite prices priced `T`,
+/// `E` or `P` to infinity or NaN.
+fn priced(m: Measured) -> Result<Measured, String> {
+    m.finite().map_err(|e| e.to_string())
+}
+
+/// `x`, or an error naming the prices when it is not finite.
+fn finite(quantity: &'static str, x: f64) -> Result<f64, String> {
+    summary::finite(quantity, x).map_err(|e| e.to_string())
+}
+
+/// `cfg` when its `T` and `E` are finite.
+fn finite_run(cfg: RunConfig) -> Result<RunConfig, String> {
+    finite("T", cfg.time)?;
+    finite("E", cfg.energy)?;
+    Ok(cfg)
+}
+
 /// The `M0`/`E*` lines of `optimize` and `bound price`. The band where
 /// `M0` is feasible is empty for a problem smaller than `M0`'s own
 /// footprint (n-body: `n < M0`); `E*` is then a bound no run attains,
 /// and the band's endpoints are not printed as a range. Returns whether
-/// it is attainable.
-fn print_optimum(out: &mut String, n: u64, m0: f64, e_star: f64, band: (f64, f64)) -> bool {
+/// it is attainable; a quantity that is not finite is an error, and
+/// nothing is printed.
+fn print_optimum(
+    out: &mut String,
+    n: u64,
+    m0: f64,
+    e_star: f64,
+    band: (f64, f64),
+) -> Result<bool, String> {
     let (p_lo, p_hi) = band;
+    finite("M0", m0)?;
+    finite("E*", e_star)?;
+    finite("p_min", p_lo)?;
+    finite("p_max", p_hi)?;
     let _ = writeln!(
         out,
         "M0 = {} words/processor (energy-optimal, any p)",
@@ -198,7 +233,7 @@ fn print_optimum(out: &mut String, n: u64, m0: f64, e_star: f64, band: (f64, f64
             fmt(e_star)
         )
     };
-    attainable
+    Ok(attainable)
 }
 
 /// §V answers a continuous relaxation; its optimum is a run only for
@@ -231,10 +266,10 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     match (opt.m0(), opt.e_star(n)) {
         (Ok(m0), Ok(e_star)) => {
             let band = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
-            if !print_optimum(out, n, m0, e_star, band) {
+            if !print_optimum(out, n, m0, e_star, band)? {
                 // Energy still falls with M below M0, and one processor
                 // holding the whole problem is all the memory it can use.
-                let cfg = opt.evaluate(n, 1, n as f64);
+                let cfg = finite_run(opt.evaluate(n, 1, n as f64))?;
                 let _ = writeln!(
                     out,
                     "feasible minimum: E = {} J at p = 1, M = {} (T = {} s)",
@@ -252,6 +287,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
         let cfg = opt
             .min_energy_given_tmax(n, tmax)
             .map_err(|e| e.to_string())?;
+        let cfg = finite_run(cfg)?;
         let _ = match not_a_run(&cfg, n) {
             Some(why) => writeln!(out, "cheapest run within Tmax = {} s: {why}", fmt(tmax)),
             None => writeln!(
@@ -281,6 +317,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
                 note = " (the 2-D boundary ends here: the budget is not binding)";
             }
         }
+        let cfg = finite_run(cfg)?;
         let _ = match not_a_run(&cfg, n) {
             Some(why) => writeln!(out, "fastest run within Emax = {} J: {why}", fmt(emax)),
             None => writeln!(
@@ -363,7 +400,7 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
     let (mname, mp) = vocab::machine(args)?;
     let (cfg, profile, verified) = run_algorithm(args, &mp, false)?;
     let alg = args.req("alg")?;
-    let m = measure(&profile, &mp);
+    let m = priced(measure(&profile, &mp))?;
     let _ = writeln!(
         out,
         "algorithm : {alg} on {} ranks (machine `{mname}`)",
@@ -491,7 +528,7 @@ pub fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
         ));
     }
     let (mname, mp) = vocab::machine(args)?;
-    let m = trace.reprice(&mp).map_err(|e| e.to_string())?;
+    let m = priced(trace.reprice(&mp).map_err(|e| e.to_string())?)?;
     let _ = writeln!(
         out,
         "trace     : {} ranks, {} events",
@@ -1125,7 +1162,7 @@ pub fn bound_price(args: &Args, out: &mut String) -> CmdResult {
         cost.kernel_name()
     );
     let _ = writeln!(out, "family    : {}", family_str(cost.family()));
-    print_optimum(out, n, opt.m0, opt.e_star, (opt.p_lo, opt.p_hi));
+    print_optimum(out, n, opt.m0, opt.e_star, (opt.p_lo, opt.p_hi))?;
     Ok(())
 }
 

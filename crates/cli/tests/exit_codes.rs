@@ -124,6 +124,95 @@ fn failed_run_keys_exit_nonzero_but_keep_outputs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Does `out` print an `inf` or a `NaN` anywhere?
+fn prints_non_finite(out: &Output) -> bool {
+    let text = [&out.stdout[..], &out.stderr[..]].concat();
+    String::from_utf8_lossy(&text)
+        .split(|c: char| !c.is_alphanumeric())
+        .any(|word| word == "inf" || word == "NaN")
+}
+
+/// Finite prices too large for a run price its `T`, `E`, `M0` or `E*`
+/// to infinity or NaN: each command refuses it by name, names the
+/// prices, prints no `inf` or `NaN` and exits 1.
+#[test]
+fn overflowing_prices_exit_nonzero_and_name_them() {
+    let kernel = format!(
+        "{}/../../specs/kernels/matmul.kernel",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let simulate = ["simulate", "--alg", "fft", "--n", "1024", "--p", "8"];
+    let mm25d = [
+        "simulate", "--alg", "mm25d", "--n", "16", "--p", "32", "--c", "2",
+    ];
+    let model = ["model", "--alg", "matmul", "--n", "8192", "--p", "64"];
+    let optimize = ["optimize", "--n", "100000"];
+    let bound = ["bound", "price", "--kernel", &kernel, "--n", "1000"];
+    for (command, prices, quantity) in [
+        (&simulate[..], &["--beta-t", "1e308"][..], "T"),
+        (&mm25d[..], &["--alpha-t", "1e308"][..], "T"),
+        (&model[..], &["--beta-t", "1e308"][..], "T"),
+        (&model[..], &["--gamma-e", "1e308"][..], "E"),
+        (&optimize[..], &["--beta-e", "1e308"][..], "M0"),
+        (
+            &optimize[..],
+            &["--beta-t", "1e300", "--tmax", "1e300"][..],
+            "E",
+        ),
+        (&bound[..], &["--beta-e", "1e308"][..], "E*"),
+    ] {
+        let out = psse(&[command, prices].concat());
+        let what = format!("{} {prices:?}", command[0]);
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        let err = stderr_line(&out);
+        let named = format!("error: {quantity} overflows: ");
+        assert!(err.starts_with(&named), "{what}: {err}");
+        assert!(err.ends_with("are too large for this run"), "{what}: {err}");
+        assert!(!prints_non_finite(&out), "{what}");
+    }
+}
+
+/// The same prices in a lab spec fail the key, by name, for both kinds
+/// of run; the CSV is written without the row, and the run exits 1.
+#[test]
+fn overflowing_prices_fail_their_lab_keys() {
+    let dir = std::env::temp_dir().join(format!("psse-exit-overflow-{}", std::process::id()));
+    for (kind, alg, label) in [
+        ("simulate", "fft", "simulate:fft n=1024 p=8 c=1"),
+        ("model", "matmul", "model:matmul n=1024 p=8 c=1"),
+    ] {
+        let body = format!("kind = {kind}\nalg = {alg}\nn = 1024\np = 8\nbeta-t = 1e308\n");
+        let spec = write_spec(&dir, &format!("{kind}.spec"), &body);
+        let csv = dir.join(format!("{kind}.csv"));
+        let csv_arg = csv.display().to_string();
+        let out = psse(&[
+            "lab",
+            "run",
+            "--spec",
+            &spec,
+            "--out",
+            &csv_arg,
+            "--profile",
+            "off",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{kind}");
+        let err = stderr_line(&out);
+        assert!(
+            err.ends_with(&format!("1 of 1 runs failed: {label}")),
+            "{err}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(
+            stdout.contains("T overflows: gamma_t, beta_t and alpha_t"),
+            "{stdout}"
+        );
+        assert!(!prints_non_finite(&out), "{kind}");
+        let written = std::fs::read_to_string(&csv).unwrap();
+        assert_eq!(written.lines().count(), 1, "{kind}: header only: {written}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fsck_exit_code_tracks_corruption() {
     let dir = std::env::temp_dir().join(format!("psse-exit-fsck-{}", std::process::id()));

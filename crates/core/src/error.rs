@@ -35,6 +35,15 @@ pub enum CoreError {
     /// A constrained optimization problem has no feasible point (e.g. an
     /// energy budget below the minimum attainable energy).
     Infeasible(String),
+    /// Finite machine prices priced a quantity to infinity or NaN: the
+    /// prices are too large for the run.
+    PriceOverflow {
+        /// The quantity that is not finite (e.g. `"T"`).
+        quantity: &'static str,
+        /// The prices that price it, as prose (e.g. `"gamma_t, beta_t
+        /// and alpha_t"`).
+        prices: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -49,6 +58,12 @@ impl fmt::Display for CoreError {
             ),
             CoreError::InvalidConfiguration(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::Infeasible(msg) => write!(f, "infeasible constraint: {msg}"),
+            CoreError::PriceOverflow { quantity, prices } => {
+                write!(
+                    f,
+                    "{quantity} overflows: {prices} are too large for this run"
+                )
+            }
         }
     }
 }
@@ -80,6 +95,15 @@ mod tests {
 
         let e = CoreError::Infeasible("energy budget too small".into());
         assert!(e.to_string().contains("budget"));
+
+        let e = CoreError::PriceOverflow {
+            quantity: "T",
+            prices: "gamma_t, beta_t and alpha_t",
+        };
+        assert_eq!(
+            e.to_string(),
+            "T overflows: gamma_t, beta_t and alpha_t are too large for this run"
+        );
     }
 
     #[test]

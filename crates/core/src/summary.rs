@@ -6,6 +6,7 @@
 //! [`ExecutionSummary`], which this module prices with Eqs. 1 and 2.
 
 use crate::costs::AlgorithmCosts;
+use crate::error::CoreError;
 use crate::params::MachineParams;
 use crate::Real;
 
@@ -92,6 +93,39 @@ impl ExecutionSummary {
             energy,
             power: if t > 0.0 { energy / t } else { 0.0 },
         }
+    }
+}
+
+/// The prices Eq. 1 charges.
+const TIME_PRICES: &str = "gamma_t, beta_t and alpha_t";
+/// Every price of Eqs. 1 and 2.
+const ALL_PRICES: &str =
+    "gamma_t, beta_t, alpha_t, gamma_e, beta_e, alpha_e, delta_e and epsilon_e";
+
+/// `value`, or [`CoreError::PriceOverflow`] when it is not finite. `T`
+/// names the prices of Eq. 1; any other quantity all the prices of
+/// Eqs. 1 and 2.
+pub fn finite(quantity: &'static str, value: Real) -> Result<Real, CoreError> {
+    if value.is_finite() {
+        return Ok(value);
+    }
+    let prices = if quantity == "T" {
+        TIME_PRICES
+    } else {
+        ALL_PRICES
+    };
+    Err(CoreError::PriceOverflow { quantity, prices })
+}
+
+impl Measured {
+    /// This measurement, or [`CoreError::PriceOverflow`] for the first
+    /// of `T`, `E` and `P` that is not finite: finite prices too large
+    /// for the run, which would otherwise print as `inf` or `NaN`.
+    pub fn finite(self) -> Result<Self, CoreError> {
+        finite("T", self.time)?;
+        finite("E", self.energy)?;
+        finite("P", self.power)?;
+        Ok(self)
     }
 }
 
@@ -183,6 +217,31 @@ mod tests {
         let t = mp.time(&per);
         let closed = mp.energy(p, &per, 5000.0, t);
         assert!((measured.energy - closed).abs() / closed < 1e-12);
+    }
+
+    /// Finite prices too large for the run price `T`, then `E`, to
+    /// infinity: the first quantity that is not finite is refused, by
+    /// name, with the prices behind it.
+    #[test]
+    fn overflowing_prices_are_refused() {
+        let s = summary();
+        assert_eq!(s.price(&params()).finite(), Ok(s.price(&params())));
+        let mut mp = params();
+        mp.gamma_e = 1e308;
+        let e = s.price(&mp).finite().unwrap_err();
+        assert_eq!(
+            e,
+            CoreError::PriceOverflow {
+                quantity: "E",
+                prices: ALL_PRICES
+            }
+        );
+        mp.beta_t = 1e308;
+        let e = s.price(&mp).finite().unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "T overflows: gamma_t, beta_t and alpha_t are too large for this run"
+        );
     }
 
     #[test]

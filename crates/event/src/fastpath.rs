@@ -16,9 +16,9 @@
 //! their own that walk the same trees and rounds rank-major
 //! ([`binomial`], [`pairwise`]): [`phased`] sweeps every rank once per
 //! phase, which for the binomial's `2⌈log₂p⌉` levels re-reads the
-//! 64-byte lanes once per level where the rank-major walk reads them
-//! twice in all (at `p = 2^20`, about 8× slower end to end, and still
-//! about 3× with both sweeps stepping by the level's stride). The
+//! lanes once per level where the rank-major walk reads them twice in
+//! all (at `p = 2^20`, about 8× slower end to end, and still about 3×
+//! with both sweeps stepping by the level's stride). The
 //! result is byte-identical to the general executor (enforced by the
 //! `fastpath_identity` differential tests against
 //! `EventMachine::run_general`, which forces the general path, and by
@@ -31,8 +31,8 @@
 //!
 //! * a traced run is always scheduled (a trace lists every event);
 //! * on a flat, fault-free machine every claim is priced, each rank's
-//!   lane its `RankStats` and the prices of a transfer one shared
-//!   [`Prices`];
+//!   lane its clock (a phased program's: its `RankStats`) and the prices
+//!   of a transfer one shared [`Prices`];
 //! * under a fault plan or a hierarchy only the binomial allreduce is,
 //!   with one `psse_sim::Meter` per rank as its lane. A meter's output
 //!   is a pure function of its own call sequence plus, per receive, the
@@ -50,12 +50,15 @@
 //!
 //! The remaining claims are *streamed*: each `make(r, p)` is
 //! constructed, asked, and dropped, so an analytic run never holds `p`
-//! programs. A flat program is then priced straight into the
+//! programs. A flat phased program is then priced straight into the
 //! `Vec<RankStats>` the profile will own — the clock of a rank in flight
-//! is its `finish_time` — so the run's whole footprint is the profile
-//! plus one `f64` of depart (or, phased, arrival) time per rank (two
-//! for the pairwise collectives). A metered one adds a `Meter` per rank,
-//! collected into the profile as the scheduler collects its own.
+//! is its `finish_time` — plus one `f64` of arrival time per rank. A
+//! flat allreduce walks one `f64` clock and one depart per rank, and
+//! writes the profile once from the clocks when the walk is done: its
+//! counters are closed form ([`binomial_stats`], or the one lane a
+//! pairwise round prices for every rank). Either way the peak is the
+//! profile plus 8 bytes per rank. A metered binomial adds a `Meter` per
+//! rank, collected into the profile as the scheduler collects its own.
 //!
 //! Once engaged it honours [`SimConfig::cancel`] like the scheduler
 //! does: checked up front and once per pass, round or phase, so a
@@ -69,10 +72,13 @@ use psse_sim::meter::{charge_chunks, chunk_charge, chunk_count};
 use psse_sim::{Departure, Meter, Profile, RankStats, SimConfig, SimError, Tag};
 
 /// The flat-machine prices of one transfer size: a collective's, or a
-/// phase's, whose every transfer carries the same `words`. A rank's
-/// lane is its `RankStats` itself — the one cache line the general path
-/// can touch on a trace-less, fault-less, flat run — with `finish_time`
-/// as the running clock.
+/// phase's, whose every transfer carries the same `words`. The phased
+/// pricer's lane is a rank's `RankStats` itself — the one cache line the
+/// general path can touch on a trace-less, fault-less, flat run — with
+/// `finish_time` as the running clock. The allreduces' lane is the
+/// clock alone: their counters are the same closed form for every rank
+/// (the pairwise collectives) or for every rank with as many children
+/// (the binomial tree), written once when the walk is done.
 struct Prices {
     /// What the messages of one transfer add to the sender's clock, in
     /// order, as runs `(charge, messages)`: the chunks `charge_chunks`
@@ -174,23 +180,26 @@ trait Lane<Pr> {
     fn done(&mut self) -> SimResult<()>;
 }
 
-/// The flat lane: a flat, fault-free meter's whole state is its
-/// `RankStats`, and nothing it does can fail.
-impl Lane<Prices> for RankStats {
+/// The flat lane: the rank's clock, moved by the same float operations
+/// in the same order as [`Prices::send`], [`Prices::recv`] and
+/// [`Prices::compute`] move `finish_time`. Its counters are
+/// [`binomial_stats`], and nothing it does can fail.
+impl Lane<Prices> for f64 {
     #[inline]
     fn send(&mut self, pr: &Prices, _dest: usize) -> SimResult<f64> {
-        Ok(pr.send(self))
+        pr.charge(std::slice::from_mut(self));
+        Ok(*self)
     }
 
     #[inline]
-    fn recv(&mut self, pr: &Prices, _src: usize, depart: f64) -> SimResult<()> {
-        pr.recv(self, depart);
+    fn recv(&mut self, _pr: &Prices, _src: usize, depart: f64) -> SimResult<()> {
+        *self = self.max(depart);
         Ok(())
     }
 
     #[inline]
     fn merge(&mut self, pr: &Prices) {
-        pr.compute(self);
+        *self += pr.merge;
     }
 
     #[inline]
@@ -286,25 +295,35 @@ pub(crate) fn price(
     if cfg.tracks_overheads() {
         return metered(p, cfg, op, claim);
     }
-    // Reserve before streaming: an absurd `p` fails here, at once.
-    let mut lanes = filled(p, RankStats::default())?;
+    // Reserve before streaming: an absurd `p` fails here, at once. The
+    // allreduces price clocks and write their lanes when done; a phased
+    // program prices into its lanes.
+    let is_phased = matches!(
+        op,
+        AnalyticOp::Stencil1D(_) | AnalyticOp::Matmul25D(_) | AnalyticOp::SampleSort(_)
+    );
+    let (clocks, lanes) = if is_phased {
+        (Vec::new(), filled(p, RankStats::default())?)
+    } else {
+        (filled(p, 0.0f64)?, Vec::new())
+    };
     if !agreed(p, cfg, op, claim)? {
         return Ok(None);
     }
-    match op {
+    let lanes = match op {
         AnalyticOp::BinomialAllreduce { words } => {
-            binomial(&mut lanes, cfg, &Prices::new(cfg, words))?
+            flat_binomial(clocks, cfg, &Prices::new(cfg, words))?
         }
         AnalyticOp::RecursiveDoublingAllreduce { words } => {
-            pairwise::<RecursiveDoubling>(&mut lanes, cfg, &Prices::new(cfg, words))?
+            pairwise::<RecursiveDoubling>(clocks, cfg, &Prices::new(cfg, words))?
         }
         AnalyticOp::RingAllreduce { words } => {
-            pairwise::<Ring>(&mut lanes, cfg, &Prices::new(cfg, words))?
+            pairwise::<Ring>(clocks, cfg, &Prices::new(cfg, words))?
         }
-        AnalyticOp::Stencil1D(program) => phased(&mut lanes, cfg, &program)?,
-        AnalyticOp::Matmul25D(program) => phased(&mut lanes, cfg, &program)?,
-        AnalyticOp::SampleSort(program) => phased(&mut lanes, cfg, &program)?,
-    }
+        AnalyticOp::Stencil1D(program) => phased(lanes, cfg, &program)?,
+        AnalyticOp::Matmul25D(program) => phased(lanes, cfg, &program)?,
+        AnalyticOp::SampleSort(program) => phased(lanes, cfg, &program)?,
+    };
     // An `eligible` run has no overhead block and no event logs, as the
     // general path reports without a hierarchy, a fault plan or tracing.
     let profile = Profile::from_parts(lanes, Vec::new(), Vec::new());
@@ -400,6 +419,39 @@ fn binomial<Pr, L: Lane<Pr>>(lanes: &mut [L], cfg: &SimConfig, pr: &Pr) -> SimRe
     Ok(())
 }
 
+/// The flat binomial walk over `clocks`, one per rank, then the lanes
+/// written from them once the walk has freed its departs.
+fn flat_binomial(mut clocks: Vec<f64>, cfg: &SimConfig, pr: &Prices) -> SimResult<Vec<RankStats>> {
+    let p = clocks.len();
+    binomial(&mut clocks, cfg, pr)?;
+    let lane = |(v, finish_time)| binomial_stats(v, p, pr, finish_time);
+    per_rank(p, clocks.into_iter().enumerate().map(lane))
+}
+
+/// Rank `v`'s counters in the flat binomial walk, whose clock ended at
+/// `finish_time`. Its children are the ranks `v + mask < p` for every
+/// `mask` below `lowbit(v)` (every `mask < p` for rank 0): it receives
+/// and merges one block from each and, in the broadcast, sends each
+/// one; every rank but 0 also sends one block up and receives one down.
+fn binomial_stats(v: usize, p: usize, pr: &Prices, finish_time: f64) -> RankStats {
+    // The masks below `bound` are the powers of two under it.
+    let bound = match v {
+        0 => p,
+        _ => (v & v.wrapping_neg()).min(p - v),
+    };
+    let children = (usize::BITS - (bound - 1).leading_zeros()) as u64;
+    let transfers = children + (v > 0) as u64;
+    RankStats {
+        flops: children * pr.words,
+        words_sent: transfers * pr.words,
+        msgs_sent: transfers * pr.n_chunks,
+        words_recvd: transfers * pr.words,
+        msgs_recvd: transfers * pr.n_chunks,
+        finish_time,
+        ..RankStats::default()
+    }
+}
+
 /// The pairwise-round allreduces: per round every rank sends to its
 /// peer, then receives and merges — so price each round in two sweeps
 /// (all sends, then all recv+computes), which is exactly each rank's
@@ -414,15 +466,15 @@ fn binomial<Pr, L: Lane<Pr>>(lanes: &mut [L], cfg: &SimConfig, pr: &Pr) -> SimRe
 /// recursive doubling's xor-stride `p / 2^r`) — so a lane-round is a
 /// zipped slice step, not a peer computation. The ring's `O(p)` rounds
 /// make this `O(p²)` work — still the cheap side of `O(p²)` scheduled
-/// events, but the reason the cancel flag is polled here.
+/// events, but the reason the cancel flag is polled here. `clock` holds
+/// every rank's clock, and the lanes are written from it at the end.
 fn pairwise<S: PairwiseSchedule>(
-    lanes: &mut [RankStats],
+    mut clock: Vec<f64>,
     cfg: &SimConfig,
     pr: &Prices,
-) -> SimResult<()> {
-    let p = lanes.len();
+) -> SimResult<Vec<RankStats>> {
+    let p = clock.len();
     let mut counters = RankStats::default();
-    let mut clock = filled(p, 0.0f64)?;
     let mut depart = filled(p, 0.0f64)?;
     for round in 0..S::rounds(p) {
         if cancelled(cfg) {
@@ -442,13 +494,12 @@ fn pairwise<S: PairwiseSchedule>(
             v += len;
         }
     }
-    for (lane, clock) in lanes.iter_mut().zip(clock) {
-        *lane = RankStats {
-            finish_time: clock,
-            ..counters
-        };
-    }
-    Ok(())
+    drop(depart);
+    let lane = |finish_time| RankStats {
+        finish_time,
+        ..counters
+    };
+    per_rank(p, clock.into_iter().map(lane))
 }
 
 /// Price a [`Phases`] program, the description `programs::Phased`
@@ -461,7 +512,11 @@ fn pairwise<S: PairwiseSchedule>(
 /// transfers a phase has; the receives themselves are never read. A
 /// self-send is free and its receive a no-op (`Meter::send`,
 /// `Meter::recv`), so neither prices anything here.
-fn phased(lanes: &mut [RankStats], cfg: &SimConfig, program: &impl Phases) -> SimResult<()> {
+fn phased(
+    mut lanes: Vec<RankStats>,
+    cfg: &SimConfig,
+    program: &impl Phases,
+) -> SimResult<Vec<RankStats>> {
     let mut arrive = filled(lanes.len(), f64::NEG_INFINITY)?;
     for phase in 0..program.count() {
         if cancelled(cfg) {
@@ -486,7 +541,7 @@ fn phased(lanes: &mut [RankStats], cfg: &SimConfig, program: &impl Phases) -> Si
             }
         }
     }
-    Ok(())
+    Ok(lanes)
 }
 
 #[cfg(test)]

@@ -327,8 +327,8 @@ fn self_send_is_free_and_receivable() {
         }
     }
     let out = EventMachine::run(1, &cfg(Backend::Events), |_m, _p| SelfSend { st: 0 }).unwrap();
-    assert_eq!(out.profile.per_rank[0].msgs_sent, 0);
-    assert_eq!(out.profile.per_rank[0].words_sent, 0);
+    assert_eq!(out.profile.per_rank()[0].msgs_sent, 0);
+    assert_eq!(out.profile.per_rank()[0].words_sent, 0);
     assert_eq!(out.profile.makespan, 0.0);
 }
 

@@ -157,10 +157,10 @@ fn events_cfg() -> SimConfig {
     }
 }
 
-/// Counted binomial allreduce on the analytic path: the profile (one
-/// 64-byte `RankStats` per rank — no overhead block, no event logs)
-/// plus one depart time per rank, in a handful of allocations however
-/// large `p` is.
+/// Counted binomial allreduce on the analytic path: one clock and one
+/// depart time per rank while it walks, then the profile (one 64-byte
+/// `RankStats` per rank — no overhead block, no event logs) beside the
+/// clocks, in a handful of allocations however large `p` is.
 fn fast_binomial(p: usize) {
     let totals = BinomialAllreduce::expected_totals(p as u64, WORDS as u64, M as u64);
     let make = BinomialAllreduce::counted(Tag(0), WORDS);

@@ -72,7 +72,7 @@ fn recursive_doubling_16k_ranks_counts_exact() {
     // so per-rank sent messages are uniform.
     assert!(out
         .profile
-        .per_rank
+        .per_rank()
         .iter()
         .all(|r| r.msgs_sent == p.trailing_zeros() as u64));
 }
@@ -171,7 +171,7 @@ fn samplesort_1k_ranks_counts_exact() {
     // Every rank pays 2(p−1) messages: latency grows linearly with p.
     assert!(out
         .profile
-        .per_rank
+        .per_rank()
         .iter()
         .all(|r| r.msgs_sent == 2 * (p as u64 - 1)));
 }

@@ -80,7 +80,7 @@ fn fold<P: RankProgram>(
     let profile = &out.profile;
     assert_eq!(profile.events.len(), p, "traced: one log per rank");
     h.u64(p as u64);
-    for (r, s) in profile.per_rank.iter().enumerate() {
+    for (r, s) in profile.per_rank().iter().enumerate() {
         for x in [
             s.flops,
             s.words_sent,

@@ -13,6 +13,7 @@
 use psse_algos::prelude::{measure, measure_into, sim_config_from};
 use psse_algos::table::{self, Check, Shape};
 use psse_core::costs::{clamp_memory, Algorithm};
+use psse_core::summary::finite;
 use psse_hbl::prelude::KernelCost;
 
 use crate::key::{RunKey, RunKind};
@@ -40,6 +41,15 @@ pub fn execute_into(
         RunKind::Model => execute_model(key),
         RunKind::Simulate => execute_simulate(key, registry, None),
     }
+}
+
+/// `r`, or the key's error when finite prices priced its `T`, `E` or
+/// `P` to infinity or NaN: a row of `inf` and `NaN` is no result.
+fn priced(r: RunResult) -> Result<RunResult, String> {
+    for (quantity, x) in [("T", r.time), ("E", r.energy), ("P", r.power())] {
+        finite(quantity, x).map_err(|e| e.to_string())?;
+    }
+    Ok(r)
 }
 
 /// [`execute_into`] guarded by a wall-clock watchdog. When `timeout` is
@@ -139,7 +149,7 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
         .map_err(|e| e.to_string())?;
     let mut r = RunResult::model(feasible, time, energy, mem_eff);
     r.flops = alg.total_flops(key.n);
-    Ok(r)
+    priced(r)
 }
 
 /// Model a run whose cost model was derived from an HBL kernel file
@@ -156,7 +166,7 @@ fn execute_kernel_model(key: &RunKey, cost: &KernelCost) -> Result<RunResult, St
         .map_err(|e| e.to_string())?;
     let mut r = RunResult::model(feasible, cfg.time, cfg.energy, mem_eff);
     r.flops = cost.total_flops(key.n);
-    Ok(r)
+    priced(r)
 }
 
 fn execute_simulate(
@@ -197,7 +207,7 @@ fn execute_simulate(
         }
         None => measure(&profile, &key.machine),
     };
-    Ok(RunResult {
+    priced(RunResult {
         feasible: true,
         verified,
         time: m.time,

@@ -985,9 +985,9 @@ mod tests {
         // ship the full vector. And binomial internal nodes *receive*
         // up to log p full vectors, versus (p−1)/p·len on the ring.
         assert!(ring.max_words_sent() < binomial.max_words_sent());
-        let ring_recv = ring.per_rank.iter().map(|s| s.words_recvd).max().unwrap();
+        let ring_recv = ring.per_rank().iter().map(|s| s.words_recvd).max().unwrap();
         let bin_recv = binomial
-            .per_rank
+            .per_rank()
             .iter()
             .map(|s| s.words_recvd)
             .max()
@@ -1044,8 +1044,8 @@ mod tests {
         let binomial = run(false);
         // Binomial root sends log2(8) = 3 full copies; scatter+allgather
         // root sends ~2 copies' worth.
-        let root_large = large.per_rank[0].words_sent;
-        let root_binomial = binomial.per_rank[0].words_sent;
+        let root_large = large.per_rank()[0].words_sent;
+        let root_binomial = binomial.per_rank()[0].words_sent;
         assert!(
             root_large < root_binomial,
             "large {root_large} vs binomial {root_binomial}"
@@ -1133,10 +1133,10 @@ mod tests {
         };
         let hyper = run(true);
         let naive = run(false);
-        assert_eq!(hyper.per_rank[0].msgs_sent, 4); // log2(16)
-        assert_eq!(naive.per_rank[0].msgs_sent, 15); // p − 1
-                                                     // The price: the hypercube moves more words.
-        assert!(hyper.per_rank[0].words_sent > naive.per_rank[0].words_sent);
+        assert_eq!(hyper.per_rank()[0].msgs_sent, 4); // log2(16)
+        assert_eq!(naive.per_rank()[0].msgs_sent, 15); // p − 1
+                                                       // The price: the hypercube moves more words.
+        assert!(hyper.per_rank()[0].words_sent > naive.per_rank()[0].words_sent);
     }
 
     #[test]

@@ -448,7 +448,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.results.len(), 1);
         assert!((out.results[0] - 1e-3).abs() < 1e-12); // 1e6 flops × 1e-9 s
-        assert_eq!(out.profile.per_rank[0].flops, 1_000_000);
+        assert_eq!(out.profile.per_rank()[0].flops, 1_000_000);
         assert!((out.profile.makespan - 1e-3).abs() < 1e-12);
     }
 

@@ -690,11 +690,11 @@ mod tests {
 
         for (meter, r) in [(a, 1), (b, 2)] {
             let (stats, overheads, events) = meter.into_parts(&cfg);
-            assert_eq!(stats, live.per_rank[r], "rank {r} counters");
+            assert_eq!(stats, live.per_rank()[r], "rank {r} counters");
             assert_eq!(overheads, Some(live.overheads_of(r)), "rank {r} overheads");
             assert_eq!(events.as_ref(), Some(&live.events[r]), "rank {r} trace");
         }
-        let (s, o) = (&live.per_rank[1], live.overheads_of(1));
+        let (s, o) = (&live.per_rank()[1], live.overheads_of(1));
         assert!(o.retries > 0, "the drop plan must bite");
         assert_eq!(o.msgs_sent_intra, ROUNDS, "the node-mate pings are intra");
         assert_eq!(

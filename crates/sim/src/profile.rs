@@ -61,10 +61,15 @@ pub struct RankOverheads {
 /// The complete accounting of one simulated run.
 /// `==` means "same numbers" whichever executor or replay built it:
 /// the overhead block has one stored form ([`Profile::overheads`]).
+///
+/// A profile is read-only once built. Its per-rank counters are folded
+/// once, as it is built, into the sums and maxima Eq. 1 prices, so
+/// [`Profile::total_flops`], [`Profile::max_words_sent`] and the rest
+/// cost nothing however large `p` is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Per-rank counters, indexed by rank id.
-    pub per_rank: Vec<RankStats>,
+    per_rank: Vec<RankStats>,
     /// Virtual makespan: max over ranks of `finish_time`.
     pub makespan: f64,
     /// Per-rank event logs, indexed by rank id — one per rank when the
@@ -73,13 +78,49 @@ pub struct Profile {
     pub events: Vec<Vec<TimedEvent>>,
     /// Indexed by rank id, or empty when every rank's block is zero.
     overheads: Vec<RankOverheads>,
+    /// `per_rank`'s sums and maxima.
+    folded: Folded,
+}
+
+/// The sums and maxima over ranks of a profile's counters. Sums wrap
+/// as an unchecked `Iterator::sum` does in a release build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Folded {
+    total_flops: u64,
+    total_words_sent: u64,
+    total_msgs_sent: u64,
+    max_flops: u64,
+    max_words_sent: u64,
+    max_msgs_sent: u64,
+    max_mem_peak: u64,
+}
+
+/// Fold `per_rank` in one pass: its sums and maxima, and the latest
+/// `finish_time` (`NaN`s skipped, `0.0` when there is none).
+fn fold(per_rank: &[RankStats]) -> (Folded, f64) {
+    per_rank
+        .iter()
+        .fold((Folded::default(), 0.0_f64), |(f, latest), r| {
+            let folded = Folded {
+                total_flops: f.total_flops.wrapping_add(r.flops),
+                total_words_sent: f.total_words_sent.wrapping_add(r.words_sent),
+                total_msgs_sent: f.total_msgs_sent.wrapping_add(r.msgs_sent),
+                max_flops: f.max_flops.max(r.flops),
+                max_words_sent: f.max_words_sent.max(r.words_sent),
+                max_msgs_sent: f.max_msgs_sent.max(r.msgs_sent),
+                max_mem_peak: f.max_mem_peak.max(r.mem_peak),
+            };
+            (folded, latest.max(r.finish_time))
+        })
 }
 
 impl Profile {
     /// Build a profile (makespan is the max of the `finish_time`s);
-    /// every executor and replay engine ends here. `overheads` and
-    /// `events` each hold one entry per rank or none, and an all-zero
-    /// `overheads` is stored as none.
+    /// every executor and replay engine ends here. One pass over the
+    /// ranks finds the makespan and folds the sums and maxima, and no
+    /// aggregate reads them again. `overheads` and `events` each hold
+    /// one entry per rank or none, and an all-zero `overheads` is
+    /// stored as none.
     pub fn from_parts(
         per_rank: Vec<RankStats>,
         mut overheads: Vec<RankOverheads>,
@@ -90,21 +131,24 @@ impl Profile {
         if overheads.iter().all(|o| *o == RankOverheads::default()) {
             overheads = Vec::new();
         }
-        let makespan = per_rank
-            .iter()
-            .map(|r| r.finish_time)
-            .fold(0.0_f64, f64::max);
+        let (folded, makespan) = fold(&per_rank);
         Profile {
             per_rank,
             makespan,
             events,
             overheads,
+            folded,
         }
     }
 
     /// World size.
     pub fn p(&self) -> usize {
         self.per_rank.len()
+    }
+
+    /// Every rank's counters, indexed by rank id.
+    pub fn per_rank(&self) -> &[RankStats] {
+        &self.per_rank
     }
 
     /// The overhead blocks, indexed by rank id — or none when every
@@ -128,41 +172,37 @@ impl Profile {
 
     /// Sum over ranks of flops.
     pub fn total_flops(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.flops).sum()
+        self.folded.total_flops
     }
 
     /// Max over ranks of flops (critical-path `F`).
     pub fn max_flops(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.flops).max().unwrap_or(0)
+        self.folded.max_flops
     }
 
     /// Sum over ranks of words sent (total traffic).
     pub fn total_words_sent(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.words_sent).sum()
+        self.folded.total_words_sent
     }
 
     /// Max over ranks of words sent (critical-path `W`).
     pub fn max_words_sent(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|r| r.words_sent)
-            .max()
-            .unwrap_or(0)
+        self.folded.max_words_sent
     }
 
     /// Sum over ranks of messages sent.
     pub fn total_msgs_sent(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.msgs_sent).sum()
+        self.folded.total_msgs_sent
     }
 
     /// Max over ranks of messages sent (critical-path `S`).
     pub fn max_msgs_sent(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.msgs_sent).max().unwrap_or(0)
+        self.folded.max_msgs_sent
     }
 
     /// Max over ranks of the memory high-water mark (the model's `M`).
     pub fn max_mem_peak(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.mem_peak).max().unwrap_or(0)
+        self.folded.max_mem_peak
     }
 
     /// Sum over ranks of intra-node words sent (hierarchical machines).
@@ -242,7 +282,7 @@ impl Profile {
             later.p(),
             "profiles must have the same world size"
         );
-        let per_rank = self
+        let per_rank: Vec<RankStats> = self
             .per_rank
             .iter()
             .zip(&later.per_rank)
@@ -273,11 +313,13 @@ impl Profile {
             }
         };
         let overheads = (0..if either { self.p() } else { 0 }).map(sum).collect();
+        let (folded, _) = fold(&per_rank);
         Profile {
             per_rank,
             makespan: self.makespan + later.makespan,
             events: Vec::new(),
             overheads,
+            folded,
         }
     }
 

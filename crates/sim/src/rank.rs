@@ -268,7 +268,7 @@ mod tests {
         // Each direction costs α + 1000β = 1e-3 + 1e-3 = 2e-3.
         let expect = 2.0 * (1e-3 + 1000.0 * 1e-6);
         assert!((out.profile.makespan - expect).abs() < 1e-12);
-        let s = &out.profile.per_rank[0];
+        let s = &out.profile.per_rank()[0];
         assert_eq!(s.words_sent, 1000);
         assert_eq!(s.msgs_sent, 1);
         assert_eq!(s.words_recvd, 1000);
@@ -292,9 +292,9 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(out.profile.per_rank[0].msgs_sent, 5); // ceil(450/100)
-        assert_eq!(out.profile.per_rank[0].words_sent, 450);
-        assert_eq!(out.profile.per_rank[1].msgs_recvd, 5);
+        assert_eq!(out.profile.per_rank()[0].msgs_sent, 5); // ceil(450/100)
+        assert_eq!(out.profile.per_rank()[0].words_sent, 450);
+        assert_eq!(out.profile.per_rank()[1].msgs_recvd, 5);
     }
 
     #[test]
@@ -355,8 +355,8 @@ mod tests {
         })
         .unwrap();
         assert!((out.profile.makespan - 0.5).abs() < 1e-12);
-        assert_eq!(out.profile.per_rank[0].msgs_sent, 1);
-        assert_eq!(out.profile.per_rank[0].words_sent, 0);
+        assert_eq!(out.profile.per_rank()[0].msgs_sent, 1);
+        assert_eq!(out.profile.per_rank()[0].words_sent, 0);
     }
 
     #[test]
@@ -369,8 +369,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.results[0], 0.0);
-        assert_eq!(out.profile.per_rank[0].words_sent, 0);
-        assert_eq!(out.profile.per_rank[0].msgs_sent, 0);
+        assert_eq!(out.profile.per_rank()[0].words_sent, 0);
+        assert_eq!(out.profile.per_rank()[0].msgs_sent, 0);
     }
 
     #[test]
@@ -442,7 +442,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let s = &out.profile.per_rank[0];
+        let s = &out.profile.per_rank()[0];
         assert_eq!(s.mem_peak, 900);
         assert_eq!(s.mem_current, 800);
 
@@ -516,11 +516,11 @@ mod tests {
         // Rank 1's arrival: after the intra send only.
         assert!((out.results[1] - 2e-5).abs() < 1e-12);
         // Counters split by level.
-        let (s0, o0) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
+        let (s0, o0) = (&out.profile.per_rank()[0], out.profile.overheads_of(0));
         assert_eq!(s0.words_sent, 2000);
         assert_eq!(o0.words_sent_intra, 1000);
         assert_eq!(o0.msgs_sent_intra, 1);
-        assert!(out.profile.per_rank[0].msgs_sent == 2);
+        assert!(out.profile.per_rank()[0].msgs_sent == 2);
         assert_eq!(out.profile.total_words_inter(), 1000);
         // A hierarchy alone moves the intra shares and nothing else, and
         // the block covers every rank once any rank's is non-zero.
@@ -621,7 +621,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let (s, o) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
+        let (s, o) = (&out.profile.per_rank()[0], out.profile.overheads_of(0));
         assert!(o.retries > 0, "a 50% drop rate must hit at least once");
         assert_eq!(o.retrans_words, 100 * o.retries); // single-chunk transfers
         assert_eq!(s.words_sent, 20 * 100, "delivered words are unchanged");
@@ -741,7 +741,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let (s, o) = (&out.profile.per_rank[0], out.profile.overheads_of(0));
+        let (s, o) = (&out.profile.per_rank()[0], out.profile.overheads_of(0));
         assert_eq!(s.words_sent, 100);
         assert_eq!(o.retrans_words, 100);
         assert_eq!(o.retries, 1);

@@ -165,8 +165,8 @@ proptest! {
         .profile;
         let (sent, recvd) = profile.words_balance();
         prop_assert_eq!(sent, recvd);
-        let msgs_sent: u64 = profile.per_rank.iter().map(|s| s.msgs_sent).sum();
-        let msgs_recvd: u64 = profile.per_rank.iter().map(|s| s.msgs_recvd).sum();
+        let msgs_sent: u64 = profile.per_rank().iter().map(|s| s.msgs_sent).sum();
+        let msgs_recvd: u64 = profile.per_rank().iter().map(|s| s.msgs_recvd).sum();
         prop_assert_eq!(msgs_sent, msgs_recvd);
     }
 

@@ -98,7 +98,7 @@ proptest! {
             .iter()
             .map(|t| if t.len == 0 { 1 } else { t.len.div_ceil(m) } as u64)
             .sum();
-        let total_msgs: u64 = out.profile.per_rank.iter().map(|s| s.msgs_sent).sum();
+        let total_msgs: u64 = out.profile.per_rank().iter().map(|s| s.msgs_sent).sum();
         prop_assert_eq!(total_msgs, expected_msgs);
     }
 

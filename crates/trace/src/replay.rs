@@ -323,7 +323,7 @@ mod tests {
             },
         );
         tr.check_consistency(&live).unwrap();
-        assert_eq!(live.per_rank[0].msgs_sent, 16); // ceil(100/7) + 1 empty
+        assert_eq!(live.per_rank()[0].msgs_sent, 16); // ceil(100/7) + 1 empty
     }
 
     #[test]
@@ -361,7 +361,7 @@ mod tests {
         assert_eq!(live.overheads_of(0).words_sent_intra, 500);
         // Replay re-derives the overhead block too, in the live form.
         let replayed = tr.replay(&tr.params).unwrap();
-        assert_eq!(replayed.per_rank, live.per_rank);
+        assert_eq!(replayed.per_rank(), live.per_rank());
         assert_eq!(replayed.overheads(), live.overheads());
         assert_eq!(replayed.overheads().len(), 4);
     }
@@ -385,7 +385,7 @@ mod tests {
             intra_alpha_t: 1e-7,
         });
         let re = tr.replay(&two_level).unwrap();
-        assert_eq!(re.per_rank[0].words_sent, 1000);
+        assert_eq!(re.per_rank()[0].words_sent, 1000);
         assert_eq!(re.overheads().len(), 2);
         assert_eq!(re.overheads_of(0).words_sent_intra, 1000);
         assert_eq!(re.overheads_of(0).msgs_sent_intra, 1);
@@ -455,13 +455,13 @@ mod tests {
             }
             Ok(())
         });
-        assert_eq!(live.per_rank[0].msgs_sent, 1);
+        assert_eq!(live.per_rank()[0].msgs_sent, 1);
         let mut small = tr.params.clone();
         small.max_message_words = 7;
         let re = tr.replay(&small).unwrap();
-        assert_eq!(re.per_rank[0].msgs_sent, 15); // ceil(100/7)
-        assert_eq!(re.per_rank[1].msgs_recvd, 15);
-        assert_eq!(re.per_rank[0].words_sent, 100);
+        assert_eq!(re.per_rank()[0].msgs_sent, 15); // ceil(100/7)
+        assert_eq!(re.per_rank()[1].msgs_recvd, 15);
+        assert_eq!(re.per_rank()[0].words_sent, 100);
     }
 
     #[test]
@@ -522,7 +522,7 @@ mod tests {
         assert!(live.resilience_words() > 0);
         tr.check_consistency(&live).unwrap();
         let replayed = tr.replay(&tr.params).unwrap();
-        assert_eq!(replayed.per_rank, live.per_rank);
+        assert_eq!(replayed.per_rank(), live.per_rank());
         assert_eq!(replayed.overheads(), live.overheads());
         assert!(live.total_checkpoint_words() > 0 && live.total_retries() > 0);
 

@@ -160,11 +160,11 @@ impl Trace {
     /// included), finish times and makespan.
     pub fn check_consistency(&self, live: &Profile) -> TraceResult<()> {
         let replayed = self.replay(&self.params)?;
-        if replayed.per_rank.len() != live.per_rank.len() {
+        if replayed.per_rank().len() != live.per_rank().len() {
             return Err(TraceError::Inconsistent(format!(
                 "world size {} replayed vs {} live",
-                replayed.per_rank.len(),
-                live.per_rank.len()
+                replayed.per_rank().len(),
+                live.per_rank().len()
             )));
         }
         for (r, (a, b)) in replayed.ranks().zip(live.ranks()).enumerate() {

@@ -192,7 +192,7 @@ fn tsqr_least_squares_end_to_end() {
     }
     assert!(rho < 1e-8);
     // Communication: log2(16) = 4 combine messages into the root.
-    assert_eq!(profile.per_rank[0].msgs_recvd, 4);
+    assert_eq!(profile.per_rank()[0].msgs_recvd, 4);
 }
 
 #[test]

@@ -217,5 +217,5 @@ fn strassen_leaf_traffic_matches_the_fum_bound() {
     let leaf_words = (n as f64 / 4.0).powi(2);
     assert!((leaf_words / bound - 1.0).abs() < 1e-9);
     // Rank 1 is a deepest-level non-leader: its sends equal the bound.
-    assert_eq!(profile.per_rank[1].words_sent as f64, leaf_words);
+    assert_eq!(profile.per_rank()[1].words_sent as f64, leaf_words);
 }

@@ -99,7 +99,7 @@ fn event_logs_are_per_rank_when_traced_and_absent_otherwise() {
         };
         let untraced = run_programs(p, &cfg, BinomialAllreduce::counted(Tag(0), 100)).unwrap();
         assert!(untraced.profile.events.is_empty(), "{backend}");
-        assert_eq!(untraced.profile.per_rank, traced.profile.per_rank);
+        assert_eq!(untraced.profile.per_rank(), traced.profile.per_rank());
         assert!(Trace::from_run(&cfg, &untraced.profile).is_err());
     }
 }
