@@ -6,20 +6,22 @@
 //! initial skew (A shifted left by `r`, B up by `c`), `q` multiply-shift
 //! steps walk the blocks around the torus.
 //!
+//! That is the 2.5D algorithm with one layer (`c = 1`), and Cannon is
+//! written as exactly that: [`matmul_25d`] at `c = 1` replicates and
+//! reduces over fibers of one rank (no traffic) and skews layer 0 by
+//! `(r, c)`, Cannon's skew.
+//!
 //! Per-processor costs: `F = 2n³/p`, `W ≈ 2n²/√p` (the `M = n²/p` point
 //! of the 2.5D cost model), `S ≈ 2√p` block sends — the 2D baseline that
 //! the data-replicating algorithms beat.
 
-use crate::bridge::gather_blocks_2d;
-use psse_kernels::gemm;
+use crate::mm25d::matmul_25d;
 use psse_kernels::matrix::Matrix;
 use psse_sim::prelude::*;
 
-const TAG_SKEW_A: Tag = Tag(1);
-const TAG_SKEW_B: Tag = Tag(2);
-const TAG_SHIFT_BASE: u64 = 16;
-
-/// Multiply `a · b` on a `q × q` simulated grid with `p = q²` ranks.
+/// Multiply `a · b` on a `q × q` simulated grid with `p = q²` ranks:
+/// [`matmul_25d`] with one layer, whose fiber collectives are empty and
+/// whose layer skew is Cannon's.
 ///
 /// Requirements: `a`, `b` square `n × n` with `q | n`. Returns the
 /// product and the execution profile.
@@ -29,87 +31,7 @@ pub fn cannon_matmul(
     p: usize,
     cfg: SimConfig,
 ) -> Result<(Matrix, Profile), SimError> {
-    let grid = Grid2::from_p(p)?;
-    let q = grid.q();
-    let n = a.rows();
-    if a.cols() != n || b.rows() != n || b.cols() != n {
-        return Err(SimError::Algorithm(format!(
-            "cannon: need square n×n inputs, got A {}x{}, B {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    if !n.is_multiple_of(q) {
-        return Err(SimError::Algorithm(format!(
-            "cannon: grid edge q = {q} must divide n = {n}"
-        )));
-    }
-    let bs = n / q;
-
-    let out = Machine::run(p, cfg, |rank| {
-        let (r, c) = grid.coords(rank.rank());
-        // Resident blocks A, B, C plus one transient shift buffer.
-        let block_words = (bs * bs) as u64;
-        rank.alloc(4 * block_words)?;
-        let mut la = a.block(r * bs, c * bs, bs, bs);
-        let mut lb = b.block(r * bs, c * bs, bs, bs);
-        let mut lc = Matrix::zeros(bs, bs);
-
-        // Initial skew: A_rc ← A_{r,(c+r) mod q}; B_rc ← B_{(r+c) mod q,c}.
-        if r > 0 {
-            let to = grid.rank_of(r, (c + q - r) % q);
-            let from = grid.rank_of(r, (c + r) % q);
-            la = Matrix::from_vec(
-                bs,
-                bs,
-                rank.sendrecv(to, TAG_SKEW_A, la.into_vec(), from, TAG_SKEW_A)?,
-            );
-        }
-        if c > 0 {
-            let to = grid.rank_of((r + q - c) % q, c);
-            let from = grid.rank_of((r + c) % q, c);
-            lb = Matrix::from_vec(
-                bs,
-                bs,
-                rank.sendrecv(to, TAG_SKEW_B, lb.into_vec(), from, TAG_SKEW_B)?,
-            );
-        }
-
-        for step in 0..q {
-            gemm::matmul_add_into(&mut lc, &la, &lb);
-            rank.compute(gemm::gemm_flops(bs, bs, bs));
-            if step + 1 < q {
-                // Shift A left and B up, one position each.
-                let tag_a = Tag(TAG_SHIFT_BASE + 2 * step as u64);
-                let tag_b = Tag(TAG_SHIFT_BASE + 2 * step as u64 + 1);
-                let (to_a, from_a) = (
-                    grid.rank_of(r, (c + q - 1) % q),
-                    grid.rank_of(r, (c + 1) % q),
-                );
-                la = Matrix::from_vec(
-                    bs,
-                    bs,
-                    rank.sendrecv(to_a, tag_a, la.into_vec(), from_a, tag_a)?,
-                );
-                let (to_b, from_b) = (
-                    grid.rank_of((r + q - 1) % q, c),
-                    grid.rank_of((r + 1) % q, c),
-                );
-                lb = Matrix::from_vec(
-                    bs,
-                    bs,
-                    rank.sendrecv(to_b, tag_b, lb.into_vec(), from_b, tag_b)?,
-                );
-            }
-        }
-        rank.free(4 * block_words)?;
-        Ok(lc.into_vec())
-    })?;
-
-    let c_mat = gather_blocks_2d(&out.results, n, q);
-    Ok((c_mat, out.profile))
+    matmul_25d(a, b, p, 1, cfg)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //!
 //! | paper §IV algorithm | module | notes |
 //! |---|---|---|
-//! | 2D classical matmul (baseline) | [`cannon`], [`summa`] | `q×q` grids |
+//! | 2D classical matmul (baseline) | [`cannon`], [`summa`] | `q×q` grids; Cannon is 2.5D at `c = 1` |
 //! | 2.5D classical matmul | [`mm25d`] | `q×q×c` grid, replication factor `c` |
-//! | 3D classical matmul | [`mm25d::matmul_3d`] | the `c = q` limit |
+//! | 3D classical matmul | [`mm25d::matmul_3d`] | 2.5D at `c = q` |
 //! | CAPS Strassen | [`strassen_dist`] | BFS over `7^k` ranks (see module docs for the simplification vs. full CAPS) |
 //! | 2.5D LU | [`lu2d`] | executed as 2D right-looking LU (no pivoting); 2.5D latency analysis stays in `psse-core` |
 //! | direct n-body (1D baseline) | [`nbody`] | ring algorithm |

@@ -26,8 +26,9 @@
 //! range, and `crate::samplesort` + `psse-core`'s `SampleSortModel`
 //! quantify the departure from `1/p`.
 
+use psse_kernels::ceil_log2;
 use psse_kernels::rng::XorShift64;
-use psse_kernels::sort::sort_total;
+use psse_kernels::sort::{sort_flops, sort_total};
 use psse_sim::prelude::*;
 
 /// Tag base for the splitter allgather (ring offsets `0..p−1`).
@@ -40,20 +41,6 @@ const SS_EXCHANGE: u64 = 1 << 20;
 pub fn random_keys(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = XorShift64::new(seed);
     (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect()
-}
-
-/// `⌈log₂ x⌉` for flop accounting (0 for `x ≤ 1`).
-fn ceil_log2(x: usize) -> u64 {
-    if x < 2 {
-        0
-    } else {
-        (usize::BITS - (x - 1).leading_zeros()) as u64
-    }
-}
-
-/// Comparison count charged for sorting `x` keys: `x·⌈log₂ x⌉`.
-fn sort_flops(x: usize) -> u64 {
-    x as u64 * ceil_log2(x)
 }
 
 /// Sort `keys` on `p` ranks by regular-sampling sample sort. Requires

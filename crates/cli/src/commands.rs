@@ -826,7 +826,7 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // flag) keeps the cache in-memory only.
     let cache_dir = args.raw("cache").filter(|&dir| dir != "off");
     let cache_dir = cache_dir.map(std::path::PathBuf::from);
-    // Watchdog budget: `--timeout S` overrides the spec's `timeout`
+    // Time budget: `--timeout S` overrides the spec's `timeout`
     // key. The budget never enters run identity, so cache digests and
     // CSV bytes are independent of it.
     let timeout = args.get(&TIMEOUT)?.or(spec.timeout);

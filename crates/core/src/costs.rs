@@ -139,7 +139,10 @@ pub fn clamp_memory(m: Real, lo: Real, hi: Real) -> Real {
     }
 }
 
-fn check_memory(m: Real, lo: Real, hi: Real) -> Result<(), CoreError> {
+/// Refuse `m` outside `[lo, hi]` (widened by the relative `M_RANGE_TOL`,
+/// so a boundary computed by the caller is not rejected by rounding), or
+/// not finite and positive: the range check every cost model applies.
+pub fn check_memory(m: Real, lo: Real, hi: Real) -> Result<(), CoreError> {
     if !(m.is_finite() && m > 0.0) || m < lo * (1.0 - M_RANGE_TOL) || m > hi * (1.0 + M_RANGE_TOL) {
         return Err(CoreError::MemoryOutOfRange {
             m,

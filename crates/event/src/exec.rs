@@ -263,7 +263,8 @@ pub(crate) fn collect(
     Ok(profile)
 }
 
-/// Has the run's watchdog flag (if any) been raised?
+/// Has the run's cancel flag (if any) been raised, or its deadline
+/// passed?
 pub(crate) fn cancelled(cfg: &SimConfig) -> bool {
     cfg.cancel.as_ref().is_some_and(|flag| flag.is_cancelled())
 }
@@ -399,7 +400,7 @@ fn run_worklist<P: RankProgram>(
     // time and at each parked → runnable transition, and popped before
     // it can park again.
     while let Some(r) = runnable.pop_front() {
-        // Cooperative cancellation: a watchdog can abandon a hung sweep
+        // Cooperative cancellation: a time budget can abandon a hung run
         // between turns (the loop never sleeps, so one check per pop is
         // cheap and prompt).
         if cancelled(cfg) {

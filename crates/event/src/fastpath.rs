@@ -62,7 +62,7 @@
 //!
 //! Once engaged it honours [`SimConfig::cancel`] like the scheduler
 //! does: checked up front and once per pass, round or phase, so a
-//! watchdog can abandon a large ring or sample sort.
+//! time budget can abandon a large ring or sample sort.
 
 use crate::exec::{cancelled, collect, per_rank};
 use crate::program::AnalyticOp;
@@ -751,7 +751,7 @@ mod tests {
 
     /// A raised cancel flag abandons the run on the analytic path
     /// exactly as it does on the scheduled one — a counted ring at
-    /// large `p` is `O(p²)` sweeps the watchdog must be able to stop.
+    /// large `p` is `O(p²)` sweeps a time budget must be able to stop.
     #[test]
     fn cancel_flag_is_honoured_on_both_paths() {
         let flag = CancelFlag::new();

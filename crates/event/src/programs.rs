@@ -35,8 +35,10 @@
 
 use crate::program::{AnalyticOp, RankProgram};
 use crate::step::{Delivered, Payload, Step};
-use psse_kernels::sort::sort_total;
+use psse_kernels::ceil_log2;
+use psse_kernels::sort::{sort_flops, sort_total};
 use psse_kernels::stencil::{box_sweep, extend_periodic};
+use psse_sim::meter::chunk_count;
 use psse_sim::{SharedPayload, Tag};
 use std::convert::Infallible;
 use std::marker::PhantomData;
@@ -51,16 +53,6 @@ pub struct OpTotals {
     pub words: u64,
     /// Total flops charged.
     pub flops: u64,
-}
-
-/// Messages for one transfer of `words` words under message cap `m` —
-/// the `⌈k/m⌉` of Eq. 1 (an empty transfer still costs one message).
-fn chunks(words: u64, m: u64) -> u64 {
-    if words == 0 {
-        1
-    } else {
-        words.div_ceil(m)
-    }
 }
 
 /// Add a delivered contribution into `acc` elementwise. The arithmetic
@@ -361,7 +353,7 @@ impl BinomialAllreduce {
     pub fn expected_totals(p: u64, n: u64, m: u64) -> OpTotals {
         let edges = 2 * (p - 1);
         OpTotals {
-            msgs: edges * chunks(n, m),
+            msgs: edges * chunk_count(n as usize, m as usize) as u64,
             words: edges * n,
             flops: (p - 1) * n,
         }
@@ -605,7 +597,7 @@ impl RecursiveDoublingAllreduce {
     pub fn expected_totals(p: u64, n: u64, m: u64) -> OpTotals {
         let rounds = p.trailing_zeros() as u64;
         OpTotals {
-            msgs: p * rounds * chunks(n, m),
+            msgs: p * rounds * chunk_count(n as usize, m as usize) as u64,
             words: p * rounds * n,
             flops: p * rounds * n,
         }
@@ -618,7 +610,7 @@ impl RingAllreduce {
     pub fn expected_totals(p: u64, n: u64, m: u64) -> OpTotals {
         let rounds = p - 1;
         OpTotals {
-            msgs: p * rounds * chunks(n, m),
+            msgs: p * rounds * chunk_count(n as usize, m as usize) as u64,
             words: p * rounds * n,
             flops: p * rounds * n,
         }
@@ -838,21 +830,6 @@ const SS_SAMPLE: u64 = 1 << 20;
 /// Tag for the bucket all-to-all.
 const SS_EXCHANGE: u64 = 1 << 21;
 
-/// `⌈log₂ x⌉` for comparison accounting (0 for `x ≤ 1`).
-#[inline]
-fn ceil_log2(x: usize) -> u64 {
-    if x < 2 {
-        0
-    } else {
-        (usize::BITS - (x - 1).leading_zeros()) as u64
-    }
-}
-
-/// Comparisons charged for sorting `x` keys: `x·⌈log₂ x⌉`.
-fn sort_flops(x: usize) -> u64 {
-    x as u64 * ceil_log2(x)
-}
-
 /// Distributed sample sort as a resumable program: local sort, direct
 /// exchange of `p − 1` regular samples per rank, deterministic splitter
 /// agreement, bucket all-to-all, local merge. The same shape as
@@ -937,7 +914,8 @@ impl SampleSort {
     pub fn expected_totals(p: u64, bs: u64, m: u64) -> OpTotals {
         let s = p - 1;
         let per = bs / p;
-        let msgs = p * s * (chunks(s, m) + chunks(per, m));
+        let chunks = |words: u64| chunk_count(words as usize, m as usize) as u64;
+        let msgs = p * s * (chunks(s) + chunks(per));
         let words = p * s * (s + per);
         let flops = p
             * (sort_flops(bs as usize)
@@ -1113,7 +1091,10 @@ impl Stencil1D {
         let (msgs, words) = if p == 1 {
             (0, 0)
         } else {
-            (p * iters * 2 * chunks(h * n, m), p * iters * 2 * h * n)
+            (
+                p * iters * 2 * chunk_count((h * n) as usize, m as usize) as u64,
+                p * iters * 2 * h * n,
+            )
         };
         OpTotals {
             msgs,

@@ -20,18 +20,13 @@ use crate::dsl::{Kernel, SpecialBound};
 use crate::error::HblError;
 use crate::rational::Rational;
 use psse_core::bounds::ScalingRange;
-use psse_core::costs::{Algorithm, AlgorithmCosts, FftTree};
+use psse_core::costs::{check_memory, Algorithm, AlgorithmCosts, FftTree};
 use psse_core::error::CoreError;
 use psse_core::optimize::matmul::MatMulOptimizer;
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::RunConfig;
 use psse_core::params::MachineParams;
 use psse_core::Real;
-
-/// Same relative tolerance the core cost models apply at the memory
-/// range boundary (private there, replicated here so the derived model
-/// rejects exactly the same inputs).
-const M_RANGE_TOL: Real = 1e-9;
 
 /// `x^e` for integer `e ≥ 1` as a chained product — the same expression
 /// tree (`(x·x)·x`, left-associated) the hand-written models use, so the
@@ -305,16 +300,7 @@ impl Algorithm for KernelCost {
             return FftTree.costs(n, p, m_words, params);
         }
         let (lo, hi) = self.memory_range(n, p)?;
-        if !(m_words.is_finite() && m_words > 0.0)
-            || m_words < lo * (1.0 - M_RANGE_TOL)
-            || m_words > hi * (1.0 + M_RANGE_TOL)
-        {
-            return Err(CoreError::MemoryOutOfRange {
-                m: m_words,
-                min: lo,
-                max: hi,
-            });
-        }
+        check_memory(m_words, lo, hi)?;
         let f = self.total_flops(n) / p as Real;
         let sigma_m1 = self.sigma.sub(Rational::ONE).expect("sigma >= 1");
         let w = pow_chain(n as Real, self.depth) / (p as Real * pow_rat(m_words, sigma_m1));

@@ -46,3 +46,16 @@ pub mod strassen;
 
 pub use fft::Complex64;
 pub use matrix::Matrix;
+
+/// `⌈log₂ x⌉`, 0 for `x ≤ 1`: the depth of a binary tree over `x`
+/// leaves, as comparison and tree-level counts charge it. `#[inline]`
+/// because the event engine's pricers call it per step from another
+/// crate.
+#[inline]
+pub fn ceil_log2(x: usize) -> u64 {
+    if x < 2 {
+        0
+    } else {
+        (usize::BITS - (x - 1).leading_zeros()) as u64
+    }
+}

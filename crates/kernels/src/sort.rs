@@ -6,6 +6,12 @@
 //! integers instead of calling the comparator and still equal
 //! `sort_by(f64::total_cmp)` bit for bit.
 
+/// Comparisons charged for sorting `x` keys: `x·⌈log₂ x⌉`.
+#[inline]
+pub fn sort_flops(x: usize) -> u64 {
+    x as u64 * crate::ceil_log2(x)
+}
+
 /// The sign bit of an `f64`.
 const SIGN: u64 = 1 << 63;
 

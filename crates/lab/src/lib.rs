@@ -59,15 +59,16 @@ use crate::key::{Digest, RunKey};
 use crate::result::RunResult;
 
 /// Engine configuration. The default is all workers, no persistent
-/// cache, no watchdog.
+/// cache, no time budget.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabConfig {
     /// Worker threads. `0` means the machine's available parallelism.
     pub jobs: usize,
     /// Directory for the persistent cache (`None` = in-memory only).
     pub cache_dir: Option<PathBuf>,
-    /// Per-run wall-clock watchdog for simulator runs: a run that
-    /// exceeds the budget is cancelled cooperatively and recorded as a
+    /// Per-run wall-clock budget for simulator runs, carried into the
+    /// run as a [`psse_sim::CancelFlag::after`] deadline: a run that
+    /// exceeds it is cancelled cooperatively and recorded as a
     /// deterministic `timeout: ...` failure while the rest of the sweep
     /// continues. `None` (the default) never cancels. Wall-clock only —
     /// the timeout is deliberately *not* part of the run identity, so

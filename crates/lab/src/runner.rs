@@ -52,11 +52,11 @@ fn priced(r: RunResult) -> Result<RunResult, String> {
     Ok(r)
 }
 
-/// [`execute_into`] guarded by a wall-clock watchdog. When `timeout` is
-/// set and the key is a simulator run, a [`psse_sim::CancelFlag`] is
-/// threaded into the simulator config and tripped once the budget is
-/// exhausted: the hung run unwinds cooperatively (blocked receivers are
-/// woken through the poison machinery) and this function returns a
+/// [`execute_into`] under a wall-clock budget. When `timeout` is set
+/// and the key is a simulator run, the simulator config carries a
+/// [`psse_sim::CancelFlag`] whose deadline is the budget: once it
+/// passes, the run unwinds cooperatively (blocked receivers are woken
+/// through the poison machinery) and this function returns a
 /// deterministic `timeout: ...` error instead of hanging the sweep.
 /// Model runs are closed-form evaluations and never watched.
 pub fn execute_watched(
@@ -70,47 +70,10 @@ pub fn execute_watched(
     match key.kind {
         RunKind::Model => execute_model(key),
         RunKind::Simulate => {
-            use std::sync::{Arc, Condvar, Mutex, PoisonError};
-            let flag = psse_sim::CancelFlag::new();
-            // A zero budget is already exhausted; trip the flag before
-            // launch so the outcome does not race thread scheduling.
-            if limit.is_zero() {
-                flag.cancel();
-            }
-            // Condvar-armed watchdog: fires after `limit` unless the run
-            // finishes first (then it is woken and exits immediately, so
-            // a sweep of fast runs never accumulates sleeping threads).
-            let done = Arc::new((Mutex::new(false), Condvar::new()));
-            let watchdog = std::thread::spawn({
-                let flag = flag.clone();
-                let done = Arc::clone(&done);
-                move || {
-                    let (lock, cv) = &*done;
-                    let mut finished = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                    let deadline = std::time::Instant::now() + limit;
-                    while !*finished {
-                        let left = deadline.saturating_duration_since(std::time::Instant::now());
-                        if left.is_zero() {
-                            flag.cancel();
-                            return;
-                        }
-                        let (guard, _) = cv
-                            .wait_timeout(finished, left)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        finished = guard;
-                    }
-                }
-            });
-            let r = execute_simulate(key, registry, Some(flag.clone()));
-            {
-                let (lock, cv) = &*done;
-                *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                cv.notify_all();
-            }
-            let _ = watchdog.join();
-            match r {
-                // Any failure after the flag fired is the watchdog's
-                // doing; normalize to one deterministic message.
+            let flag = psse_sim::CancelFlag::after(limit);
+            match execute_simulate(key, registry, Some(flag.clone())) {
+                // Any failure once the deadline has passed is the
+                // budget's doing; normalize to one deterministic message.
                 Err(_) if flag.is_cancelled() => Err(format!(
                     "timeout: run exceeded the {:.3}s wall-clock budget and was cancelled",
                     limit.as_secs_f64()
@@ -183,7 +146,7 @@ fn execute_simulate(
     let mut cfg = sim_config_from(&key.machine);
     cfg.faults = key.faults.clone();
     cfg.backend = key.backend;
-    // Watchdog hook: the flag never changes virtual costs (it is only
+    // Time budget: the flag never changes virtual costs (it is only
     // consulted, never priced), so a watched run that completes is
     // bit-identical to an unwatched one.
     cfg.cancel = cancel;

@@ -53,7 +53,7 @@ pub struct SweepSpec {
     /// Memories per processor, words (innermost loop). Empty ⇒ one run
     /// at the algorithm's minimal memory (`mem = 0` sentinel).
     pub mem: Vec<f64>,
-    /// Per-run wall-clock watchdog budget in seconds (`timeout = 30`).
+    /// Per-run wall-clock budget in seconds (`timeout = 30`).
     /// `None` never cancels. Deliberately *not* part of [`RunKey`]
     /// identity: it routes into [`crate::LabConfig::timeout`], so cache
     /// digests and CSV bytes are unaffected by the budget chosen.
@@ -496,7 +496,7 @@ mod tests {
         let spec = SweepSpec::parse("kind = simulate\nalg = mm25d\nn = 16\np = 8\ntimeout = 30\n")
             .unwrap();
         assert_eq!(spec.timeout, Some(30.0));
-        // Default: no watchdog.
+        // Default: no time budget.
         let spec = SweepSpec::parse("kind = model\nalg = nbody\nn = 4\np = 2\n").unwrap();
         assert_eq!(spec.timeout, None);
         for bad in ["0", "-1", "nan", "inf"] {

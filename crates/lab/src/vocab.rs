@@ -145,7 +145,7 @@ pub const HALO: Param<u64> = Param::new("halo", POSITIVE_INTEGER, 1);
 pub const ITERS: Param<u64> = Param::new("iters", POSITIVE_INTEGER, 4);
 /// Replication factor (a list in a spec).
 pub const C: Param<u64> = Param::new("c", POSITIVE_INTEGER, 1);
-/// Per-run watchdog budget in seconds; unset, a run is never cancelled.
+/// Per-run wall-clock budget in seconds; unset, a run is never cancelled.
 pub const TIMEOUT: Param<f64, Option<f64>> = Param::new("timeout", POSITIVE, None);
 
 /// Fault-decision seed; unset, the run's [`SEED`].

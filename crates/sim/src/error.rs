@@ -72,9 +72,9 @@ pub enum SimError {
         /// Attempts made (original send + retries).
         attempts: u32,
     },
-    /// The run was cancelled from outside through a
-    /// [`crate::machine::CancelFlag`] (e.g. a lab watchdog timeout)
-    /// before it could complete.
+    /// The run's [`crate::machine::CancelFlag`] was raised, or its
+    /// deadline passed (e.g. a lab `--timeout` budget), before the run
+    /// could complete.
     Cancelled,
     /// True deadlock, proven rather than timed out: every live rank is
     /// blocked in a receive and no blocked rank has a matching message
@@ -131,7 +131,10 @@ impl fmt::Display for SimError {
                 "rank {rank} gave up sending to {dest} after {attempts} failed attempts"
             ),
             SimError::Cancelled => {
-                write!(f, "run cancelled by an external watchdog before completion")
+                write!(
+                    f,
+                    "run cancelled (flag raised or deadline passed) before completion"
+                )
             }
             SimError::Deadlock { rank, blocked } => {
                 write!(

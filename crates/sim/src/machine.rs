@@ -11,7 +11,7 @@ use psse_faults::FaultPlan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which executor [`SimConfig`] asks for.
 ///
@@ -62,32 +62,56 @@ impl std::fmt::Display for Backend {
 }
 
 /// A cooperative cancellation flag shared between a running
-/// [`Machine::run`] and an outside watchdog (e.g. the lab's
-/// `--timeout`).
+/// [`Machine::run`] (or `psse-event` run) and whoever may abandon it,
+/// optionally carrying its own wall-clock deadline (the lab's
+/// `--timeout` is [`CancelFlag::after`]).
 ///
 /// Cloning is cheap (an `Arc` bump); every clone observes the same
-/// flag. Once [`CancelFlag::cancel`] is called, ranks notice at their
-/// next send/receive, blocked receivers are woken through the existing
-/// poison machinery, and the run returns [`SimError::Cancelled`].
-/// Cancellation is sticky: the flag cannot be reset, so one flag serves
-/// at most one run.
+/// flag. Once [`CancelFlag::cancel`] is called or the deadline has
+/// passed, ranks notice at their next send/receive, blocked receivers
+/// are woken through the existing poison machinery, and the run returns
+/// [`SimError::Cancelled`]. Cancellation is sticky: the flag cannot be
+/// reset and a deadline cannot be moved, so one flag serves at most one
+/// run.
 #[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
+pub struct CancelFlag(Arc<Cancel>);
+
+#[derive(Debug, Default)]
+struct Cancel {
+    raised: AtomicBool,
+    /// `None`: no deadline (or one too far away to represent).
+    deadline: Option<Instant>,
+}
 
 impl CancelFlag {
-    /// A fresh, un-cancelled flag.
+    /// A fresh, un-cancelled flag with no deadline.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Request cancellation. Idempotent and safe from any thread.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+    /// A flag that cancels itself once `budget` of wall-clock time has
+    /// passed from now; `Duration::ZERO` is cancelled from the start.
+    pub fn after(budget: Duration) -> Self {
+        Self(Arc::new(Cancel {
+            raised: AtomicBool::new(false),
+            deadline: Instant::now().checked_add(budget),
+        }))
     }
 
-    /// Has [`CancelFlag::cancel`] been called?
+    /// Request cancellation. Idempotent and safe from any thread.
+    pub fn cancel(&self) {
+        self.0.raised.store(true, Ordering::SeqCst);
+    }
+
+    /// Has [`CancelFlag::cancel`] been called, or the deadline passed?
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.raised.load(Ordering::SeqCst) || self.remaining().is_some_and(|d| d.is_zero())
+    }
+
+    /// Wall-clock time left before the deadline; `None` without one.
+    fn remaining(&self) -> Option<Duration> {
+        let deadline = self.0.deadline?;
+        Some(deadline.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -164,12 +188,14 @@ pub struct SimConfig {
     /// Which executor a dispatching caller should use; see [`Backend`].
     /// Identical output either way, and not read by [`Machine::run`].
     pub backend: Backend,
-    /// Optional cooperative cancellation hook. When set, a watchdog
-    /// thread inside [`Machine::run`] polls the flag and, once it fires,
+    /// Optional cooperative cancellation hook, with or without a
+    /// deadline ([`CancelFlag::after`]). When set, a monitor thread
+    /// inside [`Machine::run`] waits on the flag and, once it is up,
     /// poisons the run exactly as a failing rank would: blocked
     /// receivers wake immediately and the run returns
-    /// [`SimError::Cancelled`]. `None` (the default) adds no thread and
-    /// no per-operation cost beyond one branch.
+    /// [`SimError::Cancelled`]. The monitor is woken when the run ends,
+    /// so a run that finishes first pays no wait. `None` (the default)
+    /// adds no thread and no per-operation cost beyond one branch.
     pub cancel: Option<CancelFlag>,
 }
 
@@ -286,10 +312,12 @@ impl Machine {
         let mut slots: Vec<Option<SimResult<RankOutput<R>>>> = Vec::with_capacity(p);
         slots.resize_with(p, || None);
 
-        // A watchdog thread exists only when a cancel hook was supplied.
-        // It polls the flag (wall-clock, never virtual time) and, the
-        // moment it fires, raises the same poison protocol a failing
-        // rank would — so parked receivers wake immediately.
+        // A monitor thread exists only when a cancel hook was supplied.
+        // It sleeps until the flag's deadline, waking every `POLL` to
+        // see a `cancel()` call and at once when the run ends; the
+        // moment the flag is up it raises the same poison protocol a
+        // failing rank would, so parked receivers wake immediately.
+        const POLL: Duration = Duration::from_millis(5);
         let monitor_done = Arc::new(AtomicBool::new(false));
         let monitor = cfg.cancel.clone().map(|flag| {
             let mailboxes = Arc::clone(&mailboxes);
@@ -300,7 +328,7 @@ impl Machine {
                         mailboxes.poison();
                         return;
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::park_timeout(flag.remaining().map_or(POLL, |d| d.min(POLL)));
                 }
             })
         });
@@ -347,7 +375,10 @@ impl Machine {
             // of `f` and `slots` above rely on.
         }
         if let Some(handle) = monitor {
+            // An unpark before the monitor parks is kept as a token, so
+            // its next park returns at once: no lost wake-up.
             monitor_done.store(true, Ordering::SeqCst);
+            handle.thread().unpark();
             let _ = handle.join();
         }
 
@@ -636,6 +667,46 @@ mod tests {
             Ok(())
         });
         assert!(matches!(r, Err(SimError::Cancelled)), "{r:?}");
+    }
+
+    #[test]
+    fn a_spent_deadline_is_a_raised_flag() {
+        assert!(CancelFlag::after(Duration::ZERO).is_cancelled());
+        assert!(!CancelFlag::after(Duration::from_secs(600)).is_cancelled());
+        assert!(!CancelFlag::after(Duration::MAX).is_cancelled());
+        let flag = CancelFlag::after(Duration::from_secs(600));
+        flag.cancel();
+        assert!(flag.is_cancelled());
+        let r: SimResult<SimOutcome<()>> = Machine::run(
+            2,
+            SimConfig {
+                cancel: Some(CancelFlag::after(Duration::ZERO)),
+                ..SimConfig::default()
+            },
+            |rank| rank.recv(1 - rank.rank(), Tag(0)).map(drop),
+        );
+        assert!(matches!(r, Err(SimError::Cancelled)), "{r:?}");
+    }
+
+    #[test]
+    fn a_flagged_run_returns_when_its_ranks_do() {
+        // The monitor is woken when the run ends: a hundred short
+        // flagged runs must not each wait out its polling interval.
+        let start = std::time::Instant::now();
+        for _ in 0..100 {
+            let cfg = SimConfig {
+                cancel: Some(CancelFlag::after(Duration::from_secs(600))),
+                ..SimConfig::default()
+            };
+            Machine::run(4, cfg, |rank| {
+                let right = (rank.rank() + 1) % rank.size();
+                let left = (rank.rank() + rank.size() - 1) % rank.size();
+                rank.sendrecv(right, Tag(1), vec![rank.rank() as f64; 8], left, Tag(1))
+            })
+            .unwrap();
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(150), "100 runs took {took:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The trace container and replay parameters.
 
 use crate::error::{TraceError, TraceResult};
+use psse_algos::bridge::{sim_config_from, sim_config_two_level, summarize};
 use psse_core::params::MachineParams;
 use psse_core::summary::{ExecutionSummary, Measured};
 use psse_core::twolevel::TwoLevelParams;
@@ -64,39 +65,18 @@ impl From<&SimConfig> for ReplayParams {
 }
 
 impl From<&MachineParams> for ReplayParams {
-    /// Mirrors `psse_algos::bridge::sim_config_from`: same prices, same
-    /// finite-to-`usize` conversion of the message-size cap.
+    /// The prices of the simulator config [`sim_config_from`] builds.
     fn from(params: &MachineParams) -> Self {
-        ReplayParams {
-            gamma_t: params.gamma_t,
-            beta_t: params.beta_t,
-            alpha_t: params.alpha_t,
-            max_message_words: if params.max_message_words.is_finite() {
-                (params.max_message_words as usize).max(1)
-            } else {
-                usize::MAX
-            },
-            hierarchy: None,
-        }
+        ReplayParams::from(&sim_config_from(params))
     }
 }
 
 impl From<&TwoLevelParams> for ReplayParams {
-    /// Mirrors `psse_algos::bridge::sim_config_two_level`: inter-node
-    /// words at `βnt`, intra-node at `βlt`, latency elided as in the
-    /// paper's two-level equations.
+    /// The prices of the simulator config [`sim_config_two_level`]
+    /// builds: inter-node words at `βnt`, intra-node at `βlt`, latency
+    /// elided as in the paper's two-level equations.
     fn from(tl: &TwoLevelParams) -> Self {
-        ReplayParams {
-            gamma_t: tl.gamma_t,
-            beta_t: tl.beta_n_t,
-            alpha_t: 0.0,
-            max_message_words: SimConfig::default().max_message_words,
-            hierarchy: Some(ReplayHierarchy {
-                cores_per_node: tl.cores_per_node as usize,
-                intra_beta_t: tl.beta_l_t,
-                intra_alpha_t: 0.0,
-            }),
-        }
+        ReplayParams::from(&sim_config_two_level(tl))
     }
 }
 
@@ -184,23 +164,11 @@ impl Trace {
     }
 
     /// Replay under `params` and condense into the [`ExecutionSummary`]
-    /// that Eq. 2 prices (critical-path maxima plus totals, with the
-    /// replayed message-DAG makespan as `T`). Resilience traffic
-    /// (retransmissions, duplicates, checkpoint writes) is folded into
-    /// the word/message counts, mirroring `psse_algos::bridge::summarize`.
+    /// that Eq. 2 prices: [`summarize`] of the replayed profile, so its
+    /// message-DAG makespan is `T` and resilience traffic is folded into
+    /// the word and message counts.
     pub fn summarize(&self, params: &ReplayParams) -> TraceResult<ExecutionSummary> {
-        let profile = self.replay(params)?;
-        Ok(ExecutionSummary {
-            p: profile.p() as u64,
-            flops: profile.max_flops() as f64,
-            words: profile.max_words_with_resilience() as f64,
-            messages: profile.max_msgs_with_resilience() as f64,
-            mem_peak_words: profile.max_mem_peak() as f64,
-            total_flops: profile.total_flops() as f64,
-            total_words: (profile.total_words_sent() + profile.resilience_words()) as f64,
-            total_messages: (profile.total_msgs_sent() + profile.resilience_msgs()) as f64,
-            makespan: Some(profile.makespan),
-        })
+        Ok(summarize(&self.replay(params)?))
     }
 
     /// Re-price the recorded run on a different machine: replay under
@@ -210,31 +178,6 @@ impl Trace {
     /// hardware — answered without re-executing the algorithm.
     pub fn reprice(&self, params: &MachineParams) -> TraceResult<Measured> {
         Ok(self.summarize(&ReplayParams::from(params))?.price(params))
-    }
-
-    /// Re-price on a two-level machine: replay under the hierarchy's
-    /// link prices, then pay flop energy on total flops, word energy
-    /// split by link level, and `pn·δne·Mn + p·δle·Ml + p·εe` standby
-    /// power over the replayed makespan (mirrors
-    /// `psse_algos::bridge::measure_two_level`).
-    pub fn reprice_two_level(&self, tl: &TwoLevelParams) -> TraceResult<Measured> {
-        let profile = self.replay(&ReplayParams::from(tl))?;
-        let t = profile.makespan;
-        let p = profile.p() as f64;
-        let pn = p / tl.cores_per_node as f64;
-        let energy = tl.gamma_e * profile.total_flops() as f64
-            + tl.beta_n_e * profile.total_words_inter() as f64
-            + tl.beta_l_e * profile.total_words_intra() as f64
-            + tl.beta_n_e * profile.resilience_words() as f64
-            + (pn * tl.delta_n_e * tl.mem_node
-                + p * tl.delta_l_e * tl.mem_local
-                + p * tl.epsilon_e)
-                * t;
-        Ok(Measured {
-            time: t,
-            energy,
-            power: if t > 0.0 { energy / t } else { 0.0 },
-        })
     }
 
     /// Total number of recorded events across all ranks.
