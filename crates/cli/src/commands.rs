@@ -24,6 +24,7 @@ use psse_lab::vocab::{
 use psse_sim::machine::{Backend, SimConfig};
 use psse_sim::profile::Profile;
 use psse_trace::{ReplayParams, Trace};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 type CmdResult = Result<(), String>;
@@ -1025,26 +1026,28 @@ pub fn lab_gc(args: &Args, out: &mut String) -> CmdResult {
 }
 
 /// Per-(n, c, M) perfect-strong-scaling detection over the feasible
-/// samples of a sweep (paper §III: T ∝ 1/p at constant E).
+/// samples of a sweep (paper §III: T ∝ 1/p at constant E). One pass
+/// groups the samples by ladder, in the order ladders first appear.
 fn lab_scaling_report(sweep: &psse_lab::SweepResults, out: &mut String) {
-    let mut groups: Vec<(u64, u64, u64)> = Vec::new();
-    for key in &sweep.keys {
-        let g = (key.n, key.c, key.mem.to_bits());
-        if !groups.contains(&g) {
-            groups.push(g);
+    /// `n`, the bits of `M`, and the feasible `(p, T, E)` samples.
+    type Ladder = (u64, u64, Vec<(u64, f64, f64)>);
+    let mut ladder_of: HashMap<(u64, u64, u64), usize> = HashMap::new();
+    let mut ladders: Vec<Ladder> = Vec::new();
+    for (key, r) in sweep.keys.iter().zip(&sweep.results) {
+        let mem_bits = key.mem.to_bits();
+        let at = *ladder_of
+            .entry((key.n, key.c, mem_bits))
+            .or_insert_with(|| {
+                ladders.push((key.n, mem_bits, Vec::new()));
+                ladders.len() - 1
+            });
+        if let Ok(r) = r {
+            if r.feasible {
+                ladders[at].2.push((key.p, r.time, r.energy));
+            }
         }
     }
-    for (n, c, mem_bits) in groups {
-        let mut samples: Vec<(u64, f64, f64)> = sweep
-            .keys
-            .iter()
-            .zip(&sweep.results)
-            .filter(|(k, _)| k.n == n && k.c == c && k.mem.to_bits() == mem_bits)
-            .filter_map(|(k, r)| {
-                let r = r.as_ref().ok()?;
-                r.feasible.then_some((k.p, r.time, r.energy))
-            })
-            .collect();
+    for (n, mem_bits, mut samples) in ladders {
         samples.sort_by_key(|&(p, _, _)| p);
         samples.dedup_by_key(|&mut (p, _, _)| p);
         let label = format!("n = {n}, M = {}", fmt(f64::from_bits(mem_bits)));

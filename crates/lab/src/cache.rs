@@ -21,12 +21,11 @@
 //! may race on the same duplicated key and both miss, so counter values
 //! can vary by ±ε with thread count — result *bytes* never do.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::key::{AsDigest, Digest};
+use crate::key::{AsDigest, Digest, DigestMap};
 use crate::result::{push_checksum, split_checksum, LineChecksum, RunResult};
 
 /// Name of the subdirectory corrupt records are moved into (next to the
@@ -62,7 +61,7 @@ impl CacheStats {
 }
 
 struct MemCache {
-    map: HashMap<Digest, RunResult>,
+    map: DigestMap<RunResult>,
     order: std::collections::VecDeque<Digest>,
     capacity: usize,
 }
@@ -138,7 +137,7 @@ impl ResultCache {
     pub fn new(capacity: usize, dir: Option<PathBuf>) -> ResultCache {
         ResultCache {
             mem: Mutex::new(MemCache {
-                map: HashMap::new(),
+                map: DigestMap::default(),
                 order: std::collections::VecDeque::new(),
                 capacity: capacity.max(1),
             }),

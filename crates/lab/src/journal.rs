@@ -24,21 +24,55 @@
 //! of the sweep) is not appended again, so a resumed journal does not
 //! grow.
 //!
+//! # Group commit and the crash contract
+//!
+//! Lines are committed in groups: [`Journal::record`] appends the line
+//! to an in-memory buffer, and one `write(2)` hands the buffer to the
+//! file once it holds 64 KiB or 10 ms have passed since the last write
+//! (checked on each `record`). [`Journal::flush`] writes whatever is
+//! left; the lab calls it before a sweep returns, and dropping the
+//! journal calls it too. So:
+//!
+//! - when a sweep returns, its journal is complete on disk;
+//! - mid-sweep, a `kill -9` loses at most the runs recorded less than
+//!   10 ms after the last write (they wait for the next `record` or the
+//!   final flush), and those runs re-execute on resume.
+//!
+//! A group is whole lines in record order, so the file is always an
+//! intact prefix of the recorded lines plus, at worst, a torn tail: a
+//! cut inside a group write is just a longer torn tail.
+//!
 //! Replayed results seed the lab's in-memory cache, so the resumed
 //! sweep recomputes only what is missing and the final CSV is
 //! byte-identical to an uninterrupted run (results round-trip through
 //! the same exact-bits `v1` encoding the disk cache uses).
 
-use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
-use crate::key::{AsDigest, Digest, RunKey};
+use crate::key::{AsDigest, Digest, DigestSet, RunKey};
 use crate::result::{line_checksum, push_checksum, split_checksum, LineChecksum, RunResult};
 
 const HEADER_PREFIX: &str = "psse-lab-journal v1";
+
+/// A group is written once it holds this many bytes...
+const GROUP_BYTES: usize = 64 << 10;
+
+/// ...or once this long has passed since the last write.
+const GROUP_AGE: Duration = Duration::from_millis(10);
+
+/// The longest line [`Journal::open_resume`] reads. A `v1` run line is
+/// at most 264 bytes; a longer one ends the intact prefix like any torn
+/// tail, so a file without newlines is never read into one line.
+const MAX_LINE: u64 = 512;
+
+/// The most replayed runs [`Journal::open_resume`] sizes its map for up
+/// front: the file length bounds the count only when the file is honest.
+const MAX_PRESIZE: u64 = 1 << 16;
 
 /// Digest of a sweep's identity: two salted splitmix64 chains over the
 /// ordered run-key digests (the checksums of `"spec-hi <d0> <d1> ..."`
@@ -100,21 +134,27 @@ fn parse_run_line(line: &[u8]) -> Option<(Digest, RunResult)> {
     Some((Digest::from_hex(digest)?, result))
 }
 
-/// An append-only sweep journal (see the module docs for the format).
-/// Thread-safe: workers record completions concurrently; each line is
-/// written with a single `write_all` under a lock.
+/// An append-only sweep journal (see the module docs for the format
+/// and the crash contract). Thread-safe: workers record completions
+/// concurrently into one group under a lock, and each group is written
+/// with a single `write_all`.
 pub struct Journal {
     path: PathBuf,
     state: Mutex<State>,
     write_failed: AtomicBool,
 }
 
-/// What the lock guards: the file, the buffer every line is assembled
-/// in, and the digests the file already holds a line for.
+/// What the lock guards: the file, the group of lines not yet written
+/// (each assembled in place at its end), and the digests the journal
+/// already holds a line for.
 struct State {
     file: std::fs::File,
-    line: Vec<u8>,
-    present: HashSet<Digest>,
+    group: Vec<u8>,
+    /// Lines in `group`.
+    pending: u64,
+    last_write: Instant,
+    present: DigestSet,
+    /// Lines that reached the file.
     appended: u64,
 }
 
@@ -125,12 +165,14 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    fn over(path: &Path, file: std::fs::File, present: HashSet<Digest>) -> Journal {
+    fn over(path: &Path, file: std::fs::File, present: DigestSet) -> Journal {
         Journal {
             path: path.to_path_buf(),
             state: Mutex::new(State {
                 file,
-                line: Vec::with_capacity(256),
+                group: Vec::with_capacity(GROUP_BYTES + MAX_LINE as usize),
+                pending: 0,
+                last_write: Instant::now(),
                 present,
                 appended: 0,
             }),
@@ -146,7 +188,7 @@ impl Journal {
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
         file.write_all(header_line(spec).as_bytes())
             .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
-        Ok(Journal::over(path, file, HashSet::new()))
+        Ok(Journal::over(path, file, DigestSet::default()))
     }
 
     /// Resume from an existing journal: validate the header against
@@ -171,10 +213,16 @@ impl Journal {
             }
             Err(e) => return Err(unreadable(e)),
         };
-        // One line at a time through one buffer: resuming never holds
-        // the whole file.
-        let mut line = Vec::with_capacity(256);
-        reader.read_until(b'\n', &mut line).map_err(unreadable)?;
+        let file_len = reader.get_ref().metadata().map_or(0, |m| m.len());
+        // One line of at most `MAX_LINE` bytes at a time through one
+        // buffer: resuming never holds the whole file, nor a whole tail
+        // that has no newline.
+        let mut line = Vec::with_capacity(MAX_LINE as usize);
+        let mut read_line = |line: &mut Vec<u8>| {
+            line.clear();
+            (&mut reader).take(MAX_LINE).read_until(b'\n', line)
+        };
+        read_line(&mut line).map_err(unreadable)?;
         let header_ok = match &line[..] {
             [header @ .., b'\n'] => match parse_header(header) {
                 Some(found) if found == spec => true,
@@ -196,12 +244,12 @@ impl Journal {
         }
         let mut valid_bytes = line.len() as u64;
         // Sized from the file (a run line is at least 160 bytes), so the
-        // map is allocated once instead of rehashed as it grows.
-        let file_len = reader.get_ref().metadata().map_or(0, |m| m.len());
-        let mut replayed = HashMap::with_capacity((file_len / 160) as usize);
+        // map is allocated once instead of rehashed as it grows, but
+        // never beyond `MAX_PRESIZE`: a sparse or padded file claims
+        // any length.
+        let mut replayed = HashMap::with_capacity((file_len / 160).min(MAX_PRESIZE) as usize);
         loop {
-            line.clear();
-            reader.read_until(b'\n', &mut line).map_err(unreadable)?;
+            read_line(&mut line).map_err(unreadable)?;
             // End of file, a line without its newline, or one whose
             // checksum fails: the intact prefix ends here.
             let [body @ .., b'\n'] = &line[..] else {
@@ -229,18 +277,20 @@ impl Journal {
         Ok((Journal::over(path, file, present), replayed))
     }
 
-    /// Append one completed run — unless this journal already holds a
+    /// Record one completed run — unless this journal already holds a
     /// line for `digest` (replayed by [`Journal::open_resume`], or
     /// recorded earlier for a duplicate key), so resuming a sweep never
     /// grows its journal. A digest spelled as text must be the 32 hex
     /// characters of [`RunKey::digest`]; anything else names no run and
     /// is ignored.
     ///
-    /// The line `run <digest> <v1 line> <checksum>\n` is assembled in one
-    /// buffer reused across calls and handed to the file in a single
-    /// `write_all`, all under the journal's lock: when `record` returns,
-    /// the run's intact, checksummed line has been written, and a crash
-    /// can tear at most the one line in flight.
+    /// The line `run <digest> <v1 line> <checksum>\n` is assembled at
+    /// the end of the pending group under the journal's lock. The group
+    /// is written with one `write_all` when it holds 64 KiB or when
+    /// 10 ms have passed since the last write; otherwise the line waits
+    /// for a later `record` or [`Journal::flush`]. So when `record`
+    /// returns the line is *recorded*, not necessarily written: see the
+    /// module docs for the crash contract.
     ///
     /// Best-effort: a write failure warns once on stderr and the sweep
     /// continues (the journal is a recovery aid, not a correctness
@@ -250,24 +300,37 @@ impl Journal {
             return;
         };
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let State {
-            file,
-            line,
-            present,
-            appended,
-        } = &mut *state;
-        if !present.insert(digest) {
+        if !state.present.insert(digest) {
             return;
         }
-        line.clear();
-        line.extend_from_slice(b"run ");
-        line.extend_from_slice(&digest.hex());
-        line.push(b' ');
-        result.write_line(line);
-        let sum = line_checksum(&line[..]);
-        push_checksum(line, sum);
-        match file.write_all(line).and_then(|()| file.flush()) {
-            Ok(()) => *appended += 1,
+        let group = &mut state.group;
+        let start = group.len();
+        group.extend_from_slice(b"run ");
+        group.extend_from_slice(&digest.hex());
+        group.push(b' ');
+        result.write_line(group);
+        let sum = line_checksum(&group[start..]);
+        push_checksum(group, sum);
+        state.pending += 1;
+        if state.group.len() >= GROUP_BYTES || state.last_write.elapsed() >= GROUP_AGE {
+            self.write_group(&mut state);
+        }
+    }
+
+    /// Write every recorded line that has not reached the file yet. The
+    /// lab calls it before a sweep returns, and dropping the journal
+    /// calls it too.
+    pub fn flush(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.pending > 0 {
+            self.write_group(&mut state);
+        }
+    }
+
+    /// Hand the pending group to the file in one `write_all`.
+    fn write_group(&self, state: &mut State) {
+        match state.file.write_all(&state.group) {
+            Ok(()) => state.appended += state.pending,
             Err(e) => {
                 if !self.write_failed.swap(true, Ordering::Relaxed) {
                     eprintln!(
@@ -278,15 +341,27 @@ impl Journal {
                 }
             }
         }
+        state.group.clear();
+        state.pending = 0;
+        state.last_write = Instant::now();
     }
 
-    /// Lines this handle has appended since it was opened (replayed
-    /// lines and skipped duplicates do not count).
+    /// Lines this handle has written to the file since it was opened
+    /// (replayed lines and skipped duplicates do not count). Asking
+    /// writes the pending group first, so every line recorded so far is
+    /// counted once it has reached the file.
     pub fn appended(&self) -> u64 {
+        self.flush();
         self.state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .appended
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 

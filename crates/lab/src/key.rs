@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use psse_core::params::MachineParams;
-use psse_faults::rng::{packed_words, KeyHasher};
+use psse_faults::rng::{mix64, packed_words, KeyHasher};
 use psse_hbl::prelude::{derive, HblError, Kernel, KernelCost};
 use psse_sim::prelude::FaultPlan;
 use psse_sim::Backend;
@@ -33,8 +33,67 @@ use crate::vocab::{C, F, HALO, ITERS, SEED};
 /// A 128-bit content digest: the `hi` and `lo` chain values. `Display`
 /// is the 32-lowercase-hex spelling used in journals, `.rec` file names
 /// and summaries; [`Digest::from_hex`] is its inverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Digest(pub [u64; 2]);
+
+/// A digest hashes as its two words, which the lab's digest-keyed maps
+/// fold with a keyed splitmix64 mix instead of SipHash.
+impl std::hash::Hash for Digest {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0[0]);
+        state.write_u64(self.0[1]);
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of the maps keyed by
+/// [`Digest`]: each word is folded in with one splitmix64 mix, a
+/// fraction of SipHash's cost on words that are already uniform. The
+/// fold starts from a random key per map, because journal lines are
+/// outside input with unkeyed checksums: under a fixed hash a crafted
+/// journal could put every replayed digest in one bucket and make a
+/// resume quadratic. Nothing iterates these maps into emitted bytes, so
+/// their order is free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DigestState(u64);
+
+impl Default for DigestState {
+    fn default() -> DigestState {
+        use std::hash::BuildHasher;
+        DigestState(std::collections::hash_map::RandomState::new().hash_one(0u64))
+    }
+}
+
+impl std::hash::BuildHasher for DigestState {
+    type Hasher = DigestHasher;
+
+    fn build_hasher(&self) -> DigestHasher {
+        DigestHasher(self.0)
+    }
+}
+
+/// The running fold of a [`DigestState`] map.
+#[derive(Debug)]
+pub(crate) struct DigestHasher(u64);
+
+impl std::hash::Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        packed_words(bytes, |word| self.0 = mix64(self.0 ^ word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix64(self.0 ^ word);
+    }
+}
+
+/// `Digest → V` under [`DigestState`].
+pub(crate) type DigestMap<V> = std::collections::HashMap<Digest, V, DigestState>;
+
+/// A set of digests under [`DigestState`].
+pub(crate) type DigestSet = std::collections::HashSet<Digest, DigestState>;
 
 impl Digest {
     /// The 32 lowercase hex characters, on the stack.
@@ -404,6 +463,29 @@ impl RunKey {
 mod tests {
     use super::*;
     use psse_core::machines::jaketown;
+
+    /// Digests crafted to share one folded word (`hi ^ lo.rotl(32)`, as
+    /// a fixed hash of the two words might use) still spread over the
+    /// buckets of a digest-keyed map, whose fold is keyed per map.
+    #[test]
+    fn crafted_digests_do_not_share_a_bucket() {
+        use std::hash::BuildHasher;
+        let crafted: Vec<Digest> = (0..4096u64)
+            .map(|i| Digest([i, (i ^ 0x5a5a).rotate_right(32)]))
+            .collect();
+        assert!(crafted
+            .iter()
+            .all(|d| d.0[0] ^ d.0[1].rotate_left(32) == 0x5a5a));
+        let state = DigestState::default();
+        let buckets: std::collections::HashSet<u64> =
+            crafted.iter().map(|d| state.hash_one(d) & 0xffff).collect();
+        // A uniform hash fills ~3970 of 65536 buckets with 4096 keys.
+        assert!(buckets.len() > 3500, "{} buckets", buckets.len());
+        let other = DigestState::default();
+        assert!(crafted
+            .iter()
+            .any(|d| state.hash_one(d) != other.hash_one(d)));
+    }
 
     #[test]
     fn digest_is_stable_and_sensitive() {

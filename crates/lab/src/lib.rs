@@ -162,7 +162,8 @@ impl Lab {
     /// from the cache) is recorded as a checksummed line unless the
     /// journal already holds one for it, so a killed process resumes via
     /// [`Lab::seed`] + [`journal::Journal::open_resume`] instead of
-    /// restarting.
+    /// restarting. Lines are written in groups, and every sweep method
+    /// flushes the journal before it returns.
     pub fn set_journal(&mut self, journal: journal::Journal) {
         self.journal = Some(journal);
     }
@@ -242,9 +243,19 @@ impl Lab {
     /// (modulo benign races between workers — counters may vary, bytes
     /// never do).
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        pool::run_ordered(self.jobs(), keys, |_, key| {
+        let results = pool::run_ordered(self.jobs(), keys, |_, key| {
             self.run_one(key, key.digest_bits(), None).0
-        })
+        });
+        self.flush_journal();
+        results
+    }
+
+    /// Write the journal's pending group: a sweep returns with its
+    /// journal complete on disk.
+    fn flush_journal(&self) {
+        if let Some(j) = &self.journal {
+            j.flush();
+        }
     }
 
     /// [`Lab::run_keys`] plus a self-profile: host wall-clock per key,
@@ -269,6 +280,7 @@ impl Lab {
         let (outcomes, pool_profile) = pool::run_ordered_timed(self.jobs(), keys, |i, key| {
             self.run_one(key, digests[i], Some(&registry))
         });
+        self.flush_journal();
         let mut results = Vec::with_capacity(outcomes.len());
         let mut cached = Vec::with_capacity(outcomes.len());
         for (r, c) in outcomes {
@@ -332,6 +344,7 @@ impl Lab {
         let results = pool::run_ordered(self.jobs(), &keys, |i, key| {
             self.run_one(key, digests[i], None).0
         });
+        self.flush_journal();
         SweepResults {
             keys,
             results,
