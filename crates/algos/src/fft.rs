@@ -223,6 +223,36 @@ mod tests {
         }
     }
 
+    /// A corrupting link with no retries to fall back on perturbs one
+    /// word of a transfer now and then — a hypercube record's header as
+    /// often as its data. A perturbed data word is a wrong value; a
+    /// perturbed header must be a typed refusal naming the record, never
+    /// a rank that panics reading past its payload.
+    #[test]
+    fn corrupt_hypercube_headers_are_refused_not_panicked_on() {
+        let x = random_signal(256, 9);
+        let mut refused = 0;
+        for seed in 0..20 {
+            let cfg = SimConfig {
+                faults: Some(FaultPlan {
+                    spec: FaultSpec {
+                        seed,
+                        corrupt_rate: 0.5,
+                        ..FaultSpec::default()
+                    },
+                    recovery: RecoveryPolicy::default(),
+                }),
+                ..SimConfig::default()
+            };
+            if let Err(e) = distributed_fft(&x, 8, AllToAllKind::Hypercube, cfg) {
+                let msg = e.to_string();
+                assert!(!msg.contains("panicked"), "seed {seed}: {msg}");
+                refused += 1;
+            }
+        }
+        assert!(refused > 0, "twenty half-corrupt runs must hit a header");
+    }
+
     #[test]
     fn message_counts_match_paper_costs() {
         // Pairwise: S = Θ(p); hypercube: S = Θ(log p).

@@ -3,19 +3,17 @@
 
 use crate::exec::{EventMachine, EventOutcome, ExecStats};
 use crate::program::RankProgram;
-use crate::step::{Delivered, Step};
 use psse_sim::error::SimResult;
 use psse_sim::{Backend, Machine, SimConfig};
 
 /// Run one program per rank on the backend selected by
 /// [`SimConfig::backend`]:
 ///
-/// * [`Backend::Threads`] — each program's steps are replayed through a
-///   `psse_sim::Rank` on its own pooled OS thread. Every step maps to
-///   the exact `Rank` call the closure API would make (`Compute` →
-///   `compute`, `Send` → `send_shared`, `Recv` → `recv_shared`,
-///   markers → `mark_collective_begin`/`end`), so this is the oracle
-///   the event backend is checked against.
+/// * [`Backend::Threads`] — each program runs on its own pooled OS
+///   thread through [`psse_sim::Rank::run_program`], which makes every
+///   step the exact `Rank` call a closure would make — the call the
+///   built-in collectives make for their own descriptions — so this is
+///   the oracle the event backend is checked against.
 /// * [`Backend::Events`] — [`EventMachine`] prices the same steps in
 ///   one process from a worklist of runnable ranks; byte-identical
 ///   profiles, traces, and fault counters, feasible to `p = 10^6`.
@@ -29,27 +27,9 @@ where
     match cfg.backend {
         Backend::Threads => {
             let outcome = Machine::run(p, cfg.clone(), |rank| {
-                let mut prog = make(rank.rank(), rank.size());
-                let mut delivered: Option<Delivered> = None;
-                loop {
-                    match prog.next(delivered.take()) {
-                        Step::Compute { flops } => rank.compute(flops),
-                        Step::Send { dest, tag, payload } => {
-                            rank.send_shared(dest, tag, payload.into_shared())?;
-                        }
-                        Step::Recv { src, tag } => {
-                            let data = rank.recv_shared(src, tag)?;
-                            delivered = Some(Delivered {
-                                words: data.len(),
-                                data: Some(data),
-                            });
-                        }
-                        Step::CollBegin { op } => rank.mark_collective_begin(op),
-                        Step::CollEnd { op } => rank.mark_collective_end(op),
-                        Step::Done => break,
-                    }
-                }
-                Ok(prog)
+                let mut program = make(rank.rank(), rank.size());
+                rank.run_program(&mut program)?;
+                Ok(program)
             })?;
             Ok(EventOutcome {
                 programs: outcome.results,

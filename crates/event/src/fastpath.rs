@@ -524,7 +524,7 @@ fn phased(
         }
         let pr = Prices::new(cfg, program.words(phase));
         for r in 0..lanes.len() {
-            for (dest, _) in (0..).map_while(|i| program.send(phase, r, i)) {
+            for (dest, _) in (0..).map_while(|i| program.transfer(phase, r, i, true)) {
                 if dest != r {
                     let depart = pr.send(&mut lanes[r]);
                     arrive[dest] = arrive[dest].max(depart);

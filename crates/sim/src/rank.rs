@@ -5,6 +5,7 @@ use crate::machine::SimConfig;
 use crate::mailbox::{Mailboxes, RecvWait};
 use crate::message::{Envelope, SharedPayload, Tag};
 use crate::meter::{same_node, Meter, RankParts};
+use crate::program::{Delivered, RankProgram, Step};
 use std::sync::Arc;
 
 /// A rank of the simulated machine. Handed by [`crate::Machine::run`] to
@@ -209,6 +210,37 @@ impl Rank {
         Ok(env.payload)
     }
 
+    /// Run `program` on this rank to its end: each [`Step`] is the `Rank`
+    /// call a closure would make — `Compute` → [`Rank::compute`], `Send`
+    /// → [`Rank::send_shared`], `Recv` → [`Rank::recv_shared`], the
+    /// markers → [`Rank::mark_collective_begin`] and
+    /// [`Rank::mark_collective_end`] — until `Done`; `Fail`, or a call
+    /// that fails, ends it with that error. The collectives run their
+    /// descriptions through it, and `psse-event` runs any program on the
+    /// thread machine with it, as the oracle its scheduler is held to.
+    pub fn run_program(&mut self, program: &mut impl RankProgram) -> SimResult<()> {
+        let mut delivered = None;
+        loop {
+            match program.next(delivered.take()) {
+                Step::Compute { flops } => self.compute(flops),
+                Step::Send { dest, tag, payload } => {
+                    self.send_shared(dest, tag, payload.into_shared())?;
+                }
+                Step::Recv { src, tag } => {
+                    let data = self.recv_shared(src, tag)?;
+                    delivered = Some(Delivered {
+                        words: data.len(),
+                        data: Some(data),
+                    });
+                }
+                Step::CollBegin { op } => self.mark_collective_begin(op),
+                Step::CollEnd { op } => self.mark_collective_end(op),
+                Step::Done => return Ok(()),
+                Step::Fail(e) => return Err(e),
+            }
+        }
+    }
+
     /// Send to `dest` and receive from `src` in one call. Safe in rings
     /// and shifts because sends are eager.
     pub fn sendrecv(
@@ -221,20 +253,6 @@ impl Rank {
     ) -> SimResult<Vec<f64>> {
         self.send(dest, send_tag, payload)?;
         self.recv(src, recv_tag)
-    }
-
-    /// [`Rank::sendrecv`] over shared buffers: forward one reference,
-    /// receive the next — the zero-copy step of a ring exchange.
-    pub fn sendrecv_shared(
-        &mut self,
-        dest: usize,
-        send_tag: Tag,
-        payload: SharedPayload,
-        src: usize,
-        recv_tag: Tag,
-    ) -> SimResult<SharedPayload> {
-        self.send_shared(dest, send_tag, payload)?;
-        self.recv_shared(src, recv_tag)
     }
 }
 
