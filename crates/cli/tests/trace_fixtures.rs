@@ -53,3 +53,28 @@ fn recordings_reproduce_their_fixtures() {
         bad.join("\n")
     );
 }
+
+/// FNV-1a, 64-bit: a digest that is the same on every host and build.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The Chrome export of the 2.5D fixture, pinned by digest before the
+/// number writer replaced `core::fmt` in the exporter, and the text
+/// form of the parsed fixture, which must be the file itself.
+#[test]
+fn chrome_export_and_text_of_a_fixture_are_pinned() {
+    let path = repo_root().join("tests/fixtures/mm25d_p32_prepr.trace");
+    let trace = psse_trace::Trace::load(&path).unwrap();
+    assert!(trace.to_text().into_bytes() == std::fs::read(&path).unwrap());
+    let json = trace.to_chrome_json();
+    assert_eq!(
+        fnv(json.as_bytes()),
+        0xdaaf_ffb4_43eb_8912,
+        "Chrome JSON digest moved: {:#018x} ({} bytes)",
+        fnv(json.as_bytes()),
+        json.len()
+    );
+}
