@@ -21,6 +21,7 @@ use psse_lab::vocab::{
     self, Values, C, CHECKPOINT_WORDS, F, HALO, INTEGER, ITERS, NUMBER, POSITIVE, POSITIVE_INTEGER,
     SECONDS, SEED, TIMEOUT,
 };
+use psse_metrics::num::{push_f64_debug, push_u64};
 use psse_sim::machine::{Backend, SimConfig};
 use psse_sim::profile::Profile;
 use psse_trace::{ReplayParams, Trace};
@@ -789,17 +790,25 @@ pub fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
             retries,
             ckpt_words
         );
-        let _ = writeln!(
-            csv,
-            "{c},{p},{:?},{:?},{:?},{:?},{:?},{:?},{retries},{ckpt_words},{}",
+        push_u64(&mut csv, c as u64);
+        csv.push(',');
+        push_u64(&mut csv, p as u64);
+        for v in [
             r_free.time,
             r_fault.time,
             r_free.energy,
             r_fault.energy,
             overhead,
             model,
-            r_fault.resilience_words
-        );
+        ] {
+            csv.push(',');
+            push_f64_debug(&mut csv, v);
+        }
+        for v in [retries, ckpt_words, r_fault.resilience_words] {
+            csv.push(',');
+            push_u64(&mut csv, v);
+        }
+        csv.push('\n');
     }
     let _ = writeln!(
         out,

@@ -11,6 +11,7 @@
 //! check whole lines without a per-field allocation.
 
 use psse_faults::rng::{BytePacker, KeyHasher};
+use psse_metrics::num::push_u64;
 
 /// Everything a sweep can want to know about one completed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +97,7 @@ impl RunResult {
             self.resilience_msgs,
         ] {
             out.push(b' ');
-            push_dec(out, v);
+            push_u64(out, v);
         }
         out.push(b' ');
         out.extend_from_slice(&hex16(self.output_digest));
@@ -229,21 +230,6 @@ pub(crate) fn hex16(v: u64) -> [u8; 16] {
         *b = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
     }
     buf
-}
-
-/// Append `v` in decimal (the bytes of `{}`).
-fn push_dec(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&buf[at..]);
 }
 
 /// Value of each ASCII hex digit (either case); `0xff` for any other

@@ -5,11 +5,13 @@
 //! The emitter is canonical enough for byte-stable structure: object
 //! keys keep insertion order (callers insert deterministically),
 //! integers print exactly ([`Json::Int`] is `i128`, wide enough for
-//! histogram sums), and floats print Rust's shortest round-trip form —
-//! so `parse(emit(v)) == v` bit-for-bit, which the proptest suite
-//! checks.
+//! histogram sums), and floats print Rust's shortest round-trip form,
+//! written by [`num`] — so `parse(emit(v)) == v` bit-for-bit, which
+//! the proptest suite checks.
 
 use std::fmt::Write as _;
+
+use crate::num;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,17 +96,22 @@ impl Json {
         match self {
             Json::Null => s.push_str("null"),
             Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(s, "{v}");
-            }
+            Json::Int(v) => match u64::try_from(*v) {
+                Ok(u) => num::push_u64(s, u),
+                // Negative or wider than u64: rare in what we emit.
+                Err(_) => {
+                    let _ = write!(s, "{v}");
+                }
+            },
             Json::Float(v) => {
                 if v.is_finite() {
-                    // Rust's Display prints the shortest string that
-                    // parses back to the same f64; force a fraction or
-                    // exponent so the parser reads it back as Float.
-                    let t = format!("{v}");
-                    s.push_str(&t);
-                    if !t.contains(['.', 'e', 'E']) {
+                    // The shortest string that parses back to the same
+                    // f64, in decimal (the bytes of `{}`); a whole
+                    // number gets `.0` so the parser reads it back as
+                    // Float.
+                    let start = s.len();
+                    num::push_f64_display(s, *v);
+                    if !s[start..].contains('.') {
                         s.push_str(".0");
                     }
                 } else {

@@ -2,7 +2,9 @@
 //!
 //! The observability layer for the psse workspace: counters, gauges
 //! and mergeable log-linear histograms behind a [`Registry`] that
-//! snapshots to canonical text and JSON.
+//! snapshots to canonical text and JSON, and [`num`], the one writer of
+//! the numbers the workspace prints for machines (CSV, trace text,
+//! JSON): the bytes of `{:?}` and `{}` without `core::fmt`.
 //!
 //! Design constraints, in order:
 //!
@@ -18,7 +20,8 @@
 //!    same result for any reduction-tree shape — verified by proptest.
 //! 3. **Zero dependencies.** The crate sits below `psse-sim` and
 //!    `psse-faults` in the dependency DAG, so it can pull in nothing;
-//!    even JSON is the ~300-line [`json::Json`] value type.
+//!    even JSON is the ~300-line [`json::Json`] value type, and float
+//!    printing is [`num`]'s Ryu digits.
 //!
 //! ```
 //! use psse_metrics::prelude::*;
@@ -40,6 +43,7 @@
 
 pub mod hist;
 pub mod json;
+pub mod num;
 pub mod registry;
 
 pub use hist::{saturating_nanos, Histogram};

@@ -9,23 +9,23 @@
 //! the emitted subset is plain ASCII with escaped strings.
 
 use crate::trace::Trace;
+use psse_metrics::num::{push_f64_display, push_u64};
 use psse_sim::record::EventKind;
-use std::fmt::Write as _;
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` escaped for a JSON string literal.
+fn escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                out.push_str("\\u00");
+                out.push(char::from(b"0123456789abcdef"[c as usize >> 4]));
+                out.push(char::from(b"0123456789abcdef"[c as usize & 0xf]));
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Seconds → microseconds (the unit of `ts`/`dur`).
@@ -33,72 +33,146 @@ fn us(t: f64) -> f64 {
     t * 1e6
 }
 
+/// An `args` value: a count or a time.
+enum Arg {
+    Int(u64),
+    Float(f64),
+}
+
 impl Trace {
     /// Serialise the recorded events as Chrome trace-event JSON.
     pub fn to_chrome_json(&self) -> String {
-        let mut ev: Vec<String> = Vec::with_capacity(self.n_events() + self.p);
+        use Arg::{Float, Int};
+        // About 150 bytes an event.
+        const HEAD: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+        let mut out = String::with_capacity(64 + 150 * (self.n_events() + self.p));
+        out.push_str(HEAD);
+        let sep = |out: &mut String| {
+            if out.len() > HEAD.len() {
+                out.push_str(",\n");
+            }
+        };
         for r in 0..self.p {
-            ev.push(format!(
-                r#"{{"ph":"M","name":"process_name","pid":{r},"tid":0,"args":{{"name":"rank {r}"}}}}"#
-            ));
+            sep(&mut out);
+            out.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
+            push_u64(&mut out, r as u64);
+            out.push_str(",\"tid\":0,\"args\":{\"name\":\"rank ");
+            push_u64(&mut out, r as u64);
+            out.push_str("\"}}");
         }
         for (r, evs) in self.events.iter().enumerate() {
             for e in evs {
-                let (ts, dur) = (us(e.t_start), us(e.t_end - e.t_start));
-                match &e.kind {
-                    EventKind::Compute { flops } => ev.push(format!(
-                        r#"{{"ph":"X","name":"compute","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"flops":{flops}}}}}"#
-                    )),
-                    EventKind::Send { dest, tag, words } => ev.push(format!(
-                        r#"{{"ph":"X","name":"send->{dest}","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"dest":{dest},"tag":{tag},"words":{words}}}}}"#
-                    )),
+                // The phase, the name (a peer rank appended) and the args.
+                let (ph, name, peer, args): (&str, &str, Option<usize>, &[(&str, Arg)]) = match &e
+                    .kind
+                {
+                    EventKind::Compute { flops } => {
+                        ("X", "compute", None, &[("flops", Int(*flops))])
+                    }
+                    EventKind::Send { dest, tag, words } => (
+                        "X",
+                        "send->",
+                        Some(*dest),
+                        &[
+                            ("dest", Int(*dest as u64)),
+                            ("tag", Int(*tag)),
+                            ("words", Int(*words as u64)),
+                        ],
+                    ),
                     EventKind::Recv {
                         src,
                         tag,
                         words,
                         msgs,
-                    } => ev.push(format!(
-                        r#"{{"ph":"X","name":"recv<-{src}","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"src":{src},"tag":{tag},"words":{words},"msgs":{msgs}}}}}"#
-                    )),
-                    EventKind::Alloc { words } => ev.push(format!(
-                        r#"{{"ph":"i","name":"alloc","pid":{r},"tid":0,"ts":{ts},"s":"t","args":{{"words":{words}}}}}"#
-                    )),
-                    EventKind::Free { words } => ev.push(format!(
-                        r#"{{"ph":"i","name":"free","pid":{r},"tid":0,"ts":{ts},"s":"t","args":{{"words":{words}}}}}"#
-                    )),
-                    EventKind::CollBegin { op } => ev.push(format!(
-                        r#"{{"ph":"B","name":"{}","pid":{r},"tid":0,"ts":{ts}}}"#,
-                        escape(op)
-                    )),
-                    EventKind::CollEnd { op } => ev.push(format!(
-                        r#"{{"ph":"E","name":"{}","pid":{r},"tid":0,"ts":{ts}}}"#,
-                        escape(op)
-                    )),
+                    } => (
+                        "X",
+                        "recv<-",
+                        Some(*src),
+                        &[
+                            ("src", Int(*src as u64)),
+                            ("tag", Int(*tag)),
+                            ("words", Int(*words as u64)),
+                            ("msgs", Int(*msgs as u64)),
+                        ],
+                    ),
+                    EventKind::Alloc { words } => ("i", "alloc", None, &[("words", Int(*words))]),
+                    EventKind::Free { words } => ("i", "free", None, &[("words", Int(*words))]),
+                    EventKind::CollBegin { op } => ("B", op, None, &[]),
+                    EventKind::CollEnd { op } => ("E", op, None, &[]),
                     EventKind::Retry {
                         dest,
                         tag,
                         attempt,
                         words,
                         backoff,
-                    } => ev.push(format!(
-                        r#"{{"ph":"X","name":"retry->{dest}","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"dest":{dest},"tag":{tag},"attempt":{attempt},"words":{words},"backoff":{backoff}}}}}"#
-                    )),
-                    EventKind::LinkDelay { seconds } => ev.push(format!(
-                        r#"{{"ph":"X","name":"link-delay","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"seconds":{seconds}}}}}"#
-                    )),
-                    EventKind::Checkpoint { words } => ev.push(format!(
-                        r#"{{"ph":"X","name":"checkpoint","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"words":{words}}}}}"#
-                    )),
-                    EventKind::CrashRecovery { lost, restart } => ev.push(format!(
-                        r#"{{"ph":"X","name":"crash-recovery","pid":{r},"tid":0,"ts":{ts},"dur":{dur},"args":{{"lost":{lost},"restart":{restart}}}}}"#
-                    )),
+                    } => (
+                        "X",
+                        "retry->",
+                        Some(*dest),
+                        &[
+                            ("dest", Int(*dest as u64)),
+                            ("tag", Int(*tag)),
+                            ("attempt", Int(*attempt as u64)),
+                            ("words", Int(*words as u64)),
+                            ("backoff", Float(*backoff)),
+                        ],
+                    ),
+                    EventKind::LinkDelay { seconds } => {
+                        ("X", "link-delay", None, &[("seconds", Float(*seconds))])
+                    }
+                    EventKind::Checkpoint { words } => {
+                        ("X", "checkpoint", None, &[("words", Int(*words))])
+                    }
+                    EventKind::CrashRecovery { lost, restart } => (
+                        "X",
+                        "crash-recovery",
+                        None,
+                        &[("lost", Float(*lost)), ("restart", Float(*restart))],
+                    ),
+                };
+                sep(&mut out);
+                out.push_str("{\"ph\":\"");
+                out.push_str(ph);
+                out.push_str("\",\"name\":\"");
+                escape(&mut out, name);
+                if let Some(peer) = peer {
+                    push_u64(&mut out, peer as u64);
                 }
+                out.push_str("\",\"pid\":");
+                push_u64(&mut out, r as u64);
+                out.push_str(",\"tid\":0,\"ts\":");
+                push_f64_display(&mut out, us(e.t_start));
+                match ph {
+                    // Complete events span [t0, t1]; instants are
+                    // thread-scoped; markers carry no args.
+                    "X" => {
+                        out.push_str(",\"dur\":");
+                        push_f64_display(&mut out, us(e.t_end - e.t_start));
+                    }
+                    "i" => out.push_str(",\"s\":\"t\""),
+                    _ => {}
+                }
+                if !args.is_empty() {
+                    out.push_str(",\"args\":{");
+                    for (i, (key, value)) in args.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push('"');
+                        out.push_str(key);
+                        out.push_str("\":");
+                        match *value {
+                            Int(v) => push_u64(&mut out, v),
+                            Float(v) => push_f64_display(&mut out, v),
+                        }
+                    }
+                    out.push('}');
+                }
+                out.push('}');
             }
         }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-            ev.join(",\n")
-        )
+        out.push_str("\n]}\n");
+        out
     }
 }
 
@@ -171,8 +245,13 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\u000ay");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            escape(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("plain"), "plain");
+        assert_eq!(escaped("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escaped("x\ny"), "x\\u000ay");
     }
 }

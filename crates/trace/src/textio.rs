@@ -1,8 +1,9 @@
 //! Plain-text trace serialisation: exact, line-based, dependency-free.
 //!
-//! Floats are written with Rust's shortest-round-trip formatting, so a
-//! save/load cycle reproduces every timestamp bit-for-bit — byte
-//! identity of two serialised traces implies identity of the runs.
+//! Floats are written in Rust's shortest round-trip form (the bytes of
+//! `{:?}`, by `psse_metrics::num`), so a save/load cycle reproduces
+//! every timestamp bit-for-bit — byte identity of two serialised traces
+//! implies identity of the runs.
 //!
 //! ```text
 //! psse-trace v1
@@ -31,42 +32,67 @@
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
+use psse_metrics::num::{push_f64_debug, push_u64};
 use psse_sim::record::{EventKind, TimedEvent};
-use std::fmt::Write as _;
 use std::path::Path;
+
+/// Append `' '` and `v` as `{:?}` prints it.
+fn float(s: &mut String, v: f64) {
+    s.push(' ');
+    push_f64_debug(s, v);
+}
+
+/// Append `' '` and `v` in decimal.
+fn int(s: &mut String, v: u64) {
+    s.push(' ');
+    push_u64(s, v);
+}
+
+/// Append an interval event's keyword, `t0` and `t1`.
+fn span(s: &mut String, kw: &str, t0: f64, t1: f64) {
+    s.push_str(kw);
+    float(s, t0);
+    float(s, t1);
+}
 
 impl Trace {
     /// Serialise to the line-based text format.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str("psse-trace v1\n");
-        let _ = writeln!(s, "p {}", self.p);
-        let _ = writeln!(s, "makespan {:?}", self.makespan);
-        let _ = writeln!(
-            s,
-            "params {:?} {:?} {:?} {}",
-            self.params.gamma_t,
-            self.params.beta_t,
-            self.params.alpha_t,
-            self.params.max_message_words
-        );
+        // About forty bytes an event line.
+        let mut s = String::with_capacity(128 + 40 * self.n_events());
+        s.push_str("psse-trace v1\np");
+        int(&mut s, self.p as u64);
+        s.push_str("\nmakespan");
+        float(&mut s, self.makespan);
+        s.push_str("\nparams");
+        float(&mut s, self.params.gamma_t);
+        float(&mut s, self.params.beta_t);
+        float(&mut s, self.params.alpha_t);
+        int(&mut s, self.params.max_message_words as u64);
         if let Some(h) = &self.params.hierarchy {
-            let _ = writeln!(
-                s,
-                "hier {} {:?} {:?}",
-                h.cores_per_node, h.intra_beta_t, h.intra_alpha_t
-            );
+            s.push_str("\nhier");
+            int(&mut s, h.cores_per_node as u64);
+            float(&mut s, h.intra_beta_t);
+            float(&mut s, h.intra_alpha_t);
         }
+        s.push('\n');
         for (r, evs) in self.events.iter().enumerate() {
-            let _ = writeln!(s, "rank {r} {}", evs.len());
+            s.push_str("rank");
+            int(&mut s, r as u64);
+            int(&mut s, evs.len() as u64);
+            s.push('\n');
             for e in evs {
                 let (t0, t1) = (e.t_start, e.t_end);
                 match &e.kind {
                     EventKind::Compute { flops } => {
-                        let _ = writeln!(s, "C {t0:?} {t1:?} {flops}");
+                        span(&mut s, "C", t0, t1);
+                        int(&mut s, *flops);
                     }
                     EventKind::Send { dest, tag, words } => {
-                        let _ = writeln!(s, "S {t0:?} {t1:?} {dest} {tag} {words}");
+                        span(&mut s, "S", t0, t1);
+                        int(&mut s, *dest as u64);
+                        int(&mut s, *tag);
+                        int(&mut s, *words as u64);
                     }
                     EventKind::Recv {
                         src,
@@ -74,19 +100,26 @@ impl Trace {
                         words,
                         msgs,
                     } => {
-                        let _ = writeln!(s, "R {t0:?} {t1:?} {src} {tag} {words} {msgs}");
+                        span(&mut s, "R", t0, t1);
+                        int(&mut s, *src as u64);
+                        int(&mut s, *tag);
+                        int(&mut s, *words as u64);
+                        int(&mut s, *msgs as u64);
                     }
                     EventKind::Alloc { words } => {
-                        let _ = writeln!(s, "A {t0:?} {t1:?} {words}");
+                        span(&mut s, "A", t0, t1);
+                        int(&mut s, *words);
                     }
                     EventKind::Free { words } => {
-                        let _ = writeln!(s, "F {t0:?} {t1:?} {words}");
+                        span(&mut s, "F", t0, t1);
+                        int(&mut s, *words);
                     }
-                    EventKind::CollBegin { op } => {
-                        let _ = writeln!(s, "B {t0:?} {op}");
-                    }
-                    EventKind::CollEnd { op } => {
-                        let _ = writeln!(s, "E {t0:?} {op}");
+                    EventKind::CollBegin { op } | EventKind::CollEnd { op } => {
+                        let begin = matches!(e.kind, EventKind::CollBegin { .. });
+                        s.push_str(if begin { "B" } else { "E" });
+                        float(&mut s, t0);
+                        s.push(' ');
+                        s.push_str(op);
                     }
                     EventKind::Retry {
                         dest,
@@ -95,21 +128,28 @@ impl Trace {
                         words,
                         backoff,
                     } => {
-                        let _ = writeln!(
-                            s,
-                            "Y {t0:?} {t1:?} {dest} {tag} {attempt} {words} {backoff:?}"
-                        );
+                        span(&mut s, "Y", t0, t1);
+                        int(&mut s, *dest as u64);
+                        int(&mut s, *tag);
+                        int(&mut s, *attempt as u64);
+                        int(&mut s, *words as u64);
+                        float(&mut s, *backoff);
                     }
                     EventKind::LinkDelay { seconds } => {
-                        let _ = writeln!(s, "D {t0:?} {t1:?} {seconds:?}");
+                        span(&mut s, "D", t0, t1);
+                        float(&mut s, *seconds);
                     }
                     EventKind::Checkpoint { words } => {
-                        let _ = writeln!(s, "K {t0:?} {t1:?} {words}");
+                        span(&mut s, "K", t0, t1);
+                        int(&mut s, *words);
                     }
                     EventKind::CrashRecovery { lost, restart } => {
-                        let _ = writeln!(s, "X {t0:?} {t1:?} {lost:?} {restart:?}");
+                        span(&mut s, "X", t0, t1);
+                        float(&mut s, *lost);
+                        float(&mut s, *restart);
                     }
                 }
+                s.push('\n');
             }
         }
         s
