@@ -311,6 +311,62 @@ fn hostile_trace_counts_exit_nonzero_with_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A recorded price no replay accepts, and a send to a rank the trace
+/// lacks, fail every trace command that reads them the same way: exit
+/// 1 naming the line, or the rank, event and destination. `export`
+/// draws the recorded timeline and matches no messages, so it reads the
+/// second trace as it is.
+#[test]
+fn refused_params_and_sends_fail_every_trace_command() {
+    let dir = std::env::temp_dir().join(format!("psse-exit-params-{}", std::process::id()));
+    let one = "rank 0 1\nC 0.0 1.0 5\n";
+    let cases = [
+        (
+            "m0.trace",
+            format!("psse-trace v1\np 1\nmakespan 1.0\nparams 0.0 0.0 0.0 0\n{one}"),
+            "line 4: max_message_words must be at least 1",
+        ),
+        (
+            "nan.trace",
+            format!("psse-trace v1\np 1\nmakespan 1.0\nparams NaN 0.0 0.0 16\n{one}"),
+            "line 4: gamma_t = NaN",
+        ),
+        (
+            "hier.trace",
+            format!("psse-trace v1\np 1\nmakespan 1.0\nparams 0.0 0.0 0.0 16\nhier 0 0.0 0.0\n{one}"),
+            "line 5: hierarchy.cores_per_node must be at least 1",
+        ),
+        (
+            "dest.trace",
+            "psse-trace v1\np 1\nmakespan 1.0\nparams 0.0 0.0 0.0 16\nrank 0 1\nS 0.0 1.0 5 7 100\n".into(),
+            "event 0 on rank 0 sends to rank 5, but the trace has 1 ranks",
+        ),
+    ];
+    for (name, body, want) in cases {
+        let path = write_spec(&dir, name, &body);
+        let json = dir.join(format!("{name}.json")).display().to_string();
+        for args in [
+            &["trace", "replay", "--in", &path][..],
+            &["trace", "critical-path", "--in", &path],
+            &["trace", "flame", "--in", &path],
+            &["trace", "export", "--in", &path, "--out", &json],
+        ] {
+            let out = psse(args);
+            if name == "dest.trace" && args[1] == "export" {
+                assert!(out.status.success(), "{name}: {}", stderr_line(&out));
+                continue;
+            }
+            assert_eq!(out.status.code(), Some(1), "{name}: {args:?}");
+            let err = stderr_line(&out);
+            assert!(
+                err.starts_with("error:") && err.contains(want),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn misspelled_subcommand_exits_nonzero_with_hint() {
     let out = psse(&["buond", "solve", "--kernel", "x.kernel"]);

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 
+use psse_metrics::num::push_u64;
 use psse_metrics::saturating_nanos;
 use psse_sim::record::EventKind;
 
@@ -39,44 +40,87 @@ impl Trace {
     pub fn flame_folded(&self, params: &ReplayParams) -> TraceResult<String> {
         params.validate()?;
         let sched = schedule(self.p, &self.events, params)?;
-        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+        let mut stacks: Vec<(String, u64)> = Vec::new();
         for r in 0..self.p {
+            let mut fold = RankFold::default();
             // Innermost enclosing collective; `main` at top level.
             let mut colls: Vec<&str> = Vec::new();
+            let mut phase = fold.slot("main");
             for (i, e) in self.events[r].iter().enumerate() {
                 let op = match &e.kind {
                     EventKind::CollBegin { op } => {
                         colls.push(op);
+                        phase = fold.slot(op);
                         continue;
                     }
                     EventKind::CollEnd { .. } => {
                         colls.pop();
+                        phase = fold.slot(colls.last().copied().unwrap_or("main"));
                         continue;
                     }
-                    EventKind::Compute { .. } => "compute",
-                    EventKind::Send { .. } => "send",
-                    EventKind::Recv { .. } => "recv-wait",
-                    EventKind::Retry { .. } => "retry",
-                    EventKind::LinkDelay { .. } => "link-delay",
-                    EventKind::Checkpoint { .. } => "checkpoint",
-                    EventKind::CrashRecovery { .. } => "crash-recovery",
+                    EventKind::Compute { .. } => 0,
+                    EventKind::Send { .. } => 1,
+                    EventKind::Recv { .. } => 2,
+                    EventKind::Retry { .. } => 3,
+                    EventKind::LinkDelay { .. } => 4,
+                    EventKind::Checkpoint { .. } => 5,
+                    EventKind::CrashRecovery { .. } => 6,
                     EventKind::Alloc { .. } | EventKind::Free { .. } => continue,
                 };
                 let ns = saturating_nanos(sched.ends[r][i] - sched.starts[r][i]);
-                if ns == 0 {
-                    continue;
+                if ns > 0 {
+                    *fold.totals[phase].1[op].get_or_insert(0) += ns;
                 }
-                let phase = colls.last().copied().unwrap_or("main");
-                *stacks.entry(format!("rank{r};{phase};{op}")).or_insert(0) += ns;
+            }
+            for (phase, ops) in &fold.totals {
+                for (name, ns) in OPS.iter().zip(ops) {
+                    if let Some(ns) = ns {
+                        stacks.push((format!("rank{r};{phase};{name}"), *ns));
+                    }
+                }
             }
         }
+        stacks.sort_unstable();
         let mut out = String::new();
         for (stack, ns) in &stacks {
-            out.push_str(&format!("{stack} {ns}\n"));
+            out.push_str(stack);
+            out.push(' ');
+            push_u64(&mut out, *ns);
+            out.push('\n');
         }
         Ok(out)
     }
 }
+
+/// One rank's fold: its phases in first-seen order, each with the
+/// nanoseconds of every op that took any.
+#[derive(Default)]
+struct RankFold<'a> {
+    slot_of: BTreeMap<&'a str, usize>,
+    totals: Vec<(&'a str, [Option<u64>; OPS.len()])>,
+}
+
+impl<'a> RankFold<'a> {
+    /// The index of `phase` in `totals`, added if new.
+    fn slot(&mut self, phase: &'a str) -> usize {
+        let totals = &mut self.totals;
+        *self.slot_of.entry(phase).or_insert_with(|| {
+            totals.push((phase, [None; OPS.len()]));
+            totals.len() - 1
+        })
+    }
+}
+
+/// The op frame of each event kind that takes time, by index.
+const OPS: [&str; 7] = [
+    "compute",
+    "send",
+    "recv-wait",
+    "retry",
+    "link-delay",
+    "checkpoint",
+    "crash-recovery",
+];
 
 #[cfg(test)]
 mod tests {

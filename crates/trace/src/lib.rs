@@ -73,3 +73,6 @@ pub mod prelude {
     pub use crate::error::{TraceError, TraceResult};
     pub use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
 }
+
+#[cfg(test)]
+mod oracle;

@@ -15,13 +15,24 @@
 //! to `(dst, tag)`. This is exactly the live simulator's semantics —
 //! two simultaneously outstanding transfers with the same triple would
 //! corrupt chunk reassembly there, so valid programs never produce them.
+//!
+//! The matcher holds every send once, in one flat array: rank by rank,
+//! each rank's sends sorted by `(dest, tag, index)`, so the sends of a
+//! triple are adjacent and in program order, and a receive finds its
+//! triple's first send by binary search and takes the next unmatched
+//! one from a per-triple counter. Nothing is hashed and nothing is
+//! allocated per message, so `E` events cost `O(E log E)` whatever the
+//! trace holds — trace text is untrusted, and an unkeyed hash of
+//! trace-chosen keys could be made to collide. Receives are matched in
+//! (rank, index) order, so the first unmatched receive or size mismatch
+//! in that order is the error; a send or retry to a rank the trace does
+//! not have is refused before any.
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::ReplayParams;
 use psse_sim::meter::{charge_chunks, chunk_count, link_prices};
 use psse_sim::profile::{Profile, RankOverheads, RankStats};
 use psse_sim::record::{EventKind, TimedEvent};
-use std::collections::{HashMap, VecDeque};
 
 /// Per rank, per event: the `(sender_rank, event_idx)` of the `Send`
 /// a `Recv` matched; `None` for every other event kind.
@@ -59,16 +70,37 @@ impl Schedule {
 }
 
 /// Match every `Recv` event to its `Send` (FIFO per `(src, dst, tag)`),
-/// validating that the pair agrees on the transfer size.
+/// validating that the pair agrees on the transfer size and that every
+/// send and retry goes to a rank the trace has.
 pub(crate) fn resolve_matches(events: &[Vec<TimedEvent>]) -> TraceResult<MatchTable> {
-    let mut queues: HashMap<(usize, usize, u64), VecDeque<usize>> = HashMap::new();
+    let p = events.len();
+    // Every send as `(dest, tag, index)`, rank by rank; each rank's
+    // sorted, so a `(dest, tag)` pair's sends sit together in program
+    // order from `first[r]`.
+    let mut sends: Vec<(usize, u64, usize)> = Vec::new();
+    let mut first = Vec::with_capacity(p + 1);
     for (r, evs) in events.iter().enumerate() {
+        first.push(sends.len());
         for (i, e) in evs.iter().enumerate() {
-            if let EventKind::Send { dest, tag, .. } = e.kind {
-                queues.entry((r, dest, tag)).or_default().push_back(i);
+            let dest = match e.kind {
+                EventKind::Send { dest, tag, .. } => {
+                    sends.push((dest, tag, i));
+                    dest
+                }
+                EventKind::Retry { dest, .. } => dest,
+                _ => continue,
+            };
+            if dest >= p {
+                return Err(TraceError::Corrupt(format!(
+                    "event {i} on rank {r} sends to rank {dest}, but the trace has {p} ranks"
+                )));
             }
         }
+        sends[first[r]..].sort_unstable();
     }
+    first.push(sends.len());
+    // Per pair, at its first send: how many of its sends are matched.
+    let mut taken = vec![0_usize; sends.len() + 1];
     let mut matched: Vec<Vec<Option<(usize, usize)>>> =
         events.iter().map(|evs| vec![None; evs.len()]).collect();
     for (r, evs) in events.iter().enumerate() {
@@ -77,15 +109,23 @@ pub(crate) fn resolve_matches(events: &[Vec<TimedEvent>]) -> TraceResult<MatchTa
                 src, tag, words, ..
             } = e.kind
             {
-                let j = queues
-                    .get_mut(&(src, r, tag))
-                    .and_then(|q| q.pop_front())
-                    .ok_or(TraceError::UnmatchedRecv {
-                        rank: r,
-                        index: i,
-                        src,
-                        tag,
-                    })?;
+                let unmatched = TraceError::UnmatchedRecv {
+                    rank: r,
+                    index: i,
+                    src,
+                    tag,
+                };
+                if src >= p {
+                    return Err(unmatched);
+                }
+                let (lo, hi) = (first[src], first[src + 1]);
+                let pair = lo + sends[lo..hi].partition_point(|&(d, t, _)| (d, t) < (r, tag));
+                let k = pair + taken[pair];
+                let j = match sends[..hi].get(k) {
+                    Some(&(d, t, j)) if (d, t) == (r, tag) => j,
+                    _ => return Err(unmatched),
+                };
+                taken[pair] += 1;
                 if let EventKind::Send { words: sent, .. } = events[src][j].kind {
                     if sent != words {
                         return Err(TraceError::WordsMismatch {
@@ -549,6 +589,47 @@ mod tests {
             );
             assert!(b.idle >= -1e-12);
         }
+    }
+
+    /// A send or a retry to a rank the trace does not have is a corrupt
+    /// trace, named by its rank, index and destination, in every
+    /// command that schedules it.
+    #[test]
+    fn sends_to_a_missing_rank_are_corrupt() {
+        let head =
+            "psse-trace v1\np 2\nmakespan 1.0\nparams 0.0 0.0 0.0 16\nrank 0 1\nC 0.0 1.0 5\n";
+        for (rank1, want) in [
+            (
+                "rank 1 2\nC 0.0 1.0 5\nS 1.0 1.0 2 7 100\n",
+                "event 1 on rank 1 sends to rank 2, but the trace has 2 ranks",
+            ),
+            (
+                "rank 1 1\nY 0.0 1.0 9 7 1 100 0.0\n",
+                "event 0 on rank 1 sends to rank 9, but the trace has 2 ranks",
+            ),
+        ] {
+            let tr = Trace::from_text(&format!("{head}{rank1}")).unwrap();
+            let want = TraceError::Corrupt(want.into());
+            assert_eq!(tr.replay(&tr.params).unwrap_err(), want);
+            assert_eq!(tr.critical_path(&tr.params).unwrap_err(), want);
+            assert_eq!(tr.flame_folded(&tr.params).unwrap_err(), want);
+        }
+    }
+
+    /// Each receive takes the oldest unmatched send of its triple, and
+    /// sends of other triples (other tags, other destinations) between
+    /// them do not disturb the order.
+    #[test]
+    fn matching_is_fifo_per_triple() {
+        let text = "psse-trace v1\np 3\nmakespan 1.0\nparams 0.0 0.0 0.0 16\n\
+            rank 0 5\nS 0.0 0.0 1 7 1\nS 0.0 0.0 2 7 2\nS 0.0 0.0 1 3 3\nS 0.0 0.0 1 7 4\nS 0.0 0.0 0 7 5\n\
+            rank 1 3\nR 0.0 0.0 0 7 1 1\nR 0.0 0.0 0 3 3 1\nR 0.0 0.0 0 7 4 1\n\
+            rank 2 1\nR 0.0 0.0 0 7 2 1\n";
+        let tr = Trace::from_text(text).unwrap();
+        let matched = resolve_matches(&tr.events).unwrap();
+        assert_eq!(matched[1], [Some((0, 0)), Some((0, 2)), Some((0, 3))]);
+        assert_eq!(matched[2], [Some((0, 1))]);
+        assert!(matched[0].iter().all(Option::is_none));
     }
 
     #[test]

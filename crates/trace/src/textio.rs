@@ -27,8 +27,22 @@
 //!
 //! Every time and duration — the makespan, each event's `t0` and `t1`,
 //! `backoff`, `seconds`, `lost`, `restart` — is finite and not
-//! negative, and no event ends before it starts; the parser refuses
+//! negative, and no event ends before it starts; the `params` and
+//! `hier` values pass [`ReplayParams::validate`]. The parser refuses
 //! anything else with the line it is on.
+//!
+//! Fields are separated by any run of whitespace as `str::split_whitespace`
+//! defines it — ASCII space, `\t`, `\x0B`, `\x0C`, `\r`, and the Unicode
+//! spaces such as U+00A0 and U+3000 — and lines end at `\n` or `\r\n`;
+//! leading, trailing and blank lines are ignored. The writer emits one
+//! space between two fields, and the parser reads such a line without
+//! allocating: it splits the line eight bytes at a time into a fixed
+//! array of field slices and parses each one in place (std `FromStr`).
+//! A line holding any other byte below `'!'` or above `0x7f`, a run of
+//! spaces, or more fields than any line takes is split by
+//! `split_whitespace` instead, into the same array, so both paths read
+//! the same fields. An error message, with its field count, is built
+//! only once a line is refused.
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
@@ -157,16 +171,20 @@ impl Trace {
 
     /// Parse the text format produced by [`Trace::to_text`].
     pub fn from_text(text: &str) -> TraceResult<Trace> {
-        let n_lines = text.lines().count();
-        let mut lines = text.lines().enumerate();
+        let n_lines = count_lines(text);
+        let mut left = text;
+        let mut ln = 0;
         let mut next = |expect: &str| -> TraceResult<(usize, &str)> {
-            lines
-                .next()
-                .map(|(i, l)| (i + 1, l))
-                .ok_or_else(|| TraceError::Parse {
+            if left.is_empty() {
+                return Err(TraceError::Parse {
                     line: 0,
                     msg: format!("unexpected end of input, expected {expect}"),
-                })
+                });
+            }
+            let line;
+            (line, left) = first_line(left);
+            ln += 1;
+            Ok((ln, line))
         };
 
         let (ln, header) = next("header")?;
@@ -189,43 +207,60 @@ impl Trace {
             max_message_words: parse_tok(ln, toks[3])?,
             hierarchy: None,
         };
+        params.validate().map_err(|e| match e {
+            TraceError::InvalidParams(msg) => TraceError::Parse { line: ln, msg },
+            e => e,
+        })?;
 
+        // The lines after `params`, numbered on from it.
+        let (mut body, mut ln) = (left, ln);
         let mut events: Vec<Vec<TimedEvent>> = Vec::with_capacity(p);
         let mut pending_rank: Option<(usize, usize)> = None; // (line, remaining)
-        for (i0, raw) in lines {
-            let ln = i0 + 1;
-            let line = raw.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let kw = it.next().expect("non-empty line");
-            let rest: Vec<&str> = it.collect();
+        while !body.is_empty() {
+            ln += 1;
+            let line = match Fields::canonical(body) {
+                Some((fields, end)) => {
+                    body = body.get(end + 1..).unwrap_or("");
+                    fields
+                }
+                None => {
+                    let line;
+                    (line, body) = first_line(body);
+                    match Fields::of(line.split_whitespace()) {
+                        Some(fields) => fields,
+                        None => continue, // blank
+                    }
+                }
+            };
             if let Some((_, remaining)) = pending_rank {
                 if remaining > 0 {
                     // Must be an event line.
-                    let ev = parse_event(ln, kw, &rest)?;
+                    let ev = parse_event(ln, &line)?;
                     events.last_mut().expect("rank open").push(ev);
                     pending_rank = Some((ln, remaining - 1));
                     continue;
                 }
             }
-            match kw {
+            let rest = &line.first;
+            match line.kw {
                 "hier" => {
-                    if rest.len() != 3 {
+                    if line.n != 3 {
                         return Err(TraceError::Parse {
                             line: ln,
                             msg: "hier takes 3 fields".into(),
                         });
                     }
-                    params.hierarchy = Some(ReplayHierarchy {
+                    let h = ReplayHierarchy {
                         cores_per_node: parse_tok(ln, rest[0])?,
                         intra_beta_t: parse_tok(ln, rest[1])?,
                         intra_alpha_t: parse_tok(ln, rest[2])?,
-                    });
+                    };
+                    h.validate()
+                        .map_err(|msg| TraceError::Parse { line: ln, msg })?;
+                    params.hierarchy = Some(h);
                 }
                 "rank" => {
-                    if rest.len() != 2 {
+                    if line.n != 2 {
                         return Err(TraceError::Parse {
                             line: ln,
                             msg: "rank takes 2 fields".into(),
@@ -242,7 +277,7 @@ impl Trace {
                     events.push(Vec::with_capacity(n));
                     pending_rank = Some((ln, n));
                 }
-                _ => {
+                kw => {
                     return Err(TraceError::Parse {
                         line: ln,
                         msg: format!("unexpected keyword {kw:?}"),
@@ -283,6 +318,128 @@ impl Trace {
             std::fs::read_to_string(path.as_ref()).map_err(|e| TraceError::Io(e.to_string()))?;
         Trace::from_text(&text)
     }
+}
+
+/// `text.lines().count()`, counted a block at a time so the compiler
+/// can vectorise it (a byte-at-a-time count takes as long as splitting
+/// the lines).
+fn count_lines(text: &str) -> usize {
+    let newlines: usize = text
+        .as_bytes()
+        .chunks(255)
+        .map(|c| c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+        .sum();
+    newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
+}
+
+/// The first line of `text` as `str::lines` yields it (without its
+/// `\n` or `\r\n`), and the text after it.
+fn first_line(text: &str) -> (&str, &str) {
+    let (line, rest) = text.split_at(text.find('\n').map_or(text.len(), |i| i + 1));
+    let line = match line.strip_suffix('\n') {
+        Some(l) => l.strip_suffix('\r').unwrap_or(l),
+        None => line,
+    };
+    (line, rest)
+}
+
+/// The most fields any line takes after its keyword (`Y`).
+const MAX_FIELDS: usize = 7;
+
+/// A line's whitespace-separated fields, split without allocating: the
+/// keyword, the first [`MAX_FIELDS`] fields after it, and how many
+/// fields follow the keyword in all (a line with more is refused by
+/// that count, without looking at them).
+#[derive(Default)]
+struct Fields<'a> {
+    kw: &'a str,
+    first: [&'a str; MAX_FIELDS],
+    /// Fields after the keyword, all of them (while splitting: tokens
+    /// so far, the keyword included).
+    n: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields `tokens` yields; `None` if it yields none.
+    fn of(tokens: impl Iterator<Item = &'a str>) -> Option<Fields<'a>> {
+        let mut fields = Fields::default();
+        tokens.for_each(|tok| fields.push(tok));
+        fields.n = fields.n.checked_sub(1)?;
+        Some(fields)
+    }
+
+    /// Split the line `text` starts with, if it is written as
+    /// [`Trace::to_text`] writes lines — fields of ASCII bytes from `'!'`
+    /// up, one space between two, at most `1 + MAX_FIELDS` of them —
+    /// eight bytes at a time, and say where it ends (at its `\n` or the
+    /// end of `text`). `None` for any other line, blank or not: it may
+    /// hold whitespace `split_whitespace` splits on (a tab, `\r`,
+    /// `\x0B`, a non-ASCII space), which only [`Fields::of`] handles.
+    fn canonical(text: &'a str) -> Option<(Fields<'a>, usize)> {
+        let bytes = text.as_bytes();
+        let mut fields = Fields::default();
+        let mut keep =
+            |tok: &'a str| (!tok.is_empty() && fields.n <= MAX_FIELDS).then(|| fields.push(tok));
+        let (mut start, mut at) = (0, 0);
+        loop {
+            let word = match bytes.get(at..at + 8) {
+                Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
+                None => {
+                    // The end of `text` reads as the end of a line.
+                    let mut word = [b'\n'; 8];
+                    word[..bytes.len() - at].copy_from_slice(&bytes[at..]);
+                    u64::from_le_bytes(word)
+                }
+            };
+            let stop = control_or_non_ascii(word);
+            // The spaces before the first control byte, if any.
+            let mut spaces = spaces(word) & (stop & stop.wrapping_neg()).wrapping_sub(1);
+            while spaces != 0 {
+                let i = at + (spaces.trailing_zeros() / 8) as usize;
+                keep(&text[start..i])?;
+                start = i + 1;
+                spaces &= spaces - 1;
+            }
+            if stop != 0 {
+                let end = (at + (stop.trailing_zeros() / 8) as usize).min(bytes.len());
+                if bytes.get(end).is_some_and(|&b| b != b'\n') {
+                    return None;
+                }
+                keep(&text[start..end])?;
+                fields.n -= 1;
+                return Some((fields, end));
+            }
+            at += 8;
+        }
+    }
+
+    /// Keep the line's next token, the keyword first, and count it.
+    fn push(&mut self, tok: &'a str) {
+        match self.n {
+            0 => self.kw = tok,
+            k if k <= MAX_FIELDS => self.first[k - 1] = tok,
+            _ => {}
+        }
+        self.n += 1;
+    }
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const LOW7: u64 = 0x7f * ONES;
+
+/// The high bit of every byte of `w` that is `' '`.
+fn spaces(w: u64) -> u64 {
+    let zero_at_space = w ^ (0x20 * ONES);
+    // Adding 0x7f to the low seven bits of a byte sets its high bit
+    // unless they are all clear; no byte carries into the next.
+    !(((zero_at_space & LOW7) + LOW7) | zero_at_space | LOW7)
+}
+
+/// The high bit of every byte of `w` below `' '` or above `0x7f`.
+fn control_or_non_ascii(w: u64) -> u64 {
+    // Adding 0x60 to the low seven bits sets the high bit exactly when
+    // they are at least 0x20.
+    (w | !((w & LOW7) + 0x60 * ONES)) & (0x80 * ONES)
 }
 
 /// A count declared on line `line` sizes an allocation, and each thing
@@ -345,12 +502,13 @@ fn keyword_fields<'a>(line: usize, l: &'a str, kw: &str, n: usize) -> TraceResul
     Ok(toks)
 }
 
-fn parse_event(ln: usize, kw: &str, rest: &[&str]) -> TraceResult<TimedEvent> {
+fn parse_event(ln: usize, line: &Fields) -> TraceResult<TimedEvent> {
+    let (kw, rest) = (line.kw, &line.first);
     let need = |n: usize| -> TraceResult<()> {
-        if rest.len() != n {
+        if line.n != n {
             return Err(TraceError::Parse {
                 line: ln,
-                msg: format!("event {kw:?} takes {n} fields, got {}", rest.len()),
+                msg: format!("event {kw:?} takes {n} fields, got {}", line.n),
             });
         }
         Ok(())
@@ -605,6 +763,39 @@ mod tests {
         ));
         let fine = format!("{head}C 1.0 1.0 5\n");
         assert!(Trace::from_text(&fine).is_ok(), "an instant event parses");
+    }
+
+    /// A `params` or `hier` value no replay accepts is refused on its
+    /// line, before any command reads the events.
+    #[test]
+    fn refused_params_name_their_line() {
+        let tail = "rank 0 1\nC 0.0 1.0 5\n";
+        for (head, want) in [
+            (
+                "params 0.0 0.0 0.0 0\n",
+                "line 4: max_message_words must be at least 1",
+            ),
+            (
+                "params 0.0 NaN 0.0 16\n",
+                "line 4: beta_t = NaN: time prices must be finite and non-negative",
+            ),
+            (
+                "params 0.0 0.0 -1e-9 16\n",
+                "line 4: alpha_t = -0.000000001: time prices must be finite and non-negative",
+            ),
+            (
+                "params 0.0 0.0 0.0 16\nhier 0 1e-9 1e-7\n",
+                "line 5: hierarchy.cores_per_node must be at least 1",
+            ),
+            (
+                "params 0.0 0.0 0.0 16\nhier 2 inf 1e-7\n",
+                "line 5: intra_beta_t = inf: time prices must be finite and non-negative",
+            ),
+        ] {
+            let text = format!("psse-trace v1\np 1\nmakespan 1.0\n{head}{tail}");
+            let err = Trace::from_text(&text).unwrap_err().to_string();
+            assert_eq!(err, format!("trace parse error at {want}"));
+        }
     }
 
     #[test]
