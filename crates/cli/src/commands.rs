@@ -942,8 +942,7 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         let _ = writeln!(out, "wrote Pareto CSV to {p}");
     }
     if let (Some(path), Some(profile)) = (&profile_path, &profile) {
-        let top = args.u64_or("top", 5)? as usize;
-        let _ = write!(out, "{}", profile.render(top));
+        let _ = write!(out, "{}", profile.render());
         std::fs::write(path, profile.to_json().to_string()).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote self-profile JSON to {path}");
     }

@@ -138,7 +138,7 @@ const COMMANDS: [Row; 21] = [
     Row("faults", "sweep", cmd::faults_sweep, &[Machine, Faults], &[],
         &["n", "q", "c-list", SEED.key, "restart", "mtbf", "out", "jobs", "backend"]),
     Row("lab", "run", cmd::lab_run, &[], &["scaling", "resume"],
-        &["spec", "jobs", "out", "pareto", "cache", "profile", "top", "journal", TIMEOUT.key]),
+        &["spec", "jobs", "out", "pareto", "cache", "profile", "journal", TIMEOUT.key]),
     Row("lab", "expand", cmd::lab_expand, &[], &[], &["spec"]),
     Row("lab", "gc", cmd::lab_gc, &[], &["dry-run"], &["cache", "max-bytes", "max-age"]),
     Row("lab", "fsck", cmd::lab_fsck, &[], &["dry-run"], &["cache"]),
@@ -258,7 +258,6 @@ COMMANDS:
                       [--profile FILE|off] self-profile destination (default:
                                         <out>.profile.json, or
                                         <spec stem>.profile.json without --out)
-                      [--top K]         slowest keys shown in the profile (5)
                       [--journal FILE]  append one checksummed line per finished
                                         run; torn tails from a kill -9 are
                                         detected and truncated on resume

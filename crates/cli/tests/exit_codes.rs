@@ -590,6 +590,39 @@ fn absurd_simulate_sizes_exit_nonzero_without_aborting() {
 }
 
 #[test]
+fn hostile_spec_lists_exit_nonzero_at_their_line_without_aborting() {
+    // Each aborted (exit 134, "memory allocation of ... bytes failed")
+    // at the parent: an unbounded range, a step that never moves `v`, a
+    // ladder of 10^17 points, and a 10^10-run grid. The address space
+    // is capped at 2 GB so a regression aborts fast instead of paging.
+    let dir = std::env::temp_dir().join(format!("psse-exit-hostile-{}", std::process::id()));
+    for (i, lists) in [
+        "n = 4\np = 1..inf",
+        "n = 4\np = 1e20..2e20..1",
+        "n = 4\np = pow2:1:inf",
+        "n = 4\np = geom:1:2:100000000000000000",
+        "n = 1..100000\np = 1..100000",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let body = format!("kind = model\nalg = nbody\n{lists}\n");
+        let spec = write_spec(&dir, &format!("h{i}.spec"), &body);
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 2000000 && exec \"$@\"", "sh"])
+            .args([env!("CARGO_BIN_EXE_psse"), "lab", "run", "--spec", &spec])
+            .args(["--profile", "off"])
+            .output()
+            .expect("spawn psse under sh");
+        let err = stderr_line(&out);
+        assert_eq!(out.status.code(), Some(1), "{lists}: {err}");
+        assert!(err.starts_with("error:") && err.contains("line 4"), "{err}");
+        assert_eq!(err.lines().count(), 1, "no backtrace: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_lab_row_cannot_name_a_machine_it_did_not_run_on() {
     // c = 3 does not divide p = 10. The parent ran the 3 x 3 layout on
     // nine ranks and wrote a `p = 10` row with exit 0.

@@ -488,10 +488,7 @@ impl KernelBuilder {
                 return Err(berr(format!("bad loop index `{id}`")));
             }
         }
-        for window in self.indices.windows(2) {
-            // O(d²) duplicate scan via positions; d ≤ 6.
-            let _ = window;
-        }
+        // O(d²) duplicate scan; d ≤ 6.
         for (i, id) in self.indices.iter().enumerate() {
             if self.indices[..i].contains(id) {
                 return Err(berr(format!("duplicate loop index `{id}`")));

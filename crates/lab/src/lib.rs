@@ -7,10 +7,9 @@
 //! 1. **Declarative sweep specs** ([`spec`]): a `key = value` text
 //!    format parsed into a [`spec::SweepSpec`] and expanded into a
 //!    deterministic ordered list of [`RunKey`]s.
-//! 2. **Parallel executor** ([`pool`]): a fixed-size `std::thread`
-//!    worker pool that runs independent evaluations concurrently and
-//!    reassembles results in spec order — output is byte-identical for
-//!    any `--jobs` value.
+//! 2. **One sweep loop** ([`Lab`] over a [`pool`]): every sweep method
+//!    runs its keys through it, results in spec order for any `--jobs`;
+//!    a [`selfprof::SweepProfile`] is a view of that loop.
 //! 3. **Content-addressed cache** ([`cache`]): each [`RunKey`] hashes
 //!    (via the workspace's splitmix64 machinery) to a stable 128-bit
 //!    digest; results are memoized in memory and optionally persisted
@@ -53,10 +52,17 @@ pub mod spec;
 pub mod vocab;
 
 use std::path::PathBuf;
+use std::time::Instant;
+
+use psse_metrics::saturating_nanos;
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::key::{Digest, RunKey};
 use crate::result::RunResult;
+use crate::selfprof::SweepProfile;
+
+/// One outcome per key of a sweep, in spec order.
+type Outcomes = Vec<Result<RunResult, String>>;
 
 /// Engine configuration. The default is all workers, no persistent
 /// cache, no time budget.
@@ -184,9 +190,14 @@ impl Lab {
         }
     }
 
-    /// The resolved worker count this engine will use.
+    /// The resolved worker count this engine will use: an explicit
+    /// `jobs >= 1` wins; `0` means the machine's available parallelism
+    /// (1 if that cannot be determined).
     pub fn jobs(&self) -> usize {
-        pool::resolve_jobs(self.config.jobs)
+        match self.config.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs => jobs,
+        }
     }
 
     /// One key, end to end: cache lookup, watched execution with panic
@@ -224,17 +235,49 @@ impl Lab {
                 .unwrap_or_else(|| "opaque panic payload".into());
             Err(format!("panic: {msg}"))
         });
-        match executed {
-            Ok(result) => {
-                // Persistence problems are non-fatal: the run succeeded.
-                let _ = self.cache.put(&digest, result);
-                if let Some(j) = &self.journal {
-                    j.record(&digest, &result);
-                }
-                (Ok(result), false)
+        if let Ok(result) = &executed {
+            // Persistence problems are non-fatal: the run succeeded.
+            let _ = self.cache.put(&digest, *result);
+            if let Some(j) = &self.journal {
+                j.record(&digest, result);
             }
-            Err(e) => (Err(e), false),
         }
+        (executed, false)
+    }
+
+    /// The one sweep loop: every key runs through [`Lab::run_one`] on
+    /// the worker pool under its digest (`digests[i]` when the caller
+    /// already has them), results come back in input order, and the
+    /// journal is complete on disk when it returns. With `profile` the
+    /// loop also times each key and hands its run a metrics registry,
+    /// and returns the [`SweepProfile`] assembled from what it
+    /// recorded; without, it reads no clock. Either way the results are
+    /// the same values.
+    fn sweep(
+        &self,
+        keys: &[RunKey],
+        digests: Option<&[Digest]>,
+        profile: bool,
+    ) -> (Outcomes, Option<SweepProfile>) {
+        // The pool's own clamp: the recorder keeps one log per worker.
+        let jobs = self.jobs().min(keys.len()).max(1);
+        let recorder = profile.then(|| selfprof::Recorder::new(jobs));
+        let results = pool::run_ordered(jobs, keys, |worker, i, key| {
+            let digest = digests.map_or_else(|| key.digest_bits(), |d| d[i]);
+            let Some(rec) = &recorder else {
+                return self.run_one(key, digest, None).0;
+            };
+            let t0 = Instant::now();
+            let (result, cached) = self.run_one(key, digest, Some(&rec.registry));
+            let wall_ns = saturating_nanos(t0.elapsed().as_secs_f64());
+            rec.note(worker, (i, digest, wall_ns, cached));
+            result
+        });
+        if let Some(j) = &self.journal {
+            j.flush();
+        }
+        let profile = recorder.map(|rec| rec.finish(keys, &results, self.cache.stats()));
+        (results, profile)
     }
 
     /// Execute an explicit key list; results come back in input order
@@ -243,128 +286,46 @@ impl Lab {
     /// (modulo benign races between workers — counters may vary, bytes
     /// never do).
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        let results = pool::run_ordered(self.jobs(), keys, |_, key| {
-            self.run_one(key, key.digest_bits(), None).0
-        });
-        self.flush_journal();
-        results
+        self.sweep(keys, None, false).0
     }
 
-    /// Write the journal's pending group: a sweep returns with its
-    /// journal complete on disk.
-    fn flush_journal(&self) {
-        if let Some(j) = &self.journal {
-            j.flush();
-        }
-    }
-
-    /// [`Lab::run_keys`] plus a self-profile: host wall-clock per key,
+    /// [`Lab::run_keys`] plus its self-profile: host wall-clock per key,
     /// per-worker busy spans, and the metrics registry the runs
-    /// exported into ([`runner::execute_into`]). Result bytes are
-    /// identical to the unprofiled path; the profile is a pure
-    /// side-channel.
+    /// exported into. The same loop produces the results either way;
+    /// the profile is a view of it.
     pub fn run_keys_profiled(
         &self,
         keys: &[RunKey],
-    ) -> (Vec<Result<RunResult, String>>, selfprof::SweepProfile) {
-        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
-        self.run_digested_profiled(keys, &digests)
-    }
-
-    fn run_digested_profiled(
-        &self,
-        keys: &[RunKey],
-        digests: &[Digest],
-    ) -> (Vec<Result<RunResult, String>>, selfprof::SweepProfile) {
-        let registry = psse_metrics::Registry::new();
-        let (outcomes, pool_profile) = pool::run_ordered_timed(self.jobs(), keys, |i, key| {
-            self.run_one(key, digests[i], Some(&registry))
-        });
-        self.flush_journal();
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut cached = Vec::with_capacity(outcomes.len());
-        for (r, c) in outcomes {
-            results.push(r);
-            cached.push(c);
-        }
-        // Virtual-cost attribution per key *occurrence* — recorded from
-        // the results in spec order, so these series are identical
-        // whatever the worker count or cache temperature (unlike the
-        // execution-time `sim.*` exports; see the `selfprof` docs).
-        let h_time = registry.histogram("virt.time_ns").expect("fresh registry");
-        let h_energy = registry
-            .histogram("virt.energy_nj")
-            .expect("fresh registry");
-        let c_retries = registry.counter("virt.retries").expect("fresh registry");
-        let c_res_words = registry
-            .counter("virt.resilience.words")
-            .expect("fresh registry");
-        let c_res_msgs = registry
-            .counter("virt.resilience.msgs")
-            .expect("fresh registry");
-        for r in results.iter().flatten() {
-            h_time.record_secs(r.time);
-            h_energy.record(psse_metrics::saturating_nanos(r.energy));
-            c_retries.add(r.retries);
-            c_res_words.add(r.resilience_words);
-            c_res_msgs.add(r.resilience_msgs);
-        }
-        // Cache-integrity incidents surface in the metrics registry as
-        // well as the summary line, so a service scraping profiles sees
-        // quarantine events without parsing stderr.
-        let cache_stats = self.cache.stats();
-        registry
-            .counter("cache.corrupt")
-            .expect("fresh registry")
-            .add(cache_stats.corrupt);
-        registry
-            .counter("cache.quarantined")
-            .expect("fresh registry")
-            .add(cache_stats.quarantined);
-        let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
-        let labels = keys
-            .iter()
-            .zip(digests)
-            .map(|(k, d)| (k.label(), d.to_string()))
-            .collect();
-        let profile = selfprof::SweepProfile::assemble(
-            &pool_profile,
-            labels,
-            &cached,
-            &ok,
-            cache_stats,
-            &registry.snapshot(),
-        );
-        (results, profile)
+    ) -> (Vec<Result<RunResult, String>>, SweepProfile) {
+        let (results, profile) = self.sweep(keys, None, true);
+        (results, profile.expect("asked for a profile"))
     }
 
     /// Execute an expanded sweep under the digests it already carries.
     pub fn run_sweep(&self, sweep: ExpandedSweep) -> SweepResults {
-        let ExpandedSweep { keys, digests } = sweep;
-        let results = pool::run_ordered(self.jobs(), &keys, |i, key| {
-            self.run_one(key, digests[i], None).0
-        });
-        self.flush_journal();
-        SweepResults {
-            keys,
-            results,
-            stats: self.cache.stats(),
-        }
+        self.sweep_expanded(sweep, false).0
     }
 
     /// [`Lab::run_sweep`] with a self-profile (see
     /// [`Lab::run_keys_profiled`]).
-    pub fn run_sweep_profiled(
+    pub fn run_sweep_profiled(&self, sweep: ExpandedSweep) -> (SweepResults, SweepProfile) {
+        let (results, profile) = self.sweep_expanded(sweep, true);
+        (results, profile.expect("asked for a profile"))
+    }
+
+    fn sweep_expanded(
         &self,
         sweep: ExpandedSweep,
-    ) -> (SweepResults, selfprof::SweepProfile) {
+        profile: bool,
+    ) -> (SweepResults, Option<SweepProfile>) {
         let ExpandedSweep { keys, digests } = sweep;
-        let (results, profile) = self.run_digested_profiled(&keys, &digests);
+        let (results, profile) = self.sweep(&keys, Some(&digests), profile);
+        let stats = self.cache.stats();
         (
             SweepResults {
                 keys,
                 results,
-                stats: self.cache.stats(),
+                stats,
             },
             profile,
         )
@@ -373,14 +334,6 @@ impl Lab {
     /// Expand a spec and execute it.
     pub fn run_spec(&self, spec: &spec::SweepSpec) -> SweepResults {
         self.run_sweep(ExpandedSweep::new(spec.expand()))
-    }
-
-    /// Expand a spec and execute it with a self-profile.
-    pub fn run_spec_profiled(
-        &self,
-        spec: &spec::SweepSpec,
-    ) -> (SweepResults, selfprof::SweepProfile) {
-        self.run_sweep_profiled(ExpandedSweep::new(spec.expand()))
     }
 
     /// Cache counters accumulated so far.
@@ -402,7 +355,7 @@ pub mod prelude {
         detect_scaling_range, pareto_indices, pareto_indices_naive, DetectedRange,
     };
     pub use crate::result::{digest_f64s, line_checksum, RunResult};
-    pub use crate::runner::{execute, execute_into, execute_watched};
+    pub use crate::runner::{execute, execute_watched};
     pub use crate::selfprof::{RunProfile, SweepProfile};
     pub use crate::spec::SweepSpec;
     pub use crate::{ExpandedSweep, Lab, LabConfig, SweepResults};
@@ -411,6 +364,18 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn explicit_jobs_win() {
+        let lab = |jobs| {
+            Lab::new(LabConfig {
+                jobs,
+                ..LabConfig::default()
+            })
+        };
+        assert_eq!(lab(3).jobs(), 3);
+        assert!(lab(0).jobs() >= 1);
+    }
 
     #[test]
     fn run_keys_memoizes_duplicates() {
@@ -443,7 +408,7 @@ mod tests {
             jobs: 4,
             ..LabConfig::default()
         });
-        let (profiled, profile) = lab.run_spec_profiled(&spec);
+        let (profiled, profile) = lab.run_sweep_profiled(ExpandedSweep::new(spec.expand()));
         assert_eq!(plain.results, profiled.results);
 
         assert_eq!(profile.runs.len(), 8);
@@ -460,7 +425,7 @@ mod tests {
         assert_eq!(virt.get("count").and_then(|v| v.as_u64()), Some(8));
         // Rerunning on the warm cache flips `cached` but keeps the key
         // set and the virt.* sample count identical.
-        let (_, warm) = lab.run_spec_profiled(&spec);
+        let (_, warm) = lab.run_sweep_profiled(ExpandedSweep::new(spec.expand()));
         assert!(warm.runs.iter().all(|r| r.cached));
         let keys_cold: Vec<&str> = profile.runs.iter().map(|r| r.digest.as_str()).collect();
         let keys_warm: Vec<&str> = warm.runs.iter().map(|r| r.digest.as_str()).collect();
@@ -503,6 +468,31 @@ mod tests {
         // Replayed keys were served from the seeded cache.
         assert!(lab2.cache_stats().hits >= replayed.len() as u64);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn profile_accounts_every_key_to_one_worker() {
+        use psse_core::machines::jaketown;
+        let keys: Vec<RunKey> = (1..=40)
+            .map(|p| RunKey::model("nbody", 1000, p, jaketown()))
+            .collect();
+        for (jobs, used) in [(1, 1), (3, 3), (64, 40)] {
+            let lab = Lab::new(LabConfig {
+                jobs,
+                ..LabConfig::default()
+            });
+            let (results, profile) = lab.run_keys_profiled(&keys);
+            assert_eq!(results, lab.run_keys(&keys), "jobs={jobs}");
+            assert_eq!((profile.jobs, profile.workers.len()), (used, used));
+            let items: u64 = profile.workers.iter().map(|w| w.items).sum();
+            assert_eq!(items, keys.len() as u64, "jobs={jobs}");
+            let busy: u64 = profile.workers.iter().map(|w| w.busy_ns).sum();
+            let walls: u64 = profile.runs.iter().map(|r| r.wall_ns).sum();
+            assert_eq!(busy, walls, "jobs={jobs}");
+            for (run, key) in profile.runs.iter().zip(&keys) {
+                assert_eq!((&run.label, &run.digest), (&key.label(), &key.digest()));
+            }
+        }
     }
 
     #[test]

@@ -22,25 +22,7 @@ use crate::result::{digest_f64s, RunResult};
 /// Execute one run. Deterministic: equal keys produce equal results,
 /// bit-for-bit, which is what makes the content-addressed cache sound.
 pub fn execute(key: &RunKey) -> Result<RunResult, String> {
-    execute_into(key, None)
-}
-
-/// [`execute`], optionally exporting virtual-cost attribution into a
-/// metrics registry. For simulator runs the per-rank Eq. 1/2 term
-/// breakdown and raw counters land under `sim.*`
-/// (`psse_algos::bridge::measure_into`) and an active fault plan
-/// describes itself under `faults.*`; model runs have no per-rank
-/// profile and export nothing. The returned [`RunResult`] is
-/// bit-identical with and without a registry — exports are a pure
-/// side-channel, so cached and fresh executions stay interchangeable.
-pub fn execute_into(
-    key: &RunKey,
-    registry: Option<&psse_metrics::Registry>,
-) -> Result<RunResult, String> {
-    match key.kind {
-        RunKind::Model => execute_model(key),
-        RunKind::Simulate => execute_simulate(key, registry, None),
-    }
+    execute_watched(key, None, None)
 }
 
 /// `r`, or the key's error when finite prices priced its `T`, `E` or
@@ -52,8 +34,18 @@ fn priced(r: RunResult) -> Result<RunResult, String> {
     Ok(r)
 }
 
-/// [`execute_into`] under a wall-clock budget. When `timeout` is set
-/// and the key is a simulator run, the simulator config carries a
+/// [`execute`], optionally exporting virtual-cost attribution into a
+/// metrics registry and under a wall-clock budget.
+///
+/// With a registry, a simulator run's per-rank Eq. 1/2 term breakdown
+/// and raw counters land under `sim.*`
+/// (`psse_algos::bridge::measure_into`) and an active fault plan
+/// describes itself under `faults.*`; model runs have no per-rank
+/// profile and export nothing. The returned [`RunResult`] is
+/// bit-identical with and without a registry — exports are a pure
+/// side-channel, so cached and fresh executions stay interchangeable.
+///
+/// With a `timeout`, a simulator run's config carries a
 /// [`psse_sim::CancelFlag`] whose deadline is the budget: once it
 /// passes, the run unwinds cooperatively (blocked receivers are woken
 /// through the poison machinery) and this function returns a
@@ -64,23 +56,18 @@ pub fn execute_watched(
     registry: Option<&psse_metrics::Registry>,
     timeout: Option<std::time::Duration>,
 ) -> Result<RunResult, String> {
-    let Some(limit) = timeout else {
-        return execute_into(key, registry);
-    };
-    match key.kind {
-        RunKind::Model => execute_model(key),
-        RunKind::Simulate => {
-            let flag = psse_sim::CancelFlag::after(limit);
-            match execute_simulate(key, registry, Some(flag.clone())) {
-                // Any failure once the deadline has passed is the
-                // budget's doing; normalize to one deterministic message.
-                Err(_) if flag.is_cancelled() => Err(format!(
-                    "timeout: run exceeded the {:.3}s wall-clock budget and was cancelled",
-                    limit.as_secs_f64()
-                )),
-                other => other,
-            }
-        }
+    if key.kind == RunKind::Model {
+        return execute_model(key);
+    }
+    let flag = timeout.map(psse_sim::CancelFlag::after);
+    match (execute_simulate(key, registry, flag.clone()), timeout) {
+        // Any failure once the deadline has passed is the budget's
+        // doing; normalize to one deterministic message.
+        (Err(_), Some(limit)) if flag.is_some_and(|f| f.is_cancelled()) => Err(format!(
+            "timeout: run exceeded the {:.3}s wall-clock budget and was cancelled",
+            limit.as_secs_f64()
+        )),
+        (other, _) => other,
     }
 }
 

@@ -7,8 +7,11 @@
 //! keys were slow to evaluate" and "where did the modeled time/energy
 //! go".
 //!
+//! The profile is a view of `Lab`'s one sweep loop, which reads the
+//! clock and hands a run the registry only when a profile was asked for.
+//!
 //! Structure is deterministic: runs appear in spec order under their
-//! [`RunKey`](crate::key::RunKey) labels and digests, workers in index
+//! [`RunKey`] labels and digests, workers in index
 //! order, and the JSON rendering is canonical — reruns of the same
 //! sweep differ only in the nanosecond values. One caveat, by design:
 //! the `sim.*`/`faults.*` metric series are exported when a run
@@ -17,10 +20,27 @@
 //! recorded per key occurrence, hit or miss, and are identical across
 //! cache temperature and `--jobs` values.
 
-use psse_metrics::{Json, Snapshot};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
+
+use psse_metrics::{saturating_nanos, Json, Registry};
 
 use crate::cache::CacheStats;
-use crate::pool::{PoolProfile, WorkerSpan};
+use crate::key::{Digest, RunKey};
+use crate::result::RunResult;
+
+/// Rows of the slowest-keys table in [`SweepProfile::render`].
+const TOP_SLOWEST: usize = 5;
+
+/// One worker's accounting over a sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkerSpan {
+    /// Nanoseconds spent running keys (busy; the rest of the sweep's
+    /// wall clock was idle or contended).
+    pub busy_ns: u64,
+    /// Keys this worker completed.
+    pub items: u64,
+}
 
 /// One run's entry in the self-profile, in spec order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,37 +79,6 @@ pub struct SweepProfile {
 }
 
 impl SweepProfile {
-    /// Assemble a profile from the pool timing and per-run outcomes.
-    pub(crate) fn assemble(
-        pool: &PoolProfile,
-        labels: Vec<(String, String)>,
-        cached: &[bool],
-        ok: &[bool],
-        cache: CacheStats,
-        metrics: &Snapshot,
-    ) -> SweepProfile {
-        let runs = labels
-            .into_iter()
-            .zip(pool.item_ns.iter())
-            .zip(cached.iter().zip(ok))
-            .map(|(((label, digest), &wall_ns), (&cached, &ok))| RunProfile {
-                label,
-                digest,
-                wall_ns,
-                cached,
-                ok,
-            })
-            .collect();
-        SweepProfile {
-            jobs: pool.jobs,
-            wall_ns: pool.wall_ns,
-            runs,
-            workers: pool.workers.clone(),
-            cache,
-            metrics: metrics.to_json(),
-        }
-    }
-
     /// Indices of the `k` slowest runs, slowest first; ties break
     /// toward spec order so the ranking is deterministic.
     pub fn top_slowest(&self, k: usize) -> Vec<usize> {
@@ -175,39 +164,26 @@ impl SweepProfile {
             other => return Err(format!("unsupported profile version {other:?}")),
         }
         let cache_v = v.get("cache").ok_or("profile JSON missing `cache`")?;
-        let runs = v
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or("profile JSON missing `runs`")?
+        let list = |k: &str| {
+            let list = v.get(k).and_then(Json::as_arr);
+            list.ok_or_else(|| format!("profile JSON missing `{k}`"))
+        };
+        let runs = list("runs")?
             .iter()
             .map(|r| {
+                let text = |k: &str| r.get(k).and_then(Json::as_str).map(str::to_string);
+                let flag = |k: &str| r.get(k).and_then(Json::as_bool);
+                let missing = |k: &str| format!("run missing `{k}`");
                 Ok(RunProfile {
-                    label: r
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .ok_or("run missing `label`")?
-                        .to_string(),
-                    digest: r
-                        .get("digest")
-                        .and_then(Json::as_str)
-                        .ok_or("run missing `digest`")?
-                        .to_string(),
+                    label: text("label").ok_or_else(|| missing("label"))?,
+                    digest: text("digest").ok_or_else(|| missing("digest"))?,
                     wall_ns: int(r, "wall_ns")?,
-                    cached: r
-                        .get("cached")
-                        .and_then(Json::as_bool)
-                        .ok_or("run missing `cached`")?,
-                    ok: r
-                        .get("ok")
-                        .and_then(Json::as_bool)
-                        .ok_or("run missing `ok`")?,
+                    cached: flag("cached").ok_or_else(|| missing("cached"))?,
+                    ok: flag("ok").ok_or_else(|| missing("ok"))?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let workers = v
-            .get("workers")
-            .and_then(Json::as_arr)
-            .ok_or("profile JSON missing `workers`")?
+        let workers = list("workers")?
             .iter()
             .map(|w| {
                 Ok(WorkerSpan {
@@ -235,10 +211,10 @@ impl SweepProfile {
         })
     }
 
-    /// Human-readable report: sweep summary, the `top_k` slowest keys,
+    /// Human-readable report: sweep summary, the five slowest keys,
     /// and per-worker utilization bars. Row *ordering* is
     /// deterministic; the timing columns are what vary between runs.
-    pub fn render(&self, top_k: usize) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "self-profile: {} runs, jobs={}, wall {}, cache {} hits / {} misses\n",
@@ -248,7 +224,7 @@ impl SweepProfile {
             self.cache.hits,
             self.cache.misses,
         ));
-        let top = self.top_slowest(top_k);
+        let top = self.top_slowest(TOP_SLOWEST);
         if !top.is_empty() {
             out.push_str(&format!("top {} slowest keys:\n", top.len()));
             for i in top {
@@ -276,6 +252,99 @@ impl SweepProfile {
             }
         }
         out
+    }
+}
+
+/// `(index, digest, wall_ns, cached)` of a key a worker ran.
+type Noted = (usize, Digest, u64, bool);
+
+/// The sweep loop's record of a profiled sweep: the registry its runs
+/// export into, when it started, and per worker the keys it ran.
+pub(crate) struct Recorder {
+    pub(crate) registry: Registry,
+    started: Instant,
+    logs: Vec<Mutex<Vec<Noted>>>,
+}
+
+impl Recorder {
+    /// Start recording a sweep run by `jobs` workers.
+    pub(crate) fn new(jobs: usize) -> Recorder {
+        Recorder {
+            registry: Registry::new(),
+            started: Instant::now(),
+            logs: (0..jobs).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// Log a key `worker` ran.
+    pub(crate) fn note(&self, worker: usize, run: Noted) {
+        // Each log has one writer, its worker: the lock is uncontended.
+        let log = self.logs[worker].lock();
+        log.unwrap_or_else(PoisonError::into_inner).push(run);
+    }
+
+    /// The profile of the sweep that ran `keys` to `results`, with the
+    /// engine's cache counters at its end.
+    pub(crate) fn finish(
+        self,
+        keys: &[RunKey],
+        results: &[Result<RunResult, String>],
+        cache: CacheStats,
+    ) -> SweepProfile {
+        let wall_ns = saturating_nanos(self.started.elapsed().as_secs_f64());
+        // Virtual-cost attribution per key *occurrence*, recorded from
+        // the results in spec order, so these series are identical
+        // whatever the worker count or cache temperature (unlike the
+        // execution-time `sim.*` exports; see the module docs).
+        let histogram = |name| self.registry.histogram(name).expect("fresh registry");
+        let counter = |name| self.registry.counter(name).expect("fresh registry");
+        let (time, energy) = (histogram("virt.time_ns"), histogram("virt.energy_nj"));
+        let retries = counter("virt.retries");
+        let (words, msgs) = (
+            counter("virt.resilience.words"),
+            counter("virt.resilience.msgs"),
+        );
+        for r in results.iter().flatten() {
+            time.record_secs(r.time);
+            energy.record(saturating_nanos(r.energy));
+            retries.add(r.retries);
+            words.add(r.resilience_words);
+            msgs.add(r.resilience_msgs);
+        }
+        // Cache-integrity incidents surface in the registry as well as
+        // the summary line, so a service scraping profiles sees
+        // quarantine events without parsing stderr.
+        counter("cache.corrupt").add(cache.corrupt);
+        counter("cache.quarantined").add(cache.quarantined);
+        let metrics = self.registry.snapshot().to_json();
+
+        let mut runs = Vec::with_capacity(keys.len());
+        let workers: Vec<WorkerSpan> = (self.logs.into_iter())
+            .map(|log| {
+                let log = log.into_inner().unwrap_or_else(PoisonError::into_inner);
+                let busy_ns = log.iter().fold(0u64, |t, run| t.saturating_add(run.2));
+                let items = log.len() as u64;
+                runs.extend(log);
+                WorkerSpan { busy_ns, items }
+            })
+            .collect();
+        runs.sort_unstable_by_key(|run| run.0);
+        SweepProfile {
+            jobs: workers.len(),
+            wall_ns,
+            runs: (runs.into_iter())
+                .map(|(i, digest, wall_ns, cached)| RunProfile {
+                    label: keys[i].label(),
+                    digest: digest.to_string(),
+                    wall_ns,
+                    cached,
+                    ok: results[i].is_ok(),
+                })
+                .collect(),
+            workers,
+            cache,
+            metrics,
+        }
     }
 }
 
@@ -360,7 +429,7 @@ mod tests {
 
     #[test]
     fn render_names_every_section() {
-        let text = sample().render(5);
+        let text = sample().render();
         assert!(text.contains("self-profile: 2 runs, jobs=2"), "{text}");
         assert!(text.contains("top 2 slowest keys:"), "{text}");
         assert!(

@@ -23,7 +23,10 @@
 //! the spec text alone. Duplicate grid points are kept (they become
 //! intra-sweep cache hits), again matching the benches.
 //!
-//! Unknown keys are rejected with the offending line number.
+//! Unknown keys are rejected with the offending line number, and so is
+//! a list no memory could hold: a range bound that is not finite, a
+//! step that does not advance, or more than 2²⁰ values in a list or
+//! runs in the expanded sweep.
 
 use std::sync::Arc;
 
@@ -63,6 +66,11 @@ pub struct SweepSpec {
 /// The keys only a spec has: what to run and the grid it sweeps. The
 /// rest are [`vocab::keys`].
 const SPEC_KEYS: [&str; 8] = ["kind", "alg", "kernel", "backend", "n", "p", "mem", "clamp"];
+
+/// The most values a list, and the most runs a sweep, may hold: about
+/// 100× the largest sweep the repository generates, and far below what
+/// would run the process out of memory before the first run.
+const MAX_RUNS: usize = 1 << 20;
 
 /// A spec's `key = value` lines, each with its line number; the last
 /// line of a key wins.
@@ -112,12 +120,17 @@ fn from_str<T: std::str::FromStr<Err = String>>(value: &str, line: usize) -> Res
 fn parse_atom(atom: &str, line: usize) -> Result<Vec<f64>, LabError> {
     let atom = atom.trim();
     let bad = |what: &str| LabError::spec(line, format!("bad {what} `{atom}`"));
+    let infinite = || LabError::spec(line, format!("`{atom}`: bounds must be finite"));
+    let too_long = || LabError::spec(line, format!("`{atom}` holds more than {MAX_RUNS} values"));
     if let Some(rest) = atom.strip_prefix("pow2:") {
         let (lo, hi) = rest.split_once(':').ok_or_else(|| bad("pow2 range"))?;
         let lo: f64 = lo.parse().map_err(|_| bad("pow2 range"))?;
         let hi: f64 = hi.parse().map_err(|_| bad("pow2 range"))?;
         if !(lo > 0.0 && hi >= lo) {
             return Err(bad("pow2 range"));
+        }
+        if !hi.is_finite() {
+            return Err(infinite());
         }
         let mut out = Vec::new();
         let mut v = lo;
@@ -138,6 +151,12 @@ fn parse_atom(atom: &str, line: usize) -> Result<Vec<f64>, LabError> {
         if !(lo > 0.0 && hi >= lo && count >= 1) {
             return Err(bad("geometric ladder"));
         }
+        if !hi.is_finite() {
+            return Err(infinite());
+        }
+        if count > MAX_RUNS {
+            return Err(too_long());
+        }
         if count == 1 {
             return Ok(vec![lo]);
         }
@@ -154,11 +173,22 @@ fn parse_atom(atom: &str, line: usize) -> Result<Vec<f64>, LabError> {
         if !(step > 0.0 && hi >= lo) {
             return Err(bad("range"));
         }
+        if !(lo.is_finite() && hi.is_finite()) {
+            return Err(infinite());
+        }
         let mut out = Vec::new();
         let mut v = lo;
         while v <= hi {
+            if out.len() == MAX_RUNS {
+                return Err(too_long());
+            }
             out.push(v);
-            v += step;
+            let next = v + step;
+            if next == v {
+                let why = format!("`{atom}`: a step of {step} does not advance from {v}");
+                return Err(LabError::spec(line, why));
+            }
+            v = next;
         }
         return Ok(out);
     }
@@ -171,6 +201,10 @@ fn parse_f64_list(value: &str, line: usize) -> Result<Vec<f64>, LabError> {
     let mut out = Vec::new();
     for atom in value.split(',') {
         out.extend(parse_atom(atom, line)?);
+        if out.len() > MAX_RUNS {
+            let why = format!("the list holds more than {MAX_RUNS} values");
+            return Err(LabError::spec(line, why));
+        }
     }
     if out.is_empty() {
         return Err(LabError::spec(line, "empty list"));
@@ -301,21 +335,39 @@ impl SweepSpec {
             iters: lines.get(&ITERS).map_err(err)?,
             ..RunKey::model(&alg, 0, 0, machine)
         };
+        let c = match lines.find(C.key) {
+            None => vec![C.default],
+            // Each element is an integer by `c`'s own rule, unrounded.
+            Some((line, value)) => parse_f64_list(value, line)?
+                .iter()
+                .map(|v| C.rule.parse(C.key, &v.to_string()))
+                .collect::<Result<_, _>>()
+                .map_err(err)?,
+        };
+        let mem = lines.with("mem", parse_f64_list)?.unwrap_or_default();
+        // The expansion is refused at the list that takes it past the
+        // bound, before a run list is ever allocated.
+        let mut runs = 1usize;
+        for (list, len) in [
+            ("n", n.len()),
+            ("p", p.len()),
+            ("c", c.len()),
+            ("mem", mem.len()),
+        ] {
+            runs = runs.saturating_mul(len.max(1));
+            if runs > MAX_RUNS {
+                let line = lines.find(list).map_or(0, |(line, _)| line);
+                let why = format!("`{list}` expands the sweep past {MAX_RUNS} runs");
+                return Err(LabError::spec(line, why));
+            }
+        }
         Ok(SweepSpec {
             key,
             machine_name: machine_name.to_string(),
             n,
             p,
-            c: match lines.find(C.key) {
-                None => vec![C.default],
-                // Each element is an integer by `c`'s own rule, unrounded.
-                Some((line, value)) => parse_f64_list(value, line)?
-                    .iter()
-                    .map(|v| C.rule.parse(C.key, &v.to_string()))
-                    .collect::<Result<_, _>>()
-                    .map_err(err)?,
-            },
-            mem: lines.with("mem", parse_f64_list)?.unwrap_or_default(),
+            c,
+            mem,
             timeout: lines.get(&TIMEOUT).map_err(err)?,
         })
     }
@@ -603,6 +655,40 @@ mod tests {
             .unwrap_err();
             assert!(err.to_string().contains("line 5"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn lists_no_memory_could_hold_are_refused_at_their_line() {
+        for (list, why) in [
+            ("p = 1..inf", "bounds must be finite"),
+            (
+                "p = 1e20..2e20..1",
+                "does not advance from 100000000000000000000",
+            ),
+            ("p = 9007199254740990..9007199254741000", "does not advance"),
+            ("p = pow2:1:inf", "bounds must be finite"),
+            (
+                "p = geom:1:2:100000000000000000",
+                "holds more than 1048576 values",
+            ),
+            ("p = 1..2000000", "holds more than 1048576 values"),
+            (
+                "p = 1..1000000, 1..1000000",
+                "the list holds more than 1048576",
+            ),
+            // `n` (line 5) alone is 10⁵ runs; `p` (line 4) takes it past.
+            (
+                "p = 1..100000\nn = 1..100000",
+                "`p` expands the sweep past 1048576",
+            ),
+        ] {
+            let text = format!("kind = model\nalg = nbody\nn = 4\n{list}\n");
+            let err = SweepSpec::parse(&text).unwrap_err().to_string();
+            assert!(err.contains("line 4") && err.contains(why), "{list}: {err}");
+        }
+        // At the bound itself a list and a sweep still parse.
+        let text = "kind = model\nalg = nbody\nn = 1..1024\np = 1..1024\n";
+        assert_eq!(SweepSpec::parse(text).unwrap().len(), MAX_RUNS);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use psse_core::machines::jaketown;
 use psse_faults::rng::{hash_key, SplitMix64};
 use psse_lab::cache::ResultCache;
-use psse_lab::pool::WorkerSpan;
 use psse_lab::prelude::*;
+use psse_lab::selfprof::WorkerSpan;
 use psse_metrics::{Json, Registry};
 
 /// Quantized coordinates: small integer lattices force plenty of exact

@@ -24,11 +24,12 @@ fn main() {
     )
     .expect("valid spec");
 
-    // 2. Run it profiled. The results are bit-identical to the
-    //    unprofiled `run_spec` path — the profile is a pure
-    //    side-channel.
+    // 2. Run it profiled. `run_sweep` and `run_sweep_profiled` are one
+    //    sweep loop; asking for the profile only makes that loop time
+    //    each key and hand it a metrics registry, so the results are
+    //    the values the unprofiled call returns.
     let lab = Lab::new(LabConfig::default());
-    let (sweep, profile) = lab.run_spec_profiled(&spec);
+    let (sweep, profile) = lab.run_sweep_profiled(ExpandedSweep::new(spec.expand()));
     let (feasible, infeasible) = sweep.feasibility();
     println!(
         "ran {} evaluations ({feasible} feasible, {infeasible} infeasible) \
@@ -37,9 +38,9 @@ fn main() {
         profile.jobs
     );
 
-    // 3. The human-readable report: top-K slowest keys plus per-worker
-    //    busy/idle bars. This is exactly what the CLI prints.
-    print!("{}", profile.render(5));
+    // 3. The human-readable report: the five slowest keys plus
+    //    per-worker busy/idle bars. This is exactly what the CLI prints.
+    print!("{}", profile.render());
 
     // 4. The same data programmatically. Structure is deterministic:
     //    runs are in spec order, so reruns differ only in the
