@@ -79,7 +79,7 @@ pub enum SimError {
     /// True deadlock, proven rather than timed out: every live rank is
     /// blocked in a receive and no blocked rank has a matching message
     /// queued, so no progress is possible. Raised on every run — by
-    /// [`crate::Machine::run`] and by `psse-event`'s executor alike,
+    /// [`crate::Machine::run`] and by [`crate::EventMachine`] alike,
     /// with the same fields — and never after a wall-clock wait.
     Deadlock {
         /// The lowest blocked rank id (`blocked[0]`).

@@ -1,5 +1,15 @@
-//! The discrete-event executor: a FIFO worklist of runnable ranks, plus
-//! the analytic fast path for native counted collectives.
+//! The discrete-event executor: `p = 10^5`–`10^6` ranks in one process.
+//!
+//! One OS thread per rank caps [`crate::Machine`] at
+//! [`crate::machine::MAX_THREAD_RANKS`]. This executor removes the
+//! thread: each rank is a resumable [`RankProgram`] (the built-in ones
+//! are in [`crate::programs`]), and one process runs all of them from a
+//! **FIFO worklist** of runnable ranks. Every rank is priced by the same
+//! pricing core [`crate::Rank`] wraps, so both executors produce
+//! byte-identical profiles, traces and fault counters; this module adds
+//! only transport and matching (one shared wire slab, per-`(src, tag)`
+//! FIFO delivery). [`crate::run_programs`] picks the executor from
+//! [`SimConfig::backend`].
 //!
 //! ## Why the scheduler needs no clock
 //!
@@ -16,26 +26,30 @@
 //! deliver its sends, push each receiver that delivery woke. No time
 //! keys, no sequence numbers, no tuning. The unit test below seeds the
 //! worklist ascending, descending and shuffled and asserts identical
-//! profiles and results; `crate::fastpath` prices a known DAG in closed
-//! form and walks the same DAG, so it is bit-identical too (tested in
-//! `tests/` and against the thread backend).
+//! profiles and results.
 //!
 //! ## The hot path
 //!
 //! A rank costs what it uses. Programs stay in the `Vec` they were
 //! built into and come back in the outcome as that same allocation; a
 //! rank's executor state is one fixed-size `Slot`; undelivered wires of
-//! every rank share one recycling slab owned by the run (`crate::slab`,
-//! no steady-state allocation), reachable from the destination's slot
-//! by `(src, tag)`. A delivery to a rank parked on exactly that
+//! every rank share one recycling slab owned by the run (`slab`, no
+//! steady-state allocation), reachable from the destination's slot by
+//! `(src, tag)`. A delivery to a rank parked on exactly that
 //! `(src, tag)` is priced on the spot — the wire never touches the slab
 //! at all. Direct delivery is sound because a parked rank's queue for
 //! its awaited key is empty by construction (it parked on
 //! `pop() == None` and every later matching wire would have been
 //! delivered directly), and pricing early is invisible because the
 //! receiver is parked and its meter depends only on its own state and
-//! the wire. Every `p`-sized reservation is fallible (`per_rank`): a
-//! world the host cannot hold is an `InvalidConfig`, not an abort.
+//! the wire. Every `p`-sized reservation is fallible: a world the host
+//! cannot hold is an `InvalidConfig`, not an abort.
+//!
+//! An **analytic fast path** (`fastpath`) prices built-in counted
+//! programs in closed form without building a world, byte-identical to
+//! the scheduler (when it engages: [`EventMachine::run`]).
+//! `tests/bytes_per_rank.rs` holds the per-rank budget under a counting
+//! allocator.
 //!
 //! ## Deadlock
 //!
@@ -44,13 +58,34 @@
 //! blocked on an empty `(src, tag)` queue that no future send can fill
 //! — a *proven* deadlock, reported as [`SimError::Deadlock`] with the
 //! full blocked set, in zero wall-clock time.
+//!
+//! ## Example
+//!
+//! ```
+//! use psse_sim::prelude::*;
+//!
+//! let cfg = SimConfig {
+//!     backend: Backend::Events,
+//!     ..SimConfig::default()
+//! };
+//! // A real allreduce over 10_000 ranks, in-process, no threads.
+//! let out = run_programs(10_000, &cfg, BinomialAllreduce::counted(Tag(0), 8)).unwrap();
+//! let t = BinomialAllreduce::expected_totals(10_000, 8, 1 << 16);
+//! assert_eq!(out.profile.total_msgs_sent(), t.msgs);
+//! assert_eq!(out.profile.total_words_sent(), t.words);
+//! assert_eq!(out.profile.total_flops(), t.flops);
+//! ```
 
-use crate::fastpath;
-use crate::program::RankProgram;
-use crate::slab::{Inbox, Slab, Wire};
-use crate::step::{Delivered, Payload, Step};
-use psse_sim::error::SimResult;
-use psse_sim::{Meter, Profile, SimConfig, SimError, Tag};
+mod fastpath;
+mod slab;
+
+use crate::error::SimResult;
+use crate::machine::check_world;
+use crate::meter::Meter;
+use crate::profile::per_rank;
+use crate::program::{Delivered, Payload, RankProgram, Step};
+use crate::{Profile, SimConfig, SimError, Tag};
+use slab::{Inbox, Slab, Wire};
 use std::collections::VecDeque;
 
 /// Executor health counters for one run: how hard the hot-path
@@ -68,8 +103,8 @@ pub struct ExecStats {
     pub slab_recycled: u64,
     /// Always 0 — nothing in the executor can overflow. The field exists
     /// only because `crates/ledger` (frozen under `BENCHMARK.json`
-    /// `paths`) reads it; the next `benchmark` PR removes it together
-    /// with the ledger's metric.
+    /// `paths`) reads it; it goes with the ledger's metric and the
+    /// `psse-event` shim when the ledger is next revised.
     pub calq_overflow: u64,
 }
 
@@ -111,7 +146,7 @@ type Waiting = (usize, Tag, f64);
 struct Slot {
     meter: Meter,
     /// Undelivered transfers to this rank, findable by `(src, tag)` in
-    /// FIFO order (see `crate::slab`).
+    /// FIFO order (see `slab`).
     inbox: Inbox,
     /// `Some` exactly while the rank is blocked in `Recv`.
     waiting: Option<Waiting>,
@@ -195,22 +230,6 @@ fn advance<P: RankProgram>(
     }
 }
 
-/// Collect `items` into a `Vec` reserved for one `T` per rank — or, when
-/// the host cannot reserve that much, return the typed error an absurd
-/// `p` deserves (the infallible `Vec::with_capacity` aborts the process
-/// instead). Every `p`-sized allocation of this crate is made here.
-pub(crate) fn per_rank<T>(p: usize, items: impl Iterator<Item = T>) -> SimResult<Vec<T>> {
-    let mut v = Vec::new();
-    v.try_reserve_exact(p).map_err(|_| {
-        SimError::InvalidConfig(format!(
-            "world size p = {p} is too large for this host: cannot reserve {} bytes of per-rank state",
-            p as u128 * std::mem::size_of::<T>() as u128
-        ))
-    })?;
-    v.extend(items);
-    Ok(v)
-}
-
 /// Collapse a finished run into its outcome, or the error the thread
 /// backend's triage would surface: the lowest-ranked real failure wins;
 /// otherwise all-blocked is a proven deadlock.
@@ -235,47 +254,15 @@ fn finish<P>(
     }
     Ok(EventOutcome {
         programs,
-        profile: collect(cfg, slots.into_iter().map(|slot| slot.meter))?,
+        profile: Profile::collect(cfg, slots.into_iter().map(|s| s.meter.into_parts(cfg)))?,
         stats,
     })
 }
 
-/// The profile of a finished run's meters, in rank order. Overhead
-/// blocks and event logs exist per rank or not at all, by `cfg` — as on
-/// the thread backend.
-pub(crate) fn collect(
-    cfg: &SimConfig,
-    meters: impl ExactSizeIterator<Item = Meter>,
-) -> SimResult<Profile> {
-    let p = meters.len();
-    let mut per_rank_stats = per_rank(p, std::iter::empty())?;
-    let n_if = |present: bool| if present { p } else { 0 };
-    let mut overheads = per_rank(n_if(cfg.tracks_overheads()), std::iter::empty())?;
-    let mut all_events = per_rank(n_if(cfg.record_trace), std::iter::empty())?;
-    for meter in meters {
-        let (rank_stats, rank_overheads, events) = meter.into_parts(cfg);
-        per_rank_stats.push(rank_stats);
-        overheads.extend(rank_overheads);
-        all_events.extend(events);
-    }
-    let profile = Profile::from_parts(per_rank_stats, overheads, all_events);
-    #[cfg(debug_assertions)]
-    profile.assert_balanced()?;
-    Ok(profile)
-}
-
 /// Has the run's cancel flag (if any) been raised, or its deadline
 /// passed?
-pub(crate) fn cancelled(cfg: &SimConfig) -> bool {
+fn cancelled(cfg: &SimConfig) -> bool {
     cfg.cancel.as_ref().is_some_and(|flag| flag.is_cancelled())
-}
-
-/// Validate the world before anything is built for it.
-fn check_world(p: usize, cfg: &SimConfig) -> SimResult<()> {
-    if p == 0 {
-        return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
-    }
-    cfg.validate()
 }
 
 /// Construct the world's `p` programs, in rank order, into the `Vec`
@@ -298,10 +285,10 @@ impl EventMachine {
     ///
     /// When every program claims the same analytic program and the
     /// configuration lets the closed form price it, the run is priced
-    /// (`crate::fastpath`) — byte-identical output, no scheduling. A
-    /// traced run is never priced; a flat, fault-free one always is; a
-    /// run under a fault plan or a hierarchy is priced when it is the
-    /// binomial allreduce, whose pricer drives the scheduler's own
+    /// (`fastpath`) — byte-identical output, no scheduling. A traced run
+    /// is never priced; a flat, fault-free one always is; a run under a
+    /// fault plan or a hierarchy is priced when it is the binomial
+    /// allreduce, whose pricer drives the scheduler's own
     /// `Meter` per rank, in each rank's program order, with the departs
     /// the scheduler would deliver — so every fault decision, checkpoint
     /// and crash lands on the same bits. Otherwise runnable ranks are
@@ -357,23 +344,6 @@ impl EventMachine {
     {
         check_world(p, cfg)?;
         run_worklist(cfg, build(p, None, make)?, per_rank(p, 0..p)?.into())
-    }
-
-    /// Forwards to [`EventMachine::run`]; `workers` is ignored (there is
-    /// one executor). This name and signature exist only because
-    /// `crates/ledger` (frozen under `BENCHMARK.json` `paths`) calls
-    /// them; the next `benchmark` PR removes both.
-    pub fn run_parallel<P, F>(
-        p: usize,
-        cfg: &SimConfig,
-        make: F,
-        _workers: usize,
-    ) -> SimResult<EventOutcome<P>>
-    where
-        P: RankProgram + Send,
-        F: FnMut(usize, usize) -> P,
-    {
-        Self::run(p, cfg, make)
     }
 }
 
@@ -593,7 +563,7 @@ mod tests {
         let events = EventMachine::run(p, &SimConfig::default(), make).unwrap();
         assert_eq!(events.stats.slab_live_peak, 3 * (p as u64 - 1) - 1);
         let threads = SimConfig {
-            backend: psse_sim::Backend::Threads,
+            backend: crate::Backend::Threads,
             ..SimConfig::default()
         };
         let threads = crate::run_programs(p, &threads, make).unwrap();

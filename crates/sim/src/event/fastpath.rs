@@ -2,11 +2,11 @@
 //!
 //! A counted program moves no data — its entire observable output is
 //! the per-rank Eq. 1/2 counters and virtual clocks, and those are a
-//! pure function of the message DAG (see the `exec` module docs). For
-//! every built-in counted program the DAG is known in closed form, so
+//! pure function of the message DAG (see [`crate::event`]). For every
+//! built-in counted program the DAG is known in closed form, so
 //! instead of scheduling its wires one by one, this module walks each
 //! rank's pricing sequence directly over arrays — sends as the chunks
-//! `psse_sim::meter::charge_chunks` cuts, each at its `chunk_charge`,
+//! `crate::meter::charge_chunks` cuts, each at its `chunk_charge`,
 //! and the same `max(clock, depart)` joins. The stencil, the 2.5D
 //! skeleton and sample sort share one pricer, [`phased`], which reads
 //! the program's [`Phases`] description — the same one the scheduler
@@ -26,16 +26,15 @@
 //!
 //! When the fast path engages is decided from the configuration and
 //! rank 0's claim ([`eligible`]); every rank's program must then claim
-//! the *same* [`AnalyticOp`](crate::AnalyticOp) (data-mode programs
-//! claim none):
+//! the *same* [`AnalyticOp`] (data-mode programs claim none):
 //!
 //! * a traced run is always scheduled (a trace lists every event);
 //! * on a flat, fault-free machine every claim is priced, each rank's
 //!   lane its clock (a phased program's: its `RankStats`) and the prices
 //!   of a transfer one shared [`Prices`];
 //! * under a fault plan or a hierarchy only the binomial allreduce is,
-//!   with one `psse_sim::Meter` per rank as its lane. A meter's output
-//!   is a pure function of its own call sequence plus, per receive, the
+//!   with one `Meter` per rank as its lane. A meter's output is a pure
+//!   function of its own call sequence plus, per receive, the
 //!   sender's [`Departure`] — fault decisions are keyed on the seed, the
 //!   link and the sender's own transfer count, and checkpoints and
 //!   crashes on the rank's own clock — and the binomial pricer makes
@@ -64,12 +63,13 @@
 //! does: checked up front and once per pass, round or phase, so a
 //! time budget can abandon a large ring or sample sort.
 
-use crate::exec::{cancelled, collect, per_rank};
+use super::cancelled;
+use crate::error::SimResult;
+use crate::meter::{charge_chunks, chunk_charge, chunk_count, Departure, Meter};
+use crate::profile::per_rank;
 use crate::program::AnalyticOp;
 use crate::programs::{PairwiseSchedule, Phases, RecursiveDoubling, Ring};
-use psse_sim::error::SimResult;
-use psse_sim::meter::{charge_chunks, chunk_charge, chunk_count};
-use psse_sim::{Departure, Meter, Profile, RankStats, SimConfig, SimError, Tag};
+use crate::{Profile, RankStats, SimConfig, SimError, Tag};
 
 /// The flat-machine prices of one transfer size: a collective's, or a
 /// phase's, whose every transfer carries the same `words`. The phased
@@ -360,7 +360,7 @@ fn metered(
         n_chunks: chunk_count(words, cfg.max_message_words),
     };
     match binomial(&mut meters, cfg, &pr) {
-        Ok(()) => collect(cfg, meters.into_iter()).map(Some),
+        Ok(()) => Profile::collect(cfg, meters.into_iter().map(|m| m.into_parts(cfg))).map(Some),
         Err(SimError::Cancelled) => Err(SimError::Cancelled),
         Err(_) => Ok(None),
     }
@@ -547,15 +547,13 @@ fn phased(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{EventMachine, EventOutcome};
-    use crate::program::RankProgram;
+    use crate::event::{EventMachine, EventOutcome};
+    use crate::machine::{CancelFlag, Hierarchy};
+    use crate::program::{Delivered, RankProgram, Step};
     use crate::programs::{
         BinomialAllreduce, Matmul25D, OpTotals, RingAllreduce, SampleSort, Stencil1D,
     };
-    use crate::step::{Delivered, Step};
     use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
-    use psse_sim::machine::{CancelFlag, Hierarchy};
-    use psse_sim::{SimConfig, Tag};
 
     const WORDS: usize = 100;
 

@@ -29,7 +29,8 @@
 //! the simulator's no-wildcard matching rule makes that the whole
 //! ordering contract.
 
-use psse_sim::{Departure, SharedPayload};
+use crate::meter::Departure;
+use crate::SharedPayload;
 use std::collections::{HashMap, VecDeque};
 
 /// One transfer on the virtual wire: what the sender's meter returned,

@@ -23,23 +23,25 @@
 //!
 //! ## Pricing core
 //!
-//! All of that accounting is one transport-free type, [`meter::Meter`]
+//! All of that accounting is one transport-free type, `meter::Meter`
 //! (the per-chunk charge is written once, in [`meter::charge_chunks`]).
-//! [`rank::Rank`] is a `Meter` plus the thread transport; `psse-event`
-//! drives the same `Meter` from a worklist, and `psse-trace` replay
-//! prices through the same primitives.
+//! [`rank::Rank`] is a `Meter` plus the thread transport; the
+//! [`event`] executor drives the same `Meter` from a worklist, and
+//! `psse-trace` replay prices through the same primitives.
 //!
 //! ## Rank programs and phase descriptions
 //!
 //! A rank's algorithm can also be a resumable [`program::RankProgram`]
 //! that returns one [`program::Step`] at a time. [`rank::Rank::run_program`]
-//! runs one on a thread rank; `psse-event` schedules the same programs
-//! at `p = 10^5`–`10^6`. Bulk-synchronous programs are written once as
-//! [`phases::Phases`] descriptions and stepped by [`phases::Phased`]: the
-//! built-in programs of [`programs`], and every collective of
-//! [`collectives`] — each `Rank` collective is one `run_program` of its
-//! description, and the binomial tree of `broadcast`, `reduce_sum` and
-//! `allreduce_sum` is the event backend's `BinomialAllreduce` too.
+//! runs one on a thread rank; [`event::EventMachine`] schedules the same
+//! programs at `p = 10^5`–`10^6`, and [`run_programs`] picks between
+//! the two by [`SimConfig::backend`]. Bulk-synchronous programs are
+//! written once as [`phases::Phases`] descriptions and stepped by
+//! [`phases::Phased`]: the built-in programs of [`programs`], and every
+//! collective of [`collectives`] — each `Rank` collective is one
+//! `run_program` of its description, and the binomial tree of
+//! `broadcast`, `reduce_sum` and `allreduce_sum` is the event backend's
+//! `BinomialAllreduce` too.
 //!
 //! ## Zero-copy transport
 //!
@@ -110,6 +112,7 @@
 
 pub mod collectives;
 pub mod error;
+pub mod event;
 pub mod grid;
 pub mod machine;
 mod mailbox;
@@ -125,9 +128,9 @@ pub mod record;
 pub mod seqmem;
 
 pub use error::SimError;
-pub use machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
+pub use event::{EventMachine, EventOutcome, ExecStats};
+pub use machine::{run_programs, Backend, CancelFlag, Machine, SimConfig, SimOutcome};
 pub use message::{SharedPayload, Tag};
-pub use meter::{Departure, Meter};
 pub use profile::{Profile, RankOverheads, RankStats};
 pub use psse_faults::FaultPlan;
 pub use rank::Rank;
@@ -136,10 +139,16 @@ pub use rank::Rank;
 pub mod prelude {
     pub use crate::collectives::Group;
     pub use crate::error::SimError;
+    pub use crate::event::{EventMachine, EventOutcome, ExecStats};
     pub use crate::grid::{Grid2, Grid3};
-    pub use crate::machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
+    pub use crate::machine::{run_programs, Backend, CancelFlag, Machine, SimConfig, SimOutcome};
     pub use crate::message::{SharedPayload, Tag};
     pub use crate::profile::{Profile, RankOverheads, RankStats};
+    pub use crate::program::{AnalyticOp, Delivered, Payload, RankProgram, Step};
+    pub use crate::programs::{
+        BinomialAllreduce, Matmul25D, OpTotals, RecursiveDoublingAllreduce, RingAllreduce,
+        SampleSort, Stencil1D,
+    };
     pub use crate::rank::Rank;
     pub use crate::record::{EventKind, TimedEvent};
     pub use crate::seqmem::{FastMemory, MemStats};

@@ -2,10 +2,12 @@
 //! runner.
 
 use crate::error::{SimError, SimResult};
+use crate::event::{EventMachine, EventOutcome, ExecStats};
 use crate::mailbox::Mailboxes;
 use crate::meter::RankParts;
 use crate::pool::Crew;
 use crate::profile::Profile;
+use crate::program::RankProgram;
 use crate::rank::Rank;
 use psse_faults::FaultPlan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,9 +21,9 @@ use std::time::{Duration, Instant};
 /// parks on the mailbox and proves deadlock from a parked-rank counter
 /// ([`SimError::Deadlock`]), whatever the value. The flag travels with
 /// the config because the lab digests it into run keys, the CLI prints
-/// it, and `psse-event`'s `run_programs` dispatches on it: rank programs
-/// go to this thread machine (`Threads`, the bit-identity oracle) or to
-/// the single-process worklist executor (`Events`, for p = 10⁵–10⁶).
+/// it, and [`run_programs`] dispatches on it: rank programs go to this
+/// thread machine (`Threads`, the bit-identity oracle) or to the
+/// single-process worklist executor (`Events`, for p = 10⁵–10⁶).
 /// Virtual time, counters and traces are a pure function of the message
 /// DAG, so every executor produces **byte-identical** profiles and the
 /// same deadlock report.
@@ -30,7 +32,8 @@ pub enum Backend {
     /// Thread-per-rank machine (the default).
     #[default]
     Threads,
-    /// `psse-event`'s worklist executor, where a caller routes to it.
+    /// The worklist executor, [`EventMachine`], where a caller routes to
+    /// it.
     Events,
 }
 
@@ -62,7 +65,7 @@ impl std::fmt::Display for Backend {
 }
 
 /// A cooperative cancellation flag shared between a running
-/// [`Machine::run`] (or `psse-event` run) and whoever may abandon it,
+/// [`Machine::run`] (or [`EventMachine::run`]) and whoever may abandon it,
 /// optionally carrying its own wall-clock deadline (the lab's
 /// `--timeout` is [`CancelFlag::after`]).
 ///
@@ -277,6 +280,15 @@ pub struct Machine;
 /// process then aborts inside `std::thread` instead of returning.
 pub const MAX_THREAD_RANKS: usize = 1 << 14;
 
+/// Refuse an empty world or an invalid configuration before either
+/// executor builds anything for it.
+pub(crate) fn check_world(p: usize, cfg: &SimConfig) -> SimResult<()> {
+    if p == 0 {
+        return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
+    }
+    cfg.validate()
+}
+
 impl Machine {
     /// Run `f` on `p` ranks. Each rank executes `f(&mut rank)` on its own
     /// OS thread (reused from a process-wide pool across runs, so a
@@ -295,16 +307,13 @@ impl Machine {
         F: Fn(&mut Rank) -> SimResult<R> + Sync,
         R: Send,
     {
-        if p == 0 {
-            return Err(SimError::InvalidConfig("world size p must be >= 1".into()));
-        }
         if p > MAX_THREAD_RANKS {
             return Err(SimError::InvalidConfig(format!(
                 "world size p = {p} exceeds the thread machine's {MAX_THREAD_RANKS} ranks \
-                 (one OS thread each); the event engine (`psse-event`) is the tool for larger p"
+                 (one OS thread each); the event engine (`psse_sim::EventMachine`) is the tool for larger p"
             )));
         }
-        cfg.validate()?;
+        check_world(p, &cfg)?;
         let cfg = Arc::new(cfg);
         let mailboxes = Arc::new(Mailboxes::new(p));
 
@@ -382,10 +391,7 @@ impl Machine {
             let _ = handle.join();
         }
 
-        let mut results = Vec::with_capacity(p);
-        let mut stats = Vec::with_capacity(p);
-        // One entry per rank, or none: every rank answers alike, by `cfg`.
-        let (mut overheads, mut events) = (Vec::new(), Vec::new());
+        let (mut results, mut parts) = (Vec::with_capacity(p), Vec::with_capacity(p));
         // Prefer the root cause over derived noise: the lowest rank that
         // actually failed beats the PeerFailed abandonment its poisoned
         // peers report. Every deadlocked rank reports the same blocked
@@ -396,11 +402,9 @@ impl Machine {
             let filled =
                 slot.unwrap_or_else(|| Err(SimError::PeerFailed(format!("rank {id} thread died"))));
             match filled {
-                Ok((r, (s, o, e))) => {
+                Ok((r, rank_parts)) => {
                     results.push(r);
-                    stats.push(s);
-                    overheads.extend(o);
-                    events.extend(e);
+                    parts.push(rank_parts);
                 }
                 Err(e @ SimError::PeerFailed(_)) => {
                     first_peer_failed.get_or_insert(e);
@@ -413,20 +417,52 @@ impl Machine {
         if let Some(e) = first_real.or(first_peer_failed) {
             return Err(e);
         }
-        let profile = Profile::from_parts(stats, overheads, events);
-        // In debug builds, catch programs that leave transfers
-        // unreceived — every word sent across a link must be received
-        // (`Profile::words_balance`). Release builds skip the check.
-        #[cfg(debug_assertions)]
-        profile.assert_balanced()?;
+        let profile = Profile::collect(&cfg, parts.into_iter())?;
         Ok(SimOutcome { results, profile })
+    }
+}
+
+/// Run one program per rank on the executor [`SimConfig::backend`]
+/// selects:
+///
+/// * [`Backend::Threads`] — each program runs on its own pooled OS
+///   thread through [`Rank::run_program`], which makes every step the
+///   exact `Rank` call a closure would make — the call the built-in
+///   collectives make for their own descriptions — so this is the
+///   oracle the event executor is checked against.
+/// * [`Backend::Events`] — [`EventMachine`] prices the same steps in
+///   one process from a worklist of runnable ranks; byte-identical
+///   profiles, traces, and fault counters, feasible to `p = 10^6`.
+///
+/// `make(rank, p)` constructs rank `rank`'s program.
+pub fn run_programs<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
+where
+    P: RankProgram + Send,
+    F: Fn(usize, usize) -> P + Sync,
+{
+    match cfg.backend {
+        Backend::Threads => {
+            let outcome = Machine::run(p, cfg.clone(), |rank| {
+                let mut program = make(rank.rank(), rank.size());
+                rank.run_program(&mut program)?;
+                Ok(program)
+            })?;
+            Ok(EventOutcome {
+                programs: outcome.results,
+                profile: outcome.profile,
+                // Thread backend: nothing is scheduled or parked.
+                stats: ExecStats::default(),
+            })
+        }
+        Backend::Events => EventMachine::run(p, cfg, make),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Tag;
+    use crate::message::{SharedPayload, Tag};
+    use crate::program::{Delivered, Payload, Step};
 
     #[test]
     fn zero_ranks_rejected() {
@@ -583,6 +619,42 @@ mod tests {
         }
     }
 
+    /// Six shifts of a 64-word block to the right around the ring, each
+    /// followed by a 500-flop compute: `sendrecv` in a loop, as steps.
+    struct RingShift {
+        me: usize,
+        p: usize,
+        step: u64,
+        block: SharedPayload,
+        sent: bool,
+    }
+
+    impl RankProgram for RingShift {
+        fn next(&mut self, delivered: Option<Delivered>) -> Step {
+            if let Some(d) = delivered {
+                self.block = d.data.expect("a data-mode shift");
+                self.step += 1;
+                return Step::Compute { flops: 500 };
+            }
+            if self.step == 6 {
+                return Step::Done;
+            }
+            let (tag, p) = (Tag(self.step), self.p);
+            self.sent = !self.sent;
+            match self.sent {
+                true => Step::Send {
+                    dest: (self.me + 1) % p,
+                    tag,
+                    payload: Payload::Data(Arc::clone(&self.block)),
+                },
+                false => Step::Recv {
+                    src: (self.me + p - 1) % p,
+                    tag,
+                },
+            }
+        }
+    }
+
     #[test]
     fn backends_are_bit_identical_on_a_ring() {
         let run = |backend: Backend| {
@@ -591,22 +663,23 @@ mod tests {
                 record_trace: true,
                 ..SimConfig::default()
             };
-            Machine::run(6, cfg, |rank| {
-                let right = (rank.rank() + 1) % rank.size();
-                let left = (rank.rank() + rank.size() - 1) % rank.size();
-                let mut block = vec![rank.rank() as f64; 64];
-                for step in 0..6u64 {
-                    block = rank.sendrecv(right, Tag(step), block, left, Tag(step))?;
-                    rank.compute(500);
-                }
-                Ok(block[0])
+            run_programs(6, &cfg, |me, p| RingShift {
+                me,
+                p,
+                step: 0,
+                block: Arc::new(vec![me as f64; 64]),
+                sent: false,
             })
             .unwrap()
         };
-        let a = run(Backend::Threads);
-        let b = run(Backend::Events);
+        let (a, b) = (run(Backend::Threads), run(Backend::Events));
         assert_eq!(a.profile, b.profile, "profiles must match byte-for-byte");
-        assert_eq!(a.results, b.results);
+        let firsts = |o: &EventOutcome<RingShift>| -> Vec<f64> {
+            o.programs.iter().map(|rank| rank.block[0]).collect()
+        };
+        // Six shifts around six ranks bring every block home.
+        assert_eq!(firsts(&a), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(firsts(&a), firsts(&b));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The pricing core: one rank's Eq. 1 accounting, with no transport.
 //!
-//! A [`Meter`] owns everything the cost model says about one rank — the
+//! A `Meter` owns everything the cost model says about one rank — the
 //! virtual clock, the `F`/`W`/`S`/`M` counters, the trace log and, on a
 //! machine with a hierarchy or a fault plan, the overhead counters and
 //! fault-injection state — and nothing about how messages travel. A
-//! transport (the thread mailboxes of [`crate::Rank`], `psse-event`'s
-//! slab, a test driving two meters by hand) calls [`Meter::send`], moves
-//! the returned [`Departure`] plus the payload to the receiver by
-//! whatever means it has, and hands it to [`Meter::recv`]; delivering
-//! per `(src, tag)` in FIFO order is the whole transport contract.
+//! transport (the thread mailboxes of [`crate::Rank`], the wire slab of
+//! [`crate::EventMachine`], a test driving two meters by hand) calls
+//! `Meter::send`, moves the returned `Departure` plus the payload to the
+//! receiver by whatever means it has, and hands it to `Meter::recv`;
+//! delivering per `(src, tag)` in FIFO order is the whole transport
+//! contract. Both types are crate-private: the executors are their only
+//! callers.
 //!
-//! The per-chunk charge `α + β·k` is written once, in [`chunk_charge`],
+//! The per-chunk charge `α + β·k` is written once, in `chunk_charge`,
 //! and the chunking of a transfer once, in [`charge_chunks`]; trace
 //! replay and the analytic fast path price through them too.
 
@@ -55,13 +57,13 @@ pub fn chunk_count(words: usize, m: usize) -> usize {
 /// What one message of `k` words adds to its sender's clock:
 /// `alpha + beta·k`, Eq. 1's per-message charge.
 #[inline]
-pub fn chunk_charge(k: u64, alpha: f64, beta: f64) -> f64 {
+pub(crate) fn chunk_charge(k: u64, alpha: f64, beta: f64) -> f64 {
     alpha + beta * k as f64
 }
 
 /// Charge one `words`-word transfer to `time`, chunk by chunk (the
 /// paper's `S = W/m`): each of the [`chunk_count`] chunks of `k ≤ m`
-/// words advances the clock by its [`chunk_charge`], then
+/// words advances the clock by its `chunk_charge`, then
 /// `per_chunk(k)` books it into whichever counters the caller keeps.
 /// Sends, wasted retransmissions and checkpoint writes differ only in
 /// that closure.
@@ -152,7 +154,7 @@ struct Transfer {
 
 /// What the receiver of a transfer needs from its sender's meter.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Departure {
+pub(crate) struct Departure {
     /// Messages the transfer was priced as (`⌈words/m⌉`, min 1).
     pub n_chunks: usize,
     /// The sender's clock after pricing the transfer's last chunk.
@@ -160,12 +162,12 @@ pub struct Departure {
 }
 
 /// What a finished rank hands its profile ([`Meter::into_parts`]).
-pub type RankParts = (RankStats, Option<RankOverheads>, Option<Vec<TimedEvent>>);
+pub(crate) type RankParts = (RankStats, Option<RankOverheads>, Option<Vec<TimedEvent>>);
 
 /// One rank's accounting state; see the module docs. The machine
 /// configuration is passed to each call rather than stored, so a
 /// million meters share one `SimConfig`.
-pub struct Meter {
+pub(crate) struct Meter {
     id: usize,
     p: usize,
     time: f64,
@@ -176,7 +178,7 @@ pub struct Meter {
 
 impl Meter {
     /// The meter of rank `id` in a world of `p`, at virtual time zero.
-    pub fn new(id: usize, p: usize, cfg: &SimConfig) -> Self {
+    pub(crate) fn new(id: usize, p: usize, cfg: &SimConfig) -> Self {
         let plan = cfg.faults.as_ref();
         let cold = cfg.tracks_overheads().then(|| {
             Box::new(Cold {
@@ -201,17 +203,17 @@ impl Meter {
     }
 
     /// This rank's id in `0..size()`.
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
     /// World size `p`.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.p
     }
 
     /// The rank's current virtual time, seconds.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.time
     }
 
@@ -219,7 +221,7 @@ impl Meter {
     /// `cfg` had it keep — an overhead block iff
     /// [`SimConfig::tracks_overheads`], a trace iff `record_trace` — so a
     /// collector can `extend` a profile's three vectors with the parts.
-    pub fn into_parts(mut self, cfg: &SimConfig) -> RankParts {
+    pub(crate) fn into_parts(mut self, cfg: &SimConfig) -> RankParts {
         self.stats.finish_time = self.time;
         let overheads = self.cold.map(|c| c.overheads);
         (
@@ -243,7 +245,7 @@ impl Meter {
 
     /// Record a collective-begin trace marker (no-op unless recording).
     #[inline]
-    pub fn mark_collective_begin(&mut self, cfg: &SimConfig, op: &str) {
+    pub(crate) fn mark_collective_begin(&mut self, cfg: &SimConfig, op: &str) {
         if cfg.record_trace {
             self.record(cfg, self.time, EventKind::CollBegin { op: op.to_string() });
         }
@@ -251,7 +253,7 @@ impl Meter {
 
     /// Record the matching collective-end trace marker.
     #[inline]
-    pub fn mark_collective_end(&mut self, cfg: &SimConfig, op: &str) {
+    pub(crate) fn mark_collective_end(&mut self, cfg: &SimConfig, op: &str) {
         if cfg.record_trace {
             self.record(cfg, self.time, EventKind::CollEnd { op: op.to_string() });
         }
@@ -260,7 +262,7 @@ impl Meter {
     /// A crash the rank's program never got to observe (no fallible
     /// operation followed it); the transport checks this at rank exit.
     #[inline]
-    pub fn take_fault_error(&mut self) -> Option<SimError> {
+    pub(crate) fn take_fault_error(&mut self) -> Option<SimError> {
         self.cold.as_deref_mut()?.pending_crash.take()
     }
 
@@ -425,7 +427,7 @@ impl Meter {
     /// Execute `flops` floating-point operations: advances the virtual
     /// clock by `γt·flops` and the flop counter.
     #[inline]
-    pub fn compute(&mut self, cfg: &SimConfig, flops: u64) {
+    pub(crate) fn compute(&mut self, cfg: &SimConfig, flops: u64) {
         let t0 = self.time;
         self.stats.flops += flops;
         self.time += cfg.gamma_t * flops as f64;
@@ -437,7 +439,7 @@ impl Meter {
 
     /// Track an allocation of `words` words. Errors if the configured
     /// per-rank memory limit would be exceeded.
-    pub fn alloc(&mut self, cfg: &SimConfig, words: u64) -> SimResult<()> {
+    pub(crate) fn alloc(&mut self, cfg: &SimConfig, words: u64) -> SimResult<()> {
         let new = self.stats.mem_current + words;
         if let Some(limit) = cfg.mem_limit_words {
             if new > limit {
@@ -455,7 +457,7 @@ impl Meter {
     }
 
     /// Track the release of `words` words.
-    pub fn free(&mut self, cfg: &SimConfig, words: u64) -> SimResult<()> {
+    pub(crate) fn free(&mut self, cfg: &SimConfig, words: u64) -> SimResult<()> {
         if words > self.stats.mem_current {
             return Err(SimError::MemoryUnderflow { rank: self.id });
         }
@@ -471,7 +473,7 @@ impl Meter {
     /// free (no link is crossed). `payload` is the buffer a retry-less
     /// corruption may perturb; pass `None` for a counted transfer. The
     /// caller delivers the returned [`Departure`] with the payload.
-    pub fn send(
+    pub(crate) fn send(
         &mut self,
         cfg: &SimConfig,
         dest: usize,
@@ -536,7 +538,7 @@ impl Meter {
     /// *issued*, before any blocking. Returns the receive's start time
     /// for [`Meter::recv`].
     #[inline]
-    pub fn begin_recv(&mut self, src: usize) -> SimResult<f64> {
+    pub(crate) fn begin_recv(&mut self, src: usize) -> SimResult<f64> {
         self.check(src)?;
         Ok(self.time)
     }
@@ -545,7 +547,7 @@ impl Meter {
     /// the clock advances to its departure time
     /// (`max(t_local, t_depart)`, the no-overlap postal model).
     #[inline]
-    pub fn recv(
+    pub(crate) fn recv(
         &mut self,
         cfg: &SimConfig,
         t0: f64,

@@ -5,8 +5,8 @@
 //! named sections nested inside the program's own collective. One
 //! stepper, [`Phased`], turns a description into a [`RankProgram`] for
 //! any executor — a [`crate::Rank`] through
-//! [`crate::Rank::run_program`], or `psse-event`'s scheduler — and
-//! `psse-event`'s closed-form pricer reads the same description. With
+//! [`crate::Rank::run_program`], or [`crate::EventMachine`]'s scheduler
+//! — and its closed-form pricer reads the same description. With
 //! data, a [`Hook`] supplies each payload, absorbs each delivery and does
 //! each compute's real work.
 //!
@@ -19,8 +19,9 @@ use crate::Tag;
 use std::convert::Infallible;
 
 /// A bulk-synchronous program, written once and read by every
-/// interpreter: [`Phased`] steps it for one rank, and `psse-event`
-/// prices a counted run of it in closed form. In each phase every rank
+/// interpreter: [`Phased`] steps it for one rank, and
+/// [`crate::EventMachine::run`] prices a counted run of it in closed
+/// form. In each phase every rank
 /// makes its sends, in order, then its receives, then its computes; a
 /// transfer is received in the phase it is sent. Items are asked for by
 /// index — position `r`'s `i`-th send of `phase` — and `None` ends the

@@ -3,6 +3,8 @@
 use psse_metrics::{saturating_nanos, Registry};
 
 use crate::error::{SimError, SimResult};
+use crate::machine::SimConfig;
+use crate::meter::RankParts;
 use crate::record::TimedEvent;
 
 /// The counters every run moves (a hierarchy's and a fault plan's are
@@ -114,6 +116,23 @@ fn fold(per_rank: &[RankStats]) -> (Folded, f64) {
         })
 }
 
+/// Collect `items` into a `Vec` reserved for one `T` per rank — or, when
+/// the host cannot reserve that much, return the typed error an absurd
+/// `p` deserves (the infallible `Vec::with_capacity` aborts the process
+/// instead). Every `p`-sized allocation of the event executor is made
+/// here.
+pub(crate) fn per_rank<T>(p: usize, items: impl Iterator<Item = T>) -> SimResult<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(p).map_err(|_| {
+        SimError::InvalidConfig(format!(
+            "world size p = {p} is too large for this host: cannot reserve {} bytes of per-rank state",
+            p as u128 * std::mem::size_of::<T>() as u128
+        ))
+    })?;
+    v.extend(items);
+    Ok(v)
+}
+
 impl Profile {
     /// Build a profile (makespan is the max of the `finish_time`s);
     /// every executor and replay engine ends here. One pass over the
@@ -139,6 +158,30 @@ impl Profile {
             overheads,
             folded,
         }
+    }
+
+    /// The profile of a finished run from its ranks' parts, in rank
+    /// order — what both executors end with. Overhead blocks and event
+    /// logs exist per rank or not at all, by `cfg`. Debug builds also
+    /// check that every word sent was received ([`Profile::words_balance`]).
+    pub(crate) fn collect(
+        cfg: &SimConfig,
+        parts: impl ExactSizeIterator<Item = RankParts>,
+    ) -> SimResult<Profile> {
+        let p = parts.len();
+        let mut stats = per_rank(p, std::iter::empty())?;
+        let n_if = |present: bool| if present { p } else { 0 };
+        let mut overheads = per_rank(n_if(cfg.tracks_overheads()), std::iter::empty())?;
+        let mut events = per_rank(n_if(cfg.record_trace), std::iter::empty())?;
+        for (rank_stats, rank_overheads, rank_events) in parts {
+            stats.push(rank_stats);
+            overheads.extend(rank_overheads);
+            events.extend(rank_events);
+        }
+        let profile = Profile::from_parts(stats, overheads, events);
+        #[cfg(debug_assertions)]
+        profile.assert_balanced()?;
+        Ok(profile)
     }
 
     /// World size.

@@ -11,7 +11,7 @@
 //!
 //! Two executors run the same program: [`crate::Rank::run_program`]
 //! replays its steps through a rank of the thread machine, and
-//! `psse-event`'s scheduler prices them from a worklist — byte-identical
+//! [`crate::EventMachine`] prices them from a worklist — byte-identical
 //! profiles, six orders of magnitude more ranks per process.
 
 use crate::error::SimError;
@@ -119,7 +119,7 @@ pub enum Step {
 /// not traced, the event executor prices the whole program analytically
 /// instead of scheduling its messages one by one — any claim on a flat,
 /// fault-free machine, and the binomial allreduce under a fault plan or
-/// a hierarchy too, where its pricer drives one [`crate::Meter`] per
+/// a hierarchy too, where its pricer drives one `Meter` per
 /// rank. The closed form walks the same per-rank sequence of Eq. 1/2
 /// pricing operations through the same primitives, so profiles stay
 /// byte-identical with the scheduled path.
@@ -163,7 +163,7 @@ pub enum AnalyticOp {
 ///
 /// The same program runs unchanged on the thread machine, through
 /// [`crate::Rank::run_program`] (the bit-identity oracle), and on
-/// `psse-event`'s executor, whose per-rank [`crate::Meter`] prices the
+/// [`crate::EventMachine`], whose per-rank `Meter` prices the
 /// steps one runnable rank at a time.
 ///
 /// Contract:

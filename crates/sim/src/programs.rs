@@ -4,7 +4,8 @@
 //! Every program is written once, as a [`Phases`] description, and run
 //! as a [`Phased`] rank — the only
 //! [`RankProgram`](crate::program::RankProgram) here — on either
-//! executor. `psse-event` prices a counted run in closed form: the
+//! executor. [`crate::EventMachine::run`] prices a counted run in
+//! closed form: the
 //! stencil, the 2.5D skeleton and the sort from the same description
 //! the stepper reads, the allreduces by rank-major walks of the same
 //! trees and rounds.
@@ -113,7 +114,8 @@ impl BinomialAllreduce {
 /// rounds every rank sends one block to `send_peer`, receives one from
 /// `recv_peer` and merges it. This is the whole difference between
 /// recursive doubling and the ring — the stepped program
-/// ([`PairwiseAllreduce`]) and `psse-event`'s closed-form pricing are
+/// ([`PairwiseAllreduce`]) and [`crate::EventMachine::run`]'s
+/// closed-form pricing are
 /// both written once against it.
 pub trait PairwiseSchedule: Copy {
     /// Collective name used for the trace markers.

@@ -1,4 +1,4 @@
-//! The per-rank handle: a [`Meter`] plus the thread transport.
+//! The per-rank handle: a `Meter` plus the thread transport.
 
 use crate::error::{SimError, SimResult};
 use crate::machine::SimConfig;
@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// A rank of the simulated machine. Handed by [`crate::Machine::run`] to
 /// the per-rank program. All pricing — clock, counters, faults, trace —
-/// is the rank's [`Meter`]; this type adds only how transfers travel
+/// is the rank's `Meter`; this type adds only how transfers travel
 /// between OS threads (mailboxes, blocking, cancellation).
 pub struct Rank {
     meter: Meter,
@@ -47,26 +47,13 @@ impl Rank {
         &self.cfg
     }
 
-    /// Finish the rank ([`Meter::into_parts`]), or report the crash its
+    /// Finish the rank (`Meter::into_parts`), or report the crash its
     /// program never got to observe (no fallible operation followed it).
     pub(crate) fn finish(mut self) -> SimResult<RankParts> {
         match self.meter.take_fault_error() {
             Some(e) => Err(e),
             None => Ok(self.meter.into_parts(&self.cfg)),
         }
-    }
-
-    /// Record a collective-begin trace marker (no-op unless recording).
-    /// Public so external step-driven executors (`psse-event`'s rank
-    /// programs) can emit the same markers the built-in collectives do.
-    pub fn mark_collective_begin(&mut self, op: &str) {
-        self.meter.mark_collective_begin(&self.cfg, op);
-    }
-
-    /// Record the matching collective-end trace marker; see
-    /// [`Rank::mark_collective_begin`].
-    pub fn mark_collective_end(&mut self, op: &str) {
-        self.meter.mark_collective_end(&self.cfg, op);
     }
 
     /// Record a collective begin/end marker pair around `body`. The end
@@ -77,9 +64,9 @@ impl Rank {
         op: &str,
         body: impl FnOnce(&mut Self) -> SimResult<T>,
     ) -> SimResult<T> {
-        self.mark_collective_begin(op);
+        self.meter.mark_collective_begin(&self.cfg, op);
         let out = body(self)?;
-        self.mark_collective_end(op);
+        self.meter.mark_collective_end(&self.cfg, op);
         Ok(out)
     }
 
@@ -213,11 +200,11 @@ impl Rank {
     /// Run `program` on this rank to its end: each [`Step`] is the `Rank`
     /// call a closure would make — `Compute` → [`Rank::compute`], `Send`
     /// → [`Rank::send_shared`], `Recv` → [`Rank::recv_shared`], the
-    /// markers → [`Rank::mark_collective_begin`] and
-    /// [`Rank::mark_collective_end`] — until `Done`; `Fail`, or a call
-    /// that fails, ends it with that error. The collectives run their
-    /// descriptions through it, and `psse-event` runs any program on the
-    /// thread machine with it, as the oracle its scheduler is held to.
+    /// markers → the trace markers a collective records — until `Done`;
+    /// `Fail`, or a call that fails, ends it with that error. The
+    /// collectives run their descriptions through it, and
+    /// [`crate::run_programs`] runs any program on the thread machine
+    /// with it, as the oracle the event executor is held to.
     pub fn run_program(&mut self, program: &mut impl RankProgram) -> SimResult<()> {
         let mut delivered = None;
         loop {
@@ -233,8 +220,8 @@ impl Rank {
                         data: Some(data),
                     });
                 }
-                Step::CollBegin { op } => self.mark_collective_begin(op),
-                Step::CollEnd { op } => self.mark_collective_end(op),
+                Step::CollBegin { op } => self.meter.mark_collective_begin(&self.cfg, op),
+                Step::CollEnd { op } => self.meter.mark_collective_end(&self.cfg, op),
                 Step::Done => return Ok(()),
                 Step::Fail(e) => return Err(e),
             }

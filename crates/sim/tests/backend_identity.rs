@@ -1,9 +1,9 @@
 //! The event backend's fidelity contract: byte-identical output to the
 //! thread-per-rank machine, including traces and fault counters.
 
-use psse_event::prelude::*;
 use psse_faults::{CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, RecoveryPolicy};
 use psse_sim::machine::Hierarchy;
+use psse_sim::prelude::*;
 use psse_sim::{Machine, SimError};
 
 fn cfg(backend: Backend) -> SimConfig {

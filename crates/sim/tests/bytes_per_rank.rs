@@ -18,7 +18,7 @@
 //! all `p = 10^5` arms share one `#[test]`, and `measure` admits one
 //! thread at a time.
 
-use psse_event::prelude::*;
+use psse_sim::prelude::*;
 use psse_sim::prelude::{FaultPlan, FaultSpec, RecoveryPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

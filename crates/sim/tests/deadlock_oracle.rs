@@ -3,11 +3,12 @@
 //! Random message scripts — a global send/receive order that is
 //! deadlock-free by construction, projected onto per-rank programs, with
 //! a fraction of the *sends* then dropped so their receivers (and every
-//! rank downstream of them) block — run on `Machine::run` and through a
-//! serial fixpoint that needs no threads. The machine must return `Ok`
-//! exactly when the oracle's blocked set is empty, and otherwise
-//! `Deadlock` with that set and its lowest rank. Nothing here reads a
-//! clock: a wrong or missing proof shows as a mismatch or a hang.
+//! rank downstream of them) block — run as rank programs through
+//! `run_programs` on both executors, and through a serial fixpoint that
+//! needs neither. Each executor must return `Ok` exactly when the
+//! oracle's blocked set is empty, and otherwise `Deadlock` with that set
+//! and its lowest rank. Nothing here reads a clock: a wrong or missing
+//! proof shows as a mismatch or a hang.
 
 use psse_faults::rng::SplitMix64;
 use psse_sim::prelude::*;
@@ -93,27 +94,43 @@ fn oracle(programs: &[Vec<Op>]) -> Vec<usize> {
     (0..p).filter(|&r| pc[r] < programs[r].len()).collect()
 }
 
+/// One rank's script as a rank program: one step per op, then `Done`.
+struct Script<'a> {
+    ops: &'a [Op],
+    pc: usize,
+}
+
+impl RankProgram for Script<'_> {
+    fn next(&mut self, _: Option<Delivered>) -> Step {
+        let Some(&op) = self.ops.get(self.pc) else {
+            return Step::Done;
+        };
+        self.pc += 1;
+        match op {
+            Op::Send { dest, tag } => Step::Send {
+                dest,
+                tag: Tag(tag),
+                payload: Payload::Counted(1),
+            },
+            Op::Recv { src, tag } => Step::Recv { src, tag: Tag(tag) },
+        }
+    }
+}
+
 fn run(p: usize, programs: &[Vec<Op>], backend: Backend) -> Result<(), SimError> {
     let cfg = SimConfig {
         backend,
         ..SimConfig::counters_only()
     };
-    Machine::run(p, cfg, |rank| {
-        for &op in &programs[rank.rank()] {
-            match op {
-                Op::Send { dest, tag } => rank.send(dest, Tag(tag), vec![1.0])?,
-                Op::Recv { src, tag } => {
-                    rank.recv(src, Tag(tag))?;
-                }
-            }
-        }
-        Ok(())
-    })
-    .map(|_| ())
+    let script = |r: usize, _| Script {
+        ops: &programs[r],
+        pc: 0,
+    };
+    run_programs(p, &cfg, script).map(|_| ())
 }
 
 #[test]
-fn machine_agrees_with_the_serial_oracle_on_every_script() {
+fn both_executors_agree_with_the_serial_oracle_on_every_script() {
     let mut deadlocks = 0;
     for seed in 0..SCRIPTS {
         let (p, programs) = script(seed);

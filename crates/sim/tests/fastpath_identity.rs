@@ -14,8 +14,8 @@
 //! run may also fail; there the two paths must return the same error.
 
 use proptest::prelude::*;
-use psse_event::prelude::*;
 use psse_sim::machine::Hierarchy;
+use psse_sim::prelude::*;
 use psse_sim::prelude::{CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, RecoveryPolicy};
 
 /// Bit-exact profile comparison: `PartialEq` on `Profile` covers every

@@ -10,7 +10,7 @@
 //! Counted programs take the analytic fast path through `run_programs`;
 //! the `p = 10^6` stencil also runs the scheduler, which must agree.
 
-use psse_event::prelude::*;
+use psse_sim::prelude::*;
 
 fn counted_cfg() -> SimConfig {
     SimConfig {
@@ -96,7 +96,7 @@ fn allreduce_chunked_counts_exact() {
 }
 
 /// `p = 2^17` recursive doubling (~2.3 M priced transfers). Run by the
-/// CI mega-scale job in release mode: `cargo test -p psse-event
+/// CI mega-scale job in release mode: `cargo test -p psse-sim
 /// --release -- --ignored`.
 #[test]
 #[ignore = "mega-scale: run in release (CI mega-scale job)"]

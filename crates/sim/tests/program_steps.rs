@@ -13,8 +13,8 @@
 //! markers changes a digest even where profile totals and closed forms
 //! cannot see it.
 
-use psse_event::prelude::*;
 use psse_faults::{FaultPlan, FaultSpec, RecoveryPolicy};
+use psse_sim::prelude::*;
 
 /// FNV-1a, 64-bit: a digest that is the same on every host and build.
 struct Fnv(u64);

@@ -9,11 +9,10 @@
 //!   models, communication lower bounds, strong-scaling analysis, the §V
 //!   optimization suite, the §VI case study and machine database.
 //! * [`sim`] (`psse-sim`) — a deterministic virtual-time distributed
-//!   machine simulator with per-rank flop/word/message/memory counters.
-//! * [`event`] (`psse-event`) — the discrete-event simulator backend:
-//!   resumable rank programs run from a FIFO worklist, byte-identical
-//!   to the thread backend (`SimConfig::backend`) and scaling to
-//!   `p = 10^5`–`10^6` ranks in one process.
+//!   machine simulator with per-rank flop/word/message/memory counters,
+//!   run by a thread per rank or by the discrete-event executor
+//!   ([`sim::event`]: `p = 10^5`–`10^6` ranks in one process,
+//!   byte-identical to the threads).
 //! * [`kernels`] (`psse-kernels`) — local dense kernels (GEMM, Strassen,
 //!   LU, FFT, n-body forces).
 //! * [`algos`] (`psse-algos`) — the distributed algorithms executed on
@@ -44,7 +43,6 @@
 
 pub use psse_algos as algos;
 pub use psse_core as core;
-pub use psse_event as event;
 pub use psse_faults as faults;
 pub use psse_hbl as hbl;
 pub use psse_kernels as kernels;

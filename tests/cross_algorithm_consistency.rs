@@ -1,7 +1,6 @@
 //! Cross-algorithm consistency: every distributed implementation must
 //! agree with its sequential reference and with each other.
 
-use psse::event::{run_programs, Stencil1D};
 use psse::kernels::fft::{fft, Complex64};
 use psse::kernels::gemm::matmul;
 use psse::kernels::lu::{lu_nopivot_inplace, split_lu};
@@ -11,6 +10,7 @@ use psse::kernels::strassen::strassen;
 use psse::kernels::Matrix;
 use psse::prelude::*;
 use psse::sim::machine::SimConfig;
+use psse::sim::{programs::Stencil1D, run_programs};
 
 #[test]
 fn all_matmul_algorithms_agree() {

@@ -11,9 +11,8 @@
 //! collective shape) fails here long before the mega-scale runs.
 
 use proptest::prelude::*;
-use psse::event::prelude::*;
-use psse::event::RankProgram;
 use psse::sim::machine::SimConfig;
+use psse::sim::prelude::*;
 use psse::sim::prelude::{FaultPlan, FaultSpec, RecoveryPolicy};
 
 /// A recovery-enabled plan: every fault kind fires, retries are generous

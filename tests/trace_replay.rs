@@ -81,7 +81,7 @@ fn replay_reproduces_live_run_exactly() {
 /// takes them — and none at all otherwise.
 #[test]
 fn event_logs_are_per_rank_when_traced_and_absent_otherwise() {
-    use psse::event::prelude::{run_programs, Backend, BinomialAllreduce};
+    use psse::sim::prelude::{run_programs, Backend, BinomialAllreduce};
     let p = 12;
     for backend in [Backend::Threads, Backend::Events] {
         let cfg = SimConfig {
