@@ -14,8 +14,8 @@ use psse_core::summary::{self, Measured};
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
 use psse_lab::prelude::{
-    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, sweep_csv, ExpandedSweep, GcConfig,
-    Journal, Lab, LabConfig, RunKey, SweepSpec,
+    detect_scaling_range, fsck_dir, gc_dir, write_pareto_csv, write_sweep_csv, ExpandedSweep,
+    GcConfig, Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_lab::vocab::{
     self, Values, C, CHECKPOINT_WORDS, F, HALO, INTEGER, ITERS, NUMBER, POSITIVE, POSITIVE_INTEGER,
@@ -730,6 +730,7 @@ pub fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
         ..LabConfig::default()
     });
     let mut keys = Vec::new();
+    let plan = std::sync::Arc::new(plan);
     for &c in &c_list {
         let p = q * q * c;
         for faults in [None, Some(plan.clone())] {
@@ -840,6 +841,8 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     // key. The budget never enters run identity, so cache digests and
     // CSV bytes are independent of it.
     let timeout = args.get(&TIMEOUT)?.or(spec.timeout);
+    // The command runs one sweep, so the engine is consumed by it
+    // (`Lab::finish_sweep`): its results are not copied into a memo.
     let mut lab = Lab::new(LabConfig {
         jobs: args.u64_or("jobs", 0)? as usize,
         cache_dir,
@@ -897,10 +900,10 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         let _ = writeln!(out, "journal   : {jp} ({replayed_runs} runs replayed)");
     }
     let (sweep, profile) = if profile_path.is_some() {
-        let (sweep, profile) = lab.run_sweep_profiled(expanded);
+        let (sweep, profile) = lab.finish_sweep_profiled(expanded);
         (sweep, Some(profile))
     } else {
-        (lab.run_sweep(expanded), None)
+        (lab.finish_sweep(expanded), None)
     };
     let (feasible, infeasible) = sweep.feasibility();
     let _ = writeln!(
@@ -927,18 +930,20 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         s.corrupt,
         s.quarantined,
     );
-    if let Some(journal) = lab.journal() {
-        let _ = writeln!(out, "appended  : {} journal lines", journal.appended());
+    if let Some(appended) = sweep.journal_appended {
+        let _ = writeln!(out, "appended  : {appended} journal lines");
     }
     if args.has("scaling") {
         lab_scaling_report(&sweep, out);
     }
+    // Each CSV is streamed into its file, one fixed-size chunk at a time.
+    let create = |p: &str| std::fs::File::create(p).map_err(|e| e.to_string());
     if let Some(p) = args.raw("out") {
-        std::fs::write(p, sweep_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
+        write_sweep_csv(create(p)?, &sweep.keys, &sweep.results).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote sweep CSV to {p}");
     }
     if let Some(p) = args.raw("pareto") {
-        std::fs::write(p, pareto_csv(&sweep.keys, &sweep.results)).map_err(|e| e.to_string())?;
+        write_pareto_csv(create(p)?, &sweep.keys, &sweep.results).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote Pareto CSV to {p}");
     }
     if let (Some(path), Some(profile)) = (&profile_path, &profile) {

@@ -1,0 +1,149 @@
+//! A memory budget CI can hold for `psse lab run`: peak live heap bytes
+//! per key of a ~10⁴-key model sweep, cold and resumed, under a counting
+//! global allocator, so the numbers are exact and repeat.
+//!
+//! A spec may expand to 2²⁰ runs, so the bytes a sweep holds per key
+//! decide whether a capped sweep fits at all. Each ceiling sits a little
+//! above what the command needs today and well below what it needed
+//! while every result was also copied into the engine's memo, every key
+//! carried its own machine and fault plan, and the CSV was built as one
+//! string (775 B/key cold, 825 resumed; DESIGN's lab section has the
+//! table, structure by structure). The default self-profile is printed
+//! and held near its own cost (~1 610 B/key before, its records and
+//! JSON tree being most of it).
+//!
+//! The counters are process-wide, so only the thread inside `measure`
+//! is counted; `--jobs 1` runs the sweep on that thread, and the three
+//! runs share one `#[test]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// The system allocator, counting live bytes and their peak — of the
+/// thread that is inside [`measure`], and of no other.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // `const` and `Copy`: reading it from inside the allocator neither
+    // allocates nor registers a destructor.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn measured() -> bool {
+    MEASURED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn grew(bytes: usize) {
+    if measured() {
+        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+fn shrank(bytes: usize) {
+    if measured() {
+        LIVE.fetch_sub(bytes, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// atomics and never touch the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growing block may have to move: old and new coexist.
+        grew(new_size);
+        shrank(layout.size());
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// 160 × 64 = 10 240 matmul model keys: the shape of the ledger's
+/// `lab-model-cold` matmul sweep, rounded `p` duplicates included.
+const SPEC: &str = "kind = model\nalg = matmul\nn = 8192\np = geom:4:100000:160\n\
+                    mem = geomf:1e3:1e9:64\n";
+const KEYS: usize = 160 * 64;
+
+/// Run `psse lab run --jobs 1 <flags>` and return its peak live heap
+/// over what was live before it, in bytes per key. Its stdout is
+/// dropped after the peak is read; the command fails the test.
+fn measure(run: &str, flags: Vec<String>, ceiling: f64) -> f64 {
+    let mut argv: Vec<String> = ["lab", "run", "--jobs", "1"].map(String::from).to_vec();
+    argv.extend(flags);
+    let mut out = String::new();
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    MEASURED.set(true);
+    let outcome = psse_cli::run(&argv, &mut out);
+    MEASURED.set(false);
+    let per_key = (PEAK.load(Relaxed) - before) as f64 / KEYS as f64;
+    outcome.unwrap_or_else(|e| panic!("{run}: {e}\n{out}"));
+    assert!(out.contains("10240 ok"), "{run}: {out}");
+    println!("{run:18} {per_key:7.0} B/key (ceiling {ceiling})");
+    per_key
+}
+
+#[test]
+fn lab_run_bytes_per_key_stay_in_budget() {
+    let dir = std::env::temp_dir().join(format!("psse-bytes-per-key-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).display().to_string();
+    std::fs::write(dir.join("grid.spec"), SPEC).unwrap();
+    let (spec, journal) = (file("grid.spec"), file("grid.journal"));
+    let sweep = |extra: &[&str]| -> Vec<String> {
+        let mut flags = vec!["--spec", &spec, "--journal", &journal, "--scaling"];
+        flags.extend(extra);
+        let outputs = ["--out", "--pareto"]
+            .into_iter()
+            .zip(["a.csv", "a.pareto.csv"]);
+        (flags.into_iter().map(String::from))
+            .chain(outputs.flat_map(|(flag, name)| [flag.to_string(), file(name)]))
+            .collect()
+    };
+
+    let cold = sweep(&["--profile", "off"]);
+    let cold_ceiling = 400.0;
+    assert!(measure("cold", cold, cold_ceiling) <= cold_ceiling);
+    let csv = std::fs::read(dir.join("a.csv")).unwrap();
+
+    let resumed = sweep(&["--profile", "off", "--resume"]);
+    let resumed_ceiling = 450.0;
+    assert!(measure("resumed", resumed, resumed_ceiling) <= resumed_ceiling);
+    assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
+
+    // The default profile lands next to the CSV.
+    let profiled = sweep(&[]);
+    let profiled_ceiling = 1700.0;
+    assert!(measure("default profile", profiled, profiled_ceiling) <= profiled_ceiling);
+    assert!(Path::new(&file("a.csv.profile.json")).exists());
+    assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -130,3 +130,71 @@ fn resume_from_a_sparse_oversized_journal_replays_the_prefix() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `(inode, mtime)` of every `.rec` record directly under `dir`, by name.
+#[cfg(unix)]
+fn records(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<String, (u64, std::time::SystemTime)> {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "rec"))
+        .map(|e| {
+            let meta = e.metadata().unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, (meta.ino(), meta.modified().unwrap()))
+        })
+        .collect()
+}
+
+/// A resume over a populated cache directory writes only the records the
+/// directory lacks: every other `.rec` keeps its inode and mtime, and the
+/// CSV bytes are the cold run's.
+#[cfg(unix)]
+#[test]
+fn resume_over_a_populated_cache_leaves_its_records_untouched() {
+    let dir = work_dir("backfill");
+    std::fs::write(
+        dir.join("b.spec"),
+        "kind = model\nalg = nbody\nn = 10000,20000\np = geom:6:100:8\nmem = 2000,4000\nf = 10\n",
+    )
+    .unwrap();
+    let cache = dir.join("cache");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |csv: &str, extra: &[&str]| {
+        let (spec, cache, journal, csv) =
+            (path("b.spec"), path("cache"), path("b.journal"), path(csv));
+        let mut args = vec!["lab", "run", "--spec", &spec, "--cache", &cache];
+        args.extend(["--journal", &journal, "--out", &csv, "--profile", "off"]);
+        args.extend_from_slice(extra);
+        let out = psse(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    run("cold.csv", &[]);
+    let mut before = records(&cache);
+    assert_eq!(before.len(), 32);
+    // Three records go missing; the resume writes those back.
+    let missing: Vec<String> = before.keys().step_by(10).cloned().collect();
+    for name in &missing {
+        std::fs::remove_file(cache.join(name)).unwrap();
+        before.remove(name);
+    }
+    let stdout = run("resumed.csv", &["--resume"]);
+    assert!(stdout.contains("(32 runs replayed)"), "{stdout}");
+    let after = records(&cache);
+    for (name, stamp) in &before {
+        assert_eq!(after.get(name), Some(stamp), "{name} was rewritten");
+    }
+    assert!(
+        missing.iter().all(|name| after.contains_key(name)),
+        "back-fill"
+    );
+    assert_eq!(
+        std::fs::read(path("resumed.csv")).unwrap(),
+        std::fs::read(path("cold.csv")).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -94,7 +94,7 @@ fn from_flags(key: &str, value: &str) -> Result<(RunKey, Option<f64>), String> {
         halo: args.get(&HALO)?,
         iters: args.get(&ITERS)?,
         seed,
-        faults,
+        faults: faults.map(std::sync::Arc::new),
         ..RunKey::simulate("mm25d", 16, 8, machine)
     };
     Ok((run, args.get(&TIMEOUT)?))

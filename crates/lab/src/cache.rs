@@ -3,10 +3,20 @@
 //!
 //! Keys are [`RunKey`](crate::key::RunKey) digests, held as their two
 //! words ([`Digest`]) in memory and spelled as 32 hex chars in file
-//! names; values are [`RunResult`]s. The in-memory layer is a bounded
-//! map with FIFO eviction; the optional disk layer stores each record
-//! as a file named after its digest so concurrent writers never
+//! names; values are [`RunResult`]s. A lookup tries three layers in
+//! turn: the in-memory memo, a bounded map with FIFO eviction; the runs
+//! a journal replayed, read in place from the map the journal built
+//! (see [`Replayed`]); and the optional disk layer, which stores each
+//! record as a file named after its digest so concurrent writers never
 //! interleave.
+//!
+//! What enters the memo depends on the caller. [`ResultCache::put`] and
+//! a disk hit found by [`ResultCache::get`] do. A [`Lab`](crate::Lab)
+//! sweep looks up and stores without touching the memo, and its `&self`
+//! entry points add the sweep's results in spec order when it ends, so
+//! a later call hits them; the consuming
+//! [`Lab::finish_sweep`](crate::Lab::finish_sweep) adds nothing, and a
+//! sweep's results are then held once, in its outcome vector.
 //!
 //! Every disk record carries a trailing splitmix64 checksum computed
 //! over `"{digest} {v1-line}"` — binding the record to its *filename*
@@ -23,8 +33,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use crate::journal::Replayed;
 use crate::key::{AsDigest, Digest, DigestMap};
 use crate::result::{push_checksum, split_checksum, LineChecksum, RunResult};
 
@@ -66,10 +77,15 @@ struct MemCache {
     capacity: usize,
 }
 
-/// Thread-safe content-addressed cache.
+/// Thread-safe content-addressed cache (see the module docs for its
+/// layers and what enters the memo).
 pub struct ResultCache {
     mem: Mutex<MemCache>,
+    /// The journal's replay map, lent by [`ResultCache::seed`].
+    replayed: OnceLock<Replayed>,
     dir: Option<PathBuf>,
+    /// The outcome of creating `dir`, tried once, by the first store.
+    dir_made: OnceLock<Result<(), String>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -141,7 +157,9 @@ impl ResultCache {
                 order: std::collections::VecDeque::new(),
                 capacity: capacity.max(1),
             }),
+            replayed: OnceLock::new(),
             dir,
+            dir_made: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -156,30 +174,56 @@ impl ResultCache {
         dir.join(format!("{digest}.rec"))
     }
 
-    /// Look up a digest; counts a hit or a miss. A disk record that
-    /// fails verification is quarantined on first sight (see the module
-    /// docs) and the lookup is a miss — so the caller recomputes and
-    /// output bytes are unaffected. Text that spells no digest (see
-    /// [`AsDigest`]) is a miss.
+    /// Look up a digest; counts a hit or a miss. A record read from
+    /// disk is kept in memory. A disk record that fails verification is
+    /// quarantined on first sight (see the module docs) and the lookup
+    /// is a miss — so the caller recomputes and output bytes are
+    /// unaffected. Text that spells no digest (see [`AsDigest`]) is a
+    /// miss.
     pub fn get<D: AsDigest + ?Sized>(&self, digest: &D) -> Option<RunResult> {
-        let found = digest.as_digest().and_then(|d| self.lookup(d));
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let found = digest.as_digest().and_then(|d| {
+            let (result, from_disk) = self.lookup(d)?;
+            if from_disk {
+                self.admit(&mut self.memo(), d, result);
+            }
+            Some(result)
+        });
+        self.counted(found)
+    }
+
+    /// [`ResultCache::get`] for a sweep: a record read from disk is not
+    /// kept in memory.
+    pub(crate) fn probe(&self, digest: Digest) -> Option<RunResult> {
+        self.counted(self.lookup(digest).map(|(result, _)| result))
+    }
+
+    /// Count a lookup's hit or miss.
+    fn counted(&self, found: Option<RunResult>) -> Option<RunResult> {
+        self.count(found.is_some() as u64, found.is_none() as u64);
         found
     }
 
-    fn lookup(&self, digest: Digest) -> Option<RunResult> {
-        {
-            // A worker panic while holding the lock must not poison the
-            // whole sweep's memoization.
-            let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(r) = mem.map.get(&digest) {
-                return Some(*r);
-            }
+    /// Add lookups answered without a probe (a sweep's duplicate keys).
+    pub(crate) fn count(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
+    /// The memo, locked. A worker panic while holding the lock must not
+    /// poison the whole sweep's memoization.
+    fn memo(&self) -> MutexGuard<'_, MemCache> {
+        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The result under `digest` from the first layer that holds it, and
+    /// whether that layer was the disk.
+    fn lookup(&self, digest: Digest) -> Option<(RunResult, bool)> {
+        if let Some(r) = self.memo().map.get(&digest) {
+            return Some((*r, false));
+        }
+        let replayed = self.replayed.get().and_then(|map| map.get(&digest));
+        if let Some(r) = replayed {
+            return Some((*r, false));
         }
         let dir = self.dir.as_ref()?;
         let known_bad = self
@@ -192,10 +236,7 @@ impl ResultCache {
         }
         let record = std::fs::read(Self::record_path(dir, digest)).ok()?;
         match decode_record(digest, &record) {
-            Some(r) => {
-                self.insert_mem(digest, r);
-                Some(r)
-            }
+            Some(r) => Some((r, true)),
             None => {
                 // Corrupt: quarantine once, remember the digest so it
                 // is never re-read (the move can fail on a read-only
@@ -213,8 +254,8 @@ impl ResultCache {
         }
     }
 
-    fn insert_mem(&self, digest: Digest, result: RunResult) {
-        let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
+    /// Keep `result` in the memo, evicting its oldest record when full.
+    fn admit(&self, mem: &mut MemCache, digest: Digest, result: RunResult) {
         if mem.map.contains_key(&digest) {
             return;
         }
@@ -226,6 +267,41 @@ impl ResultCache {
         }
         mem.map.insert(digest, result);
         mem.order.push_back(digest);
+    }
+
+    /// Keep a sweep's successful results in the memo, in order, so a
+    /// later lookup hits them.
+    pub(crate) fn remember<'a>(
+        &self,
+        results: impl Iterator<Item = (&'a Digest, &'a Result<RunResult, String>)>,
+    ) {
+        let mut mem = self.memo();
+        for (&digest, result) in results {
+            if let Ok(result) = result {
+                self.admit(&mut mem, digest, *result);
+            }
+        }
+    }
+
+    /// Lend the cache a journal's replayed runs: lookups read them in
+    /// place, as hits. A second replay is merged into the memo instead.
+    /// With a disk layer, a replayed record the directory lacks is
+    /// written; one it holds is left as it is.
+    pub(crate) fn seed(&self, replayed: &Replayed) {
+        if self.replayed.set(Arc::clone(replayed)).is_err() {
+            let mut mem = self.memo();
+            for (&digest, &result) in replayed.iter() {
+                self.admit(&mut mem, digest, result);
+            }
+        }
+        if let Some(dir) = &self.dir {
+            for (&digest, result) in replayed.iter() {
+                if !Self::record_path(dir, digest).exists() {
+                    // Persistence problems are non-fatal, as in a sweep.
+                    let _ = self.store(digest, result);
+                }
+            }
+        }
     }
 
     /// Store a result under its digest (memory + disk when configured).
@@ -240,12 +316,18 @@ impl ResultCache {
         let digest = digest
             .as_digest()
             .ok_or("cache key is not a 32-hex run digest")?;
-        self.insert_mem(digest, result);
+        self.admit(&mut self.memo(), digest, result);
+        self.store(digest, &result)
+    }
+
+    /// [`ResultCache::put`]'s disk half: write the record when a disk
+    /// layer is configured and still writable.
+    pub(crate) fn store(&self, digest: Digest, result: &RunResult) -> Result<(), String> {
         if let Some(dir) = &self.dir {
             if self.disk_dead.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            if let Err(e) = Self::disk_put(dir, digest, &result) {
+            if let Err(e) = self.disk_put(dir, digest, result) {
                 if !self.disk_dead.swap(true, Ordering::Relaxed) {
                     eprintln!(
                         "warning: cache dir {} is unwritable ({e}); \
@@ -259,9 +341,13 @@ impl ResultCache {
         Ok(())
     }
 
-    fn disk_put(dir: &Path, digest: Digest, result: &RunResult) -> Result<(), String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
+    fn disk_put(&self, dir: &Path, digest: Digest, result: &RunResult) -> Result<(), String> {
+        self.dir_made
+            .get_or_init(|| {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("create cache dir {}: {e}", dir.display()))
+            })
+            .clone()?;
         let path = Self::record_path(dir, digest);
         // Write-then-rename so a concurrent reader never sees a
         // truncated record; names include the digest so two writers

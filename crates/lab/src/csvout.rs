@@ -7,14 +7,23 @@
 //! bits. That is the property the CI determinism smoke leans on:
 //! `--jobs 1` and `--jobs 8` must produce byte-identical files, and so
 //! must a warm-cache rerun.
+//!
+//! Each CSV is written by a function over any [`Write`] that holds at
+//! most one chunk of rows at a time ([`write_sweep_csv`],
+//! [`write_pareto_csv`]); [`sweep_csv`] and [`pareto_csv`] collect the
+//! same bytes into a `String`.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 use psse_metrics::num::{push_f64_debug, push_u64};
 
 use crate::key::RunKey;
 use crate::pareto::pareto_indices;
 use crate::result::RunResult;
+
+/// Rows are handed to the writer in chunks of about this many bytes.
+const CHUNK: usize = 64 << 10;
 
 /// Append `,` and `v` as `{:?}` prints it.
 fn float(out: &mut Vec<u8>, v: f64) {
@@ -28,50 +37,91 @@ fn int(out: &mut Vec<u8>, v: u64) {
     push_u64(out, v);
 }
 
-/// The CSV as a `String`: its bytes are ASCII and the keys' UTF-8
-/// algorithm names.
-fn text(out: Vec<u8>) -> String {
+/// Rows assembled in place in one fixed buffer and handed to `W` a
+/// chunk at a time.
+struct Rows<W: Write> {
+    buf: Vec<u8>,
+    out: W,
+}
+
+impl<W: Write> Rows<W> {
+    fn new(out: W, header: &str) -> Rows<W> {
+        let mut buf = Vec::with_capacity(CHUNK + 256);
+        buf.extend_from_slice(header.as_bytes());
+        Rows { buf, out }
+    }
+
+    /// The buffer to append a row to; a full chunk is written first.
+    fn row(&mut self) -> io::Result<&mut Vec<u8>> {
+        if self.buf.len() >= CHUNK {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(&mut self.buf)
+    }
+
+    fn finish(mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)?;
+        self.out.flush()
+    }
+}
+
+/// Collect a CSV writer's bytes as a `String`: they are ASCII and the
+/// keys' UTF-8 algorithm names.
+fn text(capacity: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::with_capacity(capacity);
+    write(&mut out).expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("CSV bytes are UTF-8")
 }
 
-/// Render the full sweep as CSV, one row per run in spec order.
-/// Failed runs are skipped (they have no numbers to report); callers
-/// surface failures separately.
-pub fn sweep_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
-    const HEADER: &str = "alg,kind,n,p,c,mem_words,feasible,time_s,energy_j,power_w\n";
-    // Bytes, sized for the whole sweep up front (a row of a model sweep
-    // is about a hundred bytes): rows are written in place, and UTF-8 is
-    // checked once at the end instead of once per number.
-    let mut out = Vec::with_capacity(HEADER.len() + 128 * results.len());
-    out.extend_from_slice(HEADER.as_bytes());
+/// Write the full sweep as CSV, one row per run in spec order. Failed
+/// runs are skipped (they have no numbers to report); callers surface
+/// failures separately.
+pub fn write_sweep_csv(
+    out: impl Write,
+    keys: &[RunKey],
+    results: &[Result<RunResult, String>],
+) -> io::Result<()> {
+    let mut rows = Rows::new(
+        out,
+        "alg,kind,n,p,c,mem_words,feasible,time_s,energy_j,power_w\n",
+    );
     for (key, res) in keys.iter().zip(results) {
         if let Ok(r) = res {
+            let out = rows.row()?;
             out.extend_from_slice(key.alg.as_bytes());
             out.push(b',');
             out.extend_from_slice(key.kind.as_str().as_bytes());
-            int(&mut out, key.n);
-            int(&mut out, key.p);
-            int(&mut out, key.c);
-            float(&mut out, r.mem_used);
-            int(&mut out, r.feasible as u64);
-            float(&mut out, r.time);
-            float(&mut out, r.energy);
-            float(&mut out, r.power());
+            int(out, key.n);
+            int(out, key.p);
+            int(out, key.c);
+            float(out, r.mem_used);
+            int(out, r.feasible as u64);
+            float(out, r.time);
+            float(out, r.energy);
+            float(out, r.power());
             out.push(b'\n');
         }
     }
-    text(out)
+    rows.finish()
 }
 
-/// Render the per-`n` (time, energy) Pareto frontiers as CSV. Only
+/// [`write_sweep_csv`] as a `String`.
+pub fn sweep_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
+    // A row of a model sweep is about a hundred bytes.
+    text(128 * results.len(), |out| {
+        write_sweep_csv(out, keys, results)
+    })
+}
+
+/// Write the per-`n` (time, energy) Pareto frontiers as CSV. Only
 /// feasible, successful runs compete; rows keep spec order within each
 /// frontier.
-pub fn pareto_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
-    const HEADER: &str = "n,p,c,mem_words,time_s,energy_j\n";
-    // A frontier holds a small share of the sweep; one row is about
-    // seventy bytes.
-    let mut out = Vec::with_capacity(HEADER.len() + 8 * results.len());
-    out.extend_from_slice(HEADER.as_bytes());
+pub fn write_pareto_csv(
+    out: impl Write,
+    keys: &[RunKey],
+    results: &[Result<RunResult, String>],
+) -> io::Result<()> {
     /// `n`, and its competitors' indices and (time, energy) points.
     type Group = (u64, Vec<usize>, Vec<(f64, f64)>);
     // Group by n in one pass, in first-appearance order. A spec expands
@@ -94,20 +144,31 @@ pub fn pareto_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> Str
             }
         }
     }
+    let mut rows = Rows::new(out, "n,p,c,mem_words,time_s,energy_j\n");
     for (n, idx, pts) in groups {
         for fi in pareto_indices(&pts) {
             let i = idx[fi];
             let r = results[i].as_ref().unwrap();
-            push_u64(&mut out, n);
-            int(&mut out, keys[i].p);
-            int(&mut out, keys[i].c);
-            float(&mut out, r.mem_used);
-            float(&mut out, r.time);
-            float(&mut out, r.energy);
+            let out = rows.row()?;
+            push_u64(out, n);
+            int(out, keys[i].p);
+            int(out, keys[i].c);
+            float(out, r.mem_used);
+            float(out, r.time);
+            float(out, r.energy);
             out.push(b'\n');
         }
     }
-    text(out)
+    rows.finish()
+}
+
+/// [`write_pareto_csv`] as a `String`.
+pub fn pareto_csv(keys: &[RunKey], results: &[Result<RunResult, String>]) -> String {
+    // A frontier holds a small share of the sweep; one row is about
+    // seventy bytes.
+    text(8 * results.len(), |out| {
+        write_pareto_csv(out, keys, results)
+    })
 }
 
 #[cfg(test)]

@@ -42,19 +42,22 @@
 //! intact prefix of the recorded lines plus, at worst, a torn tail: a
 //! cut inside a group write is just a longer torn tail.
 //!
-//! Replayed results seed the lab's in-memory cache, so the resumed
-//! sweep recomputes only what is missing and the final CSV is
-//! byte-identical to an uninterrupted run (results round-trip through
-//! the same exact-bits `v1` encoding the disk cache uses).
+//! The replayed runs are one shared map ([`Replayed`]): the journal
+//! reads it to skip lines it already holds, and [`Lab::seed`] lends it
+//! to the lab's cache, which serves each as a hit without copying it.
+//! So the resumed sweep recomputes only what is missing and the final
+//! CSV is byte-identical to an uninterrupted run (results round-trip
+//! through the same exact-bits `v1` encoding the disk cache uses).
+//!
+//! [`Lab::seed`]: crate::Lab::seed
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::key::{AsDigest, Digest, DigestSet, RunKey};
+use crate::key::{AsDigest, Digest, DigestMap, DigestSet, RunKey};
 use crate::result::{line_checksum, push_checksum, split_checksum, LineChecksum, RunResult};
 
 const HEADER_PREFIX: &str = "psse-lab-journal v1";
@@ -73,6 +76,13 @@ const MAX_LINE: u64 = 512;
 /// The most replayed runs [`Journal::open_resume`] sizes its map for up
 /// front: the file length bounds the count only when the file is honest.
 const MAX_PRESIZE: u64 = 1 << 16;
+
+/// The runs [`Journal::open_resume`] replayed, `digest → result`: one
+/// map, shared by the journal and (through [`Lab::seed`]) the lab's
+/// cache, never copied.
+///
+/// [`Lab::seed`]: crate::Lab::seed
+pub type Replayed = Arc<DigestMap<RunResult>>;
 
 /// Digest of a sweep's identity: two salted splitmix64 chains over the
 /// ordered run-key digests (the checksums of `"spec-hi <d0> <d1> ..."`
@@ -140,13 +150,16 @@ fn parse_run_line(line: &[u8]) -> Option<(Digest, RunResult)> {
 /// with a single `write_all`.
 pub struct Journal {
     path: PathBuf,
+    /// The lines the file held when it was opened (empty for a fresh
+    /// journal).
+    replayed: Replayed,
     state: Mutex<State>,
     write_failed: AtomicBool,
 }
 
 /// What the lock guards: the file, the group of lines not yet written
-/// (each assembled in place at its end), and the digests the journal
-/// already holds a line for.
+/// (each assembled in place at its end), and the digests this handle
+/// recorded.
 struct State {
     file: std::fs::File,
     group: Vec<u8>,
@@ -165,15 +178,16 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    fn over(path: &Path, file: std::fs::File, present: DigestSet) -> Journal {
+    fn over(path: &Path, file: std::fs::File, replayed: Replayed) -> Journal {
         Journal {
             path: path.to_path_buf(),
+            replayed,
             state: Mutex::new(State {
                 file,
                 group: Vec::with_capacity(GROUP_BYTES + MAX_LINE as usize),
                 pending: 0,
                 last_write: Instant::now(),
-                present,
+                present: DigestSet::default(),
                 appended: 0,
             }),
             write_failed: AtomicBool::new(false),
@@ -188,28 +202,25 @@ impl Journal {
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
         file.write_all(header_line(spec).as_bytes())
             .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
-        Ok(Journal::over(path, file, DigestSet::default()))
+        Ok(Journal::over(path, file, Replayed::default()))
     }
 
     /// Resume from an existing journal: validate the header against
     /// `spec`, replay every intact run line, truncate any torn tail,
     /// and reopen for appending. Returns the journal and the replayed
-    /// `digest → result` map.
+    /// `digest → result` map, which the journal keeps a share of.
     ///
     /// A missing file starts a fresh journal (so `--resume` works on
     /// the very first attempt too). A journal whose header names a
     /// *different* spec is a hard error — silently mixing sweeps would
     /// corrupt both. A journal whose header itself is torn is treated
     /// as empty and rewritten.
-    pub fn open_resume(
-        path: &Path,
-        spec: &str,
-    ) -> Result<(Journal, HashMap<Digest, RunResult>), String> {
+    pub fn open_resume(path: &Path, spec: &str) -> Result<(Journal, Replayed), String> {
         let unreadable = |e| format!("cannot read journal {}: {e}", path.display());
         let mut reader = match std::fs::File::open(path) {
             Ok(file) => BufReader::with_capacity(1 << 16, file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((Journal::create(path, spec)?, HashMap::new()));
+                return Ok((Journal::create(path, spec)?, Replayed::default()));
             }
             Err(e) => return Err(unreadable(e)),
         };
@@ -240,14 +251,15 @@ impl Journal {
         };
         if !header_ok {
             // Torn or empty header: nothing trustworthy to replay.
-            return Ok((Journal::create(path, spec)?, HashMap::new()));
+            return Ok((Journal::create(path, spec)?, Replayed::default()));
         }
         let mut valid_bytes = line.len() as u64;
         // Sized from the file (a run line is at least 160 bytes), so the
         // map is allocated once instead of rehashed as it grows, but
         // never beyond `MAX_PRESIZE`: a sparse or padded file claims
         // any length.
-        let mut replayed = HashMap::with_capacity((file_len / 160).min(MAX_PRESIZE) as usize);
+        let presize = (file_len / 160).min(MAX_PRESIZE) as usize;
+        let mut replayed = DigestMap::with_capacity_and_hasher(presize, Default::default());
         loop {
             read_line(&mut line).map_err(unreadable)?;
             // End of file, a line without its newline, or one whose
@@ -273,8 +285,8 @@ impl Journal {
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-        let present = replayed.keys().copied().collect();
-        Ok((Journal::over(path, file, present), replayed))
+        let replayed = Arc::new(replayed);
+        Ok((Journal::over(path, file, Arc::clone(&replayed)), replayed))
     }
 
     /// Record one completed run — unless this journal already holds a
@@ -299,6 +311,9 @@ impl Journal {
         let Some(digest) = digest.as_digest() else {
             return;
         };
+        if self.replayed.contains_key(&digest) {
+            return;
+        }
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !state.present.insert(digest) {
             return;

@@ -46,7 +46,7 @@ impl std::hash::Hash for Digest {
 }
 
 /// The [`BuildHasher`](std::hash::BuildHasher) of the maps keyed by
-/// [`Digest`]: each word is folded in with one splitmix64 mix, a
+/// [`Digest`] (the journal's replay map among them): each word is folded in with one splitmix64 mix, a
 /// fraction of SipHash's cost on words that are already uniform. The
 /// fold starts from a random key per map, because journal lines are
 /// outside input with unkeyed checksums: under a fixed hash a crafted
@@ -54,7 +54,7 @@ impl std::hash::Hash for Digest {
 /// resume quadratic. Nothing iterates these maps into emitted bytes, so
 /// their order is free.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DigestState(u64);
+pub struct DigestState(u64);
 
 impl Default for DigestState {
     fn default() -> DigestState {
@@ -73,7 +73,7 @@ impl std::hash::BuildHasher for DigestState {
 
 /// The running fold of a [`DigestState`] map.
 #[derive(Debug)]
-pub(crate) struct DigestHasher(u64);
+pub struct DigestHasher(u64);
 
 impl std::hash::Hasher for DigestHasher {
     fn finish(&self) -> u64 {
@@ -90,7 +90,7 @@ impl std::hash::Hasher for DigestHasher {
 }
 
 /// `Digest → V` under [`DigestState`].
-pub(crate) type DigestMap<V> = std::collections::HashMap<Digest, V, DigestState>;
+pub type DigestMap<V> = std::collections::HashMap<Digest, V, DigestState>;
 
 /// A set of digests under [`DigestState`].
 pub(crate) type DigestSet = std::collections::HashSet<Digest, DigestState>;
@@ -254,10 +254,11 @@ pub struct RunKey {
     /// `[min_memory, max_useful_memory]` instead of marking the point
     /// infeasible. Used to chart the bend past the strong-scaling limit.
     pub clamp_mem: bool,
-    /// The machine the run is priced on.
-    pub machine: MachineParams,
-    /// Optional fault plan (simulator runs only).
-    pub faults: Option<FaultPlan>,
+    /// The machine the run is priced on, shared by every key of a sweep
+    /// as a refcount (a key is a few words, not a copy of the machine).
+    pub machine: Arc<MachineParams>,
+    /// Optional fault plan (simulator runs only), shared the same way.
+    pub faults: Option<Arc<FaultPlan>>,
     /// Which simulator backend executes the run (simulator runs only;
     /// model runs ignore it). Both backends are bit-identical by
     /// contract, but the backend is still part of the identity so a
@@ -286,8 +287,9 @@ pub const STENCIL_DEFAULTS: (u64, u64) = (HALO.default, ITERS.default);
 
 impl RunKey {
     /// A model-run key with the common defaults (`c = 1`, minimal
-    /// memory, `f = 20`, seed 42, no clamping, no faults).
-    pub fn model(alg: &str, n: u64, p: u64, machine: MachineParams) -> RunKey {
+    /// memory, `f = 20`, seed 42, no clamping, no faults). `machine` is
+    /// a [`MachineParams`] or an already shared `Arc` of one.
+    pub fn model(alg: &str, n: u64, p: u64, machine: impl Into<Arc<MachineParams>>) -> RunKey {
         RunKey {
             kind: RunKind::Model,
             alg: alg.to_string(),
@@ -298,7 +300,7 @@ impl RunKey {
             f: F.default,
             seed: SEED.default,
             clamp_mem: false,
-            machine,
+            machine: machine.into(),
             faults: None,
             backend: Backend::Threads,
             kernel: None,
@@ -308,7 +310,7 @@ impl RunKey {
     }
 
     /// A simulator-run key with the common defaults.
-    pub fn simulate(alg: &str, n: u64, p: u64, machine: MachineParams) -> RunKey {
+    pub fn simulate(alg: &str, n: u64, p: u64, machine: impl Into<Arc<MachineParams>>) -> RunKey {
         RunKey {
             kind: RunKind::Simulate,
             ..RunKey::model(alg, n, p, machine)
@@ -501,7 +503,7 @@ mod tests {
         k3.mem = 1.0;
         assert_ne!(d, k3.digest());
         let mut k4 = k.clone();
-        k4.machine.beta_e *= 2.0;
+        Arc::make_mut(&mut k4.machine).beta_e *= 2.0;
         assert_ne!(d, k4.digest());
         let mut k5 = k.clone();
         k5.kind = RunKind::Simulate;
@@ -532,7 +534,7 @@ mod tests {
             f: 10.0,
             seed: 42,
             clamp_mem: false,
-            machine,
+            machine: Arc::new(machine),
             faults: None,
             backend: Backend::Threads,
             kernel: None,
@@ -599,7 +601,7 @@ mod tests {
         use psse_sim::prelude::{FaultPlan, FaultSpec, RecoveryPolicy};
         let mut k = RunKey::simulate("mm25d", 16, 8, jaketown());
         let free = k.digest();
-        k.faults = Some(FaultPlan {
+        k.faults = Some(Arc::new(FaultPlan {
             spec: FaultSpec {
                 seed: 7,
                 drop_rate: 0.1,
@@ -610,11 +612,11 @@ mod tests {
                 retry_backoff: 0.0,
                 checkpoint: None,
             },
-        });
+        }));
         let faulted = k.digest();
         assert_ne!(free, faulted);
         let mut k2 = k.clone();
-        k2.faults.as_mut().unwrap().spec.drop_rate = 0.2;
+        Arc::make_mut(k2.faults.as_mut().unwrap()).spec.drop_rate = 0.2;
         assert_ne!(faulted, k2.digest());
     }
 }

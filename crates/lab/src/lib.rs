@@ -8,8 +8,9 @@
 //!    format parsed into a [`spec::SweepSpec`] and expanded into a
 //!    deterministic ordered list of [`RunKey`]s.
 //! 2. **One sweep loop** ([`Lab`] over a [`pool`]): every sweep method
-//!    runs its keys through it, results in spec order for any `--jobs`;
-//!    a [`selfprof::SweepProfile`] is a view of that loop.
+//!    runs its keys through it, each distinct key once, results in spec
+//!    order for any `--jobs`; a [`selfprof::SweepProfile`] is a view of
+//!    that loop.
 //! 3. **Content-addressed cache** ([`cache`]): each [`RunKey`] hashes
 //!    (via the workspace's splitmix64 machinery) to a stable 128-bit
 //!    digest; results are memoized in memory and optionally persisted
@@ -57,7 +58,7 @@ use std::time::Instant;
 use psse_metrics::saturating_nanos;
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::key::{Digest, RunKey};
+use crate::key::{Digest, DigestMap, RunKey};
 use crate::result::RunResult;
 use crate::selfprof::SweepProfile;
 
@@ -122,6 +123,9 @@ pub struct SweepResults {
     pub results: Vec<Result<RunResult, String>>,
     /// Cache counters accumulated over this engine's lifetime.
     pub stats: CacheStats,
+    /// Lines the attached journal had written when the sweep returned
+    /// ([`journal::Journal::appended`]); `None` without a journal.
+    pub journal_appended: Option<u64>,
 }
 
 impl SweepResults {
@@ -144,6 +148,18 @@ impl SweepResults {
 
 /// The batch engine: executes [`RunKey`]s through the worker pool with
 /// content-addressed memoization.
+///
+/// Within one sweep, a key whose digest came earlier in the sweep is not
+/// run again: it copies that key's outcome and counts as a cache hit,
+/// for any worker count. Across calls, the `&self` entry points
+/// ([`Lab::run_keys`], [`Lab::run_keys_profiled`], [`Lab::run_sweep`],
+/// [`Lab::run_sweep_profiled`], [`Lab::run_spec`]) keep each sweep's
+/// successful results in an in-memory memo (65 536 records, FIFO), so
+/// the next call hits them. [`Lab::finish_sweep`] and
+/// [`Lab::finish_sweep_profiled`] consume the engine and copy nothing
+/// into the memo: a sweep run that way holds each key and each result
+/// once. Runs lent by [`Lab::seed`] and records in the cache directory
+/// are hits for every entry point.
 pub struct Lab {
     config: LabConfig,
     cache: ResultCache,
@@ -167,7 +183,7 @@ impl Lab {
     /// Attach a sweep journal: every successful run (fresh or served
     /// from the cache) is recorded as a checksummed line unless the
     /// journal already holds one for it, so a killed process resumes via
-    /// [`Lab::seed`] + [`journal::Journal::open_resume`] instead of
+    /// [`journal::Journal::open_resume`] + [`Lab::seed`] instead of
     /// restarting. Lines are written in groups, and every sweep method
     /// flushes the journal before it returns.
     pub fn set_journal(&mut self, journal: journal::Journal) {
@@ -180,14 +196,14 @@ impl Lab {
         self.journal.as_ref()
     }
 
-    /// Pre-load `digest → result` pairs (typically a journal replay)
-    /// into the cache, so the next sweep treats them as hits. Results
-    /// round-trip bit-exactly, which is what keeps a resumed CSV
-    /// byte-identical to an uninterrupted one.
-    pub fn seed(&self, replayed: &std::collections::HashMap<Digest, RunResult>) {
-        for (digest, result) in replayed {
-            let _ = self.cache.put(digest, *result);
-        }
+    /// Lend the cache a journal's replayed runs, so every sweep treats
+    /// them as hits. The map is shared, not copied (a second seed is
+    /// copied into the memo); with a cache directory, the replayed
+    /// records it lacks are written to it and the ones it holds are left
+    /// untouched. Results round-trip bit-exactly, which is what keeps a
+    /// resumed CSV byte-identical to an uninterrupted one.
+    pub fn seed(&self, replayed: &journal::Replayed) {
+        self.cache.seed(replayed);
     }
 
     /// The resolved worker count this engine will use: an explicit
@@ -201,16 +217,16 @@ impl Lab {
     }
 
     /// One key, end to end: cache lookup, watched execution with panic
-    /// containment, cache fill, journal append — all under the digest
-    /// the caller computed. Returns the outcome and whether it was
-    /// served from cache.
+    /// containment, disk cache fill, journal append — all under the
+    /// digest the caller computed. Returns the outcome and whether it
+    /// was served from cache. The memo is left to the entry point.
     fn run_one(
         &self,
         key: &RunKey,
         digest: Digest,
         registry: Option<&psse_metrics::Registry>,
     ) -> (Result<RunResult, String>, bool) {
-        if let Some(hit) = self.cache.get(&digest) {
+        if let Some(hit) = self.cache.probe(digest) {
             if let Some(j) = &self.journal {
                 j.record(&digest, &hit);
             }
@@ -237,7 +253,7 @@ impl Lab {
         });
         if let Ok(result) = &executed {
             // Persistence problems are non-fatal: the run succeeded.
-            let _ = self.cache.put(&digest, *result);
+            let _ = self.cache.store(digest, result);
             if let Some(j) = &self.journal {
                 j.record(&digest, result);
             }
@@ -245,48 +261,83 @@ impl Lab {
         (executed, false)
     }
 
-    /// The one sweep loop: every key runs through [`Lab::run_one`] on
-    /// the worker pool under its digest (`digests[i]` when the caller
-    /// already has them), results come back in input order, and the
-    /// journal is complete on disk when it returns. With `profile` the
-    /// loop also times each key and hands its run a metrics registry,
-    /// and returns the [`SweepProfile`] assembled from what it
-    /// recorded; without, it reads no clock. Either way the results are
-    /// the same values.
+    /// The one sweep loop: the first key of each digest runs through
+    /// [`Lab::run_one`] on the worker pool under `digests[i]`; a later
+    /// key of the same digest copies its outcome and counts as a hit (a
+    /// miss when the outcome is a failure, which a rerun would repeat).
+    /// Results come back in input order and the journal is complete on
+    /// disk when it returns. With `profile` the loop also times each key
+    /// and hands its run a metrics registry, and returns the recorder
+    /// the profile is assembled from; without, it reads no clock. Either
+    /// way the results are the same values.
     fn sweep(
         &self,
         keys: &[RunKey],
-        digests: Option<&[Digest]>,
+        digests: &[Digest],
         profile: bool,
-    ) -> (Outcomes, Option<SweepProfile>) {
+    ) -> (Outcomes, Option<selfprof::Recorder>) {
+        let first = first_occurrences(digests);
+        let run = |i: usize, key: &RunKey, registry: Option<&psse_metrics::Registry>| {
+            if first[i] as usize == i {
+                self.run_one(key, digests[i], registry)
+            } else {
+                // Filled in below, once the first occurrence has run.
+                (Err(String::new()), true)
+            }
+        };
         // The pool's own clamp: the recorder keeps one log per worker.
         let jobs = self.jobs().min(keys.len()).max(1);
         let recorder = profile.then(|| selfprof::Recorder::new(jobs));
-        let results = pool::run_ordered(jobs, keys, |worker, i, key| {
-            let digest = digests.map_or_else(|| key.digest_bits(), |d| d[i]);
+        let mut results = pool::run_ordered(jobs, keys, |worker, i, key| {
             let Some(rec) = &recorder else {
-                return self.run_one(key, digest, None).0;
+                return run(i, key, None).0;
             };
             let t0 = Instant::now();
-            let (result, cached) = self.run_one(key, digest, Some(&rec.registry));
+            let (result, cached) = run(i, key, Some(&rec.registry));
             let wall_ns = saturating_nanos(t0.elapsed().as_secs_f64());
-            rec.note(worker, (i, digest, wall_ns, cached));
+            rec.note(worker, (i, digests[i], wall_ns, cached));
             result
         });
+        let (mut hits, mut misses) = (0, 0);
+        for (i, &at) in first.iter().enumerate() {
+            let at = at as usize;
+            if at != i {
+                let copy = results[at].clone();
+                if copy.is_ok() {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                results[i] = copy;
+            }
+        }
+        self.cache.count(hits, misses);
         if let Some(j) = &self.journal {
             j.flush();
         }
+        (results, recorder)
+    }
+
+    /// [`Lab::sweep`] for a `&self` entry point: the successful results
+    /// also enter the memo, so a later call hits them.
+    fn memoized(
+        &self,
+        keys: &[RunKey],
+        digests: &[Digest],
+        profile: bool,
+    ) -> (Outcomes, Option<SweepProfile>) {
+        let (results, recorder) = self.sweep(keys, digests, profile);
+        self.cache.remember(digests.iter().zip(&results));
         let profile = recorder.map(|rec| rec.finish(keys, &results, self.cache.stats()));
         (results, profile)
     }
 
     /// Execute an explicit key list; results come back in input order
-    /// regardless of worker count. Cache lookups happen per key, so
-    /// duplicated keys within the list hit after their first execution
-    /// (modulo benign races between workers — counters may vary, bytes
-    /// never do).
+    /// regardless of worker count. A duplicated key runs once and its
+    /// repeats are cache hits.
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        self.sweep(keys, None, false).0
+        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
+        self.memoized(keys, &digests, false).0
     }
 
     /// [`Lab::run_keys`] plus its self-profile: host wall-clock per key,
@@ -297,38 +348,58 @@ impl Lab {
         &self,
         keys: &[RunKey],
     ) -> (Vec<Result<RunResult, String>>, SweepProfile) {
-        let (results, profile) = self.sweep(keys, None, true);
+        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
+        let (results, profile) = self.memoized(keys, &digests, true);
         (results, profile.expect("asked for a profile"))
     }
 
     /// Execute an expanded sweep under the digests it already carries.
     pub fn run_sweep(&self, sweep: ExpandedSweep) -> SweepResults {
-        self.sweep_expanded(sweep, false).0
+        let ExpandedSweep { keys, digests } = sweep;
+        let results = self.memoized(&keys, &digests, false).0;
+        self.results(keys, results)
     }
 
     /// [`Lab::run_sweep`] with a self-profile (see
     /// [`Lab::run_keys_profiled`]).
     pub fn run_sweep_profiled(&self, sweep: ExpandedSweep) -> (SweepResults, SweepProfile) {
-        let (results, profile) = self.sweep_expanded(sweep, true);
+        let ExpandedSweep { keys, digests } = sweep;
+        let (results, profile) = self.memoized(&keys, &digests, true);
+        let profile = profile.expect("asked for a profile");
+        (self.results(keys, results), profile)
+    }
+
+    /// [`Lab::run_sweep`] as an engine's last sweep: it consumes the
+    /// engine and keeps no memo, so the sweep holds each result once, in
+    /// its outcome vector. Hits, counters, journal and cache directory
+    /// behave as in [`Lab::run_sweep`].
+    pub fn finish_sweep(self, sweep: ExpandedSweep) -> SweepResults {
+        self.finish(sweep, false).0
+    }
+
+    /// [`Lab::finish_sweep`] with a self-profile (see
+    /// [`Lab::run_keys_profiled`]).
+    pub fn finish_sweep_profiled(self, sweep: ExpandedSweep) -> (SweepResults, SweepProfile) {
+        let (results, profile) = self.finish(sweep, true);
         (results, profile.expect("asked for a profile"))
     }
 
-    fn sweep_expanded(
-        &self,
-        sweep: ExpandedSweep,
-        profile: bool,
-    ) -> (SweepResults, Option<SweepProfile>) {
+    fn finish(self, sweep: ExpandedSweep, profile: bool) -> (SweepResults, Option<SweepProfile>) {
         let ExpandedSweep { keys, digests } = sweep;
-        let (results, profile) = self.sweep(&keys, Some(&digests), profile);
-        let stats = self.cache.stats();
-        (
-            SweepResults {
-                keys,
-                results,
-                stats,
-            },
-            profile,
-        )
+        let (results, recorder) = self.sweep(&keys, &digests, profile);
+        drop(digests);
+        let profile = recorder.map(|rec| rec.finish(&keys, &results, self.cache.stats()));
+        (self.results(keys, results), profile)
+    }
+
+    /// A finished sweep with the engine's counters.
+    fn results(&self, keys: Vec<RunKey>, results: Outcomes) -> SweepResults {
+        SweepResults {
+            keys,
+            results,
+            stats: self.cache.stats(),
+            journal_appended: self.journal.as_ref().map(journal::Journal::appended),
+        }
     }
 
     /// Expand a spec and execute it.
@@ -342,14 +413,26 @@ impl Lab {
     }
 }
 
+/// For each digest, the index of its first occurrence in `digests` (its
+/// own index when it is the first), found through one map built and
+/// dropped before the sweep runs.
+fn first_occurrences(digests: &[Digest]) -> Vec<u32> {
+    let count = u32::try_from(digests.len()).expect("a sweep holds fewer than 2^32 keys");
+    let mut first = DigestMap::with_capacity_and_hasher(digests.len(), Default::default());
+    (0..count)
+        .zip(digests)
+        .map(|(i, &digest)| *first.entry(digest).or_insert(i))
+        .collect()
+}
+
 /// The usual imports for lab users.
 pub mod prelude {
     pub use crate::cache::{
         fsck_dir, gc_dir, CacheStats, FsckReport, GcConfig, GcReport, QUARANTINE_SUBDIR,
     };
-    pub use crate::csvout::{pareto_csv, sweep_csv};
+    pub use crate::csvout::{pareto_csv, sweep_csv, write_pareto_csv, write_sweep_csv};
     pub use crate::error::LabError;
-    pub use crate::journal::{spec_digest, Journal};
+    pub use crate::journal::{spec_digest, Journal, Replayed};
     pub use crate::key::{AsDigest, Digest, KernelModel, RunKey, RunKind};
     pub use crate::pareto::{
         detect_scaling_range, pareto_indices, pareto_indices_naive, DetectedRange,

@@ -131,7 +131,7 @@ fn execute_simulate(
     // A spec has no panel key: a SUMMA row reads `c` as the panel width.
     shape.panel = Some(shape.c.max(1));
     let mut cfg = sim_config_from(&key.machine);
-    cfg.faults = key.faults.clone();
+    cfg.faults = key.faults.as_deref().cloned();
     cfg.backend = key.backend;
     // Time budget: the flag never changes virtual costs (it is only
     // consulted, never priced), so a watched run that completes is

@@ -337,7 +337,9 @@ impl Recorder {
                     label: keys[i].label(),
                     digest: digest.to_string(),
                     wall_ns,
-                    cached,
+                    // A repeated key is noted as cached before the
+                    // outcome it copies is known; a failure is not.
+                    cached: cached && results[i].is_ok(),
                     ok: results[i].is_ok(),
                 })
                 .collect(),

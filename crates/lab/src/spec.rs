@@ -328,7 +328,7 @@ impl SweepSpec {
             f: lines.get(&F).map_err(err)?,
             seed,
             clamp_mem,
-            faults: faults.transpose().map_err(err)?,
+            faults: faults.transpose().map_err(err)?.map(Arc::new),
             backend: lines.with("backend", from_str)?.unwrap_or_default(),
             kernel,
             halo: lines.get(&HALO).map_err(err)?,
