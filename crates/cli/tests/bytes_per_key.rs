@@ -12,41 +12,34 @@
 //! and held near its own cost (~1 610 B/key before, its records and
 //! JSON tree being most of it).
 //!
-//! The counters are process-wide, so only the thread inside `measure`
-//! is counted; `--jobs 1` runs the sweep on that thread, and the three
-//! runs share one `#[test]`.
+//! The counters are process-wide and count every thread while
+//! `measure` runs, the worker pool's included; the runs share one
+//! `#[test]`, so no other test allocates meanwhile. A `--jobs 2` sweep
+//! is held to what the same sweep needed on `--jobs 1` plus a fixed
+//! allowance per worker thread: the pool keeps each result once,
+//! whatever the worker count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
-/// The system allocator, counting live bytes and their peak — of the
-/// thread that is inside [`measure`], and of no other.
+/// The system allocator, counting live bytes and their peak while
+/// [`measure`] runs.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    // `const` and `Copy`: reading it from inside the allocator neither
-    // allocates nor registers a destructor.
-    static MEASURED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn measured() -> bool {
-    MEASURED.try_with(Cell::get).unwrap_or(false)
-}
+static MEASURING: AtomicBool = AtomicBool::new(false);
 
 fn grew(bytes: usize) {
-    if measured() {
+    if MEASURING.load(Relaxed) {
         let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
         PEAK.fetch_max(live, Relaxed);
     }
 }
 
 fn shrank(bytes: usize) {
-    if measured() {
+    if MEASURING.load(Relaxed) {
         LIVE.fetch_sub(bytes, Relaxed);
     }
 }
@@ -92,22 +85,28 @@ const SPEC: &str = "kind = model\nalg = matmul\nn = 8192\np = geom:4:100000:160\
                     mem = geomf:1e3:1e9:64\n";
 const KEYS: usize = 160 * 64;
 
-/// Run `psse lab run --jobs 1 <flags>` and return its peak live heap
-/// over what was live before it, in bytes per key. Its stdout is
+/// Per-worker allowance of a `--jobs 2` sweep over the same sweep's
+/// `--jobs 1` peak, in bytes: a thread's spawn records and a key in
+/// flight on each worker, with room to spare.
+const PER_WORKER: f64 = 16384.0;
+
+/// Run `psse lab run --jobs <jobs> <flags>` and return its peak live
+/// heap over what was live before it, in bytes per key. Its stdout is
 /// dropped after the peak is read; the command fails the test.
-fn measure(run: &str, flags: Vec<String>, ceiling: f64) -> f64 {
-    let mut argv: Vec<String> = ["lab", "run", "--jobs", "1"].map(String::from).to_vec();
+fn measure(run: &str, jobs: usize, flags: Vec<String>, ceiling: f64) -> f64 {
+    let mut argv: Vec<String> = ["lab", "run", "--jobs"].map(String::from).to_vec();
+    argv.push(jobs.to_string());
     argv.extend(flags);
     let mut out = String::new();
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
-    MEASURED.set(true);
+    MEASURING.store(true, Relaxed);
     let outcome = psse_cli::run(&argv, &mut out);
-    MEASURED.set(false);
+    MEASURING.store(false, Relaxed);
     let per_key = (PEAK.load(Relaxed) - before) as f64 / KEYS as f64;
     outcome.unwrap_or_else(|e| panic!("{run}: {e}\n{out}"));
     assert!(out.contains("10240 ok"), "{run}: {out}");
-    println!("{run:18} {per_key:7.0} B/key (ceiling {ceiling})");
+    println!("{run:18} {per_key:7.0} B/key (ceiling {ceiling:.0})");
     per_key
 }
 
@@ -117,8 +116,9 @@ fn lab_run_bytes_per_key_stay_in_budget() {
     std::fs::create_dir_all(&dir).unwrap();
     let file = |name: &str| dir.join(name).display().to_string();
     std::fs::write(dir.join("grid.spec"), SPEC).unwrap();
-    let (spec, journal) = (file("grid.spec"), file("grid.journal"));
-    let sweep = |extra: &[&str]| -> Vec<String> {
+    let spec = file("grid.spec");
+    let sweep = |journal: &str, extra: &[&str]| -> Vec<String> {
+        let journal = file(journal);
         let mut flags = vec!["--spec", &spec, "--journal", &journal, "--scaling"];
         flags.extend(extra);
         let outputs = ["--out", "--pareto"]
@@ -129,21 +129,29 @@ fn lab_run_bytes_per_key_stay_in_budget() {
             .collect()
     };
 
-    let cold = sweep(&["--profile", "off"]);
+    let cold = sweep("grid.journal", &["--profile", "off"]);
     let cold_ceiling = 400.0;
-    assert!(measure("cold", cold, cold_ceiling) <= cold_ceiling);
+    let cold_peak = measure("cold", 1, cold, cold_ceiling);
+    assert!(cold_peak <= cold_ceiling);
     let csv = std::fs::read(dir.join("a.csv")).unwrap();
 
-    let resumed = sweep(&["--profile", "off", "--resume"]);
+    let resumed = sweep("grid.journal", &["--profile", "off", "--resume"]);
     let resumed_ceiling = 450.0;
-    assert!(measure("resumed", resumed, resumed_ceiling) <= resumed_ceiling);
+    assert!(measure("resumed", 1, resumed, resumed_ceiling) <= resumed_ceiling);
     assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
 
     // The default profile lands next to the CSV.
-    let profiled = sweep(&[]);
+    let profiled = sweep("grid.journal", &[]);
     let profiled_ceiling = 1700.0;
-    assert!(measure("default profile", profiled, profiled_ceiling) <= profiled_ceiling);
+    assert!(measure("default profile", 1, profiled, profiled_ceiling) <= profiled_ceiling);
     assert!(Path::new(&file("a.csv.profile.json")).exists());
+    assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
+
+    // Cold again on two workers, into a journal of its own: what one
+    // worker needed, plus the allowance for each worker.
+    let parallel = sweep("jobs2.journal", &["--profile", "off"]);
+    let parallel_ceiling = cold_peak + 2.0 * PER_WORKER / KEYS as f64;
+    assert!(measure("cold, --jobs 2", 2, parallel, parallel_ceiling) <= parallel_ceiling);
     assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
     let _ = std::fs::remove_dir_all(&dir);
 }

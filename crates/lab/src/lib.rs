@@ -288,7 +288,7 @@ impl Lab {
         // The pool's own clamp: the recorder keeps one log per worker.
         let jobs = self.jobs().min(keys.len()).max(1);
         let recorder = profile.then(|| selfprof::Recorder::new(jobs));
-        let mut results = pool::run_ordered(jobs, keys, |worker, i, key| {
+        let mut results = pool::run_ordered(jobs, keys, Err(String::new()), |worker, i, key| {
             let Some(rec) = &recorder else {
                 return run(i, key, None).0;
             };

@@ -87,6 +87,15 @@ pub enum SimError {
         /// Every blocked rank id, ascending.
         blocked: Vec<usize>,
     },
+    /// The OS refused a thread [`crate::Machine::run`] needed. The ranks
+    /// already started were released through the poison wake-up, so
+    /// the run ends instead of waiting on ranks that never started.
+    ThreadSpawn {
+        /// World size of the refused run.
+        p: usize,
+        /// The OS error, as the OS words it.
+        error: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -141,6 +150,12 @@ impl fmt::Display for SimError {
                     f,
                     "deadlock proven at rank {rank}: ranks {blocked:?} are all blocked \
                      in recv with no matching message queued"
+                )
+            }
+            SimError::ThreadSpawn { p, error } => {
+                write!(
+                    f,
+                    "could not start a thread for a run of p = {p} ranks: {error}"
                 )
             }
         }
@@ -203,6 +218,13 @@ mod tests {
                 "[0, 1]",
             ),
             (SimError::Cancelled, "cancelled"),
+            (
+                SimError::ThreadSpawn {
+                    p: 8,
+                    error: "Resource temporarily unavailable".into(),
+                },
+                "p = 8 ranks: Resource temporarily unavailable",
+            ),
         ];
         for (e, frag) in cases {
             assert!(e.to_string().contains(frag), "{e}");

@@ -98,9 +98,11 @@
 //! assert!(outcome.profile.makespan > 0.0);
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// scoped-job lifetime erasure in [`pool`] (see its module docs for the
-// soundness argument); everything else stays unsafe-free.
+// `deny` rather than `forbid`: [`pool`] holds the two sanctioned
+// exceptions, the scoped-job lifetime erasure and the `mallopt` call
+// that caps glibc's malloc arenas at two per core before the first rank
+// thread starts (see its module docs for both); everything else stays
+// unsafe-free.
 #![deny(unsafe_code)]
 // `!(x > 0.0)` deliberately rejects NaN alongside non-positive values;
 // `partial_cmp` would obscure that intent.

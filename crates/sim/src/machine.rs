@@ -328,28 +328,38 @@ impl Machine {
         // failing rank would, so parked receivers wake immediately.
         const POLL: Duration = Duration::from_millis(5);
         let monitor_done = Arc::new(AtomicBool::new(false));
-        let monitor = cfg.cancel.clone().map(|flag| {
-            let mailboxes = Arc::clone(&mailboxes);
-            let done = Arc::clone(&monitor_done);
-            std::thread::spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    if flag.is_cancelled() {
-                        mailboxes.poison();
-                        return;
+        let refused = |e: std::io::Error| SimError::ThreadSpawn {
+            p,
+            error: e.to_string(),
+        };
+        let monitor = cfg
+            .cancel
+            .clone()
+            .map(|flag| {
+                let mailboxes = Arc::clone(&mailboxes);
+                let done = Arc::clone(&monitor_done);
+                std::thread::Builder::new().spawn(move || {
+                    while !done.load(Ordering::SeqCst) {
+                        if flag.is_cancelled() {
+                            mailboxes.poison();
+                            return;
+                        }
+                        std::thread::park_timeout(flag.remaining().map_or(POLL, |d| d.min(POLL)));
                     }
-                    std::thread::park_timeout(flag.remaining().map_or(POLL, |d| d.min(POLL)));
-                }
+                })
             })
-        });
+            .transpose()
+            .map_err(refused)?;
 
+        let mut spawn_failure = None;
         {
             let mut crew = Crew::new();
             for (id, slot) in slots.iter_mut().enumerate() {
                 let cfg = Arc::clone(&cfg);
-                let mailboxes = Arc::clone(&mailboxes);
+                let net = Arc::clone(&mailboxes);
                 let f = &f;
-                crew.execute(move || {
-                    let mut rank = Rank::new(id, p, cfg, Arc::clone(&mailboxes));
+                let started = crew.execute(move || {
+                    let mut rank = Rank::new(id, p, cfg, Arc::clone(&net));
                     let out = catch_unwind(AssertUnwindSafe(|| f(&mut rank)));
                     let res = match out {
                         // A crash that struck during a trailing `compute`
@@ -370,14 +380,26 @@ impl Machine {
                         // before `rank_done` so a failed run is never
                         // re-diagnosed as a deadlock of the ranks it
                         // left waiting.
-                        mailboxes.poison();
+                        net.poison();
                     }
                     // One fewer live rank: the parked set may now be
                     // total (a completed rank that never sent what a peer
                     // still waits for).
-                    mailboxes.rank_done();
+                    net.rank_done();
                     *slot = Some(res);
                 });
+                if let Err(e) = started {
+                    // Ranks `id..p` will never run, and a started rank
+                    // may be parked on one of them. Poison first, so
+                    // counting them out cannot read as a deadlock, and
+                    // the started ranks wake and finish.
+                    mailboxes.poison();
+                    for _ in id..p {
+                        mailboxes.rank_done();
+                    }
+                    spawn_failure = Some(refused(e));
+                    break;
+                }
             }
             // Crew's destructor blocks until every rank job has finished
             // (and been dropped), the scoped-spawn guarantee the borrows
@@ -389,6 +411,9 @@ impl Machine {
             monitor_done.store(true, Ordering::SeqCst);
             handle.thread().unpark();
             let _ = handle.join();
+        }
+        if let Some(e) = spawn_failure {
+            return Err(e);
         }
 
         let (mut results, mut parts) = (Vec::with_capacity(p), Vec::with_capacity(p));
@@ -564,6 +589,49 @@ mod tests {
             }
         });
         assert!(matches!(r, Err(SimError::Algorithm(_))), "{r:?}");
+    }
+
+    #[test]
+    fn a_rank_thread_the_os_refuses_fails_the_run_instead_of_hanging() {
+        // A relay: rank r waits for rank r + 1 before passing the value
+        // on, so every rank started before the refused spawn is parked
+        // on a rank that never starts. Each k fails the k-th spawn.
+        use std::sync::mpsc::RecvTimeoutError;
+        let p = 8;
+        for k in 1..=p {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                crate::pool::failpoint::fail_spawn(k);
+                let r = Machine::run(p, SimConfig::default(), |rank| {
+                    let me = rank.rank();
+                    let v = if me + 1 < rank.size() {
+                        rank.recv(me + 1, Tag(1))?
+                    } else {
+                        vec![me as f64]
+                    };
+                    if me > 0 {
+                        rank.send(me - 1, Tag(1), v)?;
+                    }
+                    Ok(())
+                });
+                let _ = tx.send(r.map(|_| ()));
+            });
+            let r = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| match e {
+                    RecvTimeoutError::Timeout => {
+                        panic!("k = {k}: the run hung on its refused spawn")
+                    }
+                    RecvTimeoutError::Disconnected => panic!("k = {k}: the run panicked"),
+                });
+            run.join().expect("the run's thread returned");
+            match r {
+                Err(SimError::ThreadSpawn { p: 8, error }) => {
+                    assert_eq!(error, "injected spawn failure", "k = {k}")
+                }
+                other => panic!("k = {k}: expected ThreadSpawn, got {other:?}"),
+            }
+        }
     }
 
     #[test]
