@@ -834,15 +834,13 @@ fn lab_spec_from(args: &Args) -> Result<(SweepSpec, String), String> {
 pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     let (spec, path) = lab_spec_from(args)?;
     // `--cache DIR` persists results under DIR; `off` (or omitting the
-    // flag) keeps the cache in-memory only.
+    // flag) keeps nothing between runs.
     let cache_dir = args.raw("cache").filter(|&dir| dir != "off");
     let cache_dir = cache_dir.map(std::path::PathBuf::from);
     // Time budget: `--timeout S` overrides the spec's `timeout`
     // key. The budget never enters run identity, so cache digests and
     // CSV bytes are independent of it.
     let timeout = args.get(&TIMEOUT)?.or(spec.timeout);
-    // The command runs one sweep, so the engine is consumed by it
-    // (`Lab::finish_sweep`): its results are not copied into a memo.
     let mut lab = Lab::new(LabConfig {
         jobs: args.u64_or("jobs", 0)? as usize,
         cache_dir,
@@ -900,11 +898,16 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         let _ = writeln!(out, "journal   : {jp} ({replayed_runs} runs replayed)");
     }
     let (sweep, profile) = if profile_path.is_some() {
-        let (sweep, profile) = lab.finish_sweep_profiled(expanded);
+        let (sweep, profile) = lab.run_sweep_profiled(expanded);
         (sweep, Some(profile))
     } else {
-        (lab.finish_sweep(expanded), None)
+        (lab.run_sweep(expanded), None)
     };
+    // The command runs one sweep, so the engine, and with it the
+    // journal's set of appended digests, is dropped before the outputs
+    // are written.
+    let appended = lab.journal().map(Journal::appended);
+    drop(lab);
     let (feasible, infeasible) = sweep.feasibility();
     let _ = writeln!(
         out,
@@ -930,7 +933,7 @@ pub fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         s.corrupt,
         s.quarantined,
     );
-    if let Some(appended) = sweep.journal_appended {
+    if let Some(appended) = appended {
         let _ = writeln!(out, "appended  : {appended} journal lines");
     }
     if args.has("scaling") {

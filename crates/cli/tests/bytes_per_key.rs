@@ -12,6 +12,12 @@
 //! and held near its own cost (~1 610 B/key before, its records and
 //! JSON tree being most of it).
 //!
+//! The same grid also runs through `Lab::run_sweep`, the library entry
+//! point every other sweep (the figure benches, `psse faults sweep`)
+//! uses, with the engine still alive when the peak is read: no entry
+//! point keeps a second copy of its results (522 B/key while the `&self`
+//! entry points copied each result into a memo).
+//!
 //! The counters are process-wide and count every thread while
 //! `measure` runs, the worker pool's included; the runs share one
 //! `#[test]`, so no other test allocates meanwhile. A `--jobs 2` sweep
@@ -22,6 +28,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+
+use psse_lab::prelude::*;
 
 /// The system allocator, counting live bytes and their peak while
 /// [`measure`] runs.
@@ -90,20 +98,29 @@ const KEYS: usize = 160 * 64;
 /// flight on each worker, with room to spare.
 const PER_WORKER: f64 = 16384.0;
 
+/// Run `f` and return its peak live heap over what was live before
+/// it, in bytes per key, with what it returned, which is still alive
+/// when the peak is read.
+fn peak_of<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    MEASURING.store(true, Relaxed);
+    let kept = f();
+    MEASURING.store(false, Relaxed);
+    ((PEAK.load(Relaxed) - before) as f64 / KEYS as f64, kept)
+}
+
 /// Run `psse lab run --jobs <jobs> <flags>` and return its peak live
-/// heap over what was live before it, in bytes per key. Its stdout is
-/// dropped after the peak is read; the command fails the test.
+/// heap in bytes per key. Its stdout is dropped after the peak is read;
+/// the command fails the test.
 fn measure(run: &str, jobs: usize, flags: Vec<String>, ceiling: f64) -> f64 {
     let mut argv: Vec<String> = ["lab", "run", "--jobs"].map(String::from).to_vec();
     argv.push(jobs.to_string());
     argv.extend(flags);
-    let mut out = String::new();
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-    MEASURING.store(true, Relaxed);
-    let outcome = psse_cli::run(&argv, &mut out);
-    MEASURING.store(false, Relaxed);
-    let per_key = (PEAK.load(Relaxed) - before) as f64 / KEYS as f64;
+    let (per_key, (outcome, out)) = peak_of(|| {
+        let mut out = String::new();
+        (psse_cli::run(&argv, &mut out), out)
+    });
     outcome.unwrap_or_else(|e| panic!("{run}: {e}\n{out}"));
     assert!(out.contains("10240 ok"), "{run}: {out}");
     println!("{run:18} {per_key:7.0} B/key (ceiling {ceiling:.0})");
@@ -153,5 +170,25 @@ fn lab_run_bytes_per_key_stay_in_budget() {
     let parallel_ceiling = cold_peak + 2.0 * PER_WORKER / KEYS as f64;
     assert!(measure("cold, --jobs 2", 2, parallel, parallel_ceiling) <= parallel_ceiling);
     assert_eq!(std::fs::read(dir.join("a.csv")).unwrap(), csv);
+
+    // The library's `&self` entry point, held to the cold ceiling with
+    // the engine and its results alive when the peak is read.
+    let (per_key, (lab, sweep)) = peak_of(|| {
+        let lab = Lab::new(LabConfig {
+            jobs: 1,
+            ..LabConfig::default()
+        });
+        let spec = SweepSpec::parse(SPEC).unwrap();
+        let sweep = lab.run_sweep(ExpandedSweep::new(spec.expand()));
+        (lab, sweep)
+    });
+    println!(
+        "{:18} {per_key:7.0} B/key (ceiling {cold_ceiling:.0})",
+        "Lab::run_sweep"
+    );
+    assert_eq!((sweep.results.len(), sweep.failures()), (KEYS, 0));
+    assert_eq!(sweep_csv(&sweep.keys, &sweep.results).into_bytes(), csv);
+    assert!(per_key <= cold_ceiling);
+    drop((lab, sweep));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,20 +3,17 @@
 //!
 //! Keys are [`RunKey`](crate::key::RunKey) digests, held as their two
 //! words ([`Digest`]) in memory and spelled as 32 hex chars in file
-//! names; values are [`RunResult`]s. A lookup tries three layers in
-//! turn: the in-memory memo, a bounded map with FIFO eviction; the runs
-//! a journal replayed, read in place from the map the journal built
-//! (see [`Replayed`]); and the optional disk layer, which stores each
-//! record as a file named after its digest so concurrent writers never
-//! interleave.
+//! names; values are [`RunResult`]s. A lookup tries up to three layers
+//! in turn: the in-memory memo, a bounded map with FIFO eviction; the
+//! runs each journal replayed, read in place from the maps the journals
+//! built (see [`Replayed`]); and the optional disk layer, which stores
+//! each record as a file named after its digest so concurrent writers
+//! never interleave.
 //!
-//! What enters the memo depends on the caller. [`ResultCache::put`] and
-//! a disk hit found by [`ResultCache::get`] do. A [`Lab`](crate::Lab)
-//! sweep looks up and stores without touching the memo, and its `&self`
-//! entry points add the sweep's results in spec order when it ends, so
-//! a later call hits them; the consuming
-//! [`Lab::finish_sweep`](crate::Lab::finish_sweep) adds nothing, and a
-//! sweep's results are then held once, in its outcome vector.
+//! Only the public [`ResultCache::put`] and a disk hit found by
+//! [`ResultCache::get`] write the memo. A [`Lab`](crate::Lab) sweep
+//! never does: it looks up the replay maps and the disk and stores to
+//! the disk, so its results are held once, in its outcome vector.
 //!
 //! Every disk record carries a trailing splitmix64 checksum computed
 //! over `"{digest} {v1-line}"` — binding the record to its *filename*
@@ -81,8 +78,8 @@ struct MemCache {
 /// layers and what enters the memo).
 pub struct ResultCache {
     mem: Mutex<MemCache>,
-    /// The journal's replay map, lent by [`ResultCache::seed`].
-    replayed: OnceLock<Replayed>,
+    /// The journals' replay maps, lent by [`ResultCache::seed`].
+    replayed: Vec<Replayed>,
     dir: Option<PathBuf>,
     /// The outcome of creating `dir`, tried once, by the first store.
     dir_made: OnceLock<Result<(), String>>,
@@ -95,8 +92,8 @@ pub struct ResultCache {
     /// in place because quarantining failed, e.g. read-only dir): never
     /// re-read, so a bad record is paid for exactly once.
     bad: Mutex<std::collections::HashSet<Digest>>,
-    /// Set after the first failed disk write: the cache degrades to
-    /// memory-only memoization instead of failing every run.
+    /// Set after the first failed disk write: the cache carries on
+    /// without its disk layer instead of failing every run.
     disk_dead: AtomicBool,
 }
 
@@ -157,7 +154,7 @@ impl ResultCache {
                 order: std::collections::VecDeque::new(),
                 capacity: capacity.max(1),
             }),
-            replayed: OnceLock::new(),
+            replayed: Vec::new(),
             dir,
             dir_made: OnceLock::new(),
             hits: AtomicU64::new(0),
@@ -182,6 +179,9 @@ impl ResultCache {
     /// miss.
     pub fn get<D: AsDigest + ?Sized>(&self, digest: &D) -> Option<RunResult> {
         let found = digest.as_digest().and_then(|d| {
+            if let Some(r) = self.memo().map.get(&d) {
+                return Some(*r);
+            }
             let (result, from_disk) = self.lookup(d)?;
             if from_disk {
                 self.admit(&mut self.memo(), d, result);
@@ -191,8 +191,8 @@ impl ResultCache {
         self.counted(found)
     }
 
-    /// [`ResultCache::get`] for a sweep: a record read from disk is not
-    /// kept in memory.
+    /// [`ResultCache::get`] for a sweep: the memo is neither read nor
+    /// written.
     pub(crate) fn probe(&self, digest: Digest) -> Option<RunResult> {
         self.counted(self.lookup(digest).map(|(result, _)| result))
     }
@@ -215,13 +215,10 @@ impl ResultCache {
         self.mem.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The result under `digest` from the first layer that holds it, and
-    /// whether that layer was the disk.
+    /// The result under `digest` from the first layer below the memo
+    /// that holds it, and whether that layer was the disk.
     fn lookup(&self, digest: Digest) -> Option<(RunResult, bool)> {
-        if let Some(r) = self.memo().map.get(&digest) {
-            return Some((*r, false));
-        }
-        let replayed = self.replayed.get().and_then(|map| map.get(&digest));
+        let replayed = self.replayed.iter().find_map(|map| map.get(&digest));
         if let Some(r) = replayed {
             return Some((*r, false));
         }
@@ -269,31 +266,12 @@ impl ResultCache {
         mem.order.push_back(digest);
     }
 
-    /// Keep a sweep's successful results in the memo, in order, so a
-    /// later lookup hits them.
-    pub(crate) fn remember<'a>(
-        &self,
-        results: impl Iterator<Item = (&'a Digest, &'a Result<RunResult, String>)>,
-    ) {
-        let mut mem = self.memo();
-        for (&digest, result) in results {
-            if let Ok(result) = result {
-                self.admit(&mut mem, digest, *result);
-            }
-        }
-    }
-
     /// Lend the cache a journal's replayed runs: lookups read them in
-    /// place, as hits. A second replay is merged into the memo instead.
-    /// With a disk layer, a replayed record the directory lacks is
-    /// written; one it holds is left as it is.
-    pub(crate) fn seed(&self, replayed: &Replayed) {
-        if self.replayed.set(Arc::clone(replayed)).is_err() {
-            let mut mem = self.memo();
-            for (&digest, &result) in replayed.iter() {
-                self.admit(&mut mem, digest, result);
-            }
-        }
+    /// place, as hits, after the maps lent before. With a disk layer, a
+    /// replayed record the directory lacks is written; one it holds is
+    /// left as it is.
+    pub(crate) fn seed(&mut self, replayed: &Replayed) {
+        self.replayed.push(Arc::clone(replayed));
         if let Some(dir) = &self.dir {
             for (&digest, result) in replayed.iter() {
                 if !Self::record_path(dir, digest).exists() {
@@ -307,8 +285,8 @@ impl ResultCache {
     /// Store a result under its digest (memory + disk when configured).
     ///
     /// Disk write failures are non-fatal: the first one prints a single
-    /// warning to stderr and the cache degrades to memory-only
-    /// memoization — the sweep's results are intact either way. The
+    /// warning to stderr and the cache carries on without its disk
+    /// layer — the sweep's results are intact either way. The
     /// returned error reports that first failure so callers that *want*
     /// to surface it can. Text that spells no digest (see [`AsDigest`])
     /// is an error and stores nothing.
@@ -331,7 +309,7 @@ impl ResultCache {
                 if !self.disk_dead.swap(true, Ordering::Relaxed) {
                     eprintln!(
                         "warning: cache dir {} is unwritable ({e}); \
-                         continuing with memory-only memoization",
+                         continuing without it",
                         dir.display()
                     );
                     return Err(e);

@@ -13,9 +13,10 @@
 //!    that loop.
 //! 3. **Content-addressed cache** ([`cache`]): each [`RunKey`] hashes
 //!    (via the workspace's splitmix64 machinery) to a stable 128-bit
-//!    digest; results are memoized in memory and optionally persisted
-//!    as one-line records under `bench_results/.labcache/`, with
-//!    hit/miss/evict counters surfaced in the run summary.
+//!    digest; results are optionally persisted as one-line records
+//!    under `bench_results/.labcache/` and read back, with a resumed
+//!    journal's runs, as hits (a sweep keeps no in-memory memo), with
+//!    hit/miss counters surfaced in the run summary.
 //! 4. **Analysis** ([`pareto`], [`csvout`]): (time, energy)
 //!    Pareto-frontier extraction per problem size,
 //!    perfect-strong-scaling-range detection cross-checked against the
@@ -71,7 +72,8 @@ type Outcomes = Vec<Result<RunResult, String>>;
 pub struct LabConfig {
     /// Worker threads. `0` means the machine's available parallelism.
     pub jobs: usize,
-    /// Directory for the persistent cache (`None` = in-memory only).
+    /// Directory for the persistent cache (`None`: nothing is kept
+    /// between sweeps).
     pub cache_dir: Option<PathBuf>,
     /// Per-run wall-clock budget for simulator runs, carried into the
     /// run as a [`psse_sim::CancelFlag::after`] deadline: a run that
@@ -123,9 +125,6 @@ pub struct SweepResults {
     pub results: Vec<Result<RunResult, String>>,
     /// Cache counters accumulated over this engine's lifetime.
     pub stats: CacheStats,
-    /// Lines the attached journal had written when the sweep returned
-    /// ([`journal::Journal::appended`]); `None` without a journal.
-    pub journal_appended: Option<u64>,
 }
 
 impl SweepResults {
@@ -147,32 +146,28 @@ impl SweepResults {
 }
 
 /// The batch engine: executes [`RunKey`]s through the worker pool with
-/// content-addressed memoization.
+/// content-addressed deduplication.
 ///
-/// Within one sweep, a key whose digest came earlier in the sweep is not
-/// run again: it copies that key's outcome and counts as a cache hit,
-/// for any worker count. Across calls, the `&self` entry points
-/// ([`Lab::run_keys`], [`Lab::run_keys_profiled`], [`Lab::run_sweep`],
-/// [`Lab::run_sweep_profiled`], [`Lab::run_spec`]) keep each sweep's
-/// successful results in an in-memory memo (65 536 records, FIFO), so
-/// the next call hits them. [`Lab::finish_sweep`] and
-/// [`Lab::finish_sweep_profiled`] consume the engine and copy nothing
-/// into the memo: a sweep run that way holds each key and each result
-/// once. Runs lent by [`Lab::seed`] and records in the cache directory
-/// are hits for every entry point.
+/// Every entry point ([`Lab::run_keys`], [`Lab::run_keys_profiled`],
+/// [`Lab::run_sweep`], [`Lab::run_sweep_profiled`], [`Lab::run_spec`])
+/// runs the one sweep loop. Within a sweep, a key whose digest came
+/// earlier in it is not run again: it copies that key's outcome and
+/// counts as a cache hit, for any worker count. A sweep writes no
+/// in-memory memo, so it holds each key and each result once, in its
+/// outcome vector, and a second sweep on the same engine runs its keys
+/// again. Hits across sweeps come from runs lent by [`Lab::seed`] and
+/// from records in the cache directory.
 pub struct Lab {
     config: LabConfig,
     cache: ResultCache,
     journal: Option<journal::Journal>,
 }
 
-/// In-memory cache capacity (records; FIFO eviction beyond it).
-const CACHE_CAPACITY: usize = 65_536;
-
 impl Lab {
     /// Build an engine with the given configuration.
     pub fn new(config: LabConfig) -> Lab {
-        let cache = ResultCache::new(CACHE_CAPACITY, config.cache_dir.clone());
+        // No sweep writes the memo, so the engine sizes its memo for none.
+        let cache = ResultCache::new(0, config.cache_dir.clone());
         Lab {
             config,
             cache,
@@ -197,12 +192,12 @@ impl Lab {
     }
 
     /// Lend the cache a journal's replayed runs, so every sweep treats
-    /// them as hits. The map is shared, not copied (a second seed is
-    /// copied into the memo); with a cache directory, the replayed
-    /// records it lacks are written to it and the ones it holds are left
-    /// untouched. Results round-trip bit-exactly, which is what keeps a
-    /// resumed CSV byte-identical to an uninterrupted one.
-    pub fn seed(&self, replayed: &journal::Replayed) {
+    /// them as hits. The map is shared, not copied, and every map lent
+    /// is kept; with a cache directory, the replayed records it lacks
+    /// are written to it and the ones it holds are left untouched.
+    /// Results round-trip bit-exactly, which is what keeps a resumed CSV
+    /// byte-identical to an uninterrupted one.
+    pub fn seed(&mut self, replayed: &journal::Replayed) {
         self.cache.seed(replayed);
     }
 
@@ -219,7 +214,7 @@ impl Lab {
     /// One key, end to end: cache lookup, watched execution with panic
     /// containment, disk cache fill, journal append — all under the
     /// digest the caller computed. Returns the outcome and whether it
-    /// was served from cache. The memo is left to the entry point.
+    /// was served from cache.
     fn run_one(
         &self,
         key: &RunKey,
@@ -267,16 +262,16 @@ impl Lab {
     /// miss when the outcome is a failure, which a rerun would repeat).
     /// Results come back in input order and the journal is complete on
     /// disk when it returns. With `profile` the loop also times each key
-    /// and hands its run a metrics registry, and returns the recorder
-    /// the profile is assembled from; without, it reads no clock. Either
-    /// way the results are the same values.
+    /// and hands its run a metrics registry, and returns the profile,
+    /// assembled once the digests are dropped; without, it reads no
+    /// clock. Either way the results are the same values.
     fn sweep(
         &self,
         keys: &[RunKey],
-        digests: &[Digest],
+        digests: Vec<Digest>,
         profile: bool,
-    ) -> (Outcomes, Option<selfprof::Recorder>) {
-        let first = first_occurrences(digests);
+    ) -> (Outcomes, Option<SweepProfile>) {
+        let first = first_occurrences(&digests);
         let run = |i: usize, key: &RunKey, registry: Option<&psse_metrics::Registry>| {
             if first[i] as usize == i {
                 self.run_one(key, digests[i], registry)
@@ -288,16 +283,17 @@ impl Lab {
         // The pool's own clamp: the recorder keeps one log per worker.
         let jobs = self.jobs().min(keys.len()).max(1);
         let recorder = profile.then(|| selfprof::Recorder::new(jobs));
-        let mut results = pool::run_ordered(jobs, keys, Err(String::new()), |worker, i, key| {
-            let Some(rec) = &recorder else {
-                return run(i, key, None).0;
-            };
-            let t0 = Instant::now();
-            let (result, cached) = run(i, key, Some(&rec.registry));
-            let wall_ns = saturating_nanos(t0.elapsed().as_secs_f64());
-            rec.note(worker, (i, digests[i], wall_ns, cached));
-            result
-        });
+        let (mut results, workers) =
+            pool::run_ordered(jobs, keys, Err(String::new()), |worker, i, key| {
+                let Some(rec) = &recorder else {
+                    return run(i, key, None).0;
+                };
+                let t0 = Instant::now();
+                let (result, cached) = run(i, key, Some(&rec.registry));
+                let wall_ns = saturating_nanos(t0.elapsed().as_secs_f64());
+                rec.note(worker, (i, digests[i], wall_ns, cached));
+                result
+            });
         let (mut hits, mut misses) = (0, 0);
         for (i, &at) in first.iter().enumerate() {
             let at = at as usize;
@@ -315,20 +311,9 @@ impl Lab {
         if let Some(j) = &self.journal {
             j.flush();
         }
-        (results, recorder)
-    }
-
-    /// [`Lab::sweep`] for a `&self` entry point: the successful results
-    /// also enter the memo, so a later call hits them.
-    fn memoized(
-        &self,
-        keys: &[RunKey],
-        digests: &[Digest],
-        profile: bool,
-    ) -> (Outcomes, Option<SweepProfile>) {
-        let (results, recorder) = self.sweep(keys, digests, profile);
-        self.cache.remember(digests.iter().zip(&results));
-        let profile = recorder.map(|rec| rec.finish(keys, &results, self.cache.stats()));
+        drop((first, digests));
+        let stats = self.cache.stats();
+        let profile = recorder.map(|rec| rec.finish(keys, &results, workers, stats));
         (results, profile)
     }
 
@@ -336,8 +321,8 @@ impl Lab {
     /// regardless of worker count. A duplicated key runs once and its
     /// repeats are cache hits.
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
-        self.memoized(keys, &digests, false).0
+        let digests = keys.iter().map(RunKey::digest_bits).collect();
+        self.sweep(keys, digests, false).0
     }
 
     /// [`Lab::run_keys`] plus its self-profile: host wall-clock per key,
@@ -348,58 +333,38 @@ impl Lab {
         &self,
         keys: &[RunKey],
     ) -> (Vec<Result<RunResult, String>>, SweepProfile) {
-        let digests: Vec<Digest> = keys.iter().map(RunKey::digest_bits).collect();
-        let (results, profile) = self.memoized(keys, &digests, true);
+        let digests = keys.iter().map(RunKey::digest_bits).collect();
+        let (results, profile) = self.sweep(keys, digests, true);
         (results, profile.expect("asked for a profile"))
     }
 
     /// Execute an expanded sweep under the digests it already carries.
     pub fn run_sweep(&self, sweep: ExpandedSweep) -> SweepResults {
         let ExpandedSweep { keys, digests } = sweep;
-        let results = self.memoized(&keys, &digests, false).0;
-        self.results(keys, results)
+        let results = self.sweep(&keys, digests, false).0;
+        let stats = self.cache.stats();
+        SweepResults {
+            keys,
+            results,
+            stats,
+        }
     }
 
     /// [`Lab::run_sweep`] with a self-profile (see
     /// [`Lab::run_keys_profiled`]).
     pub fn run_sweep_profiled(&self, sweep: ExpandedSweep) -> (SweepResults, SweepProfile) {
         let ExpandedSweep { keys, digests } = sweep;
-        let (results, profile) = self.memoized(&keys, &digests, true);
+        let (results, profile) = self.sweep(&keys, digests, true);
+        let stats = self.cache.stats();
         let profile = profile.expect("asked for a profile");
-        (self.results(keys, results), profile)
-    }
-
-    /// [`Lab::run_sweep`] as an engine's last sweep: it consumes the
-    /// engine and keeps no memo, so the sweep holds each result once, in
-    /// its outcome vector. Hits, counters, journal and cache directory
-    /// behave as in [`Lab::run_sweep`].
-    pub fn finish_sweep(self, sweep: ExpandedSweep) -> SweepResults {
-        self.finish(sweep, false).0
-    }
-
-    /// [`Lab::finish_sweep`] with a self-profile (see
-    /// [`Lab::run_keys_profiled`]).
-    pub fn finish_sweep_profiled(self, sweep: ExpandedSweep) -> (SweepResults, SweepProfile) {
-        let (results, profile) = self.finish(sweep, true);
-        (results, profile.expect("asked for a profile"))
-    }
-
-    fn finish(self, sweep: ExpandedSweep, profile: bool) -> (SweepResults, Option<SweepProfile>) {
-        let ExpandedSweep { keys, digests } = sweep;
-        let (results, recorder) = self.sweep(&keys, &digests, profile);
-        drop(digests);
-        let profile = recorder.map(|rec| rec.finish(&keys, &results, self.cache.stats()));
-        (self.results(keys, results), profile)
-    }
-
-    /// A finished sweep with the engine's counters.
-    fn results(&self, keys: Vec<RunKey>, results: Outcomes) -> SweepResults {
-        SweepResults {
-            keys,
-            results,
-            stats: self.cache.stats(),
-            journal_appended: self.journal.as_ref().map(journal::Journal::appended),
-        }
+        (
+            SweepResults {
+                keys,
+                results,
+                stats,
+            },
+            profile,
+        )
     }
 
     /// Expand a spec and execute it.
@@ -487,11 +452,16 @@ mod tests {
             ..LabConfig::default()
         })
         .run_spec(&spec);
-        let lab = Lab::new(LabConfig {
-            jobs: 4,
-            ..LabConfig::default()
-        });
-        let (profiled, profile) = lab.run_sweep_profiled(ExpandedSweep::new(spec.expand()));
+        let dir = std::env::temp_dir().join(format!("psse-lab-profiled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lab = || {
+            Lab::new(LabConfig {
+                jobs: 4,
+                cache_dir: Some(dir.clone()),
+                ..LabConfig::default()
+            })
+        };
+        let (profiled, profile) = lab().run_sweep_profiled(ExpandedSweep::new(spec.expand()));
         assert_eq!(plain.results, profiled.results);
 
         assert_eq!(profile.runs.len(), 8);
@@ -506,15 +476,95 @@ mod tests {
         // The virt.* series saw one sample per key occurrence.
         let virt = profile.metrics.get("virt.time_ns").expect("virt.time_ns");
         assert_eq!(virt.get("count").and_then(|v| v.as_u64()), Some(8));
-        // Rerunning on the warm cache flips `cached` but keeps the key
-        // set and the virt.* sample count identical.
-        let (_, warm) = lab.run_sweep_profiled(ExpandedSweep::new(spec.expand()));
+        // Rerunning on a fresh engine over the warm cache dir flips
+        // `cached` but keeps the key set and the virt.* sample count
+        // identical.
+        let (_, warm) = lab().run_sweep_profiled(ExpandedSweep::new(spec.expand()));
         assert!(warm.runs.iter().all(|r| r.cached));
         let keys_cold: Vec<&str> = profile.runs.iter().map(|r| r.digest.as_str()).collect();
         let keys_warm: Vec<&str> = warm.runs.iter().map(|r| r.digest.as_str()).collect();
         assert_eq!(keys_cold, keys_warm);
         let virt_warm = warm.metrics.get("virt.time_ns").expect("virt.time_ns");
         assert_eq!(virt_warm.get("count").and_then(|v| v.as_u64()), Some(8));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_sweep_on_one_engine_runs_its_keys_again() {
+        use psse_core::machines::jaketown;
+        let lab = Lab::new(LabConfig {
+            jobs: 2,
+            ..LabConfig::default()
+        });
+        // Five keys, three distinct.
+        let keys: Vec<RunKey> = [10, 20, 10, 30, 20]
+            .map(|p| RunKey::model("nbody", 1000, p, jaketown()))
+            .to_vec();
+        let first = lab.run_keys(&keys);
+        let stats = lab.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 3));
+        // Nothing was kept between the sweeps: every distinct key of the
+        // second is a miss again, and the outcomes are the same.
+        let second = lab.run_keys(&keys);
+        let stats = lab.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (4, 6));
+        assert_eq!(first, second);
+        assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn every_seeded_map_stays_a_hit() {
+        use crate::key::DigestMap;
+        use psse_core::machines::jaketown;
+        use std::sync::Arc;
+        let keys: Vec<RunKey> = (1..=6)
+            .map(|p| RunKey::model("nbody", 1000, p, jaketown()))
+            .collect();
+        // Two journals' worth of replayed runs, three keys each, priced
+        // so that a hit is told apart from a fresh run.
+        let lent = |range: std::ops::Range<usize>| -> Replayed {
+            let runs = range.map(|i| {
+                let fake = RunResult::model(true, i as f64, 0.5, 7.0);
+                (keys[i].digest_bits(), fake)
+            });
+            Arc::new(runs.collect::<DigestMap<RunResult>>())
+        };
+        let (a, b) = (lent(0..3), lent(3..6));
+        let mut lab = Lab::new(LabConfig {
+            jobs: 1,
+            ..LabConfig::default()
+        });
+        lab.seed(&a);
+        lab.seed(&b);
+        for _ in 0..2 {
+            let results = lab.run_keys(&keys);
+            for (i, (result, key)) in results.iter().zip(&keys).enumerate() {
+                let map = if i < 3 { &a } else { &b };
+                assert_eq!(result.as_ref().ok(), map.get(&key.digest_bits()), "key {i}");
+            }
+        }
+        let stats = lab.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (12, 0));
+    }
+
+    #[test]
+    fn a_profile_lists_only_the_workers_that_ran() {
+        use psse_core::machines::jaketown;
+        let keys: Vec<RunKey> = (1..=12)
+            .map(|p| RunKey::model("nbody", 1000, p, jaketown()))
+            .collect();
+        let lab = Lab::new(LabConfig {
+            jobs: 4,
+            ..LabConfig::default()
+        });
+        let plain = lab.run_keys(&keys);
+        // The pool asks for four workers; the OS refuses the third.
+        crate::pool::failpoint::fail_spawn(2);
+        let (results, profile) = lab.run_keys_profiled(&keys);
+        assert_eq!(results, plain);
+        assert_eq!((profile.jobs, profile.workers.len()), (2, 2));
+        let items: u64 = profile.workers.iter().map(|w| w.items).sum();
+        assert_eq!(items, keys.len() as u64);
     }
 
     #[test]

@@ -15,23 +15,30 @@
 //! after every item has run. Callers that want a panic to become
 //! per-item data instead (the lab does) wrap their own `catch_unwind`
 //! inside `f`.
+//!
+//! A worker thread the OS refuses is not an error: the pool stops
+//! spawning, prints one warning to stderr, and the workers already
+//! started drain the queue — or, if none started, the caller's thread
+//! runs every item. The output is the same either way.
 
 use std::any::Any;
+use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::thread::Scope;
 
 /// Map `f` over `items` using `jobs` worker threads (at least one, at
-/// most one per item), returning results in input order. `f` receives
-/// `(worker, index, &item)`, `worker` in `0..jobs`. One worker runs
-/// inline on the caller's thread (no pool overhead). `vacant` fills
-/// the output until an item's result replaces it; choose one that owns
-/// no heap memory.
+/// most one per item), returning results in input order and how many
+/// workers ran. `f` receives `(worker, index, &item)`, `worker` below
+/// that count. One worker runs inline on the caller's thread (no pool
+/// overhead). `vacant` fills the output until an item's result replaces
+/// it; choose one that owns no heap memory.
 ///
 /// A panicking item does not poison the pool: every other item still
-/// runs, and the lowest-index panic is re-raised once all have run
-/// (see the module docs).
-pub fn run_ordered<I, T, F>(jobs: usize, items: &[I], vacant: T, f: F) -> Vec<T>
+/// runs, and the lowest-index panic is re-raised once all have run; nor
+/// does a refused thread (see the module docs).
+pub fn run_ordered<I, T, F>(jobs: usize, items: &[I], vacant: T, f: F) -> (Vec<T>, usize)
 where
     I: Sync,
     T: Clone + Send,
@@ -47,30 +54,54 @@ where
         for i in 0..items.len() {
             sink.land(i, run(0, i));
         }
-        return sink.finish();
+        return (sink.finish(), 1);
     }
     let next = AtomicUsize::new(0);
     let sink = Mutex::new(sink);
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let (next, sink, run) = (&next, &sink, &run);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let out = run(w, i);
-                // `land` cannot panic while holding the lock, but
-                // poison tolerance costs nothing and keeps it total.
-                sink.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .land(i, out);
-            });
+    let work = |w: usize| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
+        let out = run(w, i);
+        // `land` cannot panic while holding the lock, but poison
+        // tolerance costs nothing and keeps it total.
+        sink.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .land(i, out);
+    };
+    let workers = std::thread::scope(|scope| {
+        let work = &work;
+        for w in 0..jobs {
+            if let Err(e) = spawn(scope, move || work(w)) {
+                let ran = w.max(1);
+                eprintln!(
+                    "warning: the OS refused lab worker thread {} of {jobs} ({e}); \
+                     continuing with {ran} worker(s)",
+                    w + 1
+                );
+                if w == 0 {
+                    work(0);
+                }
+                return ran;
+            }
+        }
+        jobs
     });
-    sink.into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .finish()
+    let out = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (out.finish(), workers)
+}
+
+/// Start a worker thread in `scope`, or say why the OS refused it.
+fn spawn<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    work: impl FnOnce() + Send + 'scope,
+) -> io::Result<()> {
+    #[cfg(test)]
+    failpoint::spawn()?;
+    std::thread::Builder::new()
+        .spawn_scoped(scope, work)
+        .map(drop)
 }
 
 /// The output vector and the lowest-index panic so far.
@@ -101,6 +132,38 @@ impl<T> Sink<T> {
     }
 }
 
+/// Test-only failpoint: make this thread's next pool refuse the spawn
+/// of worker `k`, as an exhausted OS would.
+#[cfg(test)]
+pub(crate) mod failpoint {
+    use std::cell::Cell;
+    use std::io;
+
+    thread_local! {
+        /// Spawns left before the refused one.
+        static LEFT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Refuse this thread's spawn of worker `k` (`0` is the first).
+    pub(crate) fn fail_spawn(k: usize) {
+        LEFT.set(Some(k));
+    }
+
+    pub(super) fn spawn() -> io::Result<()> {
+        match LEFT.get() {
+            Some(0) => {
+                LEFT.set(None);
+                Err(io::Error::other("injected spawn failure"))
+            }
+            Some(k) => {
+                LEFT.set(Some(k - 1));
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,7 +173,7 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [1, 2, 3, 8, 200] {
-            let got = run_ordered(jobs, &items, 0, |_, _, &x| {
+            let (got, _) = run_ordered(jobs, &items, 0, |_, _, &x| {
                 // Stagger completion so out-of-order finishes actually happen.
                 if x % 7 == 0 {
                     std::thread::yield_now();
@@ -124,13 +187,13 @@ mod tests {
     #[test]
     fn index_matches_item_position() {
         let items = ["a", "b", "c"];
-        let got = run_ordered(2, &items, String::new(), |_, i, s| format!("{i}:{s}"));
+        let (got, _) = run_ordered(2, &items, String::new(), |_, i, s| format!("{i}:{s}"));
         assert_eq!(got, ["0:a", "1:b", "2:c"]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let got: Vec<u8> = run_ordered(8, &[] as &[u8], 0, |_, _, &x| x);
+        let (got, _): (Vec<u8>, _) = run_ordered(8, &[] as &[u8], 0, |_, _, &x| x);
         assert!(got.is_empty());
     }
 
@@ -138,7 +201,8 @@ mod tests {
     fn workers_are_numbered_below_the_clamped_count() {
         let items: Vec<u64> = (0..40).collect();
         for (jobs, used) in [(0, 1), (1, 1), (4, 4), (200, 40)] {
-            let got = run_ordered(jobs, &items, (0, 0), |w, _, &x| (w, x));
+            let (got, workers) = run_ordered(jobs, &items, (0, 0), |w, _, &x| (w, x));
+            assert_eq!(workers, used, "jobs={jobs}");
             assert!(got.iter().all(|&(w, _)| w < used), "jobs={jobs}");
             assert_eq!(got.iter().map(|&(_, x)| x).collect::<Vec<_>>(), items);
         }
@@ -201,7 +265,7 @@ mod tests {
         let items: Vec<u64> = (0..50).collect();
         let rest_done = AtomicUsize::new(0);
         let first_started = AtomicBool::new(false);
-        let got = run_ordered(2, &items, 0, |_, i, &x| {
+        let (got, _) = run_ordered(2, &items, 0, |_, i, &x| {
             if i == 0 {
                 first_started.store(true, Ordering::SeqCst);
                 while rest_done.load(Ordering::SeqCst) < items.len() - 1 {
@@ -217,5 +281,20 @@ mod tests {
         });
         assert_eq!(got, (1..=50).collect::<Vec<u64>>());
         assert_eq!(got.capacity(), items.len(), "the output is built once");
+    }
+
+    #[test]
+    fn a_refused_thread_leaves_the_sweep_to_the_workers_that_started() {
+        // Four workers asked for; the OS refuses the first spawn (the
+        // caller's thread runs everything) or the third (two run).
+        let items: Vec<u64> = (0..40).collect();
+        for (refused, ran) in [(0, 1), (2, 2)] {
+            failpoint::fail_spawn(refused);
+            let (got, workers) = run_ordered(4, &items, (0, 0), |w, _, &x| (w, x * x));
+            assert_eq!(workers, ran, "refused={refused}");
+            assert!(got.iter().all(|&(w, _)| w < ran), "refused={refused}");
+            let squares: Vec<u64> = items.iter().map(|x| x * x).collect();
+            assert_eq!(got.iter().map(|&(_, y)| y).collect::<Vec<_>>(), squares);
+        }
     }
 }

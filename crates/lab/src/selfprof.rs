@@ -283,12 +283,14 @@ impl Recorder {
         log.unwrap_or_else(PoisonError::into_inner).push(run);
     }
 
-    /// The profile of the sweep that ran `keys` to `results`, with the
-    /// engine's cache counters at its end.
+    /// The profile of the sweep that ran `keys` to `results` on the
+    /// first `workers` of its workers (the ones the pool started), with
+    /// the engine's cache counters at its end.
     pub(crate) fn finish(
         self,
         keys: &[RunKey],
         results: &[Result<RunResult, String>],
+        workers: usize,
         cache: CacheStats,
     ) -> SweepProfile {
         let wall_ns = saturating_nanos(self.started.elapsed().as_secs_f64());
@@ -319,7 +321,7 @@ impl Recorder {
         let metrics = self.registry.snapshot().to_json();
 
         let mut runs = Vec::with_capacity(keys.len());
-        let workers: Vec<WorkerSpan> = (self.logs.into_iter())
+        let workers: Vec<WorkerSpan> = (self.logs.into_iter().take(workers))
             .map(|log| {
                 let log = log.into_inner().unwrap_or_else(PoisonError::into_inner);
                 let busy_ns = log.iter().fold(0u64, |t, run| t.saturating_add(run.2));

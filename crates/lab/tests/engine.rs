@@ -140,7 +140,7 @@ fn sabotaged_cache_records_never_alter_csv_bytes() {
 #[test]
 fn unwritable_cache_dir_degrades_without_changing_bytes() {
     // A cache "directory" that is actually a file: every disk write
-    // fails, the engine warns once and stays memory-only, and the CSV
+    // fails, the engine warns once and carries on without it, and the CSV
     // is byte-identical to the diskless run.
     let path = std::env::temp_dir().join(format!("psse-lab-notadir-{}", std::process::id()));
     std::fs::write(&path, "occupied").unwrap();

@@ -28,8 +28,9 @@ fn main() {
     );
 
     // 2. Run it. The pool uses every core; results come back in spec
-    //    order, so the output is identical for any worker count — and a
-    //    second run of the same spec is answered from the cache.
+    //    order, so the output is identical for any worker count. A
+    //    repeated key runs once; a second run of the spec runs again
+    //    unless a cache dir (`LabConfig::cache_dir`) holds its results.
     let lab = Lab::new(LabConfig::default());
     let sweep = lab.run_spec(&spec);
     let (feasible, infeasible) = sweep.feasibility();
