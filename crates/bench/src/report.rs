@@ -1,8 +1,5 @@
-//! Plain-text reporting: aligned tables, log-log ASCII plots, and CSV
-//! output for the figure benches.
-
-use std::fs;
-use std::path::PathBuf;
+//! Plain-text reporting: aligned tables, log-log ASCII plots, SVG charts
+//! and CSV text for the figures.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone)]
@@ -66,18 +63,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Write the CSV form under `<workspace>/bench_results/<name>.csv`
-    /// (best effort; prints the path on success).
-    pub fn write_csv(&self, name: &str) {
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join(format!("{name}.csv"));
-            if fs::write(&path, self.to_csv()).is_ok() {
-                println!("[csv] wrote {}", path.display());
-            }
-        }
     }
 }
 
@@ -174,7 +159,7 @@ fn scale_pos(v: f64, lo: f64, hi: f64, scale: Scale) -> f64 {
 }
 
 /// Render named series as a standalone SVG line chart (700×420). Returns
-/// the SVG document; see [`write_svg`] to save it under `bench_results/`.
+/// the SVG document.
 ///
 /// Hand-rolled on purpose: figure regeneration must not depend on
 /// plotting crates outside the approved dependency set.
@@ -311,21 +296,9 @@ fn xml_escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Write an SVG document under `<workspace>/bench_results/<name>.svg`
-/// (best effort).
-pub fn write_svg(name: &str, svg: &str) {
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.svg"));
-        if fs::write(&path, svg).is_ok() {
-            println!("[svg] wrote {}", path.display());
-        }
-    }
-}
-
 /// Tabulate a recorded trace's events, one row per event — the compact
 /// CSV companion to `psse_trace::Trace::to_chrome_json`. Render with
-/// [`Table::render`] or dump with [`Table::write_csv`].
+/// [`Table::render`] or [`Table::to_csv`].
 pub fn trace_events_table(trace: &psse_trace::Trace) -> Table {
     use psse_sim::record::EventKind;
     let mut t = Table::new(&["rank", "t_start", "t_end", "kind", "detail"]);
@@ -379,39 +352,6 @@ pub fn trace_events_table(trace: &psse_trace::Trace) -> Table {
     t
 }
 
-/// Tabulate a critical-path report's per-rank compute/comm/idle
-/// breakdown (seconds), ready for [`Table::render`]/[`Table::write_csv`].
-pub fn trace_breakdown_table(report: &psse_trace::CriticalPathReport) -> Table {
-    let mut t = Table::new(&["rank", "compute_s", "comm_s", "idle_s", "makespan_s"]);
-    for b in &report.breakdown {
-        t.row(&[
-            b.rank.to_string(),
-            sci(b.compute),
-            sci(b.comm),
-            sci(b.idle),
-            sci(report.makespan),
-        ]);
-    }
-    t
-}
-
-/// The output directory: `bench_results/` at the workspace root.
-/// Benches run with the package directory as cwd, so resolve via
-/// `CARGO_MANIFEST_DIR` (two levels up from `crates/bench`); fall back
-/// to a relative path when invoked outside cargo.
-fn results_dir() -> PathBuf {
-    match std::env::var_os("CARGO_MANIFEST_DIR") {
-        Some(dir) => {
-            let base = PathBuf::from(dir);
-            base.parent()
-                .and_then(|p| p.parent())
-                .map(|ws| ws.join("bench_results"))
-                .unwrap_or_else(|| base.join("bench_results"))
-        }
-        None => PathBuf::from("bench_results"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_tables_cover_events_and_breakdown() {
+    fn trace_events_table_covers_every_event() {
         use psse_sim::machine::{Machine, SimConfig};
         use psse_sim::Tag;
         let cfg = SimConfig {
@@ -465,11 +405,6 @@ mod tests {
         assert!(csv.contains("send"));
         assert!(csv.contains("recv"));
         assert!(csv.contains("coll_begin"));
-
-        let report = trace.critical_path(&trace.params).unwrap();
-        let breakdown = trace_breakdown_table(&report);
-        assert_eq!(breakdown.to_csv().lines().count(), 3); // header + 2 ranks
-        assert!(breakdown.to_csv().starts_with("rank,compute_s,comm_s"));
     }
 
     #[test]

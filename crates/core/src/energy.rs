@@ -9,7 +9,7 @@
 //! `M` are fixed — that is the "no additional energy" theorem.
 
 use crate::params::MachineParams;
-use crate::time::{t_fft, t_lu_25d, t_matmul_25d, t_matmul_fast, t_nbody};
+use crate::time::t_lu_25d;
 use crate::Real;
 
 /// Energy of 2.5D classical matrix multiplication, paper **Eq. 10**:
@@ -174,46 +174,6 @@ pub fn gflops_per_watt(total_flops: Real, energy_joules: Real) -> Real {
         return Real::INFINITY;
     }
     total_flops / energy_joules / 1e9
-}
-
-/// Convenience bundle: evaluate `(T, E, P)` for 2.5D matmul at one point.
-pub fn matmul_25d_point(params: &MachineParams, n: u64, p: u64, mem: Real) -> (Real, Real, Real) {
-    let t = t_matmul_25d(params, n, p, mem);
-    let e = e_matmul_25d(params, n, mem);
-    (t, e, e / t)
-}
-
-/// Convenience bundle: evaluate `(T, E, P)` for the n-body algorithm.
-pub fn nbody_point(
-    params: &MachineParams,
-    n: u64,
-    p: u64,
-    mem: Real,
-    f: Real,
-) -> (Real, Real, Real) {
-    let t = t_nbody(params, n, p, mem, f);
-    let e = e_nbody(params, n, mem, f);
-    (t, e, e / t)
-}
-
-/// Convenience bundle: `(T, E, P)` for fast matmul with limited memory.
-pub fn matmul_fast_point(
-    params: &MachineParams,
-    n: u64,
-    p: u64,
-    mem: Real,
-    omega: Real,
-) -> (Real, Real, Real) {
-    let t = t_matmul_fast(params, n, p, mem, omega);
-    let e = e_matmul_fast_lm(params, n, mem, omega);
-    (t, e, e / t)
-}
-
-/// Convenience bundle: `(T, E, P)` for the FFT.
-pub fn fft_point(params: &MachineParams, n: u64, p: u64) -> (Real, Real, Real) {
-    let t = t_fft(params, n, p);
-    let e = e_fft(params, n, p);
-    (t, e, e / t)
 }
 
 #[cfg(test)]
@@ -432,20 +392,5 @@ mod tests {
     fn gflops_per_watt_sane() {
         assert!((gflops_per_watt(1e12, 100.0) - 10.0).abs() < 1e-12);
         assert!(gflops_per_watt(1.0, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn point_bundles_are_consistent() {
-        let mp = params();
-        let (t, e, p) = matmul_25d_point(&mp, 4096, 64, ClassicalMatMul.min_memory(4096, 64));
-        assert!((p - e / t).abs() / p < 1e-12);
-        let (t, e, pw) = nbody_point(&mp, 1 << 20, 64, 1024.0 * 16.0, 20.0);
-        assert!((pw - e / t).abs() / pw < 1e-12);
-        let (t, e, pw) = fft_point(&mp, 1 << 20, 64);
-        assert!((pw - e / t).abs() / pw < 1e-12);
-        let alg = StrassenMatMul::default();
-        let m = alg.min_memory(4096, 49);
-        let (t, e, pw) = matmul_fast_point(&mp, 4096, 49, m, alg.omega);
-        assert!(t > 0.0 && e > 0.0 && pw > 0.0);
     }
 }

@@ -38,14 +38,15 @@
 //! | §IV FFT | [`crate::costs::FftTree`] / [`crate::costs::FftAllToAll`]; executable: `psse-algos::fft` |
 //! | §V A–F optimization | [`crate::optimize::nbody`] (closed form), [`crate::optimize::matmul`], [`crate::optimize::numeric`] |
 //! | §VI case study | [`crate::machines::jaketown`], [`crate::tech_scaling`] |
-//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` bench; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`]; heterogeneity at [`crate::hetero`] |
+//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`]; heterogeneity at [`crate::hetero`] |
 //!
 //! # Tables and figures
 //!
-//! Every table and figure has a regeneration bench in `psse-bench`
-//! (`cargo bench -p psse-bench`): `fig3_strong_scaling`,
-//! `fig4_nbody_regions`, `fig6_scaling_individual`,
-//! `fig7_scaling_together`, `table1_case_study`, `table2_machines`, plus
-//! the end-to-end `validate_strong_scaling` and the extensions
-//! `ablation_collectives`, `sequential_cache`, `twolevel_model`.
+//! Every table and figure is one function in `psse-bench`
+//! (`cargo run --release -p psse-bench` writes them all):
+//! `fig3_strong_scaling`, `fig4_nbody_regions`,
+//! `fig6_scaling_individual`, `fig7_scaling_together`,
+//! `table1_case_study`, `table2_machines`, plus the end-to-end
+//! `validate_strong_scaling` and the extensions `ablation_collectives`,
+//! `sequential_cache`, `twolevel_model`, `scaling_band_workloads`.
 //! Outcomes are recorded in the repository's `EXPERIMENTS.md`.

@@ -194,10 +194,10 @@ fn env_names_in_sources(dir: &Path, out: &mut BTreeSet<String>) {
 }
 
 /// The workspace reads no environment variable, and stays that way: no
-/// `PSSE_*` name in any crate's sources, the bench targets or the
-/// vendored shims, and README's "Environment variables" section says so
-/// without naming one. (`crates/ledger` is the benchmark instrument: it
-/// clears `PSSE_*` before it measures and documents that itself.)
+/// `PSSE_*` name in any crate's sources or the vendored shims, and
+/// README's "Environment variables" section says so without naming one.
+/// (`crates/ledger` is the benchmark instrument: it clears `PSSE_*`
+/// before it measures and documents that itself.)
 #[test]
 fn readme_env_table_matches_the_sources() {
     let root = repo_root();
@@ -207,11 +207,7 @@ fn readme_env_table_matches_the_sources() {
         if krate.file_name().is_some_and(|n| n == "ledger") {
             continue;
         }
-        for sub in ["src", "benches"] {
-            if krate.join(sub).is_dir() {
-                env_names_in_sources(&krate.join(sub), &mut in_sources);
-            }
-        }
+        env_names_in_sources(&krate.join("src"), &mut in_sources);
     }
     env_names_in_sources(&root.join("shims"), &mut in_sources);
     assert!(
