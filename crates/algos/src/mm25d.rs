@@ -21,7 +21,7 @@
 //! [`matmul_3d`] is `c = p^(1/3)`. Perfect strong scaling: multiplying `p` by `c` while
 //! keeping `M` fixed divides `T` by `c` and leaves `E` unchanged —
 //! verified end-to-end in the integration tests and the
-//! `validate_strong_scaling` bench.
+//! `psse_bench::figures::validate_strong_scaling` figure.
 
 use crate::bridge::gather_blocks_2d;
 use psse_kernels::gemm;
@@ -37,10 +37,10 @@ const TAG_REDUCE_C: Tag = Tag(3 * TAG_WINDOW);
 const TAG_SHIFT_BASE: u64 = 4 * TAG_WINDOW;
 
 /// Collective strategy for the replication broadcast and the final
-/// reduction along fibers — an ablation knob (see the
-/// `ablation_collectives` bench): binomial trees cost the root
-/// `Θ(b²·log c)` words; scatter+allgather (van de Geijn) costs every
-/// rank `Θ(b²)`.
+/// reduction along fibers — an ablation knob (see
+/// `psse_bench::figures::ablation_collectives`): binomial trees cost
+/// the root `Θ(b²·log c)` words; scatter+allgather (van de Geijn) costs
+/// every rank `Θ(b²)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FiberCollectives {
     /// Binomial broadcast/reduce trees (latency-optimal).

@@ -24,9 +24,10 @@
 //! combine funnels through subgroup leaders, so the *maximum* per-rank
 //! traffic is `Θ(n²)` at the root leader rather than CAPS's
 //! `Θ(n²/p^(2/ω0))`; full CAPS keeps every level's matrices distributed.
-//! The bench harness therefore validates Strassen's *communication*
-//! claims against the `psse-core` cost model and uses this executable
-//! version to validate numerics and flop scaling.
+//! So `psse_bench::figures::fig3_strong_scaling` draws Strassen's
+//! *communication* claims from the `psse-core` cost model
+//! (`bounds::fig3_series`), and this executable version validates
+//! numerics and flop scaling.
 
 use psse_kernels::gemm;
 use psse_kernels::matrix::Matrix;

@@ -5,7 +5,7 @@
 //! via row/column panel **broadcasts** instead of torus shifts, and its
 //! panel width `w` exposes the latency/bandwidth trade-off: narrow panels
 //! mean more, smaller messages (`S ∝ n/w`), wide panels fewer, larger
-//! ones — a knob the bench harness sweeps as an ablation.
+//! ones — a knob `psse_bench::figures::ablation_collectives` sweeps.
 
 use crate::bridge::gather_blocks_2d;
 use psse_kernels::gemm;

@@ -70,7 +70,6 @@ pub mod bounds;
 pub mod costs;
 pub mod energy;
 pub mod error;
-pub mod hetero;
 pub mod machines;
 pub mod optimize;
 pub mod paper;

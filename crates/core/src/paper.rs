@@ -38,7 +38,7 @@
 //! | §IV FFT | [`crate::costs::FftTree`] / [`crate::costs::FftAllToAll`]; executable: `psse-algos::fft` |
 //! | §V A–F optimization | [`crate::optimize::nbody`] (closed form), [`crate::optimize::matmul`], [`crate::optimize::numeric`] |
 //! | §VI case study | [`crate::machines::jaketown`], [`crate::tech_scaling`] |
-//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`]; heterogeneity at [`crate::hetero`] |
+//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`] |
 //!
 //! # Tables and figures
 //!

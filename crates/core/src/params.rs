@@ -102,12 +102,6 @@ impl MachineParams {
         self.beta_t + self.alpha_t / self.max_message_words
     }
 
-    /// Effective per-word energy including amortized message energy,
-    /// `βe + αe/m`.
-    pub fn beta_e_eff(&self) -> Real {
-        self.beta_e + self.alpha_e / self.max_message_words
-    }
-
     /// `γe + γt·εe` — the "energy per flop" including leakage accrued
     /// during that flop. Appears as the flop coefficient of every energy
     /// closed form in the paper (Eqs. 10–16).
@@ -357,7 +351,6 @@ mod tests {
     fn effective_betas_amortize_latency() {
         let mp = simple();
         assert!((mp.beta_t_eff() - (1e-8 + 1e-6 / 1024.0)).abs() < 1e-18);
-        assert!((mp.beta_e_eff() - (1e-8 + 1e-6 / 1024.0)).abs() < 1e-18);
         // With leakage folded in.
         let expected = (1e-8 + 1e-8 * 1e-3) + (1e-6 + 1e-6 * 1e-3) / 1024.0;
         assert!((mp.beta_e_leak() - expected).abs() < 1e-18);

@@ -48,23 +48,6 @@ pub fn blocked_matmul_costs(n: u64, fast_words: Real, line_words: Real) -> Seque
     }
 }
 
-/// Model traffic of the naive (untiled) triple loop with LRU when the
-/// problem spills: every inner-product step re-reads a column of `B`
-/// (`W ≈ n³` for `M ≪ n²`), the classic cache-oblivious failure mode.
-pub fn naive_matmul_costs(n: u64, fast_words: Real, line_words: Real) -> SequentialCosts {
-    let nf = n as Real;
-    let words = if fast_words >= 3.0 * nf * nf {
-        3.0 * nf * nf // everything fits: compulsory traffic only
-    } else {
-        nf * nf * nf + 2.0 * nf * nf
-    };
-    SequentialCosts {
-        flops: 2.0 * nf * nf * nf,
-        words,
-        messages: words / line_words.max(1.0),
-    }
-}
-
 /// Runtime of a sequential run (Eq. 1 with `p = 1`).
 pub fn sequential_time(params: &MachineParams, c: &SequentialCosts) -> Real {
     params.gamma_t * c.flops + params.beta_t * c.words + params.alpha_t * c.messages
@@ -152,23 +135,6 @@ mod tests {
         // 4x the memory → ~2x less dominant traffic.
         let ratio = w1 / w4;
         assert!((1.7..=2.1).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn naive_traffic_is_cubic_when_spilling() {
-        let n = 1u64 << 10;
-        let naive = naive_matmul_costs(n, 1e4, 8.0);
-        let blocked = blocked_matmul_costs(n, 1e4, 8.0);
-        assert!(naive.words > 10.0 * blocked.words);
-        // And both algorithms do the same flops.
-        assert_eq!(naive.flops, blocked.flops);
-    }
-
-    #[test]
-    fn naive_traffic_is_compulsory_when_fitting() {
-        let n = 64u64;
-        let c = naive_matmul_costs(n, 1e9, 8.0);
-        assert_eq!(c.words, 3.0 * (n * n) as Real);
     }
 
     #[test]

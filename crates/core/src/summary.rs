@@ -62,16 +62,6 @@ impl ExecutionSummary {
         }
     }
 
-    /// Average per-processor costs (totals divided by `p`).
-    pub fn average_costs(&self) -> AlgorithmCosts {
-        let pf = self.p as Real;
-        AlgorithmCosts {
-            flops: self.total_flops / pf,
-            words: self.total_words / pf,
-            messages: self.total_messages / pf,
-        }
-    }
-
     /// Price this execution on a machine.
     ///
     /// * `T` is the simulator makespan when available, otherwise Eq. 1 on
@@ -242,15 +232,6 @@ mod tests {
             e.to_string(),
             "T overflows: gamma_t, beta_t and alpha_t are too large for this run"
         );
-    }
-
-    #[test]
-    fn average_costs_divide_totals() {
-        let s = summary();
-        let avg = s.average_costs();
-        assert!((avg.flops - 950.0).abs() < 1e-12);
-        assert!((avg.words - 95.0).abs() < 1e-12);
-        assert!((avg.messages - 9.5).abs() < 1e-12);
     }
 
     #[test]

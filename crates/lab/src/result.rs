@@ -103,13 +103,6 @@ impl RunResult {
         out.extend_from_slice(&hex16(self.output_digest));
     }
 
-    /// [`RunResult::write_line`] as an owned string.
-    pub fn to_line(&self) -> String {
-        let mut out = Vec::with_capacity(200);
-        self.write_line(&mut out);
-        String::from_utf8(out).expect("the v1 line is ASCII")
-    }
-
     /// Parse a `v1` record; `None` on any malformation (the cache
     /// treats unreadable records as misses, never as errors).
     pub fn from_line(line: impl AsRef<[u8]>) -> Option<RunResult> {
@@ -306,7 +299,8 @@ mod tests {
             resilience_msgs: 3,
             output_digest: 0xdead_beef_cafe_f00d,
         };
-        let line = r.to_line();
+        let mut line = Vec::new();
+        r.write_line(&mut line);
         let back = RunResult::from_line(&line).unwrap();
         assert_eq!(r, back);
         assert_eq!(r.time.to_bits(), back.time.to_bits());
@@ -317,8 +311,9 @@ mod tests {
         assert!(RunResult::from_line("").is_none());
         assert!(RunResult::from_line("v0 1 1").is_none());
         assert!(RunResult::from_line("v1 1 1 zzzz").is_none());
-        let mut line = RunResult::model(true, 1.0, 2.0, 3.0).to_line();
-        line.push_str(" extra");
+        let mut line = Vec::new();
+        RunResult::model(true, 1.0, 2.0, 3.0).write_line(&mut line);
+        line.extend_from_slice(b" extra");
         assert!(RunResult::from_line(&line).is_none());
         // Field parsers: either hex case, 1 to 16 digits, digits only;
         // decimal counters must fit a u64.

@@ -75,7 +75,7 @@ pub fn execute_watched(
 /// `mem = 0` means "minimal memory at (n, p)", `clamp_mem` folds an
 /// out-of-band request back into the band instead of flagging it.
 /// Returns the memory to price at and whether it is feasible — the same
-/// predicate as the Fig. 4 bench's `feasible()`.
+/// predicate as `feasible()` in `psse_bench::figures::fig4_nbody_regions`.
 fn effective_memory(key: &RunKey, lo: f64, hi: f64) -> (f64, bool) {
     let mem = if key.mem == 0.0 { lo } else { key.mem };
     let mem_eff = if key.clamp_mem {

@@ -2,14 +2,14 @@
 //!
 //! The observability layer for the psse workspace: counters, gauges
 //! and mergeable log-linear histograms behind a [`Registry`] that
-//! snapshots to canonical text and JSON, and [`num`], the one writer of
+//! snapshots to canonical JSON, and [`num`], the one writer of
 //! the numbers the workspace prints for machines (CSV, trace text,
 //! JSON): the bytes of `{:?}` and `{}` without `core::fmt`.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Deterministic output.** Snapshots sort by metric name, and the
-//!    renderings are canonical — two registries holding the same
+//!    JSON rendering is canonical — two registries holding the same
 //!    recorded values serialize byte-for-byte identically, no matter
 //!    what order threads touched them in. This is what lets `psse lab
 //!    run --jobs 8` emit a self-profile whose *structure* is stable
@@ -33,7 +33,7 @@
 //! wall.record_secs(0.004);
 //!
 //! let snap = reg.snapshot();
-//! assert!(snap.to_text().starts_with("counter lab.cache.hits 3\n"));
+//! assert_eq!(snap.get("lab.cache.hits"), Some(&SnapshotValue::Counter(3)));
 //! let json = snap.to_json().to_string();
 //! assert!(json.contains("\"lab.run.wall_ns\""));
 //! ```

@@ -6,7 +6,7 @@
 //! clones that share state with the registry, so hot paths update
 //! without re-hashing the name. [`Registry::snapshot`] freezes the
 //! whole map into a [`Snapshot`] whose entries are sorted by name —
-//! the text and JSON renderings are therefore canonical: two
+//! the JSON rendering is therefore canonical: two
 //! registries with the same recorded values serialize byte-for-byte
 //! identically, regardless of insertion or thread interleaving order.
 
@@ -25,11 +25,6 @@ impl Counter {
     /// Add `v` to the counter.
     pub fn add(&self, v: u64) {
         self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// Current value.
@@ -203,40 +198,6 @@ impl Snapshot {
             .map(|i| &self.entries[i].1)
     }
 
-    /// Canonical line-oriented text rendering, one metric per line:
-    ///
-    /// ```text
-    /// counter lab.cache.hits 42
-    /// gauge lab.jobs 8
-    /// histogram lab.run.wall_ns count=3 sum=1500 min=100 max=900 mean=500 p50=512 p99=927
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            match value {
-                SnapshotValue::Counter(v) => {
-                    out.push_str(&format!("counter {name} {v}\n"));
-                }
-                SnapshotValue::Gauge(v) => {
-                    out.push_str(&format!("gauge {name} {v}\n"));
-                }
-                SnapshotValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "histogram {name} count={} sum={} min={} max={} mean={:.3} p50={} p99={}\n",
-                        h.count(),
-                        h.sum(),
-                        h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                        h.mean(),
-                        h.quantile(0.5).unwrap_or(0),
-                        h.quantile(0.99).unwrap_or(0),
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     /// Canonical JSON rendering: an object keyed by metric name (name
     /// order), each value tagged with its kind. Histograms serialize
     /// their full occupied-bucket list, so a snapshot round-trips
@@ -336,7 +297,7 @@ mod tests {
     fn counters_and_gauges_accumulate() {
         let reg = Registry::new();
         let c = reg.counter("lab.cache.hits").unwrap();
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         // Re-registration returns the same underlying counter.
@@ -370,11 +331,11 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a.first", "m.mid", "z.last"]);
-
-        let text = snap.to_text();
-        assert!(text.starts_with("counter a.first 2\n"), "{text}");
-        assert!(text.contains("histogram m.mid count=2 sum=300"), "{text}");
-        assert!(text.ends_with("gauge z.last 1\n"), "{text}");
+        assert_eq!(snap.get("a.first"), Some(&SnapshotValue::Counter(2)));
+        match snap.get("m.mid") {
+            Some(SnapshotValue::Histogram(h)) => assert_eq!((h.count(), h.sum()), (2, 300)),
+            other => panic!("{other:?}"),
+        }
 
         // Same values registered in a different order → same bytes.
         let reg2 = Registry::new();
@@ -383,7 +344,6 @@ mod tests {
         h2.record(100);
         reg2.counter("a.first").unwrap().add(2);
         reg2.gauge("z.last").unwrap().set(1);
-        assert_eq!(reg2.snapshot().to_text(), text);
         assert_eq!(
             reg2.snapshot().to_json().to_string(),
             snap.to_json().to_string()

@@ -85,7 +85,7 @@ proptest! {
         prop_assert_eq!(back, h);
     }
 
-    /// Snapshot text/JSON are canonical: recording the same multiset of
+    /// Snapshot JSON is canonical: recording the same multiset of
     /// samples in any order yields identical bytes.
     #[test]
     fn snapshot_is_order_independent(
@@ -119,7 +119,6 @@ proptest! {
             hb.record(v);
         }
 
-        prop_assert_eq!(reg_a.snapshot().to_text(), reg_b.snapshot().to_text());
         prop_assert_eq!(
             reg_a.snapshot().to_json().to_string(),
             reg_b.snapshot().to_json().to_string()

@@ -122,16 +122,6 @@ impl Grid3 {
         (rem / self.q, rem % self.q, layer)
     }
 
-    /// All ranks of `layer`, in row-major order.
-    pub fn layer_group(&self, layer: usize) -> Group {
-        Group::new(
-            (0..self.q * self.q)
-                .map(|i| layer * self.q * self.q + i)
-                .collect(),
-        )
-        .expect("grid layers are valid groups")
-    }
-
     /// The `c` ranks sharing `(row, col)` across layers, ordered by
     /// layer — the replication "fiber" along which 2.5D matmul
     /// broadcasts inputs and reduces contributions.
@@ -215,10 +205,6 @@ mod tests {
     #[test]
     fn grid3_groups() {
         let g = Grid3::from_p(18, 2).unwrap(); // q = 3, c = 2
-        assert_eq!(
-            g.layer_group(1).members(),
-            &[9, 10, 11, 12, 13, 14, 15, 16, 17]
-        );
         assert_eq!(g.fiber_group(0, 0).members(), &[0, 9]);
         assert_eq!(g.fiber_group(2, 1).members(), &[7, 16]);
         assert_eq!(g.row_group(1, 1).members(), &[12, 13, 14]);

@@ -86,11 +86,6 @@ impl FastMemory {
         self.stats
     }
 
-    /// Reset counters (contents stay resident).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
-
     fn detach(&mut self, idx: usize) {
         let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
         if prev != NIL {
@@ -283,14 +278,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn rejects_capacity_below_line() {
         let _ = FastMemory::new(4, 8);
-    }
-
-    #[test]
-    fn reset_stats_preserves_contents() {
-        let mut m = FastMemory::new(64, 8);
-        m.read(0);
-        m.reset_stats();
-        assert!(m.read(0), "contents survive a stats reset");
-        assert_eq!(m.stats().misses, 0);
     }
 }

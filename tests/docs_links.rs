@@ -166,6 +166,171 @@ fn all_doc_links_and_anchors_resolve() {
     );
 }
 
+/// The docs whose `psse-<crate>::path` names must resolve. ROADMAP,
+/// PAPER and CHANGES are left out: they name proposed and past items.
+const CODE_DOCS: &[&str] = &["README.md", "DESIGN.md", "TUTORIAL.md", "EXPERIMENTS.md"];
+
+/// Parse the use-tree at the start of `s` (`a::b`, `a::{b, c::d}`,
+/// `a::*`) below `prefix`, pushing each path it names to `out`; returns
+/// the bytes consumed.
+fn use_tree(s: &str, prefix: &mut Vec<String>, out: &mut Vec<Vec<String>>) -> usize {
+    let depth = prefix.len();
+    let mut i = 0;
+    loop {
+        let seg: String = s[i..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if seg.is_empty() {
+            break;
+        }
+        i += seg.len();
+        prefix.push(seg);
+        if !s[i..].starts_with("::") {
+            out.push(prefix.clone());
+            prefix.truncate(depth);
+            return i;
+        }
+        i += 2;
+    }
+    if s[i..].starts_with('{') {
+        i += 1;
+        loop {
+            i += s[i..].len() - s[i..].trim_start().len();
+            i += use_tree(&s[i..], prefix, out);
+            match s[i..].chars().next() {
+                Some(',') => i += 1,
+                Some('}') => break i += 1,
+                _ => break,
+            }
+        }
+    } else if !prefix.is_empty() {
+        // `a::*` or a bare `a::`: the path so far.
+        out.push(prefix.clone());
+    }
+    prefix.truncate(depth);
+    i
+}
+
+/// Every `psse-<crate>::a::b` or `psse_<crate>::a::b` path in `line`,
+/// as `(crate, segments)`; a `{..}` group yields one path per member.
+fn crate_paths(line: &str) -> Vec<(String, Vec<String>)> {
+    let mut out = Vec::new();
+    let mut rest = line;
+    while let Some(pos) = rest.find("psse") {
+        rest = &rest[pos + 4..];
+        let Some(tail) = rest.strip_prefix(['-', '_']) else {
+            continue;
+        };
+        let name: String = tail
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase())
+            .collect();
+        let Some(tree) = tail[name.len()..].strip_prefix("::") else {
+            continue;
+        };
+        let mut paths = Vec::new();
+        rest = &tree[use_tree(tree, &mut Vec::new(), &mut paths)..];
+        out.extend(paths.into_iter().map(|p| (name.clone(), p)));
+    }
+    out
+}
+
+/// The names a Rust source declares or re-exports: each identifier
+/// after `fn`, `struct`, `enum`, `trait`, `type`, `const`, `static` or
+/// `mod`, and every identifier of a `pub use` item.
+fn declared(text: &str, out: &mut HashSet<String>) {
+    const ITEM: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let words = |s: &str| {
+        s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    for pair in words(text).windows(2) {
+        if ITEM.contains(&pair[0].as_str()) {
+            out.insert(pair[1].clone());
+        }
+    }
+    for (k, _) in text.match_indices("pub use ") {
+        let item = &text[k..];
+        out.extend(words(&item[..item.find(';').unwrap_or(item.len())]));
+    }
+}
+
+/// Every `.rs` file under `dir`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Does `path` name a module, a file or an item of the crate whose
+/// sources are `src`? Module segments are walked by file (`a.rs`,
+/// `a/mod.rs`); the first segment that is no module file must be
+/// declared or re-exported by the module it is in, and any after it (a
+/// method, an inline module's item) somewhere in the crate.
+fn resolves(src: &Path, path: &[String]) -> bool {
+    let read = |f: &Path| std::fs::read_to_string(f).unwrap();
+    let mut dir = src.to_path_buf();
+    let mut file = src.join("lib.rs");
+    if !file.exists() {
+        file = src.join("main.rs");
+    }
+    for (k, seg) in path.iter().enumerate() {
+        let module = [dir.join(format!("{seg}.rs")), dir.join(seg).join("mod.rs")]
+            .into_iter()
+            .find(|f| f.exists());
+        if let Some(module) = module {
+            (dir, file) = (dir.join(seg), module);
+            continue;
+        }
+        let mut here = HashSet::new();
+        declared(&read(&file), &mut here);
+        let mut anywhere = HashSet::new();
+        let mut files = Vec::new();
+        rust_files(src, &mut files);
+        for f in &files {
+            declared(&read(f), &mut anywhere);
+        }
+        return here.contains(seg) && path[k + 1..].iter().all(|s| anywhere.contains(s));
+    }
+    true
+}
+
+/// Every `psse-<crate>::a::b` in README, DESIGN, TUTORIAL and
+/// EXPERIMENTS names a file, a module or an item that `crates/<crate>/src`
+/// defines or re-exports.
+#[test]
+fn doc_crate_paths_name_what_the_sources_define() {
+    let root = repo_root();
+    let mut errors = Vec::new();
+    for doc in CODE_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for (lineno, line) in text.lines().enumerate() {
+            for (krate, path) in crate_paths(line) {
+                let src = root.join("crates").join(&krate).join("src");
+                if !src.is_dir() || !resolves(&src, &path) {
+                    let at = format!("{doc}:{}", lineno + 1);
+                    errors.push(format!("{at}: `psse-{krate}::{}`", path.join("::")));
+                }
+            }
+        }
+    }
+    assert!(
+        errors.is_empty(),
+        "names no crate source defines:\n  {}",
+        errors.join("\n  ")
+    );
+}
+
 /// Every `PSSE_[A-Z_]+` name in `text` (a trailing underscore is a
 /// `PSSE_FOO_*` glob in prose, not a variable).
 fn env_names(text: &str, out: &mut BTreeSet<String>) {
@@ -183,13 +348,10 @@ fn env_names(text: &str, out: &mut BTreeSet<String>) {
 }
 
 fn env_names_in_sources(dir: &Path, out: &mut BTreeSet<String>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            env_names_in_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            env_names(&std::fs::read_to_string(&path).unwrap(), out);
-        }
+    let mut files = Vec::new();
+    rust_files(dir, &mut files);
+    for path in files {
+        env_names(&std::fs::read_to_string(&path).unwrap(), out);
     }
 }
 
@@ -269,6 +431,21 @@ fn slugger_matches_github_conventions() {
     );
     assert_eq!(slug("`psse lab run`"), "psse-lab-run");
     assert_eq!(slug("Eq. 1 / Eq. 2 terms"), "eq-1--eq-2-terms");
+}
+
+#[test]
+fn crate_paths_expand_groups_and_globs() {
+    let path = |k: &str, p: &[&str]| (k.to_string(), p.iter().map(|s| s.to_string()).collect());
+    let line = "`psse-sim::{a, b::{c, d}}`, `psse_core::e::*` and `psse-lab` alone";
+    assert_eq!(
+        crate_paths(line),
+        [
+            path("sim", &["a"]),
+            path("sim", &["b", "c"]),
+            path("sim", &["b", "d"]),
+            path("core", &["e"]),
+        ]
+    );
 }
 
 #[test]
