@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::journal::Replayed;
 use crate::key::{AsDigest, Digest, DigestMap};
-use crate::result::{push_checksum, split_checksum, LineChecksum, RunResult};
+use crate::result::{push_checksum, split_checksum, LineBuf, LineChecksum, RunResult, V1_MAX};
 
 /// Name of the subdirectory corrupt records are moved into (next to the
 /// `.rec` files). Never garbage-collected, never deleted by the lab.
@@ -111,19 +111,19 @@ fn record_checksum(digest: Digest, line: &[u8]) -> u64 {
 
 /// Encode a disk record: the `v1` result line plus a trailing checksum
 /// over `"{digest} {line}"`, binding content to filename.
-fn encode_record(digest: Digest, result: &RunResult) -> Vec<u8> {
-    let mut record = Vec::with_capacity(224);
-    result.write_line(&mut record);
-    let sum = record_checksum(digest, &record);
+pub(crate) fn encode_record(digest: Digest, result: &RunResult) -> Vec<u8> {
+    let mut record = LineBuf::<{ V1_MAX + 18 }>::new();
+    result.encode(&mut record);
+    let sum = record_checksum(digest, record.as_bytes());
     push_checksum(&mut record, sum);
-    record
+    record.as_bytes().to_vec()
 }
 
 /// Decode and verify a disk record read from `{digest}.rec`. `None` on
 /// any malformation: missing/short checksum, checksum mismatch (torn
 /// write, bit rot, record under the wrong filename), or an unparseable
 /// result line.
-fn decode_record(digest: Digest, record: &[u8]) -> Option<RunResult> {
+pub(crate) fn decode_record(digest: Digest, record: &[u8]) -> Option<RunResult> {
     let (line, sum) = split_checksum(record.trim_ascii_end())?;
     if sum != record_checksum(digest, line) {
         return None;
@@ -182,8 +182,8 @@ impl ResultCache {
             if let Some(r) = self.memo().map.get(&d) {
                 return Some(*r);
             }
-            let (result, from_disk) = self.lookup(d)?;
-            if from_disk {
+            let (result, lent) = self.lookup(d)?;
+            if lent.is_none() {
                 self.admit(&mut self.memo(), d, result);
             }
             Some(result)
@@ -192,9 +192,12 @@ impl ResultCache {
     }
 
     /// [`ResultCache::get`] for a sweep: the memo is neither read nor
-    /// written.
-    pub(crate) fn probe(&self, digest: Digest) -> Option<RunResult> {
-        self.counted(self.lookup(digest).map(|(result, _)| result))
+    /// written. A hit comes with the lent map that held it (`None`: the
+    /// disk).
+    pub(crate) fn probe(&self, digest: Digest) -> Option<(RunResult, Option<&Replayed>)> {
+        let found = self.lookup(digest);
+        self.count(found.is_some() as u64, found.is_none() as u64);
+        found
     }
 
     /// Count a lookup's hit or miss.
@@ -216,11 +219,14 @@ impl ResultCache {
     }
 
     /// The result under `digest` from the first layer below the memo
-    /// that holds it, and whether that layer was the disk.
-    fn lookup(&self, digest: Digest) -> Option<(RunResult, bool)> {
-        let replayed = self.replayed.iter().find_map(|map| map.get(&digest));
-        if let Some(r) = replayed {
-            return Some((*r, false));
+    /// that holds it, and the lent map it came from (`None`: the disk).
+    fn lookup(&self, digest: Digest) -> Option<(RunResult, Option<&Replayed>)> {
+        let lent = self
+            .replayed
+            .iter()
+            .find_map(|map| Some((*map.get(&digest)?, Some(map))));
+        if lent.is_some() {
+            return lent;
         }
         let dir = self.dir.as_ref()?;
         let known_bad = self
@@ -233,7 +239,7 @@ impl ResultCache {
         }
         let record = std::fs::read(Self::record_path(dir, digest)).ok()?;
         match decode_record(digest, &record) {
-            Some(r) => Some((r, true)),
+            Some(r) => Some((r, None)),
             None => {
                 // Corrupt: quarantine once, remember the digest so it
                 // is never re-read (the move can fail on a read-only

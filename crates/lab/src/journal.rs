@@ -47,18 +47,68 @@
 //! to the lab's cache, which serves each as a hit without copying it.
 //! So the resumed sweep recomputes only what is missing and the final
 //! CSV is byte-identical to an uninterrupted run (results round-trip
-//! through the same exact-bits `v1` encoding the disk cache uses).
+//! through the same exact-bits `v1` encoding the disk cache uses). A
+//! hit the lab serves from this journal's own replay map is not
+//! offered to [`Journal::record`] at all (the lab tells the maps apart
+//! by pointer); a hit from a `.rec` directory or from another lent map
+//! is recorded as usual.
+//!
+//! # Cost per line
+//!
+//! Replay reads each line in place from the reader's 64 KiB buffer
+//! (only a line that straddles two fills is copied), finds its newline
+//! (first at the previous line's length, so among equal-length lines
+//! only the first is searched), starts the checksum, and decodes the
+//! fields with one cursor, eight hex digits per step; the file is
+//! opened once. Append assembles the line in one stack buffer and
+//! copies it into the pending group once; a sweep reserves the set of
+//! recorded digests up front. The checksum is the floor the format
+//! sets: a serial splitmix64 chain over the line's ~24 words, about
+//! 150 ns however it is computed (four lines folded side by side took
+//! 100 ns a line against 130 for one: the multiplies, not the chain,
+//! set the pace). On replay it runs alongside the decode; on append
+//! nothing is left to overlap it with.
+//!
+//! Per key, from the traced ledger (`psse-ledger bench --seed 1
+//! --trace 1`, 2-vCPU host, before → after, three pairs in
+//! alternation): `lab.journal_resume_us_per_key` 0.83–0.88 → 0.40–0.43
+//! µs; `lab.journal_append_us_per_key` 0.41–0.63 → 0.53–0.59 µs, inside
+//! the probe's spread (one timed pass, its 64 KiB `write`s included).
+//! Per line, in a scratch harness over a 16 640-line journal of model
+//! runs (ns, median of four alternating processes' 10th percentiles;
+//! "read" is the loop with every other step removed, each other row
+//! what removing that one step saved — the steps overlap, so the rows
+//! do not add up):
+//!
+//! | replay | before | after | | append | before | after |
+//! |---|---:|---:|---|---|---:|---:|
+//! | read | 48 | 84 | | assemble | 137 | 60 |
+//! | checksum | 58 | 42 | | checksum | 181 | 172 |
+//! | decode | 244 | 142 | | clock | ≈ 50 | ≈ 50 |
+//! | insert | 122 | 24 | | set | 77 | 44 |
+//! | **line** | **642** | **424** | | **line** | **511** | **478** |
+//!
+//! The "after" replay column predates the length hint, which the
+//! ledger credits with a further ~10 % of `journal_resume`. The clock
+//! is one `Instant::now`, kept on every `record` by the crash contract;
+//! removing it moved the harness less than its noise, so its row is
+//! the call's own cost.
 //!
 //! [`Lab::seed`]: crate::Lab::seed
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use psse_metrics::num::Sink;
+
 use crate::key::{AsDigest, Digest, DigestMap, DigestSet, RunKey};
-use crate::result::{line_checksum, push_checksum, split_checksum, LineChecksum, RunResult};
+use crate::result::{
+    line_checksum, push_checksum, split_checksum, Cursor, LineBuf, LineChecksum, RunResult, V1_MAX,
+};
 
 const HEADER_PREFIX: &str = "psse-lab-journal v1";
 
@@ -71,7 +121,7 @@ const GROUP_AGE: Duration = Duration::from_millis(10);
 /// The longest line [`Journal::open_resume`] reads. A `v1` run line is
 /// at most 264 bytes; a longer one ends the intact prefix like any torn
 /// tail, so a file without newlines is never read into one line.
-const MAX_LINE: u64 = 512;
+const MAX_LINE: usize = 512;
 
 /// The most replayed runs [`Journal::open_resume`] sizes its map for up
 /// front: the file length bounds the count only when the file is honest.
@@ -134,14 +184,74 @@ fn parse_header(line: &[u8]) -> Option<&str> {
     std::str::from_utf8(spec).ok()
 }
 
-/// Parse a (newline-stripped) run line into `(key digest, result)`;
-/// `None` on any malformation — including a torn tail, whose checksum
-/// cannot match.
-fn parse_run_line(line: &[u8]) -> Option<(Digest, RunResult)> {
-    let rest = checked_body(line)?.strip_prefix(b"run ")?;
-    let (digest, result_line) = rest.split_at_checked(32)?;
-    let result = RunResult::from_line(result_line.strip_prefix(b" ")?)?;
-    Some((Digest::from_hex(digest)?, result))
+/// The longest run line: `run `, the digest, a space, the longest `v1`
+/// line, the checksum trailer.
+const RUN_LINE_MAX: usize = 4 + 32 + 1 + V1_MAX + 18;
+
+/// The run line `run <digest> <v1 line> <checksum>\n`, assembled on the
+/// stack.
+pub(crate) fn run_line(digest: Digest, result: &RunResult) -> LineBuf<RUN_LINE_MAX> {
+    let mut line = LineBuf::new();
+    line.put(b"run ");
+    line.put(&digest.hex());
+    line.push(b' ');
+    result.encode(&mut line);
+    let sum = line_checksum(line.as_bytes());
+    push_checksum(&mut line, sum);
+    line
+}
+
+/// Decode the run line at the front of `bytes` (up to [`MAX_LINE`] bytes
+/// of the file, which may run past the line): `(key digest, result,
+/// length with the newline)`, or `None` on any malformation — including
+/// a torn tail, whose checksum cannot match, and a line whose newline
+/// lies beyond `bytes`.
+///
+/// `hint` is the length the line probably has: the previous line's.
+/// When the byte it points at is a newline, the line is decoded up to
+/// it without searching; that decode can only succeed if no newline
+/// comes earlier (none fits in a field), and on failure the first
+/// newline is searched for after all.
+pub(crate) fn decode_run_line(bytes: &[u8], hint: usize) -> Option<(Digest, RunResult, usize)> {
+    if hint > 0 && bytes.get(hint - 1) == Some(&b'\n') {
+        if let Some(run) = decode_line_to(bytes, hint - 1) {
+            return Some(run);
+        }
+    }
+    decode_line_to(bytes, newline(bytes)?)
+}
+
+/// [`decode_run_line`] of the line that ends with the newline at `end`.
+/// The line is read in place, and the checksum — a serial chain, the
+/// longest step — starts before the fields are decoded: the two have
+/// no data in common, so the CPU overlaps them.
+fn decode_line_to(bytes: &[u8], end: usize) -> Option<(Digest, RunResult, usize)> {
+    let (body, claimed) = split_checksum(&bytes[..end])?;
+    let sum = line_checksum(body);
+    let mut cursor = Cursor(body);
+    cursor.lit(b"run ")?;
+    let digest = cursor.digest()?;
+    cursor.lit(b" ")?;
+    let result = cursor.v1()?;
+    (cursor.0.is_empty() && sum == claimed).then_some((digest, result, end + 1))
+}
+
+/// The index of the first `\n` in `bytes`, eight bytes at a time.
+fn newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ (ONES * b'\n' as u64);
+        // The lowest byte flagged here is the first zero byte of `w`:
+        // a borrow only ever flags bytes above a zero one.
+        let zero = w.wrapping_sub(ONES) & !w & (ONES << 7);
+        if zero != 0 {
+            return Some(8 * i + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == b'\n')?;
+    Some(bytes.len() - tail.len() + at)
 }
 
 /// An append-only sweep journal (see the module docs for the format
@@ -158,10 +268,9 @@ pub struct Journal {
 }
 
 /// What the lock guards: the file, the group of lines not yet written
-/// (each assembled in place at its end), and the digests this handle
-/// recorded.
+/// (each appended whole), and the digests this handle recorded.
 struct State {
-    file: std::fs::File,
+    file: File,
     group: Vec<u8>,
     /// Lines in `group`.
     pending: u64,
@@ -178,13 +287,13 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    fn over(path: &Path, file: std::fs::File, replayed: Replayed) -> Journal {
+    fn over(path: &Path, file: File, replayed: Replayed) -> Journal {
         Journal {
             path: path.to_path_buf(),
             replayed,
             state: Mutex::new(State {
                 file,
-                group: Vec::with_capacity(GROUP_BYTES + MAX_LINE as usize),
+                group: Vec::with_capacity(GROUP_BYTES + RUN_LINE_MAX),
                 pending: 0,
                 last_write: Instant::now(),
                 present: DigestSet::default(),
@@ -198,8 +307,13 @@ impl Journal {
     /// `spec` (see [`spec_digest`]): truncates whatever was there and
     /// writes the header.
     pub fn create(path: &Path, spec: &str) -> Result<Journal, String> {
-        let mut file = std::fs::File::create(path)
+        let file = File::create(path)
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
+        Journal::start(path, file, spec)
+    }
+
+    /// Write the header into the empty `file` and journal after it.
+    fn start(path: &Path, mut file: File, spec: &str) -> Result<Journal, String> {
         file.write_all(header_line(spec).as_bytes())
             .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
         Ok(Journal::over(path, file, Replayed::default()))
@@ -207,33 +321,42 @@ impl Journal {
 
     /// Resume from an existing journal: validate the header against
     /// `spec`, replay every intact run line, truncate any torn tail,
-    /// and reopen for appending. Returns the journal and the replayed
-    /// `digest → result` map, which the journal keeps a share of.
+    /// and append after the intact prefix. Returns the journal and the
+    /// replayed `digest → result` map, which the journal keeps a share
+    /// of.
     ///
     /// A missing file starts a fresh journal (so `--resume` works on
     /// the very first attempt too). A journal whose header names a
     /// *different* spec is a hard error — silently mixing sweeps would
     /// corrupt both. A journal whose header itself is torn is treated
     /// as empty and rewritten.
+    ///
+    /// One handle, opened for reading and appending, does all three.
+    /// Run lines are decoded in place from the reader's buffer; only a
+    /// line that straddles two buffer fills is copied out first.
     pub fn open_resume(path: &Path, spec: &str) -> Result<(Journal, Replayed), String> {
-        let unreadable = |e| format!("cannot read journal {}: {e}", path.display());
-        let mut reader = match std::fs::File::open(path) {
-            Ok(file) => BufReader::with_capacity(1 << 16, file),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        let file = match OpenOptions::new().read(true).append(true).open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
                 return Ok((Journal::create(path, spec)?, Replayed::default()));
             }
-            Err(e) => return Err(unreadable(e)),
+            Err(e) => return Err(format!("cannot open journal {}: {e}", path.display())),
         };
-        let file_len = reader.get_ref().metadata().map_or(0, |m| m.len());
-        // One line of at most `MAX_LINE` bytes at a time through one
-        // buffer: resuming never holds the whole file, nor a whole tail
-        // that has no newline.
-        let mut line = Vec::with_capacity(MAX_LINE as usize);
-        let mut read_line = |line: &mut Vec<u8>| {
+        let unreadable = |e| format!("cannot read journal {}: {e}", path.display());
+        let truncate = |file: &File, len| {
+            file.set_len(len)
+                .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))
+        };
+        let file_len = file.metadata().map_or(0, |m| m.len());
+        let mut reader = BufReader::with_capacity(1 << 16, file);
+        // At most `MAX_LINE` bytes at a time: resuming never holds the
+        // whole file, nor a whole tail that has no newline.
+        let mut line = Vec::with_capacity(MAX_LINE);
+        let copy_line = |reader: &mut BufReader<File>, line: &mut Vec<u8>| {
             line.clear();
-            (&mut reader).take(MAX_LINE).read_until(b'\n', line)
+            reader.take(MAX_LINE as u64).read_until(b'\n', line)
         };
-        read_line(&mut line).map_err(unreadable)?;
+        copy_line(&mut reader, &mut line).map_err(unreadable)?;
         let header_ok = match &line[..] {
             [header @ .., b'\n'] => match parse_header(header) {
                 Some(found) if found == spec => true,
@@ -251,7 +374,9 @@ impl Journal {
         };
         if !header_ok {
             // Torn or empty header: nothing trustworthy to replay.
-            return Ok((Journal::create(path, spec)?, Replayed::default()));
+            let file = reader.into_inner();
+            truncate(&file, 0)?;
+            return Ok((Journal::start(path, file, spec)?, Replayed::default()));
         }
         let mut valid_bytes = line.len() as u64;
         // Sized from the file (a run line is at least 160 bytes), so the
@@ -260,33 +385,62 @@ impl Journal {
         // any length.
         let presize = (file_len / 160).min(MAX_PRESIZE) as usize;
         let mut replayed = DigestMap::with_capacity_and_hasher(presize, Default::default());
+        // The length of the last line replayed.
+        let mut last = 0;
         loop {
-            read_line(&mut line).map_err(unreadable)?;
-            // End of file, a line without its newline, or one whose
-            // checksum fails: the intact prefix ends here.
-            let [body @ .., b'\n'] = &line[..] else {
-                break;
+            let buffered = match reader.fill_buf() {
+                Ok(buffered) => buffered,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(unreadable(e)),
             };
-            let Some((digest, result)) = parse_run_line(body) else {
-                break;
+            let window = &buffered[..buffered.len().min(MAX_LINE)];
+            let (digest, result, len) = match decode_run_line(window, last) {
+                Some(run) => {
+                    reader.consume(run.2);
+                    run
+                }
+                // A line cut short by the end of the buffer, not by the
+                // end of the file or by `MAX_LINE`: read it whole.
+                None if !window.is_empty()
+                    && window.len() < MAX_LINE
+                    && !window.contains(&b'\n') =>
+                {
+                    copy_line(&mut reader, &mut line).map_err(unreadable)?;
+                    match decode_run_line(&line, last) {
+                        Some(run) => run,
+                        None => break,
+                    }
+                }
+                // End of file, a line without its newline, or one whose
+                // checksum fails: the intact prefix ends here.
+                None => break,
             };
             replayed.insert(digest, result);
-            valid_bytes += line.len() as u64;
+            valid_bytes += len as u64;
+            last = len;
         }
-        // Drop the torn tail (if any), then append after the intact
+        // Drop the torn tail (if any); appends land after the intact
         // prefix.
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-        file.set_len(valid_bytes)
-            .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
+        let file = reader.into_inner();
+        truncate(&file, valid_bytes)?;
         let replayed = Arc::new(replayed);
         Ok((Journal::over(path, file, Arc::clone(&replayed)), replayed))
+    }
+
+    /// Make room to record `runs` runs, less those the file held when it
+    /// was opened, so a sweep's records do not rehash the set of
+    /// recorded digests as it grows.
+    pub(crate) fn reserve(&self, runs: usize) {
+        let new = runs.saturating_sub(self.replayed.len());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.present.reserve(new);
+    }
+
+    /// Whether `map` is this journal's own replay map — the lines the
+    /// file held when it was opened. A hit served from it needs no
+    /// [`Journal::record`]: the file holds its line already.
+    pub(crate) fn replays(&self, map: &Replayed) -> bool {
+        Arc::ptr_eq(&self.replayed, map)
     }
 
     /// Record one completed run — unless this journal already holds a
@@ -296,13 +450,14 @@ impl Journal {
     /// characters of [`RunKey::digest`]; anything else names no run and
     /// is ignored.
     ///
-    /// The line `run <digest> <v1 line> <checksum>\n` is assembled at
-    /// the end of the pending group under the journal's lock. The group
-    /// is written with one `write_all` when it holds 64 KiB or when
-    /// 10 ms have passed since the last write; otherwise the line waits
-    /// for a later `record` or [`Journal::flush`]. So when `record`
-    /// returns the line is *recorded*, not necessarily written: see the
-    /// module docs for the crash contract.
+    /// The line `run <digest> <v1 line> <checksum>\n` is assembled on
+    /// the stack and appended to the pending group with one copy, under
+    /// the journal's lock. The group is written with one `write_all`
+    /// when it holds 64 KiB or when 10 ms have passed since the last
+    /// write; otherwise the line waits for a later `record` or
+    /// [`Journal::flush`]. So when `record` returns the line is
+    /// *recorded*, not necessarily written: see the module docs for the
+    /// crash contract.
     ///
     /// Best-effort: a write failure warns once on stderr and the sweep
     /// continues (the journal is a recovery aid, not a correctness
@@ -318,14 +473,9 @@ impl Journal {
         if !state.present.insert(digest) {
             return;
         }
-        let group = &mut state.group;
-        let start = group.len();
-        group.extend_from_slice(b"run ");
-        group.extend_from_slice(&digest.hex());
-        group.push(b' ');
-        result.write_line(group);
-        let sum = line_checksum(&group[start..]);
-        push_checksum(group, sum);
+        state
+            .group
+            .extend_from_slice(run_line(digest, result).as_bytes());
         state.pending += 1;
         if state.group.len() >= GROUP_BYTES || state.last_write.elapsed() >= GROUP_AGE {
             self.write_group(&mut state);

@@ -106,13 +106,9 @@ impl Digest {
 
     /// Parse the 32-character spelling: two 16-digit hex halves.
     pub fn from_hex(hex: &[u8]) -> Option<Digest> {
-        if hex.len() != 32 {
-            return None;
-        }
-        Some(Digest([
-            crate::result::parse_hex(&hex[..16])?,
-            crate::result::parse_hex(&hex[16..])?,
-        ]))
+        let mut cursor = crate::result::Cursor(hex);
+        let digest = cursor.digest()?;
+        cursor.0.is_empty().then_some(digest)
     }
 }
 

@@ -53,6 +53,9 @@ pub mod selfprof;
 pub mod spec;
 pub mod vocab;
 
+#[cfg(test)]
+mod oracle;
+
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -221,9 +224,12 @@ impl Lab {
         digest: Digest,
         registry: Option<&psse_metrics::Registry>,
     ) -> (Result<RunResult, String>, bool) {
-        if let Some(hit) = self.cache.probe(digest) {
-            if let Some(j) = &self.journal {
-                j.record(&digest, &hit);
+        if let Some((hit, lent)) = self.cache.probe(digest) {
+            // A hit from the journal's own replay map is a line the file
+            // holds already; any other hit is journaled.
+            match &self.journal {
+                Some(j) if !lent.is_some_and(|map| j.replays(map)) => j.record(&digest, &hit),
+                _ => {}
             }
             return (Ok(hit), true);
         }
@@ -272,6 +278,10 @@ impl Lab {
         profile: bool,
     ) -> (Outcomes, Option<SweepProfile>) {
         let first = first_occurrences(&digests);
+        if let Some(j) = &self.journal {
+            let distinct = (0..first.len()).filter(|&i| first[i] as usize == i).count();
+            j.reserve(distinct);
+        }
         let run = |i: usize, key: &RunKey, registry: Option<&psse_metrics::Registry>| {
             if first[i] as usize == i {
                 self.run_one(key, digests[i], registry)
@@ -545,6 +555,47 @@ mod tests {
         }
         let stats = lab.cache_stats();
         assert_eq!((stats.hits, stats.misses), (12, 0));
+    }
+
+    #[test]
+    fn hits_from_other_maps_are_journaled_and_the_journals_own_are_not() {
+        use crate::key::DigestMap;
+        use psse_core::machines::jaketown;
+        use std::sync::Arc;
+        let keys: Vec<RunKey> = (1..=6)
+            .map(|p| RunKey::model("nbody", 1000, p, jaketown()))
+            .collect();
+        let fake = |i: usize| RunResult::model(true, i as f64, 0.5, 7.0);
+        let sd = spec_digest(&keys);
+        let path = std::env::temp_dir().join(format!("psse-lab-own-map-{}", std::process::id()));
+        {
+            let journal = Journal::create(&path, &sd).unwrap();
+            (0..3).for_each(|i| journal.record(&keys[i].digest_bits(), &fake(i)));
+        }
+        let (journal, own) = Journal::open_resume(&path, &sd).unwrap();
+        // Another map lent first, overlapping the journal's own on key 2.
+        let other: Replayed = Arc::new(
+            (2..6)
+                .map(|i| (keys[i].digest_bits(), fake(i)))
+                .collect::<DigestMap<RunResult>>(),
+        );
+        let mut lab = Lab::new(LabConfig {
+            jobs: 1,
+            ..LabConfig::default()
+        });
+        lab.seed(&other);
+        lab.seed(&own);
+        lab.set_journal(journal);
+        let results = lab.run_keys(&keys);
+        assert!((0..6).all(|i| results[i] == Ok(fake(i))));
+        assert_eq!(lab.cache_stats().hits, 6);
+        // Keys 3..6 came from the other map: their lines are new. Key 2
+        // did too, but the file holds its line already.
+        assert_eq!(lab.journal().unwrap().appended(), 3);
+        drop(lab);
+        let (_journal, all) = Journal::open_resume(&path, &sd).unwrap();
+        assert_eq!(all.len(), 6);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

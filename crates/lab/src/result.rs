@@ -6,12 +6,15 @@
 //! the cache reproduces *bit-identical* values — a cached sweep must
 //! emit the same CSV bytes as a cold one.
 //!
-//! The encoders append to a caller-owned byte buffer and the decoders
-//! read byte slices, so the journal and the `.rec` cache assemble and
-//! check whole lines without a per-field allocation.
+//! One encoder (`RunResult::encode` into a stack `LineBuf`) and one
+//! decoder (`Cursor`) serve every `v1` line: [`RunResult::write_line`]
+//! and [`RunResult::from_line`], the journal's run lines and the `.rec`
+//! records. Neither allocates; the decoder reads a line in place.
 
 use psse_faults::rng::{BytePacker, KeyHasher};
-use psse_metrics::num::push_u64;
+use psse_metrics::num::{push_u64, Sink};
+
+use crate::key::Digest;
 
 /// Everything a sweep can want to know about one completed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +74,23 @@ impl RunResult {
 
     /// Append the one-line `v1` record to `out`: the flags, the six
     /// floats as 16-hex-digit bit patterns, the four counters in
-    /// decimal, the output digest in hex, single-space separated. No
-    /// allocation beyond `out`'s own growth, so a caller that reuses its
-    /// buffer encodes for free.
+    /// decimal, the output digest in hex, single-space separated. The
+    /// line is assembled on the stack and appended with one copy, so a
+    /// caller that reuses its buffer encodes without allocating.
     pub fn write_line(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"v1 ");
-        out.push(b'0' + self.feasible as u8);
-        out.push(b' ');
-        out.push(b'0' + self.verified as u8);
+        let mut line = LineBuf::<V1_MAX>::new();
+        self.encode(&mut line);
+        out.extend_from_slice(line.as_bytes());
+    }
+
+    /// The `v1` record, written at the end of `line` — the one encoder
+    /// behind [`RunResult::write_line`], the journal's run lines and the
+    /// `.rec` records.
+    pub(crate) fn encode<const N: usize>(&self, line: &mut LineBuf<N>) {
+        line.put(b"v1 ");
+        line.push(b'0' + self.feasible as u8);
+        line.push(b' ');
+        line.push(b'0' + self.verified as u8);
         for v in [
             self.time,
             self.energy,
@@ -87,8 +99,8 @@ impl RunResult {
             self.msgs,
             self.mem_used,
         ] {
-            out.push(b' ');
-            out.extend_from_slice(&hex16(v.to_bits()));
+            line.push(b' ');
+            line.hex16(v.to_bits());
         }
         for v in [
             self.retries,
@@ -96,58 +108,19 @@ impl RunResult {
             self.resilience_words,
             self.resilience_msgs,
         ] {
-            out.push(b' ');
-            push_u64(out, v);
+            line.push(b' ');
+            push_u64(line, v);
         }
-        out.push(b' ');
-        out.extend_from_slice(&hex16(self.output_digest));
+        line.push(b' ');
+        line.hex16(self.output_digest);
     }
 
     /// Parse a `v1` record; `None` on any malformation (the cache
     /// treats unreadable records as misses, never as errors).
     pub fn from_line(line: impl AsRef<[u8]>) -> Option<RunResult> {
-        let mut it = line.as_ref().split(|&b| b == b' ');
-        if it.next()? != b"v1" {
-            return None;
-        }
-        let mut flag = || match it.next()? {
-            b"0" => Some(false),
-            b"1" => Some(true),
-            _ => None,
-        };
-        let feasible = flag()?;
-        let verified = flag()?;
-        let mut f64_bits = || Some(f64::from_bits(parse_hex(it.next()?)?));
-        let time = f64_bits()?;
-        let energy = f64_bits()?;
-        let flops = f64_bits()?;
-        let words = f64_bits()?;
-        let msgs = f64_bits()?;
-        let mem_used = f64_bits()?;
-        let mut dec = || parse_dec(it.next()?);
-        let retries = dec()?;
-        let checkpoint_words = dec()?;
-        let resilience_words = dec()?;
-        let resilience_msgs = dec()?;
-        let output_digest = parse_hex(it.next()?)?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some(RunResult {
-            feasible,
-            verified,
-            time,
-            energy,
-            flops,
-            words,
-            msgs,
-            mem_used,
-            retries,
-            checkpoint_words,
-            resilience_words,
-            resilience_msgs,
-            output_digest,
-        })
+        let mut cursor = Cursor(line.as_ref());
+        let result = cursor.v1()?;
+        cursor.0.is_empty().then_some(result)
     }
 
     /// Average power in watts (`E / T`); 0 for zero-time runs.
@@ -216,17 +189,73 @@ impl LineChecksum {
     }
 }
 
+/// The longest `v1` line: `v1`, the two flags, six 16-digit floats,
+/// four 20-digit counters and the 16-digit output digest.
+pub(crate) const V1_MAX: usize = 6 + 6 * 17 + 4 * 21 + 17;
+
+/// A line assembled on the stack, `N` bytes at most: fields are written
+/// at its end, and the finished line reaches its destination in one
+/// copy. Writing past `N` bytes panics — every `N` is the longest line
+/// of its format.
+pub(crate) struct LineBuf<const N: usize> {
+    bytes: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> LineBuf<N> {
+    pub(crate) fn new() -> LineBuf<N> {
+        LineBuf {
+            bytes: [0; N],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+
+    /// `v` as 16 lowercase hex digits.
+    pub(crate) fn hex16(&mut self, v: u64) {
+        self.put(&hex16(v));
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl<const N: usize> Sink for LineBuf<N> {
+    fn put(&mut self, ascii: &[u8]) {
+        self.bytes[self.len..self.len + ascii.len()].copy_from_slice(ascii);
+        self.len += ascii.len();
+    }
+}
+
 /// `v` as 16 lowercase hex digits (the bytes of `{:016x}`).
 pub(crate) fn hex16(v: u64) -> [u8; 16] {
-    let mut buf = [0u8; 16];
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
-    }
-    buf
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&hex8((v >> 32) as u32));
+    out[8..].copy_from_slice(&hex8(v as u32));
+    out
+}
+
+/// `v` as 8 lowercase hex digits, all eight at once: each nibble is
+/// spread into a byte of its own, then `'0'` is added to every byte and
+/// `'a' - '0' - 10` more to the bytes above 9.
+fn hex8(v: u32) -> [u8; 8] {
+    let mut x = v as u64;
+    x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Nibble i now sits in byte i, so the most significant comes first
+    // in big-endian order.
+    let letters = ((x + 0x0606_0606_0606_0606) >> 4) & 0x0101_0101_0101_0101;
+    (x + 0x3030_3030_3030_3030 + letters * 39).to_be_bytes()
 }
 
 /// Value of each ASCII hex digit (either case); `0xff` for any other
-/// byte, so one OR over a field's values exposes a bad digit.
+/// byte. Read by the digit-by-digit fold of a field shorter than 16.
 const HEX_VALUE: [u8; 256] = {
     let mut table = [0xff; 256];
     let mut i = 0;
@@ -238,44 +267,202 @@ const HEX_VALUE: [u8; 256] = {
     table
 };
 
-/// Parse a field of 1 to 16 hex digits. Every line carries ten such
-/// fields, so replaying a journal is mostly this loop: one table load
-/// per digit and a single validity test at the end.
-pub(crate) fn parse_hex(digits: &[u8]) -> Option<u64> {
-    if digits.is_empty() || digits.len() > 16 {
-        return None;
+/// The value of 16 hex digits (either case), or `None` unless every
+/// byte is one: two independent [`hex8_value`]s. Zero — the flops,
+/// words, messages and output digest of every model run — is two
+/// compares.
+#[inline]
+fn hex16_value(digits: &[u8; 16]) -> Option<u64> {
+    if digits == b"0000000000000000" {
+        return Some(0);
     }
-    let (mut value, mut seen) = (0u64, 0u8);
-    for &b in digits {
-        let v = HEX_VALUE[b as usize];
-        seen |= v;
-        value = value << 4 | (v & 0xf) as u64;
-    }
-    (seen < 16).then_some(value)
+    let (hi, lo) = digits.split_at(8);
+    let word = |half: &[u8]| u64::from_le_bytes(half.try_into().expect("8 bytes"));
+    let (hi, lo) = (hex8_value(word(hi)), hex8_value(word(lo)));
+    Some((hi? as u64) << 32 | lo? as u64)
 }
 
-/// Parse a decimal counter field.
-fn parse_dec(digits: &[u8]) -> Option<u64> {
-    std::str::from_utf8(digits).ok()?.parse().ok()
+/// The value of the 8 hex digits packed little-endian in `w` (first
+/// digit in the low byte), all eight bytes at once: each byte is tested
+/// against the digit range and, lower-cased, against the letter range,
+/// then its nibble is folded into place. `None` unless every byte is a
+/// hex digit of either case.
+#[inline]
+fn hex8_value(w: u64) -> Option<u32> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = ONES << 7;
+    // A byte of 0x80 or more is no digit, and would carry in the sums
+    // below.
+    if w & HIGH != 0 {
+        return None;
+    }
+    // Adding `0x80 - lo` to a byte below 0x80 sets its high bit iff the
+    // byte is at least `lo`, and carries into no other byte.
+    let at_least = |x: u64, lo: u8| x + ONES * (0x80 - lo) as u64;
+    let digit = at_least(w, b'0') & !at_least(w, b'9' + 1);
+    let lower = w | (ONES * 0x20);
+    let letter = at_least(lower, b'a') & !at_least(lower, b'f' + 1);
+    if (digit | letter) & HIGH != HIGH {
+        return None;
+    }
+    // `0`..`9` keep their low nibble; `a`..`f` and `A`..`F` have 1..6
+    // there and gain 9.
+    let nibbles = (w & (ONES * 0xf)) + ((letter >> 7) & ONES) * 9;
+    // First digit in the high byte, then pairs, quads and octets of
+    // nibbles folded together.
+    let mut x = nibbles.swap_bytes();
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    x = (x | x >> 16) & 0x0000_0000_ffff_ffff;
+    Some(x as u32)
+}
+
+/// The one decoder of the `v1` formats: a cursor over the rest of a
+/// line, whose methods each read one field (or literal) at the front
+/// and step past it, or fail. A field is not searched for its end:
+/// it stops at the first byte it cannot hold, and the separator the
+/// caller reads next (a space, the end of the line) rejects a field
+/// that ran on. So the cursor accepts exactly the fields the format's
+/// space-split grammar accepts: flags `0`/`1`; hex fields of 1 to 16
+/// digits in either case; counters as `u64::from_str` reads them (an
+/// optional `+`, then decimal digits, leading zeros allowed, the value
+/// at most `u64::MAX`).
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// Step over the bytes `lit`.
+    #[inline]
+    pub(crate) fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// Exactly 16 hex digits.
+    #[inline]
+    pub(crate) fn hex16(&mut self) -> Option<u64> {
+        let (digits, rest) = self.0.split_first_chunk::<16>()?;
+        let value = hex16_value(digits)?;
+        self.0 = rest;
+        Some(value)
+    }
+
+    /// A run digest: its two 16-digit halves.
+    #[inline]
+    pub(crate) fn digest(&mut self) -> Option<Digest> {
+        Some(Digest([self.hex16()?, self.hex16()?]))
+    }
+
+    /// 1 to 16 hex digits. The writer always writes 16, which take the
+    /// eight-at-a-time path of [`Cursor::hex16`]; a shorter field folds
+    /// its digits one by one.
+    #[inline]
+    fn hex(&mut self) -> Option<u64> {
+        if let Some(value) = self.hex16() {
+            return Some(value);
+        }
+        let n = self
+            .0
+            .iter()
+            .take_while(|&&b| HEX_VALUE[b as usize] < 16)
+            .count();
+        if n == 0 {
+            return None;
+        }
+        let (digits, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(
+            digits
+                .iter()
+                .fold(0, |value, &b| value << 4 | HEX_VALUE[b as usize] as u64),
+        )
+    }
+
+    /// A `0`/`1` flag.
+    #[inline]
+    fn flag(&mut self) -> Option<bool> {
+        let (&b, rest) = self.0.split_first()?;
+        let flag = match b {
+            b'0' => false,
+            b'1' => true,
+            _ => return None,
+        };
+        self.0 = rest;
+        Some(flag)
+    }
+
+    /// A decimal counter.
+    #[inline]
+    fn dec(&mut self) -> Option<u64> {
+        let rest = self.0.strip_prefix(b"+").unwrap_or(self.0);
+        let n = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = rest.split_at(n);
+        let digit = |b: &u8| (b - b'0') as u64;
+        let value = match n {
+            0 => return None,
+            // Nineteen digits cannot overflow.
+            1..=19 => digits.iter().fold(0, |v, b| v * 10 + digit(b)),
+            _ => digits
+                .iter()
+                .try_fold(0u64, |v, b| v.checked_mul(10)?.checked_add(digit(b)))?,
+        };
+        self.0 = rest;
+        Some(value)
+    }
+
+    /// A space, then a hex field.
+    #[inline]
+    fn then_hex(&mut self) -> Option<u64> {
+        self.lit(b" ")?;
+        self.hex()
+    }
+
+    /// A space, then a counter.
+    #[inline]
+    fn then_dec(&mut self) -> Option<u64> {
+        self.lit(b" ")?;
+        self.dec()
+    }
+
+    /// A `v1` record, up to the end of its output digest.
+    pub(crate) fn v1(&mut self) -> Option<RunResult> {
+        self.lit(b"v1 ")?;
+        let feasible = self.flag()?;
+        self.lit(b" ")?;
+        let verified = self.flag()?;
+        Some(RunResult {
+            feasible,
+            verified,
+            time: f64::from_bits(self.then_hex()?),
+            energy: f64::from_bits(self.then_hex()?),
+            flops: f64::from_bits(self.then_hex()?),
+            words: f64::from_bits(self.then_hex()?),
+            msgs: f64::from_bits(self.then_hex()?),
+            mem_used: f64::from_bits(self.then_hex()?),
+            retries: self.then_dec()?,
+            checkpoint_words: self.then_dec()?,
+            resilience_words: self.then_dec()?,
+            resilience_msgs: self.then_dec()?,
+            output_digest: self.then_hex()?,
+        })
+    }
 }
 
 /// Close a checksummed line: append `" <16 hex digits>\n"`.
-pub(crate) fn push_checksum(out: &mut Vec<u8>, sum: u64) {
-    out.push(b' ');
-    out.extend_from_slice(&hex16(sum));
-    out.push(b'\n');
+pub(crate) fn push_checksum<S: Sink + ?Sized>(out: &mut S, sum: u64) {
+    let mut trailer = [b' '; 18];
+    trailer[1..17].copy_from_slice(&hex16(sum));
+    trailer[17] = b'\n';
+    out.put(&trailer);
 }
 
 /// Split a (newline-stripped) checksummed line into its body and the
 /// checksum it claims; `None` when the 16-digit trailer is missing or
 /// malformed. What the checksum must cover is the caller's format.
 pub(crate) fn split_checksum(line: &[u8]) -> Option<(&[u8], u64)> {
-    let at = line.iter().rposition(|&b| b == b' ')?;
-    let sum_hex = &line[at + 1..];
-    if sum_hex.len() != 16 {
-        return None;
-    }
-    Some((&line[..at], parse_hex(sum_hex)?))
+    let (body, trailer) = line.split_at_checked(line.len().checked_sub(17)?)?;
+    let mut cursor = Cursor(trailer);
+    cursor.lit(b" ")?;
+    Some((body, cursor.hex16()?))
 }
 
 #[cfg(test)]
@@ -316,7 +503,14 @@ mod tests {
         line.extend_from_slice(b" extra");
         assert!(RunResult::from_line(&line).is_none());
         // Field parsers: either hex case, 1 to 16 digits, digits only;
-        // decimal counters must fit a u64.
+        // decimal counters must fit a u64. A field is whole when the
+        // cursor stops at its end.
+        let whole = |field: &[u8], read: fn(&mut Cursor) -> Option<u64>| {
+            let mut cursor = Cursor(field);
+            read(&mut cursor).filter(|_| cursor.0.is_empty())
+        };
+        let parse_hex = |field| whole(field, |cursor| cursor.hex());
+        let parse_dec = |field| whole(field, |cursor| cursor.dec());
         assert_eq!(parse_hex(b"fF"), Some(0xff));
         assert_eq!(parse_hex(b"ffffffffffffffff"), Some(u64::MAX));
         for bad in [&b""[..], b"+f", b"fg", b" f", b"00000000000000000"] {
@@ -325,6 +519,33 @@ mod tests {
         assert_eq!(parse_dec(b"18446744073709551615"), Some(u64::MAX));
         for bad in [&b""[..], b"18446744073709551616", b"1x"] {
             assert_eq!(parse_dec(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn hex_fields_match_the_digit_by_digit_definitions() {
+        // Every byte value at every position of a 16-digit field.
+        let fold = |digits: &[u8; 16]| {
+            digits.iter().try_fold(0u64, |value, &b| {
+                let v = HEX_VALUE[b as usize];
+                (v < 16).then_some(value << 4 | v as u64)
+            })
+        };
+        for at in 0..16 {
+            for b in 0..=255u8 {
+                let mut digits = *b"0123456789abcDEF";
+                digits[at] = b;
+                assert_eq!(hex16_value(&digits), fold(&digits), "{b:#x} at {at}");
+            }
+        }
+        let mut state = 0x1234_5678_9abc_def0u64;
+        for _ in 0..10_000 {
+            state = psse_faults::rng::mix64(state);
+            let v = state >> (state % 64);
+            assert_eq!(hex16(v), *format!("{v:016x}").as_bytes());
+            assert_eq!(hex16_value(&hex16(v)), Some(v));
+            let upper: [u8; 16] = format!("{v:016X}").into_bytes().try_into().unwrap();
+            assert_eq!(hex16_value(&upper), Some(v));
         }
     }
 

@@ -67,7 +67,8 @@ impl Group {
         self.members.len()
     }
 
-    /// Whether the group has a single member.
+    /// Whether the group has no members: only `Group::world(0)`, since
+    /// [`Group::new`] refuses an empty member list.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
