@@ -164,28 +164,10 @@ pub fn distributed_fft(
     Ok((spectrum, out.profile))
 }
 
-/// Inverse distributed FFT via the conjugation identity
-/// `ifft(x) = conj(fft(conj(x))) / n` — same communication structure and
-/// costs as [`distributed_fft`].
-pub fn distributed_ifft(
-    input: &[Complex64],
-    p: usize,
-    kind: AllToAllKind,
-    cfg: SimConfig,
-) -> Result<(Vec<Complex64>, Profile), SimError> {
-    let conjugated: Vec<Complex64> = input.iter().map(|z| z.conj()).collect();
-    let (spec, profile) = distributed_fft(&conjugated, p, kind, cfg)?;
-    let inv_n = 1.0 / input.len() as f64;
-    Ok((
-        spec.iter().map(|z| z.conj().scale(inv_n)).collect(),
-        profile,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psse_kernels::fft::{fft, ifft};
+    use psse_kernels::fft::fft;
     use psse_kernels::rng::XorShift64;
 
     fn random_signal(n: usize, seed: u64) -> Vec<Complex64> {
@@ -311,47 +293,6 @@ mod tests {
         assert!(
             distributed_fft(&x, 16, AllToAllKind::Pairwise, SimConfig::counters_only()).is_err()
         );
-    }
-
-    #[test]
-    fn inverse_recovers_signal() {
-        let n = 512;
-        let x = random_signal(n, 12);
-        let (spec, _) =
-            distributed_fft(&x, 8, AllToAllKind::Pairwise, SimConfig::counters_only()).unwrap();
-        let (back, _) = distributed_ifft(
-            &spec,
-            8,
-            AllToAllKind::Hypercube,
-            SimConfig::counters_only(),
-        )
-        .unwrap();
-        assert_spectra_match(&back, &x, 1e-9);
-        // And the distributed inverse matches the kernel inverse.
-        let kernel_back = ifft(&spec);
-        assert_spectra_match(&back, &kernel_back, 1e-9);
-    }
-
-    #[test]
-    fn distributed_convolution_via_fft_roundtrip() {
-        // Circular convolution through the distributed transform: a
-        // realistic end-to-end use of forward + pointwise + inverse.
-        let n = 256;
-        let a = random_signal(n, 13);
-        let b = random_signal(n, 14);
-        let cfg = SimConfig::counters_only;
-        let (fa, _) = distributed_fft(&a, 4, AllToAllKind::Pairwise, cfg()).unwrap();
-        let (fb, _) = distributed_fft(&b, 4, AllToAllKind::Pairwise, cfg()).unwrap();
-        let prod: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| x * y).collect();
-        let (conv, _) = distributed_ifft(&prod, 4, AllToAllKind::Pairwise, cfg()).unwrap();
-        // Direct O(n²) circular convolution reference.
-        for k in [0usize, 1, 17, 255] {
-            let mut direct = Complex64::ZERO;
-            for j in 0..n {
-                direct += a[j] * b[(n + k - j) % n];
-            }
-            assert!((conv[k] - direct).abs() < 1e-8, "bin {k}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | 3D classical matmul | [`mm25d::matmul_3d`] | 2.5D at `c = q` |
 //! | CAPS Strassen | [`strassen_dist`] | BFS over `7^k` ranks (see module docs for the simplification vs. full CAPS) |
 //! | 2.5D LU | [`lu2d`] | executed as 2D right-looking LU (no pivoting); 2.5D latency analysis stays in `psse-core` |
-//! | direct n-body (1D baseline) | [`nbody`] | ring algorithm |
+//! | direct n-body (1D baseline) | [`nbody`] | ring algorithm: [`nbody::nbody_replicated`] at `c = 1` |
 //! | data-replicating n-body | [`nbody::nbody_replicated`] | `pr × c` layout (Driscoll et al.) |
 //! | parallel FFT | [`fft`] | transpose algorithm; naive and hypercube all-to-all |
 //! | distributed sample sort | [`samplesort`] | regular sampling + pairwise all-to-all (Scquizzato–Silvestri bound family) |
@@ -64,11 +64,11 @@ pub mod prelude {
     };
     pub use crate::cannon::cannon_matmul;
     pub use crate::cholesky2d::cholesky_2d;
-    pub use crate::fft::{distributed_fft, distributed_ifft, AllToAllKind};
+    pub use crate::fft::{distributed_fft, AllToAllKind};
     pub use crate::lu2d::{lu_2d, solve_2d, triangular_solve_2d};
     pub use crate::matvec::matvec_1d;
     pub use crate::mm25d::{matmul_25d, matmul_25d_opts, matmul_3d, FiberCollectives};
-    pub use crate::nbody::{nbody_replicated, nbody_ring, nbody_simulate};
+    pub use crate::nbody::{nbody_replicated, nbody_simulate};
     pub use crate::samplesort::{random_keys, sample_sort};
     pub use crate::seq_matmul::{choose_tile, instrumented_matmul, SeqVariant};
     pub use crate::stencil::{
@@ -76,5 +76,5 @@ pub mod prelude {
     };
     pub use crate::strassen_dist::strassen_distributed;
     pub use crate::summa::summa_matmul;
-    pub use crate::tsqr::{tsqr, tsqr_least_squares};
+    pub use crate::tsqr::tsqr;
 }

@@ -3,7 +3,7 @@
 //! "Direct n-body problem").
 //!
 //! Particles are split into `pr` blocks. In the **ring** algorithm
-//! (`c = 1`, `M = Θ(n/p)`) each of the `p = pr` ranks owns one target
+//! ([`nbody_replicated`] at `c = 1`, `M = Θ(n/p)`) each of the `p = pr` ranks owns one target
 //! block and passes source blocks around a ring for `pr` steps. Each of
 //! the `p − 1` shifts moves one block of `n/p` particles, so a rank
 //! sends `W = Θ((p − 1)·n/p) = Θ(n)` words — the model's
@@ -40,30 +40,10 @@ fn decode(words: &[f64]) -> Vec<Particle> {
         .collect()
 }
 
-/// Compute the accelerations on every particle with the 1D ring
-/// algorithm on `p` ranks (`p | n`). Returns per-particle accelerations
-/// (in input order) and the execution profile.
-pub fn nbody_ring(
-    particles: &[Particle],
-    p: usize,
-    cfg: SimConfig,
-) -> Result<(Vec<[f64; 3]>, Profile), SimError> {
-    nbody_replicated(particles, p, 1, cfg)
-}
-
-/// Compute the accelerations with the data-replicating algorithm on a
-/// `pr × c` grid (`p = pr·c` ranks, `c | pr`, `pr | n`).
-///
-/// Rank `(i, j)` (id `= j·pr + i`) owns target block `i` and walks the
-/// `pr/c` source blocks `(i + j·pr/c + t) mod pr`; partial forces are
-/// reduced across each fiber `{(i, j) : j}` to layer 0.
-pub fn nbody_replicated(
-    particles: &[Particle],
-    pr: usize,
-    c: usize,
-    cfg: SimConfig,
-) -> Result<(Vec<[f64; 3]>, Profile), SimError> {
-    let n = particles.len();
+/// Check the `pr × c` layout over `n` particles (`c | pr`, `pr | n`,
+/// `n > 0`) and return the block size `n/pr` and the `pr/c` source
+/// blocks each layer walks.
+fn layout(n: usize, pr: usize, c: usize) -> Result<(usize, usize), SimError> {
     if pr == 0 || c == 0 {
         return Err(SimError::Algorithm(
             "nbody: pr and c must be positive".into(),
@@ -79,9 +59,54 @@ pub fn nbody_replicated(
             "nbody: ring size pr = {pr} must divide n = {n}"
         )));
     }
+    Ok((n / pr, pr / c))
+}
+
+/// Rank `(i, j)`'s walk over its layer's `steps` source blocks, starting
+/// from `sources`: the forces on `targets`, with each block shifted to
+/// ring neighbour `i − 1` of layer `j` while the next arrives from
+/// `i + 1`, the `t`-th shift under tag `base + TAG_WINDOW + t`.
+fn walk_layer(
+    rank: &mut Rank,
+    base: Tag,
+    pr: usize,
+    steps: usize,
+    targets: &[Particle],
+    mut sources: Vec<Particle>,
+) -> Result<Vec<[f64; 3]>, SimError> {
+    let me = rank.rank();
+    let (i, j) = (me % pr, me / pr);
+    let bs = targets.len();
+    let mut acc = vec![[0.0f64; 3]; bs];
+    for t in 0..steps {
+        accumulate_forces(targets, &sources, &mut acc);
+        rank.compute((bs as u64) * (bs as u64) * FLOPS_PER_INTERACTION);
+        if t + 1 < steps {
+            let next = j * pr + (i + 1) % pr;
+            let prev = j * pr + (i + pr - 1) % pr;
+            let tag = base.offset(TAG_WINDOW + t as u64);
+            let incoming = rank.sendrecv(prev, tag, encode(&sources), next, tag)?;
+            sources = decode(&incoming);
+        }
+    }
+    Ok(acc)
+}
+
+/// Compute the accelerations with the data-replicating algorithm on a
+/// `pr × c` grid (`p = pr·c` ranks, `c | pr`, `pr | n`).
+///
+/// Rank `(i, j)` (id `= j·pr + i`) owns target block `i` and walks the
+/// `pr/c` source blocks `(i + j·pr/c + t) mod pr`; partial forces are
+/// reduced across each fiber `{(i, j) : j}` to layer 0.
+pub fn nbody_replicated(
+    particles: &[Particle],
+    pr: usize,
+    c: usize,
+    cfg: SimConfig,
+) -> Result<(Vec<[f64; 3]>, Profile), SimError> {
+    let n = particles.len();
+    let (bs, steps) = layout(n, pr, c)?;
     let p = pr * c;
-    let bs = n / pr; // particles per block
-    let steps = pr / c;
 
     let out = Machine::run(p, cfg, |rank| {
         let me = rank.rank();
@@ -90,26 +115,11 @@ pub fn nbody_replicated(
         // transient shift buffer.
         rank.alloc((3 * bs * PARTICLE_WORDS + 3 * bs) as u64)?;
 
-        let targets = &particles[i * bs..(i + 1) * bs];
-        let mut acc = vec![[0.0f64; 3]; bs];
-
         // Initial source block for this layer (free initial layout).
         let s0 = (i + j * steps) % pr;
-        let mut sources = particles[s0 * bs..(s0 + 1) * bs].to_vec();
-
-        for t in 0..steps {
-            accumulate_forces(targets, &sources, &mut acc);
-            rank.compute((bs as u64) * (bs as u64) * FLOPS_PER_INTERACTION);
-            if t + 1 < steps {
-                // Shift: fetch the next source block from the ring
-                // neighbour within this layer.
-                let next = j * pr + (i + 1) % pr;
-                let prev = j * pr + (i + pr - 1) % pr;
-                let tag = Tag(TAG_WINDOW + t as u64);
-                let incoming = rank.sendrecv(prev, tag, encode(&sources), next, tag)?;
-                sources = decode(&incoming);
-            }
-        }
+        let sources = particles[s0 * bs..(s0 + 1) * bs].to_vec();
+        let targets = &particles[i * bs..(i + 1) * bs];
+        let acc = walk_layer(rank, Tag(0), pr, steps, targets, sources)?;
 
         // Reduce partial forces across the fiber to layer 0.
         let flat: Vec<f64> = acc.iter().flatten().copied().collect();
@@ -156,24 +166,8 @@ pub fn nbody_simulate(
     cfg: SimConfig,
 ) -> Result<(Vec<Particle>, Profile), SimError> {
     let n = particles.len();
-    if pr == 0 || c == 0 {
-        return Err(SimError::Algorithm(
-            "nbody: pr and c must be positive".into(),
-        ));
-    }
-    if c > 1 && !pr.is_multiple_of(c) {
-        return Err(SimError::Algorithm(format!(
-            "nbody: replication factor c = {c} must divide the ring size pr = {pr}"
-        )));
-    }
-    if !n.is_multiple_of(pr) || n == 0 {
-        return Err(SimError::Algorithm(format!(
-            "nbody: ring size pr = {pr} must divide n = {n}"
-        )));
-    }
+    let (bs, steps) = layout(n, pr, c)?;
     let p = pr * c;
-    let bs = n / pr;
-    let steps = pr / c;
     // Disjoint tag space per time step: refresh, ring shifts, reduction.
     let step_tag_stride = (steps as u64 + 4) * TAG_WINDOW;
 
@@ -190,7 +184,7 @@ pub fn nbody_simulate(
             // (updated) target block of rank (s0, j); my block i is the
             // start block for rank ((i − j·steps) mod pr, j).
             let s0 = (i + j * steps) % pr;
-            let mut sources: Vec<Particle> = if s0 == i {
+            let sources: Vec<Particle> = if s0 == i {
                 targets.clone()
             } else {
                 let needs_mine = j * pr + (i + pr - j * steps % pr) % pr;
@@ -198,19 +192,7 @@ pub fn nbody_simulate(
                 let incoming = rank.sendrecv(needs_mine, base, encode(&targets), owner, base)?;
                 decode(&incoming)
             };
-
-            let mut acc = vec![[0.0f64; 3]; bs];
-            for t in 0..steps {
-                accumulate_forces(&targets, &sources, &mut acc);
-                rank.compute((bs as u64) * (bs as u64) * FLOPS_PER_INTERACTION);
-                if t + 1 < steps {
-                    let next = j * pr + (i + 1) % pr;
-                    let prev = j * pr + (i + pr - 1) % pr;
-                    let tag = base.offset(TAG_WINDOW + t as u64);
-                    let incoming = rank.sendrecv(prev, tag, encode(&sources), next, tag)?;
-                    sources = decode(&incoming);
-                }
-            }
+            let acc = walk_layer(rank, base, pr, steps, &targets, sources)?;
 
             // Combine partial forces across the fiber; every layer gets
             // the total so all replicas integrate identically.
@@ -282,7 +264,7 @@ mod tests {
         let ps = random_particles(48, 1);
         let serial = serial_forces(&ps);
         for p in [1usize, 2, 4, 8, 16] {
-            let (acc, _) = nbody_ring(&ps, p, SimConfig::counters_only()).unwrap();
+            let (acc, _) = nbody_replicated(&ps, p, 1, SimConfig::counters_only()).unwrap();
             assert_forces_match(&acc, &serial);
         }
     }
@@ -301,7 +283,7 @@ mod tests {
     fn interaction_flops_are_exact() {
         let n = 32;
         let ps = random_particles(n, 3);
-        let (_, profile) = nbody_ring(&ps, 4, SimConfig::counters_only()).unwrap();
+        let (_, profile) = nbody_replicated(&ps, 4, 1, SimConfig::counters_only()).unwrap();
         // Every rank computes bs·n interactions in total: bs² per step,
         // pr steps.
         let per_rank = (n as u64 / 4) * (n as u64) * FLOPS_PER_INTERACTION;

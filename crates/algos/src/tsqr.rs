@@ -73,42 +73,6 @@ pub fn tsqr(a: &Matrix, p: usize, cfg: SimConfig) -> Result<(Matrix, Profile), S
     Ok((Matrix::from_vec(n, n, out.results[0].clone()), out.profile))
 }
 
-/// Distributed linear least squares `min ‖A·x − b‖₂` via TSQR on the
-/// augmented matrix `[A | b]`: its `R` factor has the block form
-/// `[R, Qᵀb; 0, ρ]`, so `x` comes from one back substitution and `ρ` is
-/// the residual norm — no explicit `Q` ever formed or communicated.
-///
-/// Returns `(x, residual_norm, profile)`.
-pub fn tsqr_least_squares(
-    a: &Matrix,
-    b: &[f64],
-    p: usize,
-    cfg: SimConfig,
-) -> Result<(Vec<f64>, f64, Profile), SimError> {
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(SimError::Algorithm(format!(
-            "lsq: rhs length {} must equal m = {m}",
-            b.len()
-        )));
-    }
-    // Augment: [A | b].
-    let mut aug = Matrix::zeros(m, n + 1);
-    aug.set_block(0, 0, a);
-    for i in 0..m {
-        aug[(i, n)] = b[i];
-    }
-    let (r_aug, profile) = tsqr(&aug, p, cfg)?;
-    // Split: R (n×n), Qᵀb (n×1), ρ (scalar).
-    let r = r_aug.block(0, 0, n, n);
-    let qtb = Matrix::from_fn(n, 1, |i, _| r_aug[(i, n)]);
-    let rho = r_aug[(n, n)].abs();
-    let x = psse_kernels::lu::solve_upper(&r, &qtb)
-        .map_err(|e| SimError::Algorithm(format!("rank-deficient system: {e}")))?;
-    Ok(((0..n).map(|i| x[(i, 0)]).collect(), rho, profile))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,55 +149,6 @@ mod tests {
         let wide = Matrix::random(16, 8, 1);
         assert!(tsqr(&wide, 4, SimConfig::counters_only()).is_err()); // 4 < 8 rows/block
         assert!(tsqr(&a, 0, SimConfig::counters_only()).is_err());
-    }
-
-    #[test]
-    fn least_squares_exact_system_has_zero_residual() {
-        // Consistent system: b = A·x_true.
-        let (m, n, p) = (64usize, 5usize, 8usize);
-        let a = Matrix::random(m, n, 21);
-        let x_true: Vec<f64> = (0..n).map(|i| i as f64 - 2.0).collect();
-        let b: Vec<f64> = (0..m)
-            .map(|i| a.row(i).iter().zip(&x_true).map(|(aij, xj)| aij * xj).sum())
-            .collect();
-        let (x, rho, _) = tsqr_least_squares(&a, &b, p, SimConfig::counters_only()).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8, "{xi} vs {ti}");
-        }
-        assert!(rho < 1e-8, "residual {rho}");
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        // Overdetermined noisy system: compare against (AᵀA)x = Aᵀb.
-        let (m, n, p) = (96usize, 4usize, 8usize);
-        let a = Matrix::random(m, n, 22);
-        let b: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
-        let (x, rho, _) = tsqr_least_squares(&a, &b, p, SimConfig::counters_only()).unwrap();
-
-        let ata = matmul(&a.transpose(), &a);
-        let atb: Vec<f64> = (0..n)
-            .map(|j| (0..m).map(|i| a[(i, j)] * b[i]).sum())
-            .collect();
-        let x_ne = psse_kernels::lu::solve(&ata, &atb).unwrap();
-        for (xi, ni) in x.iter().zip(&x_ne) {
-            assert!((xi - ni).abs() < 1e-6, "{xi} vs {ni}");
-        }
-        // Residual norm agrees with the direct computation.
-        let direct: f64 = (0..m)
-            .map(|i| {
-                let pred: f64 = a.row(i).iter().zip(&x).map(|(aij, xj)| aij * xj).sum();
-                (pred - b[i]).powi(2)
-            })
-            .sum::<f64>()
-            .sqrt();
-        assert!((rho - direct).abs() < 1e-8, "rho {rho} vs direct {direct}");
-    }
-
-    #[test]
-    fn least_squares_rejects_mismatched_rhs() {
-        let a = Matrix::random(32, 4, 23);
-        assert!(tsqr_least_squares(&a, &[0.0; 31], 4, SimConfig::counters_only()).is_err());
     }
 
     #[test]

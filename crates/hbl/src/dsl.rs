@@ -1,6 +1,6 @@
 //! The kernel DSL: a loop nest plus its array references, parsed from a
 //! small line-oriented text grammar (in the style of the lab sweep
-//! specs) or assembled through [`KernelBuilder`].
+//! specs).
 //!
 //! ```text
 //! # Classical matrix multiplication.
@@ -215,22 +215,8 @@ impl Kernel {
             flops_per_iter,
             special,
         };
-        kernel.validate().map_err(|e| match e {
-            HblError::Builder(msg) => err(0, msg),
-            other => other,
-        })?;
+        kernel.validate()?;
         Ok(kernel)
-    }
-
-    /// Start a builder-API kernel.
-    pub fn builder(name: &str) -> KernelBuilder {
-        KernelBuilder {
-            name: name.to_string(),
-            indices: Vec::new(),
-            accesses: Vec::new(),
-            flops_per_iter: 1.0,
-            special: None,
-        }
     }
 
     /// Loop-nest depth `d`.
@@ -238,23 +224,20 @@ impl Kernel {
         self.indices.len()
     }
 
-    /// Shared validity checks for parser and builder.
+    /// Whole-file checks, reported at line 0.
     fn validate(&self) -> Result<(), HblError> {
+        let err = |msg: String| Err(HblError::Parse { line: 0, msg });
         if self.special.is_some() {
             return Ok(()); // loops/statement optional under an escape hatch
         }
         if self.indices.is_empty() {
-            return Err(HblError::Builder("kernel has no loops".into()));
+            return err("kernel has no loops".into());
         }
         if self.refs.is_empty() {
-            return Err(HblError::Builder(
-                "kernel has no statement (no array references)".into(),
-            ));
+            return err("kernel has no statement (no array references)".into());
         }
         if self.refs.len() > MAX_REFS {
-            return Err(HblError::Builder(format!(
-                "at most {MAX_REFS} distinct array references"
-            )));
+            return err(format!("at most {MAX_REFS} distinct array references"));
         }
         Ok(())
     }
@@ -423,118 +406,6 @@ fn parse_affine(expr: &str, indices: &[String]) -> Result<Vec<i64>, String> {
     Ok(coeffs)
 }
 
-/// Programmatic kernel construction mirroring the text grammar.
-///
-/// ```
-/// use psse_hbl::dsl::Kernel;
-/// let lu = Kernel::builder("lu")
-///     .indices(&["i", "j", "k"])
-///     .access("A", &["i", "j"])
-///     .access("L", &["i", "k"])
-///     .access("U", &["k", "j"])
-///     .build()
-///     .unwrap();
-/// assert_eq!(lu.depth(), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct KernelBuilder {
-    name: String,
-    indices: Vec<String>,
-    accesses: Vec<(String, Vec<String>)>,
-    flops_per_iter: f64,
-    special: Option<SpecialBound>,
-}
-
-impl KernelBuilder {
-    /// Append one loop index (outermost first).
-    pub fn index(mut self, id: &str) -> Self {
-        self.indices.push(id.to_string());
-        self
-    }
-
-    /// Append several loop indices at once.
-    pub fn indices(mut self, ids: &[&str]) -> Self {
-        self.indices.extend(ids.iter().map(|s| s.to_string()));
-        self
-    }
-
-    /// Add an array access; each subscript is an affine expression
-    /// string (`"i"`, `"i+k"`, `"2*i-j"`).
-    pub fn access(mut self, array: &str, subs: &[&str]) -> Self {
-        self.accesses.push((
-            array.to_string(),
-            subs.iter().map(|s| s.to_string()).collect(),
-        ));
-        self
-    }
-
-    /// Set the flops counted per innermost iteration (default 1).
-    pub fn flops_per_iter(mut self, f: f64) -> Self {
-        self.flops_per_iter = f;
-        self
-    }
-
-    /// Route the kernel around the LP to a special bound.
-    pub fn special(mut self, s: SpecialBound) -> Self {
-        self.special = Some(s);
-        self
-    }
-
-    /// Validate and build the kernel.
-    pub fn build(self) -> Result<Kernel, HblError> {
-        let berr = |msg: String| HblError::Builder(msg);
-        for id in &self.indices {
-            if !is_ident(id) {
-                return Err(berr(format!("bad loop index `{id}`")));
-            }
-        }
-        // O(d²) duplicate scan; d ≤ 6.
-        for (i, id) in self.indices.iter().enumerate() {
-            if self.indices[..i].contains(id) {
-                return Err(berr(format!("duplicate loop index `{id}`")));
-            }
-        }
-        if self.indices.len() > MAX_DEPTH {
-            return Err(berr(format!("at most {MAX_DEPTH} nested loops")));
-        }
-        if !(self.flops_per_iter > 0.0 && self.flops_per_iter.is_finite()) {
-            return Err(berr("`flops_per_iter` must be positive".into()));
-        }
-        let mut refs: Vec<ArrayRef> = Vec::new();
-        for (array, subs) in &self.accesses {
-            if !is_ident(array) {
-                return Err(berr(format!("bad array name `{array}`")));
-            }
-            let mut map = Vec::new();
-            for sub in subs {
-                map.push(
-                    parse_affine(sub, &self.indices)
-                        .map_err(|msg| berr(format!("access `{array}`: {msg}")))?,
-                );
-            }
-            if map.is_empty() {
-                return Err(berr(format!("`{array}` has no subscripts")));
-            }
-            let r = ArrayRef {
-                array: array.clone(),
-                map,
-            };
-            if !refs.contains(&r) {
-                refs.push(r);
-            }
-        }
-        let kernel = Kernel {
-            name: self.name,
-            indices: self.indices,
-            refs,
-            flops_per_iter: self.flops_per_iter,
-            special: self.special,
-        };
-        kernel.validate()?;
-        Ok(kernel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,28 +497,5 @@ C[i,j] += A[i,k] * B[k,j]
         let k = Kernel::parse("kernel = fft\nbound = fft-pebbling\n").unwrap();
         assert_eq!(k.special, Some(SpecialBound::FftPebbling));
         assert!(k.refs.is_empty());
-    }
-
-    #[test]
-    fn builder_matches_parser() {
-        let built = Kernel::builder("matmul")
-            .indices(&["i", "j", "k"])
-            .access("C", &["i", "j"])
-            .access("A", &["i", "k"])
-            .access("B", &["k", "j"])
-            .build()
-            .unwrap();
-        let parsed = Kernel::parse(MATMUL).unwrap();
-        assert_eq!(built, parsed);
-        assert!(Kernel::builder("bad")
-            .indices(&["i", "i"])
-            .access("A", &["i"])
-            .build()
-            .is_err());
-        assert!(Kernel::builder("bad")
-            .index("i")
-            .access("A", &["i+q"])
-            .build()
-            .is_err());
     }
 }

@@ -21,8 +21,6 @@ pub enum HblError {
         /// What was wrong.
         msg: String,
     },
-    /// Builder-API misuse (no line numbers: the call site is the error).
-    Builder(String),
     /// The loop nest reuses data along a direction invisible to every
     /// array: `∩_j ker φ_j ≠ {0}`, so unboundedly many iterations touch
     /// the same operands and no finite `M`-dependent bound exists.
@@ -51,7 +49,6 @@ impl fmt::Display for HblError {
             }
             HblError::Arithmetic(msg) => write!(f, "arithmetic error: {msg}"),
             HblError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
-            HblError::Builder(msg) => write!(f, "kernel builder: {msg}"),
             HblError::UnboundedReuse { direction } => write!(
                 f,
                 "no finite HBL bound: direction {direction} is invisible to every \

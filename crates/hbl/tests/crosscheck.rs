@@ -2,10 +2,10 @@
 //!
 //! Two property suites: (1) the exact-rational simplex against the
 //! brute-force vertex enumerator on random small LPs, and (2) the full
-//! `analyze` pipeline under symmetry — renaming/reordering the loop
-//! indices and permuting the array references must not move σ_HBL (the
-//! LP only sees the subscript *lattice*, which these transformations
-//! map isomorphically).
+//! pipeline from kernel text through `analyze` under symmetry —
+//! renaming/reordering the loop indices and permuting the array
+//! references must not move σ_HBL (the LP only sees the subscript
+//! *lattice*, which these transformations map isomorphically).
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -85,27 +85,33 @@ fn gen_raw(rng: &mut TestRng) -> RawKernel {
     RawKernel { depth, refs }
 }
 
-/// Build a [`Kernel`] from raw matrices, applying an index permutation
-/// `idx_perm` (column reorder + renaming offset) and a reference
-/// permutation `ref_perm`.
+/// Write a kernel's text from raw matrices, applying an index
+/// permutation `idx_perm` (column reorder + renaming offset) and a
+/// reference permutation `ref_perm`, and parse it: the first reference
+/// is the statement's left side, the rest its right.
 fn build(raw: &RawKernel, idx_perm: &[usize], name_off: usize, ref_perm: &[usize]) -> Kernel {
-    let names: Vec<&str> = (0..raw.depth).map(|i| NAMES[name_off + i]).collect();
-    let mut b = Kernel::builder("gen").indices(&names);
-    for &j in ref_perm {
-        let subs: Vec<String> = raw.refs[j]
-            .iter()
-            .map(|row| {
-                let permuted: Vec<i64> = idx_perm.iter().map(|&c| row[c]).collect();
-                render_affine(
-                    &permuted,
-                    &names.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let subs_ref: Vec<&str> = subs.iter().map(String::as_str).collect();
-        b = b.access(&format!("R{j}"), &subs_ref);
+    let names: Vec<String> = (0..raw.depth)
+        .map(|i| NAMES[name_off + i].to_string())
+        .collect();
+    let refs: Vec<String> = ref_perm
+        .iter()
+        .map(|&j| {
+            let subs: Vec<String> = raw.refs[j]
+                .iter()
+                .map(|row| {
+                    let permuted: Vec<i64> = idx_perm.iter().map(|&c| row[c]).collect();
+                    render_affine(&permuted, &names)
+                })
+                .collect();
+            format!("R{j}[{}]", subs.join(","))
+        })
+        .collect();
+    let mut text = String::from("kernel = gen\n");
+    for name in &names {
+        text.push_str(&format!("for {name} in 0..n\n"));
     }
-    b.build().expect("generated kernel is structurally valid")
+    text.push_str(&format!("{} += {}\n", refs[0], refs[1..].join(" * ")));
+    Kernel::parse(&text).unwrap_or_else(|e| panic!("generated kernel is valid:\n{text}{e}"))
 }
 
 /// A permutation of `0..n` drawn by Fisher–Yates.
@@ -160,30 +166,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The builder API and the text grammar derive the same exponents for
-/// the shipped kernel shapes (spot equalities; the DSL unit tests cover
-/// the full table).
-#[test]
-fn builder_reproduces_the_paper_exponents() {
-    let matmul = Kernel::builder("mm")
-        .indices(&["i", "j", "k"])
-        .access("C", &["i", "j"])
-        .access("A", &["i", "k"])
-        .access("B", &["k", "j"])
-        .build()
-        .unwrap();
-    assert_eq!(
-        analyze(&matmul).unwrap().sigma,
-        Rational::new(3, 2).unwrap()
-    );
-    let nbody = Kernel::builder("nb")
-        .indices(&["i", "j"])
-        .access("F", &["i"])
-        .access("P", &["i"])
-        .access("Q", &["j"])
-        .build()
-        .unwrap();
-    assert_eq!(analyze(&nbody).unwrap().sigma, Rational::int(2));
 }

@@ -35,11 +35,6 @@ impl Complex64 {
         Complex64::new(theta.cos(), theta.sin())
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
     /// Modulus `|z|`.
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
@@ -230,7 +225,6 @@ mod tests {
         assert_eq!(a + b, Complex64::new(4.0, 1.0));
         assert_eq!(a - b, Complex64::new(-2.0, 3.0));
         assert_eq!(a * b, Complex64::new(5.0, 5.0)); // (1+2i)(3-i) = 5+5i
-        assert_eq!(a.conj(), Complex64::new(1.0, -2.0));
         assert!((a.abs() - 5f64.sqrt()).abs() < 1e-15);
         assert_eq!(a.norm_sqr(), 5.0);
         assert_eq!(-a, Complex64::new(-1.0, -2.0));

@@ -247,10 +247,10 @@ mod tests {
     fn add_into_accumulates() {
         let a = Matrix::random(20, 20, 5);
         let b = Matrix::random(20, 20, 6);
-        let mut c = matmul(&a, &b);
+        let ab = matmul(&a, &b);
+        let mut c = ab.clone();
         matmul_add_into(&mut c, &a, &b);
-        let twice = matmul(&a, &b).scale(2.0);
-        assert!(c.max_abs_diff(&twice) < 1e-12);
+        assert!(c.max_abs_diff(&ab.add(&ab)) < 1e-12);
     }
 
     #[test]

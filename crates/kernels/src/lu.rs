@@ -212,50 +212,6 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SingularError> {
     Ok((0..n).map(|i| x[(i, 0)]).collect())
 }
 
-/// Blocked (panel) right-looking LU without pivoting: factors `a`
-/// in place using panels of width `block`, with the trailing update done
-/// by GEMM — the cache-friendly formulation whose communication the
-/// paper's sequential bound (Eq. 3) governs. Numerically identical to
-/// [`lu_nopivot_inplace`] in exact arithmetic.
-pub fn lu_blocked_inplace(a: &mut Matrix, block: usize) -> Result<(), SingularError> {
-    assert_eq!(a.rows(), a.cols(), "LU requires a square matrix");
-    assert!(block >= 1, "panel width must be positive");
-    let n = a.rows();
-    let mut k0 = 0;
-    while k0 < n {
-        let k1 = (k0 + block).min(n);
-        let w = k1 - k0;
-        let rest = n - k1;
-
-        // 1. Factor the diagonal block.
-        let mut akk = a.block(k0, k0, w, w);
-        lu_nopivot_inplace(&mut akk)?;
-        a.set_block(k0, k0, &akk);
-        let (l11, u11) = split_lu(&akk);
-
-        if rest > 0 {
-            // 2. U12 = L11⁻¹ · A12.
-            let a12 = a.block(k0, k1, w, rest);
-            let u12 = solve_unit_lower(&l11, &a12);
-            a.set_block(k0, k1, &u12);
-
-            // 3. L21 = A21 · U11⁻¹.
-            let a21 = a.block(k1, k0, rest, w);
-            let l21 = solve_upper_right(&a21, &u11)?;
-            a.set_block(k1, k0, &l21);
-
-            // 4. Trailing update A22 -= L21 · U12.
-            let mut a22 = a.block(k1, k1, rest, rest);
-            let mut update = crate::gemm::matmul(&l21, &u12);
-            update = update.scale(-1.0);
-            a22.add_assign(&update);
-            a.set_block(k1, k1, &a22);
-        }
-        k0 = k1;
-    }
-    Ok(())
-}
-
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
 /// matrix, in place: on return the lower triangle holds `L` and the
 /// strict upper triangle is zeroed. The paper lists Cholesky among the
@@ -388,30 +344,6 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-8, "{xi} vs {ti}");
         }
-    }
-
-    #[test]
-    fn blocked_lu_matches_scalar() {
-        for (n, block) in [(16usize, 4usize), (20, 7), (32, 32), (9, 2), (8, 1)] {
-            let a = Matrix::random_diagonally_dominant(n, n as u64);
-            let mut scalar = a.clone();
-            lu_nopivot_inplace(&mut scalar).unwrap();
-            let mut blocked = a.clone();
-            lu_blocked_inplace(&mut blocked, block).unwrap();
-            assert!(
-                blocked.max_abs_diff(&scalar) < 1e-9,
-                "n = {n}, block = {block}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_lu_reconstructs() {
-        let a = Matrix::random_diagonally_dominant(24, 77);
-        let mut packed = a.clone();
-        lu_blocked_inplace(&mut packed, 6).unwrap();
-        let (l, u) = split_lu(&packed);
-        assert!(gemm::matmul(&l, &u).relative_error(&a) < 1e-12);
     }
 
     #[test]

@@ -170,23 +170,6 @@ impl Matrix {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// In-place `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Scaled copy `alpha · self`.
-    pub fn scale(&self, alpha: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| alpha * x).collect(),
-        }
-    }
-
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
         assert_eq!(
             (self.rows, self.cols),
@@ -311,10 +294,6 @@ mod tests {
         let a = Matrix::random(4, 4, 1);
         let b = Matrix::random(4, 4, 2);
         assert_eq!(a.add(&b).sub(&b).max_abs_diff(&a), 0.0);
-        let mut c = a.clone();
-        c.add_assign(&b);
-        assert_eq!(c, a.add(&b));
-        assert!(a.scale(2.0).sub(&a).max_abs_diff(&a) < 1e-15);
     }
 
     #[test]

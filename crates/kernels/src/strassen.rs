@@ -1,9 +1,10 @@
 //! Strassen's matrix multiplication (the `ω0 = log₂7` fast algorithm of
 //! paper §IV) with a classical-GEMM cutoff.
 //!
-//! This is the local kernel used at the leaves of the CAPS-style
-//! distributed algorithm in `psse-algos`; it also serves as the
-//! sequential baseline for the classical-vs-Strassen benchmarks.
+//! [`strassen_operands`] and [`strassen_combine`] are one step of the
+//! recursion; the CAPS-style distributed algorithm in `psse-algos`
+//! (`strassen_dist`) takes its BFS steps with them and multiplies its
+//! leaves with classical [`gemm::matmul`].
 
 use crate::gemm;
 use crate::matrix::Matrix;
@@ -38,120 +39,14 @@ pub fn strassen_with_cutoff(a: &Matrix, b: &Matrix, cutoff: usize) -> Matrix {
         let cp = strassen_with_cutoff(&ap, &bp, cutoff);
         return cp.block(0, 0, n, n);
     }
-    let h = n / 2;
-    let a11 = a.block(0, 0, h, h);
-    let a12 = a.block(0, h, h, h);
-    let a21 = a.block(h, 0, h, h);
-    let a22 = a.block(h, h, h, h);
-    let b11 = b.block(0, 0, h, h);
-    let b12 = b.block(0, h, h, h);
-    let b21 = b.block(h, 0, h, h);
-    let b22 = b.block(h, h, h, h);
-
-    let m1 = strassen_with_cutoff(&a11.add(&a22), &b11.add(&b22), cutoff);
-    let m2 = strassen_with_cutoff(&a21.add(&a22), &b11, cutoff);
-    let m3 = strassen_with_cutoff(&a11, &b12.sub(&b22), cutoff);
-    let m4 = strassen_with_cutoff(&a22, &b21.sub(&b11), cutoff);
-    let m5 = strassen_with_cutoff(&a11.add(&a12), &b22, cutoff);
-    let m6 = strassen_with_cutoff(&a21.sub(&a11), &b11.add(&b12), cutoff);
-    let m7 = strassen_with_cutoff(&a12.sub(&a22), &b21.add(&b22), cutoff);
-
-    let c11 = m1.add(&m4).sub(&m5).add(&m7);
-    let c12 = m3.add(&m5);
-    let c21 = m2.add(&m4);
-    let c22 = m1.sub(&m2).add(&m3).add(&m6);
-
-    let mut c = Matrix::zeros(n, n);
-    c.set_block(0, 0, &c11);
-    c.set_block(0, h, &c12);
-    c.set_block(h, 0, &c21);
-    c.set_block(h, h, &c22);
-    c
-}
-
-/// `C = A·B` via the **Winograd variant** of Strassen's algorithm: the
-/// same 7 recursive multiplications but only 15 block additions (vs 18),
-/// the best known constant for a 7-multiplication scheme. Same
-/// asymptotics (`ω0 = log₂7`), smaller constant — an ablation knob for
-/// the fast-matmul benches.
-pub fn strassen_winograd(a: &Matrix, b: &Matrix, cutoff: usize) -> Matrix {
-    assert_eq!(a.rows(), a.cols(), "Strassen requires square A");
-    assert_eq!(b.rows(), b.cols(), "Strassen requires square B");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(cutoff >= 1);
-    let n = a.rows();
-    if n <= cutoff {
-        return gemm::matmul(a, b);
-    }
-    if n % 2 == 1 {
-        let mut ap = Matrix::zeros(n + 1, n + 1);
-        ap.set_block(0, 0, a);
-        let mut bp = Matrix::zeros(n + 1, n + 1);
-        bp.set_block(0, 0, b);
-        let cp = strassen_winograd(&ap, &bp, cutoff);
-        return cp.block(0, 0, n, n);
-    }
-    let h = n / 2;
-    let a11 = a.block(0, 0, h, h);
-    let a12 = a.block(0, h, h, h);
-    let a21 = a.block(h, 0, h, h);
-    let a22 = a.block(h, h, h, h);
-    let b11 = b.block(0, 0, h, h);
-    let b12 = b.block(0, h, h, h);
-    let b21 = b.block(h, 0, h, h);
-    let b22 = b.block(h, h, h, h);
-
-    // 8 pre-additions.
-    let s1 = a21.add(&a22);
-    let s2 = s1.sub(&a11);
-    let s3 = a11.sub(&a21);
-    let s4 = a12.sub(&s2);
-    let t1 = b12.sub(&b11);
-    let t2 = b22.sub(&t1);
-    let t3 = b22.sub(&b12);
-    let t4 = t2.sub(&b21);
-
-    // 7 recursive multiplications.
-    let m1 = strassen_winograd(&a11, &b11, cutoff);
-    let m2 = strassen_winograd(&a12, &b21, cutoff);
-    let m3 = strassen_winograd(&s4, &b22, cutoff);
-    let m4 = strassen_winograd(&a22, &t4, cutoff);
-    let m5 = strassen_winograd(&s1, &t1, cutoff);
-    let m6 = strassen_winograd(&s2, &t2, cutoff);
-    let m7 = strassen_winograd(&s3, &t3, cutoff);
-
-    // 7 post-additions.
-    let u2 = m1.add(&m6);
-    let u3 = u2.add(&m7);
-    let u4 = u2.add(&m5);
-    let c11 = m1.add(&m2);
-    let c12 = u4.add(&m3);
-    let c21 = u3.sub(&m4);
-    let c22 = u3.add(&m5);
-
-    let mut c = Matrix::zeros(n, n);
-    c.set_block(0, 0, &c11);
-    c.set_block(0, h, &c12);
-    c.set_block(h, 0, &c21);
-    c.set_block(h, h, &c22);
-    c
-}
-
-/// Flop count of the Winograd variant with the given cutoff:
-/// `7^k` leaf GEMMs plus `15·(n/2^level)²` additions per internal node
-/// (vs Strassen's 18).
-pub fn strassen_winograd_flops(n: u64, cutoff: u64) -> u64 {
-    if n <= cutoff {
-        return 2 * n * n * n;
-    }
-    let h = n / 2;
-    7 * strassen_winograd_flops(h, cutoff) + 15 * h * h
+    let products = strassen_operands(a, b).map(|(x, y)| strassen_with_cutoff(&x, &y, cutoff));
+    strassen_combine(&products)
 }
 
 /// The seven quadrant products `M1..M7` of one Strassen step, computed
-/// with a caller-supplied multiplier. Exposed so the distributed CAPS
-/// algorithm can form the linear combinations locally and delegate the
-/// products to remote subtrees.
+/// with a caller-supplied multiplier: [`strassen_with_cutoff`] recurses
+/// on them, and the distributed CAPS algorithm forms the linear
+/// combinations locally and delegates the products to remote subtrees.
 pub fn strassen_operands(a: &Matrix, b: &Matrix) -> [(Matrix, Matrix); 7] {
     assert_eq!(a.rows(), a.cols());
     assert_eq!(b.rows(), b.cols());
@@ -267,39 +162,5 @@ mod tests {
     fn strassen_saves_flops_vs_classical() {
         let n = 1 << 12;
         assert!(strassen_flops(n, 64) < 2 * n * n * n);
-    }
-
-    #[test]
-    fn winograd_matches_naive() {
-        for n in [1usize, 2, 16, 30, 65, 128] {
-            let a = Matrix::random(n, n, n as u64 + 100);
-            let b = Matrix::random(n, n, n as u64 + 200);
-            let w = strassen_winograd(&a, &b, 8);
-            let c = matmul_naive(&a, &b);
-            assert!(w.max_abs_diff(&c) < 1e-10, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn winograd_matches_strassen() {
-        let a = Matrix::random(96, 96, 1);
-        let b = Matrix::random(96, 96, 2);
-        let w = strassen_winograd(&a, &b, 16);
-        let s = strassen_with_cutoff(&a, &b, 16);
-        assert!(w.max_abs_diff(&s) < 1e-10);
-    }
-
-    #[test]
-    fn winograd_uses_fewer_adds() {
-        let n = 1 << 10;
-        let s = strassen_flops(n, 32);
-        let w = strassen_winograd_flops(n, 32);
-        assert!(w < s, "winograd {w} vs strassen {s}");
-        // Same leaf count: the gap is exactly the add savings
-        // (3 additions per internal node).
-        let gap = s - w;
-        assert!(gap > 0);
-        // And both still beat classical.
-        assert!(s < 2 * n * n * n);
     }
 }

@@ -29,14 +29,15 @@ fn main() {
         println!("        s({}) = {s}", r.render(&matmul.indices));
     }
 
-    // 2. The same kernel through the builder API — no text involved.
-    let nbody = Kernel::builder("nbody")
-        .indices(&["i", "j"])
-        .access("F", &["i"])
-        .access("P", &["i"])
-        .access("Q", &["j"])
-        .build()
-        .unwrap();
+    // 2. The n-body kernel: the same array read through two index maps
+    //    is two references.
+    let nbody = Kernel::parse(
+        "kernel = nbody\n\
+         for i in 0..n\n\
+         for j in 0..n\n\
+         F[i] += P[i] * P[j]\n",
+    )
+    .unwrap();
     let hbl = analyze(&nbody).unwrap();
     println!("\nnbody : sigma = {}", hbl.sigma);
     println!("bound : {}", hbl.bound_string(nbody.indices.len()).unwrap());

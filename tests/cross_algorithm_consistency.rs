@@ -82,7 +82,7 @@ fn nbody_variants_agree_with_serial() {
     let mut serial = vec![[0.0; 3]; ps.len()];
     accumulate_forces(&ps, &ps, &mut serial);
 
-    let (ring, _) = nbody_ring(&ps, 8, SimConfig::counters_only()).unwrap();
+    let (ring, _) = nbody_replicated(&ps, 8, 1, SimConfig::counters_only()).unwrap();
     let (repl, _) = nbody_replicated(&ps, 8, 4, SimConfig::counters_only()).unwrap();
     for i in 0..ps.len() {
         for d in 0..3 {
@@ -174,25 +174,6 @@ fn memory_limit_enforces_the_replication_tradeoff() {
     );
     // With enough memory the replicated run goes through.
     assert!(matmul_25d(&a, &b, 64, 4, cfg(1000)).is_ok());
-}
-
-#[test]
-fn tsqr_least_squares_end_to_end() {
-    use psse::algos::tsqr::tsqr_least_squares;
-    let m = 128;
-    let n = 6;
-    let a = Matrix::random(m, n, 13);
-    let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 1.0).collect();
-    let b: Vec<f64> = (0..m)
-        .map(|i| a.row(i).iter().zip(&x_true).map(|(aij, xj)| aij * xj).sum())
-        .collect();
-    let (x, rho, profile) = tsqr_least_squares(&a, &b, 16, SimConfig::counters_only()).unwrap();
-    for (xi, ti) in x.iter().zip(&x_true) {
-        assert!((xi - ti).abs() < 1e-8);
-    }
-    assert!(rho < 1e-8);
-    // Communication: log2(16) = 4 combine messages into the root.
-    assert_eq!(profile.per_rank()[0].msgs_recvd, 4);
 }
 
 #[test]
