@@ -337,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn words_match_surface_closed_form_2d() {
+    fn words_match_surface_formula_2d() {
         // Per rank and sweep: rows 2·h·b words + extended cols
         // 2·h·(b + 2h) words — every rank symmetric under periodicity.
         let (n, p, h, iters) = (32usize, 16usize, 2usize, 3usize);

@@ -12,11 +12,6 @@ use psse_core::costs::{
     Algorithm, Cholesky25d, ClassicalMatMul, DirectNBody, FftAllToAll, FftTree, HaloStencilModel,
     Lu25d, MatVec, SampleSortModel, StrassenMatMul,
 };
-use psse_core::error::CoreError;
-use psse_core::optimize::matmul::MatMulOptimizer;
-use psse_core::optimize::nbody::NBodyOptimizer;
-use psse_core::optimize::RunConfig;
-use psse_core::params::MachineParams;
 use psse_kernels::gemm::matmul;
 use psse_kernels::nbody::{accumulate_forces, random_particles};
 use psse_kernels::rng::XorShift64;
@@ -129,43 +124,17 @@ impl Simulate {
 }
 
 type ModelFn = fn(f64, u64, u64) -> Box<dyn Algorithm>;
-/// `(machine, f, n, p, M) → (T, E, ..)` by one of the paper's closed forms.
-type ClosedForm = fn(&MachineParams, f64, u64, u64, f64) -> Result<RunConfig, CoreError>;
 
 /// The model half of an entry.
-pub struct Model {
-    build: ModelFn,
-    closed_form: Option<ClosedForm>,
-}
+pub struct Model(ModelFn);
 
 impl Model {
-    /// The `(F, W, S)` cost model. `f` is the n-body flops per
-    /// interaction, `halo`/`iters` the stencil shape; each is ignored by
-    /// the other algorithms.
+    /// The `(F, W, S)` cost model, priced by its own
+    /// [`Algorithm::evaluate`]. `f` is the n-body flops per interaction,
+    /// `halo`/`iters` the stencil shape; each is ignored by the other
+    /// algorithms.
     pub fn costs(&self, f: f64, halo: u64, iters: u64) -> Box<dyn Algorithm> {
-        (self.build)(f, halo, iters)
-    }
-
-    /// `(T, E)` at `(n, p, mem)`. N-body and classical matmul go through
-    /// the closed forms the figure benches use, so a sweep regenerates
-    /// the checked-in CSVs byte for byte; everything else prices `costs`
-    /// (this entry's [`Model::costs`]) by Eqs. 1–2, `mem` clamped into
-    /// its band.
-    pub fn price(
-        &self,
-        costs: &dyn Algorithm,
-        machine: &MachineParams,
-        f: f64,
-        n: u64,
-        p: u64,
-        mem: f64,
-    ) -> Result<(f64, f64), CoreError> {
-        if let Some(evaluate) = self.closed_form {
-            return evaluate(machine, f, n, p, mem).map(|cfg| (cfg.time, cfg.energy));
-        }
-        let costs = costs.costs_clamped(n, p, mem, machine)?;
-        let t = machine.time(&costs);
-        Ok((t, machine.energy(p, &costs, mem, t)))
+        (self.0)(f, halo, iters)
     }
 }
 
@@ -182,8 +151,8 @@ pub struct Entry {
 /// 2.5D matmul under ABFT checksums: what `psse faults sweep` measures.
 pub const MM25D_ABFT: &str = "mm25d-abft";
 
-const fn costs(build: ModelFn, closed_form: Option<ClosedForm>) -> Option<Model> {
-    Some(Model { build, closed_form })
+const fn costs(build: ModelFn) -> Option<Model> {
+    Some(Model(build))
 }
 
 const fn sim(check: Check, run: RunFn) -> Option<Simulate> {
@@ -212,10 +181,6 @@ const FFT_A2A: ModelFn = |_, _, _| Box::new(FftAllToAll);
 const MATVEC: ModelFn = |_, _, _| Box::new(MatVec);
 const SORT: ModelFn = |_, _, _| Box::new(SampleSortModel);
 const STENCIL: ModelFn = |_, halo, iters| Box::new(HaloStencilModel { halo, iters });
-const MATMUL_FORM: Option<ClosedForm> =
-    Some(|mp, _, n, p, mem| Ok(MatMulOptimizer::new(mp)?.evaluate(n, p, mem)));
-const NBODY_FORM: Option<ClosedForm> =
-    Some(|mp, f, n, p, mem| Ok(NBodyOptimizer::new(mp, f)?.evaluate(n, p, mem)));
 
 use Check::{Exact, InRun, Tolerance};
 
@@ -223,25 +188,25 @@ use Check::{Exact, InRun, Tolerance};
 /// messages list them.
 #[rustfmt::skip]
 pub static TABLE: [Entry; 19] = [
-    entry("matmul",     costs(CLASSICAL, MATMUL_FORM), None),
-    entry("cannon",     None,                          sim(Tolerance, cannon)),
-    entry("summa",      None,                          sim(Tolerance, summa)),
-    entry("summa-abft", None,                          sim(InRun, summa_abft)),
-    entry("mm25d",      costs(CLASSICAL, MATMUL_FORM), sim(Tolerance, mm25d)),
-    entry(MM25D_ABFT,   None,                          sim(InRun, mm25d_abft)),
-    entry("mm3d",       None,                          sim(Tolerance, mm3d)),
-    entry("strassen",   costs(STRASSEN, None),         sim(Tolerance, strassen)),
-    entry("lu",         costs(LU, None),               sim(Tolerance, lu)),
-    entry("solve",      None,                          sim(Tolerance, solve)),
-    entry("cholesky",   costs(CHOLESKY, None),         sim(Tolerance, cholesky)),
-    entry("tsqr",       None,                          sim(Tolerance, tsqr_r)),
-    entry("nbody",      costs(NBODY, NBODY_FORM),      sim(Tolerance, nbody)),
-    entry("fft",        costs(FFT_TREE, None),         sim(Tolerance, fft)),
-    entry("fft-tree",   costs(FFT_TREE, None),         None),
-    entry("fft-a2a",    costs(FFT_A2A, None),          None),
-    entry("matvec",     costs(MATVEC, None),           sim(Tolerance, matvec)),
-    entry("samplesort", costs(SORT, None),             sim(Exact, samplesort)),
-    entry("stencil",    costs(STENCIL, None),          sim(Exact, stencil)),
+    entry("matmul",     costs(CLASSICAL), None),
+    entry("cannon",     None,             sim(Tolerance, cannon)),
+    entry("summa",      None,             sim(Tolerance, summa)),
+    entry("summa-abft", None,             sim(InRun, summa_abft)),
+    entry("mm25d",      costs(CLASSICAL), sim(Tolerance, mm25d)),
+    entry(MM25D_ABFT,   None,             sim(InRun, mm25d_abft)),
+    entry("mm3d",       None,             sim(Tolerance, mm3d)),
+    entry("strassen",   costs(STRASSEN),  sim(Tolerance, strassen)),
+    entry("lu",         costs(LU),        sim(Tolerance, lu)),
+    entry("solve",      None,             sim(Tolerance, solve)),
+    entry("cholesky",   costs(CHOLESKY),  sim(Tolerance, cholesky)),
+    entry("tsqr",       None,             sim(Tolerance, tsqr_r)),
+    entry("nbody",      costs(NBODY),     sim(Tolerance, nbody)),
+    entry("fft",        costs(FFT_TREE),  sim(Tolerance, fft)),
+    entry("fft-tree",   costs(FFT_TREE),  None),
+    entry("fft-a2a",    costs(FFT_A2A),   None),
+    entry("matvec",     costs(MATVEC),    sim(Tolerance, matvec)),
+    entry("samplesort", costs(SORT),      sim(Exact, samplesort)),
+    entry("stencil",    costs(STENCIL),   sim(Exact, stencil)),
 ];
 
 /// The names of the entries `keep` accepts, in table order.

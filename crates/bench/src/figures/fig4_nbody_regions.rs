@@ -46,9 +46,8 @@ const F: f64 = 10.0;
 const N: u64 = 10_000;
 
 fn feasible(nb: &DirectNBody, p: u64, m: f64) -> bool {
-    let lo = nb.min_memory(N, p);
-    let hi = nb.max_useful_memory(N, p);
-    (lo..=hi).contains(&m)
+    nb.memory_range(N, p)
+        .is_ok_and(|(lo, hi)| (lo..=hi).contains(&m))
 }
 
 /// Render an ASCII map over the (p, M) plane; `class` returns a marker

@@ -4,11 +4,11 @@ use crate::args::Args;
 use psse_algos::prelude::{measure, sim_config_from};
 use psse_algos::table::{self, Shape};
 use psse_core::bounds::ScalingRange;
-use psse_core::costs::Algorithm;
+use psse_core::costs::{Algorithm, DirectNBody};
 use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
-use psse_core::optimize::RunConfig;
+use psse_core::optimize::{EnergyOptimum, RunConfig};
 use psse_core::params::{MachineParams, OVERRIDES};
 use psse_core::summary::{self, Measured};
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
@@ -137,12 +137,11 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
     let mem = args.value("mem", NUMBER)?;
     let mem = mem.unwrap_or_else(|| alg.min_memory(n, p));
     let costs = alg.costs(n, p, mem, &mp).map_err(|e| e.to_string())?;
-    let t = mp.time(&costs);
-    let e = mp.energy(p, &costs, mem, t);
+    let cfg = alg.evaluate(&mp, n, p, mem).map_err(|e| e.to_string())?;
     let m = priced(Measured {
-        time: t,
-        energy: e,
-        power: e / t,
+        time: cfg.time,
+        energy: cfg.energy,
+        power: cfg.energy / cfg.time,
     })?;
     let _ = writeln!(out, "algorithm : {}", alg.name());
     let _ = writeln!(out, "machine   : {mname}");
@@ -160,7 +159,7 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
     let _ = writeln!(
         out,
         "efficiency = {} GFLOPS/W",
-        fmt(alg.total_flops(n) / e / 1e9)
+        fmt(alg.total_flops(n) / m.energy / 1e9)
     );
     Ok(())
 }
@@ -202,37 +201,30 @@ fn finite_run(cfg: RunConfig) -> Result<RunConfig, String> {
 /// and the band's endpoints are not printed as a range. Returns whether
 /// it is attainable; a quantity that is not finite is an error, and
 /// nothing is printed.
-fn print_optimum(
-    out: &mut String,
-    n: u64,
-    m0: f64,
-    e_star: f64,
-    band: (f64, f64),
-) -> Result<bool, String> {
-    let (p_lo, p_hi) = band;
-    finite("M0", m0)?;
-    finite("E*", e_star)?;
-    finite("p_min", p_lo)?;
-    finite("p_max", p_hi)?;
+fn print_optimum(out: &mut String, n: u64, opt: &EnergyOptimum) -> Result<bool, String> {
+    finite("M0", opt.m0)?;
+    finite("E*", opt.e_star)?;
+    finite("p_min", opt.p_lo)?;
+    finite("p_max", opt.p_hi)?;
     let _ = writeln!(
         out,
         "M0 = {} words/processor (energy-optimal, any p)",
-        fmt(m0)
+        fmt(opt.m0)
     );
-    let attainable = p_lo <= p_hi;
+    let attainable = opt.p_lo <= opt.p_hi;
     let _ = if attainable {
         writeln!(
             out,
             "E* = {} J, attainable for p in [{}, {}]",
-            fmt(e_star),
-            fmt(p_lo),
-            fmt(p_hi)
+            fmt(opt.e_star),
+            fmt(opt.p_lo),
+            fmt(opt.p_hi)
         )
     } else {
         writeln!(
             out,
             "E* = {} J is not attainable at n = {n}: M0 exceeds the whole problem",
-            fmt(e_star)
+            fmt(opt.e_star)
         )
     };
     Ok(attainable)
@@ -265,10 +257,12 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     let power_proc: Option<f64> = args.value("power-proc", POSITIVE)?;
     let opt = NBodyOptimizer::new(&mp, f).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
-    match (opt.m0(), opt.e_star(n)) {
-        (Ok(m0), Ok(e_star)) => {
-            let band = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
-            if !print_optimum(out, n, m0, e_star, band)? {
+    let nbody = DirectNBody {
+        flops_per_interaction: f,
+    };
+    match nbody.energy_optimum(&mp, n) {
+        Ok(optimum) => {
+            if !print_optimum(out, n, &optimum)? {
                 // Energy still falls with M below M0, and one processor
                 // holding the whole problem is all the memory it can use.
                 let cfg = finite_run(opt.evaluate(n, 1, n as f64))?;
@@ -281,7 +275,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
                 );
             }
         }
-        (Err(e), _) | (_, Err(e)) => {
+        Err(e) => {
             let _ = writeln!(out, "no interior optimum: {e}");
         }
     }
@@ -398,6 +392,15 @@ fn run_algorithm(
     Ok((cfg, run.profile, run.verified))
 }
 
+/// The executor a command runs for `--backend`: every simulator row of
+/// the algorithm table calls `Machine::run`, which does not read it.
+fn executor(backend: Backend) -> &'static str {
+    match backend {
+        Backend::Threads => "threads",
+        Backend::Events => "threads (--backend events: no event route for this command yet)",
+    }
+}
+
 pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
     let (mname, mp) = vocab::machine(args)?;
     let (cfg, profile, verified) = run_algorithm(args, &mp, false)?;
@@ -408,7 +411,7 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
         "algorithm : {alg} on {} ranks (machine `{mname}`)",
         profile.p()
     );
-    let _ = writeln!(out, "backend   : {}", cfg.backend);
+    let _ = writeln!(out, "backend   : {}", executor(cfg.backend));
     let _ = writeln!(
         out,
         "numerics  : {}",
@@ -689,7 +692,8 @@ pub fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
 
     let _ = writeln!(
         out,
-        "fault sweep: 2.5D matmul, n = {n}, q = {q}, machine `{mname}`, seed {seed}, backend {backend}"
+        "fault sweep: 2.5D matmul, n = {n}, q = {q}, machine `{mname}`, seed {seed}, backend {}",
+        executor(backend)
     );
     let _ =
         writeln!(
@@ -1181,7 +1185,7 @@ pub fn bound_price(args: &Args, out: &mut String) -> CmdResult {
         cost.kernel_name()
     );
     let _ = writeln!(out, "family    : {}", family_str(cost.family()));
-    print_optimum(out, n, opt.m0, opt.e_star, (opt.p_lo, opt.p_hi))?;
+    print_optimum(out, n, &opt)?;
     Ok(())
 }
 
@@ -1189,7 +1193,7 @@ pub fn bound_range(args: &Args, out: &mut String) -> CmdResult {
     let (_, cost, _) = kernel_from(args)?;
     let n = problem_size(args)?;
     let mem = fixed_memory(args)?;
-    let range = psse_core::costs::Algorithm::strong_scaling_range(&cost, n, mem);
+    let range = cost.strong_scaling_range(n, mem);
     if args.has("csv") {
         // One machine-readable row per invocation: full-precision
         // Display floats, `na` when no range exists. CI diffs these

@@ -1,10 +1,10 @@
 //! Golden-file contract for `psse bound`.
 //!
 //! The `--csv` row format and the `explain` report are compatibility
-//! surfaces: CI's `hbl-smoke` job diffs the shipped kernels against
-//! `tests/fixtures/hbl_range_golden.csv`, and this test keeps both
-//! fixtures honest from inside `cargo test` (no CI required). If an
-//! intentional format change lands, regenerate the fixtures with the
+//! surfaces: this test diffs the shipped kernels against
+//! `tests/fixtures/hbl_range_golden.csv` and the matmul report against
+//! `tests/fixtures/hbl_explain_matmul.txt` from inside `cargo test`. If
+//! an intentional format change lands, regenerate the fixtures with the
 //! commands shown in each assertion message.
 
 use std::fs;

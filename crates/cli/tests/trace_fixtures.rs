@@ -1,7 +1,6 @@
 //! The committed `tests/fixtures/*_prepr.trace` recordings, reproduced
-//! byte for byte by `psse trace record` from inside `cargo test`. CI's
-//! perf-smoke job `cmp`s the same files against the release binary;
-//! this test keeps them honest without CI. Each was recorded before a
+//! byte for byte by `psse trace record` from inside `cargo test`, and
+//! what the analysis commands print for them. Each was recorded before a
 //! rewrite of the code it exercises (the 2.5D multiply before the
 //! zero-copy transport; the other four before the collectives became
 //! phase descriptions), so a mismatch is a change in what the run did,
@@ -148,7 +147,7 @@ fn analysis_outputs_of_the_fixtures_are_pinned() {
     );
 }
 
-/// The fold CI compares against `tests/fixtures/mm25d_p32_prepr.folded`,
+/// The 2.5D fixture's fold is `tests/fixtures/mm25d_p32_prepr.folded`,
 /// written before the fold was rewritten.
 #[test]
 fn flame_fold_of_the_2_5d_fixture_is_its_fixture() {

@@ -38,6 +38,20 @@ pub struct RunConfig {
     pub energy: Real,
 }
 
+/// The §V.A optimum of an algorithm on a machine
+/// ([`Algorithm::energy_optimum`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyOptimum {
+    /// Energy-optimal memory per processor, words.
+    pub m0: Real,
+    /// Minimum energy `E*(n)`, joules.
+    pub e_star: Real,
+    /// Smallest `p` at which `M0` is feasible.
+    pub p_lo: Real,
+    /// Largest `p` at which `M0` is feasible.
+    pub p_hi: Real,
+}
+
 /// Closed-form §V results for the direct n-body problem.
 pub mod nbody {
     use super::*;
@@ -666,27 +680,16 @@ pub mod numeric {
         p: u64,
     ) -> Result<RunConfig, CoreError> {
         let (lo, hi) = alg.memory_range(n, p)?;
-        let eval = |m: Real| -> Real {
-            match alg.costs(n, p, m, params) {
-                Ok(c) => {
-                    let t = params.time(&c);
-                    params.energy(p, &c, m, t)
-                }
-                Err(_) => Real::INFINITY,
-            }
+        let eval = |m| match alg.costs(n, p, m, params) {
+            Ok(c) => params.price(p, &c, m).energy,
+            Err(_) => Real::INFINITY,
         };
-        let (m, e) = if hi / lo < 1.0 + 1e-12 {
-            (lo, eval(lo))
+        let m = if hi / lo < 1.0 + 1e-12 {
+            lo
         } else {
-            golden_section_min(eval, lo, hi, 1e-12)
+            golden_section_min(eval, lo, hi, 1e-12).0
         };
-        let c = alg.costs(n, p, m, params)?;
-        Ok(RunConfig {
-            p: p as Real,
-            mem: m,
-            time: params.time(&c),
-            energy: e,
-        })
+        Ok(params.price(p, &alg.costs(n, p, m, params)?, m))
     }
 
     /// The loop behind Questions 2, 3, 4a and 4b: sweep `p` over
@@ -714,33 +717,16 @@ pub mod numeric {
             let Ok((lo, hi)) = alg.memory_range(n, p) else {
                 continue;
             };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        let e = params.energy(p, &c, m, t);
-                        if over(p, t, e) {
-                            Real::INFINITY
-                        } else {
-                            objective(t, e)
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
+            let eval = |m| match alg.costs(n, p, m, params).map(|c| params.price(p, &c, m)) {
+                Ok(r) if !over(p, r.time, r.energy) => objective(r.time, r.energy),
+                _ => Real::INFINITY,
             };
             let (m, v) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
             if !v.is_finite() {
                 continue;
             }
             if best.is_none_or(|b| v < objective(b.time, b.energy)) {
-                let c = alg.costs(n, p, m, params)?;
-                let time = params.time(&c);
-                best = Some(RunConfig {
-                    p: p as Real,
-                    mem: m,
-                    time,
-                    energy: params.energy(p, &c, m, time),
-                });
+                best = Some(params.price(p, &alg.costs(n, p, m, params)?, m));
             }
         }
         best.ok_or(CoreError::Infeasible(none_fits))
@@ -783,9 +769,8 @@ pub mod numeric {
         p: u64,
         m: Real,
     ) -> Result<Real, CoreError> {
-        let c = alg.costs(n, p, m, params)?;
-        let t = params.time(&c);
-        Ok(params.energy(p, &c, m, t) / t)
+        let r = params.price(p, &alg.costs(n, p, m, params)?, m);
+        Ok(r.energy / r.time)
     }
 
     /// Question 4a (min runtime under a **total** power cap): sweep `p`,
@@ -1345,7 +1330,7 @@ mod tests {
     }
 
     #[test]
-    fn numeric_argmin_matches_nbody_closed_form() {
+    fn numeric_argmin_matches_nbody_optimizer() {
         let mp = params();
         let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
@@ -1424,7 +1409,7 @@ mod tests {
     }
 
     #[test]
-    fn numeric_power_matches_closed_form_nbody() {
+    fn numeric_power_matches_nbody_optimizer() {
         let mp = params();
         let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;

@@ -13,7 +13,7 @@
 //! sub/superscripts, so both are **re-derived from the machine model**
 //! here. For the n-body problem the derivation (with every core
 //! participating in node-level communication) reproduces the printed
-//! Eq. 17 term by term — see `eq17_closed_form_matches_generic` in the
+//! Eq. 17 term by term — see `eq17_term_by_term_matches_generic` in the
 //! tests. For matrix multiplication the printed Eq. 12's runtime says
 //! node-level transfers take `βnt·n³/(pn·√Mn)` (node-granular), while its
 //! energy line charges inter-node words at a rate inconsistent with that
@@ -247,7 +247,7 @@ mod tests {
     /// The printed Eq. 17: term-by-term closed form, compared against the
     /// generic two-level evaluation.
     #[test]
-    fn eq17_closed_form_matches_generic() {
+    fn eq17_term_by_term_matches_generic() {
         let tl = params();
         let n = 1u64 << 22;
         let f = 20.0;

@@ -1,20 +1,18 @@
 //! Execute one [`RunKey`]: model evaluation or simulator run.
 //!
 //! Both kinds look `key.alg` up in [`psse_algos::table`], the one place
-//! an algorithm name is matched, and call what they find. Model runs
-//! price through [`table::Model::price`], which reproduces the *exact*
-//! float paths of the figure benches for n-body and 2.5D matmul — a
-//! sweep routed through the lab regenerates checked-in CSVs
-//! byte-identically — and Eqs. 1–2 over the generic cost model for
-//! everything else. Simulator runs execute the real distributed
-//! algorithm on the virtual machine and price the recorded
-//! [`Profile`](psse_sim::prelude::Profile).
+//! an algorithm name is matched, and call what they find; a model key
+//! with an HBL kernel prices the kernel's derived model instead. A model
+//! run is one [`Algorithm::evaluate`]: the §V closed forms for n-body
+//! and 2.5D matmul (and kernels of their shape), so a sweep regenerates
+//! the figure benches' CSVs byte for byte, and Eqs. 1–2 for the rest.
+//! Simulator runs execute the real distributed algorithm on the virtual
+//! machine and price the recorded [`Profile`](psse_sim::prelude::Profile).
 
 use psse_algos::prelude::{measure, measure_into, sim_config_from};
 use psse_algos::table::{self, Check, Shape};
 use psse_core::costs::{clamp_memory, Algorithm};
 use psse_core::summary::finite;
-use psse_hbl::prelude::KernelCost;
 
 use crate::key::{RunKey, RunKind};
 use crate::result::{digest_f64s, RunResult};
@@ -71,51 +69,31 @@ pub fn execute_watched(
     }
 }
 
-/// Resolve a model key's memory request against the band `[lo, hi]`:
-/// `mem = 0` means "minimal memory at (n, p)", `clamp_mem` folds an
-/// out-of-band request back into the band instead of flagging it.
-/// Returns the memory to price at and whether it is feasible — the same
-/// predicate as `feasible()` in `psse_bench::figures::fig4_nbody_regions`.
-fn effective_memory(key: &RunKey, lo: f64, hi: f64) -> (f64, bool) {
+fn execute_model(key: &RunKey) -> Result<RunResult, String> {
+    let table_model;
+    let alg: &dyn Algorithm = match &key.kernel {
+        Some(model) => model.cost(),
+        None => {
+            table_model = table::model(&key.alg)?.costs(key.f, key.halo, key.iters);
+            &*table_model
+        }
+    };
+    // `mem = 0` is the least memory at (n, p); `clamp_mem` folds an
+    // out-of-band request into the band instead of flagging it, by the
+    // predicate of `feasible()` in `psse_bench::figures::fig4_nbody_regions`.
+    let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
     let mem = if key.mem == 0.0 { lo } else { key.mem };
     let mem_eff = if key.clamp_mem {
         clamp_memory(mem, lo, hi)
     } else {
         mem
     };
-    (mem_eff, (lo..=hi).contains(&mem_eff))
-}
-
-fn execute_model(key: &RunKey) -> Result<RunResult, String> {
-    if let Some(model) = &key.kernel {
-        return execute_kernel_model(key, model.cost());
-    }
-    let model = table::model(&key.alg)?;
-    let alg = model.costs(key.f, key.halo, key.iters);
-    let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
-    let (mem_eff, feasible) = effective_memory(key, lo, hi);
-    let (time, energy) = model
-        .price(&*alg, &key.machine, key.f, key.n, key.p, mem_eff)
-        .map_err(|e| e.to_string())?;
-    let mut r = RunResult::model(feasible, time, energy, mem_eff);
-    r.flops = alg.total_flops(key.n);
-    priced(r)
-}
-
-/// Model a run whose cost model was derived from an HBL kernel file
-/// (once, by [`crate::spec::SweepSpec::parse`]) instead of the
-/// hand-written table. The family dispatch inside
-/// [`psse_hbl::bridge::KernelCost::evaluate_point`] mirrors the closed
-/// forms of [`table::Model::price`], so a kernel whose derived exponents
-/// match a table algorithm prices bit-for-bit identically to it.
-fn execute_kernel_model(key: &RunKey, cost: &KernelCost) -> Result<RunResult, String> {
-    let (lo, hi) = cost.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
-    let (mem_eff, feasible) = effective_memory(key, lo, hi);
-    let cfg = cost
-        .evaluate_point(&key.machine, key.n, key.p, mem_eff)
+    let feasible = (lo..=hi).contains(&mem_eff);
+    let cfg = alg
+        .evaluate(&key.machine, key.n, key.p, mem_eff)
         .map_err(|e| e.to_string())?;
     let mut r = RunResult::model(feasible, cfg.time, cfg.energy, mem_eff);
-    r.flops = cost.total_flops(key.n);
+    r.flops = alg.total_flops(key.n);
     priced(r)
 }
 
