@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use psse_algos::table;
 use psse_core::costs::Algorithm;
+use psse_core::error::CoreError;
 use psse_core::machines::PRESETS;
+use psse_core::optimize::EnergyOptimum;
 use psse_lab::prelude::{execute, KernelModel, RunKey, RunResult};
 
 fn repo_root() -> PathBuf {
@@ -49,6 +51,29 @@ impl Fnv {
             Err(e) => self.bytes(e.as_bytes()),
         }
     }
+
+    fn optimum(&mut self, r: &Result<EnergyOptimum, CoreError>) {
+        match r {
+            Ok(o) => {
+                for x in [o.m0, o.e_star, o.p_lo, o.p_hi] {
+                    self.word(x.to_bits());
+                }
+            }
+            Err(e) => self.bytes(e.to_string().as_bytes()),
+        }
+    }
+}
+
+/// Every `specs/kernels/*.kernel`, sorted.
+fn kernel_paths() -> Vec<PathBuf> {
+    let mut kernels: Vec<PathBuf> = std::fs::read_dir(repo_root().join("specs/kernels"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "kernel"))
+        .collect();
+    kernels.sort();
+    assert_eq!(kernels.len(), 6);
+    kernels
 }
 
 const NS: [u64; 5] = [1, 2, 64, 4096, 100_000];
@@ -98,14 +123,7 @@ fn model_rows_are_pinned() {
             keys += digest_grid(&mut h, &base, &band);
         }
     }
-    let mut kernels: Vec<PathBuf> = std::fs::read_dir(repo_root().join("specs/kernels"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "kernel"))
-        .collect();
-    kernels.sort();
-    assert_eq!(kernels.len(), 6);
-    for path in &kernels {
+    for path in &kernel_paths() {
         let text = std::fs::read_to_string(path).unwrap();
         let model = Arc::new(KernelModel::compile(&text).unwrap());
         let mut base = RunKey::model(
@@ -123,6 +141,47 @@ fn model_rows_are_pinned() {
     assert_eq!(
         h.0, 0x0128_0dfd_5097_2ac3,
         "model rows moved: new digest {:#018x}",
+        h.0
+    );
+}
+
+/// The §V.A optimum (`M0`, `E*` and its processor band, or the refusal)
+/// of every table model but `strassen` and of every shipped kernel, on
+/// each preset machine at every `n` of `NS`. `strassen` is left out: its
+/// Eq. 13 search is checked against the numeric argmin in `psse-core`.
+#[test]
+fn energy_optima_are_pinned() {
+    let mut h = Fnv::new();
+    let (mut optima, mut solved) = (0, 0);
+    let mut digest = |alg: &dyn Algorithm| {
+        for (_, machine) in PRESETS {
+            let machine = machine();
+            for n in NS {
+                let opt = alg.energy_optimum(&machine, n);
+                h.optimum(&opt);
+                optima += 1;
+                solved += opt.is_ok() as usize;
+            }
+        }
+    };
+    for name in table::names(|e| e.model.is_some() && e.name != "strassen") {
+        let shapes: &[(f64, u64, u64)] = match name {
+            "nbody" => &[(20.0, 1, 4), (10.0, 1, 4)],
+            "stencil" => &[(20.0, 1, 4), (20.0, 2, 8)],
+            _ => &[(20.0, 1, 4)],
+        };
+        for &(f, halo, iters) in shapes {
+            digest(&*table::model(name).unwrap().costs(f, halo, iters));
+        }
+    }
+    for path in &kernel_paths() {
+        let text = std::fs::read_to_string(path).unwrap();
+        digest(KernelModel::compile(&text).unwrap().cost());
+    }
+    assert_eq!((optima, solved), (19 * 20, 7 * 20));
+    assert_eq!(
+        h.0, 0xbda6_273d_f40e_4b4f,
+        "energy optima moved: new digest {:#018x}",
         h.0
     );
 }
