@@ -36,7 +36,7 @@
 //! | §III's wider factorization family | Cholesky: [`crate::costs::Cholesky25d`] + `psse-algos::cholesky2d`; QR: `psse-kernels::qr` + `psse-algos::tsqr` (TSQR, incl. least squares); BLAS2: [`crate::costs::MatVec`] + `psse-algos::matvec` |
 //! | §IV LU | [`crate::costs::Lu25d`]; executable 2D factor+solve: `psse-algos::lu2d` |
 //! | §IV FFT | [`crate::costs::FftTree`] / [`crate::costs::FftAllToAll`]; executable: `psse-algos::fft` |
-//! | §V A–F optimization | [`crate::optimize::nbody`] (closed form), [`crate::optimize::matmul`], [`crate::optimize::numeric`] |
+//! | §V A–F optimization | [`crate::optimize::nbody`] (closed form); §V.A for matmul: [`crate::costs::ClassicalMatMul`] and [`crate::costs::StrassenMatMul`] `energy_optimum` over [`crate::optimize::matmul::m0`] and [`crate::optimize::strassen::m0`]; any model: [`crate::optimize::numeric`] |
 //! | §VI case study | [`crate::machines::jaketown`], [`crate::tech_scaling`] |
 //! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`] |
 //!

@@ -269,7 +269,6 @@ impl Algorithm for KernelCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psse_core::optimize::matmul::MatMulOptimizer;
     use psse_core::optimize::nbody::NBodyOptimizer;
 
     fn machine() -> MachineParams {
@@ -396,7 +395,7 @@ mod tests {
         let mm = matmul_cost();
         let m = mm.min_memory(n, p) * 2.0;
         let a = mm.evaluate(&mp, n, p, m).unwrap();
-        let b = MatMulOptimizer::new(&mp).unwrap().evaluate(n, p, m);
+        let b = ClassicalMatMul.evaluate(&mp, n, p, m).unwrap();
         assert_eq!(a.time.to_bits(), b.time.to_bits());
         assert_eq!(a.energy.to_bits(), b.energy.to_bits());
         let nb = nbody_cost();
@@ -412,13 +411,12 @@ mod tests {
     fn energy_optimum_matches_the_optimizers_and_rejects_generic() {
         let mp = machine();
         let n = 4096u64;
-        let opt = MatMulOptimizer::new(&mp).unwrap();
         let e = matmul_cost().energy_optimum(&mp, n).unwrap();
-        assert_eq!(e.m0.to_bits(), opt.m0().unwrap().to_bits());
-        assert_eq!(e.e_star.to_bits(), opt.e_star(n).unwrap().to_bits());
-        let (lo, hi) = opt.m0_processor_range(n).unwrap();
-        assert_eq!(e.p_lo.to_bits(), lo.to_bits());
-        assert_eq!(e.p_hi.to_bits(), hi.to_bits());
+        let opt = ClassicalMatMul.energy_optimum(&mp, n).unwrap();
+        assert_eq!(e.m0.to_bits(), opt.m0.to_bits());
+        assert_eq!(e.e_star.to_bits(), opt.e_star.to_bits());
+        assert_eq!(e.p_lo.to_bits(), opt.p_lo.to_bits());
+        assert_eq!(e.p_hi.to_bits(), opt.p_hi.to_bits());
         let fft = derive(&Kernel::parse("bound = fft-pebbling\n").unwrap())
             .unwrap()
             .0;

@@ -4,7 +4,6 @@
 //! respects the pmin/pmax band from `bounds.rs`.
 
 use psse_core::costs::{Algorithm, ClassicalMatMul, DirectNBody};
-use psse_core::optimize::matmul::MatMulOptimizer;
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::params::MachineParams;
 use psse_lab::prelude::*;
@@ -158,8 +157,7 @@ fn matmul_25d_frontier_respects_pmin_pmax_band() {
 
     // The frontier's minimum energy approaches the closed-form E*
     // (the grid brackets M0, so the best grid point is within a few %).
-    let opt = MatMulOptimizer::new(&machine).unwrap();
-    let e_star = opt.e_star(n).unwrap();
+    let e_star = ClassicalMatMul.energy_optimum(&machine, n).unwrap().e_star;
     let best_e = frontier
         .iter()
         .map(|&fi| pts[fi].1)
