@@ -18,7 +18,6 @@
 use super::Artifact;
 use crate::report::{banner, sci, svg_plot, Scale, Table};
 use psse_core::costs::{Algorithm, DirectNBody};
-use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::params::MachineParams;
 use psse_lab::prelude::{Lab, LabConfig, RunKey};
 
@@ -81,14 +80,14 @@ pub fn run() -> Vec<Artifact> {
     let mut out = Vec::new();
     banner("Figure 4: executions of the data-replicating n-body algorithm");
     let mp = contrived();
-    let opt = NBodyOptimizer::new(&mp, F).unwrap();
     let nb = DirectNBody {
         flops_per_interaction: F,
     };
+    let at = |p: u64, m: f64| nb.evaluate(&mp, N, p, m).unwrap();
 
-    let m0 = opt.m0().unwrap();
-    let e_star = opt.e_star(N).unwrap();
-    let (p_lo, p_hi) = opt.m0_processor_range(N).unwrap();
+    let optimum = nb.energy_optimum(&mp, N).unwrap();
+    let (m0, e_star) = (optimum.m0, optimum.e_star);
+    let (p_lo, p_hi) = (optimum.p_lo, optimum.p_hi);
     println!("n = {N}, f = {F}");
     println!("M0 (energy-optimal memory)   = {}", sci(m0));
     println!("E* (minimum energy)          = {} J", sci(e_star));
@@ -105,7 +104,7 @@ pub fn run() -> Vec<Artifact> {
     let m_hi = nb.max_useful_memory(N, 6);
     for i in 0..25 {
         let m = m_lo * (m_hi / m_lo).powf(i as f64 / 24.0);
-        let cfg = opt.evaluate(N, 50, m);
+        let cfg = at(50, m);
         ta.row(&[
             sci(m),
             sci(cfg.energy),
@@ -117,7 +116,7 @@ pub fn run() -> Vec<Artifact> {
     let e_curve: Vec<(f64, f64)> = (0..60)
         .map(|i| {
             let m = m_lo * (m_hi / m_lo).powf(i as f64 / 59.0);
-            (m, opt.evaluate(N, 50, m).energy)
+            (m, at(50, m).energy)
         })
         .collect();
     out.push((
@@ -136,7 +135,7 @@ pub fn run() -> Vec<Artifact> {
     // routed through the psse-lab batch engine: the keys expand in the
     // same nested order as the old inline loop, the pool executes them
     // on every core, and the runner prices n-body with the identical
-    // `NBodyOptimizer::evaluate` floats, so the CSV bytes are unchanged.
+    // `DirectNBody::evaluate` floats, so the CSV bytes are unchanged.
     let lab = Lab::new(LabConfig::default());
     let mut keys = Vec::new();
     for pi in 0..30 {
@@ -165,12 +164,12 @@ pub fn run() -> Vec<Artifact> {
     }
     out.push(("fig4_grid.csv", grid.to_csv()));
 
-    let t_mid = opt.evaluate(N, 30, m0).time;
+    let t_mid = at(30, m0).time;
     region_map(
         "Fig. 4(a) region: '=' cells within the feasible wedge; 'T' on the\n\
          T ≈ T(p=30, M0) contour; 'E' on the minimum-energy line M ≈ M0",
         |p, m| {
-            let cfg = opt.evaluate(N, p, m);
+            let cfg = at(p, m);
             if (m / m0).ln().abs() < 0.15 {
                 'E'
             } else if (cfg.time / t_mid).ln().abs() < 0.08 {
@@ -184,8 +183,8 @@ pub fn run() -> Vec<Artifact> {
     // Panel (b): energy budget and per-processor power budget.
     banner("Fig. 4(b): runs within an energy budget / per-processor power budget");
     let emax = e_star * 1.3;
-    let pmax_proc = opt.average_power(1.0, m0) * 1.5;
-    let m_cap = opt.max_memory_given_proc_power(pmax_proc).unwrap();
+    let pmax_proc = nb.average_power(&mp, 1.0, m0).unwrap() * 1.5;
+    let m_cap = nb.max_memory_given_proc_power(&mp, pmax_proc).unwrap();
     println!("energy budget Emax = 1.3·E* = {} J", sci(emax));
     println!(
         "per-proc power budget = {} W  → memory cap M ≤ {}",
@@ -195,7 +194,7 @@ pub fn run() -> Vec<Artifact> {
     region_map(
         "'e' = within Emax; 'w' = within per-proc power cap; 'b' = both",
         |p, m| {
-            let cfg = opt.evaluate(N, p, m);
+            let cfg = at(p, m);
             let e_ok = cfg.energy <= emax;
             let w_ok = m <= m_cap;
             match (e_ok, w_ok) {
@@ -206,7 +205,7 @@ pub fn run() -> Vec<Artifact> {
             }
         },
     );
-    let fastest = opt.min_time_given_emax(N, emax).unwrap();
+    let fastest = nb.min_time_given_emax(&mp, N, emax).unwrap();
     println!(
         "minimum runtime within Emax: T = {} s at p = {}, M = {} (2D boundary)",
         sci(fastest.time),
@@ -216,10 +215,10 @@ pub fn run() -> Vec<Artifact> {
 
     // Panel (c): runtime cap and total power budget.
     banner("Fig. 4(c): runs within a max time / total power budget");
-    let tmax = opt.tmax_threshold().unwrap() * 2.0;
+    let tmax = nb.tmax_threshold(&mp).unwrap() * 2.0;
     // Budget sized so the Tmax region and the power region overlap (the
     // paper's "minimum energy and runtime given total power limit" dot).
-    let p_total = opt.average_power(70.0, m0);
+    let p_total = nb.average_power(&mp, 70.0, m0).unwrap();
     println!(
         "runtime cap Tmax = {} s; total power budget = {} W",
         sci(tmax),
@@ -228,9 +227,9 @@ pub fn run() -> Vec<Artifact> {
     region_map(
         "'t' = meets Tmax; 'w' = within total power; 'b' = both; '.' = neither",
         |p, m| {
-            let cfg = opt.evaluate(N, p, m);
+            let cfg = at(p, m);
             let t_ok = cfg.time <= tmax;
-            let w_ok = opt.average_power(p as f64, m) <= p_total;
+            let w_ok = nb.average_power(&mp, p as f64, m).unwrap() <= p_total;
             match (t_ok, w_ok) {
                 (true, true) => 'b',
                 (true, false) => 't',
@@ -239,7 +238,7 @@ pub fn run() -> Vec<Artifact> {
             }
         },
     );
-    let cheapest = opt.min_energy_given_tmax(N, tmax).unwrap();
+    let cheapest = nb.min_energy_given_tmax(&mp, N, tmax).unwrap();
     println!(
         "minimum energy within Tmax: E = {} J at p = {}, M = {}",
         sci(cheapest.energy),
@@ -253,7 +252,7 @@ pub fn run() -> Vec<Artifact> {
     let mut best_m = 0.0;
     for mi in 0..4000 {
         let m = m_lo * (m_hi / m_lo).powf(mi as f64 / 3999.0);
-        let e = opt.evaluate(N, 50, m).energy;
+        let e = at(50, m).energy;
         if e < best_e {
             best_e = e;
             best_m = m;

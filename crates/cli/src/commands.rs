@@ -6,7 +6,6 @@ use psse_algos::table::{self, Shape};
 use psse_core::bounds::ScalingRange;
 use psse_core::costs::{Algorithm, DirectNBody};
 use psse_core::machines::{jaketown, table2};
-use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
 use psse_core::optimize::{EnergyOptimum, RunConfig};
 use psse_core::params::{MachineParams, OVERRIDES};
@@ -239,12 +238,28 @@ fn not_a_run(cfg: &RunConfig, n: u64) -> Option<String> {
     if cfg.p < 1.0 {
         Some(format!("infeasible, it needs p = {} < 1", fmt(cfg.p)))
     } else if cfg.p > nf * nf {
+        // A `p` past what an f64 holds is not printed.
+        let p = match cfg.p.is_finite() {
+            true => format!("p = {}", fmt(cfg.p)),
+            false => "p".into(),
+        };
         Some(format!(
-            "infeasible, it needs p = {} > n^2 (under one word per processor)",
-            fmt(cfg.p)
+            "infeasible, it needs {p} > n^2 (under one word per processor)"
         ))
     } else {
         None
+    }
+}
+
+/// `--key`'s target (`--tmax`, `--emax`): a number above 0, `inf` for
+/// none, refused by name before anything is printed.
+fn target(args: &Args, key: &str) -> Result<Option<f64>, String> {
+    match args.value(key, NUMBER)? {
+        Some(x) if x.is_nan() || x <= 0.0 => Err(format!(
+            "--{key} must be a number above 0 (inf: none), got `{}`",
+            args.raw(key).unwrap_or_default()
+        )),
+        x => Ok(x),
     }
 }
 
@@ -253,19 +268,21 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     let n = problem_size(args)?;
     let f = args.get(&F)?;
     // Refused before anything is printed.
+    let tmax = target(args, "tmax")?;
+    let emax = target(args, "emax")?;
     let power_total: Option<f64> = args.value("power-total", POSITIVE)?;
     let power_proc: Option<f64> = args.value("power-proc", POSITIVE)?;
-    let opt = NBodyOptimizer::new(&mp, f).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
     let nbody = DirectNBody {
         flops_per_interaction: f,
     };
+    let price = |p: u64, mem: f64| nbody.evaluate(&mp, n, p, mem).map_err(|e| e.to_string());
     match nbody.energy_optimum(&mp, n) {
         Ok(optimum) => {
             if !print_optimum(out, n, &optimum)? {
                 // Energy still falls with M below M0, and one processor
                 // holding the whole problem is all the memory it can use.
-                let cfg = finite_run(opt.evaluate(n, 1, n as f64))?;
+                let cfg = finite_run(price(1, n as f64)?)?;
                 let _ = writeln!(
                     out,
                     "feasible minimum: E = {} J at p = 1, M = {} (T = {} s)",
@@ -279,12 +296,23 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             let _ = writeln!(out, "no interior optimum: {e}");
         }
     }
-    if let Some(tmax) = args.value("tmax", NUMBER)? {
-        let cfg = opt
-            .min_energy_given_tmax(n, tmax)
+    // The fastest run there is: the end of the 2-D boundary (p = n²,
+    // M = n/√p = 1).
+    let p_end = n.saturating_mul(n);
+    let end = || price(p_end, n as f64 / (p_end as f64).sqrt());
+    if let Some(tmax) = tmax {
+        let cfg = nbody
+            .min_energy_given_tmax(&mp, n, tmax)
             .map_err(|e| e.to_string())?;
-        let cfg = finite_run(cfg)?;
-        let _ = match not_a_run(&cfg, n) {
+        // A deadline the boundary's end misses needs p > n², which can
+        // be past what an f64 holds: no run, not an overflow. (An end
+        // whose own T overflows leaves the blame on the prices.)
+        let missed = |t: f64| t > tmax && t.is_finite();
+        let why = match not_a_run(&cfg, n) {
+            Some(why) if missed(end()?.time) => Some(why),
+            _ => not_a_run(&finite_run(cfg)?, n),
+        };
+        let _ = match why {
             Some(why) => writeln!(out, "cheapest run within Tmax = {} s: {why}", fmt(tmax)),
             None => writeln!(
                 out,
@@ -296,18 +324,16 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             ),
         };
     }
-    if let Some(emax) = args.value("emax", NUMBER)? {
-        let mut cfg = opt
-            .min_time_given_emax(n, emax)
+    if let Some(emax) = emax {
+        let mut cfg = nbody
+            .min_time_given_emax(&mp, n, emax)
             .map_err(|e| e.to_string())?;
         // §V.C solves its quadratic on the 2-D boundary wherever the
-        // root falls. Past the boundary's end (p = n², M = 1) the budget
-        // is not what limits the run: the fastest one is the end itself,
-        // if it fits.
-        let p_end = n.saturating_mul(n);
+        // root falls. Past the boundary's end the budget is not what
+        // limits the run: the fastest one is the end itself, if it fits.
         let mut note = "";
         if cfg.p > p_end as f64 {
-            let end = opt.min_time(n, p_end);
+            let end = end()?;
             if end.energy <= emax {
                 cfg = end;
                 note = " (the 2-D boundary ends here: the budget is not binding)";
@@ -327,8 +353,8 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
         };
     }
     if let Some(power_total) = power_total {
-        if let Ok(m0) = opt.m0() {
-            let p_max = opt.max_p_given_total_power(power_total, m0);
+        let m0 = nbody.m0(&mp);
+        if let Ok(p_max) = m0.and_then(|m0| nbody.max_p_given_total_power(&mp, power_total, m0)) {
             let _ = writeln!(
                 out,
                 "total power {} W at M0 allows p <= {}",
@@ -338,7 +364,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
         }
     }
     if let Some(power_proc) = power_proc {
-        match opt.max_memory_given_proc_power(power_proc) {
+        match nbody.max_memory_given_proc_power(&mp, power_proc) {
             Ok(m) => {
                 let _ = writeln!(
                     out,
@@ -352,7 +378,7 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
             }
         }
     }
-    if let Ok(g) = opt.gflops_per_watt_at_optimum() {
+    if let Ok(g) = nbody.gflops_per_watt_at_optimum(&mp) {
         let _ = writeln!(
             out,
             "best-case efficiency: {} GFLOPS/W (size-independent)",

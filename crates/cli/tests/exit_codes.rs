@@ -481,7 +481,7 @@ fn non_finite_prices_targets_and_caps_exit_nonzero_naming_the_flag() {
         "simulate", "--alg", "mm25d", "--n", "32", "--p", "8", "--c", "2",
     ];
     let replay = ["trace", "replay", "--in", &trace];
-    let cases: [(Vec<&str>, &str); 9] = [
+    let cases: [(Vec<&str>, &str); 13] = [
         // An infinite price is refused by the validators...
         ([&simulate[..], &["--beta-t", "inf"]].concat(), "beta_t"),
         ([&replay[..], &["--beta-t", "inf"]].concat(), "beta_t"),
@@ -505,6 +505,11 @@ fn non_finite_prices_targets_and_caps_exit_nonzero_naming_the_flag() {
             vec!["optimize", "--n", "1e6", "--power-proc", "-3"],
             "--power-proc",
         ),
+        // A NaN budget used to pass `emax < E*` and blame the prices.
+        (vec!["optimize", "--n", "1e5", "--emax", "nan"], "--emax"),
+        (vec!["optimize", "--n", "1e5", "--emax", "0"], "--emax"),
+        (vec!["optimize", "--n", "1e5", "--tmax", "nan"], "--tmax"),
+        (vec!["optimize", "--n", "1e5", "--tmax", "-1"], "--tmax"),
     ];
     for (args, flag) in cases {
         assert_refused_naming(&args, flag);
@@ -559,6 +564,20 @@ fn optimize_reports_answers_that_are_not_runs() {
         .unwrap_or_else(|| panic!("no Emax line in: {stdout}"));
     assert!(line.contains("at p = 1.0000e10, M = 1.0000"), "{line}");
     assert!(line.contains("not binding"), "{line}");
+
+    // Deadlines even p = n² misses, whose 2-D p is past what an f64
+    // holds: the parent blamed the prices ("E overflows", exit 1) at
+    // 5e-324 and printed `p = inf` at 1e-300.
+    for tmax in ["5e-324", "1e-300"] {
+        let out = psse(&["optimize", "--n", "100000", "--tmax", tmax]);
+        assert!(out.status.success(), "{tmax}: {}", stderr_line(&out));
+        assert!(!prints_non_finite(&out), "{tmax}");
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(
+            stdout.contains("s: infeasible, it needs p > n^2"),
+            "{tmax}: {stdout}"
+        );
+    }
 }
 
 #[test]

@@ -19,12 +19,11 @@
 //! every term of `E = p·(...)` is independent of `p`.
 
 use crate::bounds::ScalingRange;
-use crate::energy::{e_matmul_25d, e_matmul_fast_lm};
+use crate::energy::{e_matmul_25d, e_matmul_fast_lm, e_nbody};
 use crate::error::CoreError;
-use crate::optimize::nbody::NBodyOptimizer;
 use crate::optimize::{matmul, strassen, EnergyOptimum, RunConfig};
 use crate::params::MachineParams;
-use crate::time::t_matmul_25d;
+use crate::time::{t_matmul_25d, t_nbody};
 use crate::Real;
 
 /// Per-processor critical-path costs of one algorithm execution.
@@ -200,6 +199,28 @@ pub fn check_memory(m: Real, lo: Real, hi: Real) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// The §V.A optimum `M0`, `E*` of `alg` and its band: `alg`'s perfect
+/// strong scaling range at `M0`.
+fn optimum_at(
+    alg: &dyn Algorithm,
+    n: u64,
+    m0: Real,
+    e_star: Real,
+) -> Result<EnergyOptimum, CoreError> {
+    let band = alg.strong_scaling_range(n, m0).ok_or_else(|| {
+        CoreError::Infeasible(format!(
+            "{} has no perfect strong scaling range",
+            alg.name()
+        ))
+    })?;
+    Ok(EnergyOptimum {
+        m0,
+        e_star,
+        p_lo: band.p_min,
+        p_hi: band.p_max,
+    })
+}
+
 /// Classical `O(n³)` matrix multiplication executed with the 2.5D
 /// algorithm of Solomonik & Demmel (paper Eq. 8):
 ///
@@ -274,16 +295,10 @@ impl Algorithm for ClassicalMatMul {
     }
 
     /// [`matmul::m0`], `E* = E(n, M0)` (Eq. 10) and `M0`'s perfect
-    /// strong scaling range `n²/M0 ≤ p ≤ n³/M0^(3/2)`.
+    /// strong scaling range.
     fn energy_optimum(&self, machine: &MachineParams, n: u64) -> Result<EnergyOptimum, CoreError> {
         let m0 = matmul::m0(machine)?;
-        let nf = n as Real;
-        Ok(EnergyOptimum {
-            m0,
-            e_star: e_matmul_25d(machine, n, m0),
-            p_lo: nf * nf / m0,
-            p_hi: nf * nf * nf / m0.powf(1.5),
-        })
+        optimum_at(self, n, m0, e_matmul_25d(machine, n, m0))
     }
 }
 
@@ -358,16 +373,10 @@ impl Algorithm for StrassenMatMul {
     }
 
     /// [`strassen::m0`], `E* = E(n, M0)` (Eq. 13) and `M0`'s perfect
-    /// strong scaling range `n²/M0 ≤ p ≤ n^ω/M0^(ω/2)`.
+    /// strong scaling range.
     fn energy_optimum(&self, machine: &MachineParams, n: u64) -> Result<EnergyOptimum, CoreError> {
         let m0 = strassen::m0(machine, self.omega)?;
-        let nf = n as Real;
-        Ok(EnergyOptimum {
-            m0,
-            e_star: e_matmul_fast_lm(machine, n, m0, self.omega),
-            p_lo: nf * nf / m0,
-            p_hi: nf.powf(self.omega) / m0.powf(self.omega / 2.0),
-        })
+        optimum_at(self, n, m0, e_matmul_fast_lm(machine, n, m0, self.omega))
     }
 }
 
@@ -562,18 +571,24 @@ impl Algorithm for DirectNBody {
         p: u64,
         m_words: Real,
     ) -> Result<RunConfig, CoreError> {
-        Ok(NBodyOptimizer::new(machine, self.flops_per_interaction)?.evaluate(n, p, m_words))
+        self.coefficients(machine)?;
+        let f = self.flops_per_interaction;
+        Ok(RunConfig {
+            p: p as Real,
+            mem: m_words,
+            time: t_nbody(machine, n, p, m_words, f),
+            energy: e_nbody(machine, n, m_words, f),
+        })
     }
 
+    /// [`DirectNBody::m0`], paper Eq. 18's `E* = n²·(A + 2·sqrt(D·B))`
+    /// and `M0`'s perfect strong scaling range (the green "minimum
+    /// energy runs" line of paper Fig. 4).
     fn energy_optimum(&self, machine: &MachineParams, n: u64) -> Result<EnergyOptimum, CoreError> {
-        let opt = NBodyOptimizer::new(machine, self.flops_per_interaction)?;
-        let (p_lo, p_hi) = opt.m0_processor_range(n)?;
-        Ok(EnergyOptimum {
-            m0: opt.m0()?,
-            e_star: opt.e_star(n)?,
-            p_lo,
-            p_hi,
-        })
+        let (a, b, d) = self.coefficients(machine)?;
+        let m0 = self.m0(machine)?;
+        let nf = n as Real;
+        optimum_at(self, n, m0, nf * nf * (a + 2.0 * (d * b).sqrt()))
     }
 }
 

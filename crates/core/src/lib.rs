@@ -100,7 +100,6 @@ pub mod prelude {
     };
     pub use crate::error::CoreError;
     pub use crate::machines::{jaketown, table2, MachineSpec};
-    pub use crate::optimize::nbody::NBodyOptimizer;
     pub use crate::optimize::resilience::{
         daly_optimal_interval, overhead_fraction, resilience_energy,
     };

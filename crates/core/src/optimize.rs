@@ -10,11 +10,12 @@
 //! 5. Given a target GFLOPS/W, constrain the machine parameters.
 //!
 //! [`nbody`] answers all of them **in closed form** for the direct n-body
-//! problem, following §V A–F line by line (with one sign fix relative to
-//! the paper's Eq. 20, documented at
-//! [`nbody::NBodyOptimizer::max_memory_given_proc_power`]).
+//! problem, as methods of [`crate::costs::DirectNBody`], following §V A–F
+//! line by line (with one sign fix relative to the paper's Eq. 20,
+//! documented at [`crate::costs::DirectNBody::max_memory_given_proc_power`]).
 //! [`matmul::m0`] and [`strassen::m0`] answer question 1 for classical
-//! and fast matmul, through those models' [`Algorithm::energy_optimum`].
+//! and fast matmul. Each model's [`Algorithm::energy_optimum`] builds
+//! `M0`'s band from its own perfect strong scaling range.
 //! [`numeric`] answers the same questions for *any* [`Algorithm`]
 //! (classical and Strassen matmul in particular, cf. the technical report
 //! version of the paper) by golden-section search over `M` and
@@ -54,55 +55,32 @@ pub struct EnergyOptimum {
     pub p_hi: Real,
 }
 
-/// Closed-form §V results for the direct n-body problem.
+/// Closed-form §V results for the direct n-body problem: all of paper
+/// §V A–F, as methods of [`crate::costs::DirectNBody`] on a machine.
+/// Each refuses a machine [`MachineParams::validate`] refuses and an `f`
+/// that is not finite and positive; `M0`, `E*` and its band are
+/// [`Algorithm::energy_optimum`].
 pub mod nbody {
     use super::*;
+    use crate::costs::DirectNBody;
     use crate::energy::e_nbody;
     use crate::time::t_nbody;
 
-    /// Optimizer for the data-replicating direct n-body algorithm on a
-    /// fixed machine (all of paper §V A–F).
-    #[derive(Debug, Clone)]
-    pub struct NBodyOptimizer<'a> {
-        params: &'a MachineParams,
-        /// Flops per pairwise interaction (`f`).
-        pub f: Real,
-    }
-
-    impl<'a> NBodyOptimizer<'a> {
-        /// Create an optimizer for machine `params` and interaction cost
-        /// `f` flops.
-        pub fn new(params: &'a MachineParams, f: Real) -> Result<Self, CoreError> {
-            params.validate()?;
-            if !(f > 0.0) || !f.is_finite() {
-                return Err(CoreError::InvalidParameter {
-                    name: "flops_per_interaction",
-                    value: f,
-                });
-            }
-            Ok(NBodyOptimizer { params, f })
-        }
-
-        /// Effective per-word time `βt + αt/m`.
-        fn bt(&self) -> Real {
-            self.params.beta_t_eff()
-        }
-
-        /// The coefficient `A = f·(γe + γt·εe) + δe·(βt + αt/m)` — the
-        /// `M`- and `p`-independent part of `E/n²` (§V.C).
-        pub fn coeff_a(&self) -> Real {
-            self.f * self.params.gamma_e_leak() + self.params.delta_e * self.bt()
-        }
-
-        /// The coefficient `B = (βe + βt·εe) + (αe + αt·εe)/m` — the
-        /// communication-energy coefficient of `n²/M` (§V.C).
-        pub fn coeff_b(&self) -> Real {
-            self.params.beta_e_leak()
-        }
-
-        /// The memory-energy coefficient `D = δe·γt·f` of `M·n²`.
-        pub fn coeff_d(&self) -> Real {
-            self.params.delta_e * self.params.gamma_t * self.f
+    impl DirectNBody {
+        /// The machine and `f` checked, and the coefficients of §V.C:
+        /// `A = f·(γe + γt·εe) + δe·(βt + αt/m)`, the `M`- and
+        /// `p`-independent part of `E/n²`; `B = (βe + βt·εe) +
+        /// (αe + αt·εe)/m`, that of `n²/M`; and `D = δe·γt·f`, that of
+        /// `M·n²`.
+        pub(crate) fn coefficients(
+            &self,
+            mp: &MachineParams,
+        ) -> Result<(Real, Real, Real), CoreError> {
+            mp.validate()?;
+            let f = self.flops_per_interaction;
+            require(f > 0.0 && f.is_finite(), "flops_per_interaction", f)?;
+            let a = f * mp.gamma_e_leak() + mp.delta_e * mp.beta_t_eff();
+            Ok((a, mp.beta_e_leak(), mp.delta_e * mp.gamma_t * f))
         }
 
         /// §V.A: the energy-optimal memory per processor,
@@ -110,8 +88,8 @@ pub mod nbody {
         ///
         /// Using more memory than `M0` wastes energy keeping DRAM
         /// powered; using less wastes energy on extra communication.
-        pub fn m0(&self) -> Result<Real, CoreError> {
-            let d = self.coeff_d();
+        pub fn m0(&self, mp: &MachineParams) -> Result<Real, CoreError> {
+            let (_, b, d) = self.coefficients(mp)?;
             if d <= 0.0 {
                 return Err(CoreError::Infeasible(
                     "M0 undefined: no memory energy cost (delta_e·gamma_t·f = 0); \
@@ -119,47 +97,16 @@ pub mod nbody {
                         .into(),
                 ));
             }
-            Ok((self.coeff_b() / d).sqrt())
-        }
-
-        /// §V.A, paper Eq. 18: the global minimum energy
-        /// `E* = n²·(A + 2·sqrt(D·B))`, attained at `M = M0` for any `p`
-        /// in [`Self::m0_processor_range`].
-        pub fn e_star(&self, n: u64) -> Result<Real, CoreError> {
-            let _ = self.m0()?; // validate D > 0
-            let nf = n as Real;
-            Ok(nf * nf * (self.coeff_a() + 2.0 * (self.coeff_d() * self.coeff_b()).sqrt()))
-        }
-
-        /// The processor counts at which `M = M0` is feasible:
-        /// `n/M0 ≤ p ≤ n²/M0²` (the green "minimum energy runs" line of
-        /// paper Fig. 4).
-        pub fn m0_processor_range(&self, n: u64) -> Result<(Real, Real), CoreError> {
-            let m0 = self.m0()?;
-            let nf = n as Real;
-            Ok((nf / m0, nf * nf / (m0 * m0)))
-        }
-
-        /// §V.A: minimum runtime uses as many processors as available and
-        /// the 2D limit `M = n/√p`.
-        pub fn min_time(&self, n: u64, p: u64) -> RunConfig {
-            let nf = n as Real;
-            let mem = nf / (p as Real).sqrt();
-            RunConfig {
-                p: p as Real,
-                mem,
-                time: t_nbody(self.params, n, p, mem, self.f),
-                energy: e_nbody(self.params, n, mem, self.f),
-            }
+            Ok((b / d).sqrt())
         }
 
         /// The runtime threshold of §V.B: the minimum energy `E*` is
         /// attainable within a deadline `Tmax` iff
         /// `Tmax ≥ γt·f·M0² + (βt + αt/m)·M0`
         /// (the runtime at `M = M0`, `p = n²/M0²`).
-        pub fn tmax_threshold(&self) -> Result<Real, CoreError> {
-            let m0 = self.m0()?;
-            Ok(self.params.gamma_t * self.f * m0 * m0 + self.bt() * m0)
+        pub fn tmax_threshold(&self, mp: &MachineParams) -> Result<Real, CoreError> {
+            let m0 = self.m0(mp)?;
+            Ok(mp.gamma_t * self.flops_per_interaction * m0 * m0 + mp.beta_t_eff() * m0)
         }
 
         /// §V.B: minimize energy subject to `T ≤ Tmax`.
@@ -168,36 +115,41 @@ pub mod nbody {
         /// `p = n²/M0²`. Otherwise the deadline forces
         /// `p ≥ pmin(Tmax)` (paper's quadratic) and the cheapest compliant
         /// run is the 2D run at exactly `p = pmin`.
-        pub fn min_energy_given_tmax(&self, n: u64, tmax: Real) -> Result<RunConfig, CoreError> {
+        pub fn min_energy_given_tmax(
+            &self,
+            mp: &MachineParams,
+            n: u64,
+            tmax: Real,
+        ) -> Result<RunConfig, CoreError> {
+            self.coefficients(mp)?;
             if !(tmax > 0.0) {
                 return Err(CoreError::Infeasible(format!(
                     "Tmax = {tmax} must be positive"
                 )));
             }
-            let nf = n as Real;
-            let m0 = self.m0()?;
-            if tmax >= self.tmax_threshold()? {
-                let p = nf * nf / (m0 * m0);
+            let threshold = self.tmax_threshold(mp)?;
+            if tmax >= threshold {
+                let opt = self.energy_optimum(mp, n)?;
                 return Ok(RunConfig {
-                    p,
-                    mem: m0,
-                    time: self.tmax_threshold()?,
-                    energy: self.e_star(n)?,
+                    p: opt.p_hi,
+                    mem: opt.m0,
+                    time: threshold,
+                    energy: opt.e_star,
                 });
             }
             // pmin from the paper's quadratic: at the 2D limit M = n/√p,
             // Tmax = γt·f·n²/p + bt·n/√p. With x = √p:
             // Tmax·x² − bt·n·x − γt·f·n² = 0.
-            let bt = self.bt();
-            let disc = bt * bt * nf * nf + 4.0 * tmax * self.params.gamma_t * self.f * nf * nf;
+            let (nf, f) = (n as Real, self.flops_per_interaction);
+            let bt = mp.beta_t_eff();
+            let disc = bt * bt * nf * nf + 4.0 * tmax * mp.gamma_t * f * nf * nf;
             let x = (bt * nf + disc.sqrt()) / (2.0 * tmax);
-            let p = x * x;
             let mem = nf / x;
             Ok(RunConfig {
-                p,
+                p: x * x,
                 mem,
                 time: tmax,
-                energy: e_nbody(self.params, n, mem, self.f),
+                energy: e_nbody(mp, n, mem, f),
             })
         }
 
@@ -210,18 +162,21 @@ pub mod nbody {
         /// (paper's quadratic, `A`/`B` as in §V.C). The root is not
         /// held to the boundary's own end (`M ≥ 1`, i.e. `p ≤ n²`): a
         /// loose budget passes it, and the fastest real run is then
-        /// [`Self::min_time`] at `p = n²`.
-        pub fn min_time_given_emax(&self, n: u64, emax: Real) -> Result<RunConfig, CoreError> {
-            let e_star = self.e_star(n)?;
+        /// the 2D run at `p = n²`.
+        pub fn min_time_given_emax(
+            &self,
+            mp: &MachineParams,
+            n: u64,
+            emax: Real,
+        ) -> Result<RunConfig, CoreError> {
+            let (a, b, d) = self.coefficients(mp)?;
+            let e_star = self.energy_optimum(mp, n)?.e_star;
             if emax < e_star {
                 return Err(CoreError::Infeasible(format!(
                     "energy budget {emax} J below minimum attainable {e_star} J"
                 )));
             }
-            let nf = n as Real;
-            let a = self.coeff_a();
-            let b = self.coeff_b();
-            let d = self.coeff_d();
+            let (nf, f) = (n as Real, self.flops_per_interaction);
             let rhs = emax - a * nf * nf;
             // Discriminant of B·n·x² − rhs·x + D·n³ = 0.
             let disc = rhs * rhs - 4.0 * b * nf * d * nf * nf * nf;
@@ -238,28 +193,33 @@ pub mod nbody {
             Ok(RunConfig {
                 p,
                 mem,
-                time: t_nbody(self.params, n, p.round().max(1.0) as u64, mem, self.f),
-                energy: e_nbody(self.params, n, mem, self.f),
+                time: t_nbody(mp, n, p.round().max(1.0) as u64, mem, f),
+                energy: e_nbody(mp, n, mem, f),
             })
         }
 
         /// §V.D: average power of a run,
         /// `P = p·((γe·f + βe/M + αe/(m·M)) / (γt·f + βt/M + αt/(m·M))
         ///        + δe·M + εe)`.
-        pub fn average_power(&self, p: Real, mem: Real) -> Real {
-            let mp = self.params;
-            let num =
-                mp.gamma_e * self.f + mp.beta_e / mem + mp.alpha_e / (mp.max_message_words * mem);
-            let den =
-                mp.gamma_t * self.f + mp.beta_t / mem + mp.alpha_t / (mp.max_message_words * mem);
-            p * (num / den + mp.delta_e * mem + mp.epsilon_e)
+        pub fn average_power(
+            &self,
+            mp: &MachineParams,
+            p: Real,
+            mem: Real,
+        ) -> Result<Real, CoreError> {
+            self.coefficients(mp)?;
+            Ok(power(mp, self.flops_per_interaction, p, mem))
         }
 
         /// §V.D, paper Eq. 19: the largest processor count allowed by a
         /// **total** power budget at memory `mem`.
-        pub fn max_p_given_total_power(&self, p_total_max: Real, mem: Real) -> Real {
-            let per_proc = self.average_power(1.0, mem);
-            p_total_max / per_proc
+        pub fn max_p_given_total_power(
+            &self,
+            mp: &MachineParams,
+            p_total_max: Real,
+            mem: Real,
+        ) -> Result<Real, CoreError> {
+            Ok(p_total_max / self.average_power(mp, 1.0, mem)?)
         }
 
         /// §V.E, paper Eq. 20 (sign-corrected): the largest memory per
@@ -276,14 +236,18 @@ pub mod nbody {
         /// `4·δe·γt·f·D'` discriminant. We implement the re-derivation
         /// (property-tested: the returned `M` satisfies the original
         /// inequality with equality).
-        pub fn max_memory_given_proc_power(&self, p_max: Real) -> Result<Real, CoreError> {
-            let mp = self.params;
-            let bt = self.bt();
+        pub fn max_memory_given_proc_power(
+            &self,
+            mp: &MachineParams,
+            p_max: Real,
+        ) -> Result<Real, CoreError> {
+            let (_, _, a2) = self.coefficients(mp)?; // quadratic coefficient
+            let f = self.flops_per_interaction;
+            let bt = mp.beta_t_eff();
             let be = mp.beta_e + mp.alpha_e / mp.max_message_words;
-            let a2 = mp.delta_e * mp.gamma_t * self.f; // quadratic coefficient
-            let c = mp.gamma_t * self.f * p_max
-                - mp.gamma_e * self.f
-                - mp.epsilon_e * mp.gamma_t * self.f
+            let c = mp.gamma_t * f * p_max
+                - mp.gamma_e * f
+                - mp.epsilon_e * mp.gamma_t * f
                 - mp.delta_e * bt;
             let d = be - (p_max - mp.epsilon_e) * bt;
             if a2 <= 0.0 {
@@ -308,13 +272,14 @@ pub mod nbody {
         /// §V.F: the machine's best-case energy efficiency for this
         /// problem, `f·n²/E*` flops per joule — independent of `n`, `p`
         /// and `M`, hence a pure constraint on machine parameters.
-        pub fn flops_per_joule_at_optimum(&self) -> Result<Real, CoreError> {
-            Ok(self.f / (self.coeff_a() + 2.0 * (self.coeff_d() * self.coeff_b()).sqrt()))
+        pub fn flops_per_joule_at_optimum(&self, mp: &MachineParams) -> Result<Real, CoreError> {
+            let (a, b, d) = self.coefficients(mp)?;
+            Ok(self.flops_per_interaction / (a + 2.0 * (d * b).sqrt()))
         }
 
         /// §V.F in GFLOPS/W (the paper's unit).
-        pub fn gflops_per_watt_at_optimum(&self) -> Result<Real, CoreError> {
-            Ok(self.flops_per_joule_at_optimum()? / 1e9)
+        pub fn gflops_per_watt_at_optimum(&self, mp: &MachineParams) -> Result<Real, CoreError> {
+            Ok(self.flops_per_joule_at_optimum(mp)? / 1e9)
         }
 
         /// §V.F inverted: the factor by which **all** energy parameters
@@ -324,9 +289,10 @@ pub mod nbody {
         /// the ratio of target to current efficiency.
         pub fn energy_improvement_for_target(
             &self,
+            mp: &MachineParams,
             target_gflops_w: Real,
         ) -> Result<Real, CoreError> {
-            let current = self.gflops_per_watt_at_optimum()?;
+            let current = self.gflops_per_watt_at_optimum(mp)?;
             if current <= 0.0 {
                 return Err(CoreError::Infeasible(
                     "current efficiency is zero; target unreachable by scaling".into(),
@@ -343,9 +309,14 @@ pub mod nbody {
         /// one-dimensional profile `P(M) = (n/M)·g(M)` is minimized by a
         /// log-grid scan refined with golden section. Returns the
         /// configuration and its average power.
-        pub fn min_average_power(&self, n: u64) -> Result<(RunConfig, Real), CoreError> {
-            let nf = n as Real;
-            let profile = |m: Real| self.average_power(nf / m, m);
+        pub fn min_average_power(
+            &self,
+            mp: &MachineParams,
+            n: u64,
+        ) -> Result<(RunConfig, Real), CoreError> {
+            self.coefficients(mp)?;
+            let (nf, f) = (n as Real, self.flops_per_interaction);
+            let profile = |m: Real| power(mp, f, nf / m, m);
             // Coarse scan over M ∈ [4, n].
             let (lo, hi) = (4.0_f64, nf);
             if hi <= lo {
@@ -380,23 +351,25 @@ pub mod nbody {
             let cfg = RunConfig {
                 p,
                 mem: m,
-                time: crate::time::t_nbody(self.params, n, p.round().max(1.0) as u64, m, self.f),
-                energy: crate::energy::e_nbody(self.params, n, m, self.f),
+                time: t_nbody(mp, n, p.round().max(1.0) as u64, m, f),
+                energy: e_nbody(mp, n, m, f),
             };
             Ok((cfg, pw))
         }
-
-        /// Evaluate `(T, E)` at an explicit `(p, M)` (for region plots
-        /// like paper Fig. 4).
-        pub fn evaluate(&self, n: u64, p: u64, mem: Real) -> RunConfig {
-            RunConfig {
-                p: p as Real,
-                mem,
-                time: t_nbody(self.params, n, p, mem, self.f),
-                energy: e_nbody(self.params, n, mem, self.f),
-            }
-        }
     }
+
+    /// [`DirectNBody::average_power`] on a checked machine and `f`.
+    fn power(mp: &MachineParams, f: Real, p: Real, mem: Real) -> Real {
+        let num = mp.gamma_e * f + mp.beta_e / mem + mp.alpha_e / (mp.max_message_words * mem);
+        let den = mp.gamma_t * f + mp.beta_t / mem + mp.alpha_t / (mp.max_message_words * mem);
+        p * (num / den + mp.delta_e * mem + mp.epsilon_e)
+    }
+}
+
+/// `Ok` if `ok`, else the refusal of the parameter `name = value`.
+fn require(ok: bool, name: &'static str, value: Real) -> Result<(), CoreError> {
+    ok.then_some(())
+        .ok_or(CoreError::InvalidParameter { name, value })
 }
 
 /// The energy coefficients shared by classical and fast matmul: `B` of
@@ -490,12 +463,7 @@ pub mod strassen {
     /// bracket's limits (`1e-300`, `1e300`) is refused, not answered with
     /// the limit.
     pub fn m0(params: &MachineParams, omega: Real) -> Result<Real, CoreError> {
-        if !(omega > 2.0 && omega <= 3.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "omega",
-                value: omega,
-            });
-        }
+        require(omega > 2.0 && omega <= 3.0, "omega", omega)?;
         let (b, c, d) = matmul_coefficients(params)?;
         let per_unit =
             |m: Real| b * m.powf(1.0 - omega / 2.0) + c * m + d * m.powf(2.0 - omega / 2.0);
@@ -661,18 +629,6 @@ pub mod numeric {
         constrained_min(alg, params, n, p_candidates, |t, _| t, over, none_fits)
     }
 
-    /// Average power `E/T` of `alg` at an explicit `(p, M)`.
-    pub fn average_power(
-        alg: &dyn Algorithm,
-        params: &MachineParams,
-        n: u64,
-        p: u64,
-        m: Real,
-    ) -> Result<Real, CoreError> {
-        let r = params.price(p, &alg.costs(n, p, m, params)?, m);
-        Ok(r.energy / r.time)
-    }
-
     /// Question 4a (min runtime under a **total** power cap): sweep `p`,
     /// minimize time over `M` subject to `E/T ≤ p_total_max`.
     pub fn min_time_given_total_power(
@@ -742,18 +698,8 @@ pub mod resilience {
     /// expected failure-free stretch) the model degenerates and the
     /// first-order guard `τ = M` is returned.
     pub fn daly_optimal_interval(delta: Real, mtbf: Real) -> Result<Real, CoreError> {
-        if !(delta >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "delta",
-                value: delta,
-            });
-        }
-        if !(mtbf > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "mtbf",
-                value: mtbf,
-            });
-        }
+        require(delta >= 0.0, "delta", delta)?;
+        require(mtbf > 0.0, "mtbf", mtbf)?;
         if delta >= 2.0 * mtbf {
             return Ok(mtbf);
         }
@@ -767,24 +713,9 @@ pub mod resilience {
     /// unit of useful work. Valid for `τ ≪ M`; minimized near
     /// [`daly_optimal_interval`].
     pub fn overhead_fraction(delta: Real, tau: Real, mtbf: Real) -> Result<Real, CoreError> {
-        if !(tau > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "tau",
-                value: tau,
-            });
-        }
-        if !(mtbf > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "mtbf",
-                value: mtbf,
-            });
-        }
-        if !(delta >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "delta",
-                value: delta,
-            });
-        }
+        require(tau > 0.0, "tau", tau)?;
+        require(mtbf > 0.0, "mtbf", mtbf)?;
+        require(delta >= 0.0, "delta", delta)?;
         Ok(delta / tau + tau / (2.0 * mtbf))
     }
 
@@ -809,7 +740,6 @@ pub mod resilience {
 
 #[cfg(test)]
 mod tests {
-    use super::nbody::NBodyOptimizer;
     use super::numeric::*;
     use super::*;
     use crate::costs::{Algorithm, ClassicalMatMul, DirectNBody};
@@ -832,12 +762,14 @@ mod tests {
     }
 
     const F: Real = 20.0;
+    const NB: DirectNBody = DirectNBody {
+        flops_per_interaction: F,
+    };
 
     #[test]
     fn m0_is_the_argmin_of_energy() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
-        let m0 = opt.m0().unwrap();
+        let m0 = NB.m0(&mp).unwrap();
         let n = 1u64 << 22;
         let e0 = e_nbody(&mp, n, m0, F);
         // Any perturbation of M increases energy.
@@ -857,40 +789,34 @@ mod tests {
     #[test]
     fn e_star_matches_energy_at_m0() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let e_star = opt.e_star(n).unwrap();
-        let direct = e_nbody(&mp, n, opt.m0().unwrap(), F);
+        let e_star = NB.energy_optimum(&mp, n).unwrap().e_star;
+        let direct = e_nbody(&mp, n, NB.m0(&mp).unwrap(), F);
         assert!((e_star - direct).abs() / direct < 1e-12);
     }
 
     #[test]
-    fn m0_processor_range_brackets_feasibility() {
+    fn energy_optimum_band_brackets_feasibility() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let (p_lo, p_hi) = opt.m0_processor_range(n).unwrap();
-        let m0 = opt.m0().unwrap();
-        let nb = DirectNBody {
-            flops_per_interaction: F,
-        };
+        let opt = NB.energy_optimum(&mp, n).unwrap();
+        let (p_lo, p_hi, m0) = (opt.p_lo, opt.p_hi, opt.m0);
         // M0 is within [min_memory, max_useful] exactly for p in range.
         let p_mid = ((p_lo * p_hi).sqrt()) as u64;
-        assert!(nb.min_memory(n, p_mid) <= m0 && m0 <= nb.max_useful_memory(n, p_mid));
+        assert!(NB.min_memory(n, p_mid) <= m0 && m0 <= NB.max_useful_memory(n, p_mid));
         let p_small = (p_lo * 0.5).max(1.0) as u64;
-        assert!(m0 < nb.min_memory(n, p_small) || p_small as Real >= p_lo);
+        assert!(m0 < NB.min_memory(n, p_small) || p_small as Real >= p_lo);
     }
 
     #[test]
     fn tmax_threshold_is_runtime_of_the_estar_run() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let m0 = opt.m0().unwrap();
+        let m0 = NB.m0(&mp).unwrap();
         let nf = n as Real;
         let p = (nf * nf / (m0 * m0)).round() as u64;
         let direct = t_nbody(&mp, n, p, m0, F);
-        let threshold = opt.tmax_threshold().unwrap();
+        let threshold = NB.tmax_threshold(&mp).unwrap();
         // p is rounded to an integer, so allow O(1/p) relative slack.
         assert!((direct - threshold).abs() / threshold < 1e-3);
     }
@@ -898,26 +824,26 @@ mod tests {
     #[test]
     fn loose_deadline_returns_global_optimum() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let cfg = opt
-            .min_energy_given_tmax(n, opt.tmax_threshold().unwrap() * 10.0)
+        let cfg = NB
+            .min_energy_given_tmax(&mp, n, NB.tmax_threshold(&mp).unwrap() * 10.0)
             .unwrap();
-        assert!((cfg.energy - opt.e_star(n).unwrap()).abs() / cfg.energy < 1e-12);
-        assert!((cfg.mem - opt.m0().unwrap()).abs() / cfg.mem < 1e-12);
+        assert!(
+            (cfg.energy - NB.energy_optimum(&mp, n).unwrap().e_star).abs() / cfg.energy < 1e-12
+        );
+        assert!((cfg.mem - NB.m0(&mp).unwrap()).abs() / cfg.mem < 1e-12);
     }
 
     #[test]
     fn tight_deadline_forces_more_processors_and_energy() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let threshold = opt.tmax_threshold().unwrap();
-        let cfg = opt.min_energy_given_tmax(n, threshold / 4.0).unwrap();
+        let threshold = NB.tmax_threshold(&mp).unwrap();
+        let cfg = NB.min_energy_given_tmax(&mp, n, threshold / 4.0).unwrap();
         // Deadline met exactly by a 2D run with M = n/√p.
         let nf = n as Real;
         assert!((cfg.mem - nf / cfg.p.sqrt()).abs() / cfg.mem < 1e-9);
-        assert!(cfg.energy > opt.e_star(n).unwrap());
+        assert!(cfg.energy > NB.energy_optimum(&mp, n).unwrap().e_star);
         // And the reported runtime is the deadline.
         let t = t_nbody(&mp, n, cfg.p.round() as u64, cfg.mem, F);
         assert!((t - threshold / 4.0).abs() / t < 1e-3);
@@ -926,9 +852,8 @@ mod tests {
     #[test]
     fn impossible_deadline_is_rejected() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         assert!(matches!(
-            opt.min_energy_given_tmax(1 << 22, -1.0),
+            NB.min_energy_given_tmax(&mp, 1 << 22, -1.0),
             Err(CoreError::Infeasible(_))
         ));
     }
@@ -936,11 +861,10 @@ mod tests {
     #[test]
     fn energy_budget_below_estar_is_rejected() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let e_star = opt.e_star(n).unwrap();
+        let e_star = NB.energy_optimum(&mp, n).unwrap().e_star;
         assert!(matches!(
-            opt.min_time_given_emax(n, e_star * 0.99),
+            NB.min_time_given_emax(&mp, n, e_star * 0.99),
             Err(CoreError::Infeasible(_))
         ));
     }
@@ -948,17 +872,16 @@ mod tests {
     #[test]
     fn energy_budget_binds_with_equality_on_2d_boundary() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let emax = opt.e_star(n).unwrap() * 1.5;
-        let cfg = opt.min_time_given_emax(n, emax).unwrap();
+        let emax = NB.energy_optimum(&mp, n).unwrap().e_star * 1.5;
+        let cfg = NB.min_time_given_emax(&mp, n, emax).unwrap();
         // 2D run: M = n/√p.
         let nf = n as Real;
         assert!((cfg.mem - nf / cfg.p.sqrt()).abs() / cfg.mem < 1e-9);
         // Budget used in full (quadratic solved with equality).
         assert!((cfg.energy - emax).abs() / emax < 1e-9);
         // Spending more budget must not slow us down.
-        let cfg2 = opt.min_time_given_emax(n, emax * 2.0).unwrap();
+        let cfg2 = NB.min_time_given_emax(&mp, n, emax * 2.0).unwrap();
         assert!(cfg2.time <= cfg.time);
         assert!(cfg2.p > cfg.p);
     }
@@ -966,54 +889,47 @@ mod tests {
     #[test]
     fn average_power_is_e_over_t() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
         let p = 256u64;
-        let nb = DirectNBody {
-            flops_per_interaction: F,
-        };
-        let mem = nb.max_useful_memory(n, p);
+        let mem = NB.max_useful_memory(n, p);
         let e = e_nbody(&mp, n, mem, F);
         let t = t_nbody(&mp, n, p, mem, F);
-        let pw = opt.average_power(p as Real, mem);
+        let pw = NB.average_power(&mp, p as Real, mem).unwrap();
         assert!((pw - e / t).abs() / pw < 1e-12);
     }
 
     #[test]
     fn total_power_bound_caps_p_linearly() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let mem = 1e6;
-        let p1 = opt.max_p_given_total_power(1000.0, mem);
-        let p2 = opt.max_p_given_total_power(2000.0, mem);
+        let p1 = NB.max_p_given_total_power(&mp, 1000.0, mem).unwrap();
+        let p2 = NB.max_p_given_total_power(&mp, 2000.0, mem).unwrap();
         assert!((p2 / p1 - 2.0).abs() < 1e-12);
         // The bound is consistent: running at the cap uses ≤ the budget.
-        assert!(opt.average_power(p1, mem) <= 1000.0 * (1.0 + 1e-9));
+        assert!(NB.average_power(&mp, p1, mem).unwrap() <= 1000.0 * (1.0 + 1e-9));
     }
 
     #[test]
     fn proc_power_bound_satisfied_with_equality_at_max_memory() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         // Pick a budget comfortably above the M→small floor.
-        let floor = opt.average_power(1.0, 10.0);
+        let floor = NB.average_power(&mp, 1.0, 10.0).unwrap();
         let p_max = floor * 2.0;
-        let m_cap = opt.max_memory_given_proc_power(p_max).unwrap();
+        let m_cap = NB.max_memory_given_proc_power(&mp, p_max).unwrap();
         assert!(m_cap.is_finite() && m_cap > 0.0);
         // Equality at the cap, feasible below, infeasible above.
-        let at = opt.average_power(1.0, m_cap);
+        let at = NB.average_power(&mp, 1.0, m_cap).unwrap();
         assert!((at - p_max).abs() / p_max < 1e-9, "at={at}, p_max={p_max}");
-        assert!(opt.average_power(1.0, m_cap * 0.5) < p_max);
-        assert!(opt.average_power(1.0, m_cap * 2.0) > p_max);
+        assert!(NB.average_power(&mp, 1.0, m_cap * 0.5).unwrap() < p_max);
+        assert!(NB.average_power(&mp, 1.0, m_cap * 2.0).unwrap() > p_max);
     }
 
     #[test]
     fn infeasible_proc_power_budget_is_rejected() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         // Below the asymptotic compute-power floor γe/γt·(…): impossible.
         assert!(matches!(
-            opt.max_memory_given_proc_power(1e-12),
+            NB.max_memory_given_proc_power(&mp, 1e-12),
             Err(CoreError::Infeasible(_))
         ));
     }
@@ -1021,12 +937,11 @@ mod tests {
     #[test]
     fn gflops_per_watt_is_scale_invariant() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
-        let g = opt.gflops_per_watt_at_optimum().unwrap();
+        let g = NB.gflops_per_watt_at_optimum(&mp).unwrap();
         // f·n²/E*(n) should equal it for any n.
         for n in [1u64 << 16, 1 << 20, 1 << 24] {
             let nf = n as Real;
-            let ratio = F * nf * nf / opt.e_star(n).unwrap() / 1e9;
+            let ratio = F * nf * nf / NB.energy_optimum(&mp, n).unwrap().e_star / 1e9;
             assert!((ratio - g).abs() / g < 1e-12);
         }
     }
@@ -1034,10 +949,9 @@ mod tests {
     #[test]
     fn improvement_factor_scales_energy_params() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
-        let current = opt.gflops_per_watt_at_optimum().unwrap();
+        let current = NB.gflops_per_watt_at_optimum(&mp).unwrap();
         let target = current * 8.0;
-        let k = opt.energy_improvement_for_target(target).unwrap();
+        let k = NB.energy_improvement_for_target(&mp, target).unwrap();
         assert!((k - 8.0).abs() < 1e-12);
         // Verify: dividing all energy prices by k reaches the target.
         let scaled = MachineParams {
@@ -1048,8 +962,7 @@ mod tests {
             epsilon_e: mp.epsilon_e / k,
             ..mp.clone()
         };
-        let opt2 = NBodyOptimizer::new(&scaled, F).unwrap();
-        let achieved = opt2.gflops_per_watt_at_optimum().unwrap();
+        let achieved = NB.gflops_per_watt_at_optimum(&scaled).unwrap();
         assert!((achieved - target).abs() / target < 1e-12);
     }
 
@@ -1060,9 +973,11 @@ mod tests {
             .beta_e(1e-10)
             .build()
             .unwrap();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
-        assert!(matches!(opt.m0(), Err(CoreError::Infeasible(_))));
-        assert!(matches!(opt.e_star(1 << 20), Err(CoreError::Infeasible(_))));
+        assert!(matches!(NB.m0(&mp), Err(CoreError::Infeasible(_))));
+        assert!(matches!(
+            NB.energy_optimum(&mp, 1 << 20),
+            Err(CoreError::Infeasible(_))
+        ));
     }
 
     // ---- matmul module ----
@@ -1145,20 +1060,19 @@ mod tests {
     #[test]
     fn nbody_min_average_power_sits_on_the_1d_limit() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 20;
-        let (cfg, pw) = opt.min_average_power(n).unwrap();
+        let (cfg, pw) = NB.min_average_power(&mp, n).unwrap();
         // On the 1D limit p = n/M.
         assert!((cfg.p * cfg.mem / n as Real - 1.0).abs() < 1e-6);
         // Power is indeed P = E/T there.
-        let direct = opt.average_power(cfg.p, cfg.mem);
+        let direct = NB.average_power(&mp, cfg.p, cfg.mem).unwrap();
         assert!((pw / direct - 1.0).abs() < 1e-9);
         // No sampled feasible point beats it.
         for i in 0..50 {
             let m = 4.0 * ((n as Real) / 4.0).powf(i as Real / 49.0);
             let p_min_feasible = n as Real / m;
             assert!(
-                opt.average_power(p_min_feasible, m) >= pw * (1.0 - 1e-6),
+                NB.average_power(&mp, p_min_feasible, m).unwrap() >= pw * (1.0 - 1e-6),
                 "beaten at M = {m}"
             );
         }
@@ -1292,19 +1206,16 @@ mod tests {
     #[test]
     fn numeric_argmin_matches_nbody_optimizer() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let m0 = opt.m0().unwrap();
+        let opt = NB.energy_optimum(&mp, n).unwrap();
+        let m0 = opt.m0;
         // Pick p so that M0 is interior to the memory range.
-        let (p_lo, p_hi) = opt.m0_processor_range(n).unwrap();
+        let (p_lo, p_hi) = (opt.p_lo, opt.p_hi);
         let p = ((p_lo * p_hi).sqrt()).round() as u64;
-        let nb = DirectNBody {
-            flops_per_interaction: F,
-        };
-        let cfg = argmin_energy_memory(&nb, &mp, n, p).unwrap();
+        let cfg = argmin_energy_memory(&NB, &mp, n, p).unwrap();
         // Flat objective near the optimum: see m0_is_the_argmin_of_energy.
         assert!((cfg.mem - m0).abs() / m0 < 1e-2);
-        assert!((cfg.energy - opt.e_star(n).unwrap()).abs() / cfg.energy < 1e-10);
+        assert!((cfg.energy - opt.e_star).abs() / cfg.energy < 1e-10);
     }
 
     #[test]
@@ -1371,15 +1282,11 @@ mod tests {
     #[test]
     fn numeric_power_matches_nbody_optimizer() {
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let nb = DirectNBody {
-            flops_per_interaction: F,
-        };
         let p = 256u64;
-        let m = nb.max_useful_memory(n, p);
-        let numeric = average_power(&nb, &mp, n, p, m).unwrap();
-        let closed = opt.average_power(p as Real, m);
+        let m = NB.max_useful_memory(n, p);
+        let numeric = mp.average_power(p, &NB.costs(n, p, m, &mp).unwrap(), m);
+        let closed = NB.average_power(&mp, p as Real, m).unwrap();
         assert!((numeric - closed).abs() / closed < 1e-12);
     }
 
@@ -1390,26 +1297,15 @@ mod tests {
         let ps = log_spaced_p(4, 16384, 28);
         let fast = min_time_given_total_power(&ClassicalMatMul, &mp, n, &ps, 1e12).unwrap();
         // A tight cap forces fewer processors and more time.
-        let cap = average_power(
-            &ClassicalMatMul,
-            &mp,
-            n,
-            64,
-            ClassicalMatMul.min_memory(n, 64),
-        )
-        .unwrap();
+        let m = ClassicalMatMul.min_memory(n, 64);
+        let cap = mp.average_power(64, &ClassicalMatMul.costs(n, 64, m, &mp).unwrap(), m);
         let capped = min_time_given_total_power(&ClassicalMatMul, &mp, n, &ps, cap).unwrap();
         assert!(capped.time >= fast.time * (1.0 - 1e-9));
         assert!(capped.p <= fast.p);
         // The cap binds: the chosen run respects it.
-        let at = average_power(
-            &ClassicalMatMul,
-            &mp,
-            n,
-            capped.p.round() as u64,
-            capped.mem,
-        )
-        .unwrap();
+        let p = capped.p.round() as u64;
+        let costs = ClassicalMatMul.costs(n, p, capped.mem, &mp).unwrap();
+        let at = mp.average_power(p, &costs, capped.mem);
         assert!(at <= cap * (1.0 + 1e-6));
     }
 
@@ -1433,16 +1329,12 @@ mod tests {
         // must agree with the closed-form Eq. 20 memory cap: the chosen
         // M never exceeds it.
         let mp = params();
-        let opt = NBodyOptimizer::new(&mp, F).unwrap();
         let n = 1u64 << 22;
-        let nb = DirectNBody {
-            flops_per_interaction: F,
-        };
-        let floor = opt.average_power(1.0, 100.0);
+        let floor = NB.average_power(&mp, 1.0, 100.0).unwrap();
         let cap = floor * 1.2;
-        let m_cap = opt.max_memory_given_proc_power(cap).unwrap();
+        let m_cap = NB.max_memory_given_proc_power(&mp, cap).unwrap();
         let ps = log_spaced_p(1 << 6, 1 << 16, 20);
-        let cfg = min_energy_given_proc_power(&nb, &mp, n, &ps, cap).unwrap();
+        let cfg = min_energy_given_proc_power(&NB, &mp, n, &ps, cap).unwrap();
         assert!(
             cfg.mem <= m_cap * (1.0 + 1e-6),
             "numeric M {} vs Eq. 20 cap {}",

@@ -23,9 +23,9 @@
 //! | Eq. 15 | `T` of replicating n-body | [`crate::time::t_nbody`] |
 //! | Eq. 16 | `E` of replicating n-body | [`crate::energy::e_nbody`] |
 //! | Eq. 17 | two-level n-body `T`, `E` | [`crate::twolevel::TwoLevelParams::nbody_point`] (matches the printed equation term by term) |
-//! | Eq. 18 | minimum n-body energy `E*` | [`crate::optimize::nbody::NBodyOptimizer::e_star`] |
-//! | Eq. 19 | total-power cap on `p` | [`crate::optimize::nbody::NBodyOptimizer::max_p_given_total_power`] |
-//! | Eq. 20 | per-proc-power cap on `M` | [`crate::optimize::nbody::NBodyOptimizer::max_memory_given_proc_power`] (sign-corrected; see its docs) |
+//! | Eq. 18 | minimum n-body energy `E*` | [`crate::costs::Algorithm::energy_optimum`] of [`crate::costs::DirectNBody`] |
+//! | Eq. 19 | total-power cap on `p` | [`crate::costs::DirectNBody::max_p_given_total_power`] |
+//! | Eq. 20 | per-proc-power cap on `M` | [`crate::costs::DirectNBody::max_memory_given_proc_power`] (sign-corrected; see its docs) |
 //!
 //! # Sections
 //!
@@ -38,7 +38,7 @@
 //! | §IV FFT | [`crate::costs::FftTree`] / [`crate::costs::FftAllToAll`]; executable: `psse-algos::fft` |
 //! | §V A–F optimization | [`crate::optimize::nbody`] (closed form); §V.A for matmul: [`crate::costs::ClassicalMatMul`] and [`crate::costs::StrassenMatMul`] `energy_optimum` over [`crate::optimize::matmul::m0`] and [`crate::optimize::strassen::m0`]; any model: [`crate::optimize::numeric`] |
 //! | §VI case study | [`crate::machines::jaketown`], [`crate::tech_scaling`] |
-//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::optimize::nbody::NBodyOptimizer::min_average_power`] |
+//! | §VII observations & open problems | [`crate::machines::table2`] + `table2_machines` figure; "minimize average power" solved at [`crate::costs::DirectNBody::min_average_power`] |
 //!
 //! # Tables and figures
 //!

@@ -269,7 +269,6 @@ impl Algorithm for KernelCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psse_core::optimize::nbody::NBodyOptimizer;
 
     fn machine() -> MachineParams {
         MachineParams::builder()
@@ -402,7 +401,7 @@ mod tests {
         let n2 = 1u64 << 20;
         let m2 = nb.min_memory(n2, p) * 2.0;
         let a2 = nb.evaluate(&mp, n2, p, m2).unwrap();
-        let b2 = NBodyOptimizer::new(&mp, 20.0).unwrap().evaluate(n2, p, m2);
+        let b2 = DirectNBody::default().evaluate(&mp, n2, p, m2).unwrap();
         assert_eq!(a2.time.to_bits(), b2.time.to_bits());
         assert_eq!(a2.energy.to_bits(), b2.energy.to_bits());
     }

@@ -157,7 +157,6 @@ mod tests {
     use super::*;
     use psse_core::costs::ClassicalMatMul;
     use psse_core::machines::jaketown;
-    use psse_core::optimize::nbody::NBodyOptimizer;
     use psse_core::params::MachineParams;
 
     fn contrived() -> MachineParams {
@@ -177,16 +176,16 @@ mod tests {
     }
 
     #[test]
-    fn nbody_model_matches_optimizer_bitwise() {
+    fn nbody_model_matches_the_closed_forms_bitwise() {
         let mp = contrived();
-        let opt = NBodyOptimizer::new(&mp, 10.0).unwrap();
         let mut key = RunKey::model("nbody", 10_000, 50, mp.clone());
         key.f = 10.0;
         key.mem = 1000.0;
         let r = execute(&key).unwrap();
-        let cfg = opt.evaluate(10_000, 50, 1000.0);
-        assert_eq!(r.time.to_bits(), cfg.time.to_bits());
-        assert_eq!(r.energy.to_bits(), cfg.energy.to_bits());
+        let time = psse_core::time::t_nbody(&mp, 10_000, 50, 1000.0, 10.0);
+        let energy = psse_core::energy::e_nbody(&mp, 10_000, 1000.0, 10.0);
+        assert_eq!(r.time.to_bits(), time.to_bits());
+        assert_eq!(r.energy.to_bits(), energy.to_bits());
         assert!(r.feasible);
     }
 

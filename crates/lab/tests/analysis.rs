@@ -4,7 +4,6 @@
 //! respects the pmin/pmax band from `bounds.rs`.
 
 use psse_core::costs::{Algorithm, ClassicalMatMul, DirectNBody};
-use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::params::MachineParams;
 use psse_lab::prelude::*;
 
@@ -75,19 +74,21 @@ fn nbody_detected_range_matches_closed_form() {
 
 #[test]
 fn nbody_detected_range_at_m0_matches_optimizer() {
-    // Cross-check against core::optimize: at the energy-optimal memory
-    // M0, the feasible processor range is m0_processor_range.
+    // Cross-check against the §V.A optimum: at the energy-optimal
+    // memory M0, the feasible processor range is its band.
     let mp = contrived();
-    let opt = NBodyOptimizer::new(&mp, F).unwrap();
-    let m0 = opt.m0().unwrap();
-    let (p_lo, p_hi) = opt.m0_processor_range(N).unwrap();
+    let nb = DirectNBody {
+        flops_per_interaction: F,
+    };
+    let opt = nb.energy_optimum(&mp, N).unwrap();
+    let (m0, p_lo, p_hi) = (opt.m0, opt.p_lo, opt.p_hi);
 
     let samples = nbody_ladder(m0, 1..=200);
     let detected = detect_scaling_range(&samples, 1e-9).unwrap();
     assert_eq!(detected.p_min, p_lo.ceil() as u64);
     assert_eq!(detected.p_max, p_hi.floor() as u64);
     // And energy across the detected band equals E* (flat at minimum).
-    let e_star = opt.e_star(N).unwrap();
+    let e_star = opt.e_star;
     for &(_, _, e) in &samples {
         assert!((e / e_star - 1.0).abs() < 1e-9);
     }

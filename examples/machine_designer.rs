@@ -80,12 +80,12 @@ fn main() {
             gamma_e: s.gamma_e(),
             ..jaketown()
         };
-        let opt = NBodyOptimizer::new(&mp, 20.0).unwrap();
+        let nb = DirectNBody::default();
         println!(
             "  {:<28} best-case n-body: {:>6.3} GFLOPS/W at M0 = {:.2e} words",
             s.name,
-            opt.gflops_per_watt_at_optimum().unwrap(),
-            opt.m0().unwrap()
+            nb.gflops_per_watt_at_optimum(&mp).unwrap(),
+            nb.m0(&mp).unwrap()
         );
     }
 }

@@ -23,12 +23,14 @@ fn main() {
         .unwrap();
     let f = 10.0;
     let n: u64 = 10_000;
-    let opt = NBodyOptimizer::new(&machine, f).unwrap();
+    let nb = DirectNBody {
+        flops_per_interaction: f,
+    };
 
     println!("== Question 1: minimum energy for the computation ==");
-    let m0 = opt.m0().unwrap();
-    let e_star = opt.e_star(n).unwrap();
-    let (p_lo, p_hi) = opt.m0_processor_range(n).unwrap();
+    let optimum = nb.energy_optimum(&machine, n).unwrap();
+    let (m0, e_star) = (optimum.m0, optimum.e_star);
+    let (p_lo, p_hi) = (optimum.p_lo, optimum.p_hi);
     println!("energy-optimal memory  M0 = {m0:.1} words/processor (independent of n, p)");
     println!(
         "minimum energy         E* = {e_star:.4} J, attainable for p in [{p_lo:.0}, {p_hi:.0}]"
@@ -36,9 +38,9 @@ fn main() {
     println!("('race to halt' is NOT optimal here: max memory would waste DRAM energy)");
 
     println!("\n== Question 2: minimum energy under a deadline ==");
-    let threshold = opt.tmax_threshold().unwrap();
+    let threshold = nb.tmax_threshold(&machine).unwrap();
     for tmax in [threshold * 2.0, threshold / 2.0] {
-        let cfg = opt.min_energy_given_tmax(n, tmax).unwrap();
+        let cfg = nb.min_energy_given_tmax(&machine, n, tmax).unwrap();
         println!(
             "Tmax = {tmax:.5} s -> run at p = {:.0}, M = {:.0}: E = {:.4} J{}",
             cfg.p,
@@ -54,7 +56,9 @@ fn main() {
 
     println!("\n== Question 3: minimum runtime under an energy budget ==");
     for factor in [1.05, 1.5, 3.0] {
-        let cfg = opt.min_time_given_emax(n, e_star * factor).unwrap();
+        let cfg = nb
+            .min_time_given_emax(&machine, n, e_star * factor)
+            .unwrap();
         println!(
             "Emax = {factor:.2}·E* -> fastest run T = {:.6} s at p = {:.0} (2D boundary M = n/sqrt(p))",
             cfg.time, cfg.p
@@ -62,24 +66,23 @@ fn main() {
     }
 
     println!("\n== Question 4: power caps ==");
-    let p_proc_cap = opt.average_power(1.0, m0) * 1.5;
-    let m_cap = opt.max_memory_given_proc_power(p_proc_cap).unwrap();
+    let p_proc_cap = nb.average_power(&machine, 1.0, m0).unwrap() * 1.5;
+    let m_cap = nb
+        .max_memory_given_proc_power(&machine, p_proc_cap)
+        .unwrap();
     println!("per-processor cap {p_proc_cap:.3} W -> memory capped at M <= {m_cap:.0} words");
     let total_cap = 50.0;
-    let p_max = opt.max_p_given_total_power(total_cap, m0);
+    let p_max = nb.max_p_given_total_power(&machine, total_cap, m0).unwrap();
     println!("total cap {total_cap} W at M0 -> at most p = {p_max:.1} processors");
 
     println!("\n== Question 5: target efficiency -> machine constraint ==");
-    let eff = opt.gflops_per_watt_at_optimum().unwrap();
+    let eff = nb.gflops_per_watt_at_optimum(&machine).unwrap();
     let target = 10.0 * eff;
-    let k = opt.energy_improvement_for_target(target).unwrap();
+    let k = nb.energy_improvement_for_target(&machine, target).unwrap();
     println!("current best-case efficiency: {eff:.4} GFLOPS/W");
     println!("to reach {target:.3} GFLOPS/W, all energy prices must improve by {k:.1}x");
 
     println!("\n== closed form vs numeric optimizer ==");
-    let nb = DirectNBody {
-        flops_per_interaction: f,
-    };
     let p_mid = ((p_lo * p_hi).sqrt()).round() as u64;
     let numeric_cfg = numeric::argmin_energy_memory(&nb, &machine, n, p_mid).unwrap();
     println!(

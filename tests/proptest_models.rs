@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use psse::core::costs::{Algorithm, ClassicalMatMul, DirectNBody, StrassenMatMul};
 use psse::core::energy::{e_matmul_25d, e_matmul_fast_lm, e_nbody};
-use psse::core::optimize::nbody::NBodyOptimizer;
 use psse::core::optimize::numeric::golden_section_min;
 use psse::core::time::{t_matmul_25d, t_nbody};
 use psse::prelude::*;
@@ -136,11 +135,11 @@ proptest! {
         f in 1.0..100.0f64,
         perturb in prop::sample::select(vec![0.25, 0.5, 0.8, 1.25, 2.0, 4.0]),
     ) {
-        let opt = NBodyOptimizer::new(&mp, f).unwrap();
+        let nb = DirectNBody { flops_per_interaction: f };
         let n = 1u64 << 20;
-        let m0 = opt.m0().unwrap();
+        let m0 = nb.m0(&mp).unwrap();
         prop_assume!(m0.is_finite() && m0 > 1.0);
-        let e_star = opt.e_star(n).unwrap();
+        let e_star = nb.energy_optimum(&mp, n).unwrap().e_star;
         prop_assert!(e_nbody(&mp, n, m0 * perturb, f) >= e_star * (1.0 - 1e-12));
         let (_, e_num) = golden_section_min(
             |m| e_nbody(&mp, n, m, f),
@@ -158,22 +157,22 @@ proptest! {
         f in 1.0..100.0f64,
         slack in 1.05..10.0f64,
     ) {
-        let opt = NBodyOptimizer::new(&mp, f).unwrap();
+        let nb = DirectNBody { flops_per_interaction: f };
         let n = 1u64 << 20;
-        let e_star = opt.e_star(n).unwrap();
-        let threshold = opt.tmax_threshold().unwrap();
+        let e_star = nb.energy_optimum(&mp, n).unwrap().e_star;
+        let threshold = nb.tmax_threshold(&mp).unwrap();
 
         // Loose deadline: global optimum; tight: more energy, deadline met.
-        let loose = opt.min_energy_given_tmax(n, threshold * slack).unwrap();
+        let loose = nb.min_energy_given_tmax(&mp, n, threshold * slack).unwrap();
         prop_assert!((loose.energy / e_star - 1.0).abs() < 1e-9);
-        let tight = opt.min_energy_given_tmax(n, threshold / slack).unwrap();
+        let tight = nb.min_energy_given_tmax(&mp, n, threshold / slack).unwrap();
         prop_assert!(tight.energy >= e_star * (1.0 - 1e-12));
         let t_actual = t_nbody(&mp, n, tight.p.round().max(1.0) as u64, tight.mem, f);
         prop_assert!(t_actual <= threshold / slack * 1.01);
 
         // Budget: binding with equality, monotone in the budget.
-        let fast1 = opt.min_time_given_emax(n, e_star * slack).unwrap();
-        let fast2 = opt.min_time_given_emax(n, e_star * slack * 2.0).unwrap();
+        let fast1 = nb.min_time_given_emax(&mp, n, e_star * slack).unwrap();
+        let fast2 = nb.min_time_given_emax(&mp, n, e_star * slack * 2.0).unwrap();
         prop_assert!(fast2.time <= fast1.time * (1.0 + 1e-9));
         prop_assert!((fast1.energy / (e_star * slack) - 1.0).abs() < 1e-6);
     }
@@ -204,12 +203,12 @@ proptest! {
         mp in machines(),
         f in 1.0..100.0f64,
     ) {
-        let opt = NBodyOptimizer::new(&mp, f).unwrap();
-        let g = opt.gflops_per_watt_at_optimum().unwrap();
+        let nb = DirectNBody { flops_per_interaction: f };
+        let g = nb.gflops_per_watt_at_optimum(&mp).unwrap();
         for n_exp in [14u32, 18, 22] {
             let n = 1u64 << n_exp;
             let nf = n as f64;
-            let direct = f * nf * nf / opt.e_star(n).unwrap() / 1e9;
+            let direct = f * nf * nf / nb.energy_optimum(&mp, n).unwrap().e_star / 1e9;
             prop_assert!((direct / g - 1.0).abs() < 1e-9);
         }
     }
